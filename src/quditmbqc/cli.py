@@ -26,7 +26,13 @@ from .errors import (
     UnsupportedFormalism,
     WrongFormalism,
 )
-from .galois import FINITE_FIELD, INTEGER_RING, make_dim
+from .galois import (
+    FINITE_FIELD,
+    INTEGER_RING,
+    json_check,
+    json_complex,
+    make_dim,
+)
 from .gates import basis_state, hadamard, sgate
 from .clifford import universality_check
 from .compiler import (
@@ -77,10 +83,6 @@ def dumps_report(obj: dict) -> str:
 def matrix_to_json(M: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row]
             for row in np.asarray(M, dtype=complex)]
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in obj])
 
 
 def _digest(paths: List[Optional[str]]) -> str:
@@ -234,7 +236,8 @@ def cmd_table(args) -> int:
 def cmd_compile(args) -> int:
     spec = gate_from_json(_load_json(args.gate))
     _check_formalism(spec.dim, args.formalism)
-    target = matrix_from_json(_load_json(args.target)["matrix"])
+    target = json_check(_load_json(args.target), dict, "target")
+    target = json_complex(target["matrix"], (None, None), "matrix")
     intr = intrinsic_of(spec)
     pattern = compile_unitary(target, intr, seed=args.seed or 0)
     pattern.gate = spec

@@ -23,21 +23,32 @@ from .errors import (
     UnsupportedFormalism,
 )
 from .galois import INTEGER_RING, DimSpec
-from .gates import hadamard, mult_gate, shear_gate
-from .pauli import PauliWord, match_pauli, matrix_of_pauli, single_word, zx_matrix
+from .gates import hadamard, shear_gate
+from .pauli import (
+    PauliWord,
+    match_pauli,
+    normal_form,
+    single_word,
+    word_power,
+    zx_matrix,
+)
 
 PAULI_TOL = 1e-8
+
+
+def _additive_basis(dim: DimSpec) -> List[int]:
+    """1 for Z_d; the encoded 1, xi, xi^2, ... for GF(p^m), matching the
+    digits of DimSpec.coeffs_of."""
+    if dim.kind == INTEGER_RING:
+        return [1]
+    return [dim.p ** i for i in range(dim.m)]
 
 
 def generator_words(dim: DimSpec, n: int):
     """Pauli generators whose images determine a Clifford: per site,
     Z and X raised to the additive basis elements (1, xi, xi^2, ...)."""
-    if dim.kind == INTEGER_RING or dim.m == 1:
-        basis = [1]
-    else:
-        basis = [dim.p ** i for i in range(dim.m)]  # encoded 1, xi, xi^2...
     for site in range(n):
-        for g in basis:
+        for g in _additive_basis(dim):
             yield f"Z{site}^{g}", single_word(dim, n, site, z=g)
             yield f"X{site}^{g}", single_word(dim, n, site, x=g)
 
@@ -57,6 +68,26 @@ class CliffordCert:
 
     def image_of(self, label: str) -> Tuple[complex, PauliWord]:
         return self.images[label]
+
+    def conjugate(self, word: PauliWord) -> PauliWord:
+        """U word U^dagger as an exact-phase word.
+
+        Each exponent is split over the additive basis, so the word is a
+        product of generator powers; their images are multiplied in
+        normal form.  No dense matrix is formed.
+        """
+        if word.dim != self.dim or word.n != self.n:
+            raise DimensionMismatch("word and certificate systems differ")
+        zero = (0,) * self.n
+        out = PauliWord(self.dim, self.n, zero, zero, word.phase_num)
+        basis = _additive_basis(self.dim)
+        for site in range(self.n):
+            for letter, value in (("Z", word.z[site]), ("X", word.x[site])):
+                for g, c in zip(basis, self.dim.coeffs_of(value)):
+                    if c:
+                        img = self.images[f"{letter}{site}^{g}"][1]
+                        out = normal_form(out, word_power(img, c))
+        return out
 
 
 def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1,
@@ -105,20 +136,6 @@ def pauli_order(U: np.ndarray, dim: DimSpec, n: int = 1,
     return pauli_order_data(U, dim, n, tol)[0]
 
 
-def multiplicative_order(U: np.ndarray, dim: DimSpec, n: int = 1,
-                         cap: Optional[int] = None) -> Optional[int]:
-    """Least k with U^k proportional to the identity, or None below cap."""
-    D = dim.d ** n
-    cap = cap or 4 * dim.d ** 2
-    P = np.eye(D, dtype=complex)
-    for k in range(1, cap + 1):
-        P = P @ U
-        lead = P.reshape(-1)[np.argmax(np.abs(P.reshape(-1)))]
-        if np.max(np.abs(P / lead - np.eye(D))) < 1e-8:
-            return k
-    return None
-
-
 # --- symplectic representation -------------------------------------------
 
 @dataclass(frozen=True)
@@ -152,18 +169,9 @@ class SymplecticRep:
                 dim.add(dim.mul(self.b, z), dim.mul(self.e, x)))
 
 
-def identity_rep(dim: DimSpec) -> SymplecticRep:
-    return SymplecticRep(dim, 1, 0, 0, 1)
-
-
 def hadamard_rep(dim: DimSpec) -> SymplecticRep:
     # Z -> X^{-1} ... columns: Z image (0, -1)?  H: Z -> X^-1, X -> Z
     return SymplecticRep(dim, 0, dim.neg(1), 1, 0)
-
-
-def shear_rep(dim: DimSpec, l: int) -> SymplecticRep:
-    # matrix [[1, l], [0, 1]]: Z fixed, X -> X Z^l
-    return SymplecticRep(dim, 1, 0, l, 1)
 
 
 def symplectic_of(cert: CliffordCert) -> SymplecticRep:
@@ -226,27 +234,6 @@ def realize_word(dim: DimSpec, tokens: List[Token],
         else:
             raise ValueError(f"unknown token {t!r}")
     return out
-
-
-def word_symplectic(dim: DimSpec, tokens: List[Token],
-                    g_rep: Optional[SymplecticRep] = None) -> SymplecticRep:
-    out = identity_rep(dim)
-    for t in tokens:
-        if t[0] == "H":
-            out = out.matmul(hadamard_rep(dim))
-        elif t[0] == "shear":
-            out = out.matmul(shear_rep(dim, t[1]))
-        elif t[0] == "G":
-            r = g_rep
-            if t[1] == -1:
-                r = _rep_inverse(r)
-            out = out.matmul(r)
-    return out
-
-
-def _rep_inverse(r: SymplecticRep) -> SymplecticRep:
-    dim = r.dim
-    return SymplecticRep(dim, r.e, dim.neg(r.b), dim.neg(r.c), r.a)
 
 
 def hadamard_from_intrinsic(cert: CliffordCert) -> List[Token]:
@@ -328,10 +315,3 @@ def synthesize(rep: SymplecticRep) -> np.ndarray:
     """Dense unitary whose conjugation action realizes the rep
     (up to Pauli phases)."""
     return realize_word(rep.dim, rep_tokens(rep))
-
-
-def equal_up_to_pauli(dim: DimSpec, n: int, A: np.ndarray, B: np.ndarray,
-                      tol: float = PAULI_TOL
-                      ) -> Optional[Tuple[complex, PauliWord]]:
-    """Find (phase, W) with A ~ phase * W * B, or None."""
-    return match_pauli(dim, n, A @ np.asarray(B).conj().T, tol)

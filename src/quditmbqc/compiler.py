@@ -31,7 +31,16 @@ from .errors import (
     UnsupportedFormalism,
     WrongFormalism,
 )
-from .galois import INTEGER_RING, DimSpec, dim_from_json, dim_to_json
+from .galois import (
+    INTEGER_RING,
+    DimSpec,
+    dim_from_json,
+    dim_to_json,
+    is_prime,
+    json_array,
+    json_check,
+    json_complex,
+)
 from .gates import shear_gate, tau
 from .pauli import (
     PauliWord,
@@ -59,17 +68,8 @@ MAX_RESTARTS = 32
 MAX_SWEEPS = 500
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(n ** 0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
-
-
 def _check_compilable(dim: DimSpec):
-    if dim.kind == INTEGER_RING and not _is_prime(dim.d):
+    if dim.kind == INTEGER_RING and not is_prime(dim.d):
         raise UnsupportedFormalism(
             "composite integer-ring dimensions have no MUB-based "
             "decomposition; use the weyl Hermitian basis tools instead")
@@ -79,7 +79,7 @@ def _check_compilable(dim: DimSpec):
 
 def mub_paulis(dim: DimSpec) -> List[PauliWord]:
     """The d+1 words {Z} and {X Z^a : a} whose eigenbases are unbiased."""
-    if dim.kind == INTEGER_RING and not _is_prime(dim.d):
+    if dim.kind == INTEGER_RING and not is_prime(dim.d):
         raise WrongFormalism("MUB construction needs a prime-power dimension")
     words = [single_word(dim, 1, 0, z=1)]
     for a in dim.elements:
@@ -132,7 +132,7 @@ def hermitian_basis(dim: DimSpec, variant: str = "mub") -> HermitianBasis:
     elements: List[np.ndarray] = []
     labels: List[Tuple] = []
     if variant == "mub":
-        if dim.kind == INTEGER_RING and not _is_prime(d):
+        if dim.kind == INTEGER_RING and not is_prime(d):
             raise WrongFormalism("MUB Hermitian basis needs a prime power")
         for idx in range(d + 1):
             B = mub_basis_matrix(dim, idx)
@@ -223,31 +223,19 @@ def principal_log_hermitian(U: np.ndarray) -> np.ndarray:
 
 # --- Pauli-sweep lowering -------------------------------------------------
 
-def _conjugate_word(M: np.ndarray, dim: DimSpec, w: PauliWord
-                    ) -> Tuple[complex, PauliWord]:
-    """M w M^dagger as (scalar residual, exact word); M must be Clifford."""
-    r = match_pauli(dim, 1, M @ matrix_of_pauli(w) @ M.conj().T)
-    if r is None:
-        raise DimensionMismatch("conjugation left the Pauli group")
-    phase, word = r
-    return phase / word.phase, word
+def lower_factors(g_cert: CliffordCert, factors: List[Tuple]
+                  ) -> Tuple[List[np.ndarray], PauliWord]:
+    """Rewrite a factor word as C * prod(G * D_i) up to a global phase.
 
-
-def lower_factors(dim: DimSpec, G: np.ndarray, factors: List[Tuple]
-                  ) -> Tuple[List[np.ndarray], PauliWord, complex]:
-    """Rewrite a factor word as scalar * C * prod(G * D_i).
-
-    `factors` is leftmost-first over ("G",), ("diag", vec), ("pauli", word),
-    ("scalar", z).  Returns (diag vectors leftmost-first, C, scalar); the
-    word must begin with a "G" factor once Paulis are swept left.
+    `factors` is leftmost-first over ("G",), ("diag", vec), ("pauli", word);
+    G is the gate certified by g_cert.  Returns (diag vectors leftmost-first,
+    C); the word must begin with a "G" factor once Paulis are swept left.
     """
-    scalar = 1.0 + 0j
+    dim = g_cert.dim
     C = identity_word(dim, 1)
     emitted: List = []  # leftmost-first over ["G"] and ["diag", vec]
     for f in reversed(factors):
-        if f[0] == "scalar":
-            scalar *= f[1]
-        elif f[0] == "pauli":
+        if f[0] == "pauli":
             C = normal_form(f[1], C)
         elif f[0] == "diag":
             x = C.x[0]
@@ -259,8 +247,7 @@ def lower_factors(dim: DimSpec, G: np.ndarray, factors: List[Tuple]
                 emitted.insert(0, ["diag", vec])
         elif f[0] == "G":
             emitted.insert(0, ["G"])
-            res, C = _conjugate_word(G, dim, C)
-            scalar *= res
+            C = g_cert.conjugate(C)
         else:
             raise DimensionMismatch(f"unknown factor {f[0]!r}")
     # group into (G, diag) pairs, leftmost-first
@@ -275,7 +262,7 @@ def lower_factors(dim: DimSpec, G: np.ndarray, factors: List[Tuple]
         else:
             diags.append(np.ones(dim.d, dtype=complex))
             i += 1
-    return diags, C, scalar
+    return diags, C
 
 
 def _steps_from_diags(diags: List[np.ndarray], adaptive: bool
@@ -284,18 +271,18 @@ def _steps_from_diags(diags: List[np.ndarray], adaptive: bool
     return [PatternStep(np.angle(v), adaptive) for v in reversed(diags)]
 
 
-def _intrinsic_cert(intrinsic: IntrinsicGate) -> CliffordCert:
+def intrinsic_cert(intrinsic: IntrinsicGate) -> CliffordCert:
+    """The intrinsic gate's certificate; NotCliffordError if it has none."""
     if intrinsic.clifford_cert is None:
         return certify(intrinsic.matrix, intrinsic.dim, 1)
     return intrinsic.clifford_cert
 
 
 def _gdagger_factors(dim: DimSpec, G: np.ndarray) -> List[Tuple]:
-    """G^dagger rewritten over {G, Pauli, scalar} via the Pauli order."""
-    o, mu, word = pauli_order_data(G, dim, 1)
+    """G^dagger up to phase over {G, Pauli} via the Pauli order."""
+    o, _, word = pauli_order_data(G, dim, 1)
     w0 = PauliWord(dim, 1, word.z, word.x, 0)
-    return [("G",)] * (o - 1) + [("pauli", invert_word(w0)),
-                                 ("scalar", 1.0 / mu)]
+    return [("G",)] * (o - 1) + [("pauli", invert_word(w0))]
 
 
 # --- single-qudit unitary compilation -------------------------------------
@@ -409,7 +396,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise DimensionMismatch("target size does not match the dimension")
-    cert = _intrinsic_cert(intrinsic)
+    cert = intrinsic_cert(intrinsic)
     ok, _ = universality_check(cert)
     if not ok:
         from .errors import UniversalityViolated
@@ -443,7 +430,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
             factors += [("diag", sv), ("G",), dvec] + gd + [("diag", sv.conj())]
         else:
             factors += [dvec]
-    diags, C, scalar = lower_factors(dim, G, factors)
+    diags, C = lower_factors(cert, factors)
     steps = _steps_from_diags(diags, adaptive=True)
     return MeasurementPattern(dim, intrinsic, steps, invert_word(C))
 
@@ -454,7 +441,7 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
     dim = intrinsic.dim
     cert_c = certify(C, dim, 1)
     rep = symplectic_of(cert_c)
-    g_cert = _intrinsic_cert(intrinsic)
+    g_cert = intrinsic_cert(intrinsic)
     G = intrinsic.matrix
     h_word = hadamard_from_intrinsic(g_cert)
     tokens = rep_tokens(rep)
@@ -473,11 +460,10 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
                 raise DimensionMismatch(f"unexpected token {u!r}")
     if not factors or factors[0][0] != "G":
         # transport padding so the word starts with the intrinsic gate
-        o, mu, word = pauli_order_data(G, dim, 1)
+        o, _, word = pauli_order_data(G, dim, 1)
         w0 = PauliWord(dim, 1, word.z, word.x, 0)
-        factors = [("G",)] * o + [("pauli", invert_word(w0)),
-                                  ("scalar", 1.0 / mu)] + factors
-    diags, Cw, scalar = lower_factors(dim, G, factors)
+        factors = [("G",)] * o + [("pauli", invert_word(w0))] + factors
+    diags, Cw = lower_factors(g_cert, factors)
     steps = _steps_from_diags(diags, adaptive=False)
     pat = MeasurementPattern(dim, intrinsic, steps, invert_word(Cw))
     # dense audit: steps product must equal phase * frame * C
@@ -517,18 +503,25 @@ def pattern_to_json(p: MeasurementPattern) -> dict:
 
 
 def pattern_from_json(obj: dict) -> MeasurementPattern:
+    json_check(obj, dict, "pattern")
     dim = dim_from_json(obj["dim"])
+    d = dim.d
     if obj.get("intrinsic") is not None:
         gate = gate_from_json(obj["intrinsic"])
+        if gate.dim != dim:
+            raise DimensionMismatch("intrinsic gate and pattern dimensions "
+                                    "differ")
         intr = intrinsic_of(gate)
     else:
         gate = None
-        M = np.array([[complex(re, im) for re, im in row]
-                      for row in obj["intrinsic_matrix"]])
+        M = json_complex(obj["intrinsic_matrix"], (d, d), "intrinsic_matrix")
         from .resource import _analyze
         intr = _analyze(dim, M)
-    steps = [PatternStep(np.array(s["phases"], dtype=float),
-                         bool(s["adaptive"])) for s in obj["steps"]]
+    steps = []
+    for s in json_check(obj["steps"], list, "steps"):
+        json_check(s, dict, "step")
+        steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
+                                 bool(s["adaptive"])))
     frame = pauli_from_json(dim, obj["frame"])
     return MeasurementPattern(dim, intr, steps, frame,
                               obj.get("frame_semantics", "left"), gate)

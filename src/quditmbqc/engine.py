@@ -19,14 +19,20 @@ from .errors import (
     NotControlledPauliForm,
     SiteOutOfRange,
 )
-from .galois import DimSpec, dim_from_json, dim_to_json
+from .galois import (
+    DimSpec,
+    dim_from_json,
+    dim_to_json,
+    json_array,
+    json_check,
+    json_int,
+)
 from .gates import dphi, hadamard, mult_gate, sgate, xplus_state
-from .clifford import map_pauli_to_Z, synthesize
-from .compiler import MeasurementPattern
+from .clifford import certify, map_pauli_to_Z, synthesize
+from .compiler import MeasurementPattern, intrinsic_cert
 from .pauli import (
     PauliWord,
     identity_word,
-    match_pauli,
     matrix_of_pauli,
     normal_form,
     xmat,
@@ -47,7 +53,6 @@ from . import sim
 from .sim import StateVector, basis_from_unitary, x_basis
 
 VERIFY_TOL = 1e-9
-ORDER_TOL = 1e-12
 
 
 # --- resource graphs ------------------------------------------------------
@@ -132,12 +137,7 @@ def chain_graph(dim: DimSpec, gate: EntanglingGateSpec, length: int,
     return ResourceGraph(dim, vertices, edges)
 
 
-def _is_all_diagonal(graph: ResourceGraph) -> bool:
-    return all(expand(e.gate).kind == "diagonal" for e in graph.edges)
-
-
-def build(graph: ResourceGraph, check_order: bool = True,
-          rng=None) -> StateVector:
+def build(graph: ResourceGraph) -> StateVector:
     """Dense resource state: vertex inits, then gates in seq order."""
     graph.validate()
     dim = graph.dim
@@ -146,18 +146,6 @@ def build(graph: ResourceGraph, check_order: bool = True,
     for e in sorted(graph.edges, key=lambda e: e.seq):
         state = sim.apply(state, gate_matrix(e.gate),
                           [graph.site_of(e.control), graph.site_of(e.target)])
-    if check_order and _is_all_diagonal(graph) and len(graph.edges) > 1:
-        gen = np.random.default_rng(rng if rng is not None else 0)
-        for _ in range(min(3, len(graph.edges))):
-            perm = gen.permutation(len(graph.edges))
-            other = sim.product_state(dim, vecs)
-            for i in perm:
-                e = graph.edges[i]
-                other = sim.apply(other, gate_matrix(e.gate),
-                                  [graph.site_of(e.control),
-                                   graph.site_of(e.target)])
-            if np.max(np.abs(other.amps - state.amps)) > ORDER_TOL:
-                raise FrameMismatch("diagonal build is edge-order dependent")
     return state
 
 
@@ -201,13 +189,6 @@ class PauliFrame:
     history: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _conj_word(dim: DimSpec, M: np.ndarray, w: PauliWord) -> PauliWord:
-    r = match_pauli(dim, 1, M @ matrix_of_pauli(w) @ M.conj().T)
-    if r is None:
-        raise FrameMismatch("frame conjugation left the Pauli group")
-    return r[1]
-
-
 def _chain_order(graph: ResourceGraph) -> List[int]:
     """Vertex ids along a path graph, following edge seq order."""
     edges = sorted(graph.edges, key=lambda e: e.seq)
@@ -229,7 +210,8 @@ def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
     head with the next chain qudit and measures the head in the basis
     {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  Adaptive steps
     permute the nominal phases through the frame's X part; non-adaptive
-    (Clifford) steps conjugate the frame through the fixed diagonal.
+    (Clifford) steps conjugate the frame through the fixed diagonal; both
+    conjugations use Clifford certificates, not dense matrices.
     """
     graph.validate()
     dim = pattern.dim
@@ -239,7 +221,9 @@ def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
     if len(order) < len(steps) + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
     gen = np.random.default_rng(rng)
-    G = pattern.intrinsic.matrix
+    g_cert = intrinsic_cert(pattern.intrinsic)
+    d_certs = [None if step.adaptive else certify(dphi(step.phases), dim)
+               for step in steps]
     H = hadamard(dim)
     cur = np.asarray(input_state, dtype=complex).reshape(d)
     cur = cur / np.linalg.norm(cur)
@@ -263,12 +247,9 @@ def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
                                  forced_outcome=forced)
         cur = post.amps
         zk = PauliWord(dim, 1, [dim.neg(k)], [0], 0)
-        if step.adaptive:
-            w = normal_form(zk, frame)
-        else:
-            D = dphi(psi)
-            w = normal_form(zk, _conj_word(dim, D, frame))
-        frame = _conj_word(dim, G, w)
+        w = normal_form(zk, frame if step.adaptive
+                        else d_certs[i].conjugate(frame))
+        frame = g_cert.conjugate(w)
         history.append((i, k))
     total = normal_form(frame, pattern.frame)
     if verify:
@@ -301,9 +282,9 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
                  verify: bool = True) -> Tuple[StateVector, PauliFrame, int]:
     """Teleport an external state into a built chain via a Bell measurement.
 
-    Outcome Phi(s, t) leaves the chain head carrying G_I W |psi> for a
-    Pauli W; the returned frame is W conjugated through G_I, so that
-    head = frame * G_I |psi| up to phase.
+    Outcome Phi(s, t) leaves the chain head carrying G_I W |psi> with
+    W = Z^{-s} X^{-t}; the returned frame is W conjugated through G_I, so
+    that head = frame * G_I |psi> up to phase.
     """
     graph.validate()
     dim = graph.dim
@@ -318,44 +299,23 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     k, post, _ = sim.measure(full, bell_basis(dim), [0, head_site],
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
-    G = intrinsic_of(graph.edges[0].gate if graph.edges
-                     else cz_spec(dim)).matrix
-    frame = identity_word(dim, 1)
+    intr = intrinsic_of(graph.edges[0].gate if graph.edges
+                        else cz_spec(dim))
+    s, t = divmod(k, d)
+    W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
+    frame = intrinsic_cert(intr).conjugate(W)
     if verify:
         if post.n != 1:
             raise DimensionMismatch(
                 "dense coupling verification needs a two-vertex chain")
-        found = None
-        for z in dim.elements:
-            for x in dim.elements:
-                W = PauliWord(dim, 1, [z], [x], 0)
-                cand = G @ matrix_of_pauli(W) @ psi
-                if abs(np.vdot(post.amps, cand / np.linalg.norm(cand))) \
-                        > 1 - VERIFY_TOL:
-                    found = W
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise FrameMismatch("no Pauli relates the coupled head to G|psi>")
-        frame = _conj_word(dim, G, found)
+        ideal = matrix_of_pauli(frame) @ intr.matrix @ psi
+        if abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal))) \
+                < 1 - VERIFY_TOL:
+            raise FrameMismatch("predicted coupling frame does not verify")
     return post, PauliFrame(frame, [(0, k)]), k
 
 
 # --- entangling through an existing edge (six-qudit cluster) --------------
-
-def _pauli_fit(dim: DimSpec, n: int, out: np.ndarray, target: np.ndarray,
-               tol: float = VERIFY_TOL) -> Optional[PauliWord]:
-    """Word W with out ~ W target, or None."""
-    target = target / np.linalg.norm(target)
-    for zs in itertools.product(dim.elements, repeat=n):
-        for xs in itertools.product(dim.elements, repeat=n):
-            W = PauliWord(dim, n, list(zs), list(xs), 0)
-            cand = matrix_of_pauli(W) @ target
-            if abs(np.vdot(out, cand)) > 1 - tol:
-                return W
-    return None
-
 
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
                       forced_outcomes: Optional[Sequence[int]] = None
@@ -366,7 +326,8 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     CZ edge joins the wire midpoints.  X-measuring the four interior
     qudits leaves the tails carrying (H x H) CZ (H x H) |psi> up to a
     Pauli frame (each wire contributes two Hadamard teleports around the
-    shared edge).
+    shared edge).  The frame is Z^{-k1} x Z^{-k4} carried through H x H
+    and CZ, times Z^{-k2} x Z^{-k5}, carried through H x H.
     """
     d = dim.d
     psi = np.asarray(psi, dtype=complex).reshape(d * d)
@@ -394,12 +355,17 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
         k, state, _ = sim.measure(state, x_basis(dim), site, rng=gen,
                                   forced_outcome=forced)
         history.append((i, k))
-    H = hadamard(dim)
+    HH = np.kron(hadamard(dim), hadamard(dim))
     cz = gate_matrix(gate)
-    target = np.kron(H, H) @ cz @ np.kron(H, H) @ psi
-    W = _pauli_fit(dim, 2, state.amps, target)
-    if W is None:
-        raise FrameMismatch("no Pauli frame matches the edge-entangled output")
+    hh_cert, cz_cert = certify(HH, dim, 2), certify(cz, dim, 2)
+    k1, k2, k4, k5 = (k for _, k in history)
+    heads = PauliWord(dim, 2, [dim.neg(k1), dim.neg(k4)], [0, 0], 0)
+    mids = PauliWord(dim, 2, [dim.neg(k2), dim.neg(k5)], [0, 0], 0)
+    W = hh_cert.conjugate(normal_form(
+        mids, cz_cert.conjugate(hh_cert.conjugate(heads))))
+    target = HH @ cz @ HH @ psi
+    if abs(np.vdot(state.amps, matrix_of_pauli(W) @ target)) < 1 - VERIFY_TOL:
+        raise FrameMismatch("predicted edge-entangling frame does not verify")
     return state, PauliFrame(W, history)
 
 
@@ -581,7 +547,9 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
                                 ResourceGraph]:
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
-    The measured basis diagonalizes P_v Z_v^N; neighbors gain mutual CZ^w
+    The measured basis is the joint eigenbasis of the commuting family
+    P_v(x) Z_v^{N x}, x != 0 (over GF(p^m) the x = 1 member alone can be
+    degenerate); neighbors gain mutual CZ^w
     edges (weight found by dense search over candidate weights), with a
     per-neighbor local correction from products S^a Z^b X^c, searched
     exhaustively.  New edges default to control = lower vertex id.
@@ -594,11 +562,10 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     n_in = sum(1 for e in graph.edges if e.target == vid)
     C1, C2, N = factor_diagonal_clifford(graph.edges[0].gate)
     W = np.linalg.matrix_power(C1, n_out) @ np.linalg.matrix_power(C2, n_in)
-    A = W @ xmat(dim, 1) @ W.conj().T @ zmat(dim, N)
-    vals, vecs = np.linalg.eig(A)
-    cols = vecs[:, np.argsort(-np.angle(vals))]
-    q, _ = np.linalg.qr(cols)
-    basis = basis_from_unitary(dim, q, "local-complement")
+    family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
+              for x in dim.elements if x != 0]
+    basis = basis_from_unitary(dim, _joint_eigenbasis(family),
+                               "local-complement")
     m, post, _ = sim.measure(state, basis, graph.site_of(vid),
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
@@ -611,12 +578,35 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
         cand = _edge_weight_graph(graph, vid, delta, direction)
         if not cand.vertices:
             continue
-        target = build(cand, check_order=False)
+        target = build(cand)
         # search per-neighbor corrections greedily site by site, then jointly
         found = _correction_search(dim, post, target, cand, nbrs, singles)
         if found is not None:
             return post, m, found, cand
     raise FrameMismatch("no candidate graph + local corrections verify")
+
+
+def _joint_eigenbasis(family: List[np.ndarray]) -> np.ndarray:
+    """Orthonormal joint eigenbasis of commuting unitaries.
+
+    Columns follow the descending eigenphase of the first member; each of
+    its degenerate eigenspaces is split by a generic combination of the
+    other members.
+    """
+    vals, vecs = np.linalg.eig(family[0])
+    order = np.argsort(-np.angle(vals))
+    vals = vals[order]
+    q, _ = np.linalg.qr(vecs[:, order])
+    coeffs = np.random.default_rng(0).standard_normal((len(family) - 1, 2))
+    mix = sum((a + 1j * b) * M for (a, b), M in zip(coeffs, family[1:]))
+    for i, v in enumerate(vals):
+        cluster = np.flatnonzero(np.abs(vals - v) < 1e-6)
+        if len(cluster) > 1 and cluster[0] == i:
+            sub = q[:, cluster]
+            w, u = np.linalg.eig(sub.conj().T @ mix @ sub)
+            u, _ = np.linalg.qr(u[:, np.argsort(-np.angle(w))])
+            q[:, cluster] = sub @ u
+    return q
 
 
 def _correction_search(dim: DimSpec, post: StateVector, target: StateVector,
@@ -720,16 +710,27 @@ def graph_to_json(graph: ResourceGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> ResourceGraph:
+    json_check(obj, dict, "graph")
     dim = dim_from_json(obj["dim"])
+    d = dim.d
     vertices = []
-    for v in obj["vertices"]:
-        init = v.get("init")
+    for v in json_check(obj["vertices"], list, "vertices"):
+        init = json_check(v, dict, "vertex").get("init")
         if isinstance(init, dict):
-            init = np.array(init["re"]) + 1j * np.array(init["im"])
+            init = json_array(init["re"], (d,), "init re") \
+                + 1j * json_array(init["im"], (d,), "init im")
         elif isinstance(init, list):
-            init = np.array(init, dtype=float)
-        vertices.append(Vertex(int(v["id"]), init))
-    edges = [GraphEdge(int(e["c"]), int(e["t"]),
-                       gate_from_json(e["gate"]), int(e["seq"]))
-             for e in obj["edges"]]
+            init = json_array(init, (d,), "init")
+        elif init is not None and (not isinstance(init, int)
+                                   or not 0 <= init < d):
+            raise DimensionMismatch(f"vertex init {init!r} is not a label "
+                                    f"in 0..{d - 1}")
+        vertices.append(Vertex(json_int(v["id"], "vertex id"), init))
+    edges = []
+    for e in json_check(obj["edges"], list, "edges"):
+        json_check(e, dict, "edge")
+        edges.append(GraphEdge(json_int(e["c"], "edge c"),
+                               json_int(e["t"], "edge t"),
+                               gate_from_json(e["gate"]),
+                               json_int(e["seq"], "edge seq")))
     return ResourceGraph(dim, vertices, edges)

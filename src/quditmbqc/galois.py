@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     NonPrimeCharacteristic,
@@ -37,7 +39,7 @@ _DEFAULT_GR_POLY = {
 }
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for q in range(2, int(math.isqrt(n)) + 1):
@@ -99,6 +101,8 @@ class DimSpec:
     m: int = 1
     poly: Optional[Tuple[int, ...]] = None
     gr_poly: Optional[Tuple[int, ...]] = None
+    _add: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
+    _neg: Tuple[int, ...] = field(default=None, repr=False, compare=False)
     _mul: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
     _inv: Tuple[Optional[int], ...] = field(default=None, repr=False, compare=False)
     _tr: Tuple[int, ...] = field(default=None, repr=False, compare=False)
@@ -117,6 +121,9 @@ class DimSpec:
 
     def _build_ring_tables(self):
         d = self.d
+        object.__setattr__(self, "_add", tuple(
+            tuple((a + b) % d for b in range(d)) for a in range(d)))
+        object.__setattr__(self, "_neg", tuple((-a) % d for a in range(d)))
         mul = tuple(tuple((a * b) % d for b in range(d)) for a in range(d))
         inv = []
         for a in range(d):
@@ -129,6 +136,12 @@ class DimSpec:
 
     def _build_field_tables(self):
         p, m, d = self.p, self.m, self.d
+        digits = [_digits(a, p, m) for a in range(d)]
+        object.__setattr__(self, "_add", tuple(
+            tuple(_undigits([x + y for x, y in zip(digits[a], digits[b])], p)
+                  for b in range(d)) for a in range(d)))
+        object.__setattr__(self, "_neg", tuple(
+            _undigits([-x for x in digits[a]], p) for a in range(d)))
         mul = [[0] * d for _ in range(d)]
         for a in range(d):
             ca = _digits(a, p, m)
@@ -151,7 +164,7 @@ class DimSpec:
         for t in range(d):
             acc, cur = 0, t
             for _ in range(m):
-                acc = self._xor_add(acc, cur, mul)
+                acc = self._add[acc][cur]
                 cur = self._pow_static(cur, p, mul)
             digits = _digits(acc, p, m)
             if any(digits[1:]):
@@ -162,11 +175,6 @@ class DimSpec:
         object.__setattr__(self, "_tr", tuple(tr))
         if self.gr_poly is not None:
             self._build_gr_tables()
-
-    def _xor_add(self, a: int, b: int, _mul=None) -> int:
-        ca = _digits(a, self.p, self.m)
-        cb = _digits(b, self.p, self.m)
-        return _undigits(tuple((x + y) % self.p for x, y in zip(ca, cb)), self.p)
 
     @staticmethod
     def _pow_static(a: int, k: int, mul) -> int:
@@ -206,15 +214,10 @@ class DimSpec:
         return range(self.d)
 
     def add(self, a: int, b: int) -> int:
-        if self.kind == INTEGER_RING:
-            return (a + b) % self.d
-        return self._xor_add(a, b)
+        return self._add[a % self.d][b % self.d]
 
     def neg(self, a: int) -> int:
-        if self.kind == INTEGER_RING:
-            return (-a) % self.d
-        ca = _digits(a, self.p, self.m)
-        return _undigits(tuple((-x) % self.p for x in ca), self.p)
+        return self._neg[a % self.d]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -320,11 +323,6 @@ class DimSpec:
             return (a * b) % 4
         return self._gr_mul[a][b]
 
-    def gr_add(self, a: int, b: int) -> int:
-        self._require_gr()
-        ca, cb = _digits(a, 4, self.m), _digits(b, 4, self.m)
-        return _undigits(tuple((x + y) % 4 for x, y in zip(ca, cb)), 4)
-
     def gr_neg(self, a: int) -> int:
         self._require_gr()
         ca = _digits(a, 4, self.m)
@@ -339,11 +337,6 @@ class DimSpec:
     def chi4(self, t: int) -> complex:
         """chi_4(t) = i^{tr_4 t} for a Galois-ring element t."""
         return 1j ** self.gr_trace(t)
-
-    def gr_reduce_mod2(self, a: int) -> int:
-        """Reduction of a GR(4,m) element to the residue field GF(2^m)."""
-        self._require_gr()
-        return _undigits(tuple(c % 2 for c in _digits(a, 4, self.m)), 2)
 
     # --- coefficient views ------------------------------------------------
 
@@ -398,7 +391,7 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
         if d is None:
             raise DimensionMismatch("finite field needs (p, m) or d")
         p, m = _factor_prime_power(d)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p} is not prime")
     if m < 1:
         raise DimensionMismatch("extension degree must be >= 1")
@@ -445,35 +438,6 @@ def _factor_prime_power(d: int) -> Tuple[int, int]:
     raise DimensionMismatch(f"d = {d} is not a prime power")
 
 
-# --- spec-shaped functional facade ---------------------------------------
-
-def field_arith(dim: DimSpec, a: int, b: int, op: str) -> int:
-    """add | mul | inv_of_a on encoded field elements."""
-    if op == "add":
-        return dim.add(a, b)
-    if op == "mul":
-        return dim.mul(a, b)
-    if op == "inv_of_a":
-        return dim.inv(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def field_trace(dim: DimSpec, t: int) -> int:
-    return dim.trace(t)
-
-
-def character(dim: DimSpec, t: int) -> complex:
-    return dim.char_phase(t)
-
-
-def galois_ring_trace(dim: DimSpec, t: int) -> int:
-    return dim.gr_trace(t)
-
-
-def chi4(dim: DimSpec, t: int) -> complex:
-    return dim.chi4(t)
-
-
 # --- JSON ----------------------------------------------------------------
 
 def dim_to_json(dim: DimSpec) -> dict:
@@ -486,9 +450,53 @@ def dim_to_json(dim: DimSpec) -> dict:
 
 
 def dim_from_json(obj: dict) -> DimSpec:
+    json_check(obj, dict, "dim")
     if obj.get("kind") == "integer_ring":
-        return make_dim(INTEGER_RING, d=int(obj["d"]))
+        return make_dim(INTEGER_RING, d=json_int(obj["d"], "d"))
     if obj.get("kind") == "finite_field":
-        return make_dim(FINITE_FIELD, p=int(obj["p"]), m=int(obj["m"]),
-                        poly=obj.get("poly"), gr_poly=obj.get("gr_poly"))
+        m = json_int(obj["m"], "m")
+        polys = {}
+        for key in ("poly", "gr_poly"):
+            if obj.get(key) is not None:
+                polys[key] = [int(c) for c in
+                              json_array(obj[key], (None,), key, int)]
+        return make_dim(FINITE_FIELD, p=json_int(obj["p"], "p"), m=m,
+                        **polys)
     raise DimensionMismatch(f"unknown dim kind {obj.get('kind')!r}")
+
+
+def json_check(obj, kind: type, what: str):
+    """obj itself if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(obj, kind):
+        name = "object" if kind is dict else "array"
+        raise DimensionMismatch(f"{what} must be a JSON {name}")
+    return obj
+
+
+def json_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} must be an integer") from None
+
+
+def json_array(value, shape: Tuple[Optional[int], ...], what: str,
+               dtype=float) -> np.ndarray:
+    """value as a numeric array of the given shape; None matches any length."""
+    try:
+        arr = np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} is not a numeric array") from None
+    if arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
+        want = ", ".join("n" if s is None else str(s) for s in shape)
+        got = ", ".join(str(s) for s in arr.shape)
+        raise DimensionMismatch(
+            f"{what} must have shape ({want}), got ({got})")
+    return arr
+
+
+def json_complex(value, shape: Tuple[Optional[int], ...],
+                 what: str) -> np.ndarray:
+    """Complex array from nested [re, im] pairs of the given shape."""
+    return json_array(value, tuple(shape) + (2,), what).view(complex)[..., 0]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NonInvertibleLambda, ZeroInverse
+from .errors import NonInvertibleLambda
 from .galois import INTEGER_RING, DimSpec
 from .pauli import xmat, zmat  # noqa: F401  (re-exported gate family)
 
@@ -126,10 +126,3 @@ def normalize_global_phase(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def equal_up_to_phase(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> bool:
     return np.max(np.abs(normalize_global_phase(A) -
                          normalize_global_phase(B))) < tol
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out

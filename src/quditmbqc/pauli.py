@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, WrongFormalism
-from .galois import INTEGER_RING, DimSpec
+from .galois import INTEGER_RING, DimSpec, json_array, json_check
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,6 @@ def word_power(w: PauliWord, k: int) -> PauliWord:
     for _ in range(k):
         out = normal_form(out, w)
     return out
-
-
-def tau_word(dim: DimSpec, n: int = 1) -> PauliWord:
-    """The scalar word tau_d (integer ring only)."""
-    return PauliWord(dim, n, (0,) * n, (0,) * n, dim.tau_exp)
 
 
 def y_word(dim: DimSpec) -> PauliWord:
@@ -241,9 +236,12 @@ def pauli_to_json(w: PauliWord) -> dict:
 
 
 def pauli_from_json(dim: DimSpec, obj: dict) -> PauliWord:
-    num, den = obj["phase"]
+    json_check(obj, dict, "frame")
+    num, den = (int(v) for v in json_array(obj["phase"], (2,), "phase", int))
     if den != dim.phase_den:
         raise DimensionMismatch("phase denominator does not match DimSpec")
-    z = tuple(dim.elem_from_coeffs(c) for c in obj["z"])
-    x = tuple(dim.elem_from_coeffs(c) for c in obj["x"])
+    width = len(dim.coeffs_of(0))
+    z, x = (tuple(dim.elem_from_coeffs([int(c) for c in row])
+                  for row in json_array(obj[key], (None, width), key, int))
+            for key in ("z", "x"))
     return PauliWord(dim, len(z), z, x, num)

@@ -23,16 +23,21 @@ from .errors import (
     NotControlledPauliForm,
     OrderCapExceeded,
 )
-from .galois import INTEGER_RING, DimSpec, dim_from_json, dim_to_json
+from .galois import (
+    DimSpec,
+    dim_from_json,
+    dim_to_json,
+    json_array,
+    json_check,
+    json_complex,
+)
 from .gates import (
-    cz_gate,
     dphi,
-    hadamard,
     normalize_global_phase,
     sgate,
     xplus_state,
 )
-from .pauli import PauliWord, match_pauli, xmat, zmat, zx_matrix
+from .pauli import PauliWord, match_pauli, xmat, zx_matrix
 
 DIAGONAL = "diagonal"
 BLOCK_DIAGONAL = "block_diagonal"
@@ -288,21 +293,25 @@ def gate_to_json(spec: EntanglingGateSpec) -> dict:
 
 
 def gate_from_json(obj: dict) -> EntanglingGateSpec:
+    json_check(obj, dict, "gate")
     dim = dim_from_json(obj["dim"])
+    d = dim.d
     kind = obj["kind"]
+    init = None
+    if kind in (DIAGONAL, BLOCK_DIAGONAL) and "init_phases" in obj:
+        init = json_array(obj["init_phases"], (d,), "init_phases")
     if kind == DIAGONAL:
         return EntanglingGateSpec(
-            dim, DIAGONAL, theta=np.array(obj["theta"], dtype=float),
-            init_phases=np.array(obj["init_phases"], dtype=float)
-            if "init_phases" in obj else None)
+            dim, DIAGONAL, theta=json_array(obj["theta"], (d, d), "theta"),
+            init_phases=init)
     if kind == BLOCK_DIAGONAL:
-        blocks = [np.array([[complex(re, im) for re, im in row]
-                            for row in b]) for b in obj["blocks"]]
-        return EntanglingGateSpec(
-            dim, BLOCK_DIAGONAL, blocks=blocks,
-            init_phases=np.array(obj["init_phases"], dtype=float)
-            if "init_phases" in obj else None)
+        blocks = list(json_complex(obj["blocks"], (d, d, d), "blocks"))
+        return EntanglingGateSpec(dim, BLOCK_DIAGONAL, blocks=blocks,
+                                  init_phases=init)
     if kind == NAMED:
+        theta = obj.get("theta")
+        if theta is not None:
+            theta = float(json_array(theta, (), "theta"))
         return EntanglingGateSpec(dim, NAMED, name=obj["name"],
-                                  ls_theta=obj.get("theta"))
+                                  ls_theta=theta)
     raise DimensionMismatch(f"unknown gate kind {kind!r}")

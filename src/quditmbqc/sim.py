@@ -5,7 +5,7 @@ Site 0 is the most significant tensor digit, so |jk> has j at site 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -115,12 +115,6 @@ class MeasurementBasis:
         gram = self.vectors.conj().T @ self.vectors
         if np.max(np.abs(gram - np.eye(D))) > max(self.tol, 1e-9):
             raise NonUnitary(f"basis {self.label!r} is not orthonormal")
-
-    def is_transport_valid(self) -> bool:
-        """Every vector has constant-modulus computational amplitudes."""
-        D = self.vectors.shape[0]
-        target = 1.0 / np.sqrt(D)
-        return bool(np.max(np.abs(np.abs(self.vectors) - target)) < 1e-8)
 
 
 def z_basis(dim: DimSpec) -> MeasurementBasis:

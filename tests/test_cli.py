@@ -143,3 +143,49 @@ def test_report_envelope(tmp_path, capsys):
                            "seed", "version"}
     assert report["command"] == "analyze"
     assert len(report["inputs_sha256"]) == 64
+
+
+def _malformed_inputs():
+    """(argv, file contents) cases that must be rejected as parse errors."""
+    gate = gate_to_json(cz_spec(D3))
+    theta = {"dim": gate["dim"], "kind": "diagonal", "theta": 5}
+    empty_dim = dict(gate, dim=[])
+    blocks = {"dim": gate["dim"], "kind": "block_diagonal",
+              "blocks": [[[1, 0]]]}
+    return [
+        (["analyze", "--gate"], theta),
+        (["analyze", "--gate"], empty_dim),
+        (["transport", "--gate"], blocks),
+        (["analyze", "--gate"], []),
+        (["run", "--pattern"], []),
+        (["run", "--pattern"], {"dim": gate["dim"], "intrinsic": gate,
+                                "steps": [{"phases": 1, "adaptive": True}],
+                                "frame": {"phase": [0, 6], "z": [[0]],
+                                          "x": [[0]]}}),
+    ]
+
+
+def test_malformed_json_is_parse_error(tmp_path, capsys):
+    for i, (argv, obj) in enumerate(_malformed_inputs()):
+        path = write_json(tmp_path / f"bad{i}.json", obj)
+        code = cli.main(argv + [path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE, (argv, obj)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_graph_is_parse_error(tmp_path, capsys):
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    code, out = run_cli(capsys, ["transport", "--gate", gate])
+    pattern = write_json(tmp_path / "pattern.json",
+                         json.loads(out)["results"]["pattern"])
+    dim = gate_to_json(cz_spec(D3))["dim"]
+    for i, graph in enumerate([[], {"dim": dim, "vertices": [7],
+                                    "edges": []},
+                               {"dim": dim, "vertices": [{"id": 0,
+                                                          "init": 9}],
+                                "edges": []}]):
+        path = write_json(tmp_path / f"graph{i}.json", graph)
+        code = cli.main(["run", "--pattern", pattern, "--graph", path])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")

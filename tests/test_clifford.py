@@ -1,29 +1,41 @@
 """Clifford certification, symplectic data, and word synthesis."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditmbqc.errors import (
+    DimensionMismatch,
     NonInvertibleLambda,
     NotCliffordError,
+    QuditError,
     UniversalityViolated,
+    UnsupportedFormalism,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
+    cz_gate,
     equal_up_to_phase,
     hadamard,
     mult_gate,
     sgate,
     tau,
 )
-from quditmbqc.pauli import matrix_of_pauli, single_word
+from quditmbqc.pauli import (
+    PauliWord,
+    match_pauli,
+    matrix_of_pauli,
+    single_word,
+)
 from quditmbqc.clifford import (
     NotClifford,
     generator_words,
     SymplecticRep,
     certify,
     conjugation_table,
-    equal_up_to_pauli,
     hadamard_from_intrinsic,
     map_pauli_to_Z,
     mult_gate_decomposition,
@@ -148,7 +160,7 @@ def test_hadamard_from_intrinsic(spec_of):
         tokens = hadamard_from_intrinsic(intr.clifford_cert)
         assert len(tokens) == 5
         U = realize_word(dim, tokens, G=intr.matrix)
-        assert equal_up_to_pauli(dim, 1, U, hadamard(dim)) is not None
+        assert match_pauli(dim, 1, U @ hadamard(dim).conj().T) is not None
 
 
 def test_hadamard_from_non_universal_rejected():
@@ -172,7 +184,8 @@ def test_mult_gate_decomposition():
     for dim, lam in ((D3, 2), (D5, 3), (D4F, 2)):
         tokens = mult_gate_decomposition(dim, lam)
         U = realize_word(dim, tokens)
-        assert equal_up_to_pauli(dim, 1, U, mult_gate(dim, lam)) is not None
+        assert match_pauli(dim, 1, U @ mult_gate(dim, lam).conj().T) \
+            is not None
     with pytest.raises(NonInvertibleLambda):
         mult_gate_decomposition(D4R, 2)
 
@@ -192,3 +205,70 @@ def test_pauli_orders():
     assert pauli_order(hadamard(D3), D3) == 4
     assert pauli_order(_Z(D3), D3) == 1
     assert pauli_order(mult_gate(D5, 2), D5) == 4
+
+
+# --- exact conjugation through a certificate ------------------------------
+
+CONJ_DIMS = [make_dim(INTEGER_RING, d=d) for d in (2, 3, 4, 5, 6)] + \
+    [make_dim(FINITE_FIELD, d=d) for d in (2, 3, 4, 5, 7, 8, 9)]
+
+
+@functools.lru_cache(maxsize=None)
+def _intrinsic_cliffords(dim):
+    out = []
+    for spec_of in (cz_spec, cx_spec, light_shift_spec):
+        try:
+            intr = intrinsic_of(spec_of(dim))
+        except QuditError:
+            continue
+        if intr.is_clifford:
+            out.append(intr.matrix)
+    return out
+
+
+@st.composite
+def single_cliffords(draw, dim):
+    """An intrinsic gate, or the synthesis of a random symplectic rep."""
+    if draw(st.booleans()):
+        units = [u for u in dim.elements if dim.is_invertible(u)]
+        a = draw(st.sampled_from(units))
+        b, c = draw(st.integers(0, dim.d - 1)), draw(st.integers(0, dim.d - 1))
+        rep = SymplecticRep(dim, a, b, c,
+                            dim.mul(dim.inv(a), dim.add(1, dim.mul(b, c))))
+        for _ in range(draw(st.integers(0, 3))):
+            rep = rep.matmul(SymplecticRep(dim, 0, dim.neg(1), 1, 0))
+        try:
+            return synthesize(rep)
+        except UnsupportedFormalism:  # no shear gates without a GR lift
+            pass
+    return draw(st.sampled_from(_intrinsic_cliffords(dim)))
+
+
+@st.composite
+def conjugation_cases(draw):
+    dim = draw(st.sampled_from(CONJ_DIMS))
+    n = draw(st.integers(1, 2))
+    U = draw(single_cliffords(dim))
+    if n == 2:
+        U = cz_gate(dim) @ np.kron(U, draw(single_cliffords(dim)))
+    digits = st.lists(st.integers(0, dim.d - 1), min_size=n, max_size=n)
+    word = PauliWord(dim, n, tuple(draw(digits)), tuple(draw(digits)),
+                     draw(st.integers(0, dim.phase_den - 1)))
+    return dim, n, U, word
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugation_cases())
+def test_conjugate_matches_dense_conjugation(case):
+    dim, n, U, word = case
+    got = certify(U, dim, n).conjugate(word)
+    dense = U @ matrix_of_pauli(word) @ U.conj().T
+    assert np.max(np.abs(matrix_of_pauli(got) - dense)) < 1e-9
+    # the same word and exact phase as matching the dense product
+    assert got == match_pauli(dim, n, dense)[1]
+
+
+def test_conjugate_rejects_other_systems():
+    cert = certify(hadamard(D3), D3)
+    with pytest.raises(DimensionMismatch):
+        cert.conjugate(single_word(D3, 2, 0, z=1))

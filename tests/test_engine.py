@@ -1,10 +1,13 @@
 """Resource-state engine: builds, pattern runs, mediators, rewriting."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from quditmbqc.errors import DimensionMismatch, SiteOutOfRange
-from quditmbqc.galois import INTEGER_RING, make_dim
+from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
     basis_state,
     cz_gate,
@@ -38,6 +41,7 @@ from quditmbqc.engine import (
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
+D4F = make_dim(FINITE_FIELD, p=2, m=2)
 
 
 def haar_unitary(d, rng):
@@ -69,6 +73,19 @@ def test_lattice_stabilizers():
     g = diagonal_lattice(D2, 2, 3, cz_spec(D2))
     st = build(g)
     assert stabilizer_deviation(g, st) < 1e-10
+
+
+@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])
+@pytest.mark.parametrize("dim", [D2, D3, D4F])
+def test_diagonal_build_is_edge_order_independent(dim, spec_of):
+    g = diagonal_lattice(dim, 2, 3, spec_of(dim))
+    ref = build(g).amps
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        seqs = rng.permutation(len(g.edges))
+        edges = [replace(e, seq=int(s)) for e, s in zip(g.edges, seqs)]
+        shuffled = build(ResourceGraph(dim, g.vertices, edges)).amps
+        assert np.max(np.abs(shuffled - ref)) < 1e-12
 
 
 def test_validate_rejects_duplicates_and_loops():
@@ -145,6 +162,23 @@ def test_couple_input_all_outcomes():
                            ideal / np.linalg.norm(ideal))) > 1 - 1e-9
 
 
+@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])
+@pytest.mark.parametrize("dim", [D2, D3, D4F])
+def test_couple_input_predicts_every_outcome(dim, spec_of):
+    g = chain_graph(dim, spec_of(dim), 2)
+    psi = random_state(dim.d, np.random.default_rng(5))
+    G = intrinsic_of(spec_of(dim)).matrix
+    for outcome in range(dim.d ** 2):
+        post, frame, k = couple_input(psi, g, forced_outcome=outcome)
+        ideal = matrix_of_pauli(frame.word) @ G @ psi
+        assert abs(np.vdot(post.amps,
+                           ideal / np.linalg.norm(ideal))) > 1 - 1e-9
+        # the frame does not depend on the dense verification
+        _, unverified, _ = couple_input(psi, g, forced_outcome=outcome,
+                                        verify=False)
+        assert unverified.word == frame.word
+
+
 def test_couple_input_identity_outcome():
     g = chain_graph(D3, cz_spec(D3), 2)
     post, frame, k = couple_input(basis_state(D3, 0), g, forced_outcome=0)
@@ -165,6 +199,19 @@ def test_entangle_via_edge(dim):
         ideal = matrix_of_pauli(frame.word) @ target
         assert abs(np.vdot(out.amps,
                            ideal / np.linalg.norm(ideal))) > 1 - 1e-8
+
+
+@pytest.mark.parametrize("dim", [D2, D3, D4F])
+def test_entangle_via_edge_predicts_every_outcome(dim):
+    d = dim.d
+    psi = random_state(d * d, np.random.default_rng(7))
+    H = hadamard(dim)
+    target = np.kron(H, H) @ cz_gate(dim) @ np.kron(H, H) @ psi
+    for ks in itertools.product(range(d), repeat=4):
+        out, frame = entangle_via_edge(dim, psi, forced_outcomes=ks)
+        assert [k for _, k in frame.history] == list(ks)
+        ideal = matrix_of_pauli(frame.word) @ target
+        assert abs(np.vdot(out.amps, ideal)) > 1 - 1e-9
 
 
 def test_entangle_via_edge_forced_zeros():
@@ -233,6 +280,17 @@ def test_local_complement_qutrit_chain():
     post, m, corrections, new_graph = local_complement(g, 1, rng=1)
     assert post.n == 2
     assert all(v.id in (0, 2) for v in new_graph.vertices)
+
+
+def test_local_complement_gf4_chain_every_outcome():
+    # over GF(4) the measured basis must split the degenerate x = 1 member
+    g = chain_graph(D4F, cz_spec(D4F), 3)
+    for outcome in range(4):
+        post, m, corrections, new_graph = local_complement(
+            g, 1, forced_outcome=outcome)
+        assert m == outcome
+        assert [{e.control, e.target} for e in new_graph.edges] == [{0, 2}]
+        assert {c.vertex for c in corrections} == {0, 2}
 
 
 def test_local_complement_isolated_vertex():

@@ -111,3 +111,14 @@ def test_tau_is_primitive_phase():
     tau = np.exp(2j * math.pi * d3.tau_exp / d3.phase_den)
     assert abs(tau ** 6 - 1) < 1e-12
     assert abs(tau ** 2 - d3.char_phase(1)) < 1e-12
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_field_add_neg_tables_are_digitwise(p, m):
+    dim = make_dim(FINITE_FIELD, p=p, m=m)
+    for a in dim.elements:
+        ca = dim.coeffs_of(a)
+        assert dim.coeffs_of(dim.neg(a)) == tuple((-x) % p for x in ca)
+        for b in dim.elements:
+            want = tuple((x + y) % p for x, y in zip(ca, dim.coeffs_of(b)))
+            assert dim.coeffs_of(dim.add(a, b)) == want
