@@ -8,7 +8,6 @@ phase * frame * U for the declared Pauli frame.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -27,9 +26,7 @@ from .clifford import (
 from .errors import (
     CompilationDiverged,
     DimensionMismatch,
-    NonHermitian,
     UnsupportedFormalism,
-    WrongFormalism,
 )
 from .galois import (
     INTEGER_RING,
@@ -41,19 +38,15 @@ from .galois import (
     json_check,
     json_complex,
 )
-from .gates import shear_gate, tau
+from .gates import shear_gate
 from .pauli import (
     PauliWord,
     identity_word,
     invert_word,
     match_pauli,
-    matrix_of_pauli,
     normal_form,
     pauli_from_json,
     pauli_to_json,
-    single_word,
-    weyl,
-    zx_matrix,
 )
 from .resource import (
     EntanglingGateSpec,
@@ -72,112 +65,7 @@ def _check_compilable(dim: DimSpec):
     if dim.kind == INTEGER_RING and not is_prime(dim.d):
         raise UnsupportedFormalism(
             "composite integer-ring dimensions have no MUB-based "
-            "decomposition; use the weyl Hermitian basis tools instead")
-
-
-# --- MUB Paulis and Hermitian bases ---------------------------------------
-
-def mub_paulis(dim: DimSpec) -> List[PauliWord]:
-    """The d+1 words {Z} and {X Z^a : a} whose eigenbases are unbiased."""
-    if dim.kind == INTEGER_RING and not is_prime(dim.d):
-        raise WrongFormalism("MUB construction needs a prime-power dimension")
-    words = [single_word(dim, 1, 0, z=1)]
-    for a in dim.elements:
-        words.append(PauliWord(dim, 1, (a,), (1,), 0))
-    return words
-
-
-def mub_basis_matrix(dim: DimSpec, index: int) -> np.ndarray:
-    """Orthonormal eigenbasis (columns) of the index-th MUB family.
-
-    Index 0 is the computational (Z) basis; index 1 + a is the joint
-    eigenbasis of the abelian family {X^x Z^{a x}}.
-    """
-    d = dim.d
-    if index == 0:
-        return np.eye(d, dtype=complex)
-    a = dim.elements[index - 1]
-    rng = np.random.default_rng(12345)
-    A = np.zeros((d, d), dtype=complex)
-    mats = []
-    for x in dim.elements:
-        M = zx_matrix(PauliWord(dim, 1, (dim.mul(a, x),), (x,), 0))
-        mats.append(M)
-        r = rng.standard_normal() + 1j * rng.standard_normal()
-        A += r * M + np.conj(r) * M.conj().T
-    _, vecs = np.linalg.eigh(A)
-    # canonical column order and phase: sort by the eigenvalue under the
-    # family generator, then make the largest entry positive real
-    gen = mats[1] if len(mats) > 1 else mats[0]
-    eigs = [complex(np.vdot(vecs[:, k], gen @ vecs[:, k])) for k in range(d)]
-    order = sorted(range(d), key=lambda k: round(cmath.phase(eigs[k]), 9))
-    vecs = vecs[:, order]
-    for k in range(d):
-        j = int(np.argmax(np.abs(vecs[:, k])))
-        vecs[:, k] *= abs(vecs[j, k]) / vecs[j, k]
-    return vecs
-
-
-@dataclass
-class HermitianBasis:
-    dim: DimSpec
-    elements: List[np.ndarray]
-    labels: List[Tuple]
-    variant: str
-
-
-def hermitian_basis(dim: DimSpec, variant: str = "mub") -> HermitianBasis:
-    """d^2 real-linearly-independent Hermitian matrices."""
-    d = dim.d
-    elements: List[np.ndarray] = []
-    labels: List[Tuple] = []
-    if variant == "mub":
-        if dim.kind == INTEGER_RING and not is_prime(d):
-            raise WrongFormalism("MUB Hermitian basis needs a prime power")
-        for idx in range(d + 1):
-            B = mub_basis_matrix(dim, idx)
-            keep = d if idx == 0 else d - 1
-            for k in range(keep):
-                v = B[:, k:k + 1]
-                elements.append(v @ v.conj().T)
-                labels.append((idx, k))
-    elif variant == "weyl":
-        c0 = cmath.exp(1j * cmath.pi / 4)
-        for a in dim.elements:
-            for b in dim.elements:
-                # displacement phase closing the family under adjoints:
-                # T(a,b)^dag = T(-a,-b)
-                if dim.kind == INTEGER_RING:
-                    t = tau(dim)
-                    T = t ** (-(a * b) % (2 * d)) * zx_matrix(
-                        PauliWord(dim, 1, (a,), (b,), 0))
-                else:
-                    T = matrix_of_pauli(weyl(dim, a, b))
-                N = c0 * T + np.conj(c0) * T.conj().T
-                elements.append(N)
-                labels.append((a, b))
-    else:
-        raise DimensionMismatch(f"unknown variant {variant!r}")
-    # linear-independence audit over the reals
-    V = np.stack([np.concatenate([e.real.reshape(-1), e.imag.reshape(-1)])
-                  for e in elements])
-    if np.linalg.matrix_rank(V, tol=1e-10) != d * d:
-        raise DimensionMismatch("Hermitian family is rank-deficient")
-    return HermitianBasis(dim, elements, labels, variant)
-
-
-def expand_hermitian(H: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Real coefficients alpha with sum_k alpha_k N_k = H (residual < 1e-10)."""
-    H = np.asarray(H, dtype=complex)
-    if np.max(np.abs(H - H.conj().T)) > 1e-9:
-        raise NonHermitian("operator is not Hermitian within tolerance")
-    A = np.stack([np.concatenate([e.real.reshape(-1), e.imag.reshape(-1)])
-                  for e in basis.elements]).T
-    rhs = np.concatenate([H.real.reshape(-1), H.imag.reshape(-1)])
-    alpha, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if np.linalg.norm(A @ alpha - rhs) > 1e-10:
-        raise NonHermitian("expansion residual exceeds tolerance")
-    return alpha
+            "decomposition; use a prime or prime-power dimension")
 
 
 # --- measurement patterns -------------------------------------------------

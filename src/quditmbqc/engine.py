@@ -47,7 +47,7 @@ from .resource import (
     gate_from_json,
     gate_matrix,
     gate_to_json,
-    intrinsic_of,
+    intrinsic_matrix,
 )
 from . import sim
 from .sim import StateVector, basis_from_unitary, x_basis
@@ -282,9 +282,12 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
                  verify: bool = True) -> Tuple[StateVector, PauliFrame, int]:
     """Teleport an external state into a built chain via a Bell measurement.
 
-    Outcome Phi(s, t) leaves the chain head carrying G_I W |psi> with
-    W = Z^{-s} X^{-t}; the returned frame is W conjugated through G_I, so
-    that head = frame * G_I |psi> up to phase.
+    Outcome Phi(s, t) leaves the chain head carrying G_I D_head W |psi>
+    with W = Z^{-s} X^{-t}, G_I the intrinsic gate of the head's edge and
+    D_head = diag(sqrt(d) * head init) its init phases (the identity for
+    cz and light-shift chains, S for cx); the returned frame is W
+    conjugated through G_I D_head, so that head = frame * G_I D_head |psi>
+    up to phase.
     """
     graph.validate()
     dim = graph.dim
@@ -299,16 +302,17 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     k, post, _ = sim.measure(full, bell_basis(dim), [0, head_site],
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
-    intr = intrinsic_of(graph.edges[0].gate if graph.edges
-                        else cz_spec(dim))
+    head_edge = min(graph.edges, key=lambda e: e.seq, default=None)
+    G = intrinsic_matrix(head_edge.gate if head_edge else cz_spec(dim)) \
+        @ np.diag(np.sqrt(d) * _init_vector(dim, graph.vertex(order[0]).init))
     s, t = divmod(k, d)
     W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
-    frame = intrinsic_cert(intr).conjugate(W)
+    frame = certify(G, dim).conjugate(W)
     if verify:
         if post.n != 1:
             raise DimensionMismatch(
                 "dense coupling verification needs a two-vertex chain")
-        ideal = matrix_of_pauli(frame) @ intr.matrix @ psi
+        ideal = matrix_of_pauli(frame) @ G @ psi
         if abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal))) \
                 < 1 - VERIFY_TOL:
             raise FrameMismatch("predicted coupling frame does not verify")
@@ -470,120 +474,139 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
     return ResourceGraph(graph.dim, vertices, edges)
 
 
+def _cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
+    theta = np.array([[np.angle(dim.char_phase(dim.mul(dim.mul(j, k), w)))
+                       for k in dim.elements] for j in dim.elements])
+    return EntanglingGateSpec(dim, "diagonal", theta=theta % (2 * np.pi),
+                              init_phases=np.zeros(dim.d))
+
+
+def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
+                         forced_outcome: Optional[int]
+                         ) -> Tuple[StateVector, int, List[Correction],
+                                    ResourceGraph]:
+    """Measure a vertex in basis_of(W, N); read the rewrite off the outcome.
+
+    Each edge e at v factors as (C1 x C2) CZ^{N_e}; C_{v,e} is v's factor
+    and C_u the product of the factors that neighbor u keeps.  With
+    alpha = init_v prod_e diag C_{v,e} and N_u the summed weight of v's
+    edges to u, outcome vector b leaves f(sum_u N_u j_u) prod_u C_u |G-v>
+    where f(s) = sum_j conj(b_j) alpha(j) chi(j s).  When g = f / f(0)
+    obeys g(a + b) = g(a) g(b) chi(delta a b), this is the graph G - v
+    with CZ^{delta N_u N_w} added on every neighbor pair (an existing
+    pair edge is replaced by its CZ power, its C1/C2 factors moving into
+    the corrections) and the correction C_u diag_j g(N_u j) on each
+    neighbor u.  W = prod_e C_{v,e} and N is the weight of v's first
+    edge.  An outcome whose g is not of that form (which includes
+    |g| != 1 anywhere) raises FrameMismatch, and so does a corrected new
+    build that differs from the posterior.
+    """
+    dim = graph.dim
+    d = dim.d
+    W = np.eye(d, dtype=complex)
+    weight, kept = {}, {}
+    star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
+            if vid in (e.control, e.target)]
+    for e, C1, C2, N in star:
+        Cv, Cu, u = (C1, C2, e.target) if e.control == vid \
+            else (C2, C1, e.control)
+        W = W @ Cv
+        weight[u] = dim.add(weight.get(u, 0), N)
+        kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
+    basis = basis_of(W, star[0][3] if star else 0)
+    m, post, _ = sim.measure(build(graph), basis, graph.site_of(vid),
+                             rng=np.random.default_rng(rng),
+                             forced_outcome=forced_outcome)
+    mul = np.array([[dim.mul(a, b) for b in dim.elements]
+                    for a in dim.elements])
+    add = np.array([[dim.add(a, b) for b in dim.elements]
+                    for a in dim.elements])
+    chi = np.array([dim.char_phase(t) for t in dim.elements])
+    alpha = _init_vector(dim, graph.vertex(vid).init) * np.diag(W)
+    f = (basis.vectors[:, m].conj() * alpha) @ chi[mul]
+    if abs(f[0]) < VERIFY_TOL:
+        raise FrameMismatch(f"outcome {m} leaves no graph state")
+    g = f / f[0]
+    delta = next((w for w in dim.elements if np.max(np.abs(
+        g[add] - np.outer(g, g) * chi[mul[w][mul]])) < 1e-8), None)
+    if delta is None:
+        raise FrameMismatch(f"outcome {m} phases are not quadratic")
+    reduced = _remove_vertex(graph, vid)
+    edges = list(reduced.edges)
+    next_seq = max((e.seq for e in edges), default=-1) + 1
+    for u, w in itertools.combinations(sorted(weight), 2):
+        new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
+        if new_w == 0:
+            continue
+        for e in [e for e in edges if {e.control, e.target} == {u, w}]:
+            C1, C2, N = factor_diagonal_clifford(e.gate)
+            kept[e.control] = kept[e.control] @ C1
+            kept[e.target] = kept[e.target] @ C2
+            new_w = dim.add(new_w, N)
+            edges.remove(e)
+        if new_w != 0:
+            edges.append(GraphEdge(u, w, _cz_power(dim, new_w), next_seq))
+            next_seq += 1
+    new_graph = ResourceGraph(dim, reduced.vertices, edges)
+    corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
+                              f"C g({weight[u]}*j) on {u}")
+                   for u in sorted(weight)]
+    if new_graph.vertices:
+        check = build(new_graph)
+        for c in corrections:
+            check = sim.apply(check, c.operator, new_graph.site_of(c.vertex))
+        if sim.fidelity(post, check.normalized()) < 1 - 1e-8:
+            raise FrameMismatch("rewritten graph and corrections do not "
+                                "verify")
+    return post, m, corrections, new_graph
+
+
 def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
                   forced_outcome: Optional[int] = None
                   ) -> Tuple[StateVector, int, List[Correction], ResourceGraph]:
     """Z-measure a vertex out of a diagonal-Clifford resource.
 
-    Returns the posterior, the outcome, the per-neighbor corrections
-    (leftover C1/C2 factors and outcome diagonals, not applied), and the
-    reduced graph.  The corrected reduced build matches the posterior.
+    Returns the posterior, the outcome m, the per-neighbor corrections
+    (not applied) and the reduced graph.  Outcome m gives g(s) = chi(m s),
+    so neighbor u's correction is C_u Z^{N_u m}: the C1/C2 factors it kept
+    from its lost edges times the outcome diagonal (see
+    _measure_and_rewrite).  The corrected reduced build matches the
+    posterior.
     """
     graph.validate()
-    dim = graph.dim
-    state = build(graph)
-    m, post, _ = sim.measure(state, sim.z_basis(dim), graph.site_of(vid),
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
-    reduced = _remove_vertex(graph, vid)
-    corrections: List[Correction] = []
-    for e in graph.edges:
-        if vid not in (e.control, e.target):
-            continue
-        C1, C2, N = factor_diagonal_clifford(e.gate)
-        if e.control == vid:
-            u = e.target
-            op = C2 @ zmat(dim, dim.mul(N, m))
-            label = f"C2 Z^{{{N}*{m}}} on {u} (lost incoming edge)"
-        else:
-            u = e.control
-            op = C1 @ zmat(dim, dim.mul(N, m))
-            label = f"C1 Z^{{{N}*{m}}} on {u} (lost outgoing edge)"
-        corrections.append(Correction(u, op, label))
-    if reduced.vertices:
-        check = build(reduced)
-        for c in corrections:
-            check = sim.apply(check, c.operator, reduced.site_of(c.vertex))
-        if sim.fidelity(post.normalized(), check.normalized()) < 1 - 1e-8:
-            raise FrameMismatch("vertex deletion corrections do not verify")
-    return post, m, corrections, reduced
-
-
-def _edge_weight_graph(graph: ResourceGraph, vid: int, delta: int,
-                       direction: str) -> ResourceGraph:
-    """Reduced graph with mutual neighbor edges of weight delta added."""
-    dim = graph.dim
-    reduced = _remove_vertex(graph, vid)
-    if delta == 0:
-        return reduced
-    nbrs = graph.neighbors(vid)
-    base = expand(graph.edges[0].gate)
-    edges = list(reduced.edges)
-    next_seq = max((e.seq for e in edges), default=-1) + 1
-    for u, w in itertools.combinations(sorted(nbrs), 2):
-        existing = [e for e in edges
-                    if {e.control, e.target} == {u, w}]
-        old = factor_diagonal_clifford(existing[0].gate)[2] if existing else 0
-        new_w = dim.add(old, delta)
-        for e in existing:
-            edges.remove(e)
-        if new_w == 0:
-            continue
-        theta = np.array([[np.angle(dim.char_phase(dim.mul(
-            dim.mul(j, k), new_w))) for k in dim.elements]
-            for j in dim.elements]) % (2 * np.pi)
-        wspec = EntanglingGateSpec(dim, "diagonal", theta=theta,
-                                   init_phases=np.zeros(dim.d))
-        c, t = (u, w) if direction == "low" else (w, u)
-        edges.append(GraphEdge(c, t, wspec, next_seq))
-        next_seq += 1
-    return ResourceGraph(dim, reduced.vertices, edges)
+    z = sim.z_basis(graph.dim)
+    return _measure_and_rewrite(graph, vid, lambda W, N: z, rng,
+                                forced_outcome)
 
 
 def local_complement(graph: ResourceGraph, vid: int, rng=None,
-                     forced_outcome: Optional[int] = None,
-                     direction: str = "low"
+                     forced_outcome: Optional[int] = None
                      ) -> Tuple[StateVector, int, List[Correction],
                                 ResourceGraph]:
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
     The measured basis is the joint eigenbasis of the commuting family
-    P_v(x) Z_v^{N x}, x != 0 (over GF(p^m) the x = 1 member alone can be
-    degenerate); neighbors gain mutual CZ^w
-    edges (weight found by dense search over candidate weights), with a
-    per-neighbor local correction from products S^a Z^b X^c, searched
-    exhaustively.  New edges default to control = lower vertex id.
+    W X(x) W^dag Z(N x), x != 0 (over GF(p^m) the x = 1 member alone can
+    be degenerate), with W the product of v's edge factors and N the
+    weight of its first edge.  The outcome fixes, in closed form, a
+    weight delta != 0: neighbors u, w gain CZ^{delta N_u N_w} (control =
+    lower vertex id) and each neighbor gets a diagonal correction (see
+    _measure_and_rewrite).  A vertex without edges raises
+    DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim
-    d = dim.d
-    state = build(graph)
-    n_out = sum(1 for e in graph.edges if e.control == vid)
-    n_in = sum(1 for e in graph.edges if e.target == vid)
-    C1, C2, N = factor_diagonal_clifford(graph.edges[0].gate)
-    W = np.linalg.matrix_power(C1, n_out) @ np.linalg.matrix_power(C2, n_in)
-    family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
-              for x in dim.elements if x != 0]
-    basis = basis_from_unitary(dim, _joint_eigenbasis(family),
-                               "local-complement")
-    m, post, _ = sim.measure(state, basis, graph.site_of(vid),
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
-    nbrs = graph.neighbors(vid)
-    S = sgate(dim)
-    singles = [(a, b, c,
-                np.linalg.matrix_power(S, a) @ zmat(dim, b) @ xmat(dim, c))
-               for a in range(d) for b in range(d) for c in range(d)]
-    for delta in list(range(d)):
-        cand = _edge_weight_graph(graph, vid, delta, direction)
-        if not cand.vertices:
-            continue
-        target = build(cand)
-        # search per-neighbor corrections greedily site by site, then jointly
-        found = _correction_search(dim, post, target, cand, nbrs, singles)
-        if found is not None:
-            return post, m, found, cand
-    raise FrameMismatch("no candidate graph + local corrections verify")
+    graph.site_of(vid)  # SiteOutOfRange before the edge check
+    if not graph.neighbors(vid):
+        raise DimensionMismatch(f"vertex {vid} has no edges to complement")
+
+    def basis_of(W, N):
+        family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
+                  for x in dim.elements if x != 0]
+        return basis_from_unitary(dim, _joint_eigenbasis(family),
+                                  "local-complement")
+
+    return _measure_and_rewrite(graph, vid, basis_of, rng, forced_outcome)
 
 
 def _joint_eigenbasis(family: List[np.ndarray]) -> np.ndarray:
@@ -607,22 +630,6 @@ def _joint_eigenbasis(family: List[np.ndarray]) -> np.ndarray:
             u, _ = np.linalg.qr(u[:, np.argsort(-np.angle(w))])
             q[:, cluster] = sub @ u
     return q
-
-
-def _correction_search(dim: DimSpec, post: StateVector, target: StateVector,
-                       cand: ResourceGraph, nbrs: List[int],
-                       singles) -> Optional[List[Correction]]:
-    """Joint exhaustive search for per-neighbor S^a Z^b X^c corrections."""
-    sites = [cand.site_of(u) for u in nbrs]
-    for combo in itertools.product(singles, repeat=len(nbrs)):
-        check = target
-        for (a, b, c, op), site in zip(combo, sites):
-            check = sim.apply(check, op, site)
-        if abs(np.vdot(post.amps, check.amps)) \
-                / (post.norm() * check.norm()) > 1 - 1e-8:
-            return [Correction(u, op, f"S^{a} Z^{b} X^{c}")
-                    for (a, b, c, op), u in zip(combo, nbrs)]
-    return None
 
 
 # --- lattice templates ----------------------------------------------------

@@ -87,10 +87,6 @@ class NonInvertibleGcd(QuditError):
     """gcd exponent of the mediator Pauli is not invertible."""
 
 
-class NonHermitian(QuditError):
-    """Matrix required to be Hermitian is not."""
-
-
 # --- compilation / execution ---
 
 class CompilationDiverged(QuditError):

@@ -147,31 +147,22 @@ def _analyze(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
     return IntrinsicGate(dim, matrix, unitary, cert, order)
 
 
-def intrinsic_of_diagonal(spec: EntanglingGateSpec) -> IntrinsicGate:
-    """G_I = d^{-1/2} sum e^{i theta_{kj}} |j><k| (note the transpose)."""
-    spec = expand(spec)
-    if spec.kind != DIAGONAL:
-        raise DimensionMismatch("diagonal gate required")
-    d = spec.dim.d
-    matrix = np.exp(1j * spec.theta.T) / math.sqrt(d)
-    return _analyze(spec.dim, matrix)
+def intrinsic_matrix(spec: EntanglingGateSpec) -> np.ndarray:
+    """G_I without its analysis.
 
-
-def intrinsic_of_block(spec: EntanglingGateSpec) -> IntrinsicGate:
-    """G_I = sum_j U_j |phi><j| with |phi> = D_phi |0_X>."""
+    Diagonal: G_I = d^{-1/2} sum e^{i theta_{kj}} |j><k| (note the
+    transpose).  Block-diagonal: G_I = sum_j U_j |phi><j| with
+    |phi> = D_phi |0_X>.
+    """
     spec = expand(spec)
-    if spec.kind != BLOCK_DIAGONAL:
-        raise DimensionMismatch("block-diagonal gate required")
+    if spec.kind == DIAGONAL:
+        return np.exp(1j * spec.theta.T) / math.sqrt(spec.dim.d)
     phi = resource_init(spec)
-    matrix = np.column_stack([spec.blocks[j] @ phi for j in spec.dim.elements])
-    return _analyze(spec.dim, matrix)
+    return np.column_stack([spec.blocks[j] @ phi for j in spec.dim.elements])
 
 
 def intrinsic_of(spec: EntanglingGateSpec) -> IntrinsicGate:
-    ex = expand(spec)
-    if ex.kind == DIAGONAL:
-        return intrinsic_of_diagonal(ex)
-    return intrinsic_of_block(ex)
+    return _analyze(spec.dim, intrinsic_matrix(spec))
 
 
 def offdiag_coeffs(spec: EntanglingGateSpec) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Pattern compiler: MUB tools, phase optimization, Clifford lowering."""
+"""Pattern compiler: principal log, phase optimization, Clifford lowering."""
 
 import numpy as np
 import pytest
 
-from quditmbqc.errors import NonHermitian, UnsupportedFormalism, WrongFormalism
+from quditmbqc.errors import UnsupportedFormalism
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import hadamard, mult_gate, sgate
 from quditmbqc.pauli import matrix_of_pauli
@@ -11,10 +11,6 @@ from quditmbqc.clifford import SymplecticRep, synthesize
 from quditmbqc.compiler import (
     compile_clifford,
     compile_unitary,
-    expand_hermitian,
-    hermitian_basis,
-    mub_basis_matrix,
-    mub_paulis,
     pattern_from_json,
     pattern_to_json,
     principal_log_hermitian,
@@ -38,52 +34,6 @@ def pattern_residual(pattern, U):
     F = matrix_of_pauli(pattern.frame)
     V = F.conj().T @ pattern.dense_product()
     return 1.0 - abs(np.trace(V.conj().T @ U)) / U.shape[0]
-
-
-@pytest.mark.parametrize("dim", [D2, D3, D4F])
-def test_mub_unbiasedness(dim):
-    d = dim.d
-    bases = [mub_basis_matrix(dim, i) for i in range(d + 1)]
-    for i, A in enumerate(bases):
-        assert np.allclose(A.conj().T @ A, np.eye(d))
-        for B in bases[i + 1:]:
-            overlaps = np.abs(A.conj().T @ B) ** 2
-            assert np.max(np.abs(overlaps - 1 / d)) < 1e-10
-
-
-def test_mub_paulis_count():
-    words = mub_paulis(D3)
-    assert len(words) == 4
-    with pytest.raises(WrongFormalism):
-        mub_paulis(make_dim(INTEGER_RING, d=4))
-
-
-@pytest.mark.parametrize("variant", ["mub", "weyl"])
-@pytest.mark.parametrize("dim", [D2, D3, D4F])
-def test_hermitian_basis_spans(dim, variant):
-    basis = hermitian_basis(dim, variant)
-    assert len(basis.elements) == dim.d ** 2
-    for N in basis.elements:
-        assert np.allclose(N, N.conj().T)
-
-
-def test_expand_hermitian_residual():
-    rng = np.random.default_rng(0)
-    for dim in (D3, D4F):
-        basis = hermitian_basis(dim)
-        A = rng.normal(size=(dim.d, dim.d)) + 1j * rng.normal(
-            size=(dim.d, dim.d))
-        H = A + A.conj().T
-        alpha = expand_hermitian(H, basis)
-        back = sum(a * N for a, N in zip(alpha, basis.elements))
-        assert np.max(np.abs(back - H)) < 1e-10
-        assert np.max(np.abs(alpha.imag)) == 0  # real coefficients
-
-
-def test_expand_hermitian_rejects_non_hermitian():
-    basis = hermitian_basis(D3)
-    with pytest.raises(NonHermitian):
-        expand_hermitian(np.triu(np.ones((3, 3))), basis)
 
 
 def test_principal_log():

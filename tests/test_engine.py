@@ -1,6 +1,7 @@
 """Resource-state engine: builds, pattern runs, mediators, rewriting."""
 
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +16,18 @@ from quditmbqc.gates import (
     sgate,
     xplus_state,
 )
-from quditmbqc.pauli import matrix_of_pauli
+from quditmbqc.pauli import matrix_of_pauli, zmat
 from quditmbqc.compiler import compile_clifford, compile_unitary, \
     transport_pattern
-from quditmbqc.resource import cx_spec, cz_spec, intrinsic_of, light_shift_spec
-from quditmbqc.sim import schmidt
+from quditmbqc.resource import (
+    cx_spec,
+    cz_spec,
+    expand,
+    factor_diagonal_clifford,
+    intrinsic_of,
+    light_shift_spec,
+)
+from quditmbqc.sim import apply, schmidt
 from quditmbqc.engine import (
     GraphEdge,
     ResourceGraph,
@@ -162,12 +170,14 @@ def test_couple_input_all_outcomes():
                            ideal / np.linalg.norm(ideal))) > 1 - 1e-9
 
 
-@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])
+@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec, cx_spec])
 @pytest.mark.parametrize("dim", [D2, D3, D4F])
 def test_couple_input_predicts_every_outcome(dim, spec_of):
+    # the head starts in D_phi|+> (S|+> for cx): it carries G_I D_phi W|psi>
     g = chain_graph(dim, spec_of(dim), 2)
     psi = random_state(dim.d, np.random.default_rng(5))
-    G = intrinsic_of(spec_of(dim)).matrix
+    G = intrinsic_of(spec_of(dim)).matrix @ np.diag(
+        np.exp(1j * expand(spec_of(dim)).init_phases))
     for outcome in range(dim.d ** 2):
         post, frame, k = couple_input(psi, g, forced_outcome=outcome)
         ideal = matrix_of_pauli(frame.word) @ G @ psi
@@ -294,10 +304,110 @@ def test_local_complement_gf4_chain_every_outcome():
 
 
 def test_local_complement_isolated_vertex():
+    g = ResourceGraph(D2, [Vertex(0), Vertex(1)], [])
+    for vid in (0, 1):
+        with pytest.raises(DimensionMismatch):
+            local_complement(g, vid, rng=0)
+
+
+def test_vertex_delete_leaf_vertex():
     g = ResourceGraph(D2, [Vertex(0), Vertex(1)],
                       [GraphEdge(0, 1, cz_spec(D2), 0)])
     post, m, corrections, reduced = vertex_delete(g, 0, rng=0)
     assert [v.id for v in reduced.vertices] == [1]
+
+
+def _corrected(graph, corrections):
+    state = build(graph)
+    for c in corrections:
+        state = apply(state, c.operator, graph.site_of(c.vertex))
+    return state.amps / np.linalg.norm(state.amps)
+
+
+def _star(dim, leaves):
+    return ResourceGraph(dim, [Vertex(i, np.zeros(dim.d))
+                               for i in range(leaves + 1)],
+                         [GraphEdge(0, i, cz_spec(dim), i - 1)
+                          for i in range(1, leaves + 1)])
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5])
+def test_local_complement_star_every_outcome(leaves):
+    # the centre's outcome joins every pair of leaves; corrections are
+    # read off the outcome, not searched, so five leaves stay fast
+    g = _star(D3, leaves)
+    start = time.perf_counter()
+    for outcome in range(3):
+        post, m, corrections, new_graph = local_complement(
+            g, 0, forced_outcome=outcome)
+        assert m == outcome
+        assert sorted(sorted((e.control, e.target))
+                      for e in new_graph.edges) == \
+            [list(p) for p in itertools.combinations(range(1, leaves + 1), 2)]
+        assert [c.vertex for c in corrections] == list(range(1, leaves + 1))
+        assert all(np.allclose(c.operator, np.diag(np.diag(c.operator)))
+                   for c in corrections)
+        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
+            > 1 - 1e-9
+    if leaves == 5:
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
+def test_local_complement_field_chain_every_outcome(p, m):
+    # GF(8) and GF(9): extension fields without a GR(4, m) lift table
+    dim = make_dim(FINITE_FIELD, p=p, m=m)
+    g = chain_graph(dim, cz_spec(dim), 3)
+    for outcome in range(dim.d):
+        post, got, corrections, new_graph = local_complement(
+            g, 1, forced_outcome=outcome)
+        assert got == outcome
+        assert [{e.control, e.target} for e in new_graph.edges] == [{0, 2}]
+        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
+            > 1 - 1e-9
+
+
+def test_local_complement_replaces_existing_edge():
+    # a light-shift triangle: the new edge weight adds to the old one and
+    # the old edge's local factors move into the corrections
+    spec = light_shift_spec(D3)
+    chain = chain_graph(D3, spec, 3)
+    tri = ResourceGraph(D3, chain.vertices,
+                        chain.edges + [GraphEdge(0, 2, spec, 2)])
+    old = factor_diagonal_clifford(spec)[2]
+    for outcome in range(3):
+        _, _, _, joined = local_complement(chain, 1, forced_outcome=outcome)
+        added = factor_diagonal_clifford(joined.edges[0].gate)[2]
+        post, m, corrections, new_graph = local_complement(
+            tri, 1, forced_outcome=outcome)
+        weights = [factor_diagonal_clifford(e.gate)[2]
+                   for e in new_graph.edges]
+        assert weights == ([D3.add(old, added)] if D3.add(old, added)
+                           else [])
+        assert all(e.gate is not spec for e in new_graph.edges)
+        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
+            > 1 - 1e-9
+
+
+def test_vertex_delete_corrections_are_outcome_z_powers():
+    # outcome m leaves C Z^{N m} on each neighbor, C the factor it keeps
+    dim = D3
+    g = diagonal_lattice(dim, 2, 3, light_shift_spec(dim))
+    vid = 1
+    for m in range(3):
+        post, got, corrections, reduced = vertex_delete(
+            g, vid, forced_outcome=m)
+        expected = {}
+        for e in g.edges:
+            if vid in (e.control, e.target):
+                C1, C2, N = factor_diagonal_clifford(e.gate)
+                u, C = (e.target, C2) if e.control == vid else (e.control, C1)
+                expected[u] = C @ zmat(dim, dim.mul(N, m))
+        assert {c.vertex for c in corrections} == set(expected)
+        for c in corrections:
+            assert np.max(np.abs(c.operator - expected[c.vertex])) < 1e-12
+        assert abs(np.vdot(post.amps, _corrected(reduced, corrections))) \
+            > 1 - 1e-9
 
 
 def test_mediated_lattice_builds():
