@@ -46,6 +46,7 @@ from .engine import (
     local_complement,
     mediator_step,
     run_pattern,
+    run_trajectories,
     vertex_delete,
 )
 

@@ -41,7 +41,7 @@ from .compiler import (
     pattern_to_json,
     transport_pattern,
 )
-from .engine import chain_graph, graph_from_json, run_pattern
+from .engine import chain_graph, graph_from_json, run_trajectories
 from .resource import (
     cx_spec,
     cz_spec,
@@ -263,6 +263,8 @@ def cmd_transport(args) -> int:
 # --- run ------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     pattern = pattern_from_json(_load_json(args.pattern))
     dim = pattern.dim
     if args.graph:
@@ -274,25 +276,23 @@ def cmd_run(args) -> int:
     psi = basis_state(dim, 0)
     trials = args.trials or 1
     seed = args.seed or 0
-    fids = []
-    last = None
-    for t in range(trials):
-        out, frame = run_pattern(graph, pattern, psi, rng=seed + t)
-        last = (out, frame)
-        from .pauli import matrix_of_pauli
-        ideal = matrix_of_pauli(frame.word) @ matrix_of_pauli(
-            pattern.frame).conj().T @ pattern.dense_product() @ psi
-        fids.append(float(abs(np.vdot(out.amps,
-                                      ideal / np.linalg.norm(ideal)))))
+    runs = run_trajectories(graph, pattern, psi, range(seed, seed + trials))
+    last = runs.frame(trials - 1)
+    probs = runs.probabilities
     results = {
         "trials": trials,
-        "min_fidelity": min(fids),
-        "frame": {"z": [int(v) for v in last[1].word.z],
-                  "x": [int(v) for v in last[1].word.x]},
-        "history": [[int(a), int(b)] for a, b in last[1].history],
+        "min_fidelity": float(runs.fidelities.min()),
+        "frame": {"z": [int(v) for v in last.word.z],
+                  "x": [int(v) for v in last.word.x]},
+        "history": [[int(a), int(b)] for a, b in last.history],
+        "outcome_counts": [[int(c) for c in np.bincount(col, minlength=dim.d)]
+                           for col in runs.outcomes.T],
+        "outcome_prob_range": [[float(lo), float(hi)] for lo, hi in
+                               zip(probs.min(axis=0), probs.max(axis=0))],
     }
     if args.dump_state:
-        results["state"] = state_to_json(last[0])
+        results["state"] = state_to_json(
+            StateVector(dim, 1, runs.posteriors[-1]))
     print(dumps_report(_report(
         "run", _digest([args.pattern, args.graph]), results, seed)))
     return 0

@@ -8,8 +8,9 @@ decompositions; every word is verified densely by the caller or tests.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -28,8 +29,10 @@ from .pauli import (
     PauliWord,
     match_pauli,
     normal_form,
+    one_qudit_words,
     single_word,
     word_power,
+    word_table,
     zx_matrix,
 )
 
@@ -65,29 +68,57 @@ class CliffordCert:
     n: int
     U: np.ndarray
     images: Dict[str, Tuple[complex, PauliWord]]
+    _letters: Dict[Tuple[int, str, int], PauliWord] = field(
+        default_factory=dict, repr=False, compare=False)
+    _frame_table: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     def image_of(self, label: str) -> Tuple[complex, PauliWord]:
         return self.images[label]
 
+    def _letter_image(self, site: int, letter: str, value: int) -> PauliWord:
+        """U Z^value U^dagger (letter "Z") or U X^value U^dagger on a site,
+        for value != 0.
+
+        The value is split over the additive basis, so the letter is a
+        product of generator powers; their images are multiplied in normal
+        form once and cached.
+        """
+        key = (site, letter, value)
+        if key not in self._letters:
+            powers = [word_power(self.images[f"{letter}{site}^{g}"][1], c)
+                      for g, c in zip(_additive_basis(self.dim),
+                                      self.dim.coeffs_of(value)) if c]
+            self._letters[key] = functools.reduce(normal_form, powers)
+        return self._letters[key]
+
     def conjugate(self, word: PauliWord) -> PauliWord:
         """U word U^dagger as an exact-phase word.
 
-        Each exponent is split over the additive basis, so the word is a
-        product of generator powers; their images are multiplied in
-        normal form.  No dense matrix is formed.
+        The word is phase * prod_site Z^z X^x; each letter's image comes
+        from _letter_image, so one conjugation costs at most two normal_form
+        calls per site once the letters are cached.  No dense matrix is
+        formed.
         """
         if word.dim != self.dim or word.n != self.n:
             raise DimensionMismatch("word and certificate systems differ")
         zero = (0,) * self.n
         out = PauliWord(self.dim, self.n, zero, zero, word.phase_num)
-        basis = _additive_basis(self.dim)
         for site in range(self.n):
             for letter, value in (("Z", word.z[site]), ("X", word.x[site])):
-                for g, c in zip(basis, self.dim.coeffs_of(value)):
-                    if c:
-                        img = self.images[f"{letter}{site}^{g}"][1]
-                        out = normal_form(out, word_power(img, c))
+                if value:
+                    out = normal_form(out,
+                                      self._letter_image(site, letter, value))
         return out
+
+    def frame_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """word_table of U w U^dagger over one_qudit_words, built once."""
+        if self.n != 1:
+            raise DimensionMismatch("frame tables are single-qudit")
+        if self._frame_table is None:
+            self._frame_table = word_table(
+                [self.conjugate(w) for w in one_qudit_words(self.dim)])
+        return self._frame_table
 
 
 def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1,

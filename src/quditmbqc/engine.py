@@ -6,6 +6,7 @@ failed verification raises FrameMismatch rather than returning silently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -32,11 +33,13 @@ from .clifford import certify, map_pauli_to_Z, synthesize
 from .compiler import MeasurementPattern, intrinsic_cert
 from .pauli import (
     PauliWord,
-    identity_word,
     matrix_of_pauli,
     normal_form,
+    one_qudit_words,
+    word_table,
     xmat,
     zmat,
+    zx_matrix,
 )
 from .resource import (
     EntanglingGateSpec,
@@ -200,65 +203,164 @@ def _chain_order(graph: ResourceGraph) -> List[int]:
     return order
 
 
-def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
-                input_state: np.ndarray, rng=None,
-                forced_outcomes: Optional[Sequence[int]] = None,
-                verify: bool = True) -> Tuple[StateVector, PauliFrame]:
-    """Execute a measurement pattern along a chain, tracking the frame.
+@dataclass
+class Trajectories:
+    """T runs of one pattern; row t of every array is trajectory t.
+
+    The total frame of row t is the word Z^z X^x with z * d + x =
+    frame_index[t] and exact phase numerator frame_phase[t].
+    """
+    dim: DimSpec
+    posteriors: np.ndarray           # (T, d) final head states
+    frame_index: np.ndarray          # (T,)
+    frame_phase: np.ndarray          # (T,)
+    outcomes: np.ndarray             # (T, steps)
+    probabilities: np.ndarray        # (T, steps) of the drawn outcomes
+    fidelities: Optional[np.ndarray]  # (T,) when verified, else None
+
+    def frame(self, t: int) -> PauliFrame:
+        z, x = divmod(int(self.frame_index[t]), self.dim.d)
+        word = PauliWord(self.dim, 1, (z,), (x,), int(self.frame_phase[t]))
+        return PauliFrame(word, [(i, int(k))
+                                 for i, k in enumerate(self.outcomes[t])])
+
+
+@functools.lru_cache(maxsize=None)
+def _z_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Row k is the word_table of Z^{-k} w over one_qudit_words."""
+    words = one_qudit_words(dim)
+    rows = [word_table([normal_form(PauliWord(dim, 1, (dim.neg(k),), (0,)),
+                                    w) for w in words])
+            for k in dim.elements]
+    tables = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    for t in tables:
+        t.flags.writeable = False    # shared by every caller
+    return tables
+
+
+def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
+                     psi: np.ndarray, seeds: Optional[Sequence] = None,
+                     forced_outcomes: Optional[Sequence[Sequence[int]]] = None,
+                     verify: bool = True) -> Trajectories:
+    """Execute a measurement pattern along a chain for T trajectories.
 
     The input replaces the head vertex; each step entangles the current
     head with the next chain qudit and measures the head in the basis
     {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  Adaptive steps
     permute the nominal phases through the frame's X part; non-adaptive
-    (Clifford) steps conjugate the frame through the fixed diagonal; both
-    conjugations use Clifford certificates, not dense matrices.
+    (Clifford) steps conjugate the frame through the fixed diagonal.  All
+    T trajectories advance together as (T, d, d) arrays, in blocks of at
+    most sim.MAX_AMPS // d^2 rows.
+
+    Trajectory t draws default_rng(seeds[t]).random(steps) and takes the
+    outcome Generator.choice would; with forced_outcomes (T rows of one
+    outcome per step) nothing is drawn.  Frames are word indices and
+    exact phases moved by the certificates' frame tables.  With verify,
+    row t's fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned,
+    and FrameMismatch is raised if any row falls below 1 - VERIFY_TOL.
     """
     graph.validate()
     dim = pattern.dim
     d = dim.d
     order = _chain_order(graph)
     steps = pattern.steps
-    if len(order) < len(steps) + 1:
+    S = len(steps)
+    if len(order) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
-    gen = np.random.default_rng(rng)
-    g_cert = intrinsic_cert(pattern.intrinsic)
-    d_certs = [None if step.adaptive else certify(dphi(step.phases), dim)
-               for step in steps]
-    H = hadamard(dim)
-    cur = np.asarray(input_state, dtype=complex).reshape(d)
-    cur = cur / np.linalg.norm(cur)
-    psi_in = cur.copy()
-    frame = identity_word(dim, 1)
-    history: List[Tuple[int, int]] = []
+    if forced_outcomes is not None:
+        forced = np.asarray(forced_outcomes, dtype=np.intp)
+        if forced.ndim != 2 or forced.shape[1] < S:
+            raise DimensionMismatch("forced outcomes need a row of one "
+                                    "outcome per step for each trajectory")
+        T = len(forced)
+    else:
+        seeds = list(seeds)
+        T = len(seeds)
     edges = sorted(graph.edges, key=lambda e: e.seq)
+    plan = []
     for i, step in enumerate(steps):
+        E = gate_matrix(edges[i].gate)
+        sim.require_unitary(E, "operator fails the unitarity check")
         fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
-        two = sim.product_state(dim, [cur, fresh])
-        two = sim.apply(two, gate_matrix(edges[i].gate), [0, 1])
-        x = frame.x[0]
-        if step.adaptive:
-            psi = np.array([step.phases[dim.add(u, dim.neg(x))]
-                            for u in range(d)])
+        table = None if step.adaptive \
+            else certify(dphi(step.phases), dim).frame_table()
+        plan.append((E.T, fresh, np.asarray(step.phases, dtype=float), table))
+    words = one_qudit_words(dim)
+    g_table = intrinsic_cert(pattern.intrinsic).frame_table()
+    z_idx, z_phase = _z_tables(dim)
+    f_idx, f_phase = word_table([normal_form(w, pattern.frame)
+                                 for w in words])
+    # shifted[u, x] = u - x: adaptive phases psi_t[u] = phases[u - x_t]
+    shifted = np.array([[dim.add(u, dim.neg(x)) for x in dim.elements]
+                        for u in dim.elements])
+    H = hadamard(dim)
+    psi_in = np.asarray(psi, dtype=complex).reshape(d)
+    psi_in = psi_in / np.linalg.norm(psi_in)
+    post = np.empty((T, d), dtype=complex)
+    idx = np.zeros(T, dtype=np.intp)
+    phase = np.zeros(T, dtype=np.int64)
+    outcomes = np.zeros((T, S), dtype=np.intp)
+    probabilities = np.zeros((T, S))
+    block = max(1, sim.MAX_AMPS // (d * d))
+    for lo in range(0, T, block):
+        rows = slice(lo, min(lo + block, T))
+        n = rows.stop - lo
+        if forced_outcomes is None:
+            u = np.array([np.random.default_rng(s).random(S)
+                          for s in seeds[rows]]).reshape(n, S)
         else:
-            psi = np.asarray(step.phases, dtype=float)
-        basis = basis_from_unitary(dim, dphi(-psi) @ H, f"step{i}")
-        forced = None if forced_outcomes is None else forced_outcomes[i]
-        k, post, _ = sim.measure(two, basis, 0, rng=gen,
-                                 forced_outcome=forced)
-        cur = post.amps
-        zk = PauliWord(dim, 1, [dim.neg(k)], [0], 0)
-        w = normal_form(zk, frame if step.adaptive
-                        else d_certs[i].conjugate(frame))
-        frame = g_cert.conjugate(w)
-        history.append((i, k))
-    total = normal_form(frame, pattern.frame)
+            u = np.zeros((n, S))    # unused: collapse takes the forced ones
+        cur = np.broadcast_to(psi_in, (n, d))
+        at = np.zeros(n, dtype=np.intp)
+        ph = np.zeros(n, dtype=np.int64)
+        for i, (ET, fresh, phases, table) in enumerate(plan):
+            two = (cur[:, :, None] * fresh).reshape(n, d * d) @ ET
+            if table is None:
+                psi_t = phases[shifted[:, at % d].T]
+            else:
+                psi_t = phases[None, :]
+            basis = np.exp(-1j * psi_t)[:, :, None] * H
+            sim.require_unitary(basis, f"basis 'step{i}' is not orthonormal")
+            branch = np.swapaxes(basis.conj(), 1, 2) @ two.reshape(n, d, d)
+            k, cur, probabilities[rows, i] = sim.collapse(
+                branch, u[:, i],
+                None if forced_outcomes is None else forced[rows, i])
+            if table is not None:
+                at, ph = table[0][at], ph + table[1][at]
+            at, ph = z_idx[k, at], ph + z_phase[k, at]
+            at, ph = g_table[0][at], ph + g_table[1][at]
+            outcomes[rows, i] = k
+        post[rows] = cur
+        idx[rows], phase[rows] = f_idx[at], ph + f_phase[at]
+    phase %= dim.phase_den
+    fids = None
     if verify:
-        ideal = matrix_of_pauli(total) @ matrix_of_pauli(
-            pattern.frame).conj().T @ pattern.dense_product() @ psi_in
-        fid = abs(np.vdot(cur, ideal / np.linalg.norm(ideal)))
-        if fid < 1 - VERIFY_TOL:
-            raise FrameMismatch(f"trajectory fidelity {fid:.12f}")
-    return StateVector(dim, 1, cur), PauliFrame(total, history)
+        v = matrix_of_pauli(pattern.frame).conj().T \
+            @ pattern.dense_product() @ psi_in
+        ideal = np.zeros((d * d, d), dtype=complex)
+        for i in set(idx.tolist()):
+            ideal[i] = zx_matrix(words[i]) @ v
+            ideal[i] /= np.linalg.norm(ideal[i])
+        fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
+        if np.any(fids < 1 - VERIFY_TOL):
+            raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
+    return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
+
+
+def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
+                input_state: np.ndarray, rng=None,
+                forced_outcomes: Optional[Sequence[int]] = None,
+                verify: bool = True) -> Tuple[StateVector, PauliFrame]:
+    """One trajectory of run_trajectories: rng seeds it (or is the
+    generator it draws from), forced_outcomes gives one outcome per step.
+
+    Returns the head state and the total frame with the outcome history;
+    with verify, the head is checked to equal frame * U |input>.
+    """
+    runs = run_trajectories(
+        graph, pattern, input_state, [rng],
+        None if forced_outcomes is None else [forced_outcomes], verify)
+    return StateVector(pattern.dim, 1, runs.posteriors[0]), runs.frame(0)
 
 
 # --- input coupling -------------------------------------------------------
@@ -287,12 +389,18 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     D_head = diag(sqrt(d) * head init) its init phases (the identity for
     cz and light-shift chains, S for cx); the returned frame is W
     conjugated through G_I D_head, so that head = frame * G_I D_head |psi>
-    up to phase.
+    up to phase.  A head init that is not a phase vector (a Z-basis label
+    or a raw state) raises DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim
     d = dim.d
     order = _chain_order(graph)
+    head = graph.vertex(order[0])
+    head_init = _init_vector(dim, head.init)
+    if np.max(np.abs(np.abs(head_init) * np.sqrt(d) - 1)) > VERIFY_TOL:
+        raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
+                                f"is not a phase vector")
     chain = build(graph)
     psi = np.asarray(psi, dtype=complex).reshape(d)
     psi = psi / np.linalg.norm(psi)
@@ -304,7 +412,7 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
                              forced_outcome=forced_outcome)
     head_edge = min(graph.edges, key=lambda e: e.seq, default=None)
     G = intrinsic_matrix(head_edge.gate if head_edge else cz_spec(dim)) \
-        @ np.diag(np.sqrt(d) * _init_vector(dim, graph.vertex(order[0]).init))
+        @ np.diag(np.sqrt(d) * head_init)
     s, t = divmod(k, d)
     W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
     frame = certify(G, dim).conjugate(W)

@@ -68,6 +68,46 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
 
 
+def require_unitary(M: np.ndarray, message: str, tol: float = DEFAULT_TOL):
+    """NonUnitary(message) unless every trailing square matrix of M has
+    orthonormal columns."""
+    gram = np.swapaxes(M.conj(), -1, -2) @ M
+    if np.max(np.abs(gram - np.eye(M.shape[-1]))) > max(tol, 1e-9):
+        raise NonUnitary(message)
+
+
+def collapse(branch: np.ndarray, uniforms, forced=None,
+             tol: float = DEFAULT_TOL
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One outcome per row t of branch amplitudes (n, D, R).
+
+    Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
+    the normalized branch[t, k].  Row t takes forced[t] when forced
+    outcomes are given (each checked for range and nonzero probability),
+    else the inverse-CDF outcome of uniforms[t] in [0, 1): the rule of
+    Generator.choice, so a generator's random() draws give the outcomes
+    its choice() would.  Returns (outcomes, posteriors, probabilities of
+    the outcomes).
+    """
+    weight = np.sum(np.abs(branch) ** 2, axis=2)
+    probs = weight / weight.sum(axis=1, keepdims=True)
+    rows = np.arange(len(branch))
+    if forced is None:
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        k = np.sum(cdf <= np.asarray(uniforms)[:, None], axis=1)
+    else:
+        k = np.asarray(forced, dtype=np.intp)
+        if k.min() < 0 or k.max() >= branch.shape[1]:
+            raise SiteOutOfRange("forced outcome out of range")
+        t = probs[rows, k].argmin()
+        if probs[t, k[t]] < max(tol, 1e-12):
+            raise ZeroProbabilityForced(
+                f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
+    post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]
+    return k, post, probs[rows, k]
+
+
 def _check_sites(state: StateVector, sites: Sequence[int]):
     for s in sites:
         if not 0 <= s < state.n:
@@ -88,8 +128,7 @@ def apply(state: StateVector, op: np.ndarray,
     op = np.asarray(op, dtype=complex)
     if op.shape != (d ** k, d ** k):
         raise DimensionMismatch("operator size does not match site count")
-    if np.max(np.abs(op.conj().T @ op - np.eye(d ** k))) > max(state.tol, 1e-9):
-        raise NonUnitary("operator fails the unitarity check")
+    require_unitary(op, "operator fails the unitarity check", state.tol)
     T = state.tensor()
     T = np.moveaxis(T, sites, range(k))
     shape = T.shape
@@ -112,9 +151,8 @@ class MeasurementBasis:
         D = self.dim.d ** self.nsites
         if self.vectors.shape != (D, D):
             raise DimensionMismatch("basis must be a square matrix of columns")
-        gram = self.vectors.conj().T @ self.vectors
-        if np.max(np.abs(gram - np.eye(D))) > max(self.tol, 1e-9):
-            raise NonUnitary(f"basis {self.label!r} is not orthonormal")
+        require_unitary(self.vectors, f"basis {self.label!r} is not "
+                        f"orthonormal", self.tol)
 
 
 def z_basis(dim: DimSpec) -> MeasurementBasis:
@@ -152,22 +190,12 @@ def measure(state: StateVector, basis: MeasurementBasis,
     T = state.tensor()
     T = np.moveaxis(T, sites, range(k)).reshape(d ** k, -1)
     branch = basis.vectors.conj().T @ T      # outcome -> residual amplitudes
-    probs = np.sum(np.abs(branch) ** 2, axis=1)
-    total = probs.sum()
-    probs = probs / total
-    if forced_outcome is not None:
-        outcome = int(forced_outcome)
-        if not 0 <= outcome < d ** k:
-            raise SiteOutOfRange("forced outcome out of range")
-        if probs[outcome] < max(state.tol, 1e-12):
-            raise ZeroProbabilityForced(
-                f"outcome {outcome} has probability {probs[outcome]:.3e}")
+    if forced_outcome is None:
+        k, post, p = collapse(branch[None], _as_rng(rng).random(1))
     else:
-        outcome = int(_as_rng(rng).choice(d ** k, p=probs / probs.sum()))
-    post = branch[outcome]
-    post = post / np.linalg.norm(post)
-    return outcome, StateVector(state.dim, state.n - k, post, state.tol), \
-        float(probs[outcome])
+        k, post, p = collapse(branch[None], None, [forced_outcome], state.tol)
+    return int(k[0]), StateVector(state.dim, state.n - len(sites), post[0],
+                                  state.tol), float(p[0])
 
 
 def reduced_density(state: StateVector, keep_sites: Sequence[int]) -> np.ndarray:

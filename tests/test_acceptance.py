@@ -44,6 +44,7 @@ from quditmbqc.engine import (
     local_complement,
     mediator_step,
     run_pattern,
+    run_trajectories,
     vertex_delete,
 )
 
@@ -238,12 +239,12 @@ def test_criterion_06_mbqc_determinism(compiled):
     for dim, spec, name, bound, U, pat in patterns:
         graph = chain_graph(dim, spec, pat.step_count() + 1)
         psi = random_state(dim.d, rng)
-        for seed in range(100):
-            out, frame = run_pattern(graph, pat, psi, rng=seed,
-                                     verify=False)
-            ideal = matrix_of_pauli(frame.word) @ matrix_of_pauli(
+        runs = run_trajectories(graph, pat, psi, range(100), verify=False)
+        for t in range(100):
+            ideal = matrix_of_pauli(runs.frame(t).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ U @ psi
-            fid = abs(np.vdot(out.amps, ideal / np.linalg.norm(ideal)))
+            fid = abs(np.vdot(runs.posteriors[t],
+                              ideal / np.linalg.norm(ideal)))
             worst = min(worst, fid)
             if fid < 1 - 1e-9:
                 mismatches += 1

@@ -114,6 +114,37 @@ def test_compile_run_round_trip(tmp_path, capsys):
     assert res["min_fidelity"] > 1 - 1e-9
 
 
+def _transport_pattern(tmp_path, capsys, spec):
+    gate = write_json(tmp_path / "gate.json", gate_to_json(spec))
+    code, out = run_cli(capsys, ["transport", "--gate", gate])
+    assert code == 0
+    return write_json(tmp_path / "pattern.json",
+                      json.loads(out)["results"]["pattern"])
+
+
+def test_run_reports_outcome_statistics(tmp_path, capsys):
+    pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
+    code, out = run_cli(capsys, ["run", "--pattern", pattern,
+                                 "--trials", "30", "--seed", "4"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    counts, ranges = res["outcome_counts"], res["outcome_prob_range"]
+    assert len(counts) == len(ranges) == len(res["history"]) == 4
+    assert all(len(c) == 3 and sum(c) == 30 for c in counts)
+    # cz chains draw every outcome with probability 1/3
+    assert np.allclose(ranges, 1 / 3, atol=1e-12)
+
+
+def test_run_rejects_trials_below_one(tmp_path, capsys):
+    pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
+    for trials in ("0", "-3"):
+        code = cli.main(["run", "--pattern", pattern, "--trials", trials])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--trials" in err
+
+
 def test_run_dump_state(tmp_path, capsys):
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     code, out = run_cli(capsys, ["transport", "--gate", gate])

@@ -1,33 +1,61 @@
 """Resource-state engine: builds, pattern runs, mediators, rewriting."""
 
 import itertools
+import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quditmbqc.errors import DimensionMismatch, SiteOutOfRange
+from quditmbqc import sim
+from quditmbqc.errors import (
+    DimensionMismatch,
+    FrameMismatch,
+    NonUnitary,
+    SiteOutOfRange,
+    ZeroProbabilityForced,
+)
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.clifford import certify
 from quditmbqc.gates import (
     basis_state,
     cz_gate,
+    dphi,
     hadamard,
     sgate,
     xplus_state,
 )
-from quditmbqc.pauli import matrix_of_pauli, zmat
-from quditmbqc.compiler import compile_clifford, compile_unitary, \
-    transport_pattern
+from quditmbqc.pauli import (
+    PauliWord,
+    identity_word,
+    matrix_of_pauli,
+    normal_form,
+    zmat,
+)
+from quditmbqc.compiler import (
+    compile_clifford,
+    compile_unitary,
+    intrinsic_cert,
+    transport_pattern,
+)
 from quditmbqc.resource import (
+    EntanglingGateSpec,
     cx_spec,
     cz_spec,
     expand,
     factor_diagonal_clifford,
+    gate_matrix,
     intrinsic_of,
     light_shift_spec,
 )
-from quditmbqc.sim import apply, schmidt
+from quditmbqc.sim import (
+    apply,
+    basis_from_unitary,
+    measure,
+    product_state,
+    schmidt,
+)
 from quditmbqc.engine import (
     GraphEdge,
     ResourceGraph,
@@ -43,6 +71,7 @@ from quditmbqc.engine import (
     mediated_lattice,
     mediator_step,
     run_pattern,
+    run_trajectories,
     stabilizer_deviation,
     vertex_delete,
 )
@@ -157,6 +186,168 @@ def test_run_forced_outcomes_deterministic():
     assert fa.history == fb.history
 
 
+D5 = make_dim(INTEGER_RING, d=5)
+# (dim, gate family) for every family the batched kernel must match
+RUN_FAMILIES = [(dim, spec_of) for dim in (D2, D3, D4F)
+                for spec_of in (cz_spec, light_shift_spec, cx_spec)] \
+    + [(D5, cz_spec), (D5, cx_spec)]
+
+
+def _reference_run(g, pat, psi, rng, forced):
+    """The per-step loop the batched kernel replaced: dense sim.apply and
+    sim.measure, frames conjugated word by word.  Returns (head, word,
+    history)."""
+    dim, d = pat.dim, pat.dim.d
+    gen = np.random.default_rng(rng)
+    g_cert = intrinsic_cert(pat.intrinsic)
+    cur = psi / np.linalg.norm(psi)
+    frame, history = identity_word(dim, 1), []
+    for i, step in enumerate(pat.steps):
+        # chain inits are phase vectors: the fresh qudit is D_phi |+>
+        init = np.asarray(g.vertex(i + 1).init, dtype=float)
+        two = apply(product_state(dim, [cur, dphi(init) @ xplus_state(dim)]),
+                    gate_matrix(g.edges[i].gate), [0, 1])
+        x = frame.x[0]
+        phases = np.array([step.phases[dim.add(u, dim.neg(x))]
+                           for u in range(d)]) if step.adaptive \
+            else step.phases
+        basis = basis_from_unitary(dim, dphi(-phases) @ hadamard(dim))
+        k, post, _ = measure(two, basis, 0, rng=gen, forced_outcome=None
+                             if forced is None else forced[i])
+        cur = post.amps
+        w = frame if step.adaptive \
+            else certify(dphi(step.phases), dim).conjugate(frame)
+        frame = g_cert.conjugate(normal_form(
+            PauliWord(dim, 1, (dim.neg(k),), (0,)), w))
+        history.append((i, k))
+    return cur, normal_form(frame, pat.frame), history
+
+
+def _assert_rows_match_single_runs(g, pat, psi, runs, seeds=None,
+                                   forced=None):
+    for t in range(len(runs.posteriors)):
+        rng = None if seeds is None else seeds[t]
+        outcomes = None if forced is None else forced[t]
+        out, frame = run_pattern(g, pat, psi, rng=rng,
+                                 forced_outcomes=outcomes)
+        assert np.max(np.abs(runs.posteriors[t] - out.amps)) < 1e-12
+        assert runs.frame(t).word == frame.word
+        assert runs.frame(t).history == frame.history
+        head, word, history = _reference_run(g, pat, psi, rng, outcomes)
+        assert np.max(np.abs(runs.posteriors[t] - head)) < 1e-12
+        assert (runs.frame(t).word, runs.frame(t).history) == (word, history)
+
+
+@pytest.mark.parametrize("dim,spec_of", RUN_FAMILIES,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_batched_rows_equal_single_trajectories(dim, spec_of):
+    rng = np.random.default_rng(12)
+    pat = compile_unitary(haar_unitary(dim.d, rng), intrinsic_of(spec_of(dim)))
+    g = chain_graph(dim, spec_of(dim), pat.step_count() + 1)
+    psi = random_state(dim.d, rng)
+    seeds = list(range(40, 52))
+    runs = run_trajectories(g, pat, psi, seeds)
+    assert runs.fidelities.min() > 1 - 1e-9
+    _assert_rows_match_single_runs(g, pat, psi, runs, seeds=seeds)
+    forced = rng.integers(0, dim.d, size=(6, pat.step_count()))
+    runs = run_trajectories(g, pat, psi, None, forced_outcomes=forced)
+    assert runs.outcomes.tolist() == forced.tolist()
+    _assert_rows_match_single_runs(g, pat, psi, runs, forced=forced)
+
+
+def test_batched_non_adaptive_rows_equal_single_trajectories():
+    pat = compile_clifford(sgate(D3), intrinsic_of(cz_spec(D3)))
+    assert not any(step.adaptive for step in pat.steps)
+    g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    psi = random_state(3, np.random.default_rng(13))
+    seeds = list(range(10))
+    runs = run_trajectories(g, pat, psi, seeds)
+    _assert_rows_match_single_runs(g, pat, psi, runs, seeds=seeds)
+
+
+def test_batched_blocks_equal_one_block(monkeypatch):
+    pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
+                          intrinsic_of(cz_spec(D3)))
+    g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    psi = basis_state(D3, 0)
+    whole = run_trajectories(g, pat, psi, range(10))
+    monkeypatch.setattr(sim, "MAX_AMPS", 4 * 9)    # blocks of 4 rows
+    split = run_trajectories(g, pat, psi, range(10))
+    assert np.max(np.abs(split.posteriors - whole.posteriors)) < 1e-12
+    assert np.max(np.abs(split.fidelities - whole.fidelities)) < 1e-12
+    for name in ("frame_index", "frame_phase", "outcomes"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name))
+    assert np.max(np.abs(split.probabilities - whole.probabilities)) < 1e-12
+
+
+def _identity_edge_chain(dim, length):
+    # an edge gate that entangles nothing, so outcomes can be impossible
+    flat = EntanglingGateSpec(dim, "diagonal", theta=np.zeros((dim.d, dim.d)),
+                              init_phases=np.zeros(dim.d))
+    return chain_graph(dim, flat, length)
+
+
+def test_run_checks_still_raise():
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    n = pat.step_count()
+    plus = xplus_state(D3)
+    # step 0 measures |+> in {H|k>}: outcome 1 has probability 0
+    g = _identity_edge_chain(D3, n + 1)
+    with pytest.raises(ZeroProbabilityForced):
+        run_pattern(g, pat, plus, forced_outcomes=[1] + [0] * (n - 1),
+                    verify=False)
+    with pytest.raises(ZeroProbabilityForced):
+        run_trajectories(g, pat, plus, None, verify=False,
+                         forced_outcomes=[[0] * n, [1] + [0] * (n - 1)])
+    g = chain_graph(D3, cz_spec(D3), n + 1)
+    with pytest.raises(SiteOutOfRange):
+        run_pattern(g, pat, plus, forced_outcomes=[3] * n)
+    with pytest.raises(DimensionMismatch):
+        run_pattern(chain_graph(D3, cz_spec(D3), n), pat, plus)
+    backward = replace(g, edges=[replace(g.edges[0], control=1, target=0)]
+                       + g.edges[1:])
+    with pytest.raises(DimensionMismatch):
+        run_pattern(backward, pat, plus)
+    leaky = EntanglingGateSpec(D3, "block_diagonal",
+                               blocks=[2 * np.eye(3)] * 3,
+                               init_phases=np.zeros(3))
+    with pytest.raises(NonUnitary):
+        run_pattern(chain_graph(D3, leaky, n + 1), pat, plus)
+    # the chain applies cz's intrinsic gate, not the light-shift one
+    wrong = replace(pat, intrinsic=intrinsic_of(light_shift_spec(D3)))
+    with pytest.raises(FrameMismatch):
+        run_trajectories(g, wrong, plus, range(3))
+
+
+GOLDEN_FRAME = {"x": [1], "z": [0]}
+GOLDEN_HISTORY = [[0, 2], [1, 0], [2, 0], [3, 1], [4, 2], [5, 0], [6, 0],
+                  [7, 0], [8, 0], [9, 0], [10, 1], [11, 0]]
+
+
+def test_cli_run_golden(tmp_path, capsys):
+    # frame and history of the last of 100 trials, recorded from the
+    # per-trajectory loop that the batched kernel replaced
+    from quditmbqc import cli
+    from quditmbqc.resource import gate_to_json
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(gate_to_json(cz_spec(D3))))
+    U = haar_unitary(3, np.random.default_rng(15))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"matrix": [[[v.real, v.imag] for v in row]
+                                             for row in U]}))
+    assert cli.main(["compile", "--gate", str(gate), "--target", str(target),
+                     "--seed", "0"]) == 0
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps(
+        json.loads(capsys.readouterr().out)["results"]["pattern"]))
+    assert cli.main(["run", "--pattern", str(pattern), "--trials", "100",
+                     "--seed", "7"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["frame"] == GOLDEN_FRAME
+    assert res["history"] == GOLDEN_HISTORY
+    assert res["min_fidelity"] > 1 - 1e-9
+
+
 def test_couple_input_all_outcomes():
     g = chain_graph(D2, cz_spec(D2), 2)
     rng = np.random.default_rng(4)
@@ -187,6 +378,14 @@ def test_couple_input_predicts_every_outcome(dim, spec_of):
         _, unverified, _ = couple_input(psi, g, forced_outcome=outcome,
                                         verify=False)
         assert unverified.word == frame.word
+
+
+@pytest.mark.parametrize("init", [0, np.array([1, 0, 0], dtype=complex)])
+def test_couple_input_rejects_non_phase_head(init):
+    g = chain_graph(D3, cx_spec(D3), 2)
+    g.vertices[0].init = init
+    with pytest.raises(DimensionMismatch, match="head vertex 0 init"):
+        couple_input(basis_state(D3, 0), g)
 
 
 def test_couple_input_identity_outcome():
