@@ -263,7 +263,7 @@ def cmd_transport(args) -> int:
 # --- run ------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    if args.trials is not None and args.trials < 1:
+    if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     pattern = pattern_from_json(_load_json(args.pattern))
     dim = pattern.dim
@@ -274,8 +274,7 @@ def cmd_run(args) -> int:
             raise WrongFormalism("pattern has no gate; pass --graph")
         graph = chain_graph(dim, pattern.gate, pattern.step_count() + 1)
     psi = basis_state(dim, 0)
-    trials = args.trials or 1
-    seed = args.seed or 0
+    trials, seed = args.trials, args.seed or 0
     runs = run_trajectories(graph, pattern, psi, range(seed, seed + trials))
     last = runs.frame(trials - 1)
     probs = runs.probabilities
@@ -300,54 +299,48 @@ def cmd_run(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
+# each command's flags: name -> add_argument keywords
+_FLAGS = {"gate": {"required": True}, "target": {"required": True},
+          "pattern": {"required": True}, "graph": {}, "seed": {"type": int},
+          "trials": {"type": int, "default": 1},
+          "dump-state": {"action": "store_true"},
+          "formalism": {"choices": ["ring", "field"]},
+          "self-test-corrupt": {"action": "store_true"}}
+_COMMANDS = {"analyze": ("gate", "formalism"),
+             "compile": ("gate", "target", "seed", "formalism"),
+             "run": ("pattern", "graph", "seed", "trials", "dump-state"),
+             "table": ("self-test-corrupt",),
+             "transport": ("gate", "formalism")}
+# exit code of a handler's error: the first matching kind, else EXIT_PARSE
+_EXITS = (((UnsupportedFormalism, WrongFormalism), EXIT_FORMALISM),
+          (CompilationDiverged, EXIT_DIVERGED), (FrameMismatch, EXIT_FRAME))
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quditmbqc")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
-        sp.add_argument("--gate")
-        sp.add_argument("--target")
-        sp.add_argument("--graph")
-        sp.add_argument("--pattern")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--dump-state", action="store_true",
-                        dest="dump_state")
-        sp.add_argument("--formalism", choices=["ring", "field"])
-
-    for name in ("analyze", "compile", "run", "table", "transport"):
+    for name, flags in _COMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
-        if name == "table":
-            sp.add_argument("--self-test-corrupt", action="store_true",
-                            dest="self_test_corrupt")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return p
 
 
+_PARSER = make_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    handlers = {"analyze": cmd_analyze, "compile": cmd_compile,
-                "run": cmd_run, "table": cmd_table,
-                "transport": cmd_transport}
     try:
-        return handlers[args.cmd](args)
-    except (UnsupportedFormalism, WrongFormalism) as exc:
+        # looked up by name on each call, so a rebound cmd_* is the one run
+        return globals()[f"cmd_{args.cmd}"](args)
+    except (OSError, KeyError, ValueError, QuditError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMALISM
-    except CompilationDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except FrameMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            QuditError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for kinds, code in _EXITS
+                     if isinstance(exc, kinds)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,6 @@ from .pauli import (
     zx_matrix,
 )
 
-PAULI_TOL = 1e-8
-
 
 def _additive_basis(dim: DimSpec) -> List[int]:
     """1 for Z_d; the encoded 1, xi, xi^2, ... for GF(p^m), matching the
@@ -121,8 +119,7 @@ class CliffordCert:
         return self._frame_table
 
 
-def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1,
-                      tol: float = PAULI_TOL
+def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1
                       ) -> Union[CliffordCert, NotClifford]:
     """Conjugate every Pauli generator by U and match the result to a word."""
     U = np.asarray(U, dtype=complex)
@@ -132,39 +129,36 @@ def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1,
     Ud = U.conj().T
     for label, w in generator_words(dim, n):
         M = U @ zx_matrix(w) @ Ud
-        r = match_pauli(dim, n, M, tol)
+        r = match_pauli(dim, n, M)
         if r is None:
             return NotClifford(label)
         images[label] = r
     return CliffordCert(dim, n, U, images)
 
 
-def certify(U: np.ndarray, dim: DimSpec, n: int = 1,
-            tol: float = PAULI_TOL) -> CliffordCert:
-    r = conjugation_table(U, dim, n, tol)
+def certify(U: np.ndarray, dim: DimSpec, n: int = 1) -> CliffordCert:
+    r = conjugation_table(U, dim, n)
     if isinstance(r, NotClifford):
         raise NotCliffordError(f"generator {r.generator} does not conjugate "
                                f"to a Pauli word", generator=r.generator)
     return r
 
 
-def pauli_order_data(U: np.ndarray, dim: DimSpec, n: int = 1,
-                     tol: float = PAULI_TOL
+def pauli_order_data(U: np.ndarray, dim: DimSpec, n: int = 1
                      ) -> Tuple[int, complex, PauliWord]:
     """Least o >= 1 with U^o = phase * Pauli; capped at d^2."""
     cap = dim.d ** 2
     P = np.eye(dim.d ** n, dtype=complex)
     for k in range(1, cap + 1):
         P = P @ U
-        r = match_pauli(dim, n, P, tol)
+        r = match_pauli(dim, n, P)
         if r is not None:
             return k, r[0], r[1]
     raise OrderCapExceeded(f"no power up to {cap} is a Pauli word")
 
 
-def pauli_order(U: np.ndarray, dim: DimSpec, n: int = 1,
-                tol: float = PAULI_TOL) -> int:
-    return pauli_order_data(U, dim, n, tol)[0]
+def pauli_order(U: np.ndarray, dim: DimSpec, n: int = 1) -> int:
+    return pauli_order_data(U, dim, n)[0]
 
 
 # --- symplectic representation -------------------------------------------

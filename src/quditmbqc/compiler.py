@@ -82,7 +82,6 @@ class MeasurementPattern:
     intrinsic: IntrinsicGate
     steps: List[PatternStep]
     frame: PauliWord
-    frame_semantics: str = "left"
     gate: Optional[EntanglingGateSpec] = None
 
     def step_count(self) -> int:
@@ -381,7 +380,6 @@ def pattern_to_json(p: MeasurementPattern) -> dict:
         "steps": [{"phases": [float(v) for v in s.phases],
                    "adaptive": bool(s.adaptive)} for s in p.steps],
         "frame": pauli_to_json(p.frame),
-        "frame_semantics": p.frame_semantics,
     }
     if p.gate is None:
         obj["intrinsic_matrix"] = [[[float(v.real), float(v.imag)]
@@ -411,5 +409,4 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
         steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
                                  bool(s["adaptive"])))
     frame = pauli_from_json(dim, obj["frame"])
-    return MeasurementPattern(dim, intr, steps, frame,
-                              obj.get("frame_semantics", "left"), gate)
+    return MeasurementPattern(dim, intr, steps, frame, gate)

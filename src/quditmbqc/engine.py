@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     FrameMismatch,
     NonInvertibleGcd,
+    NonUnitary,
     NotControlledPauliForm,
     SiteOutOfRange,
 )
@@ -42,6 +43,7 @@ from .pauli import (
     zx_matrix,
 )
 from .resource import (
+    BlockFactorization,
     EntanglingGateSpec,
     cz_spec,
     expand,
@@ -126,7 +128,9 @@ def _init_vector(dim: DimSpec, init) -> np.ndarray:
     if arr.shape != (d,):
         raise DimensionMismatch("vertex init length does not match d")
     if np.iscomplexobj(arr):
-        return np.asarray(arr, dtype=complex) / np.linalg.norm(arr)
+        return sim.unit_vector(arr, d, "vertex init")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatch("vertex init has a NaN or infinite entry")
     return dphi(arr.astype(float)) @ xplus_state(dim)
 
 
@@ -257,7 +261,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     outcome per step) nothing is drawn.  Frames are word indices and
     exact phases moved by the certificates' frame tables.  With verify,
     row t's fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned,
-    and FrameMismatch is raised if any row falls below 1 - VERIFY_TOL.
+    and FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
     """
     graph.validate()
     dim = pattern.dim
@@ -281,6 +285,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     for i, step in enumerate(steps):
         E = gate_matrix(edges[i].gate)
         sim.require_unitary(E, "operator fails the unitarity check")
+        # D_{-psi} H is unitary for every finite real psi, as H is
+        if not np.all(np.isfinite(step.phases)):
+            raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
         table = None if step.adaptive \
             else certify(dphi(step.phases), dim).frame_table()
@@ -294,8 +301,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     shifted = np.array([[dim.add(u, dim.neg(x)) for x in dim.elements]
                         for u in dim.elements])
     H = hadamard(dim)
-    psi_in = np.asarray(psi, dtype=complex).reshape(d)
-    psi_in = psi_in / np.linalg.norm(psi_in)
+    psi_in = sim.unit_vector(psi, d, "input state")
     post = np.empty((T, d), dtype=complex)
     idx = np.zeros(T, dtype=np.intp)
     phase = np.zeros(T, dtype=np.int64)
@@ -320,7 +326,6 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             else:
                 psi_t = phases[None, :]
             basis = np.exp(-1j * psi_t)[:, :, None] * H
-            sim.require_unitary(basis, f"basis 'step{i}' is not orthonormal")
             branch = np.swapaxes(basis.conj(), 1, 2) @ two.reshape(n, d, d)
             k, cur, probabilities[rows, i] = sim.collapse(
                 branch, u[:, i],
@@ -342,7 +347,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             ideal[i] = zx_matrix(words[i]) @ v
             ideal[i] /= np.linalg.norm(ideal[i])
         fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
-        if np.any(fids < 1 - VERIFY_TOL):
+        if not np.all(fids >= 1 - VERIFY_TOL):
             raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
     return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
 
@@ -402,10 +407,8 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
     chain = build(graph)
-    psi = np.asarray(psi, dtype=complex).reshape(d)
-    psi = psi / np.linalg.norm(psi)
-    full = StateVector(dim, chain.n + 1,
-                       np.kron(psi, chain.amps))
+    psi = sim.unit_vector(psi, d, "input state")
+    full = StateVector(dim, chain.n + 1, np.kron(psi, chain.amps))
     head_site = graph.site_of(order[0]) + 1
     k, post, _ = sim.measure(full, bell_basis(dim), [0, head_site],
                              rng=np.random.default_rng(rng),
@@ -421,8 +424,8 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
             raise DimensionMismatch(
                 "dense coupling verification needs a two-vertex chain")
         ideal = matrix_of_pauli(frame) @ G @ psi
-        if abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal))) \
-                < 1 - VERIFY_TOL:
+        if not (abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal)))
+                >= 1 - VERIFY_TOL):
             raise FrameMismatch("predicted coupling frame does not verify")
     return post, PauliFrame(frame, [(0, k)]), k
 
@@ -442,8 +445,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     and CZ, times Z^{-k2} x Z^{-k5}, carried through H x H.
     """
     d = dim.d
-    psi = np.asarray(psi, dtype=complex).reshape(d * d)
-    psi = psi / np.linalg.norm(psi)
+    psi = sim.unit_vector(psi, d * d, "input state")
     gate = cz_spec(dim)
     vertices = [Vertex(i, None) for i in range(1, 7)]
     edges = [GraphEdge(1, 2, gate, 0), GraphEdge(2, 3, gate, 1),
@@ -476,7 +478,8 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     W = hh_cert.conjugate(normal_form(
         mids, cz_cert.conjugate(hh_cert.conjugate(heads))))
     target = HH @ cz @ HH @ psi
-    if abs(np.vdot(state.amps, matrix_of_pauli(W) @ target)) < 1 - VERIFY_TOL:
+    if not (abs(np.vdot(state.amps, matrix_of_pauli(W) @ target))
+            >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted edge-entangling frame does not verify")
     return state, PauliFrame(W, history)
 
@@ -492,10 +495,23 @@ class MediatorResult:
     mode: str
 
 
+def _mediator(spec: EntanglingGateSpec
+              ) -> Tuple[BlockFactorization, np.ndarray, np.ndarray]:
+    """(C1 x C2) CP factorization of a block gate, the mediator init
+    C^dag |0_X> and the basis matrix G_C = C^dag H M(l), where C maps the
+    controlled Pauli P to Z^l (NonInvertibleGcd unless l is a unit)."""
+    dim = spec.dim
+    bf = factor_block_controlled_pauli(spec)
+    rep, l = map_pauli_to_Z(dim, bf.P.z[0], bf.P.x[0])
+    if not dim.is_invertible(l):
+        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {dim.d}")
+    Cd = synthesize(rep).conj().T
+    return bf, Cd @ xplus_state(dim), Cd @ hadamard(dim) @ mult_gate(dim, l)
+
+
 def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
-                  rng=None, forced_outcome: Optional[int] = None,
-                  mediator_init: Optional[np.ndarray] = None,
-                  g_mediator: Optional[np.ndarray] = None) -> MediatorResult:
+                  rng=None, forced_outcome: Optional[int] = None
+                  ) -> MediatorResult:
     """Disconnect or entangle two computational qudits via a mediator.
 
     Both computational qudits act as controls of the block-diagonal gate
@@ -513,26 +529,15 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
         blocks = [np.diag(np.exp(1j * spec.theta[j])) for j in range(d)]
         spec = EntanglingGateSpec(dim, "block_diagonal", blocks=blocks,
                                   init_phases=spec.init_phases)
-    bf = factor_block_controlled_pauli(spec)
+    bf, phi, G = _mediator(spec)
     P = matrix_of_pauli(bf.P)
     C2 = bf.C2
     if np.max(np.abs(C2 @ P - P @ C2)) > 1e-8 and \
             np.max(np.abs(C2 - np.eye(d))) > 1e-8:
         raise NotControlledPauliForm(
             "target Clifford does not commute with the controlled Pauli")
-    m, n = bf.P.z[0], bf.P.x[0]
-    rep, l = map_pauli_to_Z(dim, m, n)
-    if not dim.is_invertible(l):
-        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {d}")
-    if mediator_init is None or g_mediator is None:
-        C = synthesize(rep)
-        mediator_init = C.conj().T @ xplus_state(dim)
-        g_mediator = C.conj().T @ hadamard(dim) @ mult_gate(dim, l)
-    phi = np.asarray(mediator_init, dtype=complex).reshape(d)
     phi = phi / np.linalg.norm(phi)
-    G = np.asarray(g_mediator, dtype=complex)
-    psi = np.asarray(psi, dtype=complex).reshape(d * d)
-    psi = psi / np.linalg.norm(psi)
+    psi = sim.unit_vector(psi, d * d, "input state")
     E = gate_matrix(spec)
     state = StateVector(dim, 3, np.kron(psi, phi))
     state = sim.apply(state, E, [0, 2])
@@ -560,7 +565,7 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
         S = sgate(dim)
         predicted = np.kron(A @ S, A @ S) @ gate_matrix(cz_spec(dim)) @ psi
     fid = abs(np.vdot(post.amps, predicted / np.linalg.norm(predicted)))
-    if fid < 1 - 1e-8:
+    if not (fid >= 1 - 1e-8):
         raise FrameMismatch(f"mediator {mode} fidelity {fid:.12f}")
     frame = PauliWord(dim, 2, [dim.neg(k), dim.neg(k)], [0, 0], 0)
     return MediatorResult(post, PauliFrame(frame, [(0, k)]),
@@ -663,7 +668,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         check = build(new_graph)
         for c in corrections:
             check = sim.apply(check, c.operator, new_graph.site_of(c.vertex))
-        if sim.fidelity(post, check.normalized()) < 1 - 1e-8:
+        if not (sim.fidelity(post, check.normalized()) >= 1 - 1e-8):
             raise FrameMismatch("rewritten graph and corrections do not "
                                 "verify")
     return post, m, corrections, new_graph
@@ -769,12 +774,7 @@ def mediated_lattice(dim: DimSpec, rows: int, cols: int,
                      gate: EntanglingGateSpec) -> ResourceGraph:
     """Horizontal computational chains joined by mediator target qudits."""
     spec = expand(gate)
-    bf = factor_block_controlled_pauli(spec)
-    rep, l = map_pauli_to_Z(dim, bf.P.z[0], bf.P.x[0])
-    if not dim.is_invertible(l):
-        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {dim.d}")
-    C = synthesize(rep)
-    med_init = C.conj().T @ xplus_state(dim)
+    _, med_init, _ = _mediator(spec)
     phases = spec.init_phases
 
     def vid(r, c):

@@ -482,7 +482,7 @@ def json_int(value, what: str) -> int:
 
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,
                dtype=float) -> np.ndarray:
-    """value as a numeric array of the given shape; None matches any length."""
+    """value as a finite numeric array of the shape; None matches any size."""
     try:
         arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError):
@@ -493,6 +493,8 @@ def json_array(value, shape: Tuple[Optional[int], ...], what: str,
         got = ", ".join(str(s) for s in arr.shape)
         raise DimensionMismatch(
             f"{what} must have shape ({want}), got ({got})")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatch(f"{what} has a NaN or infinite entry")
     return arr
 
 

@@ -114,11 +114,11 @@ def basis_state(dim: DimSpec, k: int) -> np.ndarray:
 
 # --- comparison helpers ---------------------------------------------------
 
-def normalize_global_phase(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def normalize_global_phase(M: np.ndarray) -> np.ndarray:
     """Make the first nonzero entry (row-major) positive real."""
     flat = M.reshape(-1)
     for v in flat:
-        if abs(v) > tol:
+        if abs(v) > 1e-12:
             return M * (abs(v) / v)
     return M
 

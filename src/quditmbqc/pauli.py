@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DimensionMismatch, WrongFormalism
 from .galois import INTEGER_RING, DimSpec, json_array, json_check
 
+PAULI_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PauliWord:
@@ -168,14 +170,15 @@ def matrix_of_pauli(w: PauliWord) -> np.ndarray:
 
 # --- matching dense matrices back to words --------------------------------
 
-def match_pauli(dim: DimSpec, n: int, M: np.ndarray,
-                tol: float = 1e-8) -> Optional[Tuple[complex, PauliWord]]:
+def match_pauli(dim: DimSpec, n: int, M: np.ndarray
+                ) -> Optional[Tuple[complex, PauliWord]]:
     """Recognize M as phase * Pauli word; None if it is not one.
 
     Returns (phase, word) with M ~ phase * zx_matrix(word).  The word's
     exact phase field is populated when the complex phase snaps onto the
     2*pi/phase_den lattice (it always does for proper Clifford
-    conjugations); otherwise the word carries phase 0.
+    conjugations); otherwise the word carries phase 0.  Every check is
+    written to fail on NaN, so a matrix with a NaN entry gives None.
     """
     d = dim.d
     if M.shape != (d ** n, d ** n):
@@ -183,7 +186,7 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray,
     # X part from the support of M e_0
     col = M[:, 0]
     j = int(np.argmax(np.abs(col)))
-    if abs(abs(col[j]) - 1.0) > tol:
+    if not (abs(abs(col[j]) - 1.0) <= PAULI_TOL):
         return None
     x = _index_digits(dim, n, j)
     xinv = np.array([[1.0 + 0j]])
@@ -191,10 +194,10 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray,
         xinv = np.kron(xinv, xmat(dim, dim.neg(x[i])))
     D = xinv @ M
     diag = np.diag(D).copy()
-    if np.max(np.abs(D - np.diag(diag))) > tol:
+    if not (np.max(np.abs(D - np.diag(diag))) <= PAULI_TOL):
         return None
     phase = diag[0]
-    if abs(abs(phase) - 1.0) > tol:
+    if not (abs(abs(phase) - 1.0) <= PAULI_TOL):
         return None
     rel = diag / phase
     z = []
@@ -204,7 +207,8 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray,
             ok = True
             for u in dim.elements:
                 idx = _site_index(dim, n, i, u)
-                if abs(rel[idx] - dim.char_phase(dim.mul(cand, u))) > tol:
+                if not (abs(rel[idx] - dim.char_phase(dim.mul(cand, u)))
+                        <= PAULI_TOL):
                     ok = False
                     break
             if ok:
@@ -218,13 +222,13 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray,
         phase *= dim.char_phase(dim.neg(dim.mul(z[i], x[i])))
     word = PauliWord(dim, n, tuple(z), tuple(x), 0)
     # full verification
-    if np.max(np.abs(M - phase * zx_matrix(word))) > tol:
+    if not (np.max(np.abs(M - phase * zx_matrix(word))) <= PAULI_TOL):
         return None
     # snap phase onto the exact lattice when possible
     den = dim.phase_den
     num = round(cmath.phase(phase) * den / (2 * cmath.pi)) % den
     snapped = cmath.exp(2j * cmath.pi * num / den)
-    if abs(snapped - phase) <= tol:
+    if abs(snapped - phase) <= PAULI_TOL:
         word = PauliWord(dim, n, tuple(z), tuple(x), num)
     return phase, word
 

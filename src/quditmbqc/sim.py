@@ -20,7 +20,7 @@ from .errors import (
 from .galois import DimSpec
 
 MAX_AMPS = 10 ** 6
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -34,7 +34,6 @@ class StateVector:
     dim: DimSpec
     n: int
     amps: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
@@ -47,37 +46,42 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
-        return StateVector(self.dim, self.n, self.amps / self.norm(), self.tol)
+        return StateVector(self.dim, self.n, self.amps / self.norm())
 
     def tensor(self) -> np.ndarray:
         return self.amps.reshape((self.dim.d,) * self.n)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.dim, self.n, self.amps.copy(), self.tol)
 
-
-def product_state(dim: DimSpec, vectors: Sequence[np.ndarray],
-                  tol: float = DEFAULT_TOL) -> StateVector:
+def product_state(dim: DimSpec, vectors: Sequence[np.ndarray]) -> StateVector:
     amps = np.array([1.0 + 0j])
     for v in vectors:
         amps = np.kron(amps, np.asarray(v, dtype=complex))
-    return StateVector(dim, len(vectors), amps, tol)
+    return StateVector(dim, len(vectors), amps)
+
+
+def unit_vector(v, size: int, what: str) -> np.ndarray:
+    """v as a complex unit vector of the given size; DimensionMismatch
+    naming it when an entry is NaN or infinite or its norm is 0."""
+    v = np.asarray(v, dtype=complex).reshape(size)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise DimensionMismatch(f"{what} has NaN/infinite entries or norm 0")
+    return v / norm
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
 
 
-def require_unitary(M: np.ndarray, message: str, tol: float = DEFAULT_TOL):
+def require_unitary(M: np.ndarray, message: str):
     """NonUnitary(message) unless every trailing square matrix of M has
-    orthonormal columns."""
+    orthonormal columns (a NaN entry fails the check)."""
     gram = np.swapaxes(M.conj(), -1, -2) @ M
-    if np.max(np.abs(gram - np.eye(M.shape[-1]))) > max(tol, 1e-9):
+    if not (np.max(np.abs(gram - np.eye(M.shape[-1]))) <= TOL):
         raise NonUnitary(message)
 
 
-def collapse(branch: np.ndarray, uniforms, forced=None,
-             tol: float = DEFAULT_TOL
+def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One outcome per row t of branch amplitudes (n, D, R).
 
@@ -101,7 +105,7 @@ def collapse(branch: np.ndarray, uniforms, forced=None,
         if k.min() < 0 or k.max() >= branch.shape[1]:
             raise SiteOutOfRange("forced outcome out of range")
         t = probs[rows, k].argmin()
-        if probs[t, k[t]] < max(tol, 1e-12):
+        if probs[t, k[t]] < TOL:
             raise ZeroProbabilityForced(
                 f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
     post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]
@@ -128,13 +132,13 @@ def apply(state: StateVector, op: np.ndarray,
     op = np.asarray(op, dtype=complex)
     if op.shape != (d ** k, d ** k):
         raise DimensionMismatch("operator size does not match site count")
-    require_unitary(op, "operator fails the unitarity check", state.tol)
+    require_unitary(op, "operator fails the unitarity check")
     T = state.tensor()
     T = np.moveaxis(T, sites, range(k))
     shape = T.shape
     T = op @ T.reshape(d ** k, -1)
     T = np.moveaxis(T.reshape(shape), range(k), sites)
-    return StateVector(state.dim, state.n, T.reshape(-1), state.tol)
+    return StateVector(state.dim, state.n, T.reshape(-1))
 
 
 @dataclass
@@ -144,15 +148,14 @@ class MeasurementBasis:
     vectors: np.ndarray
     label: str = ""
     nsites: int = 1
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
         D = self.dim.d ** self.nsites
         if self.vectors.shape != (D, D):
             raise DimensionMismatch("basis must be a square matrix of columns")
-        require_unitary(self.vectors, f"basis {self.label!r} is not "
-                        f"orthonormal", self.tol)
+        require_unitary(self.vectors,
+                        f"basis {self.label!r} is not orthonormal")
 
 
 def z_basis(dim: DimSpec) -> MeasurementBasis:
@@ -193,9 +196,9 @@ def measure(state: StateVector, basis: MeasurementBasis,
     if forced_outcome is None:
         k, post, p = collapse(branch[None], _as_rng(rng).random(1))
     else:
-        k, post, p = collapse(branch[None], None, [forced_outcome], state.tol)
-    return int(k[0]), StateVector(state.dim, state.n - len(sites), post[0],
-                                  state.tol), float(p[0])
+        k, post, p = collapse(branch[None], None, [forced_outcome])
+    return (int(k[0]), StateVector(state.dim, state.n - len(sites), post[0]),
+            float(p[0]))
 
 
 def reduced_density(state: StateVector, keep_sites: Sequence[int]) -> np.ndarray:
@@ -225,13 +228,12 @@ def schmidt(state: StateVector, left_sites: Sequence[int]
     return s, u, vh.conj().T
 
 
-def is_max_entangled(state: StateVector, left_sites: Sequence[int],
-                     tol: float = 1e-8) -> bool:
+def is_max_entangled(state: StateVector, left_sites: Sequence[int]) -> bool:
     s, _, _ = schmidt(state, left_sites)
     D = min(state.dim.d ** len(left_sites),
             state.dim.d ** (state.n - len(left_sites)))
     lam = s ** 2
-    return bool(lam.size == D and np.max(np.abs(lam - 1.0 / D)) < tol)
+    return bool(lam.size == D and np.max(np.abs(lam - 1.0 / D)) < 1e-8)
 
 
 # --- JSON ----------------------------------------------------------------

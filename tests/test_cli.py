@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from quditmbqc import cli
+from quditmbqc.engine import chain_graph, graph_to_json
 from quditmbqc.galois import INTEGER_RING, make_dim
 from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
 from quditmbqc.cli import matrix_to_json
@@ -176,33 +177,45 @@ def test_report_envelope(tmp_path, capsys):
     assert len(report["inputs_sha256"]) == 64
 
 
-def _malformed_inputs():
-    """(argv, file contents) cases that must be rejected as parse errors."""
+def _malformed_inputs(gate_path):
+    """(argv, file contents, field the error names) cases that must be
+    rejected as parse errors."""
     gate = gate_to_json(cz_spec(D3))
     theta = {"dim": gate["dim"], "kind": "diagonal", "theta": 5}
     empty_dim = dict(gate, dim=[])
     blocks = {"dim": gate["dim"], "kind": "block_diagonal",
               "blocks": [[[1, 0]]]}
+    frame = {"phase": [0, 6], "z": [[0]], "x": [[0]]}
+    nan = float("nan")
+    nan_theta = dict(theta, theta=[[0, 0, 0], [0, nan, 0], [0, 0, 0]])
+    nan_step = {"dim": gate["dim"], "intrinsic": gate, "frame": frame,
+                "steps": [{"phases": [0, nan, 0], "adaptive": True}]}
+    nan_target = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [nan, 0]]]}
     return [
-        (["analyze", "--gate"], theta),
-        (["analyze", "--gate"], empty_dim),
-        (["transport", "--gate"], blocks),
-        (["analyze", "--gate"], []),
-        (["run", "--pattern"], []),
+        (["analyze", "--gate"], theta, None),
+        (["analyze", "--gate"], empty_dim, None),
+        (["transport", "--gate"], blocks, None),
+        (["analyze", "--gate"], [], None),
+        (["run", "--pattern"], [], None),
         (["run", "--pattern"], {"dim": gate["dim"], "intrinsic": gate,
                                 "steps": [{"phases": 1, "adaptive": True}],
-                                "frame": {"phase": [0, 6], "z": [[0]],
-                                          "x": [[0]]}}),
+                                "frame": frame}, None),
+        (["analyze", "--gate"], nan_theta, "theta"),
+        (["run", "--pattern"], nan_step, "phases"),
+        (["compile", "--gate", gate_path, "--target"], nan_target, "matrix"),
     ]
 
 
 def test_malformed_json_is_parse_error(tmp_path, capsys):
-    for i, (argv, obj) in enumerate(_malformed_inputs()):
+    gate_path = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D2)))
+    for i, (argv, obj, field) in enumerate(_malformed_inputs(gate_path)):
         path = write_json(tmp_path / f"bad{i}.json", obj)
         code = cli.main(argv + [path])
         err = capsys.readouterr().err
         assert code == cli.EXIT_PARSE, (argv, obj)
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if field is not None:
+            assert field in err and "NaN" in err, err
 
 
 def test_malformed_graph_is_parse_error(tmp_path, capsys):
@@ -211,12 +224,49 @@ def test_malformed_graph_is_parse_error(tmp_path, capsys):
     pattern = write_json(tmp_path / "pattern.json",
                          json.loads(out)["results"]["pattern"])
     dim = gate_to_json(cz_spec(D3))["dim"]
+    zero_init = graph_to_json(chain_graph(D3, cz_spec(D3), 5))
+    zero_init["vertices"][2]["init"] = {"re": [0, 0, 0], "im": [0, 0, 0]}
     for i, graph in enumerate([[], {"dim": dim, "vertices": [7],
                                     "edges": []},
                                {"dim": dim, "vertices": [{"id": 0,
                                                           "init": 9}],
-                                "edges": []}]):
+                                "edges": []}, zero_init]):
         path = write_json(tmp_path / f"graph{i}.json", graph)
         code = cli.main(["run", "--pattern", pattern, "--graph", path])
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _usage_error(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE, argv
+    assert err.startswith("usage: quditmbqc") and "Traceback" not in err
+    return err
+
+
+def test_missing_file_flag_is_usage_error(capsys):
+    for argv, flag in [(["analyze"], "--gate"), (["compile"], "--gate"),
+                       (["compile", "--gate", "g.json"], "--target"),
+                       (["run"], "--pattern"), (["transport"], "--gate")]:
+        err = _usage_error(capsys, argv)
+        assert "required" in err and flag in err, err
+
+
+def test_flag_a_command_does_not_read_is_usage_error(capsys):
+    for argv in (["analyze", "--gate", "g.json", "--trials", "3"],
+                 ["table", "--seed", "1"],
+                 ["transport", "--gate", "g.json", "--seed", "1"],
+                 ["compile", "--gate", "g.json", "--target", "t.json",
+                  "--dump-state"],
+                 ["run", "--pattern", "p.json", "--formalism", "ring"]):
+        assert "unrecognized arguments" in _usage_error(capsys, argv)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "make_parser", no_parser)
+    assert cli.main(["table"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "table"

@@ -16,6 +16,7 @@ from quditmbqc.compiler import (
     principal_log_hermitian,
     transport_pattern,
 )
+from quditmbqc.engine import chain_graph, run_trajectories
 from quditmbqc.resource import cx_spec, cz_spec, intrinsic_of, light_shift_spec
 
 D2 = make_dim(INTEGER_RING, d=2)
@@ -113,3 +114,23 @@ def test_pattern_json_without_gate_carries_matrix():
     assert obj["intrinsic"] is None and "intrinsic_matrix" in obj
     back = pattern_from_json(obj)
     assert np.allclose(back.intrinsic.matrix, intr.matrix)
+
+
+def test_pattern_json_with_frame_semantics_key_loads_and_runs():
+    # patterns written before the key was dropped carry it; it is ignored
+    pat = compile_unitary(haar_unitary(3, np.random.default_rng(4)),
+                          intrinsic_of(cz_spec(D3)), seed=0)
+    pat.gate = cz_spec(D3)
+    obj = pattern_to_json(pat)
+    assert "frame_semantics" not in obj
+    new, old = pattern_from_json(obj), pattern_from_json(
+        dict(obj, frame_semantics="left"))
+    assert old.frame == new.frame
+    assert np.array_equal(old.dense_product(), new.dense_product())
+    graph = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    psi = np.array([1, 0, 0], dtype=complex)
+    a, b = (run_trajectories(graph, p, psi, range(20)) for p in (new, old))
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a.frame_index, b.frame_index)
+    assert np.array_equal(a.posteriors, b.posteriors)
+    assert a.fidelities.min() > 1 - 1e-9

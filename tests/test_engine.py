@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quditmbqc import sim
+from quditmbqc import engine, sim
 from quditmbqc.errors import (
     DimensionMismatch,
     FrameMismatch,
@@ -34,6 +34,7 @@ from quditmbqc.pauli import (
     zmat,
 )
 from quditmbqc.compiler import (
+    PatternStep,
     compile_clifford,
     compile_unitary,
     intrinsic_cert,
@@ -621,3 +622,59 @@ def test_graph_json_round_trip():
     g.vertices[2].init = np.array([1, 1j, 0]) / np.sqrt(2)
     back = graph_from_json(graph_to_json(g))
     assert np.allclose(build(back).amps, build(g).amps)
+
+
+NAN = float("nan")
+
+
+def _nan_entry_points():
+    """name -> call of one entry point on an all-NaN input state (or, for
+    the rewriting rule, a chain whose end vertex has an all-NaN init)."""
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    chain = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    nan1, nan2 = np.full(3, NAN, dtype=complex), np.full(9, NAN, dtype=complex)
+    nan_end = chain_graph(D3, cz_spec(D3), 3)
+    nan_end.vertices[2].init = nan1
+    return {
+        "run_trajectories": lambda: run_trajectories(chain, pat, nan1,
+                                                     range(3)),
+        "couple_input": lambda: couple_input(
+            nan1, chain_graph(D3, cz_spec(D3), 2), rng=0),
+        "entangle_via_edge": lambda: entangle_via_edge(D3, nan2, rng=0),
+        "mediator_step": lambda: mediator_step(cx_spec(D3), nan2,
+                                               "disconnect", rng=0),
+        "vertex_delete": lambda: vertex_delete(nan_end, 1, rng=0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_entry_points()))
+def test_nan_state_is_rejected(name):
+    with pytest.raises(DimensionMismatch, match="NaN"):
+        _nan_entry_points()[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_nan_entry_points()))
+def test_nan_state_fails_dense_verification(name, monkeypatch):
+    # with the input checks bypassed, the NaN reaches the dense
+    # verification, whose comparison must fail rather than pass
+    init_vector = engine._init_vector
+    monkeypatch.setattr(sim, "unit_vector",
+                        lambda v, size, what: np.reshape(v, size))
+    monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
+                        if np.iscomplexobj(init) else init_vector(dim, init))
+    with np.errstate(invalid="ignore"), pytest.raises(FrameMismatch):
+        _nan_entry_points()[name]()
+
+
+def test_run_rejects_non_finite_operators():
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    n = pat.step_count()
+    plus = xplus_state(D3)
+    nan_gate = EntanglingGateSpec(D3, "diagonal", theta=np.full((3, 3), NAN))
+    with pytest.raises(NonUnitary, match="operator"):
+        run_trajectories(chain_graph(D3, nan_gate, n + 1), pat, plus, [0])
+    steps = list(pat.steps)
+    steps[1] = PatternStep(np.array([0.0, NAN, 0.0]), True)
+    with pytest.raises(NonUnitary, match="basis 'step1'"):
+        run_trajectories(chain_graph(D3, cz_spec(D3), n + 1),
+                         replace(pat, steps=steps), plus, [0])

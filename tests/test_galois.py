@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from quditmbqc.errors import (
+    DimensionMismatch,
     NonPrimeCharacteristic,
     ReduciblePolynomial,
     ZeroInverse,
 )
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, json_array, make_dim
 
 
 def test_ring_arithmetic_mod4():
@@ -122,3 +123,10 @@ def test_field_add_neg_tables_are_digitwise(p, m):
         for b in dim.elements:
             want = tuple((x + y) % p for x, y in zip(ca, dim.coeffs_of(b)))
             assert dim.coeffs_of(dim.add(a, b)) == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_array_rejects_non_finite(bad):
+    with pytest.raises(DimensionMismatch, match="^theta has a NaN"):
+        json_array([[0.0, bad], [0.0, 0.0]], (2, 2), "theta")
+    assert json_array([[0.0, 1.5], [2, 3]], (2, 2), "theta").sum() == 6.5

@@ -119,6 +119,14 @@ def test_match_pauli_rejects_non_pauli():
     assert match_pauli(dim, 1, sgate(dim)) is None
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_match_pauli_rejects_nan(dim):
+    assert match_pauli(dim, 1, np.full((dim.d, dim.d), np.nan)) is None
+    M = matrix_of_pauli(single_word(dim, 1, 0, z=1, x=1))
+    M[-1, -1] = np.nan
+    assert match_pauli(dim, 1, M) is None
+
+
 def test_two_site_words():
     dim = make_dim(INTEGER_RING, d=3)
     w = PauliWord(dim, 2, (1, 2), (0, 1), 0)

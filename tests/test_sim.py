@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditmbqc.errors import (
+    DimensionMismatch,
     NonUnitary,
     SiteOutOfRange,
     StateTooLarge,
@@ -23,6 +24,7 @@ from quditmbqc.sim import (
     schmidt,
     state_from_json,
     state_to_json,
+    unit_vector,
     x_basis,
     z_basis,
 )
@@ -148,3 +150,20 @@ def test_state_json_round_trip():
     back = state_from_json(state_to_json(st))
     assert back.dim.d == 4 and back.n == 2
     assert np.allclose(back.amps, st.amps)
+
+
+def test_nan_operator_is_not_unitary():
+    st = product_state(D3, [xplus_state(D3)])
+    with pytest.raises(NonUnitary):
+        apply(st, np.full((3, 3), np.nan), 0)
+    with pytest.raises(NonUnitary):
+        basis_from_unitary(D3, np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(DimensionMismatch, match="psi"):
+        unit_vector([1, bad, 0], 3, "psi")
+    with pytest.raises(DimensionMismatch, match="psi"):
+        unit_vector([0, 0, 0], 3, "psi")
+    assert np.allclose(unit_vector([3, 4j, 0], 3, "psi"), [0.6, 0.8j, 0])
