@@ -42,7 +42,9 @@ from .compiler import (
     transport_pattern,
 )
 from .engine import chain_graph, graph_from_json, run_trajectories
+from .pauli import PAULI_TOL
 from .resource import (
+    DIAGONAL,
     cx_spec,
     cz_spec,
     expand,
@@ -109,28 +111,27 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _check_formalism(dim, formalism: Optional[str]):
-    if formalism is None:
-        return
-    want = INTEGER_RING if formalism == "ring" else FINITE_FIELD
-    if dim.kind != want:
+def _load_gate(args):
+    """The --gate spec; UnsupportedFormalism unless it uses --formalism."""
+    spec = gate_from_json(_load_json(args.gate))
+    want = {"ring": INTEGER_RING, "field": FINITE_FIELD}.get(args.formalism)
+    if want is not None and spec.dim.kind != want:
         raise UnsupportedFormalism(
-            f"gate dimension uses {dim.kind}, not {formalism}")
+            f"gate dimension uses {spec.dim.kind}, not {args.formalism}")
+    return spec
 
 
 # --- analyze --------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    spec = gate_from_json(_load_json(args.gate))
-    _check_formalism(spec.dim, args.formalism)
+    spec = _load_gate(args)
     note = None
     try:
-        expanded = expand(spec)
+        expand(spec)
     except NoRealSolution as exc:
         note = f"NoRealSolution: {exc}"
-        spec = type(spec)(spec.dim, spec.kind, name=spec.name,
-                          ls_theta=float(np.pi))
-        expanded = expand(spec)
+        spec = light_shift_spec(spec.dim, float(np.pi))
+    kind = expand(spec).kind
     intr = intrinsic_of(spec)
     E = gate_matrix(spec)
     dim = spec.dim
@@ -139,7 +140,7 @@ def cmd_analyze(args) -> int:
     st = StateVector(dim, 2, E @ np.kron(plus, plus))
     max_ent = bool(is_max_entangled(st, [0])) and intr.unitary
     results = {
-        "kind": expanded.kind,
+        "kind": kind,
         "intrinsic_matrix": matrix_to_json(intr.matrix),
         "unitary": bool(intr.unitary),
         "clifford": bool(intr.is_clifford),
@@ -153,7 +154,7 @@ def cmd_analyze(args) -> int:
         results["universality"] = {"universal": bool(ok),
                                    "witness": [int(a), int(b)]}
     try:
-        if expanded.kind == "diagonal":
+        if kind == DIAGONAL:
             C1, C2, N = factor_diagonal_clifford(spec)
             results["factorization"] = {
                 "form": "(C1 x C2) CZ^N",
@@ -210,7 +211,7 @@ def cmd_table(args) -> int:
         intr = intrinsic_of(spec)
         got = intr.matrix
         ov = abs(np.trace(expected.conj().T @ got)) / dim.d
-        form_ok = 1 - ov < 1e-8
+        form_ok = 1 - ov <= PAULI_TOL
         o = intr.pauli_order
         if args.self_test_corrupt and name == "cz" and dim.d == 2:
             order += 1
@@ -233,31 +234,28 @@ def cmd_table(args) -> int:
 
 # --- compile / transport --------------------------------------------------
 
-def cmd_compile(args) -> int:
-    spec = gate_from_json(_load_json(args.gate))
-    _check_formalism(spec.dim, args.formalism)
-    target = json_check(_load_json(args.target), dict, "target")
-    target = json_complex(target["matrix"], (None, None), "matrix")
-    intr = intrinsic_of(spec)
-    pattern = compile_unitary(target, intr, seed=args.seed or 0)
+def _print_pattern(command: str, pattern, spec, paths: List[str],
+                   seed: Optional[int]) -> int:
     pattern.gate = spec
     results = {"pattern": pattern_to_json(pattern),
                "steps": pattern.step_count()}
-    print(dumps_report(_report("compile", _digest([args.gate, args.target]),
-                               results, args.seed)))
+    print(dumps_report(_report(command, _digest(paths), results, seed)))
     return 0
+
+
+def cmd_compile(args) -> int:
+    spec = _load_gate(args)
+    target = json_check(_load_json(args.target), dict, "target")
+    target = json_complex(target["matrix"], (None, None), "matrix")
+    pattern = compile_unitary(target, intrinsic_of(spec), seed=args.seed or 0)
+    return _print_pattern("compile", pattern, spec, [args.gate, args.target],
+                          args.seed)
 
 
 def cmd_transport(args) -> int:
-    spec = gate_from_json(_load_json(args.gate))
-    _check_formalism(spec.dim, args.formalism)
-    pattern = transport_pattern(intrinsic_of(spec))
-    pattern.gate = spec
-    results = {"pattern": pattern_to_json(pattern),
-               "steps": pattern.step_count()}
-    print(dumps_report(_report("transport", _digest([args.gate]),
-                               results, None)))
-    return 0
+    spec = _load_gate(args)
+    return _print_pattern("transport", transport_pattern(intrinsic_of(spec)),
+                          spec, [args.gate], None)
 
 
 # --- run ------------------------------------------------------------------
@@ -335,6 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         # looked up by name on each call, so a rebound cmd_* is the one run
         return globals()[f"cmd_{args.cmd}"](args)
     except (OSError, KeyError, ValueError, QuditError) as exc:

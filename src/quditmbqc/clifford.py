@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NonInvertibleLambda,
     NotCliffordError,
     OrderCapExceeded,
     UniversalityViolated,
@@ -177,9 +176,6 @@ class SymplecticRep:
         if det != 1:
             raise DimensionMismatch(f"symplectic determinant {det} != 1")
 
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.e)
-
     def matmul(self, other: "SymplecticRep") -> "SymplecticRep":
         dim = self.dim
         a = dim.add(dim.mul(self.a, other.a), dim.mul(self.c, other.b))
@@ -275,15 +271,6 @@ def hadamard_from_intrinsic(cert: CliffordCert) -> List[Token]:
     l2 = dim.mul(binv, binv)
     l3 = dim.add(ab, 1)
     return [("shear", l1), ("G", 1), ("shear", l2), ("G", -1), ("shear", l3)]
-
-
-def mult_gate_decomposition(dim: DimSpec, lam: int) -> List[Token]:
-    """M(lam) as H S(lam) H S(lam^{-1}) H S(lam), up to Pauli and phase."""
-    if not dim.is_invertible(lam):
-        raise NonInvertibleLambda(f"lambda = {lam} not invertible")
-    linv = dim.inv(lam)
-    return [("H",), ("shear", lam), ("H",), ("shear", linv), ("H",),
-            ("shear", lam)]
 
 
 def map_pauli_to_Z(dim: DimSpec, m: int, n: int

@@ -18,7 +18,6 @@ from .clifford import (
     CliffordCert,
     certify,
     hadamard_from_intrinsic,
-    pauli_order_data,
     rep_tokens,
     symplectic_of,
     universality_check,
@@ -26,6 +25,8 @@ from .clifford import (
 from .errors import (
     CompilationDiverged,
     DimensionMismatch,
+    OrderCapExceeded,
+    UniversalityViolated,
     UnsupportedFormalism,
 )
 from .galois import (
@@ -38,7 +39,7 @@ from .galois import (
     json_check,
     json_complex,
 )
-from .gates import shear_gate
+from .gates import dphi, shear_gate
 from .pauli import (
     PauliWord,
     identity_word,
@@ -53,6 +54,7 @@ from .resource import (
     IntrinsicGate,
     gate_from_json,
     gate_to_json,
+    intrinsic_from_matrix,
     intrinsic_of,
 )
 
@@ -89,7 +91,6 @@ class MeasurementPattern:
 
     def dense_product(self) -> np.ndarray:
         """Product of (G_I D_phi) factors, step 0 rightmost."""
-        from .gates import dphi
         out = np.eye(self.dim.d, dtype=complex)
         for step in self.steps:
             out = (self.intrinsic.matrix @ dphi(step.phases)) @ out
@@ -158,18 +159,10 @@ def _steps_from_diags(diags: List[np.ndarray], adaptive: bool
     return [PatternStep(np.angle(v), adaptive) for v in reversed(diags)]
 
 
-def intrinsic_cert(intrinsic: IntrinsicGate) -> CliffordCert:
-    """The intrinsic gate's certificate; NotCliffordError if it has none."""
-    if intrinsic.clifford_cert is None:
-        return certify(intrinsic.matrix, intrinsic.dim, 1)
-    return intrinsic.clifford_cert
-
-
-def _gdagger_factors(dim: DimSpec, G: np.ndarray) -> List[Tuple]:
-    """G^dagger up to phase over {G, Pauli} via the Pauli order."""
-    o, _, word = pauli_order_data(G, dim, 1)
-    w0 = PauliWord(dim, 1, word.z, word.x, 0)
-    return [("G",)] * (o - 1) + [("pauli", invert_word(w0))]
+def _gdagger_factors(intrinsic: IntrinsicGate) -> List[Tuple]:
+    """G^dagger up to phase over {G, Pauli} via G's Pauli order."""
+    return [("G",)] * (intrinsic.pauli_order - 1) \
+        + [("pauli", invert_word(intrinsic.order_word))]
 
 
 # --- single-qudit unitary compilation -------------------------------------
@@ -283,10 +276,9 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise DimensionMismatch("target size does not match the dimension")
-    cert = intrinsic_cert(intrinsic)
+    cert = intrinsic.certificate()
     ok, _ = universality_check(cert)
     if not ok:
-        from .errors import UniversalityViolated
         raise UniversalityViolated("intrinsic gate cannot reach a Hadamard")
     G = intrinsic.matrix
     # short-circuit: the gate itself
@@ -307,7 +299,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     if 1.0 - best > RESIDUAL_TOL:
         raise CompilationDiverged(
             f"residual {1.0 - best:.3e} after {MAX_RESTARTS} restarts")
-    gd = _gdagger_factors(dim, G)
+    gd = _gdagger_factors(intrinsic)
     factors: List[Tuple] = []
     for (kind, sv), p in zip(groups2, phis):
         dvec = ("diag", np.exp(1j * p))
@@ -328,12 +320,11 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
     dim = intrinsic.dim
     cert_c = certify(C, dim, 1)
     rep = symplectic_of(cert_c)
-    g_cert = intrinsic_cert(intrinsic)
-    G = intrinsic.matrix
+    g_cert = intrinsic.certificate()
     h_word = hadamard_from_intrinsic(g_cert)
     tokens = rep_tokens(rep)
     factors: List[Tuple] = []
-    gd = _gdagger_factors(dim, G)
+    gd = _gdagger_factors(intrinsic)
     for t in tokens:
         expanded = h_word if t[0] == "H" else [t]
         for u in expanded:
@@ -346,10 +337,8 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
             else:
                 raise DimensionMismatch(f"unexpected token {u!r}")
     if not factors or factors[0][0] != "G":
-        # transport padding so the word starts with the intrinsic gate
-        o, _, word = pauli_order_data(G, dim, 1)
-        w0 = PauliWord(dim, 1, word.z, word.x, 0)
-        factors = [("G",)] * o + [("pauli", invert_word(w0))] + factors
+        # transport padding (G^o up to Pauli) so the word starts with G
+        factors = [("G",)] + gd + factors
     diags, Cw = lower_factors(g_cert, factors)
     steps = _steps_from_diags(diags, adaptive=False)
     pat = MeasurementPattern(dim, intrinsic, steps, invert_word(Cw))
@@ -364,11 +353,11 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
 def transport_pattern(intrinsic: IntrinsicGate) -> MeasurementPattern:
     """o^P identity-rotation steps; the realized product is a Pauli word."""
     dim = intrinsic.dim
-    G = intrinsic.matrix
-    o, mu, word = pauli_order_data(G, dim, 1)
-    steps = [PatternStep(np.zeros(dim.d), False) for _ in range(o)]
-    return MeasurementPattern(dim, intrinsic, steps,
-                              PauliWord(dim, 1, word.z, word.x, 0))
+    if intrinsic.pauli_order is None:
+        raise OrderCapExceeded(f"no power up to {dim.d ** 2} is a Pauli word")
+    steps = [PatternStep(np.zeros(dim.d), False)
+             for _ in range(intrinsic.pauli_order)]
+    return MeasurementPattern(dim, intrinsic, steps, intrinsic.order_word)
 
 
 # --- JSON ----------------------------------------------------------------
@@ -401,8 +390,7 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
     else:
         gate = None
         M = json_complex(obj["intrinsic_matrix"], (d, d), "intrinsic_matrix")
-        from .resource import _analyze
-        intr = _analyze(dim, M)
+        intr = intrinsic_from_matrix(dim, M)
     steps = []
     for s in json_check(obj["steps"], list, "steps"):
         json_check(s, dict, "step")

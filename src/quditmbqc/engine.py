@@ -16,9 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FrameMismatch,
-    NonInvertibleGcd,
     NonUnitary,
-    NotControlledPauliForm,
     SiteOutOfRange,
 )
 from .galois import (
@@ -29,10 +27,11 @@ from .galois import (
     json_check,
     json_int,
 )
-from .gates import dphi, hadamard, mult_gate, sgate, xplus_state
-from .clifford import certify, map_pauli_to_Z, synthesize
-from .compiler import MeasurementPattern, intrinsic_cert
+from .gates import dphi, hadamard, sgate, xplus_state
+from .clifford import certify
+from .compiler import MeasurementPattern
 from .pauli import (
+    PAULI_TOL,
     PauliWord,
     matrix_of_pauli,
     normal_form,
@@ -43,16 +42,16 @@ from .pauli import (
     zx_matrix,
 )
 from .resource import (
-    BlockFactorization,
     EntanglingGateSpec,
+    cz_power,
     cz_spec,
     expand,
-    factor_block_controlled_pauli,
     factor_diagonal_clifford,
     gate_from_json,
     gate_matrix,
     gate_to_json,
-    intrinsic_matrix,
+    intrinsic_of,
+    mediator_of,
 )
 from . import sim
 from .sim import StateVector, basis_from_unitary, x_basis
@@ -164,23 +163,20 @@ def stabilizer_deviation(graph: ResourceGraph, state: StateVector) -> float:
     """
     dim = graph.dim
     worst = 0.0
-    facts = {id(e): factor_diagonal_clifford(e.gate) for e in graph.edges}
     for v in graph.vertices:
         n_out = [e for e in graph.edges if e.control == v.id]
         n_in = [e for e in graph.edges if e.target == v.id]
-        for x in dim.elements:
-            if x == 0:
-                continue
-            W = np.eye(dim.d, dtype=complex)
-            for e in n_out:
-                W = W @ facts[id(e)][0]
-            for e in n_in:
-                W = W @ facts[id(e)][1]
+        W = np.eye(dim.d, dtype=complex)
+        for e in n_out:
+            W = W @ factor_diagonal_clifford(e.gate)[0]
+        for e in n_in:
+            W = W @ factor_diagonal_clifford(e.gate)[1]
+        for x in dim.elements[1:]:
             op_v = W @ xmat(dim, x) @ W.conj().T
             cur = sim.apply(state, op_v, graph.site_of(v.id))
             for e in n_out + n_in:
                 u = e.target if e.control == v.id else e.control
-                N = facts[id(e)][2]
+                N = factor_diagonal_clifford(e.gate)[2]
                 cur = sim.apply(cur, zmat(dim, dim.mul(N, x)),
                                 graph.site_of(u))
             worst = max(worst, abs(1 - np.vdot(state.amps, cur.amps)))
@@ -293,7 +289,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             else certify(dphi(step.phases), dim).frame_table()
         plan.append((E.T, fresh, np.asarray(step.phases, dtype=float), table))
     words = one_qudit_words(dim)
-    g_table = intrinsic_cert(pattern.intrinsic).frame_table()
+    g_table = pattern.intrinsic.certificate().frame_table()
     z_idx, z_phase = _z_tables(dim)
     f_idx, f_phase = word_table([normal_form(w, pattern.frame)
                                  for w in words])
@@ -414,7 +410,7 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
     head_edge = min(graph.edges, key=lambda e: e.seq, default=None)
-    G = intrinsic_matrix(head_edge.gate if head_edge else cz_spec(dim)) \
+    G = intrinsic_of(head_edge.gate if head_edge else cz_spec(dim)).matrix \
         @ np.diag(np.sqrt(d) * head_init)
     s, t = divmod(k, d)
     W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
@@ -495,20 +491,6 @@ class MediatorResult:
     mode: str
 
 
-def _mediator(spec: EntanglingGateSpec
-              ) -> Tuple[BlockFactorization, np.ndarray, np.ndarray]:
-    """(C1 x C2) CP factorization of a block gate, the mediator init
-    C^dag |0_X> and the basis matrix G_C = C^dag H M(l), where C maps the
-    controlled Pauli P to Z^l (NonInvertibleGcd unless l is a unit)."""
-    dim = spec.dim
-    bf = factor_block_controlled_pauli(spec)
-    rep, l = map_pauli_to_Z(dim, bf.P.z[0], bf.P.x[0])
-    if not dim.is_invertible(l):
-        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {dim.d}")
-    Cd = synthesize(rep).conj().T
-    return bf, Cd @ xplus_state(dim), Cd @ hadamard(dim) @ mult_gate(dim, l)
-
-
 def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
                   rng=None, forced_outcome: Optional[int] = None
                   ) -> MediatorResult:
@@ -522,24 +504,12 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     """
     if mode not in ("disconnect", "entangle"):
         raise DimensionMismatch(f"unknown mediator mode {mode!r}")
-    spec = expand(spec)
     dim = spec.dim
     d = dim.d
-    if spec.kind == "diagonal":
-        blocks = [np.diag(np.exp(1j * spec.theta[j])) for j in range(d)]
-        spec = EntanglingGateSpec(dim, "block_diagonal", blocks=blocks,
-                                  init_phases=spec.init_phases)
-    bf, phi, G = _mediator(spec)
-    P = matrix_of_pauli(bf.P)
-    C2 = bf.C2
-    if np.max(np.abs(C2 @ P - P @ C2)) > 1e-8 and \
-            np.max(np.abs(C2 - np.eye(d))) > 1e-8:
-        raise NotControlledPauliForm(
-            "target Clifford does not commute with the controlled Pauli")
-    phi = phi / np.linalg.norm(phi)
+    init, G, local = mediator_of(spec)
     psi = sim.unit_vector(psi, d * d, "input state")
     E = gate_matrix(spec)
-    state = StateVector(dim, 3, np.kron(psi, phi))
+    state = StateVector(dim, 3, np.kron(psi, init))
     state = sim.apply(state, E, [0, 2])
     state = sim.apply(state, E, [1, 2])
     basis_mat = G if mode == "disconnect" \
@@ -548,28 +518,17 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     k, post, _ = sim.measure(state, basis, 2,
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
-    # predicted local diagonal: control phases times the conjugation phases
-    c = np.zeros(d, dtype=complex)
-    Pk = np.eye(d, dtype=complex)
-    for s in range(d):
-        overlap = np.vdot(G[:, s], Pk @ phi)
-        if abs(abs(overlap) - 1) > 1e-8:
-            raise FrameMismatch(
-                "mediator init is not mapped to the G_C basis by the Pauli")
-        c[s] = overlap
-        Pk = Pk @ P
-    Dloc = np.diag(np.exp(1j * bf.thetas) * c)
-    A = Dloc @ zmat(dim, dim.neg(k))
+    A = np.diag(local) @ zmat(dim, dim.neg(k))
     predicted = np.kron(A, A) @ psi
     if mode == "entangle":
         S = sgate(dim)
         predicted = np.kron(A @ S, A @ S) @ gate_matrix(cz_spec(dim)) @ psi
     fid = abs(np.vdot(post.amps, predicted / np.linalg.norm(predicted)))
-    if not (fid >= 1 - 1e-8):
+    if not (fid >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"mediator {mode} fidelity {fid:.12f}")
     frame = PauliWord(dim, 2, [dim.neg(k), dim.neg(k)], [0, 0], 0)
     return MediatorResult(post, PauliFrame(frame, [(0, k)]),
-                          np.angle(np.diag(Dloc)), k, mode)
+                          np.angle(local), k, mode)
 
 
 # --- graph rewriting ------------------------------------------------------
@@ -585,13 +544,6 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
     vertices = [v for v in graph.vertices if v.id != vid]
     edges = [e for e in graph.edges if vid not in (e.control, e.target)]
     return ResourceGraph(graph.dim, vertices, edges)
-
-
-def _cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
-    theta = np.array([[np.angle(dim.char_phase(dim.mul(dim.mul(j, k), w)))
-                       for k in dim.elements] for j in dim.elements])
-    return EntanglingGateSpec(dim, "diagonal", theta=theta % (2 * np.pi),
-                              init_phases=np.zeros(dim.d))
 
 
 def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
@@ -641,7 +593,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         raise FrameMismatch(f"outcome {m} leaves no graph state")
     g = f / f[0]
     delta = next((w for w in dim.elements if np.max(np.abs(
-        g[add] - np.outer(g, g) * chi[mul[w][mul]])) < 1e-8), None)
+        g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
     if delta is None:
         raise FrameMismatch(f"outcome {m} phases are not quadratic")
     reduced = _remove_vertex(graph, vid)
@@ -658,7 +610,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
             new_w = dim.add(new_w, N)
             edges.remove(e)
         if new_w != 0:
-            edges.append(GraphEdge(u, w, _cz_power(dim, new_w), next_seq))
+            edges.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
             next_seq += 1
     new_graph = ResourceGraph(dim, reduced.vertices, edges)
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
@@ -668,7 +620,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         check = build(new_graph)
         for c in corrections:
             check = sim.apply(check, c.operator, new_graph.site_of(c.vertex))
-        if not (sim.fidelity(post, check.normalized()) >= 1 - 1e-8):
+        if not (sim.fidelity(post, check.normalized()) >= 1 - VERIFY_TOL):
             raise FrameMismatch("rewritten graph and corrections do not "
                                 "verify")
     return post, m, corrections, new_graph
@@ -773,9 +725,8 @@ def diagonal_lattice(dim: DimSpec, rows: int, cols: int,
 def mediated_lattice(dim: DimSpec, rows: int, cols: int,
                      gate: EntanglingGateSpec) -> ResourceGraph:
     """Horizontal computational chains joined by mediator target qudits."""
-    spec = expand(gate)
-    _, med_init, _ = _mediator(spec)
-    phases = spec.init_phases
+    phases = expand(gate).init_phases
+    med_init = mediator_of(gate)[0]
 
     def vid(r, c):
         return r * cols + c

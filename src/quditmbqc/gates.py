@@ -16,10 +16,6 @@ from .galois import INTEGER_RING, DimSpec
 from .pauli import xmat, zmat  # noqa: F401  (re-exported gate family)
 
 
-def omega(dim: DimSpec) -> complex:
-    return cmath.exp(2j * cmath.pi / dim.d)
-
-
 def tau(dim: DimSpec) -> complex:
     d = dim.d
     return (-1) ** d * cmath.exp(1j * cmath.pi / d)

@@ -116,14 +116,6 @@ def word_power(w: PauliWord, k: int) -> PauliWord:
     return out
 
 
-def y_word(dim: DimSpec) -> PauliWord:
-    """Y_d = tau_d X^-1 Z^-1 as a normal-form word (integer ring)."""
-    xinv = single_word(dim, 1, 0, x=dim.neg(1))
-    zinv = single_word(dim, 1, 0, z=dim.neg(1))
-    w = normal_form(xinv, zinv)
-    return PauliWord(dim, 1, w.z, w.x, w.phase_num + dim.tau_exp)
-
-
 def weyl(dim: DimSpec, z: int, x: int, t: int = 0) -> PauliWord:
     """Weyl operator W(z,x,t); t is a Galois-ring element when p = 2."""
     if dim.kind == INTEGER_RING:

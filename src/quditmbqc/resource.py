@@ -1,12 +1,14 @@
 """Entangling-gate analysis: intrinsic gates, entanglement criteria,
-named-gate constructors, and Clifford factorizations."""
+named-gate constructors, Clifford factorizations and mediator data.
+Each fact is computed once per gate spec and kept on it."""
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -14,11 +16,16 @@ from .clifford import (
     CliffordCert,
     NotClifford,
     conjugation_table,
+    generator_words,
+    map_pauli_to_Z,
     pauli_order_data,
+    synthesize,
 )
 from .errors import (
     DimensionMismatch,
+    FrameMismatch,
     NoRealSolution,
+    NonInvertibleGcd,
     NotCliffordError,
     NotControlledPauliForm,
     OrderCapExceeded,
@@ -33,26 +40,54 @@ from .galois import (
 )
 from .gates import (
     dphi,
+    hadamard,
+    mult_gate,
     normalize_global_phase,
     sgate,
     xplus_state,
 )
-from .pauli import PauliWord, match_pauli, xmat, zx_matrix
+from .pauli import (
+    PAULI_TOL,
+    PauliWord,
+    match_pauli,
+    matrix_of_pauli,
+    xmat,
+    zx_matrix,
+)
 
 DIAGONAL = "diagonal"
 BLOCK_DIAGONAL = "block_diagonal"
 NAMED = "named"
 
 
-@dataclass
+def _read_only(value, dtype=complex) -> np.ndarray:
+    arr = np.array(value, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class EntanglingGateSpec:
+    """An entangling gate.  Immutable (arrays are copied read-only) and
+    compared by identity, so facts derived from it can be kept on it."""
     dim: DimSpec
     kind: str
-    theta: Optional[np.ndarray] = None         # diagonal: d x d real angles
-    blocks: Optional[List[np.ndarray]] = None  # block-diagonal: d unitaries
-    init_phases: Optional[np.ndarray] = None   # resource init D_phi |0_X>
-    name: Optional[str] = None                 # named: cz | cx | light_shift
+    theta: Optional[np.ndarray] = None        # diagonal: d x d real angles
+    blocks: Optional[np.ndarray] = None       # block-diagonal: d unitaries
+    init_phases: Optional[np.ndarray] = None  # resource init D_phi |0_X>
+    name: Optional[str] = None                # named: cz | cx | light_shift
     ls_theta: Optional[float] = None
+    _facts: Dict[str, object] = field(default_factory=dict, init=False,
+                                      repr=False)
+
+    def __post_init__(self):
+        if self.kind not in (DIAGONAL, BLOCK_DIAGONAL, NAMED):
+            raise DimensionMismatch(f"unknown gate kind {self.kind!r}")
+        for key, dtype in (("theta", float), ("blocks", complex),
+                           ("init_phases", float)):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key,
+                                   _read_only(getattr(self, key), dtype))
 
 
 def cz_spec(dim: DimSpec) -> EntanglingGateSpec:
@@ -68,25 +103,31 @@ def light_shift_spec(dim: DimSpec,
     return EntanglingGateSpec(dim, NAMED, name="light_shift", ls_theta=theta)
 
 
+def cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
+    """CZ^w = sum_jk chi(w j k) |jk><jk| in diagonal form."""
+    theta = np.array([[cmath.phase(dim.char_phase(dim.mul(w, dim.mul(j, k))))
+                       for k in dim.elements] for j in dim.elements])
+    return EntanglingGateSpec(dim, DIAGONAL, theta=np.mod(theta, 2 * math.pi),
+                              init_phases=np.zeros(dim.d))
+
+
 def expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
-    """Expand a named gate into its canonical diagonal or block form."""
+    """The gate in diagonal or block form with its init phases; a spec
+    already in that form is its own expansion."""
+    if spec.kind != NAMED and spec.init_phases is not None:
+        return spec
+    if "expand" not in spec._facts:
+        spec._facts["expand"] = _expand(spec)
+    return spec._facts["expand"]
+
+
+def _expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
     dim = spec.dim
     d = dim.d
-    if spec.kind == DIAGONAL:
-        init = spec.init_phases if spec.init_phases is not None else np.zeros(d)
-        return replace(spec, theta=np.asarray(spec.theta, dtype=float),
-                       init_phases=np.asarray(init, dtype=float))
-    if spec.kind == BLOCK_DIAGONAL:
-        init = spec.init_phases if spec.init_phases is not None else np.zeros(d)
-        return replace(spec, init_phases=np.asarray(init, dtype=float))
     if spec.kind != NAMED:
-        raise DimensionMismatch(f"unknown gate kind {spec.kind!r}")
+        return replace(spec, init_phases=np.zeros(d))
     if spec.name == "cz":
-        theta = np.array([[cmath.phase(dim.char_phase(dim.mul(j, k)))
-                           for k in dim.elements] for j in dim.elements])
-        theta = np.mod(theta, 2 * math.pi)
-        return EntanglingGateSpec(dim, DIAGONAL, theta=theta,
-                                  init_phases=np.zeros(d))
+        return cz_power(dim, 1)
     if spec.name == "light_shift":
         t = spec.ls_theta if spec.ls_theta is not None else light_shift_angle(d)
         theta = t * (1.0 - np.eye(d))
@@ -100,16 +141,30 @@ def expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
     raise DimensionMismatch(f"unknown named gate {spec.name!r}")
 
 
+def _per_spec(compute):
+    """compute(spec) as a fact kept on the expanded spec object."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def fact(spec: EntanglingGateSpec):
+        spec = expand(spec)
+        if key not in spec._facts:
+            spec._facts[key] = compute(spec)
+        return spec._facts[key]
+
+    return fact
+
+
+@_per_spec
 def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
     """Dense two-qudit matrix of the entangling gate (control = site 0)."""
-    spec = expand(spec)
     d = spec.dim.d
     if spec.kind == DIAGONAL:
-        return np.diag(np.exp(1j * spec.theta.reshape(-1)))
+        return _read_only(np.diag(np.exp(1j * spec.theta.reshape(-1))))
     out = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         out[j * d:(j + 1) * d, j * d:(j + 1) * d] = spec.blocks[j]
-    return out
+    return _read_only(out)
 
 
 def resource_init(spec: EntanglingGateSpec) -> np.ndarray:
@@ -118,60 +173,63 @@ def resource_init(spec: EntanglingGateSpec) -> np.ndarray:
     return dphi(spec.init_phases) @ xplus_state(spec.dim)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IntrinsicGate:
+    """G_I and its analysis: G_I^pauli_order = phase * order_word, and the
+    generator whose image is not a Pauli word when G_I is not Clifford."""
     dim: DimSpec
     matrix: np.ndarray
     unitary: bool
     clifford_cert: Optional[CliffordCert] = None
     pauli_order: Optional[int] = None
+    order_word: Optional[PauliWord] = None
+    failed_generator: Optional[str] = None
 
     @property
     def is_clifford(self) -> bool:
         return self.clifford_cert is not None
 
+    def certificate(self) -> CliffordCert:
+        """The Clifford certificate; NotCliffordError if G_I has none."""
+        if self.clifford_cert is None:
+            g = self.failed_generator
+            raise NotCliffordError(f"generator {g} does not conjugate to a "
+                                   f"Pauli word", generator=g)
+        return self.clifford_cert
 
-def _analyze(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
-    d = dim.d
-    unitary = bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d))) < 1e-8)
-    cert = None
-    order = None
+
+def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
+    """Analyze a d x d matrix as an intrinsic gate."""
+    matrix = _read_only(matrix)
+    unitary = bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim.d)))
+                   <= PAULI_TOL)
+    r = conjugation_table(matrix, dim, 1)
+    failed = r.generator if isinstance(r, NotClifford) else None
+    order = word = None
     if unitary:
-        r = conjugation_table(matrix, dim, 1)
-        if not isinstance(r, NotClifford):
-            cert = r
         try:
-            order = pauli_order_data(matrix, dim, 1)[0]
+            order, _, w = pauli_order_data(matrix, dim, 1)
+            word = PauliWord(dim, 1, w.z, w.x, 0)
         except OrderCapExceeded:
-            order = None
-    return IntrinsicGate(dim, matrix, unitary, cert, order)
+            pass
+    return IntrinsicGate(dim, matrix, unitary,
+                         r if unitary and failed is None else None,
+                         order, word, failed)
 
 
-def intrinsic_matrix(spec: EntanglingGateSpec) -> np.ndarray:
-    """G_I without its analysis.
+@_per_spec
+def intrinsic_of(spec: EntanglingGateSpec) -> IntrinsicGate:
+    """G_I and its analysis.
 
     Diagonal: G_I = d^{-1/2} sum e^{i theta_{kj}} |j><k| (note the
     transpose).  Block-diagonal: G_I = sum_j U_j |phi><j| with
     |phi> = D_phi |0_X>.
     """
-    spec = expand(spec)
     if spec.kind == DIAGONAL:
-        return np.exp(1j * spec.theta.T) / math.sqrt(spec.dim.d)
-    phi = resource_init(spec)
-    return np.column_stack([spec.blocks[j] @ phi for j in spec.dim.elements])
-
-
-def intrinsic_of(spec: EntanglingGateSpec) -> IntrinsicGate:
-    return _analyze(spec.dim, intrinsic_matrix(spec))
-
-
-def offdiag_coeffs(spec: EntanglingGateSpec) -> np.ndarray:
-    """c_{j,k} = (1/d) sum_a e^{i(theta_{ja} - theta_{ka})}."""
-    spec = expand(spec)
-    if spec.kind != DIAGONAL:
-        raise DimensionMismatch("diagonal gate required")
-    E = np.exp(1j * spec.theta)
-    return E @ E.conj().T / spec.dim.d
+        G = np.exp(1j * spec.theta.T) / math.sqrt(spec.dim.d)
+    else:
+        G = np.column_stack([b @ resource_init(spec) for b in spec.blocks])
+    return intrinsic_from_matrix(spec.dim, G)
 
 
 def light_shift_angle(d: int) -> float:
@@ -184,40 +242,37 @@ def light_shift_angle(d: int) -> float:
 
 # --- Clifford factorizations ---------------------------------------------
 
+@_per_spec
 def factor_diagonal_clifford(spec: EntanglingGateSpec
                              ) -> Tuple[np.ndarray, np.ndarray, int]:
     """G_E = (C1 (x) C2) CZ^N up to global phase, for diagonal Clifford G_E.
 
-    Returns (C1, C2, N) with C1, C2 diagonal single-qudit Cliffords and N
-    a ring/field element weighting the CZ edge.
+    Returns (C1, C2, N) with C1, C2 diagonal single-qudit Cliffords (read
+    off row and column 0 of theta, and certified on the generators) and N
+    a ring/field element weighting the CZ edge: the one N whose
+    chi(N j k) is e^{i(theta_jk - theta_j0 - theta_0k + theta_00)} for
+    all j, k, which the dense product (C1 (x) C2) CZ^N checks.
     """
-    spec = expand(spec)
-    dim = spec.dim
     if spec.kind != DIAGONAL:
         raise DimensionMismatch("diagonal gate required")
-    G = gate_matrix(spec)
-    cert = conjugation_table(G, dim, 2)
-    if isinstance(cert, NotClifford):
-        raise NotCliffordError(
-            f"entangling gate is not Clifford at generator {cert.generator}",
-            generator=cert.generator)
-    # N from the Z-power picked up on the partner site by X (x) I
-    _, img = cert.image_of("X0^1")
-    N = img.z[1]
     th = spec.theta
-    c1 = np.exp(1j * (th[:, 0] - th[0, 0]))
-    c2 = np.exp(1j * th[0, :])
-    d = dim.d
-    czN = np.diag([dim.char_phase(dim.mul(N, dim.mul(j, k)))
-                   for j in dim.elements for k in dim.elements])
-    cand = np.kron(np.diag(c1), np.diag(c2)) @ czN
-    if np.max(np.abs(normalize_global_phase(cand) -
-                     normalize_global_phase(G))) > 1e-8:
-        raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
-    return np.diag(c1), np.diag(c2), N
+    C1 = _read_only(np.diag(np.exp(1j * (th[:, 0] - th[0, 0]))))
+    C2 = _read_only(np.diag(np.exp(1j * th[0, :])))
+    for site, C in enumerate((C1, C2)):
+        for label, w in generator_words(spec.dim, 1):
+            if match_pauli(spec.dim, 1, C @ zx_matrix(w) @ C.conj().T) is None:
+                label = f"{label[0]}{site}{label[2:]}"
+                raise NotCliffordError(f"entangling gate is not Clifford at "
+                                       f"generator {label}", generator=label)
+    G = normalize_global_phase(gate_matrix(spec))
+    for N in spec.dim.elements:
+        cand = np.kron(C1, C2) @ gate_matrix(cz_power(spec.dim, N))
+        if np.max(np.abs(normalize_global_phase(cand) - G)) <= PAULI_TOL:
+            return C1, C2, N
+    raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockFactorization:
     C1: np.ndarray          # diagonal of control phases e^{i theta_k}
     C2: np.ndarray          # target Clifford U_0 (phase-fixed)
@@ -225,18 +280,18 @@ class BlockFactorization:
     thetas: np.ndarray      # control phase angles
 
 
+@_per_spec
 def factor_block_controlled_pauli(spec: EntanglingGateSpec
                                   ) -> BlockFactorization:
     """Factor a block-diagonal Clifford gate as (C1 (x) C2) CP.
 
     CP = sum_k |k><k| (x) P^k with P = phase-normalized U_0^{-1} U_1;
     succeeds iff U_k = e^{i theta_k} U_0 P^k for all k within tolerance.
+    A diagonal gate's blocks are its rows, U_j = diag(e^{i theta_j}).
     """
-    spec = expand(spec)
     dim = spec.dim
-    if spec.kind != BLOCK_DIAGONAL:
-        raise DimensionMismatch("block-diagonal gate required")
-    blocks = [np.asarray(b, dtype=complex) for b in spec.blocks]
+    blocks = spec.blocks if spec.kind != DIAGONAL \
+        else [np.diag(np.exp(1j * row)) for row in spec.theta]
     U0 = blocks[0]
     r = match_pauli(dim, 1, U0.conj().T @ blocks[1])
     if r is None:
@@ -248,34 +303,72 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
     for k in dim.elements:
         M = U0 @ Pk
         # U_k should equal e^{i theta_k} M
-        ratios = blocks[k][np.abs(M) > 1e-8] / M[np.abs(M) > 1e-8]
+        ratios = blocks[k][np.abs(M) > PAULI_TOL] / M[np.abs(M) > PAULI_TOL]
         ph = ratios[0]
-        if abs(abs(ph) - 1) > 1e-8 or np.max(np.abs(ratios - ph)) > 1e-8 \
-                or np.max(np.abs(blocks[k] - ph * M)) > 1e-8:
+        if not (abs(abs(ph) - 1) <= PAULI_TOL
+                and np.max(np.abs(ratios - ph)) <= PAULI_TOL
+                and np.max(np.abs(blocks[k] - ph * M)) <= PAULI_TOL):
             raise NotControlledPauliForm(
                 f"block {k} is not e^(i theta) U0 P^{k}")
         thetas[k] = cmath.phase(ph)
         Pk = Pk @ P
-    C1 = np.diag(np.exp(1j * thetas))
-    C2 = normalize_global_phase(U0)
-    return BlockFactorization(C1=C1, C2=C2,
+    return BlockFactorization(C1=_read_only(np.diag(np.exp(1j * thetas))),
+                              C2=_read_only(normalize_global_phase(U0)),
                               P=PauliWord(dim, 1, word.z, word.x, 0),
-                              thetas=thetas)
+                              thetas=_read_only(thetas, float))
+
+
+@_per_spec
+def mediator_of(spec: EntanglingGateSpec
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mediator target qudit for a gate of (C1 x C2) CP form.
+
+    Returns (init C^dag |0_X>, basis matrix G_C = C^dag H M(l) whose
+    column s is outcome s's vector, local diagonal e^{i theta_s}
+    <G_C e_s, P^s init>), C mapping P to Z^l.  NonInvertibleGcd unless l
+    is a unit; NotControlledPauliForm unless the target Clifford commutes
+    with P (or is the identity); FrameMismatch unless P^s maps the init
+    onto basis vector s up to a phase.
+    """
+    dim = spec.dim
+    d = dim.d
+    bf = factor_block_controlled_pauli(spec)
+    rep, l = map_pauli_to_Z(dim, bf.P.z[0], bf.P.x[0])
+    if not dim.is_invertible(l):
+        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {d}")
+    P = matrix_of_pauli(bf.P)
+    if not (np.max(np.abs(bf.C2 @ P - P @ bf.C2)) <= PAULI_TOL
+            or np.max(np.abs(bf.C2 - np.eye(d))) <= PAULI_TOL):
+        raise NotControlledPauliForm(
+            "target Clifford does not commute with the controlled Pauli")
+    Cd = synthesize(rep).conj().T
+    phi = Cd @ xplus_state(dim)
+    phi = phi / np.linalg.norm(phi)
+    G = Cd @ hadamard(dim) @ mult_gate(dim, l)
+    c = np.zeros(d, dtype=complex)
+    Pk = np.eye(d, dtype=complex)
+    for s in range(d):
+        overlap = np.vdot(G[:, s], Pk @ phi)
+        if not (abs(abs(overlap) - 1) <= PAULI_TOL):
+            raise FrameMismatch(
+                "mediator init is not mapped to the G_C basis by the Pauli")
+        c[s] = overlap
+        Pk = Pk @ P
+    return (_read_only(phi), _read_only(G),
+            _read_only(np.exp(1j * bf.thetas) * c))
 
 
 # --- JSON ----------------------------------------------------------------
 
 def gate_to_json(spec: EntanglingGateSpec) -> dict:
     out = {"dim": dim_to_json(spec.dim), "kind": spec.kind}
+    if spec.init_phases is not None:
+        out["init_phases"] = [float(v) for v in spec.init_phases]
     if spec.kind == DIAGONAL:
         out["theta"] = [[float(v) for v in row] for row in spec.theta]
-        if spec.init_phases is not None:
-            out["init_phases"] = [float(v) for v in spec.init_phases]
     elif spec.kind == BLOCK_DIAGONAL:
-        out["blocks"] = [[[ [float(v.real), float(v.imag)] for v in row]
-                          for row in np.asarray(b)] for b in spec.blocks]
-        if spec.init_phases is not None:
-            out["init_phases"] = [float(v) for v in spec.init_phases]
+        out["blocks"] = [[[[float(v.real), float(v.imag)] for v in row]
+                          for row in b] for b in spec.blocks]
     else:
         out["name"] = spec.name
         if spec.ls_theta is not None:
@@ -296,7 +389,7 @@ def gate_from_json(obj: dict) -> EntanglingGateSpec:
             dim, DIAGONAL, theta=json_array(obj["theta"], (d, d), "theta"),
             init_phases=init)
     if kind == BLOCK_DIAGONAL:
-        blocks = list(json_complex(obj["blocks"], (d, d, d), "blocks"))
+        blocks = json_complex(obj["blocks"], (d, d, d), "blocks")
         return EntanglingGateSpec(dim, BLOCK_DIAGONAL, blocks=blocks,
                                   init_phases=init)
     if kind == NAMED:

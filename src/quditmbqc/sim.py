@@ -17,7 +17,9 @@ from .errors import (
     StateTooLarge,
     ZeroProbabilityForced,
 )
-from .galois import DimSpec
+from .galois import DimSpec, dim_to_json
+from .gates import hadamard
+from .pauli import PAULI_TOL
 
 MAX_AMPS = 10 ** 6
 TOL = 1e-9
@@ -81,6 +83,14 @@ def require_unitary(M: np.ndarray, message: str):
         raise NonUnitary(message)
 
 
+def _row_totals(weight: np.ndarray) -> np.ndarray:
+    """Row sums of outcome weights; DimensionMismatch unless finite, > 0."""
+    total = weight.sum(axis=1, keepdims=True)
+    if not np.all((total > 0) & np.isfinite(total)):
+        raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
+    return total
+
+
 def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One outcome per row t of branch amplitudes (n, D, R).
@@ -91,10 +101,11 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     else the inverse-CDF outcome of uniforms[t] in [0, 1): the rule of
     Generator.choice, so a generator's random() draws give the outcomes
     its choice() would.  Returns (outcomes, posteriors, probabilities of
-    the outcomes).
+    the outcomes).  A row whose total weight is not finite and positive
+    raises DimensionMismatch.
     """
     weight = np.sum(np.abs(branch) ** 2, axis=2)
-    probs = weight / weight.sum(axis=1, keepdims=True)
+    probs = weight / _row_totals(weight)
     rows = np.arange(len(branch))
     if forced is None:
         cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
@@ -163,7 +174,6 @@ def z_basis(dim: DimSpec) -> MeasurementBasis:
 
 
 def x_basis(dim: DimSpec) -> MeasurementBasis:
-    from .gates import hadamard
     return MeasurementBasis(dim, hadamard(dim), "X")
 
 
@@ -201,17 +211,6 @@ def measure(state: StateVector, basis: MeasurementBasis,
             float(p[0]))
 
 
-def reduced_density(state: StateVector, keep_sites: Sequence[int]) -> np.ndarray:
-    keep_sites = list(keep_sites)
-    _check_sites(state, keep_sites)
-    if not keep_sites or len(keep_sites) >= state.n:
-        raise SiteOutOfRange("keep_sites must be a nonempty proper subset")
-    d = state.dim.d
-    k = len(keep_sites)
-    T = np.moveaxis(state.tensor(), keep_sites, range(k)).reshape(d ** k, -1)
-    return T @ T.conj().T
-
-
 def schmidt(state: StateVector, left_sites: Sequence[int]
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt data across the bipartition (left_sites | rest).
@@ -233,22 +232,14 @@ def is_max_entangled(state: StateVector, left_sites: Sequence[int]) -> bool:
     D = min(state.dim.d ** len(left_sites),
             state.dim.d ** (state.n - len(left_sites)))
     lam = s ** 2
-    return bool(lam.size == D and np.max(np.abs(lam - 1.0 / D)) < 1e-8)
+    return bool(lam.size == D and np.max(np.abs(lam - 1.0 / D)) <= PAULI_TOL)
 
 
 # --- JSON ----------------------------------------------------------------
 
 def state_to_json(state: StateVector) -> dict:
-    from .galois import dim_to_json
     return {
         "dim": dim_to_json(state.dim),
         "n": state.n,
         "amps": [[float(v.real), float(v.imag)] for v in state.amps],
     }
-
-
-def state_from_json(obj: dict) -> StateVector:
-    from .galois import dim_from_json
-    dim = dim_from_json(obj["dim"])
-    amps = np.array([complex(re, im) for re, im in obj["amps"]])
-    return StateVector(dim, int(obj["n"]), amps)

@@ -146,6 +146,19 @@ def test_run_rejects_trials_below_one(tmp_path, capsys):
         assert "--trials" in err
 
 
+def test_negative_seed_is_parse_error(tmp_path, capsys):
+    pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": matrix_to_json(np.eye(3))})
+    for argv in (["compile", "--gate", gate, "--target", target],
+                 ["run", "--pattern", pattern]):
+        code = cli.main(argv + ["--seed", "-5"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == "error: --seed must be non-negative, got -5\n", err
+
+
 def test_run_dump_state(tmp_path, capsys):
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     code, out = run_cli(capsys, ["transport", "--gate", gate])

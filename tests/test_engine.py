@@ -37,7 +37,6 @@ from quditmbqc.compiler import (
     PatternStep,
     compile_clifford,
     compile_unitary,
-    intrinsic_cert,
     transport_pattern,
 )
 from quditmbqc.resource import (
@@ -49,6 +48,7 @@ from quditmbqc.resource import (
     gate_matrix,
     intrinsic_of,
     light_shift_spec,
+    mediator_of,
 )
 from quditmbqc.sim import (
     apply,
@@ -200,7 +200,7 @@ def _reference_run(g, pat, psi, rng, forced):
     history)."""
     dim, d = pat.dim, pat.dim.d
     gen = np.random.default_rng(rng)
-    g_cert = intrinsic_cert(pat.intrinsic)
+    g_cert = pat.intrinsic.certificate()
     cur = psi / np.linalg.norm(psi)
     frame, history = identity_word(dim, 1), []
     for i, step in enumerate(pat.steps):
@@ -616,6 +616,20 @@ def test_mediated_lattice_builds():
     assert st.n == len(g.vertices) == 6
 
 
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_mediated_lattice_uses_mediator_step_init(spec_of):
+    # diagonal and block gates share one mediator analysis
+    spec = spec_of(D3)
+    g = mediated_lattice(D3, 2, 2, spec)
+    assert build(g).n == len(g.vertices) == 6
+    init = mediator_of(spec)[0]
+    for v in g.vertices[4:]:
+        assert np.array_equal(v.init, init)
+    psi = np.kron(xplus_state(D3), basis_state(D3, 1))
+    assert mediator_step(spec, psi, "disconnect", forced_outcome=0).mode \
+        == "disconnect"
+
+
 def test_graph_json_round_trip():
     g = chain_graph(D3, light_shift_spec(D3), 3)
     g.vertices[0].init = 2
@@ -655,11 +669,14 @@ def test_nan_state_is_rejected(name):
 
 @pytest.mark.parametrize("name", sorted(_nan_entry_points()))
 def test_nan_state_fails_dense_verification(name, monkeypatch):
-    # with the input checks bypassed, the NaN reaches the dense
-    # verification, whose comparison must fail rather than pass
+    # with the input checks bypassed (sim.collapse's weight check too),
+    # the NaN reaches the dense verification, whose comparison must fail
+    # rather than pass
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
+    monkeypatch.setattr(sim, "_row_totals",
+                        lambda w: w.sum(axis=1, keepdims=True))
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
     with np.errstate(invalid="ignore"), pytest.raises(FrameMismatch):

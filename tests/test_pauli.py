@@ -16,7 +16,6 @@ from quditmbqc.pauli import (
     single_word,
     weyl,
     word_power,
-    y_word,
 )
 
 DIMS = [make_dim(INTEGER_RING, d=2),
@@ -89,13 +88,6 @@ def test_commutation_phase_qutrit():
     X = matrix_of_pauli(single_word(dim, 1, 0, x=1))
     omega = np.exp(2j * np.pi / 3)
     assert np.allclose(Z @ X, omega * X @ Z)
-
-
-def test_y_word_is_hermitian_qubit():
-    dim = make_dim(INTEGER_RING, d=2)
-    Y = matrix_of_pauli(y_word(dim))
-    assert np.allclose(Y, Y.conj().T)
-    assert np.allclose(Y @ Y, np.eye(2))
 
 
 @pytest.mark.parametrize("dim", DIMS)

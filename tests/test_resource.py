@@ -1,5 +1,7 @@
 """Entangling-gate analysis: intrinsic gates, angles, factorizations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from quditmbqc.pauli import matrix_of_pauli, single_word
 from quditmbqc.resource import (
     EntanglingGateSpec,
     cx_spec,
+    cz_power,
     cz_spec,
     expand,
     factor_block_controlled_pauli,
@@ -30,7 +33,7 @@ from quditmbqc.resource import (
     intrinsic_of,
     light_shift_angle,
     light_shift_spec,
-    offdiag_coeffs,
+    mediator_of,
     resource_init,
 )
 from quditmbqc.sim import StateVector, is_max_entangled
@@ -40,6 +43,10 @@ D3 = make_dim(INTEGER_RING, d=3)
 D4F = make_dim(FINITE_FIELD, p=2, m=2)
 D4R = make_dim(INTEGER_RING, d=4)
 D5 = make_dim(INTEGER_RING, d=5)
+# every ring Z2..Z7 and the fields GF(4), GF(8), GF(9), GF(5), GF(7)
+CZ_POWER_DIMS = [make_dim(INTEGER_RING, d=d) for d in range(2, 8)] + [
+    make_dim(FINITE_FIELD, p=p, m=m)
+    for p, m in ((2, 2), (2, 3), (3, 2), (5, 1), (7, 1))]
 
 
 def light_shift_closed_form(dim):
@@ -88,14 +95,6 @@ def test_light_shift_angles():
         light_shift_angle(5)
 
 
-def test_offdiag_coefficient_formula():
-    c = offdiag_coeffs(light_shift_spec(D3, theta=0.7))
-    expect = (2 * np.cos(0.7) + 1) / 3
-    assert abs(c[0, 1] - expect) < 1e-12
-    c_star = offdiag_coeffs(light_shift_spec(D3))
-    assert abs(c_star[0, 1]) < 1e-12
-
-
 def test_detuned_light_shift_not_unitary():
     intr = intrinsic_of(light_shift_spec(D3, theta=0.7))
     assert not intr.unitary
@@ -129,6 +128,17 @@ def test_factor_cz_is_trivial():
     assert N == 1
 
 
+@pytest.mark.parametrize("dim", CZ_POWER_DIMS, ids=lambda dim: dim.label())
+def test_factor_cz_power(dim):
+    for w in dim.elements[1:]:
+        spec = cz_power(dim, w)
+        C1, C2, N = factor_diagonal_clifford(spec)
+        assert N == w
+        czN = np.diag([dim.char_phase(dim.mul(N, dim.mul(j, k)))
+                       for j in dim.elements for k in dim.elements])
+        assert equal_up_to_phase(np.kron(C1, C2) @ czN, gate_matrix(spec))
+
+
 @pytest.mark.parametrize("dim,power", [(D2, 1), (D3, 2)])
 def test_factor_light_shift(dim, power):
     C1, C2, N = factor_diagonal_clifford(light_shift_spec(dim))
@@ -139,6 +149,17 @@ def test_factor_light_shift(dim, power):
     # reassembly check
     E = gate_matrix(light_shift_spec(dim))
     assert equal_up_to_phase(np.kron(C1, C2) @ cz_gate(dim), E)
+
+
+def test_factor_non_clifford_local_factor_rejected():
+    # (D x I) CZ with D = diag(1, e^{i pi/4}, 1) factors densely, but D is
+    # not Clifford, so neither is the gate
+    theta = expand(cz_spec(D3)).theta.copy()
+    theta[1, :] += np.pi / 4
+    spec = EntanglingGateSpec(D3, "diagonal", theta=theta)
+    with pytest.raises(NotCliffordError) as exc:
+        factor_diagonal_clifford(spec)
+    assert exc.value.generator == "X0^1"
 
 
 def test_factor_light_shift_f4_rejected():
@@ -197,3 +218,50 @@ def test_expanded_gate_json_round_trip():
     assert back.kind == "diagonal"
     assert np.allclose(back.theta, ex.theta)
     assert np.allclose(back.init_phases, ex.init_phases)
+
+
+# --- specs are immutable and keep their analysis --------------------------
+
+def test_spec_is_frozen_with_read_only_arrays():
+    spec = EntanglingGateSpec(D3, "diagonal", theta=np.zeros((3, 3)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.kind = "block_diagonal"
+    with pytest.raises(ValueError):
+        spec.theta[0, 1] = 1.0
+    theta = np.zeros((3, 3))
+    spec = EntanglingGateSpec(D3, "diagonal", theta=theta)
+    theta[0, 1] = 1.0   # the spec holds its own copy
+    assert spec.theta[0, 1] == 0.0
+    blocks = EntanglingGateSpec(D3, "block_diagonal",
+                                blocks=[np.eye(3)] * 3).blocks
+    with pytest.raises(ValueError):
+        blocks[0][0, 0] = 2.0
+
+
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec, light_shift_spec])
+def test_gate_facts_are_computed_once(spec_of):
+    facts = [expand, gate_matrix, intrinsic_of, mediator_of,
+             factor_diagonal_clifford if spec_of is not cx_spec
+             else factor_block_controlled_pauli]
+    spec = spec_of(D3)
+    for fact in facts:
+        assert fact(spec) is fact(spec)
+    assert not gate_matrix(spec).flags.writeable
+    assert not intrinsic_of(spec).matrix.flags.writeable
+
+
+def test_intrinsic_keeps_order_word_and_failed_generator():
+    intr = intrinsic_of(cz_spec(D3))
+    assert intr.pauli_order == 4 and intr.order_word.phase_num == 0
+    assert intr.certificate() is intr.clifford_cert
+    bad = intrinsic_of(light_shift_spec(D4R))
+    assert bad.failed_generator is not None
+    with pytest.raises(NotCliffordError) as exc:
+        bad.certificate()
+    assert exc.value.generator == bad.failed_generator
+
+
+def test_diagonal_gate_blocks_are_its_rows():
+    bf = factor_block_controlled_pauli(cz_spec(D3))
+    assert bf.P.z[0] == 1 and bf.P.x[0] == 0
+    assert np.allclose(bf.thetas, 0)

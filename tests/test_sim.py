@@ -10,7 +10,12 @@ from quditmbqc.errors import (
     StateTooLarge,
     ZeroProbabilityForced,
 )
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.galois import (
+    FINITE_FIELD,
+    INTEGER_RING,
+    dim_from_json,
+    make_dim,
+)
 from quditmbqc.gates import basis_state, cz_gate, hadamard, xplus_state
 from quditmbqc.sim import (
     StateVector,
@@ -20,9 +25,7 @@ from quditmbqc.sim import (
     is_max_entangled,
     measure,
     product_state,
-    reduced_density,
     schmidt,
-    state_from_json,
     state_to_json,
     unit_vector,
     x_basis,
@@ -123,11 +126,6 @@ def test_product_is_not_max_entangled():
     assert abs(coeffs[0] - 1) < 1e-12
 
 
-def test_reduced_density_of_bell_is_maximally_mixed():
-    rho = reduced_density(bell(D3), [1])
-    assert np.allclose(rho, np.eye(3) / 3)
-
-
 def test_fidelity():
     a = product_state(D3, [xplus_state(D3)])
     b = product_state(D3, [basis_state(D3, 0)])
@@ -147,9 +145,19 @@ def test_state_json_round_trip():
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
     st = StateVector(dim4, 2, amps)
-    back = state_from_json(state_to_json(st))
-    assert back.dim.d == 4 and back.n == 2
-    assert np.allclose(back.amps, st.amps)
+    obj = state_to_json(st)
+    assert dim_from_json(obj["dim"]) == dim4 and obj["n"] == 2
+    assert np.array_equal([complex(re, im) for re, im in obj["amps"]],
+                          st.amps)
+
+
+def test_measure_nan_state_raises_before_dividing():
+    st = StateVector(D3, 2, np.full(9, np.nan, dtype=complex))
+    for basis in (z_basis(D3), x_basis(D3)):
+        with pytest.raises(DimensionMismatch, match="NaN"):
+            measure(st, basis, 0, rng=0)
+        with pytest.raises(DimensionMismatch, match="NaN"):
+            measure(st, basis, 1, forced_outcome=0)
 
 
 def test_nan_operator_is_not_unitary():
