@@ -79,7 +79,7 @@ def _mark_floats(obj):
 def dumps_report(obj: dict) -> str:
     """Stable JSON text: sorted keys, 17-significant-digit floats."""
     text = json.dumps(_mark_floats(obj), sort_keys=True)
-    return re.sub(r'"@@F(-?[0-9.eE+naif]+)F@@"', r"\1", text)
+    return re.sub(r'"@@F(-?[0-9.eE+naif-]+)F@@"', r"\1", text)
 
 
 def matrix_to_json(M: np.ndarray) -> list:
@@ -213,8 +213,6 @@ def cmd_table(args) -> int:
         ov = abs(np.trace(expected.conj().T @ got)) / dim.d
         form_ok = 1 - ov <= PAULI_TOL
         o = intr.pauli_order
-        if args.self_test_corrupt and name == "cz" and dim.d == 2:
-            order += 1
         order_ok = o == order
         mismatch = mismatch or not (form_ok and order_ok)
         rows.append({
@@ -302,12 +300,11 @@ _FLAGS = {"gate": {"required": True}, "target": {"required": True},
           "pattern": {"required": True}, "graph": {}, "seed": {"type": int},
           "trials": {"type": int, "default": 1},
           "dump-state": {"action": "store_true"},
-          "formalism": {"choices": ["ring", "field"]},
-          "self-test-corrupt": {"action": "store_true"}}
+          "formalism": {"choices": ["ring", "field"]}}
 _COMMANDS = {"analyze": ("gate", "formalism"),
              "compile": ("gate", "target", "seed", "formalism"),
              "run": ("pattern", "graph", "seed", "trials", "dump-state"),
-             "table": ("self-test-corrupt",),
+             "table": (),
              "transport": ("gate", "formalism")}
 # exit code of a handler's error: the first matching kind, else EXIT_PARSE
 _EXITS = (((UnsupportedFormalism, WrongFormalism), EXIT_FORMALISM),

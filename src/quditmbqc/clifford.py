@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,24 +54,15 @@ def generator_words(dim: DimSpec, n: int):
 
 
 @dataclass
-class NotClifford:
-    """Certification failure result carrying the offending generator."""
-    generator: str
-
-
-@dataclass
 class CliffordCert:
+    """Images U g U^dagger of the generators g, as exact-phase words."""
     dim: DimSpec
     n: int
-    U: np.ndarray
-    images: Dict[str, Tuple[complex, PauliWord]]
+    images: Dict[str, PauliWord]
     _letters: Dict[Tuple[int, str, int], PauliWord] = field(
         default_factory=dict, repr=False, compare=False)
     _frame_table: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False)
-
-    def image_of(self, label: str) -> Tuple[complex, PauliWord]:
-        return self.images[label]
 
     def _letter_image(self, site: int, letter: str, value: int) -> PauliWord:
         """U Z^value U^dagger (letter "Z") or U X^value U^dagger on a site,
@@ -83,7 +74,7 @@ class CliffordCert:
         """
         key = (site, letter, value)
         if key not in self._letters:
-            powers = [word_power(self.images[f"{letter}{site}^{g}"][1], c)
+            powers = [word_power(self.images[f"{letter}{site}^{g}"], c)
                       for g, c in zip(_additive_basis(self.dim),
                                       self.dim.coeffs_of(value)) if c]
             self._letters[key] = functools.reduce(normal_form, powers)
@@ -99,8 +90,7 @@ class CliffordCert:
         """
         if word.dim != self.dim or word.n != self.n:
             raise DimensionMismatch("word and certificate systems differ")
-        zero = (0,) * self.n
-        out = PauliWord(self.dim, self.n, zero, zero, word.phase_num)
+        out = replace(word, z=(0,) * self.n, x=(0,) * self.n)  # its phase
         for site in range(self.n):
             for letter, value in (("Z", word.z[site]), ("X", word.x[site])):
                 if value:
@@ -118,29 +108,21 @@ class CliffordCert:
         return self._frame_table
 
 
-def conjugation_table(U: np.ndarray, dim: DimSpec, n: int = 1
-                      ) -> Union[CliffordCert, NotClifford]:
-    """Conjugate every Pauli generator by U and match the result to a word."""
+def certify(U: np.ndarray, dim: DimSpec, n: int = 1) -> CliffordCert:
+    """Conjugate every Pauli generator by U and match the result to a word;
+    NotCliffordError naming the first generator whose image is not one."""
     U = np.asarray(U, dtype=complex)
     if U.shape != (dim.d ** n, dim.d ** n):
         raise DimensionMismatch("operator size does not match (dim, n)")
     images = {}
     Ud = U.conj().T
     for label, w in generator_words(dim, n):
-        M = U @ zx_matrix(w) @ Ud
-        r = match_pauli(dim, n, M)
+        r = match_pauli(dim, n, U @ zx_matrix(w) @ Ud)
         if r is None:
-            return NotClifford(label)
-        images[label] = r
-    return CliffordCert(dim, n, U, images)
-
-
-def certify(U: np.ndarray, dim: DimSpec, n: int = 1) -> CliffordCert:
-    r = conjugation_table(U, dim, n)
-    if isinstance(r, NotClifford):
-        raise NotCliffordError(f"generator {r.generator} does not conjugate "
-                               f"to a Pauli word", generator=r.generator)
-    return r
+            raise NotCliffordError(f"generator {label} does not conjugate "
+                                   f"to a Pauli word", generator=label)
+        images[label] = r[1]
+    return CliffordCert(dim, n, images)
 
 
 def pauli_order_data(U: np.ndarray, dim: DimSpec, n: int = 1
@@ -191,7 +173,7 @@ class SymplecticRep:
 
 
 def hadamard_rep(dim: DimSpec) -> SymplecticRep:
-    # Z -> X^{-1} ... columns: Z image (0, -1)?  H: Z -> X^-1, X -> Z
+    """H: Z -> X^{-1}, X -> Z."""
     return SymplecticRep(dim, 0, dim.neg(1), 1, 0)
 
 
@@ -200,14 +182,10 @@ def symplectic_of(cert: CliffordCert) -> SymplecticRep:
     if cert.n != 1:
         raise DimensionMismatch("symplectic extraction is single-qudit")
     dim = cert.dim
-    _, wz = cert.image_of(next(l for l, _ in generator_words(dim, 1)
-                                if l.startswith("Z")))
-    a, b = wz.z[0], wz.x[0]
-    _, wx = cert.image_of(next(l for l, _ in generator_words(dim, 1)
-                                if l.startswith("X")))
-    c, e = wx.z[0], wx.x[0]
+    wz, wx = cert.images["Z0^1"], cert.images["X0^1"]
+    a, b, c, e = wz.z[0], wz.x[0], wx.z[0], wx.x[0]
     for label, w in generator_words(dim, 1):
-        _, img = cert.image_of(label)
+        img = cert.images[label]
         g = w.z[0] if w.z[0] else w.x[0]
         if w.z[0]:
             want = (dim.mul(a, g), dim.mul(b, g))
@@ -228,11 +206,8 @@ def universality_check(cert: CliffordCert) -> Tuple[bool, Tuple[int, int]]:
     """
     if cert.n != 1:
         raise DimensionMismatch("universality check is single-qudit")
-    dim = cert.dim
-    _, wz = cert.image_of(next(l for l, _ in generator_words(dim, 1)
-                                if l.startswith("Z")))
-    a, b = wz.z[0], wz.x[0]
-    return dim.is_invertible(b), (a, b)
+    a, b = cert.images["Z0^1"].z[0], cert.images["Z0^1"].x[0]
+    return cert.dim.is_invertible(b), (a, b)
 
 
 # --- generator words ------------------------------------------------------

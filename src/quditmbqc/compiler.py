@@ -57,6 +57,7 @@ from .resource import (
     intrinsic_from_matrix,
     intrinsic_of,
 )
+from .sim import require_unitary
 
 RESIDUAL_TOL = 1e-6
 MAX_RESTARTS = 32
@@ -268,7 +269,8 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
 
     Uses the universal word G D_gamma G^dag (prod_lambda S(l) G D_beta(l)
     G^dag S(l)^dag) D_alpha with exact per-group phase maximization, then
-    lowers the word to exactly d * o^P steps.
+    lowers the word to exactly d * o^P steps.  A target that fails
+    sim.require_unitary raises NonUnitary before any ALS sweep.
     """
     dim = intrinsic.dim
     _check_compilable(dim)
@@ -276,6 +278,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise DimensionMismatch("target size does not match the dimension")
+    require_unitary(U, "target is not unitary")
     cert = intrinsic.certificate()
     ok, _ = universality_check(cert)
     if not ok:

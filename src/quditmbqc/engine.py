@@ -18,6 +18,7 @@ from .errors import (
     FrameMismatch,
     NonUnitary,
     SiteOutOfRange,
+    StateTooLarge,
 )
 from .galois import (
     DimSpec,
@@ -216,7 +217,7 @@ class Trajectories:
     frame_phase: np.ndarray          # (T,)
     outcomes: np.ndarray             # (T, steps)
     probabilities: np.ndarray        # (T, steps) of the drawn outcomes
-    fidelities: Optional[np.ndarray]  # (T,) when verified, else None
+    fidelities: np.ndarray           # (T,) verified fidelities
 
     def frame(self, t: int) -> PauliFrame:
         z, x = divmod(int(self.frame_index[t]), self.dim.d)
@@ -240,8 +241,8 @@ def _z_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                      psi: np.ndarray, seeds: Optional[Sequence] = None,
-                     forced_outcomes: Optional[Sequence[Sequence[int]]] = None,
-                     verify: bool = True) -> Trajectories:
+                     forced_outcomes: Optional[Sequence[Sequence[int]]] = None
+                     ) -> Trajectories:
     """Execute a measurement pattern along a chain for T trajectories.
 
     The input replaces the head vertex; each step entangles the current
@@ -255,9 +256,11 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     Trajectory t draws default_rng(seeds[t]).random(steps) and takes the
     outcome Generator.choice would; with forced_outcomes (T rows of one
     outcome per step) nothing is drawn.  Frames are word indices and
-    exact phases moved by the certificates' frame tables.  With verify,
-    row t's fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned,
-    and FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
+    exact phases moved by the certificates' frame tables.  Row t's
+    fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
+    FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
+    StateTooLarge is raised before any per-trajectory allocation when the
+    T d posterior amplitudes exceed sim.MAX_AMPS.
     """
     graph.validate()
     dim = pattern.dim
@@ -267,15 +270,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     S = len(steps)
     if len(order) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
+    T = len(seeds if forced_outcomes is None else forced_outcomes)
+    if T * d > sim.MAX_AMPS:
+        raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
+                            f"the budget")
     if forced_outcomes is not None:
         forced = np.asarray(forced_outcomes, dtype=np.intp)
         if forced.ndim != 2 or forced.shape[1] < S:
             raise DimensionMismatch("forced outcomes need a row of one "
                                     "outcome per step for each trajectory")
-        T = len(forced)
     else:
         seeds = list(seeds)
-        T = len(seeds)
     edges = sorted(graph.edges, key=lambda e: e.seq)
     plan = []
     for i, step in enumerate(steps):
@@ -334,33 +339,31 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         post[rows] = cur
         idx[rows], phase[rows] = f_idx[at], ph + f_phase[at]
     phase %= dim.phase_den
-    fids = None
-    if verify:
-        v = matrix_of_pauli(pattern.frame).conj().T \
-            @ pattern.dense_product() @ psi_in
-        ideal = np.zeros((d * d, d), dtype=complex)
-        for i in set(idx.tolist()):
-            ideal[i] = zx_matrix(words[i]) @ v
-            ideal[i] /= np.linalg.norm(ideal[i])
-        fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
-        if not np.all(fids >= 1 - VERIFY_TOL):
-            raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
+    v = matrix_of_pauli(pattern.frame).conj().T \
+        @ pattern.dense_product() @ psi_in
+    ideal = np.zeros((d * d, d), dtype=complex)
+    for i in set(idx.tolist()):
+        ideal[i] = zx_matrix(words[i]) @ v
+        ideal[i] /= np.linalg.norm(ideal[i])
+    fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
+    if not np.all(fids >= 1 - VERIFY_TOL):
+        raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
     return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
 
 
 def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
                 input_state: np.ndarray, rng=None,
-                forced_outcomes: Optional[Sequence[int]] = None,
-                verify: bool = True) -> Tuple[StateVector, PauliFrame]:
+                forced_outcomes: Optional[Sequence[int]] = None
+                ) -> Tuple[StateVector, PauliFrame]:
     """One trajectory of run_trajectories: rng seeds it (or is the
     generator it draws from), forced_outcomes gives one outcome per step.
 
     Returns the head state and the total frame with the outcome history;
-    with verify, the head is checked to equal frame * U |input>.
+    the head is checked to equal frame * U |input>.
     """
     runs = run_trajectories(
         graph, pattern, input_state, [rng],
-        None if forced_outcomes is None else [forced_outcomes], verify)
+        None if forced_outcomes is None else [forced_outcomes])
     return StateVector(pattern.dim, 1, runs.posteriors[0]), runs.frame(0)
 
 
@@ -381,8 +384,8 @@ def bell_basis(dim: DimSpec) -> sim.MeasurementBasis:
 
 
 def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
-                 forced_outcome: Optional[int] = None,
-                 verify: bool = True) -> Tuple[StateVector, PauliFrame, int]:
+                 forced_outcome: Optional[int] = None
+                 ) -> Tuple[StateVector, PauliFrame, int]:
     """Teleport an external state into a built chain via a Bell measurement.
 
     Outcome Phi(s, t) leaves the chain head carrying G_I D_head W |psi>
@@ -390,12 +393,16 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     D_head = diag(sqrt(d) * head init) its init phases (the identity for
     cz and light-shift chains, S for cx); the returned frame is W
     conjugated through G_I D_head, so that head = frame * G_I D_head |psi>
-    up to phase.  A head init that is not a phase vector (a Z-basis label
-    or a raw state) raises DimensionMismatch.
+    up to phase, which is checked densely.  A chain that is not two
+    vertices long, or a head init that is not a phase vector (a Z-basis
+    label or a raw state), raises DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim
     d = dim.d
+    if len(graph.vertices) != 2:
+        raise DimensionMismatch(
+            "dense coupling verification needs a two-vertex chain")
     order = _chain_order(graph)
     head = graph.vertex(order[0])
     head_init = _init_vector(dim, head.init)
@@ -415,64 +422,57 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     s, t = divmod(k, d)
     W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
     frame = certify(G, dim).conjugate(W)
-    if verify:
-        if post.n != 1:
-            raise DimensionMismatch(
-                "dense coupling verification needs a two-vertex chain")
-        ideal = matrix_of_pauli(frame) @ G @ psi
-        if not (abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal)))
-                >= 1 - VERIFY_TOL):
-            raise FrameMismatch("predicted coupling frame does not verify")
+    ideal = matrix_of_pauli(frame) @ G @ psi
+    if not (abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal)))
+            >= 1 - VERIFY_TOL):
+        raise FrameMismatch("predicted coupling frame does not verify")
     return post, PauliFrame(frame, [(0, k)]), k
 
 
 # --- entangling through an existing edge (six-qudit cluster) --------------
+
+def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
+               ) -> PauliWord:
+    """entangle_via_edge's frame: Z^{-k1} x Z^{-k4} carried through H x H
+    and CZ, times Z^{-k2} x Z^{-k5}, carried through H x H.  As H Z(a) H^dag
+    = X(-a) and CZ (X(u) x X(v)) CZ^dag = chi(-uv) Z(v)X(u) x Z(u)X(v), it
+    is chi(k1 k4 - k1 k2 - k4 k5) Z(k1)X(k2 - k4) x Z(k4)X(k5 - k1)."""
+    sub, mul = dim.sub, dim.mul
+    phase = dim.char_exp(sub(mul(k1, k4), dim.add(mul(k1, k2), mul(k4, k5))))
+    return PauliWord(dim, 2, [k1, k4], [sub(k2, k4), sub(k5, k1)], phase)
+
 
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
                       forced_outcomes: Optional[Sequence[int]] = None
                       ) -> Tuple[StateVector, PauliFrame]:
     """Apply a two-qudit entangling step through a pre-existing CZ edge.
 
-    Two three-qudit CZ wires carry the two-qudit input at their heads; a
-    CZ edge joins the wire midpoints.  X-measuring the four interior
-    qudits leaves the tails carrying (H x H) CZ (H x H) |psi> up to a
-    Pauli frame (each wire contributes two Hadamard teleports around the
-    shared edge).  The frame is Z^{-k1} x Z^{-k4} carried through H x H
-    and CZ, times Z^{-k2} x Z^{-k5}, carried through H x H.
+    Two three-qudit CZ wires (sites 0-1-2 and 3-4-5) carry the two-qudit
+    input at their heads; a CZ edge joins the midpoints 1 and 4.
+    X-measuring the four interior qudits (outcomes k1, k2 on the first
+    wire, k4, k5 on the second) leaves the tails carrying (H x H) CZ
+    (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5), which is
+    checked densely.
     """
     d = dim.d
     psi = sim.unit_vector(psi, d * d, "input state")
-    gate = cz_spec(dim)
-    vertices = [Vertex(i, None) for i in range(1, 7)]
-    edges = [GraphEdge(1, 2, gate, 0), GraphEdge(2, 3, gate, 1),
-             GraphEdge(4, 5, gate, 2), GraphEdge(5, 6, gate, 3),
-             GraphEdge(2, 5, gate, 4)]
-    graph = ResourceGraph(dim, vertices, edges)
     plus = xplus_state(dim)
-    # input occupies vertices 1 and 4; remaining vertices start in |+>
     T = np.einsum("ad,b,c,e,f->abcdef", psi.reshape(d, d),
                   plus, plus, plus, plus)
     state = StateVector(dim, 6, T.reshape(-1))
-    for e in edges:
-        state = sim.apply(state, gate_matrix(e.gate),
-                          [graph.site_of(e.control), graph.site_of(e.target)])
+    cz = gate_matrix(cz_spec(dim))
+    for pair in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
+        state = sim.apply(state, cz, pair)
     gen = np.random.default_rng(rng)
     history: List[Tuple[int, int]] = []
-    # measure vertices 1, 2, 4, 5; sites shift as qudits are consumed
-    for i, vid in enumerate([1, 2, 4, 5]):
-        site = {1: 0, 2: 0, 4: 1, 5: 1}[vid]
+    # measure sites 0, 1, 3, 4; sites shift as qudits are consumed
+    for i, site in enumerate((0, 0, 1, 1)):
         forced = None if forced_outcomes is None else forced_outcomes[i]
         k, state, _ = sim.measure(state, x_basis(dim), site, rng=gen,
                                   forced_outcome=forced)
         history.append((i, k))
+    W = edge_frame(dim, *(k for _, k in history))
     HH = np.kron(hadamard(dim), hadamard(dim))
-    cz = gate_matrix(gate)
-    hh_cert, cz_cert = certify(HH, dim, 2), certify(cz, dim, 2)
-    k1, k2, k4, k5 = (k for _, k in history)
-    heads = PauliWord(dim, 2, [dim.neg(k1), dim.neg(k4)], [0, 0], 0)
-    mids = PauliWord(dim, 2, [dim.neg(k2), dim.neg(k5)], [0, 0], 0)
-    W = hh_cert.conjugate(normal_form(
-        mids, cz_cert.conjugate(hh_cert.conjugate(heads))))
     target = HH @ cz @ HH @ psi
     if not (abs(np.vdot(state.amps, matrix_of_pauli(W) @ target))
             >= 1 - VERIFY_TOL):

@@ -14,9 +14,7 @@ import numpy as np
 
 from .clifford import (
     CliffordCert,
-    NotClifford,
-    conjugation_table,
-    generator_words,
+    certify,
     map_pauli_to_Z,
     pauli_order_data,
     synthesize,
@@ -90,10 +88,13 @@ class EntanglingGateSpec:
                                    _read_only(getattr(self, key), dtype))
 
 
+# one cz and one cx spec per dimension, so every caller shares their facts
+@functools.lru_cache(maxsize=None)
 def cz_spec(dim: DimSpec) -> EntanglingGateSpec:
     return EntanglingGateSpec(dim, NAMED, name="cz")
 
 
+@functools.lru_cache(maxsize=None)
 def cx_spec(dim: DimSpec) -> EntanglingGateSpec:
     return EntanglingGateSpec(dim, NAMED, name="cx")
 
@@ -203,8 +204,10 @@ def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
     matrix = _read_only(matrix)
     unitary = bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim.d)))
                    <= PAULI_TOL)
-    r = conjugation_table(matrix, dim, 1)
-    failed = r.generator if isinstance(r, NotClifford) else None
+    try:
+        cert, failed = certify(matrix, dim), None
+    except NotCliffordError as exc:
+        cert, failed = None, exc.generator
     order = word = None
     if unitary:
         try:
@@ -212,8 +215,7 @@ def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
             word = PauliWord(dim, 1, w.z, w.x, 0)
         except OrderCapExceeded:
             pass
-    return IntrinsicGate(dim, matrix, unitary,
-                         r if unitary and failed is None else None,
+    return IntrinsicGate(dim, matrix, unitary, cert if unitary else None,
                          order, word, failed)
 
 
@@ -259,11 +261,12 @@ def factor_diagonal_clifford(spec: EntanglingGateSpec
     C1 = _read_only(np.diag(np.exp(1j * (th[:, 0] - th[0, 0]))))
     C2 = _read_only(np.diag(np.exp(1j * th[0, :])))
     for site, C in enumerate((C1, C2)):
-        for label, w in generator_words(spec.dim, 1):
-            if match_pauli(spec.dim, 1, C @ zx_matrix(w) @ C.conj().T) is None:
-                label = f"{label[0]}{site}{label[2:]}"
-                raise NotCliffordError(f"entangling gate is not Clifford at "
-                                       f"generator {label}", generator=label)
+        try:
+            certify(C, spec.dim)
+        except NotCliffordError as exc:
+            label = f"{exc.generator[0]}{site}{exc.generator[2:]}"
+            raise NotCliffordError(f"entangling gate is not Clifford at "
+                                   f"generator {label}", generator=label)
     G = normalize_global_phase(gate_matrix(spec))
     for N in spec.dim.elements:
         cand = np.kron(C1, C2) @ gate_matrix(cz_power(spec.dim, N))

@@ -55,6 +55,11 @@ class StateVector:
 
 
 def product_state(dim: DimSpec, vectors: Sequence[np.ndarray]) -> StateVector:
+    """Tensor product of one vector per site; StateTooLarge before the
+    product is formed when d^n exceeds MAX_AMPS."""
+    if dim.d ** len(vectors) > MAX_AMPS:
+        raise StateTooLarge(f"{dim.d ** len(vectors)} amplitudes exceed "
+                            f"the budget")
     amps = np.array([1.0 + 0j])
     for v in vectors:
         amps = np.kron(amps, np.asarray(v, dtype=complex))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quditmbqc import cli
-from quditmbqc.errors import NoRealSolution
+from quditmbqc.errors import NoRealSolution, NotCliffordError
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
     cz_gate,
@@ -18,12 +18,7 @@ from quditmbqc.gates import (
     xplus_state,
 )
 from quditmbqc.pauli import matrix_of_pauli, single_word
-from quditmbqc.clifford import (
-    NotClifford,
-    SymplecticRep,
-    conjugation_table,
-    synthesize,
-)
+from quditmbqc.clifford import SymplecticRep, certify, synthesize
 from quditmbqc.compiler import compile_clifford, compile_unitary
 from quditmbqc.resource import (
     EntanglingGateSpec,
@@ -239,7 +234,7 @@ def test_criterion_06_mbqc_determinism(compiled):
     for dim, spec, name, bound, U, pat in patterns:
         graph = chain_graph(dim, spec, pat.step_count() + 1)
         psi = random_state(dim.d, rng)
-        runs = run_trajectories(graph, pat, psi, range(100), verify=False)
+        runs = run_trajectories(graph, pat, psi, range(100))
         for t in range(100):
             ideal = matrix_of_pauli(runs.frame(t).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ U @ psi
@@ -319,8 +314,11 @@ def test_criterion_08_equivalence_theorems():
                                       theta=np.asarray(theta) % (2 * np.pi),
                                       init_phases=np.zeros(d))
             E = gate_matrix(spec)
-            gate_clifford = not isinstance(conjugation_table(E, dim, 2),
-                                           NotClifford)
+            try:
+                certify(E, dim, 2)
+                gate_clifford = True
+            except NotCliffordError:
+                gate_clifford = False
             intr = intrinsic_of(spec)
             if gate_clifford != bool(intr.is_clifford):
                 counter_b += 1

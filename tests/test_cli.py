@@ -22,6 +22,7 @@ def write_json(path, obj):
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
+    assert "@@F" not in out    # every float marker became a number
     return code, out
 
 
@@ -39,9 +40,14 @@ def test_table_ok(capsys):
     assert len(report["results"]["rows"]) == 10
 
 
-def test_table_self_test_corrupt(capsys):
-    code, out = run_cli(capsys, ["table", "--self-test-corrupt"])
+def test_table_mismatch_exits_4(monkeypatch, capsys):
+    rows = cli._table_rows()
+    dim, spec, name, expected, order = rows[0]
+    monkeypatch.setattr(cli, "_table_rows",
+                        lambda: [(dim, spec, name, expected, order + 1)])
+    code, out = run_cli(capsys, ["table"])
     assert code == cli.EXIT_TABLE
+    assert json.loads(out)["results"]["all_match"] is False
 
 
 def test_analyze_cz(tmp_path, capsys):
@@ -63,6 +69,33 @@ def test_analyze_infeasible_light_shift(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert "NoRealSolution" in res["note"]
     assert res["max_entangled"] is False
+
+
+def test_analyze_small_floats_are_numbers(tmp_path, capsys):
+    # cos(pi/2) = 6.1e-17 and its kin print as 6.123e-17, not as strings
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D2)))
+    code, out = run_cli(capsys, ["analyze", "--gate", gate])
+    assert code == 0
+    entries = [v for row in json.loads(out)["results"]["intrinsic_matrix"]
+               for pair in row for v in pair]
+    assert len(entries) == 8
+    assert all(type(v) in (int, float) for v in entries), entries
+
+
+def test_compile_identity_then_run(tmp_path, capsys):
+    # the identity's compiled phases include tiny floats such as 1e-17
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": matrix_to_json(np.eye(3))})
+    code, out = run_cli(capsys, ["compile", "--gate", gate,
+                                 "--target", target, "--seed", "0"])
+    assert code == 0
+    pattern = write_json(tmp_path / "pattern.json",
+                         json.loads(out)["results"]["pattern"])
+    code, out = run_cli(capsys, ["run", "--pattern", pattern,
+                                 "--trials", "5"])
+    assert code == 0
+    assert json.loads(out)["results"]["min_fidelity"] > 1 - 1e-9
 
 
 def test_formalism_mismatch(tmp_path, capsys):
@@ -204,6 +237,7 @@ def _malformed_inputs(gate_path):
     nan_step = {"dim": gate["dim"], "intrinsic": gate, "frame": frame,
                 "steps": [{"phases": [0, nan, 0], "adaptive": True}]}
     nan_target = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [nan, 0]]]}
+    ones_target = {"matrix": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}
     return [
         (["analyze", "--gate"], theta, None),
         (["analyze", "--gate"], empty_dim, None),
@@ -216,6 +250,7 @@ def _malformed_inputs(gate_path):
         (["analyze", "--gate"], nan_theta, "theta"),
         (["run", "--pattern"], nan_step, "phases"),
         (["compile", "--gate", gate_path, "--target"], nan_target, "matrix"),
+        (["compile", "--gate", gate_path, "--target"], ones_target, None),
     ]
 
 
@@ -269,6 +304,7 @@ def test_missing_file_flag_is_usage_error(capsys):
 def test_flag_a_command_does_not_read_is_usage_error(capsys):
     for argv in (["analyze", "--gate", "g.json", "--trials", "3"],
                  ["table", "--seed", "1"],
+                 ["table", "--self-test-corrupt"],
                  ["transport", "--gate", "g.json", "--seed", "1"],
                  ["compile", "--gate", "g.json", "--target", "t.json",
                   "--dump-state"],
