@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
@@ -237,6 +238,8 @@ def _print_pattern(command: str, pattern, spec, paths: List[str],
     pattern.gate = spec
     results = {"pattern": pattern_to_json(pattern),
                "steps": pattern.step_count()}
+    if pattern.stats is not None:
+        results["stats"] = asdict(pattern.stats)
     print(dumps_report(_report(command, _digest(paths), results, seed)))
     return 0
 

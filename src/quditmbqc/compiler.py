@@ -62,6 +62,9 @@ from .sim import require_unitary
 RESIDUAL_TOL = 1e-6
 MAX_RESTARTS = 32
 MAX_SWEEPS = 500
+BASIN_TOL = 1e-2       # ALS hands over to the polish below this residual
+POLISH_FLOOR = 1e-12   # the polish stops at this residual
+POLISH_STEPS = 30
 
 
 def _check_compilable(dim: DimSpec):
@@ -80,12 +83,22 @@ class PatternStep:
 
 
 @dataclass
+class CompileStats:
+    """How compile_unitary reached its phases, summed over attempts."""
+    residual: float = 0.0
+    als_runs: int = 0
+    als_sweeps: int = 0
+    polish_steps: int = 0
+
+
+@dataclass
 class MeasurementPattern:
     dim: DimSpec
     intrinsic: IntrinsicGate
     steps: List[PatternStep]
     frame: PauliWord
     gate: Optional[EntanglingGateSpec] = None
+    stats: Optional[CompileStats] = None
 
     def step_count(self) -> int:
         return len(self.steps)
@@ -96,18 +109,6 @@ class MeasurementPattern:
         for step in self.steps:
             out = (self.intrinsic.matrix @ dphi(step.phases)) @ out
         return out
-
-
-def principal_log_hermitian(U: np.ndarray) -> np.ndarray:
-    """H with U = e^{iH}, eigenphases on the principal branch (-pi, pi]."""
-    U = np.asarray(U, dtype=complex)
-    _, vecs = np.linalg.eig(U)
-    # orthonormalize: U is normal, so QR cleans up degenerate clusters
-    q, _ = np.linalg.qr(vecs)
-    D = q.conj().T @ U @ q
-    phases = np.angle(np.diag(D))
-    phases[np.isclose(phases, -np.pi)] = np.pi
-    return q @ np.diag(phases) @ q.conj().T
 
 
 # --- Pauli-sweep lowering -------------------------------------------------
@@ -154,12 +155,6 @@ def lower_factors(g_cert: CliffordCert, factors: List[Tuple]
     return diags, C
 
 
-def _steps_from_diags(diags: List[np.ndarray], adaptive: bool
-                      ) -> List[PatternStep]:
-    """Leftmost-first diagonals to steps (step 0 = rightmost factor)."""
-    return [PatternStep(np.angle(v), adaptive) for v in reversed(diags)]
-
-
 def _gdagger_factors(intrinsic: IntrinsicGate) -> List[Tuple]:
     """G^dagger up to phase over {G, Pauli} via G's Pauli order."""
     return [("G",)] * (intrinsic.pauli_order - 1) \
@@ -168,109 +163,145 @@ def _gdagger_factors(intrinsic: IntrinsicGate) -> List[Tuple]:
 
 # --- single-qudit unitary compilation -------------------------------------
 
-def _shear_family(dim: DimSpec) -> List[Tuple[int, np.ndarray]]:
-    units = [l for l in dim.elements if dim.is_invertible(l)]
-    return [(l, shear_gate(dim, l)) for l in units]
+def _word(intrinsic: IntrinsicGate) -> Tuple[List[Tuple], np.ndarray]:
+    """The groups K_j D_j K_j^dag of G D_gamma G^dag (prod_l S(l) G D_beta(l)
+    G^dag S(l)^dag) D_alpha, leftmost-first: the factors left and right of
+    each D_j over {G, diag, Pauli}, and the conjugators K_j = G, S(l) G, 1.
+    """
+    dim, G = intrinsic.dim, intrinsic.matrix
+    gd = _gdagger_factors(intrinsic)
+    groups, Ks = [([("G",)], gd)], [G]
+    for l in dim.elements:
+        if dim.is_invertible(l):
+            S = shear_gate(dim, l)
+            sv = np.diag(S)
+            groups.append(([("diag", sv), ("G",)], gd + [("diag", sv.conj())]))
+            Ks.append(S @ G)
+    return groups + [([], [])], np.stack(Ks + [np.eye(dim.d)])
 
 
-def _als_run(U: np.ndarray, conjugators: List[np.ndarray],
-             phis: List[np.ndarray]) -> Tuple[List[np.ndarray], float]:
-    """Alternating exact maximization of |tr(U^dag V)| over group phases."""
-    d = U.shape[0]
-    m = len(conjugators)
-    Ud = U.conj().T
-    F = [K @ np.diag(np.exp(1j * p)) @ K.conj().T
-         for K, p in zip(conjugators, phis)]
+def _als_run(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
+             ) -> Tuple[np.ndarray, int]:
+    """Alternating exact maximization of |tr(U^dag V)| over group phases,
+    until V is in the basin (1 - |tr|/d < BASIN_TOL) or a sweep stalls.
+    Returns the phases and the number of sweeps."""
+    m, d, _ = Ks.shape
+    Ud, Kd = U.conj().T, Ks.conj().transpose(0, 2, 1)
+    F = Ks @ (np.exp(1j * phis)[:, :, None] * Kd)
     best = 0.0
-    for _ in range(MAX_SWEEPS):
-        for j in range(m):
-            L = np.eye(d, dtype=complex)
-            for t in range(j):
-                L = L @ F[t]
-            R = np.eye(d, dtype=complex)
-            for t in range(j + 1, m):
-                R = R @ F[t]
-            K = conjugators[j]
-            M = K.conj().T @ R @ Ud @ L @ K
-            diag = np.diag(M)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        suffix = [np.eye(d)] * m
+        for j in range(m - 1, 0, -1):
+            suffix[j - 1] = F[j] @ suffix[j]
+        L = np.eye(d)
+        for j, K in enumerate(Ks):
+            diag = (K.conj() * (suffix[j] @ Ud @ L @ K)).sum(axis=0)
             phis[j] = np.where(np.abs(diag) > 1e-14,
                                -np.angle(diag), phis[j])
-            F[j] = K @ np.diag(np.exp(1j * phis[j])) @ K.conj().T
-        V = np.eye(d, dtype=complex)
-        for t in range(m):
-            V = V @ F[t]
-        val = abs(np.trace(Ud @ V)) / d
-        if val > 1.0 - 1e-12 or val - best < 1e-13:
-            best = max(best, val)
+            F[j] = K @ (np.exp(1j * phis[j])[:, None] * Kd[j])
+            L = L @ F[j]
+        val = abs(np.trace(Ud @ L)) / d
+        gain, best = val - best, max(best, val)
+        if 1.0 - val < BASIN_TOL or gain < 1e-13:
             break
-        best = max(best, val)
-    return phis, best
+    return phis, sweep
 
 
-def _analytic_init(U: np.ndarray, conjugators: List[np.ndarray]
-                   ) -> List[np.ndarray]:
-    """Phase guess from the Hermitian expansion of the principal log."""
-    d = U.shape[0]
-    m = len(conjugators)
-    try:
-        H = principal_log_hermitian(U)
-        cols = []
-        for K in conjugators:
-            B = np.stack([np.concatenate([
-                (K[:, k:k + 1] @ K[:, k:k + 1].conj().T).real.reshape(-1),
-                (K[:, k:k + 1] @ K[:, k:k + 1].conj().T).imag.reshape(-1)])
-                for k in range(d)])
-            cols.append(B)
-        A = np.concatenate(cols, axis=0).T
-        rhs = np.concatenate([H.real.reshape(-1), H.imag.reshape(-1)])
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        return [sol[j * d:(j + 1) * d].copy() for j in range(m)]
-    except Exception:
-        return [np.zeros(d) for _ in range(m)]
+def _torus(Ks: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """V(x) = prod_j K_j D(x_j) K_j^dag and dV/dx as a (2 d^2, m d) real
+    matrix (real parts over imaginary parts; x flat over group, then k)."""
+    m, d, _ = Ks.shape
+    E = np.exp(1j * x).reshape(m, d)
+    Kd = Ks.conj().transpose(0, 2, 1)
+    F = Ks @ (E[:, :, None] * Kd)
+    prefix, suffix = np.empty_like(F), np.empty_like(F)
+    prefix[0] = suffix[m - 1] = np.eye(d)
+    for j in range(1, m):
+        prefix[j] = prefix[j - 1] @ F[j - 1]
+        suffix[m - 1 - j] = F[m - j] @ suffix[m - j]
+    # dV/dx_jk = i e^{i x_jk} (P_j K_j)[:, k] (K_j^dag S_j)[k, :]
+    J = np.einsum("jak,jkb->abjk", (prefix @ Ks) * (1j * E)[:, None, :],
+                  Kd @ suffix).reshape(d * d, m * d)
+    return prefix[m - 1] @ F[m - 1], np.concatenate([J.real, J.imag])
 
 
-def _optimize_word(U: np.ndarray, groups: List[Tuple],
-                   conjugators: List[np.ndarray], dim: DimSpec, seed: int
-                   ) -> Tuple[List[Tuple], List[np.ndarray], float]:
-    """Solve for the word's phases; restarts may permute the group order.
+def _polish(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
+            ) -> Tuple[np.ndarray, float, int]:
+    """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag V)|/d = 0.
 
-    The canonical order (gamma, ascending-lambda betas, alpha) is tried
-    first; alternating maximization occasionally hits a target outside its
-    reachable set, in which case restarts draw a different order for the
-    groups after the first (the gamma group stays leftmost so the lowered
-    word still starts with the intrinsic gate).
+    The residual V - (T/|T|) U, T = tr(U^dag V), has squared norm
+    2d(1 - |T|/d).  Each group's global phase is free, so J^T J is rank
+    deficient; the damping mu I keeps every step solvable.  Returns the
+    phases, |T|/d and the number of accepted steps.
     """
-    d = dim.d
-    m = len(groups)
-    rng = np.random.default_rng(seed)
-    order = list(range(m))
-    phis, best = _als_run(U, conjugators, _analytic_init(U, conjugators))
-    best_state = (order, phis)
-    tries = 0
-    while 1.0 - best > RESIDUAL_TOL * 1e-3 and tries < MAX_RESTARTS:
-        if tries < 3:
-            cand = list(range(m))
+    d = U.shape[0]
+
+    def fit(x):
+        V, J = _torus(Ks, x)
+        T = np.vdot(U, V)
+        r = (V - np.exp(1j * np.angle(T)) * U).ravel()
+        return 1.0 - abs(T) / d, np.concatenate([r.real, r.imag]), J
+
+    x = phis.ravel()
+    res, r, J = fit(x)
+    mu, steps = 1e-3, 0
+    while res > POLISH_FLOOR and steps < POLISH_STEPS:
+        A, g = J.T @ J, J.T @ r
+        for _ in range(8):
+            x_new = x - np.linalg.solve(A + mu * np.eye(x.size), g)
+            new = fit(x_new)
+            if new[0] < res:
+                break
+            mu *= 10
         else:
-            cand = [0] + [int(i) for i in 1 + rng.permutation(m - 1)]
-        conj = [conjugators[i] for i in cand]
-        start = [rng.uniform(-math.pi, math.pi, d) for _ in range(m)]
-        phis, val = _als_run(U, conj, start)
+            break
+        x, (res, r, J) = x_new, new
+        mu /= 10
+        steps += 1
+    return x.reshape(phis.shape), 1.0 - res, steps
+
+
+def _optimize_word(U: np.ndarray, Ks: np.ndarray, seed: int
+                   ) -> Tuple[List[int], np.ndarray, CompileStats]:
+    """The word's group order and phases, and how they were found.
+
+    Each attempt runs ALS into the basin, then polishes to the floor.  The
+    first starts from zero phases in the canonical order; restarts start
+    from random phases, and from the fourth on in a random order of the
+    groups after the first (gamma stays leftmost, so the lowered word
+    still starts with the intrinsic gate).
+    """
+    m, d, _ = Ks.shape
+    rng = np.random.default_rng(seed)
+    stats = CompileStats()
+    order, start = list(range(m)), np.zeros((m, d))
+    best, best_state = -1.0, None
+    for tries in range(MAX_RESTARTS + 1):
+        phis, sweeps = _als_run(U, Ks[order], start)
+        phis, val, steps = _polish(U, Ks[order], phis)
+        stats.als_runs += 1
+        stats.als_sweeps += sweeps
+        stats.polish_steps += steps
         if val > best:
-            best = val
-            best_state = (cand, phis)
-        tries += 1
-    order, phis = best_state
-    return [groups[i] for i in order], phis, best
+            best, best_state = val, (order, phis)
+        if 1.0 - best <= RESIDUAL_TOL * 1e-3:
+            break
+        if tries >= 3:
+            order = [0] + [int(i) for i in 1 + rng.permutation(m - 1)]
+        start = rng.uniform(-math.pi, math.pi, (m, d))
+    stats.residual = float(1.0 - best)
+    return best_state + (stats,)
 
 
 def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
                     seed: int = 0) -> MeasurementPattern:
     """Measurement pattern realizing U up to a Pauli frame and phase.
 
-    Uses the universal word G D_gamma G^dag (prod_lambda S(l) G D_beta(l)
-    G^dag S(l)^dag) D_alpha with exact per-group phase maximization, then
-    lowers the word to exactly d * o^P steps.  A target that fails
-    sim.require_unitary raises NonUnitary before any ALS sweep.
+    Solves the phases of the universal word (see _word) by ALS into the
+    basin and a Levenberg-Marquardt polish to the 1e-12 floor, then lowers
+    the word to exactly d * o^P steps.  The pattern's `stats` hold the
+    word's residual 1 - |tr(U^dag V)|/d and the work spent.  A target that
+    fails sim.require_unitary raises NonUnitary before any ALS sweep.
     """
     dim = intrinsic.dim
     _check_compilable(dim)
@@ -289,32 +320,21 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     if r is not None and r[1].is_identity():
         return MeasurementPattern(
             dim, intrinsic, [PatternStep(np.zeros(d), True)],
-            identity_word(dim, 1), gate=None)
-    shears = _shear_family(dim)
-    groups: List[Tuple] = [("gamma", None)]
-    conjugators = [G]
-    for l, S in shears:
-        groups.append(("beta", np.diag(S)))
-        conjugators.append(S @ G)
-    groups.append(("alpha", None))
-    conjugators.append(np.eye(d, dtype=complex))
-    groups2, phis, best = _optimize_word(U, groups, conjugators, dim, seed)
-    if 1.0 - best > RESIDUAL_TOL:
+            identity_word(dim, 1), gate=None,
+            stats=CompileStats(float(1.0 - abs(np.vdot(U, G)) / d)))
+    groups, Ks = _word(intrinsic)
+    order, phis, stats = _optimize_word(U, Ks, seed)
+    if stats.residual > RESIDUAL_TOL:
         raise CompilationDiverged(
-            f"residual {1.0 - best:.3e} after {MAX_RESTARTS} restarts")
-    gd = _gdagger_factors(intrinsic)
+            f"residual {stats.residual:.3e} after {MAX_RESTARTS} restarts")
     factors: List[Tuple] = []
-    for (kind, sv), p in zip(groups2, phis):
-        dvec = ("diag", np.exp(1j * p))
-        if kind == "gamma":
-            factors += [("G",), dvec] + gd
-        elif kind == "beta":
-            factors += [("diag", sv), ("G",), dvec] + gd + [("diag", sv.conj())]
-        else:
-            factors += [dvec]
+    for i, p in zip(order, phis):
+        left, right = groups[i]
+        factors += left + [("diag", np.exp(1j * p))] + right
     diags, C = lower_factors(cert, factors)
-    steps = _steps_from_diags(diags, adaptive=True)
-    return MeasurementPattern(dim, intrinsic, steps, invert_word(C))
+    steps = [PatternStep(np.angle(v), True) for v in reversed(diags)]
+    return MeasurementPattern(dim, intrinsic, steps, invert_word(C),
+                              stats=stats)
 
 
 def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
@@ -343,7 +363,7 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
         # transport padding (G^o up to Pauli) so the word starts with G
         factors = [("G",)] + gd + factors
     diags, Cw = lower_factors(g_cert, factors)
-    steps = _steps_from_diags(diags, adaptive=False)
+    steps = [PatternStep(np.angle(v), False) for v in reversed(diags)]
     pat = MeasurementPattern(dim, intrinsic, steps, invert_word(Cw))
     # dense audit: steps product must equal phase * frame * C
     r = match_pauli(dim, 1, pat.dense_product() @ np.asarray(C).conj().T)

@@ -24,6 +24,7 @@ from .errors import (
     FrameMismatch,
     NoRealSolution,
     NonInvertibleGcd,
+    NonUnitary,
     NotCliffordError,
     NotControlledPauliForm,
     OrderCapExceeded,
@@ -191,7 +192,10 @@ class IntrinsicGate:
         return self.clifford_cert is not None
 
     def certificate(self) -> CliffordCert:
-        """The Clifford certificate; NotCliffordError if G_I has none."""
+        """The Clifford certificate; NonUnitary if G_I is not unitary, else
+        NotCliffordError if G_I has none."""
+        if not self.unitary:
+            raise NonUnitary("intrinsic gate is not unitary")
         if self.clifford_cert is None:
             g = self.failed_generator
             raise NotCliffordError(f"generator {g} does not conjugate to a "

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -96,6 +100,27 @@ def test_compile_identity_then_run(tmp_path, capsys):
                                  "--trials", "5"])
     assert code == 0
     assert json.loads(out)["results"]["min_fidelity"] > 1 - 1e-9
+
+
+def test_compile_on_non_unitary_intrinsic_gate_names_it(tmp_path, capsys):
+    # a detuned light shift: its G_I is not unitary, so not Clifford either
+    gate = write_json(tmp_path / "gate.json",
+                      gate_to_json(light_shift_spec(D3, 1.0)))
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": matrix_to_json(np.eye(3))})
+    code = cli.main(["compile", "--gate", gate, "--target", target])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err == "error: intrinsic gate is not unitary\n", err
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing scipy.optimize more than doubles the peak memory of a compile
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", "import quditmbqc.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_formalism_mismatch(tmp_path, capsys):

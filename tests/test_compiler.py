@@ -1,27 +1,39 @@
-"""Pattern compiler: principal log, phase optimization, Clifford lowering."""
+"""Pattern compiler: phase optimization, Clifford lowering."""
+
+import json
 
 import numpy as np
 import pytest
 
+from quditmbqc import cli
+from quditmbqc.cli import matrix_to_json
 from quditmbqc.errors import UnsupportedFormalism
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import hadamard, mult_gate, sgate
 from quditmbqc.pauli import matrix_of_pauli
 from quditmbqc.clifford import SymplecticRep, synthesize
 from quditmbqc.compiler import (
+    _torus,
+    _word,
     compile_clifford,
     compile_unitary,
     pattern_from_json,
     pattern_to_json,
-    principal_log_hermitian,
     transport_pattern,
 )
 from quditmbqc.engine import chain_graph, run_trajectories
-from quditmbqc.resource import cx_spec, cz_spec, intrinsic_of, light_shift_spec
+from quditmbqc.resource import (
+    cx_spec,
+    cz_spec,
+    gate_to_json,
+    intrinsic_of,
+    light_shift_spec,
+)
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
 D4F = make_dim(FINITE_FIELD, p=2, m=2)
+D5 = make_dim(INTEGER_RING, d=5)
 
 
 def haar_unitary(d, rng):
@@ -35,15 +47,6 @@ def pattern_residual(pattern, U):
     F = matrix_of_pauli(pattern.frame)
     V = F.conj().T @ pattern.dense_product()
     return 1.0 - abs(np.trace(V.conj().T @ U)) / U.shape[0]
-
-
-def test_principal_log():
-    rng = np.random.default_rng(1)
-    U = haar_unitary(4, rng)
-    H = principal_log_hermitian(U)
-    assert np.allclose(H, H.conj().T)
-    vals, vecs = np.linalg.eigh(H)
-    assert np.allclose(vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T, U)
 
 
 def test_compile_gate_itself_is_one_step():
@@ -134,3 +137,49 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
     assert np.array_equal(a.frame_index, b.frame_index)
     assert np.array_equal(a.posteriors, b.posteriors)
     assert a.fidelities.min() > 1 - 1e-9
+
+
+@pytest.mark.parametrize("dim,spec_of", [(D3, cz_spec), (D4F, cx_spec),
+                                         (D5, cx_spec)])
+def test_polish_jacobian_matches_finite_differences(dim, spec_of):
+    _, Ks = _word(intrinsic_of(spec_of(dim)))
+    x = np.random.default_rng(3).uniform(-np.pi, np.pi, Ks.shape[0] * dim.d)
+    _, J = _torus(Ks, x)
+    h = 1e-6
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        dV = (_torus(Ks, x + e)[0] - _torus(Ks, x - e)[0]).ravel() / (2 * h)
+        assert np.allclose(J[:, i], np.concatenate([dV.real, dV.imag]),
+                           rtol=0, atol=1e-6)
+
+
+def test_compile_reaches_the_floor():
+    intr = intrinsic_of(cx_spec(D5))
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        U = haar_unitary(5, rng)
+        pat = compile_unitary(U, intr, seed=trial)
+        assert pat.step_count() == 25
+        assert pattern_residual(pat, U) < 1e-10
+        assert pat.stats.residual < 1e-10 and pat.stats.als_runs >= 1
+
+
+def test_compile_report_is_byte_identical_and_carries_stats(tmp_path,
+                                                            capsys):
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(gate_to_json(cz_spec(D3))))
+    U = haar_unitary(3, np.random.default_rng(5))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"matrix": matrix_to_json(U)}))
+    argv = ["compile", "--gate", str(gate), "--target", str(target),
+            "--seed", "3"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    stats = json.loads(outs[0])["results"]["stats"]
+    assert set(stats) == {"residual", "als_runs", "als_sweeps",
+                          "polish_steps"}
+    assert stats["residual"] < 1e-10 and stats["als_runs"] >= 1
