@@ -1,7 +1,9 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
-All protocols are verified densely against their predicted action; a
-failed verification raises FrameMismatch rather than returning silently.
+Every protocol is verified against its predicted action: densely, or,
+for graph rewriting on phase-vector inits, by exact equality of
+graph-form stabilizer rows.  A failed verification raises FrameMismatch
+rather than returning silently.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from .errors import (
     DimensionMismatch,
     FrameMismatch,
     NonUnitary,
+    NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
 )
 from .galois import (
+    INTEGER_RING,
     DimSpec,
     dim_from_json,
     dim_to_json,
@@ -29,7 +33,7 @@ from .galois import (
     json_int,
 )
 from .gates import dphi, hadamard, sgate, xplus_state
-from .clifford import certify
+from .clifford import _additive_basis, certify
 from .compiler import MeasurementPattern
 from .pauli import (
     PAULI_TOL,
@@ -47,6 +51,7 @@ from .resource import (
     cz_power,
     cz_spec,
     expand,
+    factor_certs,
     factor_diagonal_clifford,
     gate_from_json,
     gate_matrix,
@@ -156,32 +161,135 @@ def build(graph: ResourceGraph) -> StateVector:
     return state
 
 
-def stabilizer_deviation(graph: ResourceGraph, state: StateVector) -> float:
-    """Max |1 - <g_v>| over the per-vertex stabilizer generators.
+# --- graph-form stabilizer tableaux ---------------------------------------
 
-    For a graph built from (C1 x C2) CZ^N edges the generator at v is
-    P_v(|N_in|, |N_out|) prod_u Z_u^N with P_v the conjugated X.
-    """
-    dim = graph.dim
-    worst = 0.0
+def _has_tableau(graph: ResourceGraph) -> bool:
+    """Whether every init is a phase vector (None or real: a diagonal on
+    |0_X>, which commutes with every diagonal edge, correction and
+    measurement elsewhere) and every edge a diagonal Clifford."""
     for v in graph.vertices:
-        n_out = [e for e in graph.edges if e.control == v.id]
-        n_in = [e for e in graph.edges if e.target == v.id]
-        W = np.eye(dim.d, dtype=complex)
-        for e in n_out:
-            W = W @ factor_diagonal_clifford(e.gate)[0]
-        for e in n_in:
-            W = W @ factor_diagonal_clifford(e.gate)[1]
-        for x in dim.elements[1:]:
-            op_v = W @ xmat(dim, x) @ W.conj().T
-            cur = sim.apply(state, op_v, graph.site_of(v.id))
-            for e in n_out + n_in:
-                u = e.target if e.control == v.id else e.control
-                N = factor_diagonal_clifford(e.gate)[2]
-                cur = sim.apply(cur, zmat(dim, dim.mul(N, x)),
-                                graph.site_of(u))
-            worst = max(worst, abs(1 - np.vdot(state.amps, cur.amps)))
-    return worst
+        if isinstance(v.init, (int, np.integer)) \
+                or np.iscomplexobj(np.asarray(v.init)):
+            return False
+    for e in graph.edges:
+        try:
+            factor_diagonal_clifford(e.gate)
+        except (DimensionMismatch, NotCliffordError):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _element_tables(dim: DimSpec) -> Tuple[np.ndarray, ...]:
+    """mul[a, b] = a b, add[a, b] = a + b, sub[a, b] = a - b and
+    chi[t] = chi(t) over the elements."""
+    mul, add, sub = (np.array([[op(a, b) for b in dim.elements]
+                               for a in dim.elements])
+                     for op in (dim.mul, dim.add, dim.sub))
+    chi = np.array([dim.char_phase(t) for t in dim.elements])
+    for t in (mul, add, sub, chi):
+        t.flags.writeable = False    # shared by every caller
+    return mul, add, sub, chi
+
+
+class GraphTableau:
+    """Stabilizer rows of a diagonal-Clifford graph with its inits left out
+    (every vertex in |0_X>).
+
+    row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x) with exact phase, D_s
+    the product of site s's certified edge factors C1/C2 (see
+    factor_diagonal_clifford) and N_us the summed weight of its edges to u.
+    rows() lists row(s, y) for every site s and additive basis element y;
+    they generate the stabilizer group, and a group element is fixed by
+    its X part, so two such states are equal iff their rows are equal.
+    """
+
+    def __init__(self, graph: ResourceGraph):
+        dim = self.dim = graph.dim
+        self.n = len(graph.vertices)
+        site = {v.id: i for i, v in enumerate(graph.vertices)}
+        self.certs: List[list] = [[] for _ in range(self.n)]
+        self.weights: List[dict] = [{} for _ in range(self.n)]
+        for e in graph.edges:
+            c, t = site[e.control], site[e.target]
+            N = factor_diagonal_clifford(e.gate)[2]
+            for a, b, cert in zip((c, t), (t, c), factor_certs(e.gate)):
+                self.certs[a].append(cert)
+                self.weights[a][b] = dim.add(self.weights[a].get(b, 0), N)
+        self._words = {}
+
+    def vertex_word(self, s: int, x: int) -> PauliWord:
+        """D_s X(x) D_s^dag as a one-qudit word.  Each diagonal factor maps
+        X(x) to a phase times Z(c) X(x), so the phases and the c add up."""
+        if (s, x) not in self._words:
+            z, phase = 0, 0
+            for cert in self.certs[s] if x else []:
+                # a generator's image is stored; other letters are composed
+                img = cert.images.get(f"X0^{x}") \
+                    or cert.conjugate(PauliWord(self.dim, 1, (0,), (x,)))
+                z, phase = self.dim.add(z, img.z[0]), phase + img.phase_num
+            self._words[s, x] = PauliWord(self.dim, 1, (z,), (x,), phase)
+        return self._words[s, x]
+
+    def row(self, s: int, x: int) -> PauliWord:
+        one = self.vertex_word(s, x)
+        z, xs = [0] * self.n, [0] * self.n
+        for u, N in self.weights[s].items():
+            z[u] = self.dim.mul(N, x)
+        z[s], xs[s] = one.z[0], x
+        return PauliWord(self.dim, self.n, tuple(z), tuple(xs), one.phase_num)
+
+    def rows(self) -> List[PauliWord]:
+        return [self.row(s, y) for s in range(self.n)
+                for y in _additive_basis(self.dim)]
+
+
+@dataclass(eq=False)
+class StabilizerState:
+    """The state every row stabilizes (rows in graph form, as GraphTableau
+    writes them), times diag(e^{i phases[s]}) on each site s.
+
+    amps builds the normalized dense vector on demand and raises
+    StateTooLarge before allocating when d^n exceeds sim.MAX_AMPS.
+    """
+    dim: DimSpec
+    n: int
+    rows: Tuple[PauliWord, ...]
+    phases: np.ndarray               # (n, d) angles
+
+    @property
+    def amps(self) -> np.ndarray:
+        dim, d, n = self.dim, self.dim.d, self.n
+        if d ** n > sim.MAX_AMPS:
+            raise StateTooLarge(f"{d}^{n} amplitudes exceed the budget")
+        mul, _, sub, chi = _element_tables(dim)
+        order = d if dim.kind == INTEGER_RING else dim.p
+
+        def axis(s, vec):
+            return vec.reshape(tuple(d if i == s else 1 for i in range(n)))
+
+        def apply(word, T):
+            for s in range(n):
+                if word.x[s]:
+                    T = np.take(T, sub[:, word.x[s]], axis=s)
+            for s in range(n):
+                if word.z[s]:
+                    T = T * axis(s, chi[mul[word.z[s]]])
+            return word.phase * T
+
+        T = np.zeros((d,) * n, dtype=complex)
+        T[(0,) * n] = 1.0
+        for row in self.rows:
+            # project onto the row's eigenspace: sum of its powers
+            cur, acc = T, T
+            for _ in range(order - 1):
+                cur = apply(row, cur)
+                acc = acc + cur
+            T = acc
+        for s in range(n):
+            T = T * axis(s, np.exp(1j * self.phases[s]))
+        amps = T.reshape(-1)
+        return amps / np.linalg.norm(amps)
 
 
 # --- pattern execution ----------------------------------------------------
@@ -546,10 +654,119 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
     return ResourceGraph(graph.dim, vertices, edges)
 
 
+def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
+                     rng, forced_outcome: Optional[int]) -> int:
+    """Outcome of measuring site s in the basis columns `vectors` (carried
+    through the site's init), drawn as sim.measure draws it.
+
+    The site's reduced state is (1/d) sum_x row(s, x)|_s over the x whose
+    row has no support elsewhere (N_us x = 0 for every neighbor u): I/d
+    for a vertex with an edge over a field or a prime ring.
+    """
+    dim = tableau.dim
+    rho = np.eye(dim.d, dtype=complex) / dim.d
+    for x in dim.elements[1:]:
+        if all(dim.mul(N, x) == 0 for N in tableau.weights[s].values()):
+            rho += matrix_of_pauli(tableau.vertex_word(s, x)) / dim.d
+    weight = np.real(np.sum(vectors.conj() * (rho @ vectors), axis=0))
+    branch = np.sqrt(np.clip(weight, 0, None))[None, :, None]
+    if forced_outcome is None:
+        k, _, _ = sim.collapse(branch, np.random.default_rng(rng).random(1))
+    else:
+        k, _, _ = sim.collapse(branch, None, [forced_outcome])
+    return int(k[0])
+
+
+def _posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
+                    ) -> List[PauliWord]:
+    """Rows of the state the other sites keep when site s is found in the
+    vector b (carried through the site's init).
+
+    Each row(w, y) with w != s is multiplied by the row(s, z) whose product
+    has a site-s part P with b as eigenvector (z = 0 for a Z basis); P is
+    replaced by its eigenvalue, checked densely at PAULI_TOL and snapped
+    to the exact phase lattice, and site s is dropped.  FrameMismatch when
+    no z gives such a P.
+    """
+    dim, n = tableau.dim, tableau.n
+    den = dim.phase_den
+    mul, _, sub, chi = _element_tables(dim)
+    # image[a, x] = Z(a) X(x) b, with eigenvalue lam[a, x] when ok[a, x]
+    image = chi[mul][:, None, :] * b[sub.T][None, :, :]
+    lam = image @ b.conj()
+    num = np.round(np.angle(lam) * den / (2 * np.pi)).astype(int) % den
+    ok = (np.max(np.abs(image - lam[..., None] * b), axis=2) <= PAULI_TOL) \
+        & (np.abs(lam - np.exp(2j * np.pi * num / den)) <= PAULI_TOL)
+    partner = {}
+
+    def pick(a):
+        for z in dim.elements:
+            vz = tableau.vertex_word(s, z)
+            if ok[dim.add(a, vz.z[0]), vz.x[0]]:
+                return tableau.row(s, z) if z else None
+        raise FrameMismatch("measured vector is not an eigenvector of any "
+                            "stabilizer's part on the measured vertex")
+
+    keep = [i for i in range(n) if i != s]
+    out = []
+    for w in keep:
+        for y in _additive_basis(dim):
+            word = tableau.row(w, y)
+            a = word.z[s]
+            if a not in partner:
+                partner[a] = pick(a)
+            if partner[a] is not None:
+                word = normal_form(word, partner[a])
+            phase = word.phase_num + int(num[word.z[s], word.x[s]])
+            out.append(PauliWord(dim, n - 1, tuple(word.z[i] for i in keep),
+                                 tuple(word.x[i] for i in keep), phase))
+    return out
+
+
+def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
+                    ) -> List[PauliWord]:
+    """GraphTableau(graph).rows() conjugated through the corrections.
+
+    A correction is a diagonal C = diag(q), so it fixes Z parts and maps
+    X(x) to C X(x) C^dag, whose entries q(j + x) conj(q(j)) are matched to
+    e^{i phi} chi(c (j + x)) with phi snapped to the exact phase lattice,
+    at PAULI_TOL.  FrameMismatch for a correction that is not a diagonal
+    unitary or not Clifford.
+    """
+    dim = graph.dim
+    den = dim.phase_den
+    mul, add, _, chi = _element_tables(dim)
+    rows = GraphTableau(graph).rows()
+    for c in corrections:
+        q = np.diag(c.operator)
+        if not (np.max(np.abs(c.operator - np.diag(q))) <= PAULI_TOL
+                and np.max(np.abs(np.abs(q) - 1)) <= PAULI_TOL):
+            raise FrameMismatch(f"correction on vertex {c.vertex} is not a "
+                                f"diagonal unitary")
+        s = graph.site_of(c.vertex)
+        for i, w in enumerate(rows):
+            x = w.x[s]
+            if not x:
+                continue
+            shift = add[x]                           # j -> j + x
+            ratio = q[shift] * q.conj() * chi[mul[:, shift]].conj()
+            num = np.round(np.angle(ratio[:, 0]) * den / (2 * np.pi))
+            fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)
+                                 [:, None]), axis=1) <= PAULI_TOL
+            if not fits.any():
+                raise FrameMismatch(f"correction on vertex {c.vertex} is "
+                                    f"not Clifford")
+            a = int(np.argmax(fits))
+            rows[i] = PauliWord(dim, w.n,
+                                w.z[:s] + (dim.add(w.z[s], a),) + w.z[s + 1:],
+                                w.x, w.phase_num + int(num[a]))
+    return rows
+
+
 def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
                          forced_outcome: Optional[int]
-                         ) -> Tuple[StateVector, int, List[Correction],
-                                    ResourceGraph]:
+                         ) -> Tuple[Union[StateVector, StabilizerState], int,
+                                    List[Correction], ResourceGraph]:
     """Measure a vertex in basis_of(W, N); read the rewrite off the outcome.
 
     Each edge e at v factors as (C1 x C2) CZ^{N_e}; C_{v,e} is v's factor
@@ -563,8 +780,16 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     the corrections) and the correction C_u diag_j g(N_u j) on each
     neighbor u.  W = prod_e C_{v,e} and N is the weight of v's first
     edge.  An outcome whose g is not of that form (which includes
-    |g| != 1 anywhere) raises FrameMismatch, and so does a corrected new
-    build that differs from the posterior.
+    |g| != 1 anywhere) raises FrameMismatch.
+
+    When every init is a phase vector (None or real) and every edge a
+    diagonal Clifford, the inits factor out, as diagonals, of everything
+    but v's own measurement: the outcome
+    is drawn from v's reduced state in the GraphTableau, and the posterior
+    is a StabilizerState whose rows must equal, word for word, the new
+    graph's rows conjugated through the corrections.  Otherwise the graph
+    is built, measured and compared with the corrected new build densely.
+    Either check failing raises FrameMismatch.
     """
     dim = graph.dim
     d = dim.d
@@ -579,15 +804,22 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
     basis = basis_of(W, star[0][3] if star else 0)
-    m, post, _ = sim.measure(build(graph), basis, graph.site_of(vid),
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
-    mul = np.array([[dim.mul(a, b) for b in dim.elements]
-                    for a in dim.elements])
-    add = np.array([[dim.add(a, b) for b in dim.elements]
-                    for a in dim.elements])
-    chi = np.array([dim.char_phase(t) for t in dim.elements])
-    alpha = _init_vector(dim, graph.vertex(vid).init) * np.diag(W)
+    site = graph.site_of(vid)
+    tableau = None
+    if _has_tableau(graph):
+        # every init is checked, as build would
+        init_v = [_init_vector(dim, v.init) for v in graph.vertices][site]
+        tableau = GraphTableau(graph)
+        # |init_v> = D_init |0_X>, so D_init^dag b is measured on the rows
+        vectors = np.sqrt(d) * init_v.conj()[:, None] * basis.vectors
+        m = _tableau_outcome(tableau, site, vectors, rng, forced_outcome)
+    else:
+        init_v = _init_vector(dim, graph.vertex(vid).init)
+        m, post, _ = sim.measure(build(graph), basis, site,
+                                 rng=np.random.default_rng(rng),
+                                 forced_outcome=forced_outcome)
+    mul, add, _, chi = _element_tables(dim)
+    alpha = init_v * np.diag(W)
     f = (basis.vectors[:, m].conj() * alpha) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
         raise FrameMismatch(f"outcome {m} leaves no graph state")
@@ -616,7 +848,18 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in sorted(weight)]
-    if new_graph.vertices:
+    if tableau is not None:
+        rows = _posterior_rows(tableau, site, vectors[:, m])
+        if _corrected_rows(new_graph, corrections) != rows:
+            raise FrameMismatch("rewritten graph and corrections do not "
+                                "verify")
+        phases = np.zeros((len(new_graph.vertices), d))
+        for i, v in enumerate(new_graph.vertices):
+            if v.init is not None:
+                phases[i] = v.init
+        post = StabilizerState(dim, len(new_graph.vertices), tuple(rows),
+                               phases)
+    elif new_graph.vertices:
         check = build(new_graph)
         for c in corrections:
             check = sim.apply(check, c.operator, new_graph.site_of(c.vertex))
@@ -628,15 +871,18 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
 
 def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
                   forced_outcome: Optional[int] = None
-                  ) -> Tuple[StateVector, int, List[Correction], ResourceGraph]:
+                  ) -> Tuple[Union[StateVector, StabilizerState], int,
+                             List[Correction], ResourceGraph]:
     """Z-measure a vertex out of a diagonal-Clifford resource.
 
-    Returns the posterior, the outcome m, the per-neighbor corrections
-    (not applied) and the reduced graph.  Outcome m gives g(s) = chi(m s),
-    so neighbor u's correction is C_u Z^{N_u m}: the C1/C2 factors it kept
-    from its lost edges times the outcome diagonal (see
-    _measure_and_rewrite).  The corrected reduced build matches the
-    posterior.
+    Returns the posterior (a StabilizerState when every init is a phase
+    vector and every edge a diagonal Clifford, else a dense StateVector),
+    the outcome m, the per-neighbor
+    corrections (not applied) and the reduced graph.  Outcome m gives
+    g(s) = chi(m s), so neighbor u's correction is C_u Z^{N_u m}: the
+    C1/C2 factors it kept from its lost edges times the outcome diagonal
+    (see _measure_and_rewrite).  The corrected reduced graph is checked to
+    be the posterior.
     """
     graph.validate()
     z = sim.z_basis(graph.dim)
@@ -646,8 +892,8 @@ def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
 
 def local_complement(graph: ResourceGraph, vid: int, rng=None,
                      forced_outcome: Optional[int] = None
-                     ) -> Tuple[StateVector, int, List[Correction],
-                                ResourceGraph]:
+                     ) -> Tuple[Union[StateVector, StabilizerState], int,
+                                List[Correction], ResourceGraph]:
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
     The measured basis is the joint eigenbasis of the commuting family
@@ -656,8 +902,8 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     weight of its first edge.  The outcome fixes, in closed form, a
     weight delta != 0: neighbors u, w gain CZ^{delta N_u N_w} (control =
     lower vertex id) and each neighbor gets a diagonal correction (see
-    _measure_and_rewrite).  A vertex without edges raises
-    DimensionMismatch.
+    _measure_and_rewrite, which also says when the posterior is a
+    StabilizerState).  A vertex without edges raises DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim

@@ -105,8 +105,10 @@ def light_shift_spec(dim: DimSpec,
     return EntanglingGateSpec(dim, NAMED, name="light_shift", ls_theta=theta)
 
 
+@functools.lru_cache(maxsize=None)
 def cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
-    """CZ^w = sum_jk chi(w j k) |jk><jk| in diagonal form."""
+    """CZ^w = sum_jk chi(w j k) |jk><jk| in diagonal form; one spec per
+    (dimension, weight), so the edges graph rewriting adds share facts."""
     theta = np.array([[cmath.phase(dim.char_phase(dim.mul(w, dim.mul(j, k))))
                        for k in dim.elements] for j in dim.elements])
     return EntanglingGateSpec(dim, DIAGONAL, theta=np.mod(theta, 2 * math.pi),
@@ -248,7 +250,6 @@ def light_shift_angle(d: int) -> float:
 
 # --- Clifford factorizations ---------------------------------------------
 
-@_per_spec
 def factor_diagonal_clifford(spec: EntanglingGateSpec
                              ) -> Tuple[np.ndarray, np.ndarray, int]:
     """G_E = (C1 (x) C2) CZ^N up to global phase, for diagonal Clifford G_E.
@@ -259,14 +260,26 @@ def factor_diagonal_clifford(spec: EntanglingGateSpec
     chi(N j k) is e^{i(theta_jk - theta_j0 - theta_0k + theta_00)} for
     all j, k, which the dense product (C1 (x) C2) CZ^N checks.
     """
+    return _diagonal_factorization(spec)[0]
+
+
+def factor_certs(spec: EntanglingGateSpec
+                 ) -> Tuple[CliffordCert, CliffordCert]:
+    """The certificates of factor_diagonal_clifford's C1 and C2."""
+    return _diagonal_factorization(spec)[1]
+
+
+@_per_spec
+def _diagonal_factorization(spec: EntanglingGateSpec):
     if spec.kind != DIAGONAL:
         raise DimensionMismatch("diagonal gate required")
     th = spec.theta
     C1 = _read_only(np.diag(np.exp(1j * (th[:, 0] - th[0, 0]))))
     C2 = _read_only(np.diag(np.exp(1j * th[0, :])))
+    certs = []
     for site, C in enumerate((C1, C2)):
         try:
-            certify(C, spec.dim)
+            certs.append(certify(C, spec.dim))
         except NotCliffordError as exc:
             label = f"{exc.generator[0]}{site}{exc.generator[2:]}"
             raise NotCliffordError(f"entangling gate is not Clifford at "
@@ -275,7 +288,7 @@ def factor_diagonal_clifford(spec: EntanglingGateSpec
     for N in spec.dim.elements:
         cand = np.kron(C1, C2) @ gate_matrix(cz_power(spec.dim, N))
         if np.max(np.abs(normalize_global_phase(cand) - G)) <= PAULI_TOL:
-            return C1, C2, N
+            return (C1, C2, N), tuple(certs)
     raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
 
 
@@ -401,6 +414,8 @@ def gate_from_json(obj: dict) -> EntanglingGateSpec:
                                   init_phases=init)
     if kind == NAMED:
         theta = obj.get("theta")
+        if theta is None and obj["name"] in ("cz", "cx"):
+            return (cz_spec if obj["name"] == "cz" else cx_spec)(dim)
         if theta is not None:
             theta = float(json_array(theta, (), "theta"))
         return EntanglingGateSpec(dim, NAMED, name=obj["name"],

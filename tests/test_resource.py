@@ -212,6 +212,15 @@ def test_gate_json_round_trip(spec):
     assert np.allclose(gate_matrix(back), gate_matrix(spec))
 
 
+@pytest.mark.parametrize("dim", [D2, D3, D4R, D5, D4F],
+                         ids=lambda dim: dim.label())
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_named_gate_json_returns_the_shared_spec(dim, spec_of):
+    # a named cz or cx file reuses the one analysed spec per dimension
+    spec = spec_of(dim)
+    assert gate_from_json(gate_to_json(spec)) is spec
+
+
 def test_expanded_gate_json_round_trip():
     ex = expand(light_shift_spec(D3))
     back = gate_from_json(gate_to_json(ex))
