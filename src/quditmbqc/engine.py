@@ -1,9 +1,11 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
-Every protocol is verified against its predicted action: densely, or,
-for graph rewriting on phase-vector inits, by exact equality of
-graph-form stabilizer rows.  A failed verification raises FrameMismatch
-rather than returning silently.
+Every protocol is verified against its predicted action: densely on
+every call, or, for graph rewriting on phase-vector inits, by exact
+equality of graph-form stabilizer rows.  The mediator's branch table is
+also checked against its predicted action once per gate and mode, for
+every input at once.  A failed verification raises FrameMismatch rather
+than returning silently.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .galois import (
     json_check,
     json_int,
 )
-from .gates import dphi, hadamard, sgate, xplus_state
+from .gates import dphi, hadamard, xplus_state
 from .clifford import _additive_basis, certify
 from .compiler import MeasurementPattern
 from .pauli import (
@@ -47,6 +49,7 @@ from .pauli import (
     zx_matrix,
 )
 from .resource import (
+    VERIFY_TOL,
     EntanglingGateSpec,
     cz_power,
     cz_spec,
@@ -58,11 +61,10 @@ from .resource import (
     gate_to_json,
     intrinsic_of,
     mediator_of,
+    mediator_tables,
 )
 from . import sim
 from .sim import StateVector, basis_from_unitary, x_basis
-
-VERIFY_TOL = 1e-9
 
 
 # --- resource graphs ------------------------------------------------------
@@ -139,6 +141,16 @@ def _init_vector(dim: DimSpec, init) -> np.ndarray:
     return dphi(arr.astype(float)) @ xplus_state(dim)
 
 
+def _phase_diagonal(dim: DimSpec, init_v: np.ndarray) -> Optional[np.ndarray]:
+    """q with init_v = diag(q)|0_X> when init_v is a phase vector (every
+    entry of modulus 1/sqrt(d), at VERIFY_TOL), else None."""
+    q = np.sqrt(dim.d) * init_v
+    modulus = np.abs(q)
+    if not (np.max(np.abs(modulus - 1)) <= VERIFY_TOL):
+        return None
+    return q / modulus
+
+
 def chain_graph(dim: DimSpec, gate: EntanglingGateSpec, length: int,
                 ) -> ResourceGraph:
     """Linear chain 0-1-...-(length-1); edges directed along the chain."""
@@ -190,6 +202,40 @@ def _element_tables(dim: DimSpec) -> Tuple[np.ndarray, ...]:
     for t in (mul, add, sub, chi):
         t.flags.writeable = False    # shared by every caller
     return mul, add, sub, chi
+
+
+def _diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
+                        ) -> Optional[Tuple[int, int]]:
+    """(c, num) with diag(q) X(x) diag(q)^dag = e^{2 pi i num / phase_den}
+    Z(c) X(x), or None when no c fits (diag(q) is not Clifford).
+
+    Its entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
+    with phi snapped to the exact phase lattice, at PAULI_TOL.
+    """
+    den = dim.phase_den
+    mul, add, _, chi = _element_tables(dim)
+    shift = add[x]                                   # j -> j + x
+    ratio = q[shift] * q.conj() * chi[mul[:, shift]].conj()
+    num = np.round(np.angle(ratio[:, 0]) * den / (2 * np.pi))
+    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[:, None]),
+                  axis=1) <= PAULI_TOL
+    if not fits.any():
+        return None
+    c = int(np.argmax(fits))
+    return c, int(num[c])
+
+
+def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
+          ) -> Tuple[int, np.ndarray]:
+    """Outcome and normalized posterior of one row of branch amplitudes
+    (D, R), drawn as sim.measure draws them: one random() of rng, or the
+    forced outcome."""
+    if forced_outcome is None:
+        k, post, _ = sim.collapse(branch[None],
+                                  np.random.default_rng(rng).random(1))
+    else:
+        k, post, _ = sim.collapse(branch[None], None, [forced_outcome])
+    return int(k[0]), post[0]
 
 
 class GraphTableau:
@@ -477,18 +523,17 @@ def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
 
 # --- input coupling -------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def bell_basis(dim: DimSpec) -> sim.MeasurementBasis:
-    """Basis {(Z^s X^t (x) I)|Phi>}, outcome index s*d + t."""
-    d = dim.d
-    phi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        phi[k * d + k] = 1 / np.sqrt(d)
-    cols = np.zeros((d * d, d * d), dtype=complex)
-    for s in range(d):
-        for t in range(d):
-            op = np.kron(zmat(dim, s) @ xmat(dim, t), np.eye(d))
-            cols[:, s * d + t] = op @ phi
-    return sim.MeasurementBasis(dim, cols, "Bell", nsites=2)
+    """Basis {(Z^s X^t (x) I)|Phi>}, outcome index s*d + t; built and
+    checked once per dimension and shared read-only.  Column s*d + t is
+    Z^s X^t read row by row, over sqrt(d)."""
+    cols = np.column_stack([(zmat(dim, s) @ xmat(dim, t)).reshape(-1)
+                            for s in dim.elements for t in dim.elements])
+    basis = sim.MeasurementBasis(dim, cols / np.sqrt(dim.d), "Bell",
+                                 nsites=2)
+    basis.vectors.flags.writeable = False
+    return basis
 
 
 def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
@@ -498,12 +543,16 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
 
     Outcome Phi(s, t) leaves the chain head carrying G_I D_head W |psi>
     with W = Z^{-s} X^{-t}, G_I the intrinsic gate of the head's edge and
-    D_head = diag(sqrt(d) * head init) its init phases (the identity for
-    cz and light-shift chains, S for cx); the returned frame is W
-    conjugated through G_I D_head, so that head = frame * G_I D_head |psi>
-    up to phase, which is checked densely.  A chain that is not two
-    vertices long, or a head init that is not a phase vector (a Z-basis
-    label or a raw state), raises DimensionMismatch.
+    D_head = diag(q) the head init's phases, |init> = D_head |0_X> (the
+    identity for cz and light-shift chains, S for cx).  The returned frame
+    is W conjugated through D_head by the diagonal rule of
+    _diagonal_conjugate, then through G_I's certificate, so that head =
+    frame * G_I D_head |psi> up to phase, which is checked densely.  A
+    chain that is not two vertices joined by one edge, or a head init
+    that is not a phase vector (a Z-basis label or a raw state), raises
+    DimensionMismatch; a G_I without a certificate raises as
+    IntrinsicGate.certificate does, and a D_head that is not Clifford
+    raises NotCliffordError naming the X generator it fails on.
     """
     graph.validate()
     dim = graph.dim
@@ -512,9 +561,11 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
         raise DimensionMismatch(
             "dense coupling verification needs a two-vertex chain")
     order = _chain_order(graph)
+    if len(order) != 2:
+        raise DimensionMismatch("input coupling needs the chain's edge")
     head = graph.vertex(order[0])
-    head_init = _init_vector(dim, head.init)
-    if np.max(np.abs(np.abs(head_init) * np.sqrt(d) - 1)) > VERIFY_TOL:
+    q = _phase_diagonal(dim, _init_vector(dim, head.init))
+    if q is None:
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
     chain = build(graph)
@@ -524,12 +575,18 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     k, post, _ = sim.measure(full, bell_basis(dim), [0, head_site],
                              rng=np.random.default_rng(rng),
                              forced_outcome=forced_outcome)
-    head_edge = min(graph.edges, key=lambda e: e.seq, default=None)
-    G = intrinsic_of(head_edge.gate if head_edge else cz_spec(dim)).matrix \
-        @ np.diag(np.sqrt(d) * head_init)
+    intrinsic = intrinsic_of(graph.edges[0].gate)
+    cert = intrinsic.certificate()
+    for g in _additive_basis(dim):
+        if _diagonal_conjugate(dim, q, g) is None:
+            raise NotCliffordError(f"generator X0^{g} does not conjugate to "
+                                   f"a Pauli word", generator=f"X0^{g}")
     s, t = divmod(k, d)
-    W = PauliWord(dim, 1, [dim.neg(s)], [dim.neg(t)], 0)
-    frame = certify(G, dim).conjugate(W)
+    # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t)
+    c, num = _diagonal_conjugate(dim, q, dim.neg(t)) if t else (0, 0)
+    frame = cert.conjugate(PauliWord(dim, 1, [dim.sub(c, s)], [dim.neg(t)],
+                                     num))
+    G = intrinsic.matrix * q
     ideal = matrix_of_pauli(frame) @ G @ psi
     if not (abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal)))
             >= 1 - VERIFY_TOL):
@@ -550,38 +607,57 @@ def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
     return PauliWord(dim, 2, [k1, k4], [sub(k2, k4), sub(k5, k1)], phase)
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, sim.MeasurementBasis,
+                                        np.ndarray]:
+    """CZ's phases chi(jk) as a (d, d) array, the X basis and (H x H) CZ
+    (H x H), built once per dimension and shared read-only."""
+    d = dim.d
+    cz = gate_matrix(cz_spec(dim))
+    xb = x_basis(dim)
+    HH = np.kron(xb.vectors, xb.vectors)
+    action = HH @ cz @ HH
+    for t in (xb.vectors, action):
+        t.flags.writeable = False
+    return np.diag(cz).reshape(d, d), xb, action
+
+
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
                       forced_outcomes: Optional[Sequence[int]] = None
                       ) -> Tuple[StateVector, PauliFrame]:
     """Apply a two-qudit entangling step through a pre-existing CZ edge.
 
     Two three-qudit CZ wires (sites 0-1-2 and 3-4-5) carry the two-qudit
-    input at their heads; a CZ edge joins the midpoints 1 and 4.
-    X-measuring the four interior qudits (outcomes k1, k2 on the first
-    wire, k4, k5 on the second) leaves the tails carrying (H x H) CZ
-    (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5), which is
-    checked densely.
+    input at their heads; a CZ edge joins the midpoints 1 and 4.  The
+    five CZs are diagonal, so they multiply the d^6 tensor by their phase
+    arrays on their two axes.  X-measuring the four interior qudits
+    (outcomes k1, k2 on the first wire, k4, k5 on the second; one
+    random() draw each) leaves the tails carrying (H x H) CZ (H x H)
+    |psi> up to the frame edge_frame(k1, k2, k4, k5), which is checked
+    densely.  StateTooLarge before any allocation when d^6 exceeds
+    sim.MAX_AMPS.
     """
     d = dim.d
+    if d ** 6 > sim.MAX_AMPS:
+        raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
-    plus = xplus_state(dim)
-    T = np.einsum("ad,b,c,e,f->abcdef", psi.reshape(d, d),
-                  plus, plus, plus, plus)
+    cz, xb, action = _edge_tables(dim)
+    # the input on sites 0 and 3, |0_X> = (1, ..., 1) / sqrt(d) elsewhere
+    T = np.empty((d,) * 6, dtype=complex)
+    T[...] = psi.reshape(d, 1, 1, d, 1, 1) / d ** 2
+    for a, b in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
+        T *= cz.reshape([d if i in (a, b) else 1 for i in range(6)])
     state = StateVector(dim, 6, T.reshape(-1))
-    cz = gate_matrix(cz_spec(dim))
-    for pair in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
-        state = sim.apply(state, cz, pair)
     gen = np.random.default_rng(rng)
     history: List[Tuple[int, int]] = []
     # measure sites 0, 1, 3, 4; sites shift as qudits are consumed
     for i, site in enumerate((0, 0, 1, 1)):
         forced = None if forced_outcomes is None else forced_outcomes[i]
-        k, state, _ = sim.measure(state, x_basis(dim), site, rng=gen,
+        k, state, _ = sim.measure(state, xb, site, rng=gen,
                                   forced_outcome=forced)
         history.append((i, k))
     W = edge_frame(dim, *(k for _, k in history))
-    HH = np.kron(hadamard(dim), hadamard(dim))
-    target = HH @ cz @ HH @ psi
+    target = action @ psi
     if not (abs(np.vdot(state.amps, matrix_of_pauli(W) @ target))
             >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted edge-entangling frame does not verify")
@@ -609,34 +685,30 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     Pauli P to Z^l).  Measuring the mediator in {G_C|k_X>} restores the
     product state; {G_C S^{-1}|k_X>} applies (S x S) CZ.  Both leave a
     Z^{-k} x Z^{-k} frame plus known local diagonal phases.
+
+    The outcome is drawn from the branches W[k] * psi of the gate's
+    mediator_tables (checked once against the predicted action Q), as
+    sim.measure draws it, and the posterior is checked densely against
+    Q[k] * psi.  StateTooLarge before any table is built when d^3
+    exceeds sim.MAX_AMPS.
     """
     if mode not in ("disconnect", "entangle"):
         raise DimensionMismatch(f"unknown mediator mode {mode!r}")
     dim = spec.dim
     d = dim.d
-    init, G, local = mediator_of(spec)
-    psi = sim.unit_vector(psi, d * d, "input state")
-    E = gate_matrix(spec)
-    state = StateVector(dim, 3, np.kron(psi, init))
-    state = sim.apply(state, E, [0, 2])
-    state = sim.apply(state, E, [1, 2])
-    basis_mat = G if mode == "disconnect" \
-        else G @ np.linalg.inv(sgate(dim))
-    basis = basis_from_unitary(dim, basis_mat @ hadamard(dim), mode)
-    k, post, _ = sim.measure(state, basis, 2,
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
-    A = np.diag(local) @ zmat(dim, dim.neg(k))
-    predicted = np.kron(A, A) @ psi
-    if mode == "entangle":
-        S = sgate(dim)
-        predicted = np.kron(A @ S, A @ S) @ gate_matrix(cz_spec(dim)) @ psi
-    fid = abs(np.vdot(post.amps, predicted / np.linalg.norm(predicted)))
+    if d ** 3 > sim.MAX_AMPS:
+        raise StateTooLarge(f"{d}^3 amplitudes exceed the budget")
+    W, Q = mediator_tables(spec, mode)
+    psi = sim.unit_vector(psi, d * d, "input state").reshape(d, d)
+    k, post = _draw((W * psi).reshape(d, d * d), rng, forced_outcome)
+    predicted = (Q[k] * psi).reshape(-1)
+    fid = abs(np.vdot(post, predicted / np.linalg.norm(predicted)))
     if not (fid >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"mediator {mode} fidelity {fid:.12f}")
     frame = PauliWord(dim, 2, [dim.neg(k), dim.neg(k)], [0, 0], 0)
-    return MediatorResult(post, PauliFrame(frame, [(0, k)]),
-                          np.angle(local), k, mode)
+    return MediatorResult(StateVector(dim, 2, post),
+                          PauliFrame(frame, [(0, k)]),
+                          np.angle(mediator_of(spec)[2]), k, mode)
 
 
 # --- graph rewriting ------------------------------------------------------
@@ -669,12 +741,8 @@ def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
         if all(dim.mul(N, x) == 0 for N in tableau.weights[s].values()):
             rho += matrix_of_pauli(tableau.vertex_word(s, x)) / dim.d
     weight = np.real(np.sum(vectors.conj() * (rho @ vectors), axis=0))
-    branch = np.sqrt(np.clip(weight, 0, None))[None, :, None]
-    if forced_outcome is None:
-        k, _, _ = sim.collapse(branch, np.random.default_rng(rng).random(1))
-    else:
-        k, _, _ = sim.collapse(branch, None, [forced_outcome])
-    return int(k[0])
+    return _draw(np.sqrt(np.clip(weight, 0, None))[:, None], rng,
+                 forced_outcome)[0]
 
 
 def _posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
@@ -728,14 +796,11 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
     """GraphTableau(graph).rows() conjugated through the corrections.
 
     A correction is a diagonal C = diag(q), so it fixes Z parts and maps
-    X(x) to C X(x) C^dag, whose entries q(j + x) conj(q(j)) are matched to
-    e^{i phi} chi(c (j + x)) with phi snapped to the exact phase lattice,
-    at PAULI_TOL.  FrameMismatch for a correction that is not a diagonal
-    unitary or not Clifford.
+    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_conjugate).
+    FrameMismatch for a correction that is not a diagonal unitary or not
+    Clifford.
     """
     dim = graph.dim
-    den = dim.phase_den
-    mul, add, _, chi = _element_tables(dim)
     rows = GraphTableau(graph).rows()
     for c in corrections:
         q = np.diag(c.operator)
@@ -745,21 +810,16 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
                                 f"diagonal unitary")
         s = graph.site_of(c.vertex)
         for i, w in enumerate(rows):
-            x = w.x[s]
-            if not x:
+            if not w.x[s]:
                 continue
-            shift = add[x]                           # j -> j + x
-            ratio = q[shift] * q.conj() * chi[mul[:, shift]].conj()
-            num = np.round(np.angle(ratio[:, 0]) * den / (2 * np.pi))
-            fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)
-                                 [:, None]), axis=1) <= PAULI_TOL
-            if not fits.any():
+            image = _diagonal_conjugate(dim, q, w.x[s])
+            if image is None:
                 raise FrameMismatch(f"correction on vertex {c.vertex} is "
                                     f"not Clifford")
-            a = int(np.argmax(fits))
+            a, num = image
             rows[i] = PauliWord(dim, w.n,
                                 w.z[:s] + (dim.add(w.z[s], a),) + w.z[s + 1:],
-                                w.x, w.phase_num + int(num[a]))
+                                w.x, w.phase_num + num)
     return rows
 
 
@@ -767,7 +827,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
                          forced_outcome: Optional[int]
                          ) -> Tuple[Union[StateVector, StabilizerState], int,
                                     List[Correction], ResourceGraph]:
-    """Measure a vertex in basis_of(W, N); read the rewrite off the outcome.
+    """Measure a vertex in basis_of(W, N, init_v); read the rewrite off the
+    outcome.
 
     Each edge e at v factors as (C1 x C2) CZ^{N_e}; C_{v,e} is v's factor
     and C_u the product of the factors that neighbor u keeps.  With
@@ -778,9 +839,9 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     with CZ^{delta N_u N_w} added on every neighbor pair (an existing
     pair edge is replaced by its CZ power, its C1/C2 factors moving into
     the corrections) and the correction C_u diag_j g(N_u j) on each
-    neighbor u.  W = prod_e C_{v,e} and N is the weight of v's first
-    edge.  An outcome whose g is not of that form (which includes
-    |g| != 1 anywhere) raises FrameMismatch.
+    neighbor u.  W = prod_e C_{v,e}, N is the weight of v's first edge
+    and init_v is v's init vector.  An outcome whose g is not of that form
+    (which includes |g| != 1 anywhere) raises FrameMismatch.
 
     When every init is a phase vector (None or real) and every edge a
     diagonal Clifford, the inits factor out, as diagonals, of everything
@@ -803,18 +864,19 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         W = W @ Cv
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
-    basis = basis_of(W, star[0][3] if star else 0)
     site = graph.site_of(vid)
-    tableau = None
-    if _has_tableau(graph):
+    tableau = GraphTableau(graph) if _has_tableau(graph) else None
+    if tableau is not None:
         # every init is checked, as build would
         init_v = [_init_vector(dim, v.init) for v in graph.vertices][site]
-        tableau = GraphTableau(graph)
+    else:
+        init_v = _init_vector(dim, graph.vertex(vid).init)
+    basis = basis_of(W, star[0][3] if star else 0, init_v)
+    if tableau is not None:
         # |init_v> = D_init |0_X>, so D_init^dag b is measured on the rows
         vectors = np.sqrt(d) * init_v.conj()[:, None] * basis.vectors
         m = _tableau_outcome(tableau, site, vectors, rng, forced_outcome)
     else:
-        init_v = _init_vector(dim, graph.vertex(vid).init)
         m, post, _ = sim.measure(build(graph), basis, site,
                                  rng=np.random.default_rng(rng),
                                  forced_outcome=forced_outcome)
@@ -886,7 +948,7 @@ def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
     """
     graph.validate()
     z = sim.z_basis(graph.dim)
-    return _measure_and_rewrite(graph, vid, lambda W, N: z, rng,
+    return _measure_and_rewrite(graph, vid, lambda W, N, init_v: z, rng,
                                 forced_outcome)
 
 
@@ -897,13 +959,16 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
     The measured basis is the joint eigenbasis of the commuting family
-    W X(x) W^dag Z(N x), x != 0 (over GF(p^m) the x = 1 member alone can
-    be degenerate), with W the product of v's edge factors and N the
-    weight of its first edge.  The outcome fixes, in closed form, a
-    weight delta != 0: neighbors u, w gain CZ^{delta N_u N_w} (control =
-    lower vertex id) and each neighbor gets a diagonal correction (see
-    _measure_and_rewrite, which also says when the posterior is a
-    StabilizerState).  A vertex without edges raises DimensionMismatch.
+    D_v W X(x) W^dag D_v^dag Z(N x), x != 0 (over GF(p^m) the x = 1
+    member alone can be degenerate), with W the product of v's edge
+    factors, D_v = diag(sqrt(d) init_v) for a phase-vector init (the
+    identity for None; an init that is not a phase vector adds nothing)
+    and N the weight of its first edge.  The outcome fixes, in closed
+    form, a weight delta != 0: neighbors u, w gain CZ^{delta N_u N_w}
+    (control = lower vertex id) and each neighbor gets a diagonal
+    correction (see _measure_and_rewrite, which also says when the
+    posterior is a StabilizerState).  A vertex without edges raises
+    DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim
@@ -911,7 +976,10 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     if not graph.neighbors(vid):
         raise DimensionMismatch(f"vertex {vid} has no edges to complement")
 
-    def basis_of(W, N):
+    def basis_of(W, N, init_v):
+        q = _phase_diagonal(dim, init_v)
+        if q is not None:
+            W = q[:, None] * W      # a phase-vector init is D_v |0_X>
         family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
                   for x in dim.elements if x != 0]
         return basis_from_unitary(dim, _joint_eigenbasis(family),

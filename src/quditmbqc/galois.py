@@ -10,6 +10,7 @@ mod d.  All tables are built once at construction; values are immutable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -36,6 +37,7 @@ _DEFAULT_POLY = {
 }
 _DEFAULT_GR_POLY = {
     (2, 2): (3, 3, 1),     # xi^2 + 3 xi + 3 over Z_4
+    (2, 3): (3, 1, 2, 1),  # xi^3 + 2 xi^2 + xi + 3, lifts xi^3 + xi + 1
 }
 
 
@@ -380,11 +382,16 @@ def _default_poly(p: int, m: int) -> Tuple[int, ...]:
 def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
              m: Optional[int] = None, poly: Optional[Sequence[int]] = None,
              gr_poly: Optional[Sequence[int]] = None) -> DimSpec:
-    """Validated dimension descriptor with default polynomials when omitted."""
+    """Validated dimension descriptor with default polynomials when omitted.
+
+    The arguments are checked on every call; the descriptor (and its
+    tables) is built once per validated (kind, d, p, m, poly, gr_poly), so
+    equal arguments, defaulted or explicit, give one shared object.
+    """
     if kind == INTEGER_RING:
         if d is None or d < 2:
             raise DimensionMismatch("integer-ring dimension must satisfy d >= 2")
-        return DimSpec(kind=INTEGER_RING, d=d)
+        return _dim_spec(INTEGER_RING, d)
     if kind != FINITE_FIELD:
         raise UnsupportedFormalism(f"unknown kind {kind!r}")
     if p is None or m is None:
@@ -419,7 +426,14 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
             for x in range(2):
                 if _poly_eval(mod2, x, 2) == 0:
                     raise ReduciblePolynomial("gr_poly reducible mod 2")
-    return DimSpec(kind=FINITE_FIELD, d=dd, p=p, m=m, poly=poly_t, gr_poly=gr_t)
+    return _dim_spec(FINITE_FIELD, dd, p, m, poly_t, gr_t)
+
+
+@functools.lru_cache(maxsize=None)
+def _dim_spec(kind: str, d: int, p: Optional[int] = None, m: int = 1,
+              poly: Optional[Tuple[int, ...]] = None,
+              gr_poly: Optional[Tuple[int, ...]] = None) -> DimSpec:
+    return DimSpec(kind=kind, d=d, p=p, m=m, poly=poly, gr_poly=gr_poly)
 
 
 def _factor_prime_power(d: int) -> Tuple[int, int]:

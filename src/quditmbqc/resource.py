@@ -53,10 +53,14 @@ from .pauli import (
     xmat,
     zx_matrix,
 )
+from .sim import require_unitary
 
 DIAGONAL = "diagonal"
 BLOCK_DIAGONAL = "block_diagonal"
 NAMED = "named"
+
+# fidelity and table gates of the protocols and of graph rewriting
+VERIFY_TOL = 1e-9
 
 
 def _read_only(value, dtype=complex) -> np.ndarray:
@@ -146,14 +150,16 @@ def _expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
 
 
 def _per_spec(compute):
-    """compute(spec) as a fact kept on the expanded spec object."""
-    key = compute.__name__
+    """compute(spec, *args) as a fact kept on the expanded spec object, one
+    per argument tuple."""
+    name = compute.__name__
 
     @functools.wraps(compute)
-    def fact(spec: EntanglingGateSpec):
+    def fact(spec: EntanglingGateSpec, *args):
         spec = expand(spec)
+        key = (name, *args) if args else name
         if key not in spec._facts:
-            spec._facts[key] = compute(spec)
+            spec._facts[key] = compute(spec, *args)
         return spec._facts[key]
 
     return fact
@@ -376,6 +382,47 @@ def mediator_of(spec: EntanglingGateSpec
         Pk = Pk @ P
     return (_read_only(phi), _read_only(G),
             _read_only(np.exp(1j * bf.thetas) * c))
+
+
+@_per_spec
+def mediator_tables(spec: EntanglingGateSpec, mode: str
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Branch table W and predicted action Q of a mediator step, (d, d, d)
+    arrays indexed [outcome k, control a, control b], checked once.
+
+    The gate is sum_j |j><j| (x) U_j, with U_j = diag(e^{i theta_j}) for
+    a diagonal gate and block j for a block-diagonal one, so after both
+    controls outcome k leaves W[k, a, b] psi[a, b], where W[k, a, b] =
+    <b_k| U_b U_a |init> and b_k is column k of G_C H (mode "disconnect")
+    or else of G_C S^-1 H ("entangle"), mediator_of's init and G_C.  The
+    predicted action is diagonal too: Q[k] = A_k (x) A_k, or
+    (A_k S (x) A_k S) CZ, with A_k = diag(local) Z^{-k}.  FrameMismatch unless each W[k] is
+    c_k Q[k] for one constant c_k, at VERIFY_TOL: the predicted action,
+    checked for every input at once.  NonUnitary if the basis is not
+    orthonormal.
+    """
+    dim = spec.dim
+    d = dim.d
+    init, G, local = mediator_of(spec)
+    U = spec.blocks if spec.kind == BLOCK_DIAGONAL \
+        else np.eye(d) * np.exp(1j * spec.theta)[:, None, :]
+    s = np.diag(sgate(dim))
+    B = (G if mode == "disconnect" else G * s.conj()) @ hadamard(dim)
+    require_unitary(B, f"basis {mode!r} is not orthonormal")
+    UbUa = np.einsum("bce,ae->abc", U, U @ init)
+    W = np.einsum("ck,abc->kab", B.conj(), UbUa)
+    A = np.array([[local[j] * dim.char_phase(dim.mul(dim.neg(k), j))
+                   for j in dim.elements] for k in dim.elements])
+    Q = A[:, :, None] * A[:, None, :]
+    if mode == "entangle":
+        cz = np.diag(gate_matrix(cz_spec(dim))).reshape(d, d)
+        Q = Q * (np.outer(s, s) * cz)
+    c = np.einsum("kab,kab->k", Q.conj(), W) / d ** 2
+    deviation = np.max(np.abs(W - c[:, None, None] * Q))
+    if not (deviation <= VERIFY_TOL):
+        raise FrameMismatch(f"mediator {mode} branches deviate from the "
+                            f"predicted action by {deviation:.3e}")
+    return _read_only(W), _read_only(Q)
 
 
 # --- JSON ----------------------------------------------------------------

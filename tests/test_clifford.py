@@ -21,6 +21,7 @@ from quditmbqc.gates import (
     hadamard,
     mult_gate,
     sgate,
+    shear_gate,
     tau,
 )
 from quditmbqc.pauli import (
@@ -115,6 +116,16 @@ def test_symplectic_of_standard_gates():
         == SymplecticRep(D3, 0, 2, 1, 0)
     assert symplectic_of(certify(sgate(D3), D3)) \
         == SymplecticRep(D3, 1, 0, 1, 1)
+
+
+def test_gf8_shear_gates_are_symplectic_shears():
+    # GF(8)'s default Galois-ring lift gives it S and every shear S(l)
+    dim = make_dim(FINITE_FIELD, p=2, m=3)
+    assert dim.gr_poly == (3, 1, 2, 1)
+    assert np.array_equal(sgate(dim), shear_gate(dim, 1))
+    for l in range(1, 8):
+        assert symplectic_of(certify(shear_gate(dim, l), dim)) \
+            == SymplecticRep(dim, 1, 0, l, 1)
 
 
 def test_symplectic_round_trip_sl2_z3():

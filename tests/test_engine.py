@@ -9,11 +9,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quditmbqc import engine, sim
+from quditmbqc import engine, resource, sim
 from quditmbqc.errors import (
     DimensionMismatch,
     FrameMismatch,
     NonUnitary,
+    NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
     ZeroProbabilityForced,
@@ -51,6 +52,7 @@ from quditmbqc.resource import (
     intrinsic_of,
     light_shift_spec,
     mediator_of,
+    mediator_tables,
 )
 from quditmbqc.sim import (
     apply,
@@ -409,6 +411,12 @@ def test_couple_input_rejects_non_phase_head(init):
         couple_input(basis_state(D3, 0), g)
 
 
+def test_couple_input_rejects_a_chain_without_its_edge():
+    g = ResourceGraph(D3, [Vertex(0), Vertex(1)], [])
+    with pytest.raises(DimensionMismatch, match="chain's edge"):
+        couple_input(basis_state(D3, 0), g, rng=0)
+
+
 def test_couple_input_identity_outcome():
     g = chain_graph(D3, cz_spec(D3), 2)
     post, frame, k = couple_input(basis_state(D3, 0), g, forced_outcome=0)
@@ -668,6 +676,115 @@ def test_vertex_delete_corrections_are_outcome_z_powers():
             assert np.max(np.abs(c.operator - expected[c.vertex])) < 1e-12
         assert abs(np.vdot(post.amps, _corrected(reduced, corrections))) \
             > 1 - 1e-9
+
+
+def test_mediator_tables_are_checked_once_per_gate_and_mode():
+    spec = cx_spec(D3)
+    for mode in ("disconnect", "entangle"):
+        W, Q = mediator_tables(spec, mode)
+        assert mediator_tables(spec, mode)[0] is W
+        assert W.shape == Q.shape == (3, 3, 3)
+        assert not W.flags.writeable and not Q.flags.writeable
+    assert mediator_tables(spec, "entangle")[0] is not \
+        mediator_tables(spec, "disconnect")[0]
+
+
+def test_mediator_table_check_catches_wrong_local_phases(monkeypatch):
+    # a fresh spec, so that no stored tables are read
+    spec = EntanglingGateSpec(D3, "diagonal", theta=expand(cz_spec(D3)).theta,
+                              init_phases=np.zeros(3))
+    init, G, local = mediator_of(spec)
+    monkeypatch.setattr(resource, "mediator_of",
+                        lambda s: (init, G, local * np.exp([0, 0.1j, 0])))
+    with pytest.raises(FrameMismatch, match="predicted action"):
+        mediator_step(spec, random_state(9, np.random.default_rng(1)),
+                      "disconnect", rng=0)
+
+
+def _dense_mediator(spec, psi, mode, seed):
+    """mediator_step by dense simulation: both controls applied with
+    sim.apply, the mediator measured with sim.measure."""
+    dim = spec.dim
+    init, G, _ = mediator_of(spec)
+    E = gate_matrix(spec)
+    state = apply(apply(sim.StateVector(dim, 3, np.kron(psi, init)), E,
+                        [0, 2]), E, [1, 2])
+    S = sgate(dim)
+    B = (G if mode == "disconnect" else G @ np.linalg.inv(S)) @ hadamard(dim)
+    k, post, _ = measure(state, basis_from_unitary(dim, B), 2, rng=seed)
+    return k, post.amps
+
+
+def _dense_edge(dim, psi, seed):
+    """entangle_via_edge by dense simulation: five sim.apply CZs."""
+    plus = xplus_state(dim)
+    state = sim.StateVector(dim, 6, np.einsum(
+        "ad,b,c,e,f->abcdef", psi.reshape(dim.d, dim.d),
+        plus, plus, plus, plus).reshape(-1))
+    for pair in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
+        state = apply(state, cz_gate(dim), pair)
+    gen, ks = np.random.default_rng(seed), []
+    for site in (0, 0, 1, 1):
+        k, state, _ = measure(state, sim.x_basis(dim), site, rng=gen)
+        ks.append(k)
+    return ks, state.amps
+
+
+@pytest.mark.parametrize("dim", [D2, D3], ids=lambda dim: dim.label())
+def test_protocols_draw_and_land_as_the_dense_reference(dim):
+    psi = random_state(dim.d ** 2, np.random.default_rng(12))
+    for seed in range(12):
+        for spec_of in (cz_spec, cx_spec):
+            for mode in ("disconnect", "entangle"):
+                res = mediator_step(spec_of(dim), psi, mode, rng=seed)
+                k, amps = _dense_mediator(spec_of(dim), psi, mode, seed)
+                assert res.outcome == k
+                assert abs(np.vdot(amps, res.posterior.amps)) > 1 - 1e-12
+        out, frame = entangle_via_edge(dim, psi, rng=seed)
+        ks, amps = _dense_edge(dim, psi, seed)
+        assert [k for _, k in frame.history] == ks
+        assert abs(np.vdot(amps, out.amps)) > 1 - 1e-12
+
+
+def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
+    def no_apply(*args):
+        raise AssertionError("dense gate applied")
+
+    monkeypatch.setattr(sim, "apply", no_apply)
+    psi = random_state(9, np.random.default_rng(2))
+    for spec_of in (cz_spec, cx_spec):
+        for mode in ("disconnect", "entangle"):
+            mediator_step(spec_of(D3), psi, mode, rng=1)
+    entangle_via_edge(D3, psi, rng=1)
+
+
+D11, D101 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=101)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: entangle_via_edge(D11, np.ones(11 ** 2), rng=0),
+    lambda: mediator_step(cz_spec(D101), np.ones(101 ** 2), "disconnect",
+                          rng=0),
+], ids=["entangle_via_edge", "mediator_step"])
+def test_protocol_size_guards_fire_before_allocation(call):
+    # 11^6 and 101^3 amplitudes exceed sim.MAX_AMPS
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLarge):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_couple_input_non_clifford_head_init_names_generator():
+    g = chain_graph(D3, cz_spec(D3), 2)
+    g.vertices[0].init = np.array([0.0, 0.3, 0.0])
+    for outcome in range(9):
+        with pytest.raises(NotCliffordError) as exc:
+            couple_input(basis_state(D3, 0), g, forced_outcome=outcome)
+        assert exc.value.generator == "X0^1"
 
 
 def test_mediated_lattice_builds():

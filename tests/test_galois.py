@@ -11,7 +11,14 @@ from quditmbqc.errors import (
     ReduciblePolynomial,
     ZeroInverse,
 )
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, json_array, make_dim
+from quditmbqc.galois import (
+    FINITE_FIELD,
+    INTEGER_RING,
+    dim_from_json,
+    dim_to_json,
+    json_array,
+    make_dim,
+)
 
 
 def test_ring_arithmetic_mod4():
@@ -123,6 +130,24 @@ def test_field_add_neg_tables_are_digitwise(p, m):
         for b in dim.elements:
             want = tuple((x + y) % p for x, y in zip(ca, dim.coeffs_of(b)))
             assert dim.coeffs_of(dim.add(a, b)) == want
+
+
+@pytest.mark.parametrize("args", [dict(kind=INTEGER_RING, d=5),
+                                  dict(kind=FINITE_FIELD, d=4),
+                                  dict(kind=FINITE_FIELD, p=2, m=3)],
+                         ids=["Z5", "GF4", "GF8"])
+def test_make_dim_builds_each_dimension_once(args):
+    dim = make_dim(**args)
+    assert make_dim(**args) is dim
+    assert dim_from_json(dim_to_json(dim)) is dim
+
+
+def test_make_dim_validates_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ReduciblePolynomial):
+            make_dim(FINITE_FIELD, p=2, m=2, poly=[1, 0, 1])
+        with pytest.raises(DimensionMismatch):
+            make_dim(INTEGER_RING, d=1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -10,6 +10,7 @@ from quditmbqc.errors import (
     NotCliffordError,
     NotControlledPauliForm,
 )
+from quditmbqc.clifford import universality_check
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
     cz_gate,
@@ -64,13 +65,15 @@ def test_cz_intrinsic_is_hadamard(dim, order):
     assert intr.pauli_order == order
 
 
-@pytest.mark.parametrize("dim,order", [(D2, 2), (D3, 3), (D4F, 2), (D5, 5)])
+@pytest.mark.parametrize("dim,order", [(D2, 2), (D3, 3), (D4F, 2), (D5, 5),
+                                       (make_dim(FINITE_FIELD, p=2, m=3), 2)])
 def test_cx_intrinsic(dim, order):
     intr = intrinsic_of(cx_spec(dim))
     H, S = hadamard(dim), sgate(dim)
     assert equal_up_to_phase(intr.matrix, S @ np.linalg.inv(H) @ S)
     assert intr.unitary and intr.is_clifford
     assert intr.pauli_order == order
+    assert universality_check(intr.certificate())[0]
 
 
 @pytest.mark.parametrize("dim,order", [(D2, 2), (D3, 3), (D4F, 2)])

@@ -24,7 +24,6 @@ from quditmbqc.engine import (
 from quditmbqc.errors import (
     FrameMismatch,
     StateTooLarge,
-    UnsupportedFormalism,
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
@@ -47,12 +46,15 @@ RULES = [vertex_delete, local_complement]
 
 def _measured_basis(graph, vid, rule):
     """The basis the rule measures vid in: Z, or for local complementation
-    the joint eigenbasis of W X(x) W^dag Z(N x), W the product of vid's
-    edge factors and N its first edge's weight."""
+    the joint eigenbasis of D W X(x) W^dag D^dag Z(N x), W the product of
+    vid's edge factors, D = diag(sqrt(d) init) for vid's phase-vector init
+    and N its first edge's weight."""
     dim = graph.dim
     if rule is vertex_delete:
         return sim.z_basis(dim)
-    W, N = np.eye(dim.d), None
+    init = engine._init_vector(dim, graph.vertex(vid).init)
+    assert np.allclose(np.abs(init), dim.d ** -0.5)
+    W, N = np.diag(np.sqrt(dim.d) * init), None
     for e in graph.edges:
         if vid in (e.control, e.target):
             C1, C2, w = factor_diagonal_clifford(e.gate)
@@ -129,33 +131,44 @@ def phase_graphs(draw):
             else cz_power(dim, draw(st.integers(1, d - 1)))
         edges.append(GraphEdge(a, b, gate, seq))
     vid = draw(st.sampled_from(sorted({v for p in pairs for v in p})))
-    cliffords = [np.zeros(d), np.angle(np.diag(zmat(dim, 1)))]
-    try:
-        S = np.angle(np.diag(sgate(dim)))
-        cliffords += [S, -S]
-    except UnsupportedFormalism:    # GF(8) has no Galois-ring lift
-        pass
-    clifford = draw(st.integers(0, len(cliffords) - 1))
+    S = np.angle(np.diag(sgate(dim)))
+    cliffords = [np.zeros(d), np.angle(np.diag(zmat(dim, 1))), S, -S]
+    clifford = draw(st.sampled_from(cliffords))
     phase = st.floats(-np.pi, np.pi, allow_nan=False)
-    inits = [cliffords[clifford] if i == vid
+    inits = [clifford if i == vid
              else draw(st.none() | st.lists(phase, min_size=d, max_size=d)
                        .map(np.array))
              for i in range(n)]
     graph = ResourceGraph(dim, [Vertex(i, init) for i, init in
                                 enumerate(inits)], edges)
-    return graph, vid, clifford
+    return graph, vid
 
 
 @settings(max_examples=60, deadline=None)
 @given(phase_graphs())
 def test_tableau_rewrite_matches_dense_oracles(case):
-    graph, vid, clifford = case
+    graph, vid = case
     for rule in RULES:
-        verified = _check_every_outcome(graph, vid, rule, tableau=True)
-        if clifford == 0:
-            # a |0_X> vertex rewrites on every outcome: each weight is a
-            # unit, so every outcome is equally likely
-            assert verified == graph.dim.d
+        # the measured vertex's init phases join its basis, so it rewrites
+        # on every outcome: each weight is a unit, so every outcome is
+        # equally likely
+        assert _check_every_outcome(graph, vid, rule, tableau=True) \
+            == graph.dim.d
+
+
+@pytest.mark.parametrize("init", ["S", "S^-1", "Z"])
+@pytest.mark.parametrize("dim", DIMS, ids=lambda dim: dim.label())
+def test_clifford_centre_init_complements_on_every_outcome(dim, init):
+    # the centre's init phases join its measured basis, so a Clifford
+    # phase such as S rewrites on every outcome, on both paths
+    diag = {"S": np.diag(sgate(dim)), "S^-1": np.diag(sgate(dim)).conj(),
+            "Z": np.diag(zmat(dim, 1))}[init]
+    graph = chain_graph(dim, cz_spec(dim), 3)
+    graph.vertices[1].init = np.angle(diag)
+    assert _check_every_outcome(graph, 1, local_complement, tableau=True) \
+        == dim.d
+    assert _check_every_outcome(_raw_inits(graph), 1, local_complement,
+                                tableau=False) == dim.d
 
 
 @pytest.mark.parametrize("rule, vid", [(vertex_delete, 4),
