@@ -7,7 +7,7 @@ from .galois import (
     make_dim,
 )
 from .pauli import PauliWord, match_pauli, matrix_of_pauli, weyl
-from .gates import cx_gate, cz_gate, hadamard, mult_gate, sgate, shear_gate
+from .gates import cz_gate, hadamard, mult_gate, sgate, shear_gate
 from .sim import StateVector, measure, product_state
 from .resource import (
     EntanglingGateSpec,
@@ -24,7 +24,6 @@ from .clifford import (
     CliffordCert,
     SymplecticRep,
     certify,
-    hadamard_from_intrinsic,
     pauli_order,
     symplectic_of,
     universality_check,

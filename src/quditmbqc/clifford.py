@@ -1,9 +1,11 @@
-"""Clifford certification, symplectic representation, and generator words.
+"""Clifford certification, symplectic representation, and native words.
 
 Single-qudit Cliffords are represented (up to Pauli and phase) by symplectic
 matrices acting on (z, x) column vectors: Z -> Z^a X^b, X -> Z^c X^e with
-a e - b c = 1.  Generator words over {H, shear, G_I} realize the standard
-decompositions; every word is verified densely by the caller or tests.
+a e - b c = 1.  Certificates compose exactly, so the shortest native word
+G_I S(l_{k-1}) ... G_I S(l_0) of every Clifford class an intrinsic gate
+reaches is found by a breadth-first search without dense products
+(shortest_words).  Words over {H, shear} synthesize a rep densely.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     NotCliffordError,
     OrderCapExceeded,
-    UniversalityViolated,
     UnsupportedFormalism,
 )
 from .galois import INTEGER_RING, DimSpec
@@ -97,6 +98,17 @@ class CliffordCert:
                     out = normal_form(out,
                                       self._letter_image(site, letter, value))
         return out
+
+    def compose(self, other: "CliffordCert") -> "CliffordCert":
+        """Certificate of the product U V (self U, other V), exact phases
+        included: (U V) g (U V)^dagger = U (V g V^dagger) U^dagger."""
+        return CliffordCert(self.dim, self.n, {
+            label: self.conjugate(w) for label, w in other.images.items()})
+
+    def class_key(self) -> Tuple:
+        """The images with their phases dropped: equal exactly when the two
+        Cliffords differ by a Pauli word and a global phase."""
+        return tuple((w.z, w.x) for w in self.images.values())
 
     def frame_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """word_table of U w U^dagger over one_qudit_words, built once."""
@@ -210,13 +222,42 @@ def universality_check(cert: CliffordCert) -> Tuple[bool, Tuple[int, int]]:
     return cert.dim.is_invertible(b), (a, b)
 
 
-# --- generator words ------------------------------------------------------
+# --- native words ---------------------------------------------------------
 
-Token = Tuple  # ("H",) | ("shear", l) | ("G", +1 | -1)
+def shortest_words(g: CliffordCert) -> Dict[Tuple, Tuple[int, ...]]:
+    """Class key -> shortest (l_0, ..., l_{k-1}) with G S(l_{k-1}) ... G S(l_0)
+    in that class, for every class the native steps G S(l) reach; G is the
+    gate g certifies and S(l) = shear_gate(l).  The identity class is the
+    empty word.
+
+    A breadth-first search over exact certificate composition: each step's
+    certificate is formed once densely, every word from its predecessor.
+    """
+    dim = g.dim
+    steps = [(l, g.compose(certify(shear_gate(dim, l), dim)))
+             for l in dim.elements]
+    start = CliffordCert(dim, 1, dict(generator_words(dim, 1)))
+    table = {start.class_key(): ()}
+    frontier = [(start, ())]
+    while frontier:
+        reached = []
+        for cert, word in frontier:
+            for l, step in steps:
+                nxt = step.compose(cert)
+                key = nxt.class_key()
+                if key not in table:
+                    table[key] = word + (l,)
+                    reached.append((nxt, table[key]))
+        frontier = reached
+    return table
 
 
-def realize_word(dim: DimSpec, tokens: List[Token],
-                 G: Optional[np.ndarray] = None) -> np.ndarray:
+# --- symplectic synthesis ---------------------------------------------------
+
+Token = Tuple  # ("H",) | ("shear", l)
+
+
+def realize_word(dim: DimSpec, tokens: List[Token]) -> np.ndarray:
     """Dense product of a token word, leftmost token = leftmost factor."""
     out = np.eye(dim.d, dtype=complex)
     for t in tokens:
@@ -224,28 +265,9 @@ def realize_word(dim: DimSpec, tokens: List[Token],
             out = out @ hadamard(dim)
         elif t[0] == "shear":
             out = out @ shear_gate(dim, t[1])
-        elif t[0] == "G":
-            M = G if t[1] == 1 else np.asarray(G).conj().T
-            out = out @ M
         else:
             raise ValueError(f"unknown token {t!r}")
     return out
-
-
-def hadamard_from_intrinsic(cert: CliffordCert) -> List[Token]:
-    """Word S^{-a b^{-1} + 1} G S^{b^{-2}} G^{-1} S^{a b^{-1} + 1} realizing
-    the Hadamard symplectic from any universal intrinsic gate."""
-    ok, (a, b) = universality_check(cert)
-    if not ok:
-        raise UniversalityViolated("intrinsic gate maps Z to Z^a X^b with "
-                                   "non-invertible b")
-    dim = cert.dim
-    binv = dim.inv(b)
-    ab = dim.mul(a, binv)
-    l1 = dim.add(dim.neg(ab), 1)
-    l2 = dim.mul(binv, binv)
-    l3 = dim.add(ab, 1)
-    return [("shear", l1), ("G", 1), ("shear", l2), ("G", -1), ("shear", l3)]
 
 
 def map_pauli_to_Z(dim: DimSpec, m: int, n: int

@@ -3,7 +3,10 @@ patterns over the gate set {G_I * D_phi}.
 
 A pattern is an ordered list of diagonal rotations; step 0 is applied first
 (the rightmost factor).  The dense product of the steps equals
-phase * frame * U for the declared Pauli frame.
+phase * frame * U for the declared Pauli frame.  Both compilers emit native
+words directly: a unitary's steps are the solved phases of
+G D_{L-1} ... G D_0 (identity frame), a Clifford's are the shears of its
+class's shortest word G S(l_{k-1}) ... G S(l_0).
 """
 
 from __future__ import annotations
@@ -14,14 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .clifford import (
-    CliffordCert,
-    certify,
-    hadamard_from_intrinsic,
-    rep_tokens,
-    symplectic_of,
-    universality_check,
-)
+from .clifford import certify, universality_check
 from .errors import (
     CompilationDiverged,
     DimensionMismatch,
@@ -43,9 +39,7 @@ from .gates import dphi, shear_gate
 from .pauli import (
     PauliWord,
     identity_word,
-    invert_word,
     match_pauli,
-    normal_form,
     pauli_from_json,
     pauli_to_json,
 )
@@ -111,74 +105,7 @@ class MeasurementPattern:
         return out
 
 
-# --- Pauli-sweep lowering -------------------------------------------------
-
-def lower_factors(g_cert: CliffordCert, factors: List[Tuple]
-                  ) -> Tuple[List[np.ndarray], PauliWord]:
-    """Rewrite a factor word as C * prod(G * D_i) up to a global phase.
-
-    `factors` is leftmost-first over ("G",), ("diag", vec), ("pauli", word);
-    G is the gate certified by g_cert.  Returns (diag vectors leftmost-first,
-    C); the word must begin with a "G" factor once Paulis are swept left.
-    """
-    dim = g_cert.dim
-    C = identity_word(dim, 1)
-    emitted: List = []  # leftmost-first over ["G"] and ["diag", vec]
-    for f in reversed(factors):
-        if f[0] == "pauli":
-            C = normal_form(f[1], C)
-        elif f[0] == "diag":
-            x = C.x[0]
-            vec = np.asarray(f[1], dtype=complex)
-            vec = np.array([vec[dim.add(u, x)] for u in range(dim.d)])
-            if emitted and emitted[0][0] == "diag":
-                emitted[0][1] = vec * emitted[0][1]
-            else:
-                emitted.insert(0, ["diag", vec])
-        elif f[0] == "G":
-            emitted.insert(0, ["G"])
-            C = g_cert.conjugate(C)
-        else:
-            raise DimensionMismatch(f"unknown factor {f[0]!r}")
-    # group into (G, diag) pairs, leftmost-first
-    diags: List[np.ndarray] = []
-    i = 0
-    while i < len(emitted):
-        if emitted[i][0] != "G":
-            raise DimensionMismatch("word does not start each group with G")
-        if i + 1 < len(emitted) and emitted[i + 1][0] == "diag":
-            diags.append(emitted[i + 1][1])
-            i += 2
-        else:
-            diags.append(np.ones(dim.d, dtype=complex))
-            i += 1
-    return diags, C
-
-
-def _gdagger_factors(intrinsic: IntrinsicGate) -> List[Tuple]:
-    """G^dagger up to phase over {G, Pauli} via G's Pauli order."""
-    return [("G",)] * (intrinsic.pauli_order - 1) \
-        + [("pauli", invert_word(intrinsic.order_word))]
-
-
 # --- single-qudit unitary compilation -------------------------------------
-
-def _word(intrinsic: IntrinsicGate) -> Tuple[List[Tuple], np.ndarray]:
-    """The groups K_j D_j K_j^dag of G D_gamma G^dag (prod_l S(l) G D_beta(l)
-    G^dag S(l)^dag) D_alpha, leftmost-first: the factors left and right of
-    each D_j over {G, diag, Pauli}, and the conjugators K_j = G, S(l) G, 1.
-    """
-    dim, G = intrinsic.dim, intrinsic.matrix
-    gd = _gdagger_factors(intrinsic)
-    groups, Ks = [([("G",)], gd)], [G]
-    for l in dim.elements:
-        if dim.is_invertible(l):
-            S = shear_gate(dim, l)
-            sv = np.diag(S)
-            groups.append(([("diag", sv), ("G",)], gd + [("diag", sv.conj())]))
-            Ks.append(S @ G)
-    return groups + [([], [])], np.stack(Ks + [np.eye(dim.d)])
-
 
 def _als_run(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
              ) -> Tuple[np.ndarray, int]:
@@ -261,47 +188,62 @@ def _polish(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
     return x.reshape(phis.shape), 1.0 - res, steps
 
 
-def _optimize_word(U: np.ndarray, Ks: np.ndarray, seed: int
-                   ) -> Tuple[List[int], np.ndarray, CompileStats]:
-    """The word's group order and phases, and how they were found.
+def _lengths(intrinsic: IntrinsicGate) -> Tuple[int, int]:
+    """Native word lengths, tried in order: d + 1 steps for qubits and d + 2
+    otherwise (a step has d - 1 free phases and PU(d) has d^2 - 1
+    dimensions, so no word is shorter than d + 1), then the paper's bound
+    d * o, o the Pauli order of G_I."""
+    d = intrinsic.dim.d
+    return d + 1 if d == 2 else d + 2, d * intrinsic.pauli_order
 
-    Each attempt runs ALS into the basin, then polishes to the floor.  The
-    first starts from zero phases in the canonical order; restarts start
-    from random phases, and from the fourth on in a random order of the
-    groups after the first (gamma stays leftmost, so the lowered word
-    still starts with the intrinsic gate).
+
+def _powers(G: np.ndarray, L: int) -> np.ndarray:
+    """The native word's conjugators K_j = G^{j+1}, j < L (see _solve)."""
+    Ks = [G]
+    for _ in range(L - 1):
+        Ks.append(G @ Ks[-1])
+    return np.stack(Ks)
+
+
+def _solve(U: np.ndarray, G: np.ndarray, L: int, seed: int,
+           stats: CompileStats) -> Tuple[np.ndarray, float]:
+    """Phases of the native word G D_{L-1} ... G D_0 closest to U (step 0
+    first) and its residual 1 - |tr(U^dag V)|/d; the work joins `stats`.
+
+    With K_j = G^{j+1}, prod_j K_j D_j K_j^dag = G D_0 G D_1 ... G D_{L-1}
+    G^{-L}, so the groups are fitted to U G^{-L} and read in reverse.  Each
+    attempt runs ALS into the basin, then polishes to the floor; the first
+    starts from zero phases, each restart from random ones.
     """
-    m, d, _ = Ks.shape
+    d = G.shape[0]
+    Ks = _powers(G, L)
+    target = U @ Ks[-1].conj().T
     rng = np.random.default_rng(seed)
-    stats = CompileStats()
-    order, start = list(range(m)), np.zeros((m, d))
-    best, best_state = -1.0, None
-    for tries in range(MAX_RESTARTS + 1):
-        phis, sweeps = _als_run(U, Ks[order], start)
-        phis, val, steps = _polish(U, Ks[order], phis)
+    start = np.zeros((L, d))
+    best, best_phis = -1.0, start
+    for _ in range(MAX_RESTARTS + 1):
+        phis, sweeps = _als_run(target, Ks, start)
+        phis, val, steps = _polish(target, Ks, phis)
         stats.als_runs += 1
         stats.als_sweeps += sweeps
         stats.polish_steps += steps
         if val > best:
-            best, best_state = val, (order, phis)
+            best, best_phis = val, phis
         if 1.0 - best <= RESIDUAL_TOL * 1e-3:
             break
-        if tries >= 3:
-            order = [0] + [int(i) for i in 1 + rng.permutation(m - 1)]
-        start = rng.uniform(-math.pi, math.pi, (m, d))
-    stats.residual = float(1.0 - best)
-    return best_state + (stats,)
+        start = rng.uniform(-math.pi, math.pi, (L, d))
+    return best_phis[::-1], 1.0 - best
 
 
 def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
                     seed: int = 0) -> MeasurementPattern:
-    """Measurement pattern realizing U up to a Pauli frame and phase.
+    """Measurement pattern realizing U up to a global phase, identity frame.
 
-    Solves the phases of the universal word (see _word) by ALS into the
-    basin and a Levenberg-Marquardt polish to the 1e-12 floor, then lowers
-    the word to exactly d * o^P steps.  The pattern's `stats` hold the
-    word's residual 1 - |tr(U^dag V)|/d and the work spent.  A target that
-    fails sim.require_unitary raises NonUnitary before any ALS sweep.
+    The steps are the phases of the native word G D_{L-1} ... G D_0 (see
+    _solve), at the first length of _lengths whose residual is within
+    RESIDUAL_TOL.  The pattern's `stats` hold that residual
+    1 - |tr(U^dag V)|/d and the work spent over both lengths.  A target
+    that fails sim.require_unitary raises NonUnitary before any ALS sweep.
     """
     dim = intrinsic.dim
     _check_compilable(dim)
@@ -310,65 +252,52 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     if U.shape != (d, d):
         raise DimensionMismatch("target size does not match the dimension")
     require_unitary(U, "target is not unitary")
-    cert = intrinsic.certificate()
-    ok, _ = universality_check(cert)
+    ok, _ = universality_check(intrinsic.certificate())
     if not ok:
         raise UniversalityViolated("intrinsic gate cannot reach a Hadamard")
     G = intrinsic.matrix
+    frame = identity_word(dim, 1)
     # short-circuit: the gate itself
     r = match_pauli(dim, 1, U @ G.conj().T)
     if r is not None and r[1].is_identity():
         return MeasurementPattern(
-            dim, intrinsic, [PatternStep(np.zeros(d), True)],
-            identity_word(dim, 1), gate=None,
+            dim, intrinsic, [PatternStep(np.zeros(d), True)], frame,
             stats=CompileStats(float(1.0 - abs(np.vdot(U, G)) / d)))
-    groups, Ks = _word(intrinsic)
-    order, phis, stats = _optimize_word(U, Ks, seed)
-    if stats.residual > RESIDUAL_TOL:
+    stats = CompileStats()
+    for L in _lengths(intrinsic):
+        phis, res = _solve(U, G, L, seed, stats)
+        if res <= RESIDUAL_TOL:
+            break
+    else:
         raise CompilationDiverged(
-            f"residual {stats.residual:.3e} after {MAX_RESTARTS} restarts")
-    factors: List[Tuple] = []
-    for i, p in zip(order, phis):
-        left, right = groups[i]
-        factors += left + [("diag", np.exp(1j * p))] + right
-    diags, C = lower_factors(cert, factors)
-    steps = [PatternStep(np.angle(v), True) for v in reversed(diags)]
-    return MeasurementPattern(dim, intrinsic, steps, invert_word(C),
+            f"residual {res:.3e} after {MAX_RESTARTS} restarts at {L} steps")
+    stats.residual = float(res)
+    return MeasurementPattern(dim, intrinsic,
+                              [PatternStep(p, True) for p in phis], frame,
                               stats=stats)
 
 
 def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
                      ) -> MeasurementPattern:
-    """Non-adaptive pattern (Clifford diagonals only) realizing C up to Pauli."""
+    """Non-adaptive pattern realizing the Clifford C up to a Pauli frame.
+
+    The steps are the shear diagonals of the shortest native word
+    G S(l_{k-1}) ... G S(l_0) in C's class (IntrinsicGate.clifford_words);
+    the frame is read from the dense product.  UnsupportedFormalism if no
+    such word exists, e.g. for a semilinear C and a linear G_I.
+    """
     dim = intrinsic.dim
-    cert_c = certify(C, dim, 1)
-    rep = symplectic_of(cert_c)
-    g_cert = intrinsic.certificate()
-    h_word = hadamard_from_intrinsic(g_cert)
-    tokens = rep_tokens(rep)
-    factors: List[Tuple] = []
-    gd = _gdagger_factors(intrinsic)
-    for t in tokens:
-        expanded = h_word if t[0] == "H" else [t]
-        for u in expanded:
-            if u[0] == "shear":
-                factors.append(("diag", np.diag(shear_gate(dim, u[1]))))
-            elif u == ("G", 1):
-                factors.append(("G",))
-            elif u == ("G", -1):
-                factors += gd
-            else:
-                raise DimensionMismatch(f"unexpected token {u!r}")
-    if not factors or factors[0][0] != "G":
-        # transport padding (G^o up to Pauli) so the word starts with G
-        factors = [("G",)] + gd + factors
-    diags, Cw = lower_factors(g_cert, factors)
-    steps = [PatternStep(np.angle(v), False) for v in reversed(diags)]
-    pat = MeasurementPattern(dim, intrinsic, steps, invert_word(Cw))
+    word = intrinsic.clifford_words.get(certify(C, dim, 1).class_key())
+    if word is None:
+        raise UnsupportedFormalism("target Clifford is not a product of the "
+                                   "intrinsic gate and shears")
+    steps = [PatternStep(np.angle(np.diag(shear_gate(dim, l))), False)
+             for l in word]
+    pat = MeasurementPattern(dim, intrinsic, steps, identity_word(dim, 1))
     # dense audit: steps product must equal phase * frame * C
     r = match_pauli(dim, 1, pat.dense_product() @ np.asarray(C).conj().T)
     if r is None:
-        raise CompilationDiverged("Clifford lowering failed the dense audit")
+        raise CompilationDiverged("Clifford word failed the dense audit")
     pat.frame = r[1]
     return pat
 
@@ -418,6 +347,6 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
     for s in json_check(obj["steps"], list, "steps"):
         json_check(s, dict, "step")
         steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
-                                 bool(s["adaptive"])))
+                                 json_check(s["adaptive"], bool, "adaptive")))
     frame = pauli_from_json(dim, obj["frame"])
     return MeasurementPattern(dim, intr, steps, frame, gate)

@@ -480,9 +480,10 @@ def dim_from_json(obj: dict) -> DimSpec:
 
 
 def json_check(obj, kind: type, what: str):
-    """obj itself if it is a JSON object (kind dict) or array (kind list)."""
+    """obj itself if it is a JSON object (kind dict), array (kind list) or
+    boolean (kind bool)."""
     if not isinstance(obj, kind):
-        name = "object" if kind is dict else "array"
+        name = {dict: "object", list: "array", bool: "boolean"}[kind]
         raise DimensionMismatch(f"{what} must be a JSON {name}")
     return obj
 

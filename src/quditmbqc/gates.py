@@ -82,16 +82,6 @@ def cz_gate(dim: DimSpec) -> np.ndarray:
     return np.diag(diag)
 
 
-def cx_gate(dim: DimSpec) -> np.ndarray:
-    """CX = sum_jk |j><j| (x) |j + k><k| (control = site 0)."""
-    d = dim.d
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for j in dim.elements:
-        for k in dim.elements:
-            out[j * d + dim.add(j, k), j * d + k] = 1.0
-    return out
-
-
 def dphi(phases) -> np.ndarray:
     """Diagonal rotation D_phi = diag(e^{i phi_k})."""
     return np.diag(np.exp(1j * np.asarray(phases, dtype=float)))

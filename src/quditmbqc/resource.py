@@ -17,6 +17,7 @@ from .clifford import (
     certify,
     map_pauli_to_Z,
     pauli_order_data,
+    shortest_words,
     synthesize,
 )
 from .errors import (
@@ -209,6 +210,11 @@ class IntrinsicGate:
             raise NotCliffordError(f"generator {g} does not conjugate to a "
                                    f"Pauli word", generator=g)
         return self.clifford_cert
+
+    @functools.cached_property
+    def clifford_words(self) -> Dict[Tuple, Tuple[int, ...]]:
+        """clifford.shortest_words of the certificate, built on first use."""
+        return shortest_words(self.certificate())
 
 
 def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:

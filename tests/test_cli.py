@@ -291,6 +291,22 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
             assert field in err and "NaN" in err, err
 
 
+def test_non_boolean_adaptive_flag_is_parse_error(tmp_path, capsys):
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    code, out = run_cli(capsys, ["transport", "--gate", gate])
+    assert code == 0
+    pattern = json.loads(out)["results"]["pattern"]
+    for flag in ("no", "false", 0, None):
+        bad = dict(pattern, steps=[dict(s, adaptive=flag)
+                                   for s in pattern["steps"]])
+        path = write_json(tmp_path / "bad.json", bad)
+        assert cli.main(["run", "--pattern", path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: adaptive must be a JSON boolean\n", err
+    path = write_json(tmp_path / "good.json", pattern)
+    assert cli.main(["run", "--pattern", path, "--trials", "2"]) == 0
+
+
 def test_malformed_graph_is_parse_error(tmp_path, capsys):
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     code, out = run_cli(capsys, ["transport", "--gate", gate])

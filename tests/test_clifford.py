@@ -11,7 +11,6 @@ from quditmbqc.errors import (
     DimensionMismatch,
     NotCliffordError,
     QuditError,
-    UniversalityViolated,
     UnsupportedFormalism,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
@@ -32,9 +31,9 @@ from quditmbqc.pauli import (
 )
 from quditmbqc.clifford import (
     generator_words,
+    CliffordCert,
     SymplecticRep,
     certify,
-    hadamard_from_intrinsic,
     map_pauli_to_Z,
     pauli_order,
     realize_word,
@@ -159,22 +158,6 @@ def test_rep_tokens_realize_rep():
             assert got == rep
 
 
-@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec, cx_spec])
-def test_hadamard_from_intrinsic(spec_of):
-    for dim in (D2, D3):
-        intr = intrinsic_of(spec_of(dim))
-        tokens = hadamard_from_intrinsic(intr.clifford_cert)
-        assert len(tokens) == 5
-        U = realize_word(dim, tokens, G=intr.matrix)
-        assert match_pauli(dim, 1, U @ hadamard(dim).conj().T) is not None
-
-
-def test_hadamard_from_non_universal_rejected():
-    cert = certify(sgate(D3), D3)
-    with pytest.raises(UniversalityViolated):
-        hadamard_from_intrinsic(cert)
-
-
 def test_universality_check_values():
     ok, (a, b) = universality_check(certify(hadamard(D3), D3))
     assert ok and (a, b) == (0, 2)
@@ -268,3 +251,33 @@ def test_conjugate_rejects_other_systems():
     cert = certify(hadamard(D3), D3)
     with pytest.raises(DimensionMismatch):
         cert.conjugate(single_word(D3, 2, 0, z=1))
+
+
+# --- exact composition of certificates ------------------------------------
+
+COMPOSE_DIMS = [D2, D3, D5, D4F]
+
+
+@st.composite
+def native_words(draw):
+    """A dimension and a word over {G_I, S(l), H} as dense factors,
+    leftmost first."""
+    dim = draw(st.sampled_from(COMPOSE_DIMS))
+    letters = _intrinsic_cliffords(dim) + [hadamard(dim)] + [
+        shear_gate(dim, l) for l in dim.elements]
+    return dim, draw(st.lists(st.sampled_from(letters), max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(native_words())
+def test_compose_matches_certify_of_the_dense_product(case):
+    dim, factors = case
+    got = CliffordCert(dim, 1, dict(generator_words(dim, 1)))
+    dense = np.eye(dim.d, dtype=complex)
+    for M in factors:
+        got = got.compose(certify(M, dim))
+        dense = dense @ M
+    want = certify(dense, dim)
+    # image for image, exact phase included
+    assert got.images == want.images
+    assert got.class_key() == want.class_key()

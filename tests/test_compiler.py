@@ -1,4 +1,4 @@
-"""Pattern compiler: phase optimization, Clifford lowering."""
+"""Pattern compiler: native-word phase optimization, Clifford word tables."""
 
 import json
 
@@ -7,14 +7,15 @@ import pytest
 
 from quditmbqc import cli
 from quditmbqc.cli import matrix_to_json
-from quditmbqc.errors import UnsupportedFormalism
+from quditmbqc import compiler
+from quditmbqc.errors import UniversalityViolated, UnsupportedFormalism
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
-from quditmbqc.gates import hadamard, mult_gate, sgate
-from quditmbqc.pauli import matrix_of_pauli
+from quditmbqc.gates import hadamard, mult_gate, sgate, shear_gate
+from quditmbqc.pauli import PauliWord, matrix_of_pauli
 from quditmbqc.clifford import SymplecticRep, synthesize
 from quditmbqc.compiler import (
+    _powers,
     _torus,
-    _word,
     compile_clifford,
     compile_unitary,
     pattern_from_json,
@@ -26,6 +27,7 @@ from quditmbqc.resource import (
     cx_spec,
     cz_spec,
     gate_to_json,
+    intrinsic_from_matrix,
     intrinsic_of,
     light_shift_spec,
 )
@@ -89,6 +91,15 @@ def test_compile_clifford_non_adaptive(target_of):
     assert pattern_residual(pat, C) < 1e-9
 
 
+def test_non_universal_intrinsic_gate_rejected():
+    # S fixes Z, so its words never reach a Hadamard
+    intr = intrinsic_from_matrix(D3, sgate(D3))
+    with pytest.raises(UniversalityViolated):
+        compile_unitary(hadamard(D3), intr)
+    with pytest.raises(UnsupportedFormalism):
+        compile_clifford(hadamard(D3), intr)
+
+
 def test_transport_pattern_length_is_order():
     for spec, steps in ((cz_spec(D3), 4), (light_shift_spec(D3), 3),
                         (cx_spec(D2), 2)):
@@ -142,7 +153,7 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
 @pytest.mark.parametrize("dim,spec_of", [(D3, cz_spec), (D4F, cx_spec),
                                          (D5, cx_spec)])
 def test_polish_jacobian_matches_finite_differences(dim, spec_of):
-    _, Ks = _word(intrinsic_of(spec_of(dim)))
+    Ks = _powers(intrinsic_of(spec_of(dim)).matrix, dim.d + 2)
     x = np.random.default_rng(3).uniform(-np.pi, np.pi, Ks.shape[0] * dim.d)
     _, J = _torus(Ks, x)
     h = 1e-6
@@ -160,7 +171,7 @@ def test_compile_reaches_the_floor():
     for trial in range(20):
         U = haar_unitary(5, rng)
         pat = compile_unitary(U, intr, seed=trial)
-        assert pat.step_count() == 25
+        assert pat.step_count() <= 5 + 2 and pat.frame.is_identity()
         assert pattern_residual(pat, U) < 1e-10
         assert pat.stats.residual < 1e-10 and pat.stats.als_runs >= 1
 
@@ -183,3 +194,82 @@ def test_compile_report_is_byte_identical_and_carries_stats(tmp_path,
     assert set(stats) == {"residual", "als_runs", "als_sweeps",
                           "polish_steps"}
     assert stats["residual"] < 1e-10 and stats["als_runs"] >= 1
+
+
+FAMILIES = [(dim, spec_of) for dim in (D2, D3, D4F)
+            for spec_of in (cz_spec, light_shift_spec, cx_spec)] \
+    + [(D5, cz_spec), (D5, cx_spec)]
+
+
+def _family_id(case):
+    dim, spec_of = case
+    return f"{dim.label()}-{spec_of.__name__}"
+
+
+@pytest.mark.parametrize("dim,spec_of", FAMILIES,
+                         ids=[_family_id(c) for c in FAMILIES])
+def test_unitary_patterns_are_native_words(dim, spec_of):
+    intr = intrinsic_of(spec_of(dim))
+    rng = np.random.default_rng(11)
+    for trial in range(2):
+        U = haar_unitary(dim.d, rng)
+        pat = compile_unitary(U, intr, seed=trial)
+        assert pat.step_count() == (3 if dim.d == 2 else dim.d + 2)
+        assert pat.frame.is_identity()
+        assert 1 - abs(np.trace(U.conj().T @ pat.dense_product())) / dim.d \
+            < 1e-10
+
+
+def test_compile_falls_back_to_the_proved_bound(monkeypatch):
+    # two qutrit steps hold 4 free phases, too few for PU(3)
+    intr = intrinsic_of(cz_spec(D3))
+    monkeypatch.setattr(compiler, "_lengths", lambda intr: (2, 12))
+    U = haar_unitary(3, np.random.default_rng(12))
+    pat = compile_unitary(U, intr)
+    assert pat.step_count() == 12 == 3 * intr.pauli_order
+    assert pat.frame.is_identity() and pattern_residual(pat, U) < 1e-10
+    assert pat.stats.als_runs == compiler.MAX_RESTARTS + 2
+
+
+def _native_product(intr, word):
+    out = np.eye(intr.dim.d, dtype=complex)
+    for l in word:
+        out = intr.matrix @ shear_gate(intr.dim, l) @ out
+    return out
+
+
+@pytest.mark.parametrize("dim,spec_of", FAMILIES,
+                         ids=[_family_id(c) for c in FAMILIES])
+def test_every_clifford_class_compiles_to_its_depth(dim, spec_of):
+    spec = spec_of(dim)
+    intr = intrinsic_of(spec)
+    table = intr.clifford_words
+    classes = {2: 6, 3: 24, 4: 60, 5: 120}[dim.d]
+    if (dim, spec_of) == (D4F, light_shift_spec):
+        classes = 120   # a semilinear G_I also reaches the Frobenius twist
+    assert len(table) == classes
+    rng = np.random.default_rng(13)
+    psi = haar_unitary(dim.d, rng)[:, 0]
+    for word in table.values():
+        P = PauliWord(dim, 1, (int(rng.integers(dim.d)),),
+                      (int(rng.integers(dim.d)),))
+        C = matrix_of_pauli(P) @ _native_product(intr, word)
+        pat = compile_clifford(C, intr)
+        assert pat.step_count() == len(word)
+        assert not any(s.adaptive for s in pat.steps)
+        assert pattern_residual(pat, C) < 1e-9
+        graph = chain_graph(dim, spec, pat.step_count() + 1)
+        runs = run_trajectories(graph, pat, psi, range(3))
+        assert runs.fidelities.min() > 1 - 1e-9
+    assert () in table.values()   # the identity class: no steps
+
+
+def test_frobenius_needs_a_semilinear_intrinsic_gate():
+    frob = np.zeros((4, 4))
+    for u in D4F.elements:
+        frob[D4F.mul(u, u), u] = 1.0
+    pat = compile_clifford(frob, intrinsic_of(light_shift_spec(D4F)))
+    assert not any(s.adaptive for s in pat.steps)
+    assert pattern_residual(pat, frob) < 1e-9
+    with pytest.raises(UnsupportedFormalism):
+        compile_clifford(frob, intrinsic_of(cz_spec(D4F)))

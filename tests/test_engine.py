@@ -346,14 +346,14 @@ def test_size_guards_fire_before_allocation():
         run_trajectories(g, pat, xplus_state(D3), range(10 ** 9))
 
 
-GOLDEN_FRAME = {"x": [1], "z": [0]}
-GOLDEN_HISTORY = [[0, 2], [1, 0], [2, 0], [3, 1], [4, 2], [5, 0], [6, 0],
-                  [7, 0], [8, 0], [9, 0], [10, 1], [11, 0]]
+GOLDEN_FRAME = {"x": [1], "z": [1]}
+GOLDEN_HISTORY = [[0, 2], [1, 0], [2, 0], [3, 1], [4, 2]]
 
 
 def test_cli_run_golden(tmp_path, capsys):
-    # frame and history of the last of 100 trials, recorded from the
-    # per-trajectory loop that the batched kernel replaced
+    # frame and history of the last of 100 trials on the 5-step native
+    # word, recorded from the per-trajectory loop that the batched kernel
+    # replaced
     from quditmbqc import cli
     from quditmbqc.resource import gate_to_json
     gate = tmp_path / "gate.json"
