@@ -330,7 +330,7 @@ def pattern_to_json(p: MeasurementPattern) -> dict:
 
 
 def pattern_from_json(obj: dict) -> MeasurementPattern:
-    json_check(obj, dict, "pattern")
+    obj = json_check(obj, dict, "pattern")
     dim = dim_from_json(obj["dim"])
     d = dim.d
     if obj.get("intrinsic") is not None:
@@ -345,7 +345,7 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
         intr = intrinsic_from_matrix(dim, M)
     steps = []
     for s in json_check(obj["steps"], list, "steps"):
-        json_check(s, dict, "step")
+        s = json_check(s, dict, "step")
         steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
                                  json_check(s["adaptive"], bool, "adaptive")))
     frame = pauli_from_json(dim, obj["frame"])

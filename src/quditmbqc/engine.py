@@ -393,6 +393,14 @@ def _z_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.lru_cache(maxsize=None)
+def _zx_stack(dim: DimSpec) -> np.ndarray:
+    """zx_matrix of every one_qudit_words entry, stacked by word index."""
+    out = np.array([zx_matrix(w) for w in one_qudit_words(dim)])
+    out.flags.writeable = False    # shared by every caller
+    return out
+
+
 def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                      psi: np.ndarray, seeds: Optional[Sequence] = None,
                      forced_outcomes: Optional[Sequence[Sequence[int]]] = None
@@ -407,8 +415,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     T trajectories advance together as (T, d, d) arrays, in blocks of at
     most sim.MAX_AMPS // d^2 rows.
 
-    Trajectory t draws default_rng(seeds[t]).random(steps) and takes the
-    outcome Generator.choice would; with forced_outcomes (T rows of one
+    Trajectory t draws default_rng(seeds[t]).random(steps) (one
+    sim.seed_uniforms pass for the block) and takes the outcome
+    Generator.choice would; with forced_outcomes (T rows of one
     outcome per step) nothing is drawn.  Frames are word indices and
     exact phases moved by the certificates' frame tables.  Row t's
     fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
@@ -467,8 +476,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         rows = slice(lo, min(lo + block, T))
         n = rows.stop - lo
         if forced_outcomes is None:
-            u = np.array([np.random.default_rng(s).random(S)
-                          for s in seeds[rows]]).reshape(n, S)
+            u = sim.seed_uniforms(seeds[rows], S)
         else:
             u = np.zeros((n, S))    # unused: collapse takes the forced ones
         cur = np.broadcast_to(psi_in, (n, d))
@@ -495,9 +503,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     phase %= dim.phase_den
     v = matrix_of_pauli(pattern.frame).conj().T \
         @ pattern.dense_product() @ psi_in
+    W = _zx_stack(dim)
     ideal = np.zeros((d * d, d), dtype=complex)
     for i in set(idx.tolist()):
-        ideal[i] = zx_matrix(words[i]) @ v
+        ideal[i] = W[i] @ v
         ideal[i] /= np.linalg.norm(ideal[i])
     fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
     if not np.all(fids >= 1 - VERIFY_TOL):
@@ -1090,13 +1099,15 @@ def graph_to_json(graph: ResourceGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> ResourceGraph:
-    json_check(obj, dict, "graph")
+    obj = json_check(obj, dict, "graph")
     dim = dim_from_json(obj["dim"])
     d = dim.d
     vertices = []
     for v in json_check(obj["vertices"], list, "vertices"):
-        init = json_check(v, dict, "vertex").get("init")
+        v = json_check(v, dict, "vertex")
+        init = v.get("init")
         if isinstance(init, dict):
+            init = json_check(init, dict, "init")
             init = json_array(init["re"], (d,), "init re") \
                 + 1j * json_array(init["im"], (d,), "init im")
         elif isinstance(init, list):
@@ -1108,7 +1119,7 @@ def graph_from_json(obj: dict) -> ResourceGraph:
         vertices.append(Vertex(json_int(v["id"], "vertex id"), init))
     edges = []
     for e in json_check(obj["edges"], list, "edges"):
-        json_check(e, dict, "edge")
+        e = json_check(e, dict, "edge")
         edges.append(GraphEdge(json_int(e["c"], "edge c"),
                                json_int(e["t"], "edge t"),
                                gate_from_json(e["gate"]),

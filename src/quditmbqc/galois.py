@@ -464,10 +464,11 @@ def dim_to_json(dim: DimSpec) -> dict:
 
 
 def dim_from_json(obj: dict) -> DimSpec:
-    json_check(obj, dict, "dim")
-    if obj.get("kind") == "integer_ring":
+    obj = json_check(obj, dict, "dim")
+    kind = obj["kind"]
+    if kind == "integer_ring":
         return make_dim(INTEGER_RING, d=json_int(obj["d"], "d"))
-    if obj.get("kind") == "finite_field":
+    if kind == "finite_field":
         m = json_int(obj["m"], "m")
         polys = {}
         for key in ("poly", "gr_poly"):
@@ -476,16 +477,29 @@ def dim_from_json(obj: dict) -> DimSpec:
                               json_array(obj[key], (None,), key, int)]
         return make_dim(FINITE_FIELD, p=json_int(obj["p"], "p"), m=m,
                         **polys)
-    raise DimensionMismatch(f"unknown dim kind {obj.get('kind')!r}")
+    raise DimensionMismatch(f"unknown dim kind {kind!r}")
+
+
+class _JsonObject(dict):
+    """A JSON object whose missing key raises DimensionMismatch naming
+    the key and the object."""
+
+    def __init__(self, obj: dict, what: str):
+        super().__init__(obj)
+        self.what = what
+
+    def __missing__(self, key):
+        raise DimensionMismatch(f"missing key {key!r} in {self.what}")
 
 
 def json_check(obj, kind: type, what: str):
-    """obj itself if it is a JSON object (kind dict), array (kind list) or
-    boolean (kind bool)."""
+    """obj if it is a JSON array (kind list) or boolean (kind bool); a
+    JSON object (kind dict) comes back as a dict that names a missing key
+    when one is read."""
     if not isinstance(obj, kind):
         name = {dict: "object", list: "array", bool: "boolean"}[kind]
         raise DimensionMismatch(f"{what} must be a JSON {name}")
-    return obj
+    return _JsonObject(obj, what) if kind is dict else obj
 
 
 def json_int(value, what: str) -> int:

@@ -249,7 +249,7 @@ def pauli_to_json(w: PauliWord) -> dict:
 
 
 def pauli_from_json(dim: DimSpec, obj: dict) -> PauliWord:
-    json_check(obj, dict, "frame")
+    obj = json_check(obj, dict, "frame")
     num, den = (int(v) for v in json_array(obj["phase"], (2,), "phase", int))
     if den != dim.phase_den:
         raise DimensionMismatch("phase denominator does not match DimSpec")

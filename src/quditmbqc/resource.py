@@ -94,7 +94,8 @@ class EntanglingGateSpec:
                                    _read_only(getattr(self, key), dtype))
 
 
-# one cz and one cx spec per dimension, so every caller shares their facts
+# one cz and one cx spec per dimension, and one light-shift spec per
+# (dimension, theta), so every caller shares their facts
 @functools.lru_cache(maxsize=None)
 def cz_spec(dim: DimSpec) -> EntanglingGateSpec:
     return EntanglingGateSpec(dim, NAMED, name="cz")
@@ -107,6 +108,14 @@ def cx_spec(dim: DimSpec) -> EntanglingGateSpec:
 
 def light_shift_spec(dim: DimSpec,
                      theta: Optional[float] = None) -> EntanglingGateSpec:
+    # -0.0 == 0.0 as a cache key, yet it prints as -0.0: keep them apart
+    sign = None if theta is None else math.copysign(1.0, theta)
+    return _light_shift_spec(dim, theta, sign)
+
+
+@functools.lru_cache(maxsize=None)
+def _light_shift_spec(dim: DimSpec, theta: Optional[float], sign
+                      ) -> EntanglingGateSpec:
     return EntanglingGateSpec(dim, NAMED, name="light_shift", ls_theta=theta)
 
 
@@ -450,7 +459,7 @@ def gate_to_json(spec: EntanglingGateSpec) -> dict:
 
 
 def gate_from_json(obj: dict) -> EntanglingGateSpec:
-    json_check(obj, dict, "gate")
+    obj = json_check(obj, dict, "gate")
     dim = dim_from_json(obj["dim"])
     d = dim.d
     kind = obj["kind"]
@@ -466,11 +475,12 @@ def gate_from_json(obj: dict) -> EntanglingGateSpec:
         return EntanglingGateSpec(dim, BLOCK_DIAGONAL, blocks=blocks,
                                   init_phases=init)
     if kind == NAMED:
-        theta = obj.get("theta")
-        if theta is None and obj["name"] in ("cz", "cx"):
-            return (cz_spec if obj["name"] == "cz" else cx_spec)(dim)
+        name, theta = obj["name"], obj.get("theta")
+        if theta is None and name in ("cz", "cx"):
+            return (cz_spec if name == "cz" else cx_spec)(dim)
         if theta is not None:
             theta = float(json_array(theta, (), "theta"))
-        return EntanglingGateSpec(dim, NAMED, name=obj["name"],
-                                  ls_theta=theta)
+        if name == "light_shift":
+            return light_shift_spec(dim, theta)
+        return EntanglingGateSpec(dim, NAMED, name=name, ls_theta=theta)
     raise DimensionMismatch(f"unknown gate kind {kind!r}")

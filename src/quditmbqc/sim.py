@@ -5,6 +5,7 @@ Site 0 is the most significant tensor digit, so |jk> has j at site 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -29,6 +30,90 @@ def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+# --- seeded uniforms ------------------------------------------------------
+
+_M32 = (1 << 32) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> Tuple[int, ...]:
+    """SeedSequence's hash constants init * mult^k mod 2^32, k < count."""
+    return tuple(init * pow(mult, k, 1 << 32) & _M32 for k in range(count))
+
+
+# 16 hash-mix calls mix the entropy pool, 8 more draw PCG64's state words
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = np.array(_hash_constants(0x8B51F9DD, 0x58F38DED, 9), dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_jumps(n: int) -> np.ndarray:
+    """Rows (P hi, P lo, Q hi, Q lo) of columns j < n: PCG64 seeded with
+    (initstate, inc) draws the output of P_j initstate + Q_j inc at draw
+    j + 1, with P_j = M^(j+2) and Q_j = M^0 + ... + M^(j+2) mod 2^128."""
+    p, q, cols = _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(n):
+        p = p * _PCG_MULT & _M128
+        q = q + p & _M128
+        cols.append((p >> 64, p & (1 << 64) - 1, q >> 64, q & (1 << 64) - 1))
+    out = np.array(cols, dtype=np.uint64).reshape(n, 4).T
+    out.flags.writeable = False    # shared by every caller
+    return out
+
+
+def _mul128(hi, lo, chi, clo):
+    """(hi, lo) * (chi, clo) mod 2^128 on uint64 halves, 32-bit limbs."""
+    a1, a0, b1, b0 = lo >> 32, lo & _M32, clo >> 32, clo & _M32
+    mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
+    top = a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+    return top + hi * clo + lo * chi, lo * clo
+
+
+def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
+    """Row t is np.random.default_rng(seeds[t]).random(n), bit for bit.
+
+    Int seeds in [0, 2^128) run together: SeedSequence's uint32 hash-mix
+    of the entropy words zero-padded to its 4-word pool, PCG64's 128-bit
+    LCG seeded and jumped to each draw, its XSL-RR output and
+    (x >> 11) * 2^-53.  Any other seed (a Generator, None, an np.integer,
+    a negative int or one >= 2^128) draws through default_rng itself, in
+    row order, so default_rng's ValueError for a negative seed comes
+    through.
+    """
+    seeds = list(seeds)
+    out = np.empty((len(seeds), n))
+    fast = [type(s) is int and 0 <= s <= _M128 for s in seeds]
+    for t, f in enumerate(fast):
+        if not f:
+            out[t] = np.random.default_rng(seeds[t]).random(n)
+    ent = np.array([s for s, f in zip(seeds, fast) if f], dtype=object)
+    pool = list(np.array([ent >> k & _M32 for k in (0, 32, 64, 96)])
+                .astype(np.uint32))
+    with np.errstate(over="ignore"):    # uint32 / uint64 wraparound
+        def hashmix(v, k):
+            v = (v ^ _HASH_A[k]) * _HASH_A[k + 1]
+            return v ^ v >> 16
+
+        pool = [hashmix(v, i) for i, v in enumerate(pool)]
+        pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+        for k, (src, dst) in enumerate(pairs, start=4):
+            m = pool[dst] * 0xCA01F9DD - hashmix(pool[src], k) * 0x4973F715
+            pool[dst] = m ^ m >> 16
+        w = (np.array(pool * 2) ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
+        w = (w ^ w >> 16).astype(np.uint64)
+        val = (w[0::2] | w[1::2] << 32)[:, :, None]
+        ph, pl, qh, ql = _pcg_jumps(n)
+        h1, l1 = _mul128(val[0], val[1], ph, pl)
+        h2, l2 = _mul128(val[2] << 1 | val[3] >> 63, val[3] << 1 | 1, qh, ql)
+        lo = l1 + l2
+        hi = h1 + h2 + (lo < l1)
+        x, r = hi ^ lo, hi >> 58
+        x = x >> r | x << (64 - r & 63)
+    out[fast] = (x >> 11) * (1.0 / 9007199254740992.0)
+    return out
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report determinism, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from quditmbqc import cli
+from quditmbqc import cli, resource
 from quditmbqc.engine import chain_graph, graph_to_json
 from quditmbqc.galois import INTEGER_RING, make_dim
 from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
@@ -360,3 +362,105 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     monkeypatch.setattr(cli, "make_parser", no_parser)
     assert cli.main(["table"]) == 0
     assert json.loads(capsys.readouterr().out)["command"] == "table"
+
+
+@pytest.mark.parametrize("kind,path,where", [
+    ("gate", ["dim"], "gate"), ("gate", ["dim", "kind"], "dim"),
+    ("pattern", ["frame"], "pattern"), ("pattern", ["frame", "z"], "frame"),
+    ("pattern", ["steps", 0, "adaptive"], "step"),
+    ("graph", ["edges"], "graph"), ("graph", ["edges", 0, "seq"], "edge"),
+    ("graph", ["vertices", 1, "id"], "vertex")],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else v)
+def test_missing_key_is_named(tmp_path, capsys, kind, path, where):
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    _, out = run_cli(capsys, ["transport", "--gate", gate])
+    pattern = json.loads(out)["results"]["pattern"]
+    obj = {"gate": gate_to_json(cz_spec(D3)), "pattern": pattern,
+           "graph": graph_to_json(chain_graph(D3, cz_spec(D3), 5))}[kind]
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    bad = write_json(tmp_path / "bad.json", obj)
+    argv = {"gate": ["analyze", "--gate", bad],
+            "pattern": ["run", "--pattern", bad],
+            "graph": ["run", "--graph", bad, "--pattern",
+                      write_json(tmp_path / "pattern.json", pattern)]}[kind]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err \
+        == f"error: missing key {path[-1]!r} in {where}\n"
+
+
+# --- golden reports -------------------------------------------------------
+
+# SHA-256 of `run --trials 100` stdout on one compiled pattern per
+# benchmark family (tests/data/run_patterns.json), at --seed 7 and at
+# --seed 4294967290, whose trajectories cross the seed 2^32 where the
+# seed's entropy grows to two words.  The same inputs and seed must keep
+# printing the same bytes.
+GOLDEN_RUNS = {
+    "Z2-cz": ("d949a5564adc7a354bc3540d523612fd285fc5c930f3280853da4fc07c9162b5",
+              "b8148e2ceb9ca963bdc24b11aa5568edf07d9c67f35089c15941d21eac20b4d0"),
+    "Z2-light_shift": (
+        "747d3aa0b40685432f91d978bdfb2665b2a2831804db2711c51556dcb7417bf2",
+        "ab580f08383676b8539910b01a780505a67728c3ef213e6befe23f70aee63e71"),
+    "Z2-cx": ("a47c4b143c6efe32e5fed4f3531ce616b6612036d95dbc331dd42eff0c01774d",
+              "db75d9f6db03a69d8109d6743732eaba6eb4748821605a6a957912cafa3be938"),
+    "Z3-cz": ("1868438268c8101708577683e643b9a7e34e627d1274880bc0e79ba5cc14cf79",
+              "4b276bff97b0f6759ac21ec7bea475b8f923d1641f54d56e3fdafda955f389c0"),
+    "Z3-light_shift": (
+        "890671dbf9bd8e39a1e216422d9d3051ced0fe581a58797ca1008ac323d503db",
+        "d9f60a902330af384f43901520d102bb3914d5195eeb436dc67313c8741a7828"),
+    "Z3-cx": ("4c0b2965c6f386ede10eff81590e317edc61b124d750c60c587b726949391540",
+              "dff6a1a42b6d95b3542967a9f97386fb79b3403e073caf1adec7fafa0be3947e"),
+    "GF4-cz": (
+        "2f88d65da43406afb5540bc734216aad5d1fe95212dcc2279837c62c584da127",
+        "99e6b7b3d6bcbd21508728affdd02ac2d86a54903b10a385b46fbea621ec17ec"),
+    "GF4-light_shift": (
+        "1cafce8d61a69a93657174c2c6ae7c9ea2311548b67aee6952d091fc02f275a6",
+        "b40b5fc36590e300b73cea590c53791c3ab9a5da6007a9f1c9ff3de915eddc5b"),
+    "GF4-cx": (
+        "38f61983921982c8912e60b6e7ce4d1a2b6ef452b40018d8e7f7373aaf4b25b5",
+        "d639146bf5ff81c46039217e8394ec913b9270055abf6ccc6d35bf888fa75ac4"),
+    "Z5-cz": ("4231016ffebe9f93b865dedb5eab749626ddac38117b38f7970805746d642607",
+              "ad652ee0c199fb84d98c416432ac259a445f23cc57768e07c543e431ec57ce83"),
+    "Z5-cx": ("604fa8678a4e278b8df47d622a18d68179b1a42068f8d24dfd212093f88df291",
+              "12d32bbdfa5b07d4b6da260d2dc1ac7c5430c6c17841d61256f86bad3a44fc42"),
+}
+RUN_PATTERNS = Path(__file__).parent / "data" / "run_patterns.json"
+
+
+def _run_pattern_file(tmp_path, family):
+    pattern = json.loads(RUN_PATTERNS.read_text())[family]
+    return write_json(tmp_path / f"{family}.json", pattern)
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_RUNS))
+def test_run_reports_match_golden_digests(tmp_path, capsys, family):
+    path = _run_pattern_file(tmp_path, family)
+    for seed, want in zip((7, 4294967290), GOLDEN_RUNS[family]):
+        code, out = run_cli(capsys, ["run", "--pattern", path,
+                                     "--trials", "100", "--seed", str(seed)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, seed
+
+
+def test_light_shift_is_analysed_once_per_process(tmp_path, capsys,
+                                                  monkeypatch):
+    # the pattern's named light-shift gate maps to one spec, whose
+    # intrinsic analysis the second run reuses
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return analyse(*args)
+
+    analyse = resource.intrinsic_from_matrix
+    monkeypatch.setattr(resource, "intrinsic_from_matrix", counted)
+    resource._light_shift_spec.cache_clear()
+    path = _run_pattern_file(tmp_path, "Z3-light_shift")
+    for _ in range(2):
+        code, _ = run_cli(capsys, ["run", "--pattern", path, "--trials", "5"])
+        assert code == 0
+    assert len(calls) == 1

@@ -217,11 +217,21 @@ def test_gate_json_round_trip(spec):
 
 @pytest.mark.parametrize("dim", [D2, D3, D4R, D5, D4F],
                          ids=lambda dim: dim.label())
-@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec, light_shift_spec])
 def test_named_gate_json_returns_the_shared_spec(dim, spec_of):
-    # a named cz or cx file reuses the one analysed spec per dimension
+    # a named gate file reuses the one analysed spec per dimension
     spec = spec_of(dim)
     assert gate_from_json(gate_to_json(spec)) is spec
+
+
+def test_light_shift_spec_is_shared_per_theta():
+    obj = gate_to_json(light_shift_spec(D3, 0.5))
+    assert gate_from_json(dict(obj)) is gate_from_json(dict(obj))
+    assert light_shift_spec(D3, 0.5) is not light_shift_spec(D3, 0.25)
+    # -0.0 == 0.0, but the two print differently, so they stay apart
+    neg = light_shift_spec(D3, -0.0)
+    assert neg is not light_shift_spec(D3, 0.0)
+    assert str(gate_to_json(neg)["theta"]) == "-0.0"
 
 
 def test_expanded_gate_json_round_trip():

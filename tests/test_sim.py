@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditmbqc.errors import (
     DimensionMismatch,
@@ -26,6 +28,7 @@ from quditmbqc.sim import (
     measure,
     product_state,
     schmidt,
+    seed_uniforms,
     state_to_json,
     unit_vector,
     x_basis,
@@ -175,3 +178,54 @@ def test_unit_vector_rejects_non_finite(bad):
     with pytest.raises(DimensionMismatch, match="psi"):
         unit_vector([0, 0, 0], 3, "psi")
     assert np.allclose(unit_vector([3, 4j, 0], 3, "psi"), [0.6, 0.8j, 0])
+
+
+# --- seeded uniforms ------------------------------------------------------
+
+def default_rng_rows(seeds, n):
+    """The reference: one default_rng(seed).random(n) row per seed."""
+    return np.array([np.random.default_rng(s).random(n)
+                     for s in seeds]).reshape(len(seeds), n)
+
+
+# where SeedSequence's entropy grows by a uint32 word, and the range's ends
+EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96,
+              2 ** 128 - 1]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_seed_uniforms_match_default_rng_at_edge_seeds(n):
+    got = seed_uniforms(EDGE_SEEDS, n)
+    assert got.shape == (len(EDGE_SEEDS), n)
+    assert np.array_equal(got, default_rng_rows(EDGE_SEEDS, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
+                          st.integers(0, 2 ** 128 - 1)),
+                min_size=1, max_size=12),
+       st.integers(0, 12))
+def test_seed_uniforms_match_default_rng(seeds, n):
+    assert np.array_equal(seed_uniforms(seeds, n), default_rng_rows(seeds, n))
+
+
+def test_seed_uniforms_send_other_seeds_through_default_rng():
+    # a Generator is drawn from in row order, so twice gives fresh draws
+    def seeds():
+        gen = np.random.default_rng(5)
+        return [3, gen, np.int64(11), 2 ** 128, gen, 2 ** 200, None, 4]
+
+    got = seed_uniforms(seeds(), 6)
+    want = default_rng_rows(seeds(), 6)
+    assert np.array_equal(np.delete(got, 6, axis=0),
+                          np.delete(want, 6, axis=0))
+    assert np.all((got[6] >= 0) & (got[6] < 1))     # None: fresh entropy
+    assert not np.array_equal(got[1], got[4])
+
+
+def test_seed_uniforms_negative_seed_raises_default_rngs_error():
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as got:
+        seed_uniforms([1, -1], 3)
+    assert str(got.value) == str(want.value)
