@@ -6,7 +6,7 @@ from .galois import (
     INTEGER_RING,
     make_dim,
 )
-from .pauli import PauliWord, match_pauli, matrix_of_pauli, weyl
+from .pauli import PauliWord, match_pauli, matrix_of_pauli
 from .gates import cz_gate, hadamard, mult_gate, sgate, shear_gate
 from .sim import StateVector, measure, product_state
 from .resource import (

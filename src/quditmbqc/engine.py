@@ -1,11 +1,13 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
-Every protocol is verified against its predicted action: densely on
-every call, or, for graph rewriting on phase-vector inits, by exact
-equality of graph-form stabilizer rows.  The mediator's branch table is
-also checked against its predicted action once per gate and mode, for
-every input at once.  A failed verification raises FrameMismatch rather
-than returning silently.
+Every protocol is verified against its predicted action on every call:
+densely, or, for graph rewriting, by exact equality of graph-form
+stabilizer rows.  Rewriting runs only on the stabilizer tableau, so it
+takes phase-vector inits and diagonal Clifford edges and returns a
+StabilizerState, which builds a dense vector only on request.  The
+mediator's branch table is also checked against its predicted action
+once per gate and mode, for every input at once.  A failed verification
+raises FrameMismatch rather than returning silently.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
+    UnsupportedFormalism,
 )
 from .galois import (
     INTEGER_RING,
@@ -138,7 +141,7 @@ def _init_vector(dim: DimSpec, init) -> np.ndarray:
         return sim.unit_vector(arr, d, "vertex init")
     if not np.all(np.isfinite(arr)):
         raise DimensionMismatch("vertex init has a NaN or infinite entry")
-    return dphi(arr.astype(float)) @ xplus_state(dim)
+    return np.exp(1j * arr.astype(float)) * xplus_state(dim)
 
 
 def _phase_diagonal(dim: DimSpec, init_v: np.ndarray) -> Optional[np.ndarray]:
@@ -175,20 +178,33 @@ def build(graph: ResourceGraph) -> StateVector:
 
 # --- graph-form stabilizer tableaux ---------------------------------------
 
-def _has_tableau(graph: ResourceGraph) -> bool:
-    """Whether every init is a phase vector (None or real: a diagonal on
-    |0_X>, which commutes with every diagonal edge, correction and
-    measurement elsewhere) and every edge a diagonal Clifford."""
-    for v in graph.vertices:
-        if isinstance(v.init, (int, np.integer)) \
-                or np.iscomplexobj(np.asarray(v.init)):
-            return False
-    for e in graph.edges:
-        try:
-            factor_diagonal_clifford(e.gate)
-        except (DimensionMismatch, NotCliffordError):
-            return False
-    return True
+def _init_phases(graph: ResourceGraph) -> np.ndarray:
+    """(n, d) angles with vertex s's init diag(e^{i phases[s]})|0_X>.
+
+    Every init is resolved by _init_vector first, so NaN and shape errors
+    are DimensionMismatch.  None and real inits are phase vectors by
+    construction; a complex init must be one (_phase_diagonal).  A Z-basis
+    label or a complex init that is not a phase vector raises
+    UnsupportedFormalism naming the vertex.
+    """
+    dim = graph.dim
+    phases = np.zeros((len(graph.vertices), dim.d))
+    for i, v in enumerate(graph.vertices):
+        if isinstance(v.init, (int, np.integer)):
+            raise UnsupportedFormalism(f"vertex {v.id} init {v.init} is a "
+                                       f"Z-basis label, not a phase vector")
+        init_v = _init_vector(dim, v.init)
+        if v.init is None:
+            continue
+        if not np.iscomplexobj(v.init):
+            phases[i] = v.init
+            continue
+        q = _phase_diagonal(dim, init_v)
+        if q is None:
+            raise UnsupportedFormalism(f"vertex {v.id} init is not a phase "
+                                       f"vector")
+        phases[i] = np.angle(q)
+    return phases
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,6 +410,16 @@ def _z_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
+def _frame_table(frame: PauliWord) -> Tuple[np.ndarray, np.ndarray]:
+    """word_table of w * frame over one_qudit_words: a run's final frame."""
+    words = one_qudit_words(frame.dim)
+    tables = word_table([normal_form(w, frame) for w in words])
+    for t in tables:
+        t.flags.writeable = False    # shared by every caller
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
 def _zx_stack(dim: DimSpec) -> np.ndarray:
     """zx_matrix of every one_qudit_words entry, stacked by word index."""
     out = np.array([zx_matrix(w) for w in one_qudit_words(dim)])
@@ -456,11 +482,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         table = None if step.adaptive \
             else certify(dphi(step.phases), dim).frame_table()
         plan.append((E.T, fresh, np.asarray(step.phases, dtype=float), table))
-    words = one_qudit_words(dim)
     g_table = pattern.intrinsic.certificate().frame_table()
     z_idx, z_phase = _z_tables(dim)
-    f_idx, f_phase = word_table([normal_form(w, pattern.frame)
-                                 for w in words])
+    f_idx, f_phase = _frame_table(pattern.frame)
     # shifted[u, x] = u - x: adaptive phases psi_t[u] = phases[u - x_t]
     shifted = np.array([[dim.add(u, dim.neg(x)) for x in dim.elements]
                         for u in dim.elements])
@@ -834,8 +858,8 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
 
 def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
                          forced_outcome: Optional[int]
-                         ) -> Tuple[Union[StateVector, StabilizerState], int,
-                                    List[Correction], ResourceGraph]:
+                         ) -> Tuple[StabilizerState, int, List[Correction],
+                                    ResourceGraph]:
     """Measure a vertex in basis_of(W, N, init_v); read the rewrite off the
     outcome.
 
@@ -852,17 +876,20 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     and init_v is v's init vector.  An outcome whose g is not of that form
     (which includes |g| != 1 anywhere) raises FrameMismatch.
 
-    When every init is a phase vector (None or real) and every edge a
-    diagonal Clifford, the inits factor out, as diagonals, of everything
-    but v's own measurement: the outcome
-    is drawn from v's reduced state in the GraphTableau, and the posterior
-    is a StabilizerState whose rows must equal, word for word, the new
-    graph's rows conjugated through the corrections.  Otherwise the graph
-    is built, measured and compared with the corrected new build densely.
-    Either check failing raises FrameMismatch.
+    Every init is a phase vector (see _init_phases, which raises
+    UnsupportedFormalism before anything is allocated otherwise), a
+    diagonal on |0_X> that commutes with every edge, correction and
+    measurement but v's own.  So the outcome is drawn from v's reduced
+    state in the GraphTableau, and the posterior is a StabilizerState
+    whose rows must equal, word for word, the new graph's rows conjugated
+    through the corrections, or FrameMismatch is raised.  An edge anywhere
+    that is not a diagonal Clifford raises as factor_diagonal_clifford
+    does (DimensionMismatch or NotCliffordError).
     """
     dim = graph.dim
     d = dim.d
+    site = graph.site_of(vid)
+    phases = _init_phases(graph)
     W = np.eye(d, dtype=complex)
     weight, kept = {}, {}
     star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
@@ -873,22 +900,12 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         W = W @ Cv
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
-    site = graph.site_of(vid)
-    tableau = GraphTableau(graph) if _has_tableau(graph) else None
-    if tableau is not None:
-        # every init is checked, as build would
-        init_v = [_init_vector(dim, v.init) for v in graph.vertices][site]
-    else:
-        init_v = _init_vector(dim, graph.vertex(vid).init)
+    tableau = GraphTableau(graph)
+    init_v = np.exp(1j * phases[site]) * xplus_state(dim)
     basis = basis_of(W, star[0][3] if star else 0, init_v)
-    if tableau is not None:
-        # |init_v> = D_init |0_X>, so D_init^dag b is measured on the rows
-        vectors = np.sqrt(d) * init_v.conj()[:, None] * basis.vectors
-        m = _tableau_outcome(tableau, site, vectors, rng, forced_outcome)
-    else:
-        m, post, _ = sim.measure(build(graph), basis, site,
-                                 rng=np.random.default_rng(rng),
-                                 forced_outcome=forced_outcome)
+    # |init_v> = D_init |0_X>, so D_init^dag b is measured on the rows
+    vectors = np.sqrt(d) * init_v.conj()[:, None] * basis.vectors
+    m = _tableau_outcome(tableau, site, vectors, rng, forced_outcome)
     mul, add, _, chi = _element_tables(dim)
     alpha = init_v * np.diag(W)
     f = (basis.vectors[:, m].conj() * alpha) @ chi[mul]
@@ -919,41 +936,27 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in sorted(weight)]
-    if tableau is not None:
-        rows = _posterior_rows(tableau, site, vectors[:, m])
-        if _corrected_rows(new_graph, corrections) != rows:
-            raise FrameMismatch("rewritten graph and corrections do not "
-                                "verify")
-        phases = np.zeros((len(new_graph.vertices), d))
-        for i, v in enumerate(new_graph.vertices):
-            if v.init is not None:
-                phases[i] = v.init
-        post = StabilizerState(dim, len(new_graph.vertices), tuple(rows),
-                               phases)
-    elif new_graph.vertices:
-        check = build(new_graph)
-        for c in corrections:
-            check = sim.apply(check, c.operator, new_graph.site_of(c.vertex))
-        if not (sim.fidelity(post, check.normalized()) >= 1 - VERIFY_TOL):
-            raise FrameMismatch("rewritten graph and corrections do not "
-                                "verify")
+    rows = _posterior_rows(tableau, site, vectors[:, m])
+    if _corrected_rows(new_graph, corrections) != rows:
+        raise FrameMismatch("rewritten graph and corrections do not verify")
+    post = StabilizerState(dim, len(new_graph.vertices), tuple(rows),
+                           np.delete(phases, site, axis=0))
     return post, m, corrections, new_graph
 
 
 def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
                   forced_outcome: Optional[int] = None
-                  ) -> Tuple[Union[StateVector, StabilizerState], int,
-                             List[Correction], ResourceGraph]:
+                  ) -> Tuple[StabilizerState, int, List[Correction],
+                             ResourceGraph]:
     """Z-measure a vertex out of a diagonal-Clifford resource.
 
-    Returns the posterior (a StabilizerState when every init is a phase
-    vector and every edge a diagonal Clifford, else a dense StateVector),
-    the outcome m, the per-neighbor
+    Returns the posterior StabilizerState, the outcome m, the per-neighbor
     corrections (not applied) and the reduced graph.  Outcome m gives
     g(s) = chi(m s), so neighbor u's correction is C_u Z^{N_u m}: the
     C1/C2 factors it kept from its lost edges times the outcome diagonal
     (see _measure_and_rewrite).  The corrected reduced graph is checked to
-    be the posterior.
+    be the posterior.  Every init must be a phase vector and every edge a
+    diagonal Clifford (see _measure_and_rewrite for the errors).
     """
     graph.validate()
     z = sim.z_basis(graph.dim)
@@ -963,21 +966,20 @@ def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
 
 def local_complement(graph: ResourceGraph, vid: int, rng=None,
                      forced_outcome: Optional[int] = None
-                     ) -> Tuple[Union[StateVector, StabilizerState], int,
-                                List[Correction], ResourceGraph]:
+                     ) -> Tuple[StabilizerState, int, List[Correction],
+                                ResourceGraph]:
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
     The measured basis is the joint eigenbasis of the commuting family
     D_v W X(x) W^dag D_v^dag Z(N x), x != 0 (over GF(p^m) the x = 1
     member alone can be degenerate), with W the product of v's edge
-    factors, D_v = diag(sqrt(d) init_v) for a phase-vector init (the
-    identity for None; an init that is not a phase vector adds nothing)
-    and N the weight of its first edge.  The outcome fixes, in closed
-    form, a weight delta != 0: neighbors u, w gain CZ^{delta N_u N_w}
-    (control = lower vertex id) and each neighbor gets a diagonal
-    correction (see _measure_and_rewrite, which also says when the
-    posterior is a StabilizerState).  A vertex without edges raises
-    DimensionMismatch.
+    factors, D_v = diag(sqrt(d) init_v) for its phase-vector init (the
+    identity for None) and N the weight of its first edge.  The outcome
+    fixes, in closed form, a weight delta != 0: neighbors u, w gain
+    CZ^{delta N_u N_w} (control = lower vertex id) and each neighbor gets
+    a diagonal correction (see _measure_and_rewrite, which also names the
+    inits and edges it rejects).  The posterior is a StabilizerState.  A
+    vertex without edges raises DimensionMismatch.
     """
     graph.validate()
     dim = graph.dim
@@ -986,9 +988,7 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
         raise DimensionMismatch(f"vertex {vid} has no edges to complement")
 
     def basis_of(W, N, init_v):
-        q = _phase_diagonal(dim, init_v)
-        if q is not None:
-            W = q[:, None] * W      # a phase-vector init is D_v |0_X>
+        W = np.sqrt(dim.d) * init_v[:, None] * W    # |init_v> = D_v |0_X>
         family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
                   for x in dim.elements if x != 0]
         return basis_from_unitary(dim, _joint_eigenbasis(family),
@@ -1000,12 +1000,14 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
 def _joint_eigenbasis(family: List[np.ndarray]) -> np.ndarray:
     """Orthonormal joint eigenbasis of commuting unitaries.
 
-    Columns follow the descending eigenphase of the first member; each of
-    its degenerate eigenspaces is split by a generic combination of the
-    other members.
+    Columns follow the descending eigenphase of the first member, in
+    (-pi, pi] (an eigenvalue -1 comes first whatever the sign of its
+    roundoff); each of its degenerate eigenspaces is split by a generic
+    combination of the other members.
     """
     vals, vecs = np.linalg.eig(family[0])
-    order = np.argsort(-np.angle(vals))
+    phase = np.angle(vals)
+    order = np.argsort(-np.where(phase < -np.pi + 1e-9, np.pi, phase))
     vals = vals[order]
     q, _ = np.linalg.qr(vecs[:, order])
     coeffs = np.random.default_rng(0).standard_normal((len(family) - 1, 2))
@@ -1112,10 +1114,9 @@ def graph_from_json(obj: dict) -> ResourceGraph:
                 + 1j * json_array(init["im"], (d,), "init im")
         elif isinstance(init, list):
             init = json_array(init, (d,), "init")
-        elif init is not None and (not isinstance(init, int)
-                                   or not 0 <= init < d):
-            raise DimensionMismatch(f"vertex init {init!r} is not a label "
-                                    f"in 0..{d - 1}")
+        elif init is not None and not 0 <= json_int(init, "vertex init") < d:
+            raise DimensionMismatch(f"vertex init {init} is not a label in "
+                                    f"0..{d - 1}")
         vertices.append(Vertex(json_int(v["id"], "vertex id"), init))
     edges = []
     for e in json_check(obj["edges"], list, "edges"):

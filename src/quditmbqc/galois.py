@@ -298,13 +298,6 @@ class DimSpec:
             return 2 * self.d
         return 4 * self.p
 
-    @property
-    def tau_exp(self) -> int:
-        """Exponent of tau_d = (-1)^d e^{i pi / d} in units of 2*pi/(2d)."""
-        if self.kind != INTEGER_RING:
-            raise WrongCharacteristic("tau is an integer-ring phase")
-        return 1 if self.d % 2 == 0 else self.d + 1
-
     # --- Galois ring ------------------------------------------------------
 
     def _require_gr(self):
@@ -324,11 +317,6 @@ class DimSpec:
         if self.m == 1:
             return (a * b) % 4
         return self._gr_mul[a][b]
-
-    def gr_neg(self, a: int) -> int:
-        self._require_gr()
-        ca = _digits(a, 4, self.m)
-        return _undigits(tuple((-x) % 4 for x in ca), 4)
 
     def gr_trace(self, t: int) -> int:
         self._require_gr()
@@ -503,10 +491,11 @@ def json_check(obj, kind: type, what: str):
 
 
 def json_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"{what} must be an integer") from None
+    """value if it is a JSON integer: an int that is not a bool, so that
+    3.7, 3.0, "3" and true are refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DimensionMismatch(f"{what} must be an integer")
+    return value
 
 
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,

@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, WrongFormalism
-from .galois import INTEGER_RING, DimSpec, json_array, json_check
+from .errors import DimensionMismatch
+from .galois import DimSpec, json_array, json_check
 
 PAULI_TOL = 1e-8
 
@@ -114,22 +114,6 @@ def word_power(w: PauliWord, k: int) -> PauliWord:
     for _ in range(k):
         out = normal_form(out, w)
     return out
-
-
-def weyl(dim: DimSpec, z: int, x: int, t: int = 0) -> PauliWord:
-    """Weyl operator W(z,x,t); t is a Galois-ring element when p = 2."""
-    if dim.kind == INTEGER_RING:
-        raise WrongFormalism("Weyl operators live in the finite-field formalism")
-    if dim.p == 2:
-        # chi_4(t) * chi_4(-z x) with the product lifted to GR(4,m)
-        zl, xl = dim.gr_embed(z), dim.gr_embed(x)
-        tr = (dim.gr_trace(t) + dim.gr_trace(dim.gr_neg(dim.gr_mul(zl, xl)))) % 4
-        phase = (2 * tr) % dim.phase_den  # i^tr in units of 2pi/(4p), p=2
-    else:
-        inv2 = dim.inv(dim.scalar(2))
-        arg = dim.add(t, dim.mul(dim.neg(inv2), dim.mul(z, x)))
-        phase = dim.char_exp(arg)
-    return PauliWord(dim, 1, (z,), (x,), phase)
 
 
 # --- dense matrices -------------------------------------------------------

@@ -372,6 +372,16 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     ("graph", ["vertices", 1, "id"], "vertex")],
     ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else v)
 def test_missing_key_is_named(tmp_path, capsys, kind, path, where):
+    assert _run_edited(tmp_path, capsys, kind, path) \
+        == (cli.EXIT_PARSE, f"error: missing key {path[-1]!r} in {where}\n")
+
+
+_DELETE = object()
+
+
+def _run_edited(tmp_path, capsys, kind, path, value=_DELETE):
+    """Exit code and stderr of the CLI on a gate, pattern or graph file
+    whose entry at path is set to value (or deleted)."""
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     _, out = run_cli(capsys, ["transport", "--gate", gate])
     pattern = json.loads(out)["results"]["pattern"]
@@ -381,15 +391,32 @@ def test_missing_key_is_named(tmp_path, capsys, kind, path, where):
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    del parent[path[-1]]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     bad = write_json(tmp_path / "bad.json", obj)
     argv = {"gate": ["analyze", "--gate", bad],
             "pattern": ["run", "--pattern", bad],
             "graph": ["run", "--graph", bad, "--pattern",
                       write_json(tmp_path / "pattern.json", pattern)]}[kind]
-    assert cli.main(argv) == cli.EXIT_PARSE
-    assert capsys.readouterr().err \
-        == f"error: missing key {path[-1]!r} in {where}\n"
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [3.7, "3", True, 3.0], ids=repr)
+@pytest.mark.parametrize("kind,path,what", [
+    ("pattern", ["dim", "d"], "d"),
+    ("graph", ["vertices", 1, "id"], "vertex id"),
+    ("graph", ["edges", 0, "seq"], "edge seq"),
+    ("graph", ["vertices", 4, "init"], "vertex init")],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else v)
+def test_json_integers_must_be_integers(tmp_path, capsys, kind, path, what,
+                                        value):
+    # an integer field takes a JSON integer only: no truncated float,
+    # string, boolean or integral float
+    assert _run_edited(tmp_path, capsys, kind, path, value) \
+        == (cli.EXIT_PARSE, f"error: {what} must be an integer\n")
 
 
 # --- golden reports -------------------------------------------------------

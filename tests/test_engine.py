@@ -17,6 +17,7 @@ from quditmbqc.errors import (
     NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
+    UnsupportedFormalism,
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
@@ -195,6 +196,22 @@ def test_run_forced_outcomes_deterministic():
     b, fb = run_pattern(g, pat, psi, forced_outcomes=zeros)
     assert np.allclose(a.amps, b.amps)
     assert fa.history == fb.history
+
+
+def test_run_builds_the_final_frame_table_once_per_frame(monkeypatch):
+    # a repeated run reads the frame's word table from the cache and
+    # composes no word
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    first = run_trajectories(g, pat, xplus_state(D3), range(3))
+
+    def no_words(*args):
+        raise AssertionError("a word was composed")
+
+    monkeypatch.setattr(engine, "normal_form", no_words)
+    again = run_trajectories(g, pat, xplus_state(D3), range(3))
+    assert np.array_equal(first.frame_index, again.frame_index)
+    assert np.array_equal(first.frame_phase, again.frame_phase)
 
 
 D5 = make_dim(INTEGER_RING, d=5)
@@ -848,7 +865,8 @@ def test_nan_state_is_rejected(name):
 def test_nan_state_fails_dense_verification(name, monkeypatch):
     # with the input checks bypassed (sim.collapse's weight check too),
     # the NaN reaches the dense verification, whose comparison must fail
-    # rather than pass
+    # rather than pass; rewriting verifies on the tableau, so there the
+    # phase-vector check must reject the NaN init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
@@ -856,7 +874,8 @@ def test_nan_state_fails_dense_verification(name, monkeypatch):
                         lambda w: w.sum(axis=1, keepdims=True))
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
-    with np.errstate(invalid="ignore"), pytest.raises(FrameMismatch):
+    error = UnsupportedFormalism if name == "vertex_delete" else FrameMismatch
+    with np.errstate(invalid="ignore"), pytest.raises(error):
         _nan_entry_points()[name]()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import hadamard, sgate
-from quditmbqc.errors import WrongFormalism
 from quditmbqc.pauli import (
     PauliWord,
     identity_word,
@@ -14,7 +13,6 @@ from quditmbqc.pauli import (
     matrix_of_pauli,
     normal_form,
     single_word,
-    weyl,
     word_power,
 )
 
@@ -144,23 +142,3 @@ def test_f4_x_shift_uses_field_addition():
     v = np.zeros(4)
     v[3] = 1
     assert np.allclose(X2 @ np.eye(4)[:, 1], v)
-
-
-def test_weyl_field_only():
-    dim = make_dim(FINITE_FIELD, p=2, m=2)
-    for z in dim.elements:
-        for x in dim.elements:
-            w = weyl(dim, z, x)
-            ref = _zmat(dim, z) @ _xmat(dim, x)
-            assert np.allclose(matrix_of_pauli(w) / w.phase, ref)
-    with pytest.raises(WrongFormalism):
-        weyl(make_dim(INTEGER_RING, d=3), 1, 1)
-
-
-def test_weyl_squares_to_identity_char2():
-    # W(z, x)^2 = I is what the chi_4 phase convention buys in char 2
-    dim = make_dim(FINITE_FIELD, p=2, m=2)
-    for z in dim.elements:
-        for x in dim.elements:
-            W = matrix_of_pauli(weyl(dim, z, x))
-            assert np.allclose(W @ W, np.eye(4))

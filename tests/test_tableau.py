@@ -19,22 +19,28 @@ from quditmbqc.engine import (
     chain_graph,
     diagonal_lattice,
     local_complement,
+    mediated_lattice,
     vertex_delete,
 )
 from quditmbqc.errors import (
+    DimensionMismatch,
     FrameMismatch,
+    NotCliffordError,
     StateTooLarge,
+    UnsupportedFormalism,
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import sgate
-from quditmbqc.pauli import xmat, zmat
+from quditmbqc.pauli import PAULI_TOL, xmat, zmat
 from quditmbqc.resource import (
+    VERIFY_TOL,
     cx_spec,
     cz_power,
     cz_spec,
     factor_diagonal_clifford,
     light_shift_spec,
+    mediator_of,
 )
 
 D3 = make_dim(INTEGER_RING, d=3)
@@ -72,57 +78,126 @@ def _corrected(graph, corrections):
     return state.normalized().amps
 
 
-def _raw_inits(graph):
-    """The same graph with every init a raw state, so rewriting is dense."""
+def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
+    """The dense rewrite reference: build the graph, sim.measure vid in
+    _measured_basis, read the rewrite off the outcome by the closed form
+    the library uses, and check the corrected new build against the
+    posterior.  Returns (posterior amps, outcome, corrections, new graph);
+    raises ZeroProbabilityForced or FrameMismatch where that rewrite
+    fails."""
+    dim = graph.dim
+    d = dim.d
+    W = np.eye(d, dtype=complex)
+    weight, kept = {}, {}
+    star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
+            if vid in (e.control, e.target)]
+    for e, C1, C2, N in star:
+        Cv, Cu, u = (C1, C2, e.target) if e.control == vid \
+            else (C2, C1, e.control)
+        W = W @ Cv
+        weight[u] = dim.add(weight.get(u, 0), N)
+        kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
+    init_v = engine._init_vector(dim, graph.vertex(vid).init)
+    basis = _measured_basis(graph, vid, rule)
+    m, post, _ = sim.measure(build(graph), basis, graph.site_of(vid),
+                             rng=np.random.default_rng(rng),
+                             forced_outcome=forced_outcome)
+    mul, add, _, chi = engine._element_tables(dim)
+    f = (basis.vectors[:, m].conj() * init_v * np.diag(W)) @ chi[mul]
+    if abs(f[0]) < VERIFY_TOL:
+        raise FrameMismatch(f"outcome {m} leaves no graph state")
+    g = f / f[0]
+    delta = next((w for w in dim.elements if np.max(np.abs(
+        g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
+    if delta is None:
+        raise FrameMismatch(f"outcome {m} phases are not quadratic")
+    vertices = [v for v in graph.vertices if v.id != vid]
+    edges = [e for e in graph.edges if vid not in (e.control, e.target)]
+    next_seq = max((e.seq for e in edges), default=-1) + 1
+    for u, w in itertools.combinations(sorted(weight), 2):
+        new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
+        if new_w == 0:
+            continue
+        for e in [e for e in edges if {e.control, e.target} == {u, w}]:
+            C1, C2, N = factor_diagonal_clifford(e.gate)
+            kept[e.control] = kept[e.control] @ C1
+            kept[e.target] = kept[e.target] @ C2
+            new_w = dim.add(new_w, N)
+            edges.remove(e)
+        if new_w != 0:
+            edges.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
+            next_seq += 1
+    new_graph = ResourceGraph(dim, vertices, edges)
+    corrections = [engine.Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
+                                     f"C g({weight[u]}*j) on {u}")
+                   for u in sorted(weight)]
+    if new_graph.vertices and not abs(np.vdot(
+            _corrected(new_graph, corrections), post.amps)) >= 1 - VERIFY_TOL:
+        raise FrameMismatch("rewritten graph and corrections do not verify")
+    return post.amps, m, corrections, new_graph
+
+
+def _edge_list(graph):
+    return [(e.control, e.target, e.seq, factor_diagonal_clifford(e.gate)[2])
+            for e in graph.edges]
+
+
+def _assert_matches_dense(got, want):
+    """A library rewrite result equals the dense reference's: outcome,
+    corrections, edges and posterior (at fidelity 1 - 1e-9)."""
+    post, m, corrections, new = got
+    amps, m_dense, dense_corrections, dense_new = want
+    assert isinstance(post, StabilizerState)
+    assert m == m_dense
+    assert [c.label for c in corrections] == \
+        [c.label for c in dense_corrections]
+    assert all(np.max(np.abs(c.operator - o.operator)) <= 1e-9
+               for c, o in zip(corrections, dense_corrections))
+    assert _edge_list(new) == _edge_list(dense_new)
+    assert abs(np.vdot(amps, post.amps)) >= 1 - 1e-9
+
+
+def _check_every_outcome(graph, vid, rule):
+    """Every forced outcome: the rule's StabilizerState rewrite equals the
+    dense reference's, and an outcome the dense reference rejects, the
+    rule rejects with the same error.  Returns the number of outcomes that
+    verified."""
+    verified = 0
+    for m in graph.dim.elements:
+        try:
+            want = _dense_rewrite(graph, vid, rule, forced_outcome=m)
+        except (ZeroProbabilityForced, FrameMismatch) as exc:
+            with pytest.raises(type(exc)):
+                rule(graph, vid, forced_outcome=m)
+            continue
+        _assert_matches_dense(rule(graph, vid, forced_outcome=m), want)
+        verified += 1
+    return verified
+
+
+def _complex_inits(graph):
+    """The same graph with every init as its complex vector e^{i phi}/sqrt(d),
+    which the tableau reads through _phase_diagonal."""
     return ResourceGraph(graph.dim,
                          [Vertex(v.id, engine._init_vector(graph.dim, v.init))
                           for v in graph.vertices], graph.edges)
 
 
-def _check_every_outcome(graph, vid, rule, tableau):
-    """Every forced outcome: the posterior (a StabilizerState iff tableau)
-    matches sim.measure of the dense build and the corrected new graph;
-    an outcome that fails, fails on the dense path too.  Returns the
-    number of outcomes that verified."""
-    site = graph.site_of(vid)
-    dense = build(graph)
-    basis = _measured_basis(graph, vid, rule)
-    verified = 0
-    for m in graph.dim.elements:
-        try:
-            post, got, corrections, new = rule(graph, vid, forced_outcome=m)
-        except ZeroProbabilityForced:
-            with pytest.raises(ZeroProbabilityForced):
-                sim.measure(dense, basis, site, forced_outcome=m)
-            continue
-        except FrameMismatch:
-            with pytest.raises(FrameMismatch):
-                rule(_raw_inits(graph), vid, forced_outcome=m)
-            continue
-        assert got == m
-        assert isinstance(post, StabilizerState) == tableau
-        _, oracle, _ = sim.measure(dense, basis, site, forced_outcome=m)
-        assert abs(np.vdot(oracle.amps, post.amps)) >= 1 - 1e-9
-        if new.vertices:
-            assert abs(np.vdot(_corrected(new, corrections), post.amps)) \
-                >= 1 - 1e-9
-        verified += 1
-    return verified
-
-
 @st.composite
 def phase_graphs(draw):
     """A 2-5 vertex graph of cz powers (and light-shift edges over Z2 and
-    Z3) with real phase inits, and a vertex with an edge to measure: its
-    init is 0, Z, S or S^-1 (as phases), the others' any phases or
-    None."""
+    Z3), and a vertex with an edge to measure.  Its init phases are 0, Z,
+    S or S^-1, the others' any phases or None; each init is drawn as real
+    phases, as the complex vector e^{i phi}/sqrt(d) or, over a ring, as
+    the mediator init mediator_of(gate)[0] of one of the graph's gates."""
     dim = draw(st.sampled_from(DIMS))
     d = dim.d
     n = draw(st.integers(2, 5))
     pairs = draw(st.lists(st.sampled_from(
         list(itertools.combinations(range(n), 2))),
         min_size=1, max_size=6, unique=True))
-    light_shift = dim.kind == INTEGER_RING and d in (2, 3)
+    ring = dim.kind == INTEGER_RING
+    light_shift = ring and d in (2, 3)
     edges = []
     for seq, (a, b) in enumerate(pairs):
         if draw(st.booleans()):
@@ -133,11 +208,20 @@ def phase_graphs(draw):
     vid = draw(st.sampled_from(sorted({v for p in pairs for v in p})))
     S = np.angle(np.diag(sgate(dim)))
     cliffords = [np.zeros(d), np.angle(np.diag(zmat(dim, 1))), S, -S]
-    clifford = draw(st.sampled_from(cliffords))
     phase = st.floats(-np.pi, np.pi, allow_nan=False)
-    inits = [clifford if i == vid
-             else draw(st.none() | st.lists(phase, min_size=d, max_size=d)
-                       .map(np.array))
+    forms = ["real", "complex"] + ["mediator"] * ring
+
+    def init(phases):
+        form = draw(st.sampled_from(forms))
+        if phases is None:
+            return None
+        if form == "mediator":
+            return mediator_of(draw(st.sampled_from(edges)).gate)[0]
+        return phases if form == "real" else np.exp(1j * phases) / np.sqrt(d)
+
+    inits = [init(draw(st.sampled_from(cliffords))) if i == vid
+             else init(draw(st.none() | st.lists(phase, min_size=d,
+                                                 max_size=d).map(np.array)))
              for i in range(n)]
     graph = ResourceGraph(dim, [Vertex(i, init) for i, init in
                                 enumerate(inits)], edges)
@@ -152,23 +236,32 @@ def test_tableau_rewrite_matches_dense_oracles(case):
         # the measured vertex's init phases join its basis, so it rewrites
         # on every outcome: each weight is a unit, so every outcome is
         # equally likely
-        assert _check_every_outcome(graph, vid, rule, tableau=True) \
-            == graph.dim.d
+        assert _check_every_outcome(graph, vid, rule) == graph.dim.d
+
+
+@pytest.mark.parametrize("eps", [1e-15, -1e-15])
+def test_eigenvalue_minus_one_orders_whatever_its_roundoff(eps):
+    # outcome labels must not hang on roundoff: -1 is pi, not -pi, even
+    # when its computed angle is -pi + 1e-15 (an init given as a complex
+    # vector and the same init given as phases differ by such roundoff)
+    q = engine._joint_eigenbasis([np.diag([1, np.exp(1j * (np.pi + eps)),
+                                           1j])])
+    assert np.allclose(np.abs(q), np.eye(3)[:, [1, 2, 0]])
 
 
 @pytest.mark.parametrize("init", ["S", "S^-1", "Z"])
 @pytest.mark.parametrize("dim", DIMS, ids=lambda dim: dim.label())
 def test_clifford_centre_init_complements_on_every_outcome(dim, init):
     # the centre's init phases join its measured basis, so a Clifford
-    # phase such as S rewrites on every outcome, on both paths
+    # phase such as S rewrites on every outcome, given as real phases or
+    # as a complex vector
     diag = {"S": np.diag(sgate(dim)), "S^-1": np.diag(sgate(dim)).conj(),
             "Z": np.diag(zmat(dim, 1))}[init]
     graph = chain_graph(dim, cz_spec(dim), 3)
     graph.vertices[1].init = np.angle(diag)
-    assert _check_every_outcome(graph, 1, local_complement, tableau=True) \
-        == dim.d
-    assert _check_every_outcome(_raw_inits(graph), 1, local_complement,
-                                tableau=False) == dim.d
+    assert _check_every_outcome(graph, 1, local_complement) == dim.d
+    assert _check_every_outcome(_complex_inits(graph), 1,
+                                local_complement) == dim.d
 
 
 @pytest.mark.parametrize("rule, vid", [(vertex_delete, 4),
@@ -176,22 +269,28 @@ def test_clifford_centre_init_complements_on_every_outcome(dim, init):
 def test_seeded_outcomes_match_the_dense_path(rule, vid):
     # the tableau draws by sim.collapse's inverse CDF, as sim.measure does
     graph = diagonal_lattice(D3, 3, 3, light_shift_spec(D3))
-    dense = _raw_inits(graph)
     for seed in range(40):
-        post, m, corrections, _ = rule(graph, vid, rng=seed)
-        _, m_dense, dense_corrections, _ = rule(dense, vid, rng=seed)
-        assert isinstance(post, StabilizerState) and m == m_dense
-        assert [c.label for c in corrections] == \
-            [c.label for c in dense_corrections]
+        _assert_matches_dense(rule(graph, vid, rng=seed),
+                              _dense_rewrite(graph, vid, rule, rng=seed))
 
 
 @pytest.mark.parametrize("spectator", [1, np.array([1, 1j, 0]) / np.sqrt(2)],
                          ids=["label", "raw"])
 @pytest.mark.parametrize("rule", RULES)
 def test_label_or_raw_spectator_keeps_the_dense_path(spectator, rule):
-    graph = chain_graph(D3, cz_spec(D3), 3)
-    graph.vertices[2].init = spectator
-    assert _check_every_outcome(graph, 1, rule, tableau=False) == 3
+    # rewriting has no dense path: a Z-basis label, or a raw init that is
+    # not a phase vector, anywhere in the graph raises naming its vertex
+    # before any state is allocated (3^100 amplitudes here)
+    graph = diagonal_lattice(D3, 10, 10, cz_spec(D3))
+    graph.vertices[99].init = spectator
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedFormalism, match="vertex 99"):
+            rule(graph, 55, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("second, errors", [
@@ -234,7 +333,86 @@ def test_rewrites_a_lattice_past_the_dense_ceiling():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_block_edge_away_from_the_vertex_keeps_the_dense_path(rule):
-    # a cx edge has no graph-form rows, but it commutes with measuring 0
+    # an edge without graph-form rows raises anywhere in the graph, even
+    # where it commutes with measuring 0: a cx edge is not diagonal, and a
+    # light-shift edge at a non-Clifford angle is not Clifford
     graph = chain_graph(D3, cz_spec(D3), 3)
     graph.edges[1] = GraphEdge(1, 2, cx_spec(D3), 1)
-    assert _check_every_outcome(graph, 0, rule, tableau=False) == 3
+    with pytest.raises(DimensionMismatch, match="diagonal gate required"):
+        rule(graph, 0, rng=0)
+    graph.edges[1] = GraphEdge(1, 2, light_shift_spec(D3, 0.7), 1)
+    with pytest.raises(NotCliffordError):
+        rule(graph, 0, rng=0)
+
+
+@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec],
+                         ids=["cz", "light_shift"])
+def test_mediated_lattice_matches_the_dense_reference(spec_of):
+    # the paper's 2D geometry: each mediator's init mediator_of(gate)[0] is
+    # a complex phase vector; every outcome at two chain vertices and two
+    # mediators rewrites on the tableau as the dense reference does
+    graph = mediated_lattice(D3, 2, 3, spec_of(D3))
+    assert np.iscomplexobj(graph.vertex(6).init)
+    for vid in (0, 1, 6, 7):
+        for rule in RULES:
+            assert _check_every_outcome(graph, vid, rule) == 3
+
+
+def test_rewrites_a_mediated_lattice_past_the_dense_ceiling():
+    # 3x3 chains and 6 mediators: 3^15 amplitudes, over the dense budget
+    graph = mediated_lattice(D3, 3, 3, cz_spec(D3))
+    with pytest.raises(StateTooLarge):
+        build(graph)
+    start = time.perf_counter()
+    post, _, corrections, reduced = vertex_delete(graph, 4, rng=1)
+    assert [c.vertex for c in corrections] == [3, 5, 10, 13]
+    post, _, _, joined = local_complement(reduced, 9, rng=2)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(post, StabilizerState) and post.n == 13
+    assert {0, 3} in [{e.control, e.target} for e in joined.edges]
+    with pytest.raises(StateTooLarge):
+        post.amps
+
+
+def _benchmark_graphs():
+    """(graph, vertex) pairs shaped as the graph-rewrite benchmark's: cz
+    stars at their centre, the Z2 3-chain and 3x3 lattice centres, the
+    deleted lattice vertices, and the 3x3 mediated cz lattice."""
+    rings = {d: make_dim(INTEGER_RING, d=d) for d in (2, 3, 5)}
+    cases = []
+    for d, leaves in [(2, 4), (3, 3), (5, 2)]:
+        dim = rings[d]
+        for k in range(1, leaves + 1):
+            cases.append((ResourceGraph(
+                dim, [Vertex(i, np.zeros(d)) for i in range(k + 1)],
+                [GraphEdge(0, i, cz_spec(dim), i - 1)
+                 for i in range(1, k + 1)]), 0))
+    D2 = rings[2]
+    cases += [(chain_graph(D2, cz_spec(D2), 3), 1),
+              (diagonal_lattice(D2, 3, 3, cz_spec(D2)), 4)]
+    GF4 = make_dim(FINITE_FIELD, p=2, m=2)
+    for dim, rows, cols, gate, vids in [
+            (D3, 3, 3, cz_spec(D3), (4, 0)),
+            (GF4, 3, 3, cz_spec(GF4), (4, 0)),
+            (rings[5], 2, 4, cz_spec(rings[5]), (1, 0)),
+            (D2, 2, 5, light_shift_spec(D2), (2, 0))]:
+        graph = diagonal_lattice(dim, rows, cols, gate)
+        cases += [(graph, vid) for vid in vids]
+    graph = mediated_lattice(D3, 3, 3, cz_spec(D3))
+    return cases + [(graph, vid) for vid in (0, 4, 9, 13)]
+
+
+def test_rewriting_is_one_path(monkeypatch):
+    # no rule builds, applies or measures a dense state
+    def refuse(*args, **kwargs):
+        raise AssertionError("rewriting reached dense simulation")
+
+    monkeypatch.setattr(engine, "build", refuse)
+    for name in ("measure", "apply", "product_state"):
+        monkeypatch.setattr(sim, name, refuse)
+    for graph, vid in _benchmark_graphs():
+        for rule in RULES:
+            post, m, _, _ = rule(graph, vid, rng=vid)
+            assert isinstance(post, StabilizerState)
+            post, _, _, _ = rule(graph, vid, forced_outcome=m)
+            assert isinstance(post, StabilizerState)
