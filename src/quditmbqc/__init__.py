@@ -22,10 +22,8 @@ from .resource import (
 )
 from .clifford import (
     CliffordCert,
-    SymplecticRep,
     certify,
     pauli_order,
-    symplectic_of,
     universality_check,
 )
 from .compiler import (

@@ -1,17 +1,16 @@
-"""Clifford certification, symplectic representation, and native words.
+"""Clifford certification and native words.
 
-Single-qudit Cliffords are represented (up to Pauli and phase) by symplectic
-matrices acting on (z, x) column vectors: Z -> Z^a X^b, X -> Z^c X^e with
-a e - b c = 1.  Certificates compose exactly, so the shortest native word
-G_I S(l_{k-1}) ... G_I S(l_0) of every Clifford class an intrinsic gate
-reaches is found by a breadth-first search without dense products
-(shortest_words).  Words over {H, shear} synthesize a rep densely.
+A single-qudit Clifford is known by its certificate: the exact-phase
+images of the Pauli generators, Z -> Z^a X^b and X -> Z^c X^e up to phase
+with a e - b c = 1.  Certificates compose exactly, so the shortest native
+word G_I S(l_{k-1}) ... G_I S(l_0) of every Clifford class an intrinsic
+gate reaches is found by a breadth-first search without dense products
+(shortest_words).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -21,10 +20,9 @@ from .errors import (
     DimensionMismatch,
     NotCliffordError,
     OrderCapExceeded,
-    UnsupportedFormalism,
 )
 from .galois import INTEGER_RING, DimSpec
-from .gates import hadamard, shear_gate
+from .gates import shear_gate
 from .pauli import (
     PauliWord,
     match_pauli,
@@ -154,62 +152,6 @@ def pauli_order(U: np.ndarray, dim: DimSpec, n: int = 1) -> int:
     return pauli_order_data(U, dim, n)[0]
 
 
-# --- symplectic representation -------------------------------------------
-
-@dataclass(frozen=True)
-class SymplecticRep:
-    dim: DimSpec
-    a: int
-    b: int
-    c: int
-    e: int
-
-    def __post_init__(self):
-        dim = self.dim
-        det = dim.sub(dim.mul(self.a, self.e), dim.mul(self.b, self.c))
-        if det != 1:
-            raise DimensionMismatch(f"symplectic determinant {det} != 1")
-
-    def matmul(self, other: "SymplecticRep") -> "SymplecticRep":
-        dim = self.dim
-        a = dim.add(dim.mul(self.a, other.a), dim.mul(self.c, other.b))
-        b = dim.add(dim.mul(self.b, other.a), dim.mul(self.e, other.b))
-        c = dim.add(dim.mul(self.a, other.c), dim.mul(self.c, other.e))
-        e = dim.add(dim.mul(self.b, other.c), dim.mul(self.e, other.e))
-        return SymplecticRep(dim, a, b, c, e)
-
-    def apply(self, z: int, x: int) -> Tuple[int, int]:
-        dim = self.dim
-        return (dim.add(dim.mul(self.a, z), dim.mul(self.c, x)),
-                dim.add(dim.mul(self.b, z), dim.mul(self.e, x)))
-
-
-def hadamard_rep(dim: DimSpec) -> SymplecticRep:
-    """H: Z -> X^{-1}, X -> Z."""
-    return SymplecticRep(dim, 0, dim.neg(1), 1, 0)
-
-
-def symplectic_of(cert: CliffordCert) -> SymplecticRep:
-    """Extract (a,b,c,e) from a single-qudit certificate; checks linearity."""
-    if cert.n != 1:
-        raise DimensionMismatch("symplectic extraction is single-qudit")
-    dim = cert.dim
-    wz, wx = cert.images["Z0^1"], cert.images["X0^1"]
-    a, b, c, e = wz.z[0], wz.x[0], wx.z[0], wx.x[0]
-    for label, w in generator_words(dim, 1):
-        img = cert.images[label]
-        g = w.z[0] if w.z[0] else w.x[0]
-        if w.z[0]:
-            want = (dim.mul(a, g), dim.mul(b, g))
-        else:
-            want = (dim.mul(c, g), dim.mul(e, g))
-        if (img.z[0], img.x[0]) != want:
-            raise NotCliffordError(
-                f"generator {label} image is not symplectic-linear",
-                generator=label)
-    return SymplecticRep(dim, a, b, c, e)
-
-
 def universality_check(cert: CliffordCert) -> Tuple[bool, Tuple[int, int]]:
     """True iff Z -> Z^a X^b with b invertible (nonzero in a field).
 
@@ -250,77 +192,3 @@ def shortest_words(g: CliffordCert) -> Dict[Tuple, Tuple[int, ...]]:
                     reached.append((nxt, table[key]))
         frontier = reached
     return table
-
-
-# --- symplectic synthesis ---------------------------------------------------
-
-Token = Tuple  # ("H",) | ("shear", l)
-
-
-def realize_word(dim: DimSpec, tokens: List[Token]) -> np.ndarray:
-    """Dense product of a token word, leftmost token = leftmost factor."""
-    out = np.eye(dim.d, dtype=complex)
-    for t in tokens:
-        if t[0] == "H":
-            out = out @ hadamard(dim)
-        elif t[0] == "shear":
-            out = out @ shear_gate(dim, t[1])
-        else:
-            raise ValueError(f"unknown token {t!r}")
-    return out
-
-
-def map_pauli_to_Z(dim: DimSpec, m: int, n: int
-                   ) -> Tuple[SymplecticRep, int]:
-    """Symplectic rep mapping the Pauli exponent vector (m, n) to (l, 0)
-    with l = gcd(m, n); built from a Bezout identity."""
-    m, n = m % dim.d, n % dim.d
-    if m == 0 and n == 0:
-        raise DimensionMismatch("zero Pauli cannot be mapped")
-    if dim.kind == INTEGER_RING:
-        l = math.gcd(m, n)
-        mp, np_ = m // l, n // l
-        # 1 = u mp + v np_
-        g, u, v = _ext_gcd(mp, np_)
-        u, v = u % dim.d, v % dim.d
-        rep = SymplecticRep(dim, u, dim.neg(np_ % dim.d), v, mp % dim.d)
-        return rep, l
-    # field: every nonzero element is invertible, l = 1
-    if m != 0:
-        rep = SymplecticRep(dim, dim.inv(m), dim.neg(n), 0, m)
-    else:
-        rep = SymplecticRep(dim, 0, dim.neg(n), dim.inv(n), 0)
-    return rep, 1
-
-
-def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def rep_tokens(rep: SymplecticRep) -> List[Token]:
-    """Decompose a symplectic rep into shear and Hadamard tokens."""
-    dim = rep.dim
-    F = hadamard_rep(dim)
-    cur = rep
-    for k in range(4):
-        if dim.is_invertible(cur.b):
-            l2 = cur.b
-            binv = dim.inv(l2)
-            l1 = dim.mul(dim.add(cur.a, 1), binv)
-            l3 = dim.mul(dim.add(cur.e, 1), binv)
-            tokens: List[Token] = [("shear", l1), ("H",), ("shear", l2),
-                                   ("H",), ("shear", l3)]
-            tokens += [("H",)] * ((4 - k) % 4)
-            return tokens
-        cur = cur.matmul(F)
-    raise UnsupportedFormalism("no F-shift yields an invertible shear "
-                               "parameter for this dimension")
-
-
-def synthesize(rep: SymplecticRep) -> np.ndarray:
-    """Dense unitary whose conjugation action realizes the rep
-    (up to Pauli phases)."""
-    return realize_word(rep.dim, rep_tokens(rep))

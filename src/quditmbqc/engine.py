@@ -123,25 +123,32 @@ class ResourceGraph:
                 raise SiteOutOfRange("edge endpoint not in vertex list")
             if e.control == e.target:
                 raise SiteOutOfRange("self-loop edge")
+        d = self.dim.d
+        for v in self.vertices:
+            if isinstance(v.init, (int, np.integer)):
+                if not 0 <= v.init < d:
+                    raise DimensionMismatch(f"vertex init {v.init} is not a "
+                                            f"label in 0..{d - 1}")
+            elif v.init is not None:
+                arr = np.asarray(v.init)
+                if arr.shape != (d,):
+                    raise DimensionMismatch("vertex init length does not "
+                                            "match d")
+                if not (np.iscomplexobj(arr) or np.all(np.isfinite(arr))):
+                    raise DimensionMismatch("vertex init has a NaN or "
+                                            "infinite entry")
 
 
 def _init_vector(dim: DimSpec, init) -> np.ndarray:
-    """Resolve a vertex init to a normalized state vector."""
-    d = dim.d
+    """Resolve a vertex init, checked by ResourceGraph.validate, to a
+    normalized state vector."""
     if init is None:
         return xplus_state(dim)
     if isinstance(init, (int, np.integer)):
-        v = np.zeros(d, dtype=complex)
-        v[int(init)] = 1.0
-        return v
-    arr = np.asarray(init)
-    if arr.shape != (d,):
-        raise DimensionMismatch("vertex init length does not match d")
-    if np.iscomplexobj(arr):
-        return sim.unit_vector(arr, d, "vertex init")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionMismatch("vertex init has a NaN or infinite entry")
-    return np.exp(1j * arr.astype(float)) * xplus_state(dim)
+        return np.eye(dim.d, dtype=complex)[init]
+    if np.iscomplexobj(init):
+        return sim.unit_vector(init, dim.d, "vertex init")
+    return np.exp(1j * np.asarray(init, dtype=float)) * xplus_state(dim)
 
 
 def _phase_diagonal(dim: DimSpec, init_v: np.ndarray) -> Optional[np.ndarray]:
@@ -181,11 +188,11 @@ def build(graph: ResourceGraph) -> StateVector:
 def _init_phases(graph: ResourceGraph) -> np.ndarray:
     """(n, d) angles with vertex s's init diag(e^{i phases[s]})|0_X>.
 
-    Every init is resolved by _init_vector first, so NaN and shape errors
-    are DimensionMismatch.  None and real inits are phase vectors by
-    construction; a complex init must be one (_phase_diagonal).  A Z-basis
-    label or a complex init that is not a phase vector raises
-    UnsupportedFormalism naming the vertex.
+    ResourceGraph.validate has checked every init.  None and real inits
+    are phase vectors by construction and are read as they are; a complex
+    init must be one (_phase_diagonal).  A Z-basis label or a complex init
+    that is not a phase vector raises UnsupportedFormalism naming the
+    vertex.
     """
     dim = graph.dim
     phases = np.zeros((len(graph.vertices), dim.d))
@@ -193,13 +200,12 @@ def _init_phases(graph: ResourceGraph) -> np.ndarray:
         if isinstance(v.init, (int, np.integer)):
             raise UnsupportedFormalism(f"vertex {v.id} init {v.init} is a "
                                        f"Z-basis label, not a phase vector")
-        init_v = _init_vector(dim, v.init)
         if v.init is None:
             continue
         if not np.iscomplexobj(v.init):
             phases[i] = v.init
             continue
-        q = _phase_diagonal(dim, init_v)
+        q = _phase_diagonal(dim, _init_vector(dim, v.init))
         if q is None:
             raise UnsupportedFormalism(f"vertex {v.id} init is not a phase "
                                        f"vector")
@@ -1114,9 +1120,8 @@ def graph_from_json(obj: dict) -> ResourceGraph:
                 + 1j * json_array(init["im"], (d,), "init im")
         elif isinstance(init, list):
             init = json_array(init, (d,), "init")
-        elif init is not None and not 0 <= json_int(init, "vertex init") < d:
-            raise DimensionMismatch(f"vertex init {init} is not a label in "
-                                    f"0..{d - 1}")
+        elif init is not None:
+            init = json_int(init, "vertex init")
         vertices.append(Vertex(json_int(v["id"], "vertex id"), init))
     edges = []
     for e in json_check(obj["edges"], list, "edges"):

@@ -458,11 +458,8 @@ def dim_from_json(obj: dict) -> DimSpec:
         return make_dim(INTEGER_RING, d=json_int(obj["d"], "d"))
     if kind == "finite_field":
         m = json_int(obj["m"], "m")
-        polys = {}
-        for key in ("poly", "gr_poly"):
-            if obj.get(key) is not None:
-                polys[key] = [int(c) for c in
-                              json_array(obj[key], (None,), key, int)]
+        polys = {key: json_array(obj[key], (None,), key, int).tolist()
+                 for key in ("poly", "gr_poly") if obj.get(key) is not None}
         return make_dim(FINITE_FIELD, p=json_int(obj["p"], "p"), m=m,
                         **polys)
     raise DimensionMismatch(f"unknown dim kind {kind!r}")
@@ -498,12 +495,23 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _json_leaves(value) -> list:
+    """The scalars of a nested JSON array, or [value] for a scalar."""
+    if not isinstance(value, list):
+        return [value]
+    return [leaf for v in value for leaf in _json_leaves(v)]
+
+
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,
                dtype=float) -> np.ndarray:
-    """value as a finite numeric array of the shape; None matches any size."""
+    """value as a finite numeric array of the shape; None matches any size.
+    An int array takes JSON integers only, as json_int does."""
+    if dtype is int and any(isinstance(v, bool) or not isinstance(v, int)
+                            for v in _json_leaves(value)):
+        raise DimensionMismatch(f"{what} must be an array of integers")
     try:
         arr = np.array(value, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DimensionMismatch(f"{what} is not a numeric array") from None
     if arr.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, arr.shape)):

@@ -234,11 +234,11 @@ def pauli_to_json(w: PauliWord) -> dict:
 
 def pauli_from_json(dim: DimSpec, obj: dict) -> PauliWord:
     obj = json_check(obj, dict, "frame")
-    num, den = (int(v) for v in json_array(obj["phase"], (2,), "phase", int))
+    num, den = json_array(obj["phase"], (2,), "phase", int).tolist()
     if den != dim.phase_den:
         raise DimensionMismatch("phase denominator does not match DimSpec")
     width = len(dim.coeffs_of(0))
-    z, x = (tuple(dim.elem_from_coeffs([int(c) for c in row])
-                  for row in json_array(obj[key], (None, width), key, int))
+    z, x = (tuple(dim.elem_from_coeffs(row) for row in
+                  json_array(obj[key], (None, width), key, int).tolist())
             for key in ("z", "x"))
     return PauliWord(dim, len(z), z, x, num)

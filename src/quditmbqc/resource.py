@@ -15,10 +15,8 @@ import numpy as np
 from .clifford import (
     CliffordCert,
     certify,
-    map_pauli_to_Z,
     pauli_order_data,
     shortest_words,
-    synthesize,
 )
 from .errors import (
     DimensionMismatch,
@@ -44,6 +42,7 @@ from .gates import (
     mult_gate,
     normalize_global_phase,
     sgate,
+    shear_gate,
     xplus_state,
 )
 from .pauli import (
@@ -359,6 +358,34 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
                               thetas=_read_only(thetas, float))
 
 
+def _pauli_to_z(dim: DimSpec, z: int, x: int) -> Tuple[np.ndarray, int]:
+    """A Clifford C with C Z(z)X(x) C^dag = Z(l) up to phase, and l.
+
+    H maps X(x) to Z(x) and Z(z) to X(-z); the shear S(t) maps X(x) to
+    X(x)Z(tx).  So C = I and l = z when x = 0, and C = H S(-z/x) and l = x
+    when x is a unit.  Otherwise H S(t), for the first t making z + tx a
+    unit, first carries (z, x) to (x, -(z + tx)), the unit case.  Such a t
+    exists, and l is a unit, iff gcd(z, x, d) = 1; else NonInvertibleGcd.
+    """
+    if z == 0 and x == 0:
+        raise DimensionMismatch("zero Pauli cannot be mapped")
+    C = np.eye(dim.d, dtype=complex)
+    if x and not dim.is_invertible(x):
+        # with no such t, t = 0 leaves l a non-unit, which raises below
+        t = next((t for t in dim.elements
+                  if dim.is_invertible(dim.add(z, dim.mul(t, x)))), 0)
+        C = hadamard(dim) @ shear_gate(dim, t)
+        z, x = x, dim.neg(dim.add(z, dim.mul(t, x)))
+    l = x if x else z
+    if not dim.is_invertible(l):
+        raise NonInvertibleGcd(f"the controlled Pauli's exponents have a "
+                               f"common factor with {dim.d}")
+    if x:
+        t = dim.neg(dim.mul(z, dim.inv(x)))
+        C = hadamard(dim) @ shear_gate(dim, t) @ C
+    return C, l
+
+
 @_per_spec
 def mediator_of(spec: EntanglingGateSpec
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,35 +393,29 @@ def mediator_of(spec: EntanglingGateSpec
 
     Returns (init C^dag |0_X>, basis matrix G_C = C^dag H M(l) whose
     column s is outcome s's vector, local diagonal e^{i theta_s}
-    <G_C e_s, P^s init>), C mapping P to Z^l.  NonInvertibleGcd unless l
-    is a unit; NotControlledPauliForm unless the target Clifford commutes
-    with P (or is the identity); FrameMismatch unless P^s maps the init
-    onto basis vector s up to a phase.
+    <G_C e_s, P^s init>), with _pauli_to_z's C taking P to Z^l (or its
+    NonInvertibleGcd).  NotControlledPauliForm unless the target Clifford
+    commutes with P; FrameMismatch unless P^s maps the init onto basis
+    vector s up to a phase.
     """
     dim = spec.dim
     d = dim.d
     bf = factor_block_controlled_pauli(spec)
-    rep, l = map_pauli_to_Z(dim, bf.P.z[0], bf.P.x[0])
-    if not dim.is_invertible(l):
-        raise NonInvertibleGcd(f"gcd {l} is not invertible modulo {d}")
+    C, l = _pauli_to_z(dim, bf.P.z[0], bf.P.x[0])
     P = matrix_of_pauli(bf.P)
-    if not (np.max(np.abs(bf.C2 @ P - P @ bf.C2)) <= PAULI_TOL
-            or np.max(np.abs(bf.C2 - np.eye(d))) <= PAULI_TOL):
+    if not np.max(np.abs(bf.C2 @ P - P @ bf.C2)) <= PAULI_TOL:
         raise NotControlledPauliForm(
             "target Clifford does not commute with the controlled Pauli")
-    Cd = synthesize(rep).conj().T
+    Cd = C.conj().T
     phi = Cd @ xplus_state(dim)
     phi = phi / np.linalg.norm(phi)
     G = Cd @ hadamard(dim) @ mult_gate(dim, l)
-    c = np.zeros(d, dtype=complex)
-    Pk = np.eye(d, dtype=complex)
-    for s in range(d):
-        overlap = np.vdot(G[:, s], Pk @ phi)
-        if not (abs(abs(overlap) - 1) <= PAULI_TOL):
-            raise FrameMismatch(
-                "mediator init is not mapped to the G_C basis by the Pauli")
-        c[s] = overlap
-        Pk = Pk @ P
+    # c[s] = <G_C e_s, P^s init>
+    c = np.array([np.vdot(G[:, s], np.linalg.matrix_power(P, s) @ phi)
+                  for s in range(d)])
+    if not np.max(np.abs(np.abs(c) - 1)) <= PAULI_TOL:
+        raise FrameMismatch(
+            "mediator init is not mapped to the G_C basis by the Pauli")
     return (_read_only(phi), _read_only(G),
             _read_only(np.exp(1j * bf.thetas) * c))
 

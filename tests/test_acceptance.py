@@ -14,11 +14,12 @@ from quditmbqc.gates import (
     hadamard,
     mult_gate,
     sgate,
+    shear_gate,
     tau,
     xplus_state,
 )
 from quditmbqc.pauli import matrix_of_pauli, single_word
-from quditmbqc.clifford import SymplecticRep, certify, synthesize
+from quditmbqc.clifford import certify
 from quditmbqc.compiler import compile_clifford, compile_unitary
 from quditmbqc.resource import (
     EntanglingGateSpec,
@@ -250,8 +251,12 @@ def test_criterion_06_mbqc_determinism(compiled):
 
 def test_criterion_07_clifford_single_step():
     intr = intrinsic_of(cz_spec(D3))
-    targets = [sgate(D3), hadamard(D3), mult_gate(D3, 2),
-               synthesize(SymplecticRep(D3, 2, 1, 1, 1))]
+    H = hadamard(D3)
+    word = shear_gate(D3, 1) @ H @ shear_gate(D3, 2) @ H @ H @ H
+    # Z -> Z^2 X and X -> Z X, up to phase
+    assert {label: (w.z, w.x) for label, w in certify(word, D3).images.items()
+            } == {"Z0^1": ((2,), (1,)), "X0^1": ((1,), (1,))}
+    targets = [sgate(D3), H, mult_gate(D3, 2), word]
     all_static = True
     worst = 1.0
     for C in targets:

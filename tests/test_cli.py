@@ -419,6 +419,44 @@ def test_json_integers_must_be_integers(tmp_path, capsys, kind, path, what,
         == (cli.EXIT_PARSE, f"error: {what} must be an integer\n")
 
 
+@pytest.mark.parametrize("label", [5, -1])
+def test_graph_label_init_out_of_range(tmp_path, capsys, label):
+    assert _run_edited(tmp_path, capsys, "graph", ["vertices", 4, "init"],
+                       label) \
+        == (cli.EXIT_PARSE,
+            f"error: vertex init {label} is not a label in 0..2\n")
+
+
+_NOT_INTEGERS = "must be an array of integers"
+
+
+@pytest.mark.parametrize("family,path,value,error", [
+    ("Z3-cz", ["frame", "phase"], [0.7, 6], f"phase {_NOT_INTEGERS}"),
+    ("Z3-cz", ["frame", "phase"], [True, 6], f"phase {_NOT_INTEGERS}"),
+    ("Z3-cz", ["frame", "phase"], [0, 6.0], f"phase {_NOT_INTEGERS}"),
+    ("Z3-cz", ["frame", "z"], [[True]], f"z {_NOT_INTEGERS}"),
+    ("Z3-cz", ["frame", "z"], [[0.5]], f"z {_NOT_INTEGERS}"),
+    ("Z3-cz", ["frame", "x"], [["1"]], f"x {_NOT_INTEGERS}"),
+    ("GF4-cz", ["dim", "poly"], [1, 1, 1.5], f"poly {_NOT_INTEGERS}"),
+    ("GF4-cz", ["dim", "gr_poly"], [3, False, 1], f"gr_poly {_NOT_INTEGERS}"),
+    # an integer past the machine word is refused, not a traceback
+    ("Z3-cz", ["frame", "phase"], [10 ** 30, 6],
+     "phase is not a numeric array")],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else str(v))
+def test_json_integer_arrays_must_be_integers(tmp_path, capsys, family, path,
+                                              value, error):
+    # an integer array takes JSON integers only, as an integer field does
+    obj = json.loads(RUN_PATTERNS.read_text())[family]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    code = cli.main(["run", "--pattern", write_json(tmp_path / "bad.json",
+                                                    obj)])
+    assert (code, capsys.readouterr().err) \
+        == (cli.EXIT_PARSE, f"error: {error}\n")
+
+
 # --- golden reports -------------------------------------------------------
 
 # SHA-256 of `run --trials 100` stdout on one compiled pattern per

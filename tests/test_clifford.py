@@ -1,4 +1,4 @@
-"""Clifford certification, symplectic data, and word synthesis."""
+"""Clifford certification, exact conjugation, and native words."""
 
 import functools
 
@@ -11,7 +11,6 @@ from quditmbqc.errors import (
     DimensionMismatch,
     NotCliffordError,
     QuditError,
-    UnsupportedFormalism,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
@@ -32,14 +31,8 @@ from quditmbqc.pauli import (
 from quditmbqc.clifford import (
     generator_words,
     CliffordCert,
-    SymplecticRep,
     certify,
-    map_pauli_to_Z,
     pauli_order,
-    realize_word,
-    rep_tokens,
-    symplectic_of,
-    synthesize,
     universality_check,
 )
 from quditmbqc.resource import cx_spec, cz_spec, intrinsic_of, light_shift_spec
@@ -110,52 +103,29 @@ def test_non_clifford_detected():
     assert exc.value.generator == "X0^1"
 
 
+def _images(cert):
+    """Generator label -> (z, x) of its image, phase dropped."""
+    return {label: (w.z[0], w.x[0]) for label, w in cert.images.items()}
+
+
 def test_symplectic_of_standard_gates():
-    assert symplectic_of(certify(hadamard(D3), D3)) \
-        == SymplecticRep(D3, 0, 2, 1, 0)
-    assert symplectic_of(certify(sgate(D3), D3)) \
-        == SymplecticRep(D3, 1, 0, 1, 1)
+    # H: Z -> X^-1, X -> Z;  S: Z -> Z, X -> Z X
+    assert _images(certify(hadamard(D3), D3)) \
+        == {"Z0^1": (0, 2), "X0^1": (1, 0)}
+    assert _images(certify(sgate(D3), D3)) \
+        == {"Z0^1": (1, 0), "X0^1": (1, 1)}
 
 
 def test_gf8_shear_gates_are_symplectic_shears():
-    # GF(8)'s default Galois-ring lift gives it S and every shear S(l)
+    # GF(8)'s default Galois-ring lift gives it S and every shear S(l):
+    # Z^g -> Z^g and X^g -> Z^(l g) X^g on every additive basis element g
     dim = make_dim(FINITE_FIELD, p=2, m=3)
     assert dim.gr_poly == (3, 1, 2, 1)
     assert np.array_equal(sgate(dim), shear_gate(dim, 1))
     for l in range(1, 8):
-        assert symplectic_of(certify(shear_gate(dim, l), dim)) \
-            == SymplecticRep(dim, 1, 0, l, 1)
-
-
-def test_symplectic_round_trip_sl2_z3():
-    reps = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for e in range(3):
-                    if (a * e - b * c) % 3 == 1:
-                        reps.append(SymplecticRep(D3, a, b, c, e))
-    assert len(reps) == 24
-    for rep in reps:
-        U = synthesize(rep)
-        back = symplectic_of(certify(U, D3))
-        assert back == rep
-
-
-def test_rep_tokens_realize_rep():
-    rng = np.random.default_rng(2)
-    for dim in (D2, D5, D4F):
-        for _ in range(8):
-            while True:
-                a, b, c = (int(v) for v in rng.integers(0, dim.d, size=3))
-                if dim.is_invertible(a):
-                    break
-            # complete to determinant one
-            e = dim.mul(dim.inv(a), dim.add(1, dim.mul(b, c)))
-            rep = SymplecticRep(dim, a, b, c, e)
-            U = realize_word(dim, rep_tokens(rep))
-            got = symplectic_of(certify(U, dim))
-            assert got == rep
+        assert _images(certify(shear_gate(dim, l), dim)) == {
+            f"{letter}0^{g}": (g, 0) if letter == "Z" else (dim.mul(l, g), g)
+            for g in (1, 2, 4) for letter in "ZX"}
 
 
 def test_universality_check_values():
@@ -167,17 +137,6 @@ def test_universality_check_values():
     intr = intrinsic_of(cz_spec(D4R))
     ok, _ = universality_check(certify(sgate(D4R), D4R))
     assert not ok
-
-
-def test_map_pauli_to_Z():
-    rep, l = map_pauli_to_Z(D3, 0, 1)
-    assert l == 1 and rep.apply(0, 1) == (1, 0)
-    rep, l = map_pauli_to_Z(D5, 2, 3)
-    assert l == 1 and rep.apply(2, 3) == (1, 0)
-    rep, l = map_pauli_to_Z(D4R, 2, 2)
-    assert l == 2 and rep.apply(2, 2) == (2, 0)
-    rep, l = map_pauli_to_Z(D4F, 2, 3)
-    assert l == 1 and rep.apply(2, 3) == (1, 0)
 
 
 def test_pauli_orders():
@@ -207,19 +166,12 @@ def _intrinsic_cliffords(dim):
 
 @st.composite
 def single_cliffords(draw, dim):
-    """An intrinsic gate, or the synthesis of a random symplectic rep."""
+    """An intrinsic gate, or a random word of S(l) H steps."""
     if draw(st.booleans()):
-        units = [u for u in dim.elements if dim.is_invertible(u)]
-        a = draw(st.sampled_from(units))
-        b, c = draw(st.integers(0, dim.d - 1)), draw(st.integers(0, dim.d - 1))
-        rep = SymplecticRep(dim, a, b, c,
-                            dim.mul(dim.inv(a), dim.add(1, dim.mul(b, c))))
-        for _ in range(draw(st.integers(0, 3))):
-            rep = rep.matmul(SymplecticRep(dim, 0, dim.neg(1), 1, 0))
-        try:
-            return synthesize(rep)
-        except UnsupportedFormalism:  # no shear gates without a GR lift
-            pass
+        U = np.eye(dim.d, dtype=complex)
+        for l in draw(st.lists(st.integers(0, dim.d - 1), max_size=5)):
+            U = U @ shear_gate(dim, l) @ hadamard(dim)
+        return U
     return draw(st.sampled_from(_intrinsic_cliffords(dim)))
 
 

@@ -12,7 +12,6 @@ from quditmbqc.errors import UniversalityViolated, UnsupportedFormalism
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import hadamard, mult_gate, sgate, shear_gate
 from quditmbqc.pauli import PauliWord, matrix_of_pauli
-from quditmbqc.clifford import SymplecticRep, synthesize
 from quditmbqc.compiler import (
     _powers,
     _torus,
@@ -78,11 +77,17 @@ def test_compile_composite_ring_rejected():
         compile_unitary(np.eye(4), intr)
 
 
+def _clifford_word(dim):
+    """S(1) H S(2) H^3: at d = 3 it sends Z -> Z^2 X and X -> Z X."""
+    H = hadamard(dim)
+    return shear_gate(dim, 1) @ H @ shear_gate(dim, 2) @ H @ H @ H
+
+
 @pytest.mark.parametrize("target_of", [
     lambda dim: sgate(dim),
     lambda dim: hadamard(dim),
     lambda dim: mult_gate(dim, 2),
-    lambda dim: synthesize(SymplecticRep(dim, 2, 1, 1, 1))])
+    lambda dim: _clifford_word(dim)])
 def test_compile_clifford_non_adaptive(target_of):
     intr = intrinsic_of(cz_spec(D3))
     C = target_of(D3)

@@ -146,6 +146,21 @@ def test_validate_rejects_duplicates_and_loops():
         g.validate()
 
 
+@pytest.mark.parametrize("label", [5, -1])
+def test_out_of_range_label_init_is_refused(label):
+    # a Z-basis label must index the basis: 5 is no IndexError, and -1 is
+    # not read as label 2
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
+    g.vertices[1].init = label
+    message = f"vertex init {label} is not a label in 0..2"
+    for call in (lambda: build(g), lambda: g.validate(),
+                 lambda: run_trajectories(g, pat, basis_state(D3, 0), [0]),
+                 lambda: vertex_delete(g, 1)):
+        with pytest.raises(DimensionMismatch, match=message):
+            call()
+
+
 def test_run_transport_pattern():
     intr = intrinsic_of(cz_spec(D3))
     pat = transport_pattern(intr)

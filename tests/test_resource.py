@@ -1,11 +1,13 @@
 """Entangling-gate analysis: intrinsic gates, angles, factorizations."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from quditmbqc.errors import (
+    NonInvertibleGcd,
     NoRealSolution,
     NotCliffordError,
     NotControlledPauliForm,
@@ -19,9 +21,16 @@ from quditmbqc.gates import (
     sgate,
     xplus_state,
 )
-from quditmbqc.pauli import matrix_of_pauli, single_word
+from quditmbqc.pauli import (
+    PauliWord,
+    match_pauli,
+    matrix_of_pauli,
+    single_word,
+)
 from quditmbqc.resource import (
+    BLOCK_DIAGONAL,
     EntanglingGateSpec,
+    _pauli_to_z,
     cx_spec,
     cz_power,
     cz_spec,
@@ -35,6 +44,7 @@ from quditmbqc.resource import (
     light_shift_angle,
     light_shift_spec,
     mediator_of,
+    mediator_tables,
     resource_init,
 )
 from quditmbqc.sim import StateVector, is_max_entangled
@@ -287,3 +297,54 @@ def test_diagonal_gate_blocks_are_its_rows():
     bf = factor_block_controlled_pauli(cz_spec(D3))
     assert bf.P.z[0] == 1 and bf.P.x[0] == 0
     assert np.allclose(bf.thetas, 0)
+
+
+# --- mediators ----------------------------------------------------------
+
+# every ring Z2..Z8 and the prime fields GF(2), GF(3), GF(5), GF(7)
+MEDIATOR_DIMS = [make_dim(INTEGER_RING, d=d) for d in range(2, 9)] + [
+    make_dim(FINITE_FIELD, p=p, m=1) for p in (2, 3, 5, 7)]
+
+
+def _controlled_pauli(dim, z, x):
+    """P = Z(z)X(x) and the block gate sum_k |k><k| (x) P^k."""
+    P = matrix_of_pauli(PauliWord(dim, 1, (z,), (x,), 0))
+    blocks = [np.linalg.matrix_power(P, k) for k in dim.elements]
+    return P, EntanglingGateSpec(dim, BLOCK_DIAGONAL, blocks=blocks)
+
+
+@pytest.mark.parametrize("dim", MEDIATOR_DIMS, ids=lambda dim: dim.label())
+def test_mediator_of_every_controlled_pauli(dim):
+    # includes Z4 Z^2X^2 and Z6 Z^3, which have no unit l, and Z6 Z^2X^3,
+    # whose gcd is 1 though neither exponent is a unit
+    for z in dim.elements:
+        for x in dim.elements:
+            if z == x == 0:
+                continue
+            P, spec = _controlled_pauli(dim, z, x)
+            if math.gcd(z, x, dim.d) != 1:
+                assert dim.kind == INTEGER_RING
+                with pytest.raises(NonInvertibleGcd):
+                    mediator_of(spec)
+                continue
+            C, l = _pauli_to_z(dim, z, x)
+            _, word = match_pauli(dim, 1, C @ P @ C.conj().T)
+            assert (word.z, word.x) == ((l,), (0,))
+            assert dim.is_invertible(l)
+            mediator_of(spec)
+            for mode in ("disconnect", "entangle"):
+                mediator_tables(spec, mode)
+
+
+@pytest.mark.parametrize("dim", MEDIATOR_DIMS, ids=lambda dim: dim.label())
+def test_named_gate_mediators(dim):
+    # cz and light-shift control Z: init |0_X>, basis H;
+    # cx controls X: init |0>, basis I
+    H, e = hadamard(dim), np.eye(dim.d)
+    cases = [(cz_spec(dim), xplus_state(dim), H), (cx_spec(dim), e[0], e)]
+    if dim.d <= 3:  # a Clifford light shift
+        cases.append((light_shift_spec(dim), xplus_state(dim), H))
+    for spec, init, G in cases:
+        got_init, got_G, _ = mediator_of(spec)
+        assert np.allclose(got_init, init, rtol=0, atol=1e-12)
+        assert np.allclose(got_G, G, rtol=0, atol=1e-12)
