@@ -37,7 +37,7 @@ from .galois import (
     json_check,
     json_int,
 )
-from .gates import dphi, hadamard, xplus_state
+from .gates import dphi, hadamard, shear_gate, xplus_state
 from .clifford import _additive_basis, certify
 from .compiler import MeasurementPattern
 from .pauli import (
@@ -67,7 +67,7 @@ from .resource import (
     mediator_tables,
 )
 from . import sim
-from .sim import StateVector, basis_from_unitary, x_basis
+from .sim import StateVector, x_basis
 
 
 # --- resource graphs ------------------------------------------------------
@@ -123,6 +123,10 @@ class ResourceGraph:
                 raise SiteOutOfRange("edge endpoint not in vertex list")
             if e.control == e.target:
                 raise SiteOutOfRange("self-loop edge")
+            if e.gate.dim != self.dim:
+                raise DimensionMismatch(
+                    f"edge {e.control}-{e.target} gate is over "
+                    f"{e.gate.dim.label()}, the graph over {self.dim.label()}")
         d = self.dim.d
         for v in self.vertices:
             if isinstance(v.init, (int, np.integer)):
@@ -459,6 +463,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     """
     graph.validate()
     dim = pattern.dim
+    if graph.dim != dim:
+        raise DimensionMismatch(f"graph is over {graph.dim.label()}, the "
+                                f"pattern over {dim.label()}")
     d = dim.d
     order = _chain_order(graph)
     steps = pattern.steps
@@ -767,8 +774,9 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
 
 def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
                      rng, forced_outcome: Optional[int]) -> int:
-    """Outcome of measuring site s in the basis columns `vectors` (carried
-    through the site's init), drawn as sim.measure draws it.
+    """Outcome of measuring site s in the basis whose column k is outcome
+    k's vector on the rows (the site's init cancels there), drawn as
+    sim.measure draws it.
 
     The site's reduced state is (1/d) sum_x row(s, x)|_s over the x whose
     row has no support elsewhere (N_us x = 0 for every neighbor u): I/d
@@ -787,7 +795,7 @@ def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
 def _posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
                     ) -> List[PauliWord]:
     """Rows of the state the other sites keep when site s is found in the
-    vector b (carried through the site's init).
+    vector b on the rows (column m of _measure_and_rewrite's B).
 
     Each row(w, y) with w != s is multiplied by the row(s, z) whose product
     has a site-s part P with b as eigenvector (z = 0 for a Z basis); P is
@@ -862,25 +870,27 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
     return rows
 
 
-def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
-                         forced_outcome: Optional[int]
+def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
+                         rng, forced_outcome: Optional[int]
                          ) -> Tuple[StabilizerState, int, List[Correction],
                                     ResourceGraph]:
-    """Measure a vertex in basis_of(W, N, init_v); read the rewrite off the
-    outcome.
+    """Measure a vertex, in Z or (complement) in its local-complement
+    basis, and read the rewrite off the outcome.
 
     Each edge e at v factors as (C1 x C2) CZ^{N_e}; C_{v,e} is v's factor
-    and C_u the product of the factors that neighbor u keeps.  With
-    alpha = init_v prod_e diag C_{v,e} and N_u the summed weight of v's
-    edges to u, outcome vector b leaves f(sum_u N_u j_u) prod_u C_u |G-v>
-    where f(s) = sum_j conj(b_j) alpha(j) chi(j s).  When g = f / f(0)
-    obeys g(a + b) = g(a) g(b) chi(delta a b), this is the graph G - v
-    with CZ^{delta N_u N_w} added on every neighbor pair (an existing
-    pair edge is replaced by its CZ power, its C1/C2 factors moving into
-    the corrections) and the correction C_u diag_j g(N_u j) on each
-    neighbor u.  W = prod_e C_{v,e}, N is the weight of v's first edge
-    and init_v is v's init vector.  An outcome whose g is not of that form
-    (which includes |g| != 1 anywhere) raises FrameMismatch.
+    and C_u the product of the factors that neighbor u keeps.  W is
+    prod_e C_{v,e}, N_u the summed weight of v's edges to u and N the
+    weight of v's first edge.  Outcome k's vector is D_v b_k, with D_v =
+    diag(sqrt(d) init_v) for v's init and b_k column k of B = W S(N) H
+    (complement) or of the identity; D_v cancels on the rows, which hold
+    v in |0_X>.  Outcome m leaves f(sum_u N_u j_u) prod_u C_u |G-v> where
+    f(s) = sum_j conj(B_jm) W_jj chi(j s).  When g = f / f(0) obeys
+    g(a + b) = g(a) g(b) chi(delta a b), this is the graph G - v with
+    CZ^{delta N_u N_w} added on every neighbor pair (an existing pair edge
+    is replaced by its CZ power, its C1/C2 factors moving into the
+    corrections) and the correction C_u diag_j g(N_u j) on each neighbor
+    u.  An outcome whose g is not of that form (which includes |g| != 1
+    anywhere) raises FrameMismatch.
 
     Every init is a phase vector (see _init_phases, which raises
     UnsupportedFormalism before anything is allocated otherwise), a
@@ -907,14 +917,14 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
     tableau = GraphTableau(graph)
-    init_v = np.exp(1j * phases[site]) * xplus_state(dim)
-    basis = basis_of(W, star[0][3] if star else 0, init_v)
-    # |init_v> = D_init |0_X>, so D_init^dag b is measured on the rows
-    vectors = np.sqrt(d) * init_v.conj()[:, None] * basis.vectors
-    m = _tableau_outcome(tableau, site, vectors, rng, forced_outcome)
     mul, add, _, chi = _element_tables(dim)
-    alpha = init_v * np.diag(W)
-    f = (basis.vectors[:, m].conj() * alpha) @ chi[mul]
+    B = np.eye(d, dtype=complex)
+    if complement:
+        # chi[mul] / sqrt(d) is H
+        B = W @ shear_gate(dim, star[0][3]) @ chi[mul] / np.sqrt(d)
+        sim.require_unitary(B, "basis 'local-complement' is not orthonormal")
+    m = _tableau_outcome(tableau, site, B, rng, forced_outcome)
+    f = (B[:, m].conj() * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
         raise FrameMismatch(f"outcome {m} leaves no graph state")
     g = f / f[0]
@@ -942,7 +952,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, basis_of, rng,
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in sorted(weight)]
-    rows = _posterior_rows(tableau, site, vectors[:, m])
+    rows = _posterior_rows(tableau, site, B[:, m])
     if _corrected_rows(new_graph, corrections) != rows:
         raise FrameMismatch("rewritten graph and corrections do not verify")
     post = StabilizerState(dim, len(new_graph.vertices), tuple(rows),
@@ -965,9 +975,7 @@ def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
     diagonal Clifford (see _measure_and_rewrite for the errors).
     """
     graph.validate()
-    z = sim.z_basis(graph.dim)
-    return _measure_and_rewrite(graph, vid, lambda W, N, init_v: z, rng,
-                                forced_outcome)
+    return _measure_and_rewrite(graph, vid, False, rng, forced_outcome)
 
 
 def local_complement(graph: ResourceGraph, vid: int, rng=None,
@@ -976,56 +984,23 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
                                 ResourceGraph]:
     """Measure a vertex in its stabilizer basis, joining its neighbors.
 
-    The measured basis is the joint eigenbasis of the commuting family
-    D_v W X(x) W^dag D_v^dag Z(N x), x != 0 (over GF(p^m) the x = 1
-    member alone can be degenerate), with W the product of v's edge
-    factors, D_v = diag(sqrt(d) init_v) for its phase-vector init (the
-    identity for None) and N the weight of its first edge.  The outcome
-    fixes, in closed form, a weight delta != 0: neighbors u, w gain
-    CZ^{delta N_u N_w} (control = lower vertex id) and each neighbor gets
-    a diagonal correction (see _measure_and_rewrite, which also names the
-    inits and edges it rejects).  The posterior is a StabilizerState.  A
-    vertex without edges raises DimensionMismatch.
+    Outcome k is the vector D_v W S(N) |k_X>, column k of D_v W S(N) H:
+    W is the product of v's edge factors, D_v = diag(sqrt(d) init_v) for
+    its phase-vector init (the identity for None), N the weight of its
+    first edge, S(N) = shear_gate(dim, N) and H = hadamard(dim).  As
+    S(N) X(x) S(N)^dag is X(x) Z(N x) up to phase, these are joint
+    eigenvectors of D_v W X(x) W^dag D_v^dag Z(N x) for every x.  The
+    outcome fixes, in closed form, a weight delta != 0: neighbors u, w
+    gain CZ^{delta N_u N_w} (control = lower vertex id) and each neighbor
+    gets a diagonal correction (see _measure_and_rewrite, which also names
+    the inits and edges it rejects).  The posterior is a StabilizerState.
+    A vertex without edges raises DimensionMismatch.
     """
     graph.validate()
-    dim = graph.dim
     graph.site_of(vid)  # SiteOutOfRange before the edge check
     if not graph.neighbors(vid):
         raise DimensionMismatch(f"vertex {vid} has no edges to complement")
-
-    def basis_of(W, N, init_v):
-        W = np.sqrt(dim.d) * init_v[:, None] * W    # |init_v> = D_v |0_X>
-        family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
-                  for x in dim.elements if x != 0]
-        return basis_from_unitary(dim, _joint_eigenbasis(family),
-                                  "local-complement")
-
-    return _measure_and_rewrite(graph, vid, basis_of, rng, forced_outcome)
-
-
-def _joint_eigenbasis(family: List[np.ndarray]) -> np.ndarray:
-    """Orthonormal joint eigenbasis of commuting unitaries.
-
-    Columns follow the descending eigenphase of the first member, in
-    (-pi, pi] (an eigenvalue -1 comes first whatever the sign of its
-    roundoff); each of its degenerate eigenspaces is split by a generic
-    combination of the other members.
-    """
-    vals, vecs = np.linalg.eig(family[0])
-    phase = np.angle(vals)
-    order = np.argsort(-np.where(phase < -np.pi + 1e-9, np.pi, phase))
-    vals = vals[order]
-    q, _ = np.linalg.qr(vecs[:, order])
-    coeffs = np.random.default_rng(0).standard_normal((len(family) - 1, 2))
-    mix = sum((a + 1j * b) * M for (a, b), M in zip(coeffs, family[1:]))
-    for i, v in enumerate(vals):
-        cluster = np.flatnonzero(np.abs(vals - v) < 1e-6)
-        if len(cluster) > 1 and cluster[0] == i:
-            sub = q[:, cluster]
-            w, u = np.linalg.eig(sub.conj().T @ mix @ sub)
-            u, _ = np.linalg.qr(u[:, np.argsort(-np.angle(w))])
-            q[:, cluster] = sub @ u
-    return q
+    return _measure_and_rewrite(graph, vid, True, rng, forced_outcome)
 
 
 # --- lattice templates ----------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from .clifford import (
     CliffordCert,
+    _additive_basis,
     certify,
     pauli_order_data,
     shortest_words,
@@ -320,14 +321,34 @@ class BlockFactorization:
     thetas: np.ndarray      # control phase angles
 
 
+def _controlled_paulis(word: PauliWord) -> np.ndarray:
+    """[P(k) for k in dim.elements] for the zero-phase word P = Z(z) X(x).
+
+    P(k) = Z(k z) X(k x) with the phase CliffordCert._letter_image gives a
+    letter: the product of P(g)^c over k's digits c on the additive basis
+    g, P(g) = Z(g z) X(g x) (these commute).  Each P(k) is formed as
+    P(k - g) P(g) for k's lowest digit, so over Z_d and GF(p) P(k) is P^k
+    as P^(k-1) P, entry for entry.
+    """
+    dim = word.dim
+    out = [np.eye(dim.d, dtype=complex)]
+    for k in dim.elements[1:]:
+        g = next(g for g, c in zip(_additive_basis(dim), dim.coeffs_of(k))
+                 if c)
+        out.append(out[dim.sub(k, g)] @ zx_matrix(PauliWord(
+            dim, 1, (dim.mul(g, word.z[0]),), (dim.mul(g, word.x[0]),))))
+    return np.array(out)
+
+
 @_per_spec
 def factor_block_controlled_pauli(spec: EntanglingGateSpec
                                   ) -> BlockFactorization:
     """Factor a block-diagonal Clifford gate as (C1 (x) C2) CP.
 
-    CP = sum_k |k><k| (x) P^k with P = phase-normalized U_0^{-1} U_1;
-    succeeds iff U_k = e^{i theta_k} U_0 P^k for all k within tolerance.
-    A diagonal gate's blocks are its rows, U_j = diag(e^{i theta_j}).
+    CP = sum_k |k><k| (x) P(k) with P = phase-normalized U_0^{-1} U_1 and
+    P(k) its field multiple (_controlled_paulis); succeeds iff
+    U_k = e^{i theta_k} U_0 P(k) for all k within tolerance.  A diagonal
+    gate's blocks are its rows, U_j = diag(e^{i theta_j}).
     """
     dim = spec.dim
     blocks = spec.blocks if spec.kind != DIAGONAL \
@@ -337,10 +358,9 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
     if r is None:
         raise NotControlledPauliForm("U0^-1 U1 is not a Pauli operator")
     _, word = r
-    P = zx_matrix(word)  # phase-normalized Pauli
+    word = PauliWord(dim, 1, word.z, word.x, 0)  # phase-normalized Pauli
     thetas = np.zeros(dim.d)
-    Pk = np.eye(dim.d, dtype=complex)
-    for k in dim.elements:
+    for k, Pk in zip(dim.elements, _controlled_paulis(word)):
         M = U0 @ Pk
         # U_k should equal e^{i theta_k} M
         ratios = blocks[k][np.abs(M) > PAULI_TOL] / M[np.abs(M) > PAULI_TOL]
@@ -351,11 +371,9 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
             raise NotControlledPauliForm(
                 f"block {k} is not e^(i theta) U0 P^{k}")
         thetas[k] = cmath.phase(ph)
-        Pk = Pk @ P
     return BlockFactorization(C1=_read_only(np.diag(np.exp(1j * thetas))),
                               C2=_read_only(normalize_global_phase(U0)),
-                              P=PauliWord(dim, 1, word.z, word.x, 0),
-                              thetas=_read_only(thetas, float))
+                              P=word, thetas=_read_only(thetas, float))
 
 
 def _pauli_to_z(dim: DimSpec, z: int, x: int) -> Tuple[np.ndarray, int]:
@@ -393,13 +411,12 @@ def mediator_of(spec: EntanglingGateSpec
 
     Returns (init C^dag |0_X>, basis matrix G_C = C^dag H M(l) whose
     column s is outcome s's vector, local diagonal e^{i theta_s}
-    <G_C e_s, P^s init>), with _pauli_to_z's C taking P to Z^l (or its
+    <G_C e_s, P(s) init>), with _pauli_to_z's C taking P to Z^l (or its
     NonInvertibleGcd).  NotControlledPauliForm unless the target Clifford
-    commutes with P; FrameMismatch unless P^s maps the init onto basis
+    commutes with P; FrameMismatch unless P(s) maps the init onto basis
     vector s up to a phase.
     """
     dim = spec.dim
-    d = dim.d
     bf = factor_block_controlled_pauli(spec)
     C, l = _pauli_to_z(dim, bf.P.z[0], bf.P.x[0])
     P = matrix_of_pauli(bf.P)
@@ -410,9 +427,9 @@ def mediator_of(spec: EntanglingGateSpec
     phi = Cd @ xplus_state(dim)
     phi = phi / np.linalg.norm(phi)
     G = Cd @ hadamard(dim) @ mult_gate(dim, l)
-    # c[s] = <G_C e_s, P^s init>
-    c = np.array([np.vdot(G[:, s], np.linalg.matrix_power(P, s) @ phi)
-                  for s in range(d)])
+    # c[s] = <G_C e_s, P(s) init>
+    c = np.array([np.vdot(G[:, s], Ps @ phi) for s, Ps in
+                  zip(dim.elements, _controlled_paulis(bf.P))])
     if not np.max(np.abs(np.abs(c) - 1)) <= PAULI_TOL:
         raise FrameMismatch(
             "mediator init is not mapped to the G_C basis by the Pauli")

@@ -259,18 +259,8 @@ class MeasurementBasis:
                         f"basis {self.label!r} is not orthonormal")
 
 
-def z_basis(dim: DimSpec) -> MeasurementBasis:
-    return MeasurementBasis(dim, np.eye(dim.d, dtype=complex), "Z")
-
-
 def x_basis(dim: DimSpec) -> MeasurementBasis:
     return MeasurementBasis(dim, hadamard(dim), "X")
-
-
-def basis_from_unitary(dim: DimSpec, U: np.ndarray, label: str = "",
-                       nsites: int = 1) -> MeasurementBasis:
-    """Basis {U|k>}: column k of U is outcome k's vector."""
-    return MeasurementBasis(dim, np.asarray(U, dtype=complex), label, nsites)
 
 
 def measure(state: StateVector, basis: MeasurementBasis,

@@ -12,7 +12,7 @@ import pytest
 
 from quditmbqc import cli, resource
 from quditmbqc.engine import chain_graph, graph_to_json
-from quditmbqc.galois import INTEGER_RING, make_dim
+from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
 from quditmbqc.cli import matrix_to_json
 
@@ -417,6 +417,35 @@ def test_json_integers_must_be_integers(tmp_path, capsys, kind, path, what,
     # string, boolean or integral float
     assert _run_edited(tmp_path, capsys, kind, path, value) \
         == (cli.EXIT_PARSE, f"error: {what} must be an integer\n")
+
+
+F4 = make_dim(FINITE_FIELD, p=2, m=2)
+Z4 = make_dim(INTEGER_RING, d=4)
+
+
+def _chain_with_first_edge(dim, first, length):
+    graph = chain_graph(dim, cz_spec(dim), length)
+    graph.edges[0].gate = cz_spec(first)
+    return graph
+
+
+@pytest.mark.parametrize("graph, error", [
+    (chain_graph(Z4, cz_spec(Z4), 9), "graph is over Z_4, the pattern over "
+                                      "GF(2^2)"),
+    (chain_graph(D3, cz_spec(D3), 9), "graph is over Z_3, the pattern over "
+                                      "GF(2^2)"),
+    (_chain_with_first_edge(F4, Z4, 9), "edge 0-1 gate is over Z_4, the "
+                                        "graph over GF(2^2)"),
+], ids=["Z4-chain", "Z3-chain", "Z4-edge"])
+def test_run_on_a_graph_of_another_dimension(tmp_path, capsys, graph, error):
+    # the chains are long enough for the pattern, so only the dimension
+    # is wrong
+    pattern = _run_pattern_file(tmp_path, "GF4-cz")
+    assert len(json.loads(Path(pattern).read_text())["steps"]) < 9
+    path = write_json(tmp_path / "graph.json", graph_to_json(graph))
+    code = cli.main(["run", "--pattern", pattern, "--graph", path])
+    assert (code, capsys.readouterr().err) \
+        == (cli.EXIT_PARSE, f"error: {error}\n")
 
 
 @pytest.mark.parametrize("label", [5, -1])

@@ -56,8 +56,8 @@ from quditmbqc.resource import (
     mediator_tables,
 )
 from quditmbqc.sim import (
+    MeasurementBasis,
     apply,
-    basis_from_unitary,
     measure,
     product_state,
     schmidt,
@@ -254,7 +254,7 @@ def _reference_run(g, pat, psi, rng, forced):
         phases = np.array([step.phases[dim.add(u, dim.neg(x))]
                            for u in range(d)]) if step.adaptive \
             else step.phases
-        basis = basis_from_unitary(dim, dphi(-phases) @ hadamard(dim))
+        basis = MeasurementBasis(dim, dphi(-phases) @ hadamard(dim))
         k, post, _ = measure(two, basis, 0, rng=gen, forced_outcome=None
                              if forced is None else forced[i])
         cur = post.amps
@@ -559,6 +559,30 @@ def test_mediator_entangle_applies_cz(spec_of):
         assert fid > 1 - 1e-8
 
 
+@pytest.mark.parametrize("dim", [D4F, make_dim(FINITE_FIELD, p=2, m=3),
+                                 make_dim(FINITE_FIELD, p=3, m=2)],
+                         ids=lambda dim: dim.label())
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_field_mediators_verify_on_every_outcome(dim, spec_of):
+    # block k of a field-controlled Pauli applies the field multiple
+    # Z(k z)X(k x), not the integer power P^k
+    rng = np.random.default_rng(4)
+    product = np.kron(random_state(dim.d, rng), random_state(dim.d, rng))
+    psi = random_state(dim.d ** 2, rng)
+    S = sgate(dim)
+    for outcome in dim.elements:
+        res = mediator_step(spec_of(dim), product, "disconnect",
+                            forced_outcome=outcome)
+        assert abs(schmidt(res.posterior, [0])[0][0] - 1) < 1e-8
+        res = mediator_step(spec_of(dim), psi, "entangle",
+                            forced_outcome=outcome)
+        Dloc = np.diag(np.exp(1j * res.local_phases))
+        predicted = matrix_of_pauli(res.frame.word) @ np.kron(
+            Dloc @ S, Dloc @ S) @ cz_gate(dim) @ psi
+        assert abs(np.vdot(res.posterior.amps,
+                           predicted / np.linalg.norm(predicted))) > 1 - 1e-8
+
+
 def test_vertex_delete_middle_of_chain():
     g = chain_graph(D3, cz_spec(D3), 3)
     post, m, corrections, reduced = vertex_delete(g, 1, rng=0)
@@ -743,7 +767,7 @@ def _dense_mediator(spec, psi, mode, seed):
                         [0, 2]), E, [1, 2])
     S = sgate(dim)
     B = (G if mode == "disconnect" else G @ np.linalg.inv(S)) @ hadamard(dim)
-    k, post, _ = measure(state, basis_from_unitary(dim, B), 2, rng=seed)
+    k, post, _ = measure(state, MeasurementBasis(dim, B), 2, rng=seed)
     return k, post.amps
 
 

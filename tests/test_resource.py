@@ -210,6 +210,16 @@ def test_factor_conjugated_pauli_blocks():
         assert equal_up_to_phase(lhs, rhs)
 
 
+def test_controlled_pauli_block_phases_are_exact_powers():
+    # blocks (ZX)^k over Z3: block 2 is (ZX)^2, whose phase differs from
+    # Z(2)X(2) by a cube root of unity, so every theta stays 0
+    P = matrix_of_pauli(PauliWord(D3, 1, (1,), (1,), 0))
+    spec = EntanglingGateSpec(D3, "block_diagonal", blocks=[
+        np.linalg.matrix_power(P, k) for k in range(3)])
+    assert np.allclose(factor_block_controlled_pauli(spec).thetas, 0,
+                       rtol=0, atol=1e-12)
+
+
 def test_factor_non_controlled_pauli_rejected():
     blocks = [np.eye(3, dtype=complex), hadamard(D3), np.eye(3, dtype=complex)]
     spec = EntanglingGateSpec(D3, "block_diagonal", blocks=blocks,

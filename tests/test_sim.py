@@ -20,9 +20,9 @@ from quditmbqc.galois import (
 )
 from quditmbqc.gates import basis_state, cz_gate, hadamard, xplus_state
 from quditmbqc.sim import (
+    MeasurementBasis,
     StateVector,
     apply,
-    basis_from_unitary,
     fidelity,
     is_max_entangled,
     measure,
@@ -32,10 +32,10 @@ from quditmbqc.sim import (
     state_to_json,
     unit_vector,
     x_basis,
-    z_basis,
 )
 
 D3 = make_dim(INTEGER_RING, d=3)
+Z3 = MeasurementBasis(D3, np.eye(3), "Z")
 
 
 def bell(dim):
@@ -82,7 +82,7 @@ def test_measure_z_on_plus_is_uniform():
     st = product_state(D3, [xplus_state(D3)])
     counts = np.zeros(3)
     for seed in range(90):
-        k, post, prob = measure(st, z_basis(D3), [0],
+        k, post, prob = measure(st, Z3, [0],
                                 rng=np.random.default_rng(seed))
         counts[k] += 1
         assert abs(prob - 1 / 3) < 1e-12
@@ -92,7 +92,7 @@ def test_measure_z_on_plus_is_uniform():
 
 def test_measure_forced_outcome():
     st = product_state(D3, [basis_state(D3, 2), xplus_state(D3)])
-    k, post, prob = measure(st, z_basis(D3), [0], forced_outcome=2)
+    k, post, prob = measure(st, Z3, [0], forced_outcome=2)
     assert k == 2 and abs(prob - 1) < 1e-12
     assert np.allclose(post.amps, xplus_state(D3))
 
@@ -100,7 +100,7 @@ def test_measure_forced_outcome():
 def test_measure_forced_zero_probability():
     st = product_state(D3, [basis_state(D3, 2)])
     with pytest.raises(ZeroProbabilityForced):
-        measure(st, z_basis(D3), [0], forced_outcome=0)
+        measure(st, Z3, [0], forced_outcome=0)
 
 
 def test_x_basis_measures_plus_as_zero():
@@ -110,9 +110,9 @@ def test_x_basis_measures_plus_as_zero():
     assert k == 0 and abs(prob - 1) < 1e-12
 
 
-def test_basis_from_unitary_requires_unitary():
+def test_measurement_basis_requires_unitary():
     with pytest.raises(NonUnitary):
-        basis_from_unitary(D3, np.ones((3, 3)))
+        MeasurementBasis(D3, np.ones((3, 3)))
 
 
 def test_schmidt_of_bell():
@@ -156,7 +156,7 @@ def test_state_json_round_trip():
 
 def test_measure_nan_state_raises_before_dividing():
     st = StateVector(D3, 2, np.full(9, np.nan, dtype=complex))
-    for basis in (z_basis(D3), x_basis(D3)):
+    for basis in (Z3, x_basis(D3)):
         with pytest.raises(DimensionMismatch, match="NaN"):
             measure(st, basis, 0, rng=0)
         with pytest.raises(DimensionMismatch, match="NaN"):
@@ -168,7 +168,7 @@ def test_nan_operator_is_not_unitary():
     with pytest.raises(NonUnitary):
         apply(st, np.full((3, 3), np.nan), 0)
     with pytest.raises(NonUnitary):
-        basis_from_unitary(D3, np.full((3, 3), np.nan))
+        MeasurementBasis(D3, np.full((3, 3), np.nan))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -31,7 +31,7 @@ from quditmbqc.errors import (
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
-from quditmbqc.gates import sgate
+from quditmbqc.gates import hadamard, sgate, shear_gate
 from quditmbqc.pauli import PAULI_TOL, xmat, zmat
 from quditmbqc.resource import (
     VERIFY_TOL,
@@ -52,12 +52,13 @@ RULES = [vertex_delete, local_complement]
 
 def _measured_basis(graph, vid, rule):
     """The basis the rule measures vid in: Z, or for local complementation
-    the joint eigenbasis of D W X(x) W^dag D^dag Z(N x), W the product of
-    vid's edge factors, D = diag(sqrt(d) init) for vid's phase-vector init
-    and N its first edge's weight."""
+    D W S(N) H, W the product of vid's edge factors, D = diag(sqrt(d)
+    init) for vid's phase-vector init and N its first edge's weight;
+    every column is checked densely to be an eigenvector of every
+    D W X(x) W^dag D^dag Z(N x), x != 0."""
     dim = graph.dim
     if rule is vertex_delete:
-        return sim.z_basis(dim)
+        return sim.MeasurementBasis(dim, np.eye(dim.d), "Z")
     init = engine._init_vector(dim, graph.vertex(vid).init)
     assert np.allclose(np.abs(init), dim.d ** -0.5)
     W, N = np.diag(np.sqrt(dim.d) * init), None
@@ -66,9 +67,13 @@ def _measured_basis(graph, vid, rule):
             C1, C2, w = factor_diagonal_clifford(e.gate)
             W = W @ (C1 if e.control == vid else C2)
             N = w if N is None else N
-    family = [W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
-              for x in dim.elements[1:]]
-    return sim.basis_from_unitary(dim, engine._joint_eigenbasis(family))
+    B = W @ shear_gate(dim, N) @ hadamard(dim)
+    for x in dim.elements[1:]:
+        M = W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
+        image = M @ B
+        lam = np.sum(B.conj() * image, axis=0)
+        assert np.max(np.abs(image - lam * B)) <= PAULI_TOL
+    return sim.MeasurementBasis(dim, B, "local-complement")
 
 
 def _corrected(graph, corrections):
@@ -239,14 +244,20 @@ def test_tableau_rewrite_matches_dense_oracles(case):
         assert _check_every_outcome(graph, vid, rule) == graph.dim.d
 
 
-@pytest.mark.parametrize("eps", [1e-15, -1e-15])
-def test_eigenvalue_minus_one_orders_whatever_its_roundoff(eps):
-    # outcome labels must not hang on roundoff: -1 is pi, not -pi, even
-    # when its computed angle is -pi + 1e-15 (an init given as a complex
-    # vector and the same init given as phases differ by such roundoff)
-    q = engine._joint_eigenbasis([np.diag([1, np.exp(1j * (np.pi + eps)),
-                                           1j])])
-    assert np.allclose(np.abs(q), np.eye(3)[:, [1, 2, 0]])
+@pytest.mark.parametrize("dim", DIMS, ids=lambda dim: dim.label())
+def test_complex_and_real_centre_init_complement_alike(dim):
+    # an init given as real phases and the same init given as its complex
+    # vector differ by roundoff only, which must not change the outcome
+    # drawn, the corrections or the edges
+    graph = chain_graph(dim, cz_spec(dim), 3)
+    graph.vertices[1].init = np.angle(np.diag(sgate(dim)))
+    alike = _complex_inits(graph)
+    for seed in range(20):
+        _, m, corr, new = local_complement(graph, 1, rng=seed)
+        _, m2, corr2, new2 = local_complement(alike, 1, rng=seed)
+        assert m == m2
+        assert [c.label for c in corr] == [c.label for c in corr2]
+        assert _edge_list(new) == _edge_list(new2)
 
 
 @pytest.mark.parametrize("init", ["S", "S^-1", "Z"])
@@ -296,7 +307,7 @@ def test_label_or_raw_spectator_keeps_the_dense_path(spectator, rule):
 @pytest.mark.parametrize("second, errors", [
     (1, [FrameMismatch] * 4),
     (3, [FrameMismatch] * 4),
-    (2, [ZeroProbabilityForced, FrameMismatch] * 2),
+    (2, [FrameMismatch, ZeroProbabilityForced] * 2),
 ])
 def test_z4_star_local_complement_errors(second, errors):
     # a first edge of weight 2 (not a unit in Z4) leaves no graph state
@@ -307,6 +318,18 @@ def test_z4_star_local_complement_errors(second, errors):
         with pytest.raises(error) as exc:
             local_complement(graph, 0, forced_outcome=m)
         assert exc.type is error
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_edge_of_another_dimension_is_named(rule):
+    f4 = make_dim(FINITE_FIELD, p=2, m=2)
+    graph = ResourceGraph(f4, [Vertex(i) for i in range(3)],
+                          [GraphEdge(0, 1, cz_spec(f4), 0),
+                           GraphEdge(1, 2, cz_spec(D3), 1)])
+    with pytest.raises(DimensionMismatch,
+                       match=r"edge 1-2 gate is over Z_3, the graph over "
+                             r"GF\(2\^2\)"):
+        rule(graph, 1, rng=0)
 
 
 def test_rewrites_a_lattice_past_the_dense_ceiling():
