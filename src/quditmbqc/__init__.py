@@ -1,4 +1,5 @@
-"""Qudit MBQC toolkit: gate analysis, pattern compilation, dense verification."""
+"""Qudit MBQC toolkit: gate analysis, pattern compilation, verified MBQC
+protocols and graph rewriting."""
 
 from .galois import (
     DimSpec,
@@ -8,7 +9,7 @@ from .galois import (
 )
 from .pauli import PauliWord, match_pauli, matrix_of_pauli
 from .gates import cz_gate, hadamard, mult_gate, sgate, shear_gate
-from .sim import StateVector, measure, product_state
+from .sim import StateVector
 from .resource import (
     EntanglingGateSpec,
     IntrinsicGate,
@@ -36,7 +37,6 @@ from .compiler import (
 from .engine import (
     PauliFrame,
     ResourceGraph,
-    build,
     chain_graph,
     couple_input,
     entangle_via_edge,

@@ -1,12 +1,15 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
-Every protocol is verified against its predicted action on every call:
-densely, or, for graph rewriting, by exact equality of graph-form
-stabilizer rows.  Rewriting runs only on the stabilizer tableau, so it
-takes phase-vector inits and diagonal Clifford edges and returns a
-StabilizerState, which builds a dense vector only on request.  The
-mediator's branch table is also checked against its predicted action
-once per gate and mode, for every input at once.  A failed verification
+Every protocol call is one contraction of its input with a branch table
+and one draw (_draw, or uniform marginals for the edge), and its
+posterior is verified against the predicted action on every call: as a
+vector, or, for graph rewriting, by exact equality of graph-form
+stabilizer rows.  The mediator's and the edge's branch tables are also
+checked against their predicted actions once, for every input at once.
+Rewriting runs only on the stabilizer tableau, so it takes phase-vector
+inits and diagonal Clifford edges and returns a StabilizerState, which
+builds a dense vector only on request.  Nothing here simulates a whole
+dense state; that oracle lives in the tests.  A failed verification
 raises FrameMismatch rather than returning silently.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +51,6 @@ from .pauli import (
     normal_form,
     one_qudit_words,
     word_table,
-    xmat,
-    zmat,
     zx_matrix,
 )
 from .resource import (
@@ -67,7 +69,7 @@ from .resource import (
     mediator_tables,
 )
 from . import sim
-from .sim import StateVector, x_basis
+from .sim import StateVector
 
 
 # --- resource graphs ------------------------------------------------------
@@ -175,18 +177,6 @@ def chain_graph(dim: DimSpec, gate: EntanglingGateSpec, length: int,
     return ResourceGraph(dim, vertices, edges)
 
 
-def build(graph: ResourceGraph) -> StateVector:
-    """Dense resource state: vertex inits, then gates in seq order."""
-    graph.validate()
-    dim = graph.dim
-    vecs = [_init_vector(dim, v.init) for v in graph.vertices]
-    state = sim.product_state(dim, vecs)
-    for e in sorted(graph.edges, key=lambda e: e.seq):
-        state = sim.apply(state, gate_matrix(e.gate),
-                          [graph.site_of(e.control), graph.site_of(e.target)])
-    return state
-
-
 # --- graph-form stabilizer tableaux ---------------------------------------
 
 def _init_phases(graph: ResourceGraph) -> np.ndarray:
@@ -230,37 +220,71 @@ def _element_tables(dim: DimSpec) -> Tuple[np.ndarray, ...]:
     return mul, add, sub, chi
 
 
-def _diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
-                        ) -> Optional[Tuple[int, int]]:
-    """(c, num) with diag(q) X(x) diag(q)^dag = e^{2 pi i num / phase_den}
-    Z(c) X(x), or None when no c fits (diag(q) is not Clifford).
+def _diagonal_images(dim: DimSpec, q: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
+    e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
+    where not ok[x] (diag(q) is not Clifford).
 
-    Its entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
+    Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
     with phi snapped to the exact phase lattice, at PAULI_TOL.
     """
     den = dim.phase_den
+    add, shifted_chi = _shift_tables(dim)
+    # ratio[x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
+    ratio = (q[add] * q.conj())[:, None, :] * shifted_chi
+    num = np.round(np.angle(ratio[:, :, 0]) * den / (2 * np.pi))
+    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
+                  axis=2) <= PAULI_TOL
+    c = fits.argmax(axis=1)
+    return c, num[add[0], c].astype(int), fits.any(axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """add[x, j] = j + x and conj(chi(c (j + x))) as [x, c, j], shared
+    read-only by every _diagonal_images call."""
     mul, add, _, chi = _element_tables(dim)
-    shift = add[x]                                   # j -> j + x
-    ratio = q[shift] * q.conj() * chi[mul[:, shift]].conj()
-    num = np.round(np.angle(ratio[:, 0]) * den / (2 * np.pi))
-    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[:, None]),
-                  axis=1) <= PAULI_TOL
-    if not fits.any():
-        return None
-    c = int(np.argmax(fits))
-    return c, int(num[c])
+    shifted_chi = chi[mul[:, add]].conj().swapaxes(0, 1)
+    shifted_chi.flags.writeable = False
+    return add, shifted_chi
+
+
+def _forced(forced, count: int, size: int) -> List[int]:
+    """Forced outcomes as count ints in 0..size-1: DimensionMismatch for
+    another count, SiteOutOfRange for an entry that is not an integer or
+    out of range.  Every protocol and rewrite draw checks them here."""
+    try:
+        given = len(forced)
+    except TypeError:                # a scalar, or a 0-d array
+        given = None
+    if given != count:
+        raise DimensionMismatch(f"{count} forced outcomes needed, got "
+                                f"{forced}")
+    out = []
+    for k in forced:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise SiteOutOfRange(f"forced outcome {k} is not an "
+                                 f"integer") from None
+        if not 0 <= k < size:
+            raise SiteOutOfRange("forced outcome out of range")
+        out.append(k)
+    return out
 
 
 def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
           ) -> Tuple[int, np.ndarray]:
     """Outcome and normalized posterior of one row of branch amplitudes
-    (D, R), drawn as sim.measure draws them: one random() of rng, or the
-    forced outcome."""
+    (D, R), drawn by sim.collapse from one random() of rng (a seed or a
+    Generator), or the forced outcome (checked by _forced)."""
     if forced_outcome is None:
         k, post, _ = sim.collapse(branch[None],
                                   np.random.default_rng(rng).random(1))
     else:
-        k, post, _ = sim.collapse(branch[None], None, [forced_outcome])
+        k, post, _ = sim.collapse(branch[None], None,
+                                  _forced([forced_outcome], 1, len(branch)))
     return int(k[0]), post[0]
 
 
@@ -569,36 +593,29 @@ def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
 
 # --- input coupling -------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def bell_basis(dim: DimSpec) -> sim.MeasurementBasis:
-    """Basis {(Z^s X^t (x) I)|Phi>}, outcome index s*d + t; built and
-    checked once per dimension and shared read-only.  Column s*d + t is
-    Z^s X^t read row by row, over sqrt(d)."""
-    cols = np.column_stack([(zmat(dim, s) @ xmat(dim, t)).reshape(-1)
-                            for s in dim.elements for t in dim.elements])
-    basis = sim.MeasurementBasis(dim, cols / np.sqrt(dim.d), "Bell",
-                                 nsites=2)
-    basis.vectors.flags.writeable = False
-    return basis
-
-
 def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
                  forced_outcome: Optional[int] = None
                  ) -> Tuple[StateVector, PauliFrame, int]:
-    """Teleport an external state into a built chain via a Bell measurement.
+    """Teleport an external state into a two-vertex chain via a Bell
+    measurement of the input and the chain's head.
 
-    Outcome Phi(s, t) leaves the chain head carrying G_I D_head W |psi>
-    with W = Z^{-s} X^{-t}, G_I the intrinsic gate of the head's edge and
-    D_head = diag(q) the head init's phases, |init> = D_head |0_X> (the
-    identity for cz and light-shift chains, S for cx).  The returned frame
-    is W conjugated through D_head by the diagonal rule of
-    _diagonal_conjugate, then through G_I's certificate, so that head =
-    frame * G_I D_head |psi> up to phase, which is checked densely.  A
-    chain that is not two vertices joined by one edge, or a head init
-    that is not a phase vector (a Z-basis label or a raw state), raises
-    DimensionMismatch; a G_I without a certificate raises as
-    IntrinsicGate.certificate does, and a D_head that is not Clifford
-    raises NotCliffordError naming the X generator it fails on.
+    The chain is the edge gate on |init_head> |init_tail>.  Bell outcome
+    Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
+    sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
+    contraction gives all d^2 branches, and the outcome is drawn from
+    them as every protocol draws (_draw).  It leaves the tail carrying
+    G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
+    the edge and D_head = diag(q) the head init's phases, |init> = D_head
+    |0_X> (the identity for cz and light-shift chains, S for cx).  The
+    returned frame is W conjugated through D_head (its images of every
+    shift X(x) found in one pass by _diagonal_images), then through G_I's
+    certificate, so that the posterior is frame * G_I D_head |psi> up to
+    phase, which is checked on every call.  A chain that is not two
+    vertices joined by one edge, or a head init that is not a phase
+    vector (a Z-basis label or a raw state), raises DimensionMismatch; a
+    non-unitary edge gate raises NonUnitary, a G_I without a certificate
+    raises as IntrinsicGate.certificate does, and a D_head that is not
+    Clifford raises NotCliffordError naming the X generator it fails on.
     """
     graph.validate()
     dim = graph.dim
@@ -610,34 +627,36 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     if len(order) != 2:
         raise DimensionMismatch("input coupling needs the chain's edge")
     head = graph.vertex(order[0])
-    q = _phase_diagonal(dim, _init_vector(dim, head.init))
+    init = _init_vector(dim, head.init)
+    q = _phase_diagonal(dim, init)
     if q is None:
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
-    chain = build(graph)
+    tail = _init_vector(dim, graph.vertex(order[1]).init)
+    E = gate_matrix(graph.edges[0].gate)
+    sim.require_unitary(E, "operator fails the unitarity check")
+    chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
     psi = sim.unit_vector(psi, d, "input state")
-    full = StateVector(dim, chain.n + 1, np.kron(psi, chain.amps))
-    head_site = graph.site_of(order[0]) + 1
-    k, post, _ = sim.measure(full, bell_basis(dim), [0, head_site],
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
+    W = _zx_stack(dim)
+    branch = np.einsum("kab,a,bt->kt", W.conj(), psi, chain) / np.sqrt(d)
+    k, post = _draw(branch, rng, forced_outcome)
     intrinsic = intrinsic_of(graph.edges[0].gate)
     cert = intrinsic.certificate()
+    shift, nums, ok = _diagonal_images(dim, q)
     for g in _additive_basis(dim):
-        if _diagonal_conjugate(dim, q, g) is None:
+        if not ok[g]:
             raise NotCliffordError(f"generator X0^{g} does not conjugate to "
                                    f"a Pauli word", generator=f"X0^{g}")
     s, t = divmod(k, d)
     # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t)
-    c, num = _diagonal_conjugate(dim, q, dim.neg(t)) if t else (0, 0)
+    c, num = int(shift[dim.neg(t)]), int(nums[dim.neg(t)])
     frame = cert.conjugate(PauliWord(dim, 1, [dim.sub(c, s)], [dim.neg(t)],
                                      num))
-    G = intrinsic.matrix * q
-    ideal = matrix_of_pauli(frame) @ G @ psi
-    if not (abs(np.vdot(post.amps, ideal / np.linalg.norm(ideal)))
+    ideal = W[frame.z[0] * d + frame.x[0]] @ (intrinsic.matrix @ (q * psi))
+    if not (abs(np.vdot(post, ideal / np.linalg.norm(ideal)))
             >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted coupling frame does not verify")
-    return post, PauliFrame(frame, [(0, k)]), k
+    return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k
 
 
 # --- entangling through an existing edge (six-qudit cluster) --------------
@@ -653,19 +672,67 @@ def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
     return PauliWord(dim, 2, [k1, k4], [sub(k2, k4), sub(k5, k1)], phase)
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, sim.MeasurementBasis,
-                                        np.ndarray]:
-    """CZ's phases chi(jk) as a (d, d) array, the X basis and (H x H) CZ
-    (H x H), built once per dimension and shared read-only."""
+def _check_edge_branches(dim: DimSpec, cz: np.ndarray, h: np.ndarray,
+                         action: np.ndarray):
+    """FrameMismatch unless every outcome (k1, k2, k4, k5) of
+    entangle_via_edge has the branch map edge_frame(k) action / d^2, with
+    its exact phase: the wires' network of CZ phases cz, contracted with
+    the outcomes' X-basis vectors h[k] = <k_X|, is compared entry by entry
+    with the predicted maps.  This runs one (k1, k2) slice at a time, as
+    d^6 arrays (k4, k5, out0, out1, in0, in1)."""
     d = dim.d
-    cz = gate_matrix(cz_spec(dim))
-    xb = x_basis(dim)
-    HH = np.kron(xb.vectors, xb.vectors)
-    action = HH @ cz @ HH
-    for t in (xb.vectors, action):
+    W = _zx_stack(dim)
+    # the second wire for every (k4, k5): h[k4, e] cz[e, f] h[k5, f]
+    # cz[f, g] as [k4, k5, f, g, e] (broadcast: einsum buffers d^6)
+    wire = (h[:, None, :] * cz.T)[:, None, :, None, :] \
+        * (h[:, :, None] * cz)[None, :, :, :, None]
+    # the action (H x H) CZ (H x H) as [c, g, in0 in1], over d^2
+    target = action.reshape(d, d, d * d) / d ** 2
+    for k1, k2 in itertools.product(dim.elements, repeat=2):
+        words = [edge_frame(dim, k1, k2, k4, k5)
+                 for k4 in dim.elements for k5 in dim.elements]
+        phase = np.exp(2j * np.pi / dim.phase_den
+                       * np.array([w.phase_num for w in words]))
+        # site 0's word depends on k4 only, site 1's on (k4, k5)
+        M0 = W[[w.z[0] * d + w.x[0] for w in words[::d]]]
+        M1 = W[[w.z[1] * d + w.x[1] for w in words]] * phase[:, None, None]
+        # the first wire and the middle edge, with the |0_X> norms: [c, a, f]
+        first = np.einsum("a,ab,b,bc,bf->caf", h[k1] / d ** 2, cz, h[k2],
+                          cz, cz)
+        dense = np.tensordot(first, wire, axes=([2], [2]))  # c a k4 k5 g e
+        # less the predicted [k4, k5, c, g, in0 in1]: (M0 x M1) the action
+        dense -= np.matmul(M1.reshape(d, d, 1, d, d), np.einsum(
+            "kxc,cgz->kxgz", M0, target)[:, None]).reshape(
+                (d,) * 6).transpose(2, 4, 0, 1, 3, 5)
+        if not (np.abs(dense).max() <= VERIFY_TOL):
+            raise FrameMismatch(f"edge outcomes ({k1}, {k2}, *, *) do not "
+                                f"have the predicted branches")
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conjugated X basis h[k] = <k_X|, the wires' psi-independent d^6
+    network of CZ phases over d^2 (rows a b e f, columns c g, for the
+    wires a-b-c and e-f-g joined by b-f) and the action (H x H) CZ
+    (H x H); the branches are checked once per dimension
+    (_check_edge_branches) and the tables shared read-only."""
+    d = dim.d
+    E = gate_matrix(cz_spec(dim))
+    cz = np.diag(E).reshape(d, d)
+    H = hadamard(dim)
+    HH = np.kron(H, H)
+    action = HH @ E @ HH
+    h = H.conj().T
+    _check_edge_branches(dim, cz, h, action)
+    # cz[a, b] cz[e, f] cz[b, f] as [a, b, e, f], cz[b, c] cz[f, g] as
+    # [b, f, c, g]: their product is one d^6 allocation
+    heads = cz[:, :, None, None] * cz[None, None] * cz[None, :, None, :]
+    tails = cz[:, None, :, None] * cz[None, :, None, :]
+    net = (heads[..., None, None] / d ** 2 * tails[None, :, None]
+           ).reshape(d ** 4, d * d)
+    for t in (h, net, action):
         t.flags.writeable = False
-    return np.diag(cz).reshape(d, d), xb, action
+    return h, net, action
 
 
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
@@ -674,40 +741,47 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     """Apply a two-qudit entangling step through a pre-existing CZ edge.
 
     Two three-qudit CZ wires (sites 0-1-2 and 3-4-5) carry the two-qudit
-    input at their heads; a CZ edge joins the midpoints 1 and 4.  The
-    five CZs are diagonal, so they multiply the d^6 tensor by their phase
-    arrays on their two axes.  X-measuring the four interior qudits
-    (outcomes k1, k2 on the first wire, k4, k5 on the second; one
-    random() draw each) leaves the tails carrying (H x H) CZ (H x H)
-    |psi> up to the frame edge_frame(k1, k2, k4, k5), which is checked
-    densely.  StateTooLarge before any allocation when d^6 exceeds
-    sim.MAX_AMPS.
+    input at their heads; a CZ edge joins the midpoints 1 and 4.
+    X-measuring the four interior qudits (outcomes k1, k2 on the first
+    wire, k4, k5 on the second) leaves the tails carrying (H x H) CZ
+    (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Every
+    outcome's branch map is that frame times the action over d^2 (checked
+    once per dimension by _check_edge_branches), so every outcome has
+    probability 1/d^4 for every input: the four outcomes are the
+    inverse-CDF draws of rng's next four random() values on uniform
+    marginals, as four sequential X measurements would draw them, or
+    forced_outcomes (four, checked by _forced).  One contraction of the
+    d^6 CZ network with psi and the four X-basis vectors gives the
+    branch; its norm is checked to be 1/d^2 and its posterior to be the
+    frame times the action on psi, on every call (FrameMismatch).
+    StateTooLarge before any allocation when d^6 exceeds sim.MAX_AMPS.
     """
     d = dim.d
     if d ** 6 > sim.MAX_AMPS:
         raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
-    cz, xb, action = _edge_tables(dim)
-    # the input on sites 0 and 3, |0_X> = (1, ..., 1) / sqrt(d) elsewhere
-    T = np.empty((d,) * 6, dtype=complex)
-    T[...] = psi.reshape(d, 1, 1, d, 1, 1) / d ** 2
-    for a, b in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
-        T *= cz.reshape([d if i in (a, b) else 1 for i in range(6)])
-    state = StateVector(dim, 6, T.reshape(-1))
-    gen = np.random.default_rng(rng)
-    history: List[Tuple[int, int]] = []
-    # measure sites 0, 1, 3, 4; sites shift as qudits are consumed
-    for i, site in enumerate((0, 0, 1, 1)):
-        forced = None if forced_outcomes is None else forced_outcomes[i]
-        k, state, _ = sim.measure(state, xb, site, rng=gen,
-                                  forced_outcome=forced)
-        history.append((i, k))
-    W = edge_frame(dim, *(k for _, k in history))
-    target = action @ psi
-    if not (abs(np.vdot(state.amps, matrix_of_pauli(W) @ target))
-            >= 1 - VERIFY_TOL):
+    if forced_outcomes is None:
+        u = np.random.default_rng(rng).random(4)
+        cdf = np.full(d, 1 / d).cumsum()
+        cdf /= cdf[-1]
+        ks = (cdf <= u[:, None]).sum(axis=1).tolist()
+    else:
+        ks = _forced(forced_outcomes, 4, d)
+    h, net, action = _edge_tables(dim)
+    k1, k2, k4, k5 = ks
+    branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
+                       h[k4], h[k5]).reshape(-1) @ net
+    norm = np.linalg.norm(branch)
+    if not (abs(norm * d * d - 1) <= VERIFY_TOL):
+        raise FrameMismatch(f"edge branch norm {norm:.12e} is not 1/{d}^2")
+    frame = edge_frame(dim, k1, k2, k4, k5)
+    W = _zx_stack(dim)
+    M0, M1 = (W[frame.z[i] * d + frame.x[i]] for i in (0, 1))
+    target = M0 @ (action @ psi).reshape(d, d) @ M1.T
+    post = branch / norm
+    if not (abs(np.vdot(post, target.reshape(-1))) >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted edge-entangling frame does not verify")
-    return state, PauliFrame(W, history)
+    return StateVector(dim, 2, post), PauliFrame(frame, list(enumerate(ks)))
 
 
 # --- mediator qudits ------------------------------------------------------
@@ -733,9 +807,8 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     Z^{-k} x Z^{-k} frame plus known local diagonal phases.
 
     The outcome is drawn from the branches W[k] * psi of the gate's
-    mediator_tables (checked once against the predicted action Q), as
-    sim.measure draws it, and the posterior is checked densely against
-    Q[k] * psi.  StateTooLarge before any table is built when d^3
+    mediator_tables (checked once against the predicted action Q) by
+    _draw, and the posterior is checked against Q[k] * psi.  StateTooLarge before any table is built when d^3
     exceeds sim.MAX_AMPS.
     """
     if mode not in ("disconnect", "entangle"):
@@ -775,8 +848,8 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
 def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
                      rng, forced_outcome: Optional[int]) -> int:
     """Outcome of measuring site s in the basis whose column k is outcome
-    k's vector on the rows (the site's init cancels there), drawn as
-    sim.measure draws it.
+    k's vector on the rows (the site's init cancels there), drawn by
+    _draw.
 
     The site's reduced state is (1/d) sum_x row(s, x)|_s over the x whose
     row has no support elsewhere (N_us x = 0 for every neighbor u): I/d
@@ -843,7 +916,7 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
     """GraphTableau(graph).rows() conjugated through the corrections.
 
     A correction is a diagonal C = diag(q), so it fixes Z parts and maps
-    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_conjugate).
+    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_images).
     FrameMismatch for a correction that is not a diagonal unitary or not
     Clifford.
     """
@@ -856,17 +929,17 @@ def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
             raise FrameMismatch(f"correction on vertex {c.vertex} is not a "
                                 f"diagonal unitary")
         s = graph.site_of(c.vertex)
+        shift, nums, ok = _diagonal_images(dim, q)
         for i, w in enumerate(rows):
-            if not w.x[s]:
+            x = w.x[s]
+            if not x:
                 continue
-            image = _diagonal_conjugate(dim, q, w.x[s])
-            if image is None:
+            if not ok[x]:
                 raise FrameMismatch(f"correction on vertex {c.vertex} is "
                                     f"not Clifford")
-            a, num = image
-            rows[i] = PauliWord(dim, w.n,
-                                w.z[:s] + (dim.add(w.z[s], a),) + w.z[s + 1:],
-                                w.x, w.phase_num + num)
+            z = dim.add(w.z[s], int(shift[x]))
+            rows[i] = PauliWord(dim, w.n, w.z[:s] + (z,) + w.z[s + 1:],
+                                w.x, w.phase_num + int(nums[x]))
     return rows
 
 

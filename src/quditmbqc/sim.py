@@ -1,13 +1,16 @@
-"""Dense state-vector simulator: the oracle for all verification.
+"""State vectors, the shared outcome draw, seeded uniforms and Schmidt
+probes.
 
 Site 0 is the most significant tensor digit, so |jk> has j at site 0.
+Dense gate application and measurement live in the test suite's oracle
+(tests/dense_oracle.py), which every protocol is cross-checked against.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,17 +22,10 @@ from .errors import (
     ZeroProbabilityForced,
 )
 from .galois import DimSpec, dim_to_json
-from .gates import hadamard
 from .pauli import PAULI_TOL
 
 MAX_AMPS = 10 ** 6
 TOL = 1e-9
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 # --- seeded uniforms ------------------------------------------------------
@@ -139,18 +135,6 @@ class StateVector:
         return self.amps.reshape((self.dim.d,) * self.n)
 
 
-def product_state(dim: DimSpec, vectors: Sequence[np.ndarray]) -> StateVector:
-    """Tensor product of one vector per site; StateTooLarge before the
-    product is formed when d^n exceeds MAX_AMPS."""
-    if dim.d ** len(vectors) > MAX_AMPS:
-        raise StateTooLarge(f"{dim.d ** len(vectors)} amplitudes exceed "
-                            f"the budget")
-    amps = np.array([1.0 + 0j])
-    for v in vectors:
-        amps = np.kron(amps, np.asarray(v, dtype=complex))
-    return StateVector(dim, len(vectors), amps)
-
-
 def unit_vector(v, size: int, what: str) -> np.ndarray:
     """v as a complex unit vector of the given size; DimensionMismatch
     naming it when an entry is NaN or infinite or its norm is 0."""
@@ -161,10 +145,6 @@ def unit_vector(v, size: int, what: str) -> np.ndarray:
     return v / norm
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    return abs(np.vdot(a.amps, b.amps))
-
-
 def require_unitary(M: np.ndarray, message: str):
     """NonUnitary(message) unless every trailing square matrix of M has
     orthonormal columns (a NaN entry fails the check)."""
@@ -173,17 +153,10 @@ def require_unitary(M: np.ndarray, message: str):
         raise NonUnitary(message)
 
 
-def _row_totals(weight: np.ndarray) -> np.ndarray:
-    """Row sums of outcome weights; DimensionMismatch unless finite, > 0."""
-    total = weight.sum(axis=1, keepdims=True)
-    if not np.all((total > 0) & np.isfinite(total)):
-        raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
-    return total
-
-
 def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One outcome per row t of branch amplitudes (n, D, R).
+    """One outcome per row t of branch amplitudes (n, D, R): the draw
+    that every protocol, rewrite and trajectory makes.
 
     Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
     the normalized branch[t, k].  Row t takes forced[t] when forced
@@ -194,13 +167,16 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     the outcomes).  A row whose total weight is not finite and positive
     raises DimensionMismatch.
     """
-    weight = np.sum(np.abs(branch) ** 2, axis=2)
-    probs = weight / _row_totals(weight)
+    weight = (np.abs(branch) ** 2).sum(axis=2)
+    total = weight.sum(axis=1, keepdims=True)
+    if not ((total > 0) & np.isfinite(total)).all():
+        raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
+    probs = weight / total
     rows = np.arange(len(branch))
     if forced is None:
-        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        k = np.sum(cdf <= np.asarray(uniforms)[:, None], axis=1)
+        k = (cdf <= np.asarray(uniforms)[:, None]).sum(axis=1)
     else:
         k = np.asarray(forced, dtype=np.intp)
         if k.min() < 0 or k.max() >= branch.shape[1]:
@@ -219,76 +195,6 @@ def _check_sites(state: StateVector, sites: Sequence[int]):
             raise SiteOutOfRange(f"site {s} outside 0..{state.n - 1}")
     if len(set(sites)) != len(sites):
         raise SiteOutOfRange("duplicate sites")
-
-
-def apply(state: StateVector, op: np.ndarray,
-          sites: Union[int, Sequence[int]]) -> StateVector:
-    """Apply a unitary acting on the given sites (in the given order)."""
-    if isinstance(sites, int):
-        sites = [sites]
-    sites = list(sites)
-    _check_sites(state, sites)
-    d = state.dim.d
-    k = len(sites)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d ** k, d ** k):
-        raise DimensionMismatch("operator size does not match site count")
-    require_unitary(op, "operator fails the unitarity check")
-    T = state.tensor()
-    T = np.moveaxis(T, sites, range(k))
-    shape = T.shape
-    T = op @ T.reshape(d ** k, -1)
-    T = np.moveaxis(T.reshape(shape), range(k), sites)
-    return StateVector(state.dim, state.n, T.reshape(-1))
-
-
-@dataclass
-class MeasurementBasis:
-    """Orthonormal basis over one or more sites; columns are the vectors."""
-    dim: DimSpec
-    vectors: np.ndarray
-    label: str = ""
-    nsites: int = 1
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        D = self.dim.d ** self.nsites
-        if self.vectors.shape != (D, D):
-            raise DimensionMismatch("basis must be a square matrix of columns")
-        require_unitary(self.vectors,
-                        f"basis {self.label!r} is not orthonormal")
-
-
-def x_basis(dim: DimSpec) -> MeasurementBasis:
-    return MeasurementBasis(dim, hadamard(dim), "X")
-
-
-def measure(state: StateVector, basis: MeasurementBasis,
-            sites: Union[int, Sequence[int]], rng=None,
-            forced_outcome: Optional[int] = None
-            ) -> Tuple[int, StateVector, float]:
-    """Measure sites in the basis; returns (outcome, posterior, probability).
-
-    The measured sites are removed from the posterior; remaining sites keep
-    their relative order.
-    """
-    if isinstance(sites, int):
-        sites = [sites]
-    sites = list(sites)
-    _check_sites(state, sites)
-    d = state.dim.d
-    k = len(sites)
-    if basis.nsites != k:
-        raise DimensionMismatch("basis site count does not match")
-    T = state.tensor()
-    T = np.moveaxis(T, sites, range(k)).reshape(d ** k, -1)
-    branch = basis.vectors.conj().T @ T      # outcome -> residual amplitudes
-    if forced_outcome is None:
-        k, post, p = collapse(branch[None], _as_rng(rng).random(1))
-    else:
-        k, post, p = collapse(branch[None], None, [forced_outcome])
-    return (int(k[0]), StateVector(state.dim, state.n - len(sites), post[0]),
-            float(p[0]))
 
 
 def schmidt(state: StateVector, left_sites: Sequence[int]

@@ -1,4 +1,5 @@
-"""Resource-state engine: builds, pattern runs, mediators, rewriting."""
+"""Resource-state engine: pattern runs, protocols, mediators, rewriting,
+checked against the dense oracle."""
 
 import itertools
 import json
@@ -55,19 +56,12 @@ from quditmbqc.resource import (
     mediator_of,
     mediator_tables,
 )
-from quditmbqc.sim import (
-    MeasurementBasis,
-    apply,
-    measure,
-    product_state,
-    schmidt,
-)
+from quditmbqc.sim import schmidt
 from quditmbqc.engine import (
     GraphEdge,
     GraphTableau,
     ResourceGraph,
     Vertex,
-    build,
     chain_graph,
     couple_input,
     diagonal_lattice,
@@ -81,6 +75,16 @@ from quditmbqc.engine import (
     run_pattern,
     run_trajectories,
     vertex_delete,
+)
+
+import dense_oracle
+from dense_oracle import (
+    MeasurementBasis,
+    apply,
+    bell_basis,
+    build,
+    measure,
+    product_state,
 )
 
 D2 = make_dim(INTEGER_RING, d=2)
@@ -237,8 +241,8 @@ RUN_FAMILIES = [(dim, spec_of) for dim in (D2, D3, D4F)
 
 
 def _reference_run(g, pat, psi, rng, forced):
-    """The per-step loop the batched kernel replaced: dense sim.apply and
-    sim.measure, frames conjugated word by word.  Returns (head, word,
+    """The per-step loop the batched kernel replaced: dense apply and
+    measure, frames conjugated word by word.  Returns (head, word,
     history)."""
     dim, d = pat.dim, pat.dim.d
     gen = np.random.default_rng(rng)
@@ -530,6 +534,44 @@ def test_entangle_via_edge_forced_zeros():
     assert frame.history == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+PSI9 = np.full(9, 1 / 3, dtype=complex)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: entangle_via_edge(D3, PSI9, forced_outcomes=[0, 0]),
+     DimensionMismatch, "4 forced outcomes needed"),
+    (lambda: entangle_via_edge(D3, PSI9, forced_outcomes=[0, 0, 0, 0, 1]),
+     DimensionMismatch, "4 forced outcomes needed"),
+    (lambda: entangle_via_edge(D3, PSI9, forced_outcomes=[0.5, 0, 0, 0]),
+     SiteOutOfRange, "0.5 is not an integer"),
+    (lambda: entangle_via_edge(D3, PSI9, forced_outcomes=[0, 0, 3, 0]),
+     SiteOutOfRange, "out of range"),
+    (lambda: couple_input(PSI9[:3], chain_graph(D3, cz_spec(D3), 2),
+                          forced_outcome=1.5),
+     SiteOutOfRange, "1.5 is not an integer"),
+    (lambda: mediator_step(cz_spec(D3), PSI9, "entangle", forced_outcome=0.5),
+     SiteOutOfRange, "0.5 is not an integer"),
+    (lambda: vertex_delete(chain_graph(D3, cz_spec(D3), 3), 1,
+                           forced_outcome=np.float64(1.0)),
+     SiteOutOfRange, "1.0 is not an integer"),
+], ids=["edge-two", "edge-five", "edge-half", "edge-three", "couple-half",
+        "mediator-half", "rewrite-float"])
+def test_forced_outcomes_are_validated(call, error, message):
+    # a wrong count is not cut or padded, and a non-integer entry is not
+    # truncated: every draw checks its forced outcomes in one place
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_forced_outcomes_accept_numpy_integers():
+    ks = np.array([1, 2, 0, 1])
+    _, frame = entangle_via_edge(D3, PSI9, forced_outcomes=ks)
+    assert frame.history == [(0, 1), (1, 2), (2, 0), (3, 1)]
+    _, _, k = couple_input(PSI9[:3], chain_graph(D3, cz_spec(D3), 2),
+                           forced_outcome=np.int64(4))
+    assert k == 4 and type(k) is int
+
+
 @pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
 def test_mediator_disconnect_restores_product(spec_of):
     rng = np.random.default_rng(8)
@@ -759,7 +801,7 @@ def test_mediator_table_check_catches_wrong_local_phases(monkeypatch):
 
 def _dense_mediator(spec, psi, mode, seed):
     """mediator_step by dense simulation: both controls applied with
-    sim.apply, the mediator measured with sim.measure."""
+    apply, the mediator measured with measure."""
     dim = spec.dim
     init, G, _ = mediator_of(spec)
     E = gate_matrix(spec)
@@ -772,7 +814,8 @@ def _dense_mediator(spec, psi, mode, seed):
 
 
 def _dense_edge(dim, psi, seed):
-    """entangle_via_edge by dense simulation: five sim.apply CZs."""
+    """entangle_via_edge by dense simulation: five applied CZs, four
+    sequential X measurements drawing from one generator."""
     plus = xplus_state(dim)
     state = sim.StateVector(dim, 6, np.einsum(
         "ad,b,c,e,f->abcdef", psi.reshape(dim.d, dim.d),
@@ -781,14 +824,36 @@ def _dense_edge(dim, psi, seed):
         state = apply(state, cz_gate(dim), pair)
     gen, ks = np.random.default_rng(seed), []
     for site in (0, 0, 1, 1):
-        k, state, _ = measure(state, sim.x_basis(dim), site, rng=gen)
+        k, state, _ = measure(state, dense_oracle.x_basis(dim), site,
+                              rng=gen)
         ks.append(k)
     return ks, state.amps
 
 
-@pytest.mark.parametrize("dim", [D2, D3], ids=lambda dim: dim.label())
+def _dense_couple(psi, graph, seed):
+    """couple_input by dense simulation: the chain built, the input
+    prepended and Bell-measured with the chain's head."""
+    chain = build(graph)
+    full = sim.StateVector(graph.dim, 3, np.kron(psi, chain.amps))
+    head = graph.site_of(graph.edges[0].control) + 1
+    k, post, _ = measure(full, bell_basis(graph.dim), [0, head], rng=seed)
+    return k, post.amps
+
+
+D4 = make_dim(INTEGER_RING, d=4)
+PROTOCOL_DIMS = [D2, D3, D4F, D4, D5]
+
+
+@pytest.mark.parametrize("dim", PROTOCOL_DIMS, ids=lambda dim: dim.label())
 def test_protocols_draw_and_land_as_the_dense_reference(dim):
-    psi = random_state(dim.d ** 2, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    psi = random_state(dim.d ** 2, rng)
+    psi1 = random_state(dim.d, rng)
+    # light shift has no real angle at d = 5, and its intrinsic gate over
+    # Z4 is not Clifford, so coupling there has no frame to predict
+    families = (cz_spec, cx_spec) if dim in (D4, D5) \
+        else (cz_spec, cx_spec, light_shift_spec)
+    chains = [chain_graph(dim, spec_of(dim), 2) for spec_of in families]
     for seed in range(12):
         for spec_of in (cz_spec, cx_spec):
             for mode in ("disconnect", "entangle"):
@@ -800,18 +865,62 @@ def test_protocols_draw_and_land_as_the_dense_reference(dim):
         ks, amps = _dense_edge(dim, psi, seed)
         assert [k for _, k in frame.history] == ks
         assert abs(np.vdot(amps, out.amps)) > 1 - 1e-12
+        for chain in chains:
+            post, frame, k = couple_input(psi1, chain, rng=seed)
+            k_dense, amps = _dense_couple(psi1, chain, seed)
+            assert k == k_dense and frame.history == [(0, k)]
+            assert abs(np.vdot(amps, post.amps)) > 1 - 1e-12
 
 
 def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
-    def no_apply(*args):
-        raise AssertionError("dense gate applied")
+    # the mediator, the edge and input coupling draw from branches in
+    # closed form: the library has no dense simulator to apply a gate to or
+    # measure a state with (it is the tests' oracle), and none may come back
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense state simulated")
 
-    monkeypatch.setattr(sim, "apply", no_apply)
+    monkeypatch.setattr(engine, "build", no_dense, raising=False)
+    for name in ("apply", "measure", "product_state"):
+        monkeypatch.setattr(sim, name, no_dense, raising=False)
     psi = random_state(9, np.random.default_rng(2))
     for spec_of in (cz_spec, cx_spec):
         for mode in ("disconnect", "entangle"):
             mediator_step(spec_of(D3), psi, mode, rng=1)
+        couple_input(psi[:3], chain_graph(D3, spec_of(D3), 2), rng=1)
     entangle_via_edge(D3, psi, rng=1)
+
+
+@pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
+def test_edge_branch_check_catches_a_corrupted_cz_table(dim):
+    h, _, action = engine._edge_tables(dim)
+    cz = np.diag(gate_matrix(cz_spec(dim))).reshape(dim.d, dim.d)
+    engine._check_edge_branches(dim, cz, h, action)
+    bad = cz.copy()
+    bad[1, 1] *= np.exp(0.1j)                      # not CZ, not Clifford
+    for table in (bad, np.ones_like(cz)):          # and no edge at all
+        with pytest.raises(FrameMismatch, match="predicted branches"):
+            engine._check_edge_branches(dim, table, h, action)
+
+
+def test_edge_tables_are_checked_once_per_dimension():
+    tables = engine._edge_tables(D3)
+    assert engine._edge_tables(make_dim(INTEGER_RING, d=3)) is tables
+    assert not any(t.flags.writeable for t in tables)
+
+
+def test_first_edge_call_at_d5_stays_below_a_megabyte():
+    # the once-per-dimension check runs in (k1, k2) slices of d^6 = 15625
+    # amplitudes; the whole d^8 table would be 6.25 MB
+    psi = random_state(25, np.random.default_rng(3))
+    engine._edge_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        entangle_via_edge(D5, psi, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine._edge_tables.cache_info().currsize == 1
+    assert peak < 2 ** 20, peak
 
 
 D11, D101 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=101)
@@ -902,15 +1011,17 @@ def test_nan_state_is_rejected(name):
 
 @pytest.mark.parametrize("name", sorted(_nan_entry_points()))
 def test_nan_state_fails_dense_verification(name, monkeypatch):
-    # with the input checks bypassed (sim.collapse's weight check too),
-    # the NaN reaches the dense verification, whose comparison must fail
-    # rather than pass; rewriting verifies on the tableau, so there the
-    # phase-vector check must reject the NaN init
+    # with the input checks bypassed (the draw's weight check too, by
+    # drawing through the oracle's collapse without its _row_totals test),
+    # the NaN reaches the posterior verification, whose comparison must
+    # fail rather than pass; rewriting verifies on the tableau, so there
+    # the phase-vector check must reject the NaN init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
-    monkeypatch.setattr(sim, "_row_totals",
+    monkeypatch.setattr(dense_oracle, "_row_totals",
                         lambda w: w.sum(axis=1, keepdims=True))
+    monkeypatch.setattr(sim, "collapse", dense_oracle.collapse)
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
     error = UnsupportedFormalism if name == "vertex_delete" else FrameMismatch

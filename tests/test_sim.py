@@ -1,4 +1,5 @@
-"""Dense state vectors: application, measurement, entanglement probes."""
+"""State vectors, entanglement probes and seeded uniforms, and the dense
+oracle's application and measurement."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quditmbqc.errors import (
     DimensionMismatch,
+    QuditError,
     NonUnitary,
     SiteOutOfRange,
     StateTooLarge,
@@ -20,17 +22,22 @@ from quditmbqc.galois import (
 )
 from quditmbqc.gates import basis_state, cz_gate, hadamard, xplus_state
 from quditmbqc.sim import (
-    MeasurementBasis,
     StateVector,
-    apply,
-    fidelity,
+    collapse,
     is_max_entangled,
-    measure,
-    product_state,
     schmidt,
     seed_uniforms,
     state_to_json,
     unit_vector,
+)
+
+import dense_oracle
+from dense_oracle import (
+    MeasurementBasis,
+    apply,
+    fidelity,
+    measure,
+    product_state,
     x_basis,
 )
 
@@ -178,6 +185,41 @@ def test_unit_vector_rejects_non_finite(bad):
     with pytest.raises(DimensionMismatch, match="psi"):
         unit_vector([0, 0, 0], 3, "psi")
     assert np.allclose(unit_vector([3, 4j, 0], 3, "psi"), [0.6, 0.8j, 0])
+
+
+# --- the shared draw -----------------------------------------------------
+
+def _draw_or_error(draw, branch, uniforms, forced):
+    try:
+        return draw(branch, uniforms, forced)
+    except QuditError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["drawn", "forced"]),
+       st.sampled_from([None, 0.0, np.nan, np.inf]))
+def test_collapse_equals_the_first_formula(n, D, R, seed, how, spoil):
+    # sim.collapse calls the array methods where the oracle's first form
+    # calls np.sum, np.cumsum and _row_totals: every array, outcome and
+    # error must be the same, bit for bit
+    rng = np.random.default_rng(seed)
+    branch = rng.normal(size=(n, D, R)) + 1j * rng.normal(size=(n, D, R))
+    branch[rng.random((n, D)) < 0.3] = 0        # impossible outcomes
+    uniforms = rng.random(n)
+    uniforms[rng.random(n) < 0.2] = 0.0
+    forced = rng.integers(0, D, size=n) if how == "forced" else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        if spoil is not None:
+            branch[rng.integers(n)] *= spoil    # a zero, NaN or inf row
+        got = _draw_or_error(collapse, branch, uniforms, forced)
+        want = _draw_or_error(dense_oracle.collapse, branch, uniforms, forced)
+    assert type(got[0]) is type(want[0])
+    if isinstance(got[0], type):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --- seeded uniforms ------------------------------------------------------

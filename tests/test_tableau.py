@@ -15,7 +15,6 @@ from quditmbqc.engine import (
     ResourceGraph,
     StabilizerState,
     Vertex,
-    build,
     chain_graph,
     diagonal_lattice,
     local_complement,
@@ -43,6 +42,9 @@ from quditmbqc.resource import (
     mediator_of,
 )
 
+import dense_oracle
+from dense_oracle import MeasurementBasis, build
+
 D3 = make_dim(INTEGER_RING, d=3)
 D4R = make_dim(INTEGER_RING, d=4)
 DIMS = [make_dim(INTEGER_RING, d=d) for d in (2, 3, 5)] + [
@@ -58,7 +60,7 @@ def _measured_basis(graph, vid, rule):
     D W X(x) W^dag D^dag Z(N x), x != 0."""
     dim = graph.dim
     if rule is vertex_delete:
-        return sim.MeasurementBasis(dim, np.eye(dim.d), "Z")
+        return MeasurementBasis(dim, np.eye(dim.d), "Z")
     init = engine._init_vector(dim, graph.vertex(vid).init)
     assert np.allclose(np.abs(init), dim.d ** -0.5)
     W, N = np.diag(np.sqrt(dim.d) * init), None
@@ -73,18 +75,18 @@ def _measured_basis(graph, vid, rule):
         image = M @ B
         lam = np.sum(B.conj() * image, axis=0)
         assert np.max(np.abs(image - lam * B)) <= PAULI_TOL
-    return sim.MeasurementBasis(dim, B, "local-complement")
+    return MeasurementBasis(dim, B, "local-complement")
 
 
 def _corrected(graph, corrections):
     state = build(graph)
     for c in corrections:
-        state = sim.apply(state, c.operator, graph.site_of(c.vertex))
+        state = dense_oracle.apply(state, c.operator, graph.site_of(c.vertex))
     return state.normalized().amps
 
 
 def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
-    """The dense rewrite reference: build the graph, sim.measure vid in
+    """The dense rewrite reference: build the graph, measure vid in
     _measured_basis, read the rewrite off the outcome by the closed form
     the library uses, and check the corrected new build against the
     posterior.  Returns (posterior amps, outcome, corrections, new graph);
@@ -104,9 +106,9 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
     init_v = engine._init_vector(dim, graph.vertex(vid).init)
     basis = _measured_basis(graph, vid, rule)
-    m, post, _ = sim.measure(build(graph), basis, graph.site_of(vid),
-                             rng=np.random.default_rng(rng),
-                             forced_outcome=forced_outcome)
+    m, post, _ = dense_oracle.measure(build(graph), basis,
+                                      graph.site_of(vid), rng=rng,
+                                      forced_outcome=forced_outcome)
     mul, add, _, chi = engine._element_tables(dim)
     f = (basis.vectors[:, m].conj() * init_v * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
@@ -278,7 +280,8 @@ def test_clifford_centre_init_complements_on_every_outcome(dim, init):
 @pytest.mark.parametrize("rule, vid", [(vertex_delete, 4),
                                        (local_complement, 1)])
 def test_seeded_outcomes_match_the_dense_path(rule, vid):
-    # the tableau draws by sim.collapse's inverse CDF, as sim.measure does
+    # the tableau draws by sim.collapse's inverse CDF, as the dense
+    # oracle's measure does
     graph = diagonal_lattice(D3, 3, 3, light_shift_spec(D3))
     for seed in range(40):
         _assert_matches_dense(rule(graph, vid, rng=seed),
@@ -425,14 +428,37 @@ def _benchmark_graphs():
     return cases + [(graph, vid) for vid in (0, 4, 9, 13)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIMS + [D4R]), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_diagonal_images_equal_the_loop_over_shifts(dim, seed, clifford):
+    # one vectorised pass over every shift x gives what the per-shift loop
+    # gave, on Clifford diagonals (a shear times a Z power, at a global
+    # phase) and on random phase vectors, which mostly fit no Z(c)
+    rng = np.random.default_rng(seed)
+    if clifford:
+        q = np.diag(shear_gate(dim, int(rng.integers(dim.d)))
+                    @ zmat(dim, int(rng.integers(dim.d)))) \
+            * np.exp(2j * np.pi * rng.random())
+    else:
+        q = np.exp(2j * np.pi * rng.random(dim.d))
+    c, num, ok = engine._diagonal_images(dim, q)
+    for x in dim.elements:
+        want = dense_oracle.diagonal_conjugate(dim, q, x)
+        assert ok[x] == (want is not None)
+        if want is not None:
+            assert (int(c[x]), int(num[x])) == want
+
+
 def test_rewriting_is_one_path(monkeypatch):
-    # no rule builds, applies or measures a dense state
+    # no rule builds, applies or measures a dense state: the library has
+    # no dense simulator (it is the tests' oracle), and none may come back
     def refuse(*args, **kwargs):
         raise AssertionError("rewriting reached dense simulation")
 
-    monkeypatch.setattr(engine, "build", refuse)
+    monkeypatch.setattr(engine, "build", refuse, raising=False)
     for name in ("measure", "apply", "product_state"):
-        monkeypatch.setattr(sim, name, refuse)
+        monkeypatch.setattr(sim, name, refuse, raising=False)
     for graph, vid in _benchmark_graphs():
         for rule in RULES:
             post, m, _, _ = rule(graph, vid, rng=vid)
