@@ -8,7 +8,7 @@ from .galois import (
     make_dim,
 )
 from .pauli import PauliWord, match_pauli, matrix_of_pauli
-from .gates import cz_gate, hadamard, mult_gate, sgate, shear_gate
+from .gates import hadamard, mult_gate, sgate, shear_gate
 from .sim import StateVector
 from .resource import (
     EntanglingGateSpec,
@@ -42,7 +42,6 @@ from .engine import (
     entangle_via_edge,
     local_complement,
     mediator_step,
-    run_pattern,
     run_trajectories,
     vertex_delete,
 )

@@ -30,11 +30,12 @@ from .errors import (
 from .galois import (
     FINITE_FIELD,
     INTEGER_RING,
+    complex_to_json,
     json_check,
     json_complex,
     make_dim,
 )
-from .gates import basis_state, hadamard, sgate
+from .gates import basis_state, hadamard, sgate, xplus_state
 from .clifford import universality_check
 from .compiler import (
     compile_unitary,
@@ -81,11 +82,6 @@ def dumps_report(obj: dict) -> str:
     """Stable JSON text: sorted keys, 17-significant-digit floats."""
     text = json.dumps(_mark_floats(obj), sort_keys=True)
     return re.sub(r'"@@F(-?[0-9.eE+naif-]+)F@@"', r"\1", text)
-
-
-def matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row]
-            for row in np.asarray(M, dtype=complex)]
 
 
 def _digest(paths: List[Optional[str]]) -> str:
@@ -135,14 +131,12 @@ def cmd_analyze(args) -> int:
     kind = expand(spec).kind
     intr = intrinsic_of(spec)
     E = gate_matrix(spec)
-    dim = spec.dim
-    d = dim.d
-    plus = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    st = StateVector(dim, 2, E @ np.kron(plus, plus))
+    plus = xplus_state(spec.dim)
+    st = StateVector(spec.dim, 2, E @ np.kron(plus, plus))
     max_ent = bool(is_max_entangled(st, [0])) and intr.unitary
     results = {
         "kind": kind,
-        "intrinsic_matrix": matrix_to_json(intr.matrix),
+        "intrinsic_matrix": complex_to_json(intr.matrix),
         "unitary": bool(intr.unitary),
         "clifford": bool(intr.is_clifford),
         "pauli_order": intr.pauli_order,
@@ -159,8 +153,8 @@ def cmd_analyze(args) -> int:
             C1, C2, N = factor_diagonal_clifford(spec)
             results["factorization"] = {
                 "form": "(C1 x C2) CZ^N",
-                "C1": matrix_to_json(C1),
-                "C2": matrix_to_json(C2),
+                "C1": complex_to_json(C1),
+                "C2": complex_to_json(C2),
                 "N": int(N),
             }
         else:

@@ -28,6 +28,7 @@ from .errors import (
 from .galois import (
     INTEGER_RING,
     DimSpec,
+    complex_to_json,
     dim_from_json,
     dim_to_json,
     is_prime,
@@ -323,9 +324,7 @@ def pattern_to_json(p: MeasurementPattern) -> dict:
         "frame": pauli_to_json(p.frame),
     }
     if p.gate is None:
-        obj["intrinsic_matrix"] = [[[float(v.real), float(v.imag)]
-                                    for v in row]
-                                   for row in p.intrinsic.matrix]
+        obj["intrinsic_matrix"] = complex_to_json(p.intrinsic.matrix)
     return obj
 
 

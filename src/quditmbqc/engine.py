@@ -207,19 +207,6 @@ def _init_phases(graph: ResourceGraph) -> np.ndarray:
     return phases
 
 
-@functools.lru_cache(maxsize=None)
-def _element_tables(dim: DimSpec) -> Tuple[np.ndarray, ...]:
-    """mul[a, b] = a b, add[a, b] = a + b, sub[a, b] = a - b and
-    chi[t] = chi(t) over the elements."""
-    mul, add, sub = (np.array([[op(a, b) for b in dim.elements]
-                               for a in dim.elements])
-                     for op in (dim.mul, dim.add, dim.sub))
-    chi = np.array([dim.char_phase(t) for t in dim.elements])
-    for t in (mul, add, sub, chi):
-        t.flags.writeable = False    # shared by every caller
-    return mul, add, sub, chi
-
-
 def _diagonal_images(dim: DimSpec, q: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
@@ -244,7 +231,7 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
 def _shift_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
     """add[x, j] = j + x and conj(chi(c (j + x))) as [x, c, j], shared
     read-only by every _diagonal_images call."""
-    mul, add, _, chi = _element_tables(dim)
+    mul, add, _, chi = dim.tables
     shifted_chi = chi[mul[:, add]].conj().swapaxes(0, 1)
     shifted_chi.flags.writeable = False
     return add, shifted_chi
@@ -358,7 +345,7 @@ class StabilizerState:
         dim, d, n = self.dim, self.dim.d, self.n
         if d ** n > sim.MAX_AMPS:
             raise StateTooLarge(f"{d}^{n} amplitudes exceed the budget")
-        mul, _, sub, chi = _element_tables(dim)
+        mul, _, sub, chi = dim.tables
         order = d if dim.kind == INTEGER_RING else dim.p
 
         def axis(s, vec):
@@ -477,9 +464,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
 
     Trajectory t draws default_rng(seeds[t]).random(steps) (one
     sim.seed_uniforms pass for the block) and takes the outcome
-    Generator.choice would; with forced_outcomes (T rows of one
-    outcome per step) nothing is drawn.  Frames are word indices and
-    exact phases moved by the certificates' frame tables.  Row t's
+    Generator.choice would; forced_outcomes (T rows of one outcome per
+    step, each checked by _forced) draw nothing.  Frames are word indices
+    and exact phases moved by the certificates' frame tables.  Row t's
     fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
     FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
     StateTooLarge is raised before any per-trajectory allocation when the
@@ -501,10 +488,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
                             f"the budget")
     if forced_outcomes is not None:
-        forced = np.asarray(forced_outcomes, dtype=np.intp)
-        if forced.ndim != 2 or forced.shape[1] < S:
-            raise DimensionMismatch("forced outcomes need a row of one "
-                                    "outcome per step for each trajectory")
+        forced = np.array([_forced(row, S, d) for row in forced_outcomes],
+                          dtype=np.intp).reshape(T, S)
     else:
         seeds = list(seeds)
     edges = sorted(graph.edges, key=lambda e: e.seq)
@@ -522,9 +507,6 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     g_table = pattern.intrinsic.certificate().frame_table()
     z_idx, z_phase = _z_tables(dim)
     f_idx, f_phase = _frame_table(pattern.frame)
-    # shifted[u, x] = u - x: adaptive phases psi_t[u] = phases[u - x_t]
-    shifted = np.array([[dim.add(u, dim.neg(x)) for x in dim.elements]
-                        for u in dim.elements])
     H = hadamard(dim)
     psi_in = sim.unit_vector(psi, d, "input state")
     post = np.empty((T, d), dtype=complex)
@@ -546,7 +528,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         for i, (ET, fresh, phases, table) in enumerate(plan):
             two = (cur[:, :, None] * fresh).reshape(n, d * d) @ ET
             if table is None:
-                psi_t = phases[shifted[:, at % d].T]
+                # adaptive phases psi_t[u] = phases[u - x_t]
+                psi_t = phases[dim.tables.sub[:, at % d].T]
             else:
                 psi_t = phases[None, :]
             basis = np.exp(-1j * psi_t)[:, :, None] * H
@@ -573,22 +556,6 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
     return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
-
-
-def run_pattern(graph: ResourceGraph, pattern: MeasurementPattern,
-                input_state: np.ndarray, rng=None,
-                forced_outcomes: Optional[Sequence[int]] = None
-                ) -> Tuple[StateVector, PauliFrame]:
-    """One trajectory of run_trajectories: rng seeds it (or is the
-    generator it draws from), forced_outcomes gives one outcome per step.
-
-    Returns the head state and the total frame with the outcome history;
-    the head is checked to equal frame * U |input>.
-    """
-    runs = run_trajectories(
-        graph, pattern, input_state, [rng],
-        None if forced_outcomes is None else [forced_outcomes])
-    return StateVector(pattern.dim, 1, runs.posteriors[0]), runs.frame(0)
 
 
 # --- input coupling -------------------------------------------------------
@@ -878,7 +845,7 @@ def _posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
     """
     dim, n = tableau.dim, tableau.n
     den = dim.phase_den
-    mul, _, sub, chi = _element_tables(dim)
+    mul, _, sub, chi = dim.tables
     # image[a, x] = Z(a) X(x) b, with eigenvalue lam[a, x] when ok[a, x]
     image = chi[mul][:, None, :] * b[sub.T][None, :, :]
     lam = image @ b.conj()
@@ -990,11 +957,10 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
     tableau = GraphTableau(graph)
-    mul, add, _, chi = _element_tables(dim)
+    mul, add, _, chi = dim.tables
     B = np.eye(d, dtype=complex)
     if complement:
-        # chi[mul] / sqrt(d) is H
-        B = W @ shear_gate(dim, star[0][3]) @ chi[mul] / np.sqrt(d)
+        B = W @ shear_gate(dim, star[0][3]) @ hadamard(dim)
         sim.require_unitary(B, "basis 'local-complement' is not orthonormal")
     m = _tableau_outcome(tableau, site, B, rng, forced_outcome)
     f = (B[:, m].conj() * np.diag(W)) @ chi[mul]

@@ -4,12 +4,13 @@ Field elements are encoded as integers in [0, d): the element
 a_0 + a_1*xi + ... + a_{m-1}*xi^{m-1} is the integer with base-p digits
 (a_0, ..., a_{m-1}), a_0 least significant.  Galois-ring elements use the
 same encoding with base-4 digits.  Integer-ring elements are plain residues
-mod d.  All tables are built once at construction; values are immutable.
+mod d.  Immutable tables: tuples at construction, arrays on first use.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -93,6 +94,11 @@ def _undigits(coeffs: Sequence[int], base: int) -> int:
     return acc
 
 
+# DimSpec.tables, which every dense builder indexes: mul[a, b] = a b,
+# add[a, b] = a + b, sub[a, b] = a - b and chi[t] = char_phase(t)
+ElementTables = collections.namedtuple("ElementTables", "mul add sub chi")
+
+
 @dataclass(frozen=True)
 class DimSpec:
     """Dimension descriptor for one qudit: Z_d or GF(p^m) (+ GR(4,m) lift)."""
@@ -110,6 +116,7 @@ class DimSpec:
     _tr: Tuple[int, ...] = field(default=None, repr=False, compare=False)
     _gr_mul: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
     _gr_tr: Tuple[int, ...] = field(default=None, repr=False, compare=False)
+    _tables: ElementTables = field(default=None, repr=False, compare=False)
 
     # --- constructors -----------------------------------------------------
 
@@ -271,6 +278,21 @@ class DimSpec:
         if self.kind == INTEGER_RING:
             return f"Z_{self.d}"
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+
+    @property
+    def tables(self) -> ElementTables:
+        """The tuple tables as read-only arrays, built on first use."""
+        # not a functools.cached_property: a materialized instance __dict__
+        # slows every attribute read of a DimSpec by about half
+        if self._tables is None:
+            add = np.array(self._add)
+            chi = np.array([self.char_phase(t) for t in self.elements])
+            tables = ElementTables(np.array(self._mul), add,
+                                   add[:, list(self._neg)], chi)
+            for t in tables:
+                t.flags.writeable = False    # shared by every caller
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
 
     # --- traces and characters -------------------------------------------
 
@@ -528,3 +550,9 @@ def json_complex(value, shape: Tuple[Optional[int], ...],
                  what: str) -> np.ndarray:
     """Complex array from nested [re, im] pairs of the given shape."""
     return json_array(value, tuple(shape) + (2,), what).view(complex)[..., 0]
+
+
+def complex_to_json(arr) -> list:
+    """Nested [re, im] pairs of a complex array, as json_complex reads."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()

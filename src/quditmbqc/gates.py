@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import NonInvertibleLambda
 from .galois import INTEGER_RING, DimSpec
-from .pauli import xmat, zmat  # noqa: F401  (re-exported gate family)
 
 
 def tau(dim: DimSpec) -> complex:
@@ -23,12 +22,8 @@ def tau(dim: DimSpec) -> complex:
 
 def hadamard(dim: DimSpec) -> np.ndarray:
     """H = d^{-1/2} sum char(uv) |u><v| in either formalism."""
-    d = dim.d
-    out = np.empty((d, d), dtype=complex)
-    for u in dim.elements:
-        for v in dim.elements:
-            out[u, v] = dim.char_phase(dim.mul(u, v))
-    return out / math.sqrt(d)
+    mul, _, _, chi = dim.tables
+    return chi[mul] / math.sqrt(dim.d)
 
 
 def sgate(dim: DimSpec) -> np.ndarray:
@@ -49,10 +44,9 @@ def shear_gate(dim: DimSpec, l: int) -> np.ndarray:
         t = tau(dim)
         return np.diag([t ** ((l * j * j) % (2 * d)) for j in range(d)])
     if dim.p != 2:
-        inv2 = dim.inv(dim.scalar(2))
-        return np.diag([dim.char_phase(dim.mul(dim.mul(inv2, l),
-                                               dim.mul(x, x)))
-                        for x in dim.elements])
+        mul, _, _, chi = dim.tables
+        c = dim.mul(dim.inv(dim.scalar(2)), l)
+        return np.diag(chi[mul[c, np.diagonal(mul)]])
     # p = 2: squaring is the Frobenius bijection, sqrt(t) = t^{2^{m-1}}
     if l == 0:
         return np.eye(d, dtype=complex)
@@ -65,21 +59,11 @@ def shear_gate(dim: DimSpec, l: int) -> np.ndarray:
 
 
 def mult_gate(dim: DimSpec, lam: int) -> np.ndarray:
-    """M(lam) = sum |lam x><x|; requires lam invertible."""
+    """M(lam) = sum |lam x><x|, so row r is e_{lam^-1 r}; requires lam
+    invertible."""
     if not dim.is_invertible(lam):
         raise NonInvertibleLambda(f"lambda = {lam} not invertible in {dim.label()}")
-    d = dim.d
-    out = np.zeros((d, d), dtype=complex)
-    for x in dim.elements:
-        out[dim.mul(lam, x), x] = 1.0
-    return out
-
-
-def cz_gate(dim: DimSpec) -> np.ndarray:
-    d = dim.d
-    diag = [dim.char_phase(dim.mul(j, k)) for j in dim.elements
-            for k in dim.elements]
-    return np.diag(diag)
+    return np.eye(dim.d, dtype=complex)[dim.tables.mul[dim.inv(lam)]]
 
 
 def dphi(phases) -> np.ndarray:
@@ -107,8 +91,3 @@ def normalize_global_phase(M: np.ndarray) -> np.ndarray:
         if abs(v) > 1e-12:
             return M * (abs(v) / v)
     return M
-
-
-def equal_up_to_phase(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> bool:
-    return np.max(np.abs(normalize_global_phase(A) -
-                         normalize_global_phase(B))) < tol

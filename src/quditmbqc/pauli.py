@@ -120,16 +120,13 @@ def word_power(w: PauliWord, k: int) -> PauliWord:
 
 def zmat(dim: DimSpec, a: int) -> np.ndarray:
     """Z^a (ring) or Z(a) (field) as a dense d x d matrix."""
-    return np.diag([dim.char_phase(dim.mul(a, u)) for u in dim.elements])
+    mul, _, _, chi = dim.tables
+    return np.diag(chi[mul[a % dim.d]])
 
 
 def xmat(dim: DimSpec, b: int) -> np.ndarray:
-    """X^b (ring) or X(b) (field): |u + b><u|."""
-    d = dim.d
-    out = np.zeros((d, d), dtype=complex)
-    for u in dim.elements:
-        out[dim.add(u, b), u] = 1.0
-    return out
+    """X^b (ring) or X(b) (field): |u + b><u|, so row r is e_{r - b}."""
+    return np.eye(dim.d, dtype=complex)[dim.tables.sub[:, b % dim.d]]
 
 
 def zx_matrix(w: PauliWord) -> np.ndarray:
@@ -176,23 +173,13 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray
     if not (abs(abs(phase) - 1.0) <= PAULI_TOL):
         return None
     rel = diag / phase
-    z = []
-    for i in range(n):
-        zi = None
-        for cand in dim.elements:
-            ok = True
-            for u in dim.elements:
-                idx = _site_index(dim, n, i, u)
-                if not (abs(rel[idx] - dim.char_phase(dim.mul(cand, u)))
-                        <= PAULI_TOL):
-                    ok = False
-                    break
-            if ok:
-                zi = cand
-                break
-        if zi is None:
-            return None
-        z.append(zi)
+    mul, _, _, chi = dim.tables
+    # site i's entries rel[u d^(n-1-i)], fitted to every chi(c u) at once
+    sites = rel[np.outer(d ** np.arange(n - 1, -1, -1), dim.elements)]
+    fits = np.all(np.abs(sites[:, None] - chi[mul]) <= PAULI_TOL, axis=2)
+    if not fits.any(axis=1).all():
+        return None
+    z = fits.argmax(axis=1).tolist()
     # we decomposed M = phase * X^x Z^z; reorder to Z-part-leftmost form
     for i in range(n):
         phase *= dim.char_phase(dim.neg(dim.mul(z[i], x[i])))
@@ -216,10 +203,6 @@ def _index_digits(dim: DimSpec, n: int, idx: int) -> Tuple[int, ...]:
         out.append(idx % dim.d)
         idx //= dim.d
     return tuple(reversed(out))
-
-
-def _site_index(dim: DimSpec, n: int, site: int, value: int) -> int:
-    return value * dim.d ** (n - 1 - site)
 
 
 # --- JSON ----------------------------------------------------------------

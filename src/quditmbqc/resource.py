@@ -31,6 +31,7 @@ from .errors import (
 )
 from .galois import (
     DimSpec,
+    complex_to_json,
     dim_from_json,
     dim_to_json,
     json_array,
@@ -123,8 +124,9 @@ def _light_shift_spec(dim: DimSpec, theta: Optional[float], sign
 def cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
     """CZ^w = sum_jk chi(w j k) |jk><jk| in diagonal form; one spec per
     (dimension, weight), so the edges graph rewriting adds share facts."""
-    theta = np.array([[cmath.phase(dim.char_phase(dim.mul(w, dim.mul(j, k))))
-                       for k in dim.elements] for j in dim.elements])
+    mul, _, _, chi = dim.tables
+    theta = np.array([[cmath.phase(c) for c in row]
+                      for row in chi[mul[w % dim.d][mul]]])
     return EntanglingGateSpec(dim, DIAGONAL, theta=np.mod(theta, 2 * math.pi),
                               init_phases=np.zeros(dim.d))
 
@@ -464,8 +466,9 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     require_unitary(B, f"basis {mode!r} is not orthonormal")
     UbUa = np.einsum("bce,ae->abc", U, U @ init)
     W = np.einsum("ck,abc->kab", B.conj(), UbUa)
-    A = np.array([[local[j] * dim.char_phase(dim.mul(dim.neg(k), j))
-                   for j in dim.elements] for k in dim.elements])
+    mul, _, sub, chi = dim.tables
+    # A[k, j] = local[j] chi(-k j)
+    A = local * chi[mul[sub[0]]]
     Q = A[:, :, None] * A[:, None, :]
     if mode == "entangle":
         cz = np.diag(gate_matrix(cz_spec(dim))).reshape(d, d)
@@ -487,8 +490,7 @@ def gate_to_json(spec: EntanglingGateSpec) -> dict:
     if spec.kind == DIAGONAL:
         out["theta"] = [[float(v) for v in row] for row in spec.theta]
     elif spec.kind == BLOCK_DIAGONAL:
-        out["blocks"] = [[[[float(v.real), float(v.imag)] for v in row]
-                          for row in b] for b in spec.blocks]
+        out["blocks"] = complex_to_json(spec.blocks)
     else:
         out["name"] = spec.name
         if spec.ls_theta is not None:

@@ -21,7 +21,7 @@ from .errors import (
     StateTooLarge,
     ZeroProbabilityForced,
 )
-from .galois import DimSpec, dim_to_json
+from .galois import DimSpec, complex_to_json, dim_to_json
 from .pauli import PAULI_TOL
 
 MAX_AMPS = 10 ** 6
@@ -227,5 +227,5 @@ def state_to_json(state: StateVector) -> dict:
     return {
         "dim": dim_to_json(state.dim),
         "n": state.n,
-        "amps": [[float(v.real), float(v.imag)] for v in state.amps],
+        "amps": complex_to_json(state.amps),
     }

@@ -68,7 +68,7 @@ def diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
     Z(c) X(x), or None when no c fits: one shift at a time, the loop that
     engine._diagonal_images replaced."""
     den = dim.phase_den
-    mul, add, _, chi = engine._element_tables(dim)
+    mul, add, _, chi = dim.tables
     shift = add[x]                                   # j -> j + x
     ratio = q[shift] * q.conj() * chi[mul[:, shift]].conj()
     num = np.round(np.angle(ratio[:, 0]) * den / (2 * np.pi))

@@ -10,7 +10,6 @@ from quditmbqc import cli
 from quditmbqc.errors import NoRealSolution, NotCliffordError
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
-    cz_gate,
     hadamard,
     mult_gate,
     sgate,
@@ -39,7 +38,6 @@ from quditmbqc.engine import (
     entangle_via_edge,
     local_complement,
     mediator_step,
-    run_pattern,
     run_trajectories,
     vertex_delete,
 )
@@ -265,12 +263,12 @@ def test_criterion_07_clifford_single_step():
         graph = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
         rng = np.random.default_rng(7)
         psi = random_state(3, rng)
-        for seed in range(10):
-            out, frame = run_pattern(graph, pat, psi, rng=seed)
-            ideal = matrix_of_pauli(frame.word) @ matrix_of_pauli(
+        runs = run_trajectories(graph, pat, psi, range(10))
+        for t in range(10):
+            ideal = matrix_of_pauli(runs.frame(t).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ pat.dense_product() @ psi
             worst = min(worst, abs(np.vdot(
-                out.amps, ideal / np.linalg.norm(ideal))))
+                runs.posteriors[t], ideal / np.linalg.norm(ideal))))
     ok = all_static and worst >= 1 - 1e-9
     report(7, ok, f"S, H, M(2), random Clifford at d=3: non-adaptive "
                   f"{all_static}, worst trajectory fidelity "
@@ -340,7 +338,7 @@ def test_criterion_09_mediator_protocols():
     for dim in (D2, D3):
         d = dim.d
         S = sgate(dim)
-        CZ = cz_gate(dim)
+        CZ = gate_matrix(cz_spec(dim))
         for outcome in range(d):
             for _ in range(d):
                 psi = random_state(d * d, rng)
@@ -363,7 +361,7 @@ def test_criterion_09_mediator_protocols():
     for dim in (D2, D3):
         d = dim.d
         H = hadamard(dim)
-        CZ = cz_gate(dim)
+        CZ = gate_matrix(cz_spec(dim))
         for trial in range(50):
             psi = random_state(d * d, rng)
             out, frame = entangle_via_edge(dim, psi, rng=trial)

@@ -12,9 +12,13 @@ import pytest
 
 from quditmbqc import cli, resource
 from quditmbqc.engine import chain_graph, graph_to_json
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.galois import (
+    FINITE_FIELD,
+    INTEGER_RING,
+    complex_to_json,
+    make_dim,
+)
 from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
-from quditmbqc.cli import matrix_to_json
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
@@ -92,7 +96,7 @@ def test_compile_identity_then_run(tmp_path, capsys):
     # the identity's compiled phases include tiny floats such as 1e-17
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     target = write_json(tmp_path / "target.json",
-                        {"matrix": matrix_to_json(np.eye(3))})
+                        {"matrix": complex_to_json(np.eye(3))})
     code, out = run_cli(capsys, ["compile", "--gate", gate,
                                  "--target", target, "--seed", "0"])
     assert code == 0
@@ -109,7 +113,7 @@ def test_compile_on_non_unitary_intrinsic_gate_names_it(tmp_path, capsys):
     gate = write_json(tmp_path / "gate.json",
                       gate_to_json(light_shift_spec(D3, 1.0)))
     target = write_json(tmp_path / "target.json",
-                        {"matrix": matrix_to_json(np.eye(3))})
+                        {"matrix": complex_to_json(np.eye(3))})
     code = cli.main(["compile", "--gate", gate, "--target", target])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_PARSE and out == ""
@@ -159,7 +163,8 @@ def test_reports_are_byte_identical(tmp_path, capsys):
 def test_compile_run_round_trip(tmp_path, capsys):
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D2)))
     U = haar_unitary(2, np.random.default_rng(0))
-    target = write_json(tmp_path / "target.json", {"matrix": matrix_to_json(U)})
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": complex_to_json(U)})
     code, out = run_cli(capsys, ["compile", "--gate", gate,
                                  "--target", target, "--seed", "0"])
     assert code == 0
@@ -210,7 +215,7 @@ def test_negative_seed_is_parse_error(tmp_path, capsys):
     pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
     gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
     target = write_json(tmp_path / "target.json",
-                        {"matrix": matrix_to_json(np.eye(3))})
+                        {"matrix": complex_to_json(np.eye(3))})
     for argv in (["compile", "--gate", gate, "--target", target],
                  ["run", "--pattern", pattern]):
         code = cli.main(argv + ["--seed", "-5"])

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from quditmbqc import cli
-from quditmbqc.cli import matrix_to_json
 from quditmbqc import compiler
 from quditmbqc.errors import UniversalityViolated, UnsupportedFormalism
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.galois import (
+    FINITE_FIELD,
+    INTEGER_RING,
+    complex_to_json,
+    make_dim,
+)
 from quditmbqc.gates import hadamard, mult_gate, sgate, shear_gate
 from quditmbqc.pauli import PauliWord, matrix_of_pauli
 from quditmbqc.compiler import (
@@ -187,7 +191,7 @@ def test_compile_report_is_byte_identical_and_carries_stats(tmp_path,
     gate.write_text(json.dumps(gate_to_json(cz_spec(D3))))
     U = haar_unitary(3, np.random.default_rng(5))
     target = tmp_path / "target.json"
-    target.write_text(json.dumps({"matrix": matrix_to_json(U)}))
+    target.write_text(json.dumps({"matrix": complex_to_json(U)}))
     argv = ["compile", "--gate", str(gate), "--target", str(target),
             "--seed", "3"]
     outs = []

@@ -25,7 +25,6 @@ from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.clifford import certify
 from quditmbqc.gates import (
     basis_state,
-    cz_gate,
     dphi,
     hadamard,
     sgate,
@@ -72,7 +71,6 @@ from quditmbqc.engine import (
     local_complement,
     mediated_lattice,
     mediator_step,
-    run_pattern,
     run_trajectories,
     vertex_delete,
 )
@@ -107,7 +105,7 @@ def test_build_two_vertex_cz():
     g = chain_graph(D3, cz_spec(D3), 2)
     st = build(g)
     plus = xplus_state(D3)
-    assert np.allclose(st.amps, cz_gate(D3) @ np.kron(plus, plus))
+    assert np.allclose(st.amps, gate_matrix(cz_spec(D3)) @ np.kron(plus, plus))
 
 
 def _max_row_deviation(graph):
@@ -171,10 +169,11 @@ def test_run_transport_pattern():
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     rng = np.random.default_rng(0)
     psi = random_state(3, rng)
-    out, frame = run_pattern(g, pat, psi, rng=1)
-    ideal = matrix_of_pauli(frame.word) @ matrix_of_pauli(
+    runs = run_trajectories(g, pat, psi, [1])
+    ideal = matrix_of_pauli(runs.frame(0).word) @ matrix_of_pauli(
         pat.frame).conj().T @ pat.dense_product() @ psi
-    assert abs(np.vdot(out.amps, ideal / np.linalg.norm(ideal))) > 1 - 1e-9
+    assert abs(np.vdot(runs.posteriors[0],
+                       ideal / np.linalg.norm(ideal))) > 1 - 1e-9
 
 
 def test_run_clifford_pattern_non_adaptive():
@@ -183,9 +182,9 @@ def test_run_clifford_pattern_non_adaptive():
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = basis_state(D3, 0)
     for seed in range(10):
-        out, frame = run_pattern(g, pat, psi, rng=seed)
-        ideal = matrix_of_pauli(frame.word) @ sgate(D3) @ psi
-        assert abs(np.vdot(out.amps,
+        runs = run_trajectories(g, pat, psi, [seed])
+        ideal = matrix_of_pauli(runs.frame(0).word) @ sgate(D3) @ psi
+        assert abs(np.vdot(runs.posteriors[0],
                            ideal / np.linalg.norm(ideal))) > 1 - 1e-9
 
 
@@ -198,10 +197,11 @@ def test_run_adaptive_pattern_many_trajectories():
         g = chain_graph(D3, spec_of(D3), pat.step_count() + 1)
         psi = random_state(3, rng)
         for seed in range(5):
-            out, frame = run_pattern(g, pat, psi, rng=seed)
-            ideal = matrix_of_pauli(frame.word) @ matrix_of_pauli(
+            runs = run_trajectories(g, pat, psi, [seed])
+            ideal = matrix_of_pauli(runs.frame(0).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ U @ psi
-            fid = abs(np.vdot(out.amps, ideal / np.linalg.norm(ideal)))
+            fid = abs(np.vdot(runs.posteriors[0],
+                              ideal / np.linalg.norm(ideal)))
             assert fid > 1 - 1e-6
 
 
@@ -210,11 +210,11 @@ def test_run_forced_outcomes_deterministic():
     pat = compile_unitary(hadamard(D2), intr, seed=0)
     g = chain_graph(D2, cz_spec(D2), pat.step_count() + 1)
     psi = basis_state(D2, 0)
-    zeros = [0] * pat.step_count()
-    a, fa = run_pattern(g, pat, psi, forced_outcomes=zeros)
-    b, fb = run_pattern(g, pat, psi, forced_outcomes=zeros)
-    assert np.allclose(a.amps, b.amps)
-    assert fa.history == fb.history
+    zeros = [[0] * pat.step_count()]
+    a = run_trajectories(g, pat, psi, None, forced_outcomes=zeros)
+    b = run_trajectories(g, pat, psi, None, forced_outcomes=zeros)
+    assert np.allclose(a.posteriors[0], b.posteriors[0])
+    assert a.frame(0).history == b.frame(0).history
 
 
 def test_run_builds_the_final_frame_table_once_per_frame(monkeypatch):
@@ -275,11 +275,11 @@ def _assert_rows_match_single_runs(g, pat, psi, runs, seeds=None,
     for t in range(len(runs.posteriors)):
         rng = None if seeds is None else seeds[t]
         outcomes = None if forced is None else forced[t]
-        out, frame = run_pattern(g, pat, psi, rng=rng,
-                                 forced_outcomes=outcomes)
-        assert np.max(np.abs(runs.posteriors[t] - out.amps)) < 1e-12
-        assert runs.frame(t).word == frame.word
-        assert runs.frame(t).history == frame.history
+        one = run_trajectories(g, pat, psi, [rng], None if outcomes is None
+                               else [outcomes])
+        assert np.max(np.abs(runs.posteriors[t] - one.posteriors[0])) < 1e-12
+        assert runs.frame(t).word == one.frame(0).word
+        assert runs.frame(t).history == one.frame(0).history
         head, word, history = _reference_run(g, pat, psi, rng, outcomes)
         assert np.max(np.abs(runs.posteriors[t] - head)) < 1e-12
         assert (runs.frame(t).word, runs.frame(t).history) == (word, history)
@@ -341,24 +341,25 @@ def test_run_checks_still_raise():
     # step 0 measures |+> in {H|k>}: outcome 1 has probability 0
     g = _identity_edge_chain(D3, n + 1)
     with pytest.raises(ZeroProbabilityForced):
-        run_pattern(g, pat, plus, forced_outcomes=[1] + [0] * (n - 1))
+        run_trajectories(g, pat, plus, None,
+                         forced_outcomes=[[1] + [0] * (n - 1)])
     with pytest.raises(ZeroProbabilityForced):
         run_trajectories(g, pat, plus, None,
                          forced_outcomes=[[0] * n, [1] + [0] * (n - 1)])
     g = chain_graph(D3, cz_spec(D3), n + 1)
     with pytest.raises(SiteOutOfRange):
-        run_pattern(g, pat, plus, forced_outcomes=[3] * n)
+        run_trajectories(g, pat, plus, None, forced_outcomes=[[3] * n])
     with pytest.raises(DimensionMismatch):
-        run_pattern(chain_graph(D3, cz_spec(D3), n), pat, plus)
+        run_trajectories(chain_graph(D3, cz_spec(D3), n), pat, plus, [0])
     backward = replace(g, edges=[replace(g.edges[0], control=1, target=0)]
                        + g.edges[1:])
     with pytest.raises(DimensionMismatch):
-        run_pattern(backward, pat, plus)
+        run_trajectories(backward, pat, plus, [0])
     leaky = EntanglingGateSpec(D3, "block_diagonal",
                                blocks=[2 * np.eye(3)] * 3,
                                init_phases=np.zeros(3))
     with pytest.raises(NonUnitary):
-        run_pattern(chain_graph(D3, leaky, n + 1), pat, plus)
+        run_trajectories(chain_graph(D3, leaky, n + 1), pat, plus, [0])
     # the chain applies cz's intrinsic gate, not the light-shift one
     wrong = replace(pat, intrinsic=intrinsic_of(light_shift_spec(D3)))
     with pytest.raises(FrameMismatch):
@@ -465,7 +466,7 @@ def test_entangle_via_edge(dim):
     d = dim.d
     rng = np.random.default_rng(6)
     H = hadamard(dim)
-    cz = cz_gate(dim)
+    cz = gate_matrix(cz_spec(dim))
     for trial in range(3):
         psi = random_state(d * d, rng)
         out, frame = entangle_via_edge(dim, psi, rng=trial)
@@ -480,7 +481,7 @@ def test_entangle_via_edge_predicts_every_outcome(dim):
     d = dim.d
     psi = random_state(d * d, np.random.default_rng(7))
     H = hadamard(dim)
-    target = np.kron(H, H) @ cz_gate(dim) @ np.kron(H, H) @ psi
+    target = np.kron(H, H) @ gate_matrix(cz_spec(dim)) @ np.kron(H, H) @ psi
     for ks in itertools.product(range(d), repeat=4):
         out, frame = entangle_via_edge(dim, psi, forced_outcomes=ks)
         assert [k for _, k in frame.history] == list(ks)
@@ -493,7 +494,7 @@ def _edge_frame_reference(dim):
     Z^{-k2} x Z^{-k5}, conjugated through H x H, by two-qudit
     certificates."""
     hh = certify(np.kron(hadamard(dim), hadamard(dim)), dim, 2)
-    cz = certify(cz_gate(dim), dim, 2)
+    cz = certify(gate_matrix(cz_spec(dim)), dim, 2)
 
     def frame(k1, k2, k4, k5):
         heads = PauliWord(dim, 2, [dim.neg(k1), dim.neg(k4)], [0, 0], 0)
@@ -535,6 +536,8 @@ def test_entangle_via_edge_forced_zeros():
 
 
 PSI9 = np.full(9, 1 / 3, dtype=complex)
+Z3_TRANSPORT = transport_pattern(intrinsic_of(cz_spec(D3)))    # 4 steps
+Z3_CHAIN = chain_graph(D3, cz_spec(D3), Z3_TRANSPORT.step_count() + 1)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -554,8 +557,14 @@ PSI9 = np.full(9, 1 / 3, dtype=complex)
     (lambda: vertex_delete(chain_graph(D3, cz_spec(D3), 3), 1,
                            forced_outcome=np.float64(1.0)),
      SiteOutOfRange, "1.0 is not an integer"),
+    (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), None,
+                              forced_outcomes=[[0.5, 0, 0, 0]]),
+     SiteOutOfRange, "0.5 is not an integer"),
+    (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), None,
+                              forced_outcomes=[[0] * 7]),
+     DimensionMismatch, "4 forced outcomes needed"),
 ], ids=["edge-two", "edge-five", "edge-half", "edge-three", "couple-half",
-        "mediator-half", "rewrite-float"])
+        "mediator-half", "rewrite-float", "run-half", "run-seven"])
 def test_forced_outcomes_are_validated(call, error, message):
     # a wrong count is not cut or padded, and a non-integer entry is not
     # truncated: every draw checks its forced outcomes in one place
@@ -570,6 +579,10 @@ def test_forced_outcomes_accept_numpy_integers():
     _, _, k = couple_input(PSI9[:3], chain_graph(D3, cz_spec(D3), 2),
                            forced_outcome=np.int64(4))
     assert k == 4 and type(k) is int
+    forced = np.array([[1, 2, 0, 1], [0, 0, 2, 2]])
+    runs = run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), None,
+                            forced_outcomes=forced)
+    assert runs.outcomes.tolist() == forced.tolist()
 
 
 @pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
@@ -595,7 +608,8 @@ def test_mediator_entangle_applies_cz(spec_of):
                             forced_outcome=outcome)
         Dloc = np.diag(np.exp(1j * res.local_phases))
         F = matrix_of_pauli(res.frame.word)
-        predicted = F @ np.kron(Dloc @ S, Dloc @ S) @ cz_gate(D3) @ psi
+        predicted = F @ np.kron(Dloc @ S, Dloc @ S) @ gate_matrix(
+            cz_spec(D3)) @ psi
         fid = abs(np.vdot(res.posterior.amps,
                           predicted / np.linalg.norm(predicted)))
         assert fid > 1 - 1e-8
@@ -620,7 +634,7 @@ def test_field_mediators_verify_on_every_outcome(dim, spec_of):
                             forced_outcome=outcome)
         Dloc = np.diag(np.exp(1j * res.local_phases))
         predicted = matrix_of_pauli(res.frame.word) @ np.kron(
-            Dloc @ S, Dloc @ S) @ cz_gate(dim) @ psi
+            Dloc @ S, Dloc @ S) @ gate_matrix(cz_spec(dim)) @ psi
         assert abs(np.vdot(res.posterior.amps,
                            predicted / np.linalg.norm(predicted))) > 1 - 1e-8
 
@@ -821,7 +835,7 @@ def _dense_edge(dim, psi, seed):
         "ad,b,c,e,f->abcdef", psi.reshape(dim.d, dim.d),
         plus, plus, plus, plus).reshape(-1))
     for pair in ((0, 1), (1, 2), (3, 4), (4, 5), (1, 4)):
-        state = apply(state, cz_gate(dim), pair)
+        state = apply(state, gate_matrix(cz_spec(dim)), pair)
     gen, ks = np.random.default_rng(seed), []
     for site in (0, 0, 1, 1):
         k, state, _ = measure(state, dense_oracle.x_basis(dim), site,

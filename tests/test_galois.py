@@ -1,6 +1,12 @@
 """Dimension descriptors: ring and field arithmetic, traces, characters."""
 
+import cmath
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditmbqc.errors import (
     DimensionMismatch,
@@ -16,7 +22,9 @@ from quditmbqc.galois import (
     json_array,
     make_dim,
 )
-from quditmbqc.gates import tau
+from quditmbqc.gates import hadamard, mult_gate, tau
+from quditmbqc.pauli import xmat, zmat
+from quditmbqc.resource import cz_power, cz_spec, gate_matrix
 
 
 def test_ring_arithmetic_mod4():
@@ -153,3 +161,54 @@ def test_json_array_rejects_non_finite(bad):
     with pytest.raises(DimensionMismatch, match="^theta has a NaN"):
         json_array([[0.0, bad], [0.0, 0.0]], (2, 2), "theta")
     assert json_array([[0.0, 1.5], [2, 3]], (2, 2), "theta").sum() == 6.5
+
+
+# Z2..Z8 and GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9)
+TABLE_DIMS = [make_dim(INTEGER_RING, d=d) for d in range(2, 9)] + [
+    make_dim(FINITE_FIELD, d=d) for d in (2, 3, 4, 5, 7, 8, 9)]
+
+
+@st.composite
+def table_cases(draw):
+    dim = draw(st.sampled_from(TABLE_DIMS))
+    element = st.integers(0, dim.d - 1)
+    unit = st.sampled_from([u for u in dim.elements if dim.is_invertible(u)])
+    return dim, draw(element), draw(element), draw(unit)
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_cases())
+def test_dense_builders_equal_their_defining_formulas(case):
+    dim, a, b, lam = case
+    els, d = dim.elements, dim.d
+    tables = dim.tables
+    assert dim.tables is tables
+    for t in tables:
+        assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        tables.mul[0, 0] = 1
+    assert tables.mul.tolist() == [[dim.mul(u, v) for v in els] for u in els]
+    assert tables.add.tolist() == [[dim.add(u, v) for v in els] for u in els]
+    assert tables.sub.tolist() == [[dim.sub(u, v) for v in els] for u in els]
+    assert tables.chi.tolist() == [dim.char_phase(t) for t in els]
+    # each builder against its entries, written out per element
+    H = np.array([[dim.char_phase(dim.mul(u, v)) for v in els]
+                  for u in els]) / math.sqrt(d)
+    assert np.array_equal(hadamard(dim), H)
+    assert np.array_equal(zmat(dim, a),
+                          np.diag([dim.char_phase(dim.mul(a, u))
+                                   for u in els]))
+    X, M = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    for u in els:
+        X[dim.add(u, b), u] = 1
+        M[dim.mul(lam, u), u] = 1
+    assert np.array_equal(xmat(dim, b), X)
+    assert np.array_equal(mult_gate(dim, lam), M)
+    # CZ^w = diag chi(w j k), its angles taken entry by entry
+    for w, spec in ((1, cz_spec(dim)), (a, cz_power(dim, a))):
+        chi = [dim.char_phase(dim.mul(w, dim.mul(j, k)))
+               for j in els for k in els]
+        theta = np.mod([cmath.phase(c) for c in chi], 2 * math.pi)
+        CZ = gate_matrix(spec)
+        assert np.array_equal(CZ, np.diag(np.exp(1j * theta)))
+        assert np.allclose(CZ, np.diag(chi), rtol=0, atol=1e-12)

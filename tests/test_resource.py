@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from quditmbqc.errors import (
     NonInvertibleGcd,
@@ -15,9 +16,8 @@ from quditmbqc.errors import (
 from quditmbqc.clifford import universality_check
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import (
-    cz_gate,
-    equal_up_to_phase,
     hadamard,
+    normalize_global_phase,
     sgate,
     xplus_state,
 )
@@ -70,7 +70,8 @@ def light_shift_closed_form(dim):
 @pytest.mark.parametrize("dim,order", [(D2, 2), (D3, 4), (D4F, 2), (D5, 4)])
 def test_cz_intrinsic_is_hadamard(dim, order):
     intr = intrinsic_of(cz_spec(dim))
-    assert equal_up_to_phase(intr.matrix, hadamard(dim))
+    assert_allclose(normalize_global_phase(intr.matrix),
+                    normalize_global_phase(hadamard(dim)), rtol=0, atol=1e-8)
     assert intr.unitary and intr.is_clifford
     assert intr.pauli_order == order
 
@@ -80,7 +81,9 @@ def test_cz_intrinsic_is_hadamard(dim, order):
 def test_cx_intrinsic(dim, order):
     intr = intrinsic_of(cx_spec(dim))
     H, S = hadamard(dim), sgate(dim)
-    assert equal_up_to_phase(intr.matrix, S @ np.linalg.inv(H) @ S)
+    assert_allclose(normalize_global_phase(intr.matrix),
+                    normalize_global_phase(S @ np.linalg.inv(H) @ S),
+                    rtol=0, atol=1e-8)
     assert intr.unitary and intr.is_clifford
     assert intr.pauli_order == order
     assert universality_check(intr.certificate())[0]
@@ -89,7 +92,9 @@ def test_cx_intrinsic(dim, order):
 @pytest.mark.parametrize("dim,order", [(D2, 2), (D3, 3), (D4F, 2)])
 def test_light_shift_intrinsic(dim, order):
     intr = intrinsic_of(light_shift_spec(dim))
-    assert equal_up_to_phase(intr.matrix, light_shift_closed_form(dim))
+    assert_allclose(normalize_global_phase(intr.matrix),
+                    normalize_global_phase(light_shift_closed_form(dim)),
+                    rtol=0, atol=1e-8)
     assert intr.unitary and intr.is_clifford
     assert intr.pauli_order == order
 
@@ -113,10 +118,6 @@ def test_detuned_light_shift_not_unitary():
     assert not intr.unitary
 
 
-def test_gate_matrix_cz():
-    assert np.allclose(gate_matrix(cz_spec(D3)), cz_gate(D3))
-
-
 def test_cx_control_is_site_zero():
     E = gate_matrix(cx_spec(D3))
     # |1>|0> -> |1>|1>: control on the most significant digit
@@ -136,8 +137,10 @@ def test_resource_init_feeds_max_entanglement():
 
 def test_factor_cz_is_trivial():
     C1, C2, N = factor_diagonal_clifford(cz_spec(D3))
-    assert equal_up_to_phase(C1, np.eye(3))
-    assert equal_up_to_phase(C2, np.eye(3))
+    assert_allclose(normalize_global_phase(C1),
+                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
+    assert_allclose(normalize_global_phase(C2),
+                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
     assert N == 1
 
 
@@ -149,19 +152,25 @@ def test_factor_cz_power(dim):
         assert N == w
         czN = np.diag([dim.char_phase(dim.mul(N, dim.mul(j, k)))
                        for j in dim.elements for k in dim.elements])
-        assert equal_up_to_phase(np.kron(C1, C2) @ czN, gate_matrix(spec))
+        assert_allclose(normalize_global_phase(np.kron(C1, C2) @ czN),
+                        normalize_global_phase(gate_matrix(spec)),
+                        rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("dim,power", [(D2, 1), (D3, 2)])
 def test_factor_light_shift(dim, power):
     C1, C2, N = factor_diagonal_clifford(light_shift_spec(dim))
     S = np.linalg.matrix_power(sgate(dim), power)
-    assert equal_up_to_phase(C1, S)
-    assert equal_up_to_phase(C2, S)
+    assert_allclose(normalize_global_phase(C1),
+                    normalize_global_phase(S), rtol=0, atol=1e-8)
+    assert_allclose(normalize_global_phase(C2),
+                    normalize_global_phase(S), rtol=0, atol=1e-8)
     assert N == 1
     # reassembly check
     E = gate_matrix(light_shift_spec(dim))
-    assert equal_up_to_phase(np.kron(C1, C2) @ cz_gate(dim), E)
+    CZ = gate_matrix(cz_spec(dim))
+    assert_allclose(normalize_global_phase(np.kron(C1, C2) @ CZ),
+                    normalize_global_phase(E), rtol=0, atol=1e-8)
 
 
 def test_factor_non_clifford_local_factor_rejected():
@@ -188,8 +197,10 @@ def test_factor_light_shift_ring4_rejected():
 def test_factor_cx_block():
     bf = factor_block_controlled_pauli(cx_spec(D3))
     assert bf.P.z[0] == 0 and bf.P.x[0] == 1
-    assert equal_up_to_phase(bf.C1, np.eye(3))
-    assert equal_up_to_phase(bf.C2, np.eye(3))
+    assert_allclose(normalize_global_phase(bf.C1),
+                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
+    assert_allclose(normalize_global_phase(bf.C2),
+                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
 
 
 def test_factor_conjugated_pauli_blocks():
@@ -207,7 +218,8 @@ def test_factor_conjugated_pauli_blocks():
         lhs = blocks[j]
         rhs = np.exp(1j * bf.thetas[j]) * bf.C2 @ np.linalg.matrix_power(
             P, j) @ bf.C2.conj().T
-        assert equal_up_to_phase(lhs, rhs)
+        assert_allclose(normalize_global_phase(lhs),
+                        normalize_global_phase(rhs), rtol=0, atol=1e-8)
 
 
 def test_controlled_pauli_block_phases_are_exact_powers():

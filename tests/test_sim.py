@@ -20,7 +20,8 @@ from quditmbqc.galois import (
     dim_from_json,
     make_dim,
 )
-from quditmbqc.gates import basis_state, cz_gate, hadamard, xplus_state
+from quditmbqc.gates import basis_state, hadamard, xplus_state
+from quditmbqc.resource import cz_spec, gate_matrix
 from quditmbqc.sim import (
     StateVector,
     collapse,
@@ -69,7 +70,7 @@ def test_apply_single_site():
 
 def test_apply_two_site_entangler():
     st = product_state(D3, [xplus_state(D3), xplus_state(D3)])
-    out = apply(st, cz_gate(D3), [0, 1])
+    out = apply(st, gate_matrix(cz_spec(D3)), [0, 1])
     assert is_max_entangled(out, [0])
 
 

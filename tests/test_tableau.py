@@ -109,7 +109,7 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
     m, post, _ = dense_oracle.measure(build(graph), basis,
                                       graph.site_of(vid), rng=rng,
                                       forced_outcome=forced_outcome)
-    mul, add, _, chi = engine._element_tables(dim)
+    mul, add, _, chi = dim.tables
     f = (basis.vectors[:, m].conj() * init_v * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
         raise FrameMismatch(f"outcome {m} leaves no graph state")
