@@ -304,7 +304,8 @@ _COMMANDS = {"analyze": ("gate", "formalism"),
              "table": (),
              "transport": ("gate", "formalism")}
 # exit code of a handler's error: the first matching kind, else EXIT_PARSE
-_EXITS = (((UnsupportedFormalism, WrongFormalism), EXIT_FORMALISM),
+_EXITS = (((UnsupportedFormalism, WrongFormalism, NotCliffordError),
+           EXIT_FORMALISM),
           (CompilationDiverged, EXIT_DIVERGED), (FrameMismatch, EXIT_FRAME))
 
 

@@ -304,8 +304,14 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
 
 
 def transport_pattern(intrinsic: IntrinsicGate) -> MeasurementPattern:
-    """o^P identity-rotation steps; the realized product is a Pauli word."""
+    """o^P identity-rotation steps; the realized product is a Pauli word.
+
+    Running a pattern tracks its frame through the intrinsic gate's
+    certificate, so a G_I without one raises first, as
+    IntrinsicGate.certificate does (NonUnitary or NotCliffordError).
+    """
     dim = intrinsic.dim
+    intrinsic.certificate()
     if intrinsic.pauli_order is None:
         raise OrderCapExceeded(f"no power up to {dim.d ** 2} is a Pauli word")
     steps = [PatternStep(np.zeros(dim.d), False)

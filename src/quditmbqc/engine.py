@@ -7,10 +7,14 @@ vector, or, for graph rewriting, by exact equality of graph-form
 stabilizer rows.  The mediator's and the edge's branch tables are also
 checked against their predicted actions once, for every input at once.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
-inits and diagonal Clifford edges and returns a StabilizerState, which
-builds a dense vector only on request.  Nothing here simulates a whole
-dense state; that oracle lives in the tests.  A failed verification
-raises FrameMismatch rather than returning silently.
+inits and diagonal Clifford edges.  Measuring a vertex changes only the
+rows of its neighbours, so a rewrite builds and compares those rows, as
+integer rows on the neighbours' columns: the rows it builds follow the
+vertex's degree, not the graph's size.  It returns a StabilizerState of
+the new graph and its corrections, which builds its rows and a dense
+vector only on request.  Nothing here simulates a whole dense state;
+that oracle lives in the tests.  A failed verification raises
+FrameMismatch rather than returning silently.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .pauli import (
 from .resource import (
     VERIFY_TOL,
     EntanglingGateSpec,
+    _per_spec,
     cz_power,
     cz_spec,
     expand,
@@ -114,8 +119,8 @@ class ResourceGraph:
         return sorted(set(out))
 
     def validate(self):
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
+        ids = {v.id for v in self.vertices}
+        if len(ids) != len(self.vertices):
             raise DimensionMismatch("duplicate vertex ids")
         seqs = [e.seq for e in self.edges]
         if len(set(seqs)) != len(seqs):
@@ -211,20 +216,25 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
     e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
-    where not ok[x] (diag(q) is not Clifford).
+    where not ok[x] (diag(q) is not Clifford).  A stack of diagonals q
+    (..., d) gives a stack of tables (..., d).
 
     Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
     with phi snapped to the exact phase lattice, at PAULI_TOL.
     """
     den = dim.phase_den
     add, shifted_chi = _shift_tables(dim)
-    # ratio[x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
-    ratio = (q[add] * q.conj())[:, None, :] * shifted_chi
-    num = np.round(np.angle(ratio[:, :, 0]) * den / (2 * np.pi))
+    flat = q.reshape(-1, dim.d)
+    # ratio[k, x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
+    ratio = (flat[:, add] * flat.conj()[:, None, :])[:, :, None, :] \
+        * shifted_chi
+    num = np.round(np.angle(ratio[..., 0]) * den / (2 * np.pi))
     fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
-                  axis=2) <= PAULI_TOL
-    c = fits.argmax(axis=1)
-    return c, num[add[0], c].astype(int), fits.any(axis=1)
+                  axis=3) <= PAULI_TOL
+    c = fits.argmax(axis=2)
+    num = num[np.arange(len(flat))[:, None], add[0], c].astype(int)
+    return (c.reshape(q.shape), num.reshape(q.shape),
+            fits.any(axis=2).reshape(q.shape))
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,70 +285,177 @@ def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
     return int(k[0]), post[0]
 
 
-class GraphTableau:
-    """Stabilizer rows of a diagonal-Clifford graph with its inits left out
-    (every vertex in |0_X>).
+@functools.lru_cache(maxsize=None)
+def _int_tables(dim: DimSpec) -> Tuple[list, list, list]:
+    """dim.tables' mul and add as nested int lists, for rows of Python ints
+    to index, and swap[z][x], the exponent of chi(-z x) in X(x) Z(z) =
+    chi(-z x) Z(z) X(x)."""
+    mul, add, sub, _ = dim.tables
+    neg = sub[0]
+    return (mul.tolist(), add.tolist(),
+            [[dim.char_exp(t) for t in neg[row].tolist()] for row in mul])
 
-    row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x) with exact phase, D_s
-    the product of site s's certified edge factors C1/C2 (see
-    factor_diagonal_clifford) and N_us the summed weight of its edges to u.
-    rows() lists row(s, y) for every site s and additive basis element y;
-    they generate the stabilizer group, and a group element is fixed by
-    its X part, so two such states are equal iff their rows are equal.
+
+@_per_spec
+def _factor_images(spec: EntanglingGateSpec) -> Tuple[tuple, tuple]:
+    """(z, num) for each of the edge factors C1, C2 (factor_certs): C X(x)
+    C^dag = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every shift x,
+    read off the certificate's frame table as int tuples; None for a
+    factor that fixes every X(x), as both factors of a CZ power do."""
+    d = spec.dim.d
+    out = []
+    for cert in factor_certs(spec):
+        idx, phase = cert.frame_table()
+        z, num = tuple(i // d for i in idx[:d].tolist()), \
+            tuple(phase[:d].tolist())
+        out.append((z, num) if any(z) or any(num) else None)
+    return tuple(out)
+
+
+def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
+    """(z, num) over every shift x: D X(x) D^dag = e^{2 pi i num[x] /
+    phase_den} Z(z[x]) X(x) for D the product of the diagonal factors
+    whose _factor_images are images.  Each factor maps X(x) to a phase
+    times Z(c) X(x), so the c and the phases add up."""
+    add = _int_tables(dim)[1]
+    z, num = [0] * dim.d, [0] * dim.d
+    for cz, cnum in filter(None, images):
+        z = [add[a][b] for a, b in zip(z, cz)]
+        num = [a + b for a, b in zip(num, cnum)]
+    return z, num
+
+
+def _tableau(graph: ResourceGraph, ids: Sequence[int]
+             ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
+    """The graph-form tableau of the vertices ids, on their own columns:
+    (weights, z, num), weights[i][j] the summed weight of the edges between
+    ids[i] and ids[j] and z[i], num[i] the _vertex_table of the edge
+    factors ids[i] keeps (C1 as control, C2 as target; see
+    factor_diagonal_clifford).  Only the edges at ids are read."""
+    dim = graph.dim
+    add = _int_tables(dim)[1]
+    local = {vid: i for i, vid in enumerate(ids)}
+    weights = [[0] * len(ids) for _ in ids]
+    images: List[list] = [[] for _ in ids]
+    for e in graph.edges:
+        ends = local.get(e.control), local.get(e.target)
+        if ends == (None, None):
+            continue
+        N = factor_diagonal_clifford(e.gate)[2]
+        for a, b, image in zip(ends, ends[::-1], _factor_images(e.gate)):
+            if a is not None:
+                images[a].append(image)
+                if b is not None:
+                    weights[a][b] = add[weights[a][b]][N]
+    tables = [_vertex_table(dim, i) for i in images]
+    return weights, [t[0] for t in tables], [t[1] for t in tables]
+
+
+def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
+                xs: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
+    """(z, x, num) of row(s, x) for s in sites and x in xs, s major, on the
+    tableau's columns: the word's Z and X exponents as int lists and its
+    exact phase numerator.
+
+    row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x), D_s the product of
+    site s's edge factors and N_us the summed weight of its edges to u.
+    The rows row(s, y) for every site s and additive basis element y
+    generate the stabilizer group of the graph with every vertex in |0_X>,
+    and a group element is fixed by its X part, so two such states are
+    equal iff their rows are equal.
     """
+    mul = _int_tables(dim)[0]
+    weights, vz, vnum = tableau
+    rows = []
+    for s in sites:
+        for x in xs:
+            z = [mul[N][x] for N in weights[s]]
+            xv = [0] * len(z)
+            z[s], xv[s] = vz[s][x], x
+            rows.append((z, xv, vnum[s][x]))
+    return rows
 
-    def __init__(self, graph: ResourceGraph):
-        dim = self.dim = graph.dim
-        self.n = len(graph.vertices)
-        site = {v.id: i for i, v in enumerate(graph.vertices)}
-        self.certs: List[list] = [[] for _ in range(self.n)]
-        self.weights: List[dict] = [{} for _ in range(self.n)]
-        for e in graph.edges:
-            c, t = site[e.control], site[e.target]
-            N = factor_diagonal_clifford(e.gate)[2]
-            for a, b, cert in zip((c, t), (t, c), factor_certs(e.gate)):
-                self.certs[a].append(cert)
-                self.weights[a][b] = dim.add(self.weights[a].get(b, 0), N)
-        self._words = {}
 
-    def vertex_word(self, s: int, x: int) -> PauliWord:
-        """D_s X(x) D_s^dag as a one-qudit word.  Each diagonal factor maps
-        X(x) to a phase times Z(c) X(x), so the phases and the c add up."""
-        if (s, x) not in self._words:
-            z, phase = 0, 0
-            for cert in self.certs[s] if x else []:
-                # a generator's image is stored; other letters are composed
-                img = cert.images.get(f"X0^{x}") \
-                    or cert.conjugate(PauliWord(self.dim, 1, (0,), (x,)))
-                z, phase = self.dim.add(z, img.z[0]), phase + img.phase_num
-            self._words[s, x] = PauliWord(self.dim, 1, (z,), (x,), phase)
-        return self._words[s, x]
+def _conjugated(dim: DimSpec, rows, cols: Sequence[int],
+                corrections: List[Correction]
+                ) -> List[Tuple[List[int], List[int], int]]:
+    """Rows (z, x, num) conjugated through the corrections, corrections[i]
+    on column cols[i].
 
-    def row(self, s: int, x: int) -> PauliWord:
-        one = self.vertex_word(s, x)
-        z, xs = [0] * self.n, [0] * self.n
-        for u, N in self.weights[s].items():
-            z[u] = self.dim.mul(N, x)
-        z[s], xs[s] = one.z[0], x
-        return PauliWord(self.dim, self.n, tuple(z), tuple(xs), one.phase_num)
-
-    def rows(self) -> List[PauliWord]:
-        return [self.row(s, y) for s in range(self.n)
-                for y in _additive_basis(self.dim)]
+    A correction is a diagonal C = diag(q), so it fixes Z parts and maps
+    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_images, one pass
+    for every correction).  FrameMismatch, naming the first correction
+    that fails, for one that is not a diagonal unitary or not Clifford on
+    the shifts the rows carry.
+    """
+    if not corrections:
+        return rows
+    add = _int_tables(dim)[1]
+    ops = np.array([c.operator for c in corrections])
+    # | |C| - I | holds the off-diagonal moduli and the diagonal's | |q| - 1 |
+    unitary = np.abs(np.abs(ops) - np.eye(dim.d)).max(axis=(1, 2)) \
+        <= PAULI_TOL
+    # images only up to the first correction that is not a diagonal unitary
+    j = len(corrections) if unitary.all() else int(unitary.argmin())
+    shift, nums, ok = (a.tolist() for a in _diagonal_images(
+        dim, np.diagonal(ops[:j], axis1=1, axis2=2)))
+    for i, c in enumerate(corrections[:j]):
+        if not all(ok[i][x[cols[i]]] for _, x, _ in rows if x[cols[i]]):
+            raise FrameMismatch(f"correction on vertex {c.vertex} is not "
+                                f"Clifford")
+    if j < len(corrections):
+        raise FrameMismatch(f"correction on vertex {corrections[j].vertex} "
+                            f"is not a diagonal unitary")
+    out = []
+    for z, x, num in rows:
+        z = list(z)
+        for i, col in enumerate(cols):
+            if x[col]:
+                z[col] = add[z[col]][shift[i][x[col]]]
+                num += nums[i][x[col]]
+        out.append((z, x, num))
+    return out
 
 
 @dataclass(eq=False)
 class StabilizerState:
-    """The state every row stabilizes (rows in graph form, as GraphTableau
-    writes them), times diag(e^{i phases[s]}) on each site s.
+    """The state a rewrite leaves: the graph state of graph (its inits left
+    out, every vertex in |0_X>) conjugated through the diagonal corrections,
+    times diag(e^{i phases[s]}) on each site s.
 
-    amps builds the normalized dense vector on demand and raises
-    StateTooLarge before allocating when d^n exceeds sim.MAX_AMPS.
+    rows lists its stabilizer rows as PauliWords, row(s, y) of _graph_rows
+    conjugated through the corrections for every site s and additive basis
+    element y, built on first request and kept.  amps builds the
+    normalized dense vector on each request and raises StateTooLarge
+    before allocating when d^n exceeds sim.MAX_AMPS.
     """
-    dim: DimSpec
-    n: int
-    rows: Tuple[PauliWord, ...]
+    graph: ResourceGraph
+    corrections: List[Correction]
     phases: np.ndarray               # (n, d) angles
+    _rows: Optional[Tuple[PauliWord, ...]] = field(default=None, init=False,
+                                                   repr=False)
+
+    @property
+    def dim(self) -> DimSpec:
+        return self.graph.dim
+
+    @property
+    def n(self) -> int:
+        return len(self.graph.vertices)
+
+    @property
+    def rows(self) -> Tuple[PauliWord, ...]:
+        if self._rows is None:
+            dim, n = self.dim, self.n
+            ids = [v.id for v in self.graph.vertices]
+            site = {vid: i for i, vid in enumerate(ids)}
+            rows = _conjugated(
+                dim, _graph_rows(dim, _tableau(self.graph, ids), range(n),
+                                 _additive_basis(dim)),
+                [site[c.vertex] for c in self.corrections], self.corrections)
+            self._rows = tuple(PauliWord(dim, n, tuple(z), tuple(x), num)
+                               for z, x, num in rows)
+        return self._rows
 
     @property
     def amps(self) -> np.ndarray:
@@ -812,102 +929,101 @@ def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
     return ResourceGraph(graph.dim, vertices, edges)
 
 
-def _tableau_outcome(tableau: GraphTableau, s: int, vectors: np.ndarray,
+def _tableau_outcome(dim: DimSpec, vertex, weights, vectors: np.ndarray,
                      rng, forced_outcome: Optional[int]) -> int:
-    """Outcome of measuring site s in the basis whose column k is outcome
-    k's vector on the rows (the site's init cancels there), drawn by
-    _draw.
+    """Outcome of measuring a vertex in the basis whose column k is outcome
+    k's vector on the rows (the vertex's init cancels there), drawn by
+    _draw; vertex is its _vertex_table and weights those of its edges.
 
-    The site's reduced state is (1/d) sum_x row(s, x)|_s over the x whose
-    row has no support elsewhere (N_us x = 0 for every neighbor u): I/d
-    for a vertex with an edge over a field or a prime ring.
+    The vertex's reduced state is (1/d) sum_x row(v, x)|_v over the x whose
+    row has no support elsewhere (N x = 0 for every weight N): I/d for a
+    vertex with an edge over a field or a prime ring.
     """
-    dim = tableau.dim
+    z, num = vertex
     rho = np.eye(dim.d, dtype=complex) / dim.d
     for x in dim.elements[1:]:
-        if all(dim.mul(N, x) == 0 for N in tableau.weights[s].values()):
-            rho += matrix_of_pauli(tableau.vertex_word(s, x)) / dim.d
+        if all(dim.mul(N, x) == 0 for N in weights):
+            rho += matrix_of_pauli(PauliWord(dim, 1, (z[x],), (x,),
+                                             num[x])) / dim.d
     weight = np.real(np.sum(vectors.conj() * (rho @ vectors), axis=0))
     return _draw(np.sqrt(np.clip(weight, 0, None))[:, None], rng,
                  forced_outcome)[0]
 
 
-def _posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
-                    ) -> List[PauliWord]:
-    """Rows of the state the other sites keep when site s is found in the
-    vector b on the rows (column m of _measure_and_rewrite's B).
-
-    Each row(w, y) with w != s is multiplied by the row(s, z) whose product
-    has a site-s part P with b as eigenvector (z = 0 for a Z basis); P is
-    replaced by its eigenvalue, checked densely at PAULI_TOL and snapped
-    to the exact phase lattice, and site s is dropped.  FrameMismatch when
-    no z gives such a P.
-    """
-    dim, n = tableau.dim, tableau.n
+def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
+    """(ok, num) over every word Z(a) X(x), as nested lists [a][x]: ok
+    where b is its eigenvector with eigenvalue e^{2 pi i num / phase_den},
+    checked densely at PAULI_TOL and snapped to the exact phase lattice."""
     den = dim.phase_den
-    mul, _, sub, chi = dim.tables
-    # image[a, x] = Z(a) X(x) b, with eigenvalue lam[a, x] when ok[a, x]
-    image = chi[mul][:, None, :] * b[sub.T][None, :, :]
+    # image[a d + x] = Z(a) X(x) b, with eigenvalue lam when ok
+    image = _zx_stack(dim) @ b
     lam = image @ b.conj()
     num = np.round(np.angle(lam) * den / (2 * np.pi)).astype(int) % den
-    ok = (np.max(np.abs(image - lam[..., None] * b), axis=2) <= PAULI_TOL) \
+    ok = (np.abs(image - lam[:, None] * b).max(axis=1) <= PAULI_TOL) \
         & (np.abs(lam - np.exp(2j * np.pi * num / den)) <= PAULI_TOL)
-    partner = {}
+    return (ok.reshape(dim.d, dim.d).tolist(),
+            num.reshape(dim.d, dim.d).tolist())
 
-    def pick(a):
+
+def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
+                    new_graph: ResourceGraph, corrections: List[Correction]):
+    """FrameMismatch unless the state the other vertices keep when vid is
+    found in the vector b on the rows (column m of _measure_and_rewrite's
+    B) is new_graph's, conjugated through the corrections.
+
+    Measuring vid multiplies each row(w, y), w != vid, by the row(vid, z)
+    whose product has a part P on vid with b as eigenvector (z = 0 for a Z
+    basis); P is replaced by its eigenvalue, checked densely at PAULI_TOL
+    and snapped to the exact phase lattice, and vid is dropped.
+    FrameMismatch when no z gives such a P.
+
+    new_graph is graph less vid, with edges added or replaced only between
+    vid's neighbours N(v), so only their rows, on N(v)'s columns, can
+    differ between the two sides: row(vid, z) lives on vid and N(v), the
+    row of any other vertex has no Z part on vid and keeps its edges, and
+    the corrections sit on N(v), where the other rows have no X part.  So
+    only the neighbours' rows are built (_graph_rows) and compared word
+    for word, exact phases included.  (A new_graph that changed an edge
+    away from N(v) would go unseen; _measure_and_rewrite makes none.)
+    """
+    dim = graph.dim
+    den = dim.phase_den
+    nbrs = graph.neighbors(vid)
+    basis = _additive_basis(dim)
+    old = _tableau(graph, [vid] + nbrs)
+    ok, eig = _eigen_table(dim, b)
+    _, add, swap = _int_tables(dim)
+    vz = old[1][0]
+    partners = {}
+
+    def partner(a):
+        # row(vid, z) has the part Z(vz[z]) X(z) on vid: the first z fits,
+        # and z = 0 is the identity
         for z in dim.elements:
-            vz = tableau.vertex_word(s, z)
-            if ok[dim.add(a, vz.z[0]), vz.x[0]]:
-                return tableau.row(s, z) if z else None
+            if ok[add[a][vz[z]]][z]:
+                return _graph_rows(dim, old, [0], [z])[0] if z else None
         raise FrameMismatch("measured vector is not an eigenvector of any "
                             "stabilizer's part on the measured vertex")
 
-    keep = [i for i in range(n) if i != s]
-    out = []
-    for w in keep:
-        for y in _additive_basis(dim):
-            word = tableau.row(w, y)
-            a = word.z[s]
-            if a not in partner:
-                partner[a] = pick(a)
-            if partner[a] is not None:
-                word = normal_form(word, partner[a])
-            phase = word.phase_num + int(num[word.z[s], word.x[s]])
-            out.append(PauliWord(dim, n - 1, tuple(word.z[i] for i in keep),
-                                 tuple(word.x[i] for i in keep), phase))
-    return out
-
-
-def _corrected_rows(graph: ResourceGraph, corrections: List[Correction]
-                    ) -> List[PauliWord]:
-    """GraphTableau(graph).rows() conjugated through the corrections.
-
-    A correction is a diagonal C = diag(q), so it fixes Z parts and maps
-    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_images).
-    FrameMismatch for a correction that is not a diagonal unitary or not
-    Clifford.
-    """
-    dim = graph.dim
-    rows = GraphTableau(graph).rows()
-    for c in corrections:
-        q = np.diag(c.operator)
-        if not (np.max(np.abs(c.operator - np.diag(q))) <= PAULI_TOL
-                and np.max(np.abs(np.abs(q) - 1)) <= PAULI_TOL):
-            raise FrameMismatch(f"correction on vertex {c.vertex} is not a "
-                                f"diagonal unitary")
-        s = graph.site_of(c.vertex)
-        shift, nums, ok = _diagonal_images(dim, q)
-        for i, w in enumerate(rows):
-            x = w.x[s]
-            if not x:
-                continue
-            if not ok[x]:
-                raise FrameMismatch(f"correction on vertex {c.vertex} is "
-                                    f"not Clifford")
-            z = dim.add(w.z[s], int(shift[x]))
-            rows[i] = PauliWord(dim, w.n, w.z[:s] + (z,) + w.z[s + 1:],
-                                w.x, w.phase_num + int(nums[x]))
-    return rows
+    posterior = []
+    for z, x, num in _graph_rows(dim, old, range(1, len(nbrs) + 1), basis):
+        if z[0] not in partners:
+            partners[z[0]] = partner(z[0])
+        if partners[z[0]] is not None:
+            # the product in normal form: X(x) moves right past Z(z) at
+            # chi(-z x)
+            pz, px, pnum = partners[z[0]]
+            num += pnum + sum(swap[c][e] for c, e in zip(pz, x))
+            z = [add[c][e] for c, e in zip(z, pz)]
+            x = [add[c][e] for c, e in zip(x, px)]
+        # vid's part is replaced by its eigenvalue, and vid dropped
+        posterior.append((z[1:], x[1:], (num + eig[z[0]][x[0]]) % den))
+    new = _conjugated(dim, _graph_rows(dim, _tableau(new_graph, nbrs),
+                                       range(len(nbrs)), basis),
+                      [nbrs.index(c.vertex) for c in corrections],
+                      corrections)
+    if [(z, x, num % den) for z, x, num in new] != posterior:
+        raise FrameMismatch("rewritten graph and corrections do not verify")
 
 
 def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
@@ -936,33 +1052,37 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     UnsupportedFormalism before anything is allocated otherwise), a
     diagonal on |0_X> that commutes with every edge, correction and
     measurement but v's own.  So the outcome is drawn from v's reduced
-    state in the GraphTableau, and the posterior is a StabilizerState
-    whose rows must equal, word for word, the new graph's rows conjugated
-    through the corrections, or FrameMismatch is raised.  An edge anywhere
-    that is not a diagonal Clifford raises as factor_diagonal_clifford
-    does (DimensionMismatch or NotCliffordError).
+    state on the rows, and _verify_rewrite checks the rewrite on the rows
+    of v's neighbourhood, or raises FrameMismatch.  The posterior is a
+    StabilizerState of the new graph, the corrections and the other
+    vertices' init phases.  An edge anywhere that is not a diagonal
+    Clifford raises as factor_diagonal_clifford does (DimensionMismatch
+    or NotCliffordError).
     """
     dim = graph.dim
     d = dim.d
     site = graph.site_of(vid)
     phases = _init_phases(graph)
     W = np.eye(d, dtype=complex)
-    weight, kept = {}, {}
+    weight, kept, images = {}, {}, []
     star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
             if vid in (e.control, e.target)]
+    for e in graph.edges:
+        factor_diagonal_clifford(e.gate)   # raises wherever the edge is
     for e, C1, C2, N in star:
-        Cv, Cu, u = (C1, C2, e.target) if e.control == vid \
-            else (C2, C1, e.control)
+        own = e.control == vid
+        Cv, Cu, u = (C1, C2, e.target) if own else (C2, C1, e.control)
         W = W @ Cv
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
-    tableau = GraphTableau(graph)
+        images.append(_factor_images(e.gate)[0 if own else 1])
     mul, add, _, chi = dim.tables
     B = np.eye(d, dtype=complex)
     if complement:
         B = W @ shear_gate(dim, star[0][3]) @ hadamard(dim)
         sim.require_unitary(B, "basis 'local-complement' is not orthonormal")
-    m = _tableau_outcome(tableau, site, B, rng, forced_outcome)
+    m = _tableau_outcome(dim, _vertex_table(dim, images), weight.values(), B,
+                         rng, forced_outcome)
     f = (B[:, m].conj() * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
         raise FrameMismatch(f"outcome {m} leaves no graph state")
@@ -974,11 +1094,13 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     reduced = _remove_vertex(graph, vid)
     edges = list(reduced.edges)
     next_seq = max((e.seq for e in edges), default=-1) + 1
+    # the edges between neighbors, the only ones a new edge can replace
+    between = [e for e in edges if e.control in weight and e.target in weight]
     for u, w in itertools.combinations(sorted(weight), 2):
         new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
         if new_w == 0:
             continue
-        for e in [e for e in edges if {e.control, e.target} == {u, w}]:
+        for e in [e for e in between if {e.control, e.target} == {u, w}]:
             C1, C2, N = factor_diagonal_clifford(e.gate)
             kept[e.control] = kept[e.control] @ C1
             kept[e.target] = kept[e.target] @ C2
@@ -991,11 +1113,9 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in sorted(weight)]
-    rows = _posterior_rows(tableau, site, B[:, m])
-    if _corrected_rows(new_graph, corrections) != rows:
-        raise FrameMismatch("rewritten graph and corrections do not verify")
-    post = StabilizerState(dim, len(new_graph.vertices), tuple(rows),
-                           np.delete(phases, site, axis=0))
+    _verify_rewrite(graph, vid, B[:, m], new_graph, corrections)
+    post = StabilizerState(new_graph, corrections,
+                           np.concatenate((phases[:site], phases[site + 1:])))
     return post, m, corrections, new_graph
 
 

@@ -206,6 +206,8 @@ class IntrinsicGate:
     pauli_order: Optional[int] = None
     order_word: Optional[PauliWord] = None
     failed_generator: Optional[str] = None
+    _clifford_words: Optional[Dict[Tuple, Tuple[int, ...]]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def is_clifford(self) -> bool:
@@ -222,10 +224,15 @@ class IntrinsicGate:
                                    f"Pauli word", generator=g)
         return self.clifford_cert
 
-    @functools.cached_property
+    @property
     def clifford_words(self) -> Dict[Tuple, Tuple[int, ...]]:
         """clifford.shortest_words of the certificate, built on first use."""
-        return shortest_words(self.certificate())
+        # kept on a field, not a functools.cached_property: a materialized
+        # instance __dict__ slows every attribute read of the gate
+        if self._clifford_words is None:
+            object.__setattr__(self, "_clifford_words",
+                               shortest_words(self.certificate()))
+        return self._clifford_words
 
 
 def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:

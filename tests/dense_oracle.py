@@ -4,30 +4,37 @@ Every protocol in quditmbqc runs on closed-form branch tables, stabilizer
 tableaux or batched trajectory kernels.  This module keeps the dense
 reference those fast paths replaced: product states, gate application
 and projective measurement on whole state vectors, the resource state of
-a graph, the Bell basis, and the outcome draw and the diagonal-Clifford
-conjugation in their original forms.  Site 0 is the most significant
-tensor digit, as in quditmbqc.sim.
+a graph, the Bell basis, the outcome draw and the diagonal-Clifford
+conjugation in their original forms, and the full-row check of a graph
+rewrite, which builds every graph-form row as a PauliWord.  Site 0 is the
+most significant tensor digit, as in quditmbqc.sim.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from quditmbqc import engine, sim
+from quditmbqc.clifford import _additive_basis
 from quditmbqc.errors import (
     DimensionMismatch,
+    FrameMismatch,
     SiteOutOfRange,
     StateTooLarge,
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import DimSpec
 from quditmbqc.gates import hadamard
-from quditmbqc.pauli import PAULI_TOL, xmat, zmat
-from quditmbqc.resource import gate_matrix
+from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
+from quditmbqc.resource import (
+    factor_certs,
+    factor_diagonal_clifford,
+    gate_matrix,
+)
 from quditmbqc.sim import StateVector
 
 
@@ -187,3 +194,141 @@ def bell_basis(dim: DimSpec) -> MeasurementBasis:
     cols = np.column_stack([(zmat(dim, s) @ xmat(dim, t)).reshape(-1)
                             for s in dim.elements for t in dim.elements])
     return MeasurementBasis(dim, cols / np.sqrt(dim.d), "Bell", nsites=2)
+
+
+# --- graph rewriting on every row ------------------------------------------
+
+class GraphTableau:
+    """Stabilizer rows of a diagonal-Clifford graph with its inits left out
+    (every vertex in |0_X>), one PauliWord per row over every site.
+
+    row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x) with exact phase, D_s
+    the product of site s's certified edge factors C1/C2 (see
+    factor_diagonal_clifford) and N_us the summed weight of its edges to u.
+    rows() lists row(s, y) for every site s and additive basis element y.
+    """
+
+    def __init__(self, graph: engine.ResourceGraph):
+        dim = self.dim = graph.dim
+        self.n = len(graph.vertices)
+        site = {v.id: i for i, v in enumerate(graph.vertices)}
+        self.certs: List[list] = [[] for _ in range(self.n)]
+        self.weights: List[dict] = [{} for _ in range(self.n)]
+        for e in graph.edges:
+            c, t = site[e.control], site[e.target]
+            N = factor_diagonal_clifford(e.gate)[2]
+            for a, b, cert in zip((c, t), (t, c), factor_certs(e.gate)):
+                self.certs[a].append(cert)
+                self.weights[a][b] = dim.add(self.weights[a].get(b, 0), N)
+        self._words = {}
+
+    def vertex_word(self, s: int, x: int) -> PauliWord:
+        """D_s X(x) D_s^dag as a one-qudit word.  Each diagonal factor maps
+        X(x) to a phase times Z(c) X(x), so the phases and the c add up."""
+        if (s, x) not in self._words:
+            z, phase = 0, 0
+            for cert in self.certs[s] if x else []:
+                # a generator's image is stored; other letters are composed
+                img = cert.images.get(f"X0^{x}") \
+                    or cert.conjugate(PauliWord(self.dim, 1, (0,), (x,)))
+                z, phase = self.dim.add(z, img.z[0]), phase + img.phase_num
+            self._words[s, x] = PauliWord(self.dim, 1, (z,), (x,), phase)
+        return self._words[s, x]
+
+    def row(self, s: int, x: int) -> PauliWord:
+        one = self.vertex_word(s, x)
+        z, xs = [0] * self.n, [0] * self.n
+        for u, N in self.weights[s].items():
+            z[u] = self.dim.mul(N, x)
+        z[s], xs[s] = one.z[0], x
+        return PauliWord(self.dim, self.n, tuple(z), tuple(xs), one.phase_num)
+
+    def rows(self) -> List[PauliWord]:
+        return [self.row(s, y) for s in range(self.n)
+                for y in _additive_basis(self.dim)]
+
+
+def posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
+                   ) -> List[PauliWord]:
+    """Rows of the state the other sites keep when site s is found in the
+    vector b on the rows.
+
+    Each row(w, y) with w != s is multiplied by the row(s, z) whose product
+    has a site-s part P with b as eigenvector (z = 0 for a Z basis); P is
+    replaced by its eigenvalue, checked densely at PAULI_TOL and snapped
+    to the exact phase lattice, and site s is dropped.  FrameMismatch when
+    no z gives such a P.
+    """
+    dim, n = tableau.dim, tableau.n
+    den = dim.phase_den
+    mul, _, sub, chi = dim.tables
+    # image[a, x] = Z(a) X(x) b, with eigenvalue lam[a, x] when ok[a, x]
+    image = chi[mul][:, None, :] * b[sub.T][None, :, :]
+    lam = image @ b.conj()
+    num = np.round(np.angle(lam) * den / (2 * np.pi)).astype(int) % den
+    ok = (np.max(np.abs(image - lam[..., None] * b), axis=2) <= PAULI_TOL) \
+        & (np.abs(lam - np.exp(2j * np.pi * num / den)) <= PAULI_TOL)
+    partner = {}
+
+    def pick(a):
+        for z in dim.elements:
+            vz = tableau.vertex_word(s, z)
+            if ok[dim.add(a, vz.z[0]), vz.x[0]]:
+                return tableau.row(s, z) if z else None
+        raise FrameMismatch("measured vector is not an eigenvector of any "
+                            "stabilizer's part on the measured vertex")
+
+    keep = [i for i in range(n) if i != s]
+    out = []
+    for w in keep:
+        for y in _additive_basis(dim):
+            word = tableau.row(w, y)
+            a = word.z[s]
+            if a not in partner:
+                partner[a] = pick(a)
+            if partner[a] is not None:
+                word = normal_form(word, partner[a])
+            phase = word.phase_num + int(num[word.z[s], word.x[s]])
+            out.append(PauliWord(dim, n - 1, tuple(word.z[i] for i in keep),
+                                 tuple(word.x[i] for i in keep), phase))
+    return out
+
+
+def corrected_rows(graph: engine.ResourceGraph, corrections
+                   ) -> List[PauliWord]:
+    """GraphTableau(graph).rows() conjugated through the corrections, each
+    shift's image found by diagonal_conjugate.  FrameMismatch for a
+    correction that is not a diagonal unitary or not Clifford."""
+    dim = graph.dim
+    rows = GraphTableau(graph).rows()
+    for c in corrections:
+        q = np.diag(c.operator)
+        if not (np.max(np.abs(c.operator - np.diag(q))) <= PAULI_TOL
+                and np.max(np.abs(np.abs(q) - 1)) <= PAULI_TOL):
+            raise FrameMismatch(f"correction on vertex {c.vertex} is not a "
+                                f"diagonal unitary")
+        s = graph.site_of(c.vertex)
+        for i, w in enumerate(rows):
+            x = w.x[s]
+            if not x:
+                continue
+            image = diagonal_conjugate(dim, q, x)
+            if image is None:
+                raise FrameMismatch(f"correction on vertex {c.vertex} is "
+                                    f"not Clifford")
+            z = dim.add(w.z[s], image[0])
+            rows[i] = PauliWord(dim, w.n, w.z[:s] + (z,) + w.z[s + 1:],
+                                w.x, w.phase_num + image[1])
+    return rows
+
+
+def verify_rewrite(graph: engine.ResourceGraph, vid: int, b: np.ndarray,
+                   new_graph: engine.ResourceGraph, corrections
+                   ) -> List[PauliWord]:
+    """engine._verify_rewrite on every row: the posterior rows of measuring
+    vid in b, which must equal new_graph's rows conjugated through the
+    corrections word for word, or FrameMismatch.  Returns those rows."""
+    rows = posterior_rows(GraphTableau(graph), graph.site_of(vid), b)
+    if corrected_rows(new_graph, corrections) != rows:
+        raise FrameMismatch("rewritten graph and corrections do not verify")
+    return rows

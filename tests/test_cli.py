@@ -120,6 +120,63 @@ def test_compile_on_non_unitary_intrinsic_gate_names_it(tmp_path, capsys):
     assert err == "error: intrinsic gate is not unitary\n", err
 
 
+D4 = make_dim(INTEGER_RING, d=4)
+
+
+def test_transport_refuses_a_gate_without_a_certificate(tmp_path, capsys):
+    # the Z4 light shift's G_I has a Pauli order but is not Clifford, so
+    # no run could track the pattern's frame: transport refuses it; a Z3
+    # light shift at theta = 0.7 is refused for the cause, a G_I that is
+    # not unitary, not for its missing Pauli order
+    for spec, code, error in [
+            (light_shift_spec(D4), cli.EXIT_FORMALISM,
+             "generator Z0^1 does not conjugate to a Pauli word"),
+            (light_shift_spec(D3, 0.7), cli.EXIT_PARSE,
+             "intrinsic gate is not unitary")]:
+        gate = write_json(tmp_path / "gate.json", gate_to_json(spec))
+        got = cli.main(["transport", "--gate", gate])
+        out, err = capsys.readouterr()
+        assert (got, out, err) == (code, "", f"error: {error}\n")
+
+
+def test_run_refuses_a_pattern_without_a_certificate(tmp_path, capsys):
+    # a hand-written pattern on the Z4 light shift parses, and running it
+    # stops at the intrinsic gate's certificate with the formalism code
+    pattern = {"dim": gate_to_json(light_shift_spec(D4))["dim"],
+               "intrinsic": gate_to_json(light_shift_spec(D4)),
+               "steps": [{"phases": [0, 0, 0, 0], "adaptive": True}] * 2,
+               "frame": {"phase": [0, 8], "z": [[0]], "x": [[0]]}}
+    path = write_json(tmp_path / "pattern.json", pattern)
+    code = cli.main(["run", "--pattern", path, "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_FORMALISM and out == ""
+    assert err == "error: generator Z0^1 does not conjugate to a Pauli " \
+                  "word\n", err
+
+
+def test_compile_exit_codes_for_gates_without_a_certificate(tmp_path,
+                                                            capsys):
+    # a Z3 light shift at theta = 0.7 has a G_I that is not unitary, which
+    # is checked first and stays a parse error; a diagonal gate whose G_I
+    # is the Fourier matrix between non-Clifford phases is unitary but not
+    # Clifford, the unsupported formalism code
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": complex_to_json(np.eye(3))})
+    j = np.arange(3)
+    twisted = resource.EntanglingGateSpec(
+        D3, resource.DIAGONAL,
+        theta=2 * np.pi * np.outer(j, j) / 3 + 0.7 * j[:, None])
+    for spec, code, error in [
+            (light_shift_spec(D3, 0.7), cli.EXIT_PARSE,
+             "intrinsic gate is not unitary"),
+            (twisted, cli.EXIT_FORMALISM,
+             "generator X0^1 does not conjugate to a Pauli word")]:
+        gate = write_json(tmp_path / "gate.json", gate_to_json(spec))
+        got = cli.main(["compile", "--gate", gate, "--target", target])
+        out, err = capsys.readouterr()
+        assert (got, out, err) == (code, "", f"error: {error}\n")
+
+
 def test_cli_import_does_not_load_scipy():
     # importing scipy.optimize more than doubles the peak memory of a compile
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -58,8 +58,8 @@ from quditmbqc.resource import (
 from quditmbqc.sim import schmidt
 from quditmbqc.engine import (
     GraphEdge,
-    GraphTableau,
     ResourceGraph,
+    StabilizerState,
     Vertex,
     chain_graph,
     couple_input,
@@ -109,12 +109,14 @@ def test_build_two_vertex_cz():
 
 
 def _max_row_deviation(graph):
-    """Max |row psi - psi| over the graph's tableau rows, applied densely."""
+    """Max |row psi - psi| over the graph's stabilizer rows (a
+    StabilizerState of the graph without corrections), applied densely."""
     st = build(graph)
     sites = list(range(st.n))
+    rows = StabilizerState(graph, [], np.zeros((st.n, graph.dim.d))).rows
     return max(np.max(np.abs(apply(st, matrix_of_pauli(w), sites).amps
                              - st.amps))
-               for w in GraphTableau(graph).rows())
+               for w in rows)
 
 
 @pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quditmbqc import clifford, resource
 from quditmbqc.errors import (
     NonInvertibleGcd,
     NoRealSolution,
@@ -313,6 +314,26 @@ def test_intrinsic_keeps_order_word_and_failed_generator():
     with pytest.raises(NotCliffordError) as exc:
         bad.certificate()
     assert exc.value.generator == bad.failed_generator
+
+
+def test_clifford_words_are_searched_once_per_gate(monkeypatch):
+    # the shortest-word table is built on first use and kept on the gate;
+    # a fresh gate of the same matrix builds its own, and both equal the
+    # search run directly
+    calls = []
+
+    def counted(cert):
+        calls.append(cert)
+        return clifford.shortest_words(cert)
+
+    monkeypatch.setattr(resource, "shortest_words", counted)
+    gate = resource.intrinsic_from_matrix(D3, hadamard(D3))
+    table = gate.clifford_words
+    assert gate.clifford_words is table and len(calls) == 1
+    assert table == clifford.shortest_words(gate.certificate())
+    again = resource.intrinsic_from_matrix(D3, hadamard(D3))
+    assert again.clifford_words == table and len(calls) == 2
+    assert "_clifford_words" not in repr(gate)
 
 
 def test_diagonal_gate_blocks_are_its_rows():

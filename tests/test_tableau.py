@@ -465,3 +465,128 @@ def test_rewriting_is_one_path(monkeypatch):
             assert isinstance(post, StabilizerState)
             post, _, _, _ = rule(graph, vid, forced_outcome=m)
             assert isinstance(post, StabilizerState)
+
+
+def _rewrite_or_error(rule, graph, vid, m):
+    try:
+        return rule(graph, vid, forced_outcome=m)
+    except (FrameMismatch, ZeroProbabilityForced) as exc:
+        return type(exc)
+
+
+def _assert_check_matches_the_full_rows(graph, vid):
+    """For both rules and every forced outcome, the neighbourhood check and
+    the full-row reference (dense_oracle.verify_rewrite in its place)
+    accept and reject alike, and an accepted posterior's rows are the
+    reference's posterior rows word for word."""
+    for rule in RULES:
+        for m in graph.dim.elements:
+            local = _rewrite_or_error(rule, graph, vid, m)
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_verify_rewrite", lambda *args:
+                           seen.append(dense_oracle.verify_rewrite(*args)))
+                full = _rewrite_or_error(rule, graph, vid, m)
+            if isinstance(local, type):
+                assert full is local
+                continue
+            assert not isinstance(full, type)
+            assert local[1] == full[1]
+            assert [c.label for c in local[2]] == [c.label for c in full[2]]
+            assert _edge_list(local[3]) == _edge_list(full[3])
+            assert local[0].rows == tuple(seen[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(phase_graphs())
+def test_neighbourhood_check_matches_the_full_rows(case):
+    _assert_check_matches_the_full_rows(*case)
+
+
+@pytest.mark.parametrize("index", range(len(_benchmark_graphs())))
+def test_neighbourhood_check_matches_the_full_rows_on_benchmark_graphs(
+        index):
+    _assert_check_matches_the_full_rows(*_benchmark_graphs()[index])
+
+
+def _mutations(dim, vid, new_graph, corrections):
+    """(new graph, corrections) pairs that each differ from a verified
+    rewrite in one place: a correction's diagonal scaled by the
+    non-Clifford phases e^{0.3 i j^2} or by Z, which moves only the phase
+    of the correction's image of X(x), or a new edge between two of vid's
+    former neighbours given another weight."""
+    twist = np.diag(np.exp(0.3j * np.arange(dim.d) ** 2))
+    for i, c in enumerate(corrections):
+        for scale in (twist, zmat(dim, 1)):
+            bent = list(corrections)
+            bent[i] = engine.Correction(c.vertex, c.operator @ scale,
+                                        c.label)
+            yield new_graph, bent
+    near = {c.vertex for c in corrections}
+    for i, e in enumerate(new_graph.edges):
+        if {e.control, e.target} <= near:
+            w = factor_diagonal_clifford(e.gate)[2]
+            edges = list(new_graph.edges)
+            edges[i] = GraphEdge(e.control, e.target,
+                                 cz_power(dim, dim.add(w, 1)), e.seq)
+            yield ResourceGraph(dim, new_graph.vertices, edges), corrections
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_neighbourhood_check_rejects_a_changed_correction_or_edge(rule):
+    # one bent correction or one re-weighted new edge (_mutations): the
+    # neighbourhood check and the full-row reference both raise
+    # FrameMismatch
+    mutated = 0
+    for graph, vid in _benchmark_graphs():
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_verify_rewrite",
+                       lambda *args: calls.append(args))
+            rule(graph, vid, rng=3)
+        _, _, b, new_graph, corrections = calls[0]
+        engine._verify_rewrite(graph, vid, b, new_graph, corrections)
+        for bent_graph, bent in _mutations(graph.dim, vid, new_graph,
+                                           corrections):
+            for check in (engine._verify_rewrite,
+                          dense_oracle.verify_rewrite):
+                with pytest.raises(FrameMismatch):
+                    check(graph, vid, b, bent_graph, bent)
+            mutated += 1
+    assert mutated > len(_benchmark_graphs())
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rewrite_builds_rows_of_the_neighbourhood_only(rule, monkeypatch):
+    # the graph-form rows a rewrite builds are bounded by the measured
+    # vertex's degree, the same on a 10x10 as on a 20x20 qutrit lattice;
+    # the posterior's own rows are built only when asked for.  In general
+    # a rewrite builds each neighbour's rows on both sides and one row of
+    # the vertex per partner it needs, at most 3 deg |basis|
+    built = []
+    real = engine._graph_rows
+
+    def counted(*args):
+        rows = real(*args)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(engine, "_graph_rows", counted)
+    counts = []
+    for side in (10, 20):
+        graph = diagonal_lattice(D3, side, side, cz_spec(D3))
+        vid = side * (side // 2) + side // 2
+        built.clear()
+        post, _, _, _ = rule(graph, vid, rng=1)
+        counts.append(sum(built))
+        assert sum(built) <= 2 * (len(graph.neighbors(vid)) + 1) \
+            * len(engine._additive_basis(D3))
+        built.clear()
+        assert len(post.rows) == post.n == side * side - 1
+        assert sum(built) == post.n
+    assert counts[0] == counts[1]
+    for graph, vid in _benchmark_graphs():
+        built.clear()
+        rule(graph, vid, rng=2)
+        assert sum(built) <= 3 * len(graph.neighbors(vid)) \
+            * len(engine._additive_basis(graph.dim))
