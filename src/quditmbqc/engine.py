@@ -1,11 +1,13 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
 Every protocol call is one contraction of its input with a branch table
-and one draw (_draw, or uniform marginals for the edge), and its
-posterior is verified against the predicted action on every call: as a
-vector, or, for graph rewriting, by exact equality of graph-form
-stabilizer rows.  The mediator's and the edge's branch tables are also
-checked against their predicted actions once, for every input at once.
+and one draw by sim.collapse (through _draw, or on the edge's uniform
+marginals), and its posterior is verified against the predicted action
+on every call: as a vector, or, for graph rewriting, by exact equality of
+graph-form stabilizer rows.  The mediator's and the edge's branch tables,
+the very arrays the calls contract, are also checked against their
+predicted actions once, for every input at once.  Pauli frames move by
+index arithmetic and the certificates' frame tables.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges.  Measuring a vertex changes only the
 rows of its neighbours, so a rewrite builds and compares those rows, as
@@ -52,9 +54,7 @@ from .pauli import (
     PAULI_TOL,
     PauliWord,
     matrix_of_pauli,
-    normal_form,
     one_qudit_words,
-    word_table,
     zx_matrix,
 )
 from .resource import (
@@ -174,12 +174,8 @@ def _phase_diagonal(dim: DimSpec, init_v: np.ndarray) -> Optional[np.ndarray]:
 
 def chain_graph(dim: DimSpec, gate: EntanglingGateSpec, length: int,
                 ) -> ResourceGraph:
-    """Linear chain 0-1-...-(length-1); edges directed along the chain."""
-    phases = expand(gate).init_phases
-    vertices = [Vertex(i, np.array(phases, dtype=float))
-                for i in range(length)]
-    edges = [GraphEdge(i, i + 1, gate, i) for i in range(length - 1)]
-    return ResourceGraph(dim, vertices, edges)
+    """Linear chain 0-1-...-(length-1): the one-row diagonal_lattice."""
+    return diagonal_lattice(dim, 1, length, gate)
 
 
 # --- graph-form stabilizer tableaux ---------------------------------------
@@ -502,11 +498,14 @@ class PauliFrame:
 
 
 def _chain_order(graph: ResourceGraph) -> List[int]:
-    """Vertex ids along a path graph, following edge seq order."""
+    """Vertex ids along a path graph, following edge seq order;
+    DimensionMismatch unless it is a nonempty chain, no vertex met twice."""
+    if not graph.vertices:
+        raise DimensionMismatch("graph has no vertices")
     edges = sorted(graph.edges, key=lambda e: e.seq)
     order = [edges[0].control] if edges else [graph.vertices[0].id]
     for e in edges:
-        if e.control != order[-1]:
+        if e.control != order[-1] or e.target in order:
             raise DimensionMismatch("graph is not a forward chain")
         order.append(e.target)
     return order
@@ -535,29 +534,6 @@ class Trajectories:
 
 
 @functools.lru_cache(maxsize=None)
-def _z_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Row k is the word_table of Z^{-k} w over one_qudit_words."""
-    words = one_qudit_words(dim)
-    rows = [word_table([normal_form(PauliWord(dim, 1, (dim.neg(k),), (0,)),
-                                    w) for w in words])
-            for k in dim.elements]
-    tables = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-    for t in tables:
-        t.flags.writeable = False    # shared by every caller
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
-def _frame_table(frame: PauliWord) -> Tuple[np.ndarray, np.ndarray]:
-    """word_table of w * frame over one_qudit_words: a run's final frame."""
-    words = one_qudit_words(frame.dim)
-    tables = word_table([normal_form(w, frame) for w in words])
-    for t in tables:
-        t.flags.writeable = False    # shared by every caller
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
 def _zx_stack(dim: DimSpec) -> np.ndarray:
     """zx_matrix of every one_qudit_words entry, stacked by word index."""
     out = np.array([zx_matrix(w) for w in one_qudit_words(dim)])
@@ -582,8 +558,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     Trajectory t draws default_rng(seeds[t]).random(steps) (one
     sim.seed_uniforms pass for the block) and takes the outcome
     Generator.choice would; forced_outcomes (T rows of one outcome per
-    step, each checked by _forced) draw nothing.  Frames are word indices
-    and exact phases moved by the certificates' frame tables.  Row t's
+    step, each checked by _forced) draw nothing, and one of the two must
+    be given (DimensionMismatch).  Frames are word indices and exact
+    phases, moved by index arithmetic through each outcome's Z^{-k} and
+    the pattern's frame, and by the certificates' frame tables.  Row t's
     fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
     FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
     StateTooLarge is raised before any per-trajectory allocation when the
@@ -600,6 +578,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     S = len(steps)
     if len(order) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
+    if seeds is None and forced_outcomes is None:
+        raise DimensionMismatch("seeds or forced_outcomes must be given")
     T = len(seeds if forced_outcomes is None else forced_outcomes)
     if T * d > sim.MAX_AMPS:
         raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
@@ -622,8 +602,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             else certify(dphi(step.phases), dim).frame_table()
         plan.append((E.T, fresh, np.asarray(step.phases, dtype=float), table))
     g_table = pattern.intrinsic.certificate().frame_table()
-    z_idx, z_phase = _z_tables(dim)
-    f_idx, f_phase = _frame_table(pattern.frame)
+    _, add, sub, _ = dim.tables
+    F = pattern.frame
+    fz, fx = F.z[0], F.x[0]
+    f_swap = np.array(_int_tables(dim)[2][fz])
     H = hadamard(dim)
     psi_in = sim.unit_vector(psi, d, "input state")
     post = np.empty((T, d), dtype=complex)
@@ -646,7 +628,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             two = (cur[:, :, None] * fresh).reshape(n, d * d) @ ET
             if table is None:
                 # adaptive phases psi_t[u] = phases[u - x_t]
-                psi_t = phases[dim.tables.sub[:, at % d].T]
+                psi_t = phases[sub[:, at % d].T]
             else:
                 psi_t = phases[None, :]
             basis = np.exp(-1j * psi_t)[:, :, None] * H
@@ -656,14 +638,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                 None if forced_outcomes is None else forced[rows, i])
             if table is not None:
                 at, ph = table[0][at], ph + table[1][at]
-            at, ph = z_idx[k, at], ph + z_phase[k, at]
+            # Z^{-k} Z(z) X(x) = Z(z - k) X(x)
+            at = sub[at // d, k] * d + at % d
             at, ph = g_table[0][at], ph + g_table[1][at]
             outcomes[rows, i] = k
         post[rows] = cur
-        idx[rows], phase[rows] = f_idx[at], ph + f_phase[at]
+        # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
+        z, x = divmod(at, d)
+        idx[rows] = add[z, fz] * d + add[x, fx]
+        phase[rows] = ph + F.phase_num + f_swap[x]
     phase %= dim.phase_den
-    v = matrix_of_pauli(pattern.frame).conj().T \
-        @ pattern.dense_product() @ psi_in
+    v = matrix_of_pauli(F).conj().T @ pattern.dense_product() @ psi_in
     W = _zx_stack(dim)
     ideal = np.zeros((d * d, d), dtype=complex)
     for i in set(idx.tolist()):
@@ -756,22 +741,20 @@ def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
     return PauliWord(dim, 2, [k1, k4], [sub(k2, k4), sub(k5, k1)], phase)
 
 
-def _check_edge_branches(dim: DimSpec, cz: np.ndarray, h: np.ndarray,
+def _check_edge_branches(dim: DimSpec, h: np.ndarray, net: np.ndarray,
                          action: np.ndarray):
     """FrameMismatch unless every outcome (k1, k2, k4, k5) of
     entangle_via_edge has the branch map edge_frame(k) action / d^2, with
-    its exact phase: the wires' network of CZ phases cz, contracted with
-    the outcomes' X-basis vectors h[k] = <k_X|, is compared entry by entry
-    with the predicted maps.  This runs one (k1, k2) slice at a time, as
-    d^6 arrays (k4, k5, out0, out1, in0, in1)."""
+    its exact phase: the calls' network net, contracted with the outcomes'
+    X-basis vectors h[k] = <k_X| as each call contracts it, is compared
+    entry by entry with the predicted maps.  This runs one (k1, k2) slice
+    at a time, as d^6 arrays (k4, k5, out0, out1, in0, in1)."""
     d = dim.d
     W = _zx_stack(dim)
-    # the second wire for every (k4, k5): h[k4, e] cz[e, f] h[k5, f]
-    # cz[f, g] as [k4, k5, f, g, e] (broadcast: einsum buffers d^6)
-    wire = (h[:, None, :] * cz.T)[:, None, :, None, :] \
-        * (h[:, :, None] * cz)[None, :, :, :, None]
-    # the action (H x H) CZ (H x H) as [c, g, in0 in1], over d^2
-    target = action.reshape(d, d, d * d) / d ** 2
+    # the action (H x H) CZ (H x H) as [c, g in0 in1], over d^2
+    target = action.reshape(d, d ** 3) / d ** 2
+    # one d^6 buffer for every slice, so no two slices are live at once
+    dense = np.empty((d,) * 6, dtype=complex)
     for k1, k2 in itertools.product(dim.elements, repeat=2):
         words = [edge_frame(dim, k1, k2, k4, k5)
                  for k4 in dim.elements for k5 in dim.elements]
@@ -780,14 +763,17 @@ def _check_edge_branches(dim: DimSpec, cz: np.ndarray, h: np.ndarray,
         # site 0's word depends on k4 only, site 1's on (k4, k5)
         M0 = W[[w.z[0] * d + w.x[0] for w in words[::d]]]
         M1 = W[[w.z[1] * d + w.x[1] for w in words]] * phase[:, None, None]
-        # the first wire and the middle edge, with the |0_X> norms: [c, a, f]
-        first = np.einsum("a,ab,b,bc,bf->caf", h[k1] / d ** 2, cz, h[k2],
-                          cz, cz)
-        dense = np.tensordot(first, wire, axes=([2], [2]))  # c a k4 k5 g e
-        # less the predicted [k4, k5, c, g, in0 in1]: (M0 x M1) the action
-        dense -= np.matmul(M1.reshape(d, d, 1, d, d), np.einsum(
-            "kxc,cgz->kxgz", M0, target)[:, None]).reshape(
-                (d,) * 6).transpose(2, 4, 0, 1, 3, 5)
+        # net [a, b, e, f, cg] with h[k2] on b and every h[k5] on f:
+        # [a, e, k5, cg], then h[k1] on a and every h[k4] on e
+        wires = h @ (h[k2] @ net.reshape(d, d, d ** 4)).reshape(d, d, d, -1)
+        np.multiply((h[k1][:, None] * h[:, None])[:, None, None, None],
+                    wires.transpose(2, 3, 0, 1).reshape(1, d, d, d, d, d),
+                    out=dense)
+        # less the predicted [k4, k5, c, g, in0 in1]: (M0 x M1) the action,
+        # one k4 at a time, in d^5 pieces
+        for k4, (m1, m0) in enumerate(zip(M1.reshape(d, d, 1, d, d), M0)):
+            dense[k4] -= (m1 @ (m0 @ target).reshape(d, d, -1)).reshape(
+                (d,) * 5)
         if not (np.abs(dense).max() <= VERIFY_TOL):
             raise FrameMismatch(f"edge outcomes ({k1}, {k2}, *, *) do not "
                                 f"have the predicted branches")
@@ -797,9 +783,10 @@ def _check_edge_branches(dim: DimSpec, cz: np.ndarray, h: np.ndarray,
 def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The conjugated X basis h[k] = <k_X|, the wires' psi-independent d^6
     network of CZ phases over d^2 (rows a b e f, columns c g, for the
-    wires a-b-c and e-f-g joined by b-f) and the action (H x H) CZ
-    (H x H); the branches are checked once per dimension
-    (_check_edge_branches) and the tables shared read-only."""
+    wires a-b-c and e-f-g joined by b-f) that every entangle_via_edge call
+    contracts, and the action (H x H) CZ (H x H); the network's branches
+    are checked once per dimension (_check_edge_branches) and the tables
+    shared read-only."""
     d = dim.d
     E = gate_matrix(cz_spec(dim))
     cz = np.diag(E).reshape(d, d)
@@ -807,13 +794,13 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     HH = np.kron(H, H)
     action = HH @ E @ HH
     h = H.conj().T
-    _check_edge_branches(dim, cz, h, action)
     # cz[a, b] cz[e, f] cz[b, f] as [a, b, e, f], cz[b, c] cz[f, g] as
     # [b, f, c, g]: their product is one d^6 allocation
     heads = cz[:, :, None, None] * cz[None, None] * cz[None, :, None, :]
     tails = cz[:, None, :, None] * cz[None, :, None, :]
     net = (heads[..., None, None] / d ** 2 * tails[None, :, None]
            ).reshape(d ** 4, d * d)
+    _check_edge_branches(dim, h, net, action)
     for t in (h, net, action):
         t.flags.writeable = False
     return h, net, action
@@ -831,9 +818,9 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Every
     outcome's branch map is that frame times the action over d^2 (checked
     once per dimension by _check_edge_branches), so every outcome has
-    probability 1/d^4 for every input: the four outcomes are the
-    inverse-CDF draws of rng's next four random() values on uniform
-    marginals, as four sequential X measurements would draw them, or
+    probability 1/d^4 for every input: sim.collapse draws the four
+    outcomes on uniform marginals from rng's next four random() values, as
+    four sequential X measurements would draw them, or takes
     forced_outcomes (four, checked by _forced).  One contraction of the
     d^6 CZ network with psi and the four X-basis vectors gives the
     branch; its norm is checked to be 1/d^2 and its posterior to be the
@@ -844,13 +831,10 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     if d ** 6 > sim.MAX_AMPS:
         raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
-    if forced_outcomes is None:
-        u = np.random.default_rng(rng).random(4)
-        cdf = np.full(d, 1 / d).cumsum()
-        cdf /= cdf[-1]
-        ks = (cdf <= u[:, None]).sum(axis=1).tolist()
-    else:
-        ks = _forced(forced_outcomes, 4, d)
+    forced = None if forced_outcomes is None \
+        else _forced(forced_outcomes, 4, d)
+    u = np.random.default_rng(rng).random(4) if forced is None else None
+    ks = sim.collapse(np.ones((4, d, 1)), u, forced)[0].tolist()
     h, net, action = _edge_tables(dim)
     k1, k2, k4, k5 = ks
     branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
@@ -921,12 +905,6 @@ class Correction:
     vertex: int
     operator: np.ndarray
     label: str
-
-
-def _remove_vertex(graph: ResourceGraph, vid: int) -> ResourceGraph:
-    vertices = [v for v in graph.vertices if v.id != vid]
-    edges = [e for e in graph.edges if vid not in (e.control, e.target)]
-    return ResourceGraph(graph.dim, vertices, edges)
 
 
 def _tableau_outcome(dim: DimSpec, vertex, weights, vectors: np.ndarray,
@@ -1062,27 +1040,33 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     dim = graph.dim
     d = dim.d
     site = graph.site_of(vid)
+    star, edges = [], []
+    for e in graph.edges:
+        (star if vid in (e.control, e.target) else edges).append(e)
+    if complement and not star:
+        raise DimensionMismatch(f"vertex {vid} has no edges to complement")
     phases = _init_phases(graph)
     W = np.eye(d, dtype=complex)
-    weight, kept, images = {}, {}, []
-    star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
-            if vid in (e.control, e.target)]
-    for e in graph.edges:
-        factor_diagonal_clifford(e.gate)   # raises wherever the edge is
-    for e, C1, C2, N in star:
+    kept = {}
+    for e in star:
+        C1, C2, _ = factor_diagonal_clifford(e.gate)
         own = e.control == vid
-        Cv, Cu, u = (C1, C2, e.target) if own else (C2, C1, e.control)
-        W = W @ Cv
-        weight[u] = dim.add(weight.get(u, 0), N)
-        kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
-        images.append(_factor_images(e.gate)[0 if own else 1])
+        u = e.target if own else e.control
+        W = W @ (C1 if own else C2)
+        kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ (C2 if own else C1)
+    for e in edges:
+        factor_diagonal_clifford(e.gate)   # raises wherever the edge is
+    nbrs = sorted(kept)
+    weights, vz, vnum = _tableau(graph, [vid] + nbrs)
+    weight = dict(zip(nbrs, weights[0][1:]))
     mul, add, _, chi = dim.tables
     B = np.eye(d, dtype=complex)
     if complement:
-        B = W @ shear_gate(dim, star[0][3]) @ hadamard(dim)
+        B = W @ shear_gate(dim, factor_diagonal_clifford(star[0].gate)[2]) \
+            @ hadamard(dim)
         sim.require_unitary(B, "basis 'local-complement' is not orthonormal")
-    m = _tableau_outcome(dim, _vertex_table(dim, images), weight.values(), B,
-                         rng, forced_outcome)
+    m = _tableau_outcome(dim, (vz[0], vnum[0]), weights[0][1:], B, rng,
+                         forced_outcome)
     f = (B[:, m].conj() * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
         raise FrameMismatch(f"outcome {m} leaves no graph state")
@@ -1091,12 +1075,10 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
     if delta is None:
         raise FrameMismatch(f"outcome {m} phases are not quadratic")
-    reduced = _remove_vertex(graph, vid)
-    edges = list(reduced.edges)
     next_seq = max((e.seq for e in edges), default=-1) + 1
     # the edges between neighbors, the only ones a new edge can replace
     between = [e for e in edges if e.control in weight and e.target in weight]
-    for u, w in itertools.combinations(sorted(weight), 2):
+    for u, w in itertools.combinations(nbrs, 2):
         new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
         if new_w == 0:
             continue
@@ -1109,10 +1091,11 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         if new_w != 0:
             edges.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
             next_seq += 1
-    new_graph = ResourceGraph(dim, reduced.vertices, edges)
+    new_graph = ResourceGraph(
+        dim, [v for v in graph.vertices if v.id != vid], edges)
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
-                   for u in sorted(weight)]
+                   for u in nbrs]
     _verify_rewrite(graph, vid, B[:, m], new_graph, corrections)
     post = StabilizerState(new_graph, corrections,
                            np.concatenate((phases[:site], phases[site + 1:])))
@@ -1156,9 +1139,6 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     A vertex without edges raises DimensionMismatch.
     """
     graph.validate()
-    graph.site_of(vid)  # SiteOutOfRange before the edge check
-    if not graph.neighbors(vid):
-        raise DimensionMismatch(f"vertex {vid} has no edges to complement")
     return _measure_and_rewrite(graph, vid, True, rng, forced_outcome)
 
 

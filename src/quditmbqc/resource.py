@@ -55,14 +55,11 @@ from .pauli import (
     xmat,
     zx_matrix,
 )
-from .sim import require_unitary
+from .sim import VERIFY_TOL, require_unitary
 
 DIAGONAL = "diagonal"
 BLOCK_DIAGONAL = "block_diagonal"
 NAMED = "named"
-
-# fidelity and table gates of the protocols and of graph rewriting
-VERIFY_TOL = 1e-9
 
 
 def _read_only(value, dtype=complex) -> np.ndarray:
@@ -259,12 +256,13 @@ def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
 def intrinsic_of(spec: EntanglingGateSpec) -> IntrinsicGate:
     """G_I and its analysis.
 
-    Diagonal: G_I = d^{-1/2} sum e^{i theta_{kj}} |j><k| (note the
+    Diagonal: G_I = D_phi d^{-1/2} sum e^{i theta_{kj}} |j><k| (note the
     transpose).  Block-diagonal: G_I = sum_j U_j |phi><j| with
-    |phi> = D_phi |0_X>.
+    |phi> = D_phi |0_X>, the chain's vertex init.
     """
     if spec.kind == DIAGONAL:
-        G = np.exp(1j * spec.theta.T) / math.sqrt(spec.dim.d)
+        G = np.exp(1j * (spec.theta.T + spec.init_phases[:, None])) \
+            / math.sqrt(spec.dim.d)
     else:
         G = np.column_stack([b @ resource_init(spec) for b in spec.blocks])
     return intrinsic_from_matrix(spec.dim, G)

@@ -25,7 +25,8 @@ from .galois import DimSpec, complex_to_json, dim_to_json
 from .pauli import PAULI_TOL
 
 MAX_AMPS = 10 ** 6
-TOL = 1e-9
+# fidelity and table gates of the protocols and of graph rewriting
+VERIFY_TOL = 1e-9
 
 
 # --- seeded uniforms ------------------------------------------------------
@@ -137,8 +138,12 @@ class StateVector:
 
 def unit_vector(v, size: int, what: str) -> np.ndarray:
     """v as a complex unit vector of the given size; DimensionMismatch
-    naming it when an entry is NaN or infinite or its norm is 0."""
-    v = np.asarray(v, dtype=complex).reshape(size)
+    naming it when it has another number of entries, an entry is NaN or
+    infinite or its norm is 0."""
+    v = np.asarray(v, dtype=complex)
+    if v.size != size:
+        raise DimensionMismatch(f"{what} has {v.size} amplitudes, not {size}")
+    v = v.reshape(size)
     norm = np.linalg.norm(v)
     if not (np.isfinite(norm) and norm > 0):
         raise DimensionMismatch(f"{what} has NaN/infinite entries or norm 0")
@@ -149,7 +154,7 @@ def require_unitary(M: np.ndarray, message: str):
     """NonUnitary(message) unless every trailing square matrix of M has
     orthonormal columns (a NaN entry fails the check)."""
     gram = np.swapaxes(M.conj(), -1, -2) @ M
-    if not (np.max(np.abs(gram - np.eye(M.shape[-1]))) <= TOL):
+    if not (np.max(np.abs(gram - np.eye(M.shape[-1]))) <= VERIFY_TOL):
         raise NonUnitary(message)
 
 
@@ -182,7 +187,7 @@ def collapse(branch: np.ndarray, uniforms, forced=None
         if k.min() < 0 or k.max() >= branch.shape[1]:
             raise SiteOutOfRange("forced outcome out of range")
         t = probs[rows, k].argmin()
-        if probs[t, k[t]] < TOL:
+        if probs[t, k[t]] < VERIFY_TOL:
             raise ZeroProbabilityForced(
                 f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
     post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]

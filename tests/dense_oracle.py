@@ -62,7 +62,7 @@ def collapse(branch: np.ndarray, uniforms, forced=None
         if k.min() < 0 or k.max() >= branch.shape[1]:
             raise SiteOutOfRange("forced outcome out of range")
         t = probs[rows, k].argmin()
-        if probs[t, k[t]] < sim.TOL:
+        if probs[t, k[t]] < sim.VERIFY_TOL:
             raise ZeroProbabilityForced(
                 f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
     post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]

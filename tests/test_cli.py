@@ -177,6 +177,35 @@ def test_compile_exit_codes_for_gates_without_a_certificate(tmp_path,
         assert (got, out, err) == (code, "", f"error: {error}\n")
 
 
+def test_diagonal_gate_init_phases_enter_the_intrinsic_gate(tmp_path,
+                                                           capsys):
+    # the chain prepares every vertex in D_phi|0_X>, so G_I carries D_phi:
+    # a Clifford D_phi transports, compiles and runs, and a non-Clifford
+    # one is refused before any pattern is printed
+    spec = resource.expand(cz_spec(D3))
+    target = write_json(tmp_path / "target.json",
+                        {"matrix": complex_to_json(np.roll(np.eye(3), 1, 0))})
+    for phases, code in [([0, 2 * np.pi / 3, 0], 0),
+                         ([0, 0.3, 0], cli.EXIT_FORMALISM)]:
+        gate = write_json(tmp_path / "gate.json", gate_to_json(
+            resource.EntanglingGateSpec(D3, resource.DIAGONAL,
+                                        theta=spec.theta,
+                                        init_phases=phases)))
+        for argv in (["transport", "--gate", gate],
+                     ["compile", "--gate", gate, "--target", target]):
+            got, out = run_cli(capsys, argv)
+            assert got == code, (phases, argv)
+            if code:
+                assert out == ""
+                continue
+            pattern = write_json(tmp_path / "pattern.json",
+                                 json.loads(out)["results"]["pattern"])
+            got, out = run_cli(capsys, ["run", "--pattern", pattern,
+                                        "--trials", "10"])
+            assert got == 0
+            assert json.loads(out)["results"]["min_fidelity"] > 1 - 1e-9
+
+
 def test_cli_import_does_not_load_scipy():
     # importing scipy.optimize more than doubles the peak memory of a compile
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -505,6 +534,30 @@ def test_run_on_a_graph_of_another_dimension(tmp_path, capsys, graph, error):
     pattern = _run_pattern_file(tmp_path, "GF4-cz")
     assert len(json.loads(Path(pattern).read_text())["steps"]) < 9
     path = write_json(tmp_path / "graph.json", graph_to_json(graph))
+    code = cli.main(["run", "--pattern", pattern, "--graph", path])
+    assert (code, capsys.readouterr().err) \
+        == (cli.EXIT_PARSE, f"error: {error}\n")
+
+
+@pytest.mark.parametrize("vertices, edges, error", [
+    ([], [], "graph has no vertices"),
+    ([0, 1], [(0, 1), (1, 0), (0, 1), (1, 0)], "graph is not a forward chain"),
+], ids=["empty", "revisiting"])
+def test_run_refuses_a_graph_that_is_not_a_chain(tmp_path, capsys, vertices,
+                                                 edges, error):
+    # the Z3 transport pattern has four steps: the walk 0-1-0-1-0 would
+    # take them on two vertices as if it were a five-vertex chain
+    gate = gate_to_json(cz_spec(D3))
+    _, out = run_cli(capsys, ["transport", "--gate",
+                              write_json(tmp_path / "gate.json", gate)])
+    assert json.loads(out)["results"]["steps"] == 4
+    pattern = write_json(tmp_path / "pattern.json",
+                         json.loads(out)["results"]["pattern"])
+    graph = {"dim": gate["dim"],
+             "vertices": [{"id": v, "init": None} for v in vertices],
+             "edges": [{"c": c, "t": t, "gate": gate, "seq": i}
+                       for i, (c, t) in enumerate(edges)]}
+    path = write_json(tmp_path / "graph.json", graph)
     code = cli.main(["run", "--pattern", pattern, "--graph", path])
     assert (code, capsys.readouterr().err) \
         == (cli.EXIT_PARSE, f"error: {error}\n")

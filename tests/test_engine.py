@@ -35,6 +35,7 @@ from quditmbqc.pauli import (
     identity_word,
     matrix_of_pauli,
     normal_form,
+    one_qudit_words,
     zmat,
 )
 from quditmbqc.compiler import (
@@ -219,20 +220,26 @@ def test_run_forced_outcomes_deterministic():
     assert a.frame(0).history == b.frame(0).history
 
 
-def test_run_builds_the_final_frame_table_once_per_frame(monkeypatch):
-    # a repeated run reads the frame's word table from the cache and
-    # composes no word
-    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
-    g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
-    first = run_trajectories(g, pat, xplus_state(D3), range(3))
-
-    def no_words(*args):
-        raise AssertionError("a word was composed")
-
-    monkeypatch.setattr(engine, "normal_form", no_words)
-    again = run_trajectories(g, pat, xplus_state(D3), range(3))
-    assert np.array_equal(first.frame_index, again.frame_index)
-    assert np.array_equal(first.frame_phase, again.frame_phase)
+def test_run_builds_the_final_frame_table_once_per_frame():
+    # the final frame F moves each row's word w by index arithmetic to the
+    # product w F that normal_form composes, exact phase included; any F
+    # verifies, as the ideal is built through F too
+    for dim in (D3, D4F):
+        d = dim.d
+        pat = transport_pattern(intrinsic_of(cz_spec(dim)))
+        g = chain_graph(dim, cz_spec(dim), pat.step_count() + 1)
+        plain = run_trajectories(g, pat, xplus_state(dim), range(8))
+        for F in one_qudit_words(dim):
+            F = PauliWord(dim, 1, F.z, F.x, 1)
+            framed = run_trajectories(g, replace(pat, frame=F),
+                                      xplus_state(dim), range(8))
+            for t in range(8):
+                z, x = divmod(int(plain.frame_index[t]), d)
+                want = normal_form(PauliWord(
+                    dim, 1, (z,), (x,), int(plain.frame_phase[t])), F)
+                assert framed.frame_index[t] == want.z[0] * d + want.x[0]
+                assert framed.frame_phase[t] == want.phase_num \
+                    % dim.phase_den
 
 
 D5 = make_dim(INTEGER_RING, d=5)
@@ -574,6 +581,27 @@ def test_forced_outcomes_are_validated(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: couple_input(PSI9[:8], chain_graph(D3, cz_spec(D3), 2), rng=0),
+     "input state has 8 amplitudes, not 3"),
+    (lambda: entangle_via_edge(D3, PSI9[:8], rng=0),
+     "input state has 8 amplitudes, not 9"),
+    (lambda: mediator_step(cz_spec(D3), PSI9[:3], "entangle", rng=0),
+     "input state has 3 amplitudes, not 9"),
+    (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, PSI9, [0]),
+     "input state has 9 amplitudes, not 3"),
+], ids=["couple", "edge", "mediator", "run"])
+def test_a_wrong_size_input_state_is_a_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
+
+
+def test_run_without_seeds_or_forced_outcomes_is_refused():
+    with pytest.raises(DimensionMismatch,
+                       match="seeds or forced_outcomes must be given"):
+        run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3))
+
+
 def test_forced_outcomes_accept_numpy_integers():
     ks = np.array([1, 2, 0, 1])
     _, frame = entangle_via_edge(D3, PSI9, forced_outcomes=ks)
@@ -908,14 +936,19 @@ def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
 
 @pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
 def test_edge_branch_check_catches_a_corrupted_cz_table(dim):
-    h, _, action = engine._edge_tables(dim)
-    cz = np.diag(gate_matrix(cz_spec(dim))).reshape(dim.d, dim.d)
-    engine._check_edge_branches(dim, cz, h, action)
-    bad = cz.copy()
-    bad[1, 1] *= np.exp(0.1j)                      # not CZ, not Clifford
-    for table in (bad, np.ones_like(cz)):          # and no edge at all
+    # the check contracts the very network every call contracts, so one
+    # corrupted entry of it, wherever it sits, fails the check
+    h, net, action = engine._edge_tables(dim)
+    engine._check_edge_branches(dim, h, net, action)
+    rng = np.random.default_rng(dim.d)
+    for entry in [(0, 0), (-1, -1)] + [tuple(rng.integers(net.shape))
+                                       for _ in range(4)]:
+        bad = net.copy()
+        bad[entry] *= np.exp(0.1j)
         with pytest.raises(FrameMismatch, match="predicted branches"):
-            engine._check_edge_branches(dim, table, h, action)
+            engine._check_edge_branches(dim, h, bad, action)
+    with pytest.raises(FrameMismatch, match="predicted branches"):
+        engine._check_edge_branches(dim, h, np.ones_like(net), action)
 
 
 def test_edge_tables_are_checked_once_per_dimension():
