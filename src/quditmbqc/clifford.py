@@ -1,11 +1,12 @@
-"""Clifford certification and native words.
+"""Clifford certification, diagonal Cliffords and native words.
 
 A single-qudit Clifford is known by its certificate: the exact-phase
 images of the Pauli generators, Z -> Z^a X^b and X -> Z^c X^e up to phase
 with a e - b c = 1.  Certificates compose exactly, so the shortest native
 word G_I S(l_{k-1}) ... G_I S(l_0) of every Clifford class an intrinsic
 gate reaches is found by a breadth-first search without dense products
-(shortest_words).
+(shortest_words).  A diagonal's images are read without a certificate,
+for every X(x) at once (diagonal_images).
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .errors import (
 from .galois import INTEGER_RING, DimSpec
 from .gates import shear_gate
 from .pauli import (
+    PAULI_TOL,
     PauliWord,
     match_pauli,
     normal_form,
     one_qudit_words,
     single_word,
     word_power,
-    word_table,
     zx_matrix,
 )
 
@@ -109,12 +110,17 @@ class CliffordCert:
         return tuple((w.z, w.x) for w in self.images.values())
 
     def frame_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """word_table of U w U^dagger over one_qudit_words, built once."""
+        """Index z * d + x and exact phase numerator of U w U^dagger for each
+        w in one_qudit_words, built once: the table moves a frame (index i,
+        phase p) to (idx[i], p + phase[i])."""
         if self.n != 1:
             raise DimensionMismatch("frame tables are single-qudit")
         if self._frame_table is None:
-            self._frame_table = word_table(
-                [self.conjugate(w) for w in one_qudit_words(self.dim)])
+            words = [self.conjugate(w) for w in one_qudit_words(self.dim)]
+            self._frame_table = (
+                np.array([w.z[0] * self.dim.d + w.x[0] for w in words],
+                         dtype=np.intp),
+                np.array([w.phase_num for w in words], dtype=np.int64))
         return self._frame_table
 
 
@@ -133,6 +139,56 @@ def certify(U: np.ndarray, dim: DimSpec, n: int = 1) -> CliffordCert:
                                    f"to a Pauli word", generator=label)
         images[label] = r[1]
     return CliffordCert(dim, n, images)
+
+
+# --- diagonal Cliffords ---------------------------------------------------
+
+def diagonal_images(dim: DimSpec, q: np.ndarray
+                    ) -> Tuple[List[int], List[int]]:
+    """(c, num) as int lists, num in [0, phase_den): diag(q) X(x)
+    diag(q)^dag = e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) for every
+    shift x.  NotCliffordError names the first generator X0^g it fails on."""
+    c, num, ok = _diagonal_images(dim, np.asarray(q))
+    for g in _additive_basis(dim):
+        if not ok[g]:
+            raise NotCliffordError(f"generator X0^{g} does not conjugate to "
+                                   f"a Pauli word", generator=f"X0^{g}")
+    return c.tolist(), (num % dim.phase_den).tolist()
+
+
+def _diagonal_images(dim: DimSpec, q: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
+    e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
+    where not ok[x] (diag(q) is not Clifford).  A stack of diagonals q
+    (..., d) gives a stack of tables (..., d).
+
+    Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
+    with phi snapped to the exact phase lattice, at PAULI_TOL.
+    """
+    den = dim.phase_den
+    add, shifted_chi = _shift_tables(dim)
+    flat = q.reshape(-1, dim.d)
+    # ratio[k, x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
+    ratio = (flat[:, add] * flat.conj()[:, None, :])[:, :, None, :] \
+        * shifted_chi
+    num = np.round(np.angle(ratio[..., 0]) * den / (2 * np.pi))
+    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
+                  axis=3) <= PAULI_TOL
+    c = fits.argmax(axis=2)
+    num = num[np.arange(len(flat))[:, None], add[0], c].astype(int)
+    return (c.reshape(q.shape), num.reshape(q.shape),
+            fits.any(axis=2).reshape(q.shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """add[x, j] = j + x and conj(chi(c (j + x))) as [x, c, j], shared
+    read-only by every _diagonal_images call."""
+    mul, add, _, chi = dim.tables
+    shifted_chi = chi[mul[:, add]].conj().swapaxes(0, 1)
+    shifted_chi.flags.writeable = False
+    return add, shifted_chi
 
 
 def pauli_order_data(U: np.ndarray, dim: DimSpec, n: int = 1

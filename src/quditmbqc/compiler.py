@@ -354,4 +354,7 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
         steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
                                  json_check(s["adaptive"], bool, "adaptive")))
     frame = pauli_from_json(dim, obj["frame"])
+    if frame.n != 1:
+        raise DimensionMismatch(f"frame acts on {frame.n} qudits, the "
+                                f"pattern on one")
     return MeasurementPattern(dim, intr, steps, frame, gate)

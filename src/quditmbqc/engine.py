@@ -7,7 +7,8 @@ on every call: as a vector, or, for graph rewriting, by exact equality of
 graph-form stabilizer rows.  The mediator's and the edge's branch tables,
 the very arrays the calls contract, are also checked against their
 predicted actions once, for every input at once.  Pauli frames move by
-index arithmetic and the certificates' frame tables.
+index arithmetic: through a diagonal by its images (clifford.diagonal_images;
+the engine certifies nothing), through G_I by its certificate's frame table.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges.  Measuring a vertex changes only the
 rows of its neighbours, so a rewrite builds and compares those rows, as
@@ -33,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     FrameMismatch,
     NonUnitary,
-    NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
     UnsupportedFormalism,
@@ -47,8 +47,8 @@ from .galois import (
     json_check,
     json_int,
 )
-from .gates import dphi, hadamard, shear_gate, xplus_state
-from .clifford import _additive_basis, certify
+from .gates import hadamard, shear_gate, xplus_state
+from .clifford import _additive_basis, _diagonal_images, diagonal_images
 from .compiler import MeasurementPattern
 from .pauli import (
     PAULI_TOL,
@@ -64,7 +64,6 @@ from .resource import (
     cz_power,
     cz_spec,
     expand,
-    factor_certs,
     factor_diagonal_clifford,
     gate_from_json,
     gate_matrix,
@@ -208,41 +207,6 @@ def _init_phases(graph: ResourceGraph) -> np.ndarray:
     return phases
 
 
-def _diagonal_images(dim: DimSpec, q: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
-    e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
-    where not ok[x] (diag(q) is not Clifford).  A stack of diagonals q
-    (..., d) gives a stack of tables (..., d).
-
-    Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
-    with phi snapped to the exact phase lattice, at PAULI_TOL.
-    """
-    den = dim.phase_den
-    add, shifted_chi = _shift_tables(dim)
-    flat = q.reshape(-1, dim.d)
-    # ratio[k, x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
-    ratio = (flat[:, add] * flat.conj()[:, None, :])[:, :, None, :] \
-        * shifted_chi
-    num = np.round(np.angle(ratio[..., 0]) * den / (2 * np.pi))
-    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
-                  axis=3) <= PAULI_TOL
-    c = fits.argmax(axis=2)
-    num = num[np.arange(len(flat))[:, None], add[0], c].astype(int)
-    return (c.reshape(q.shape), num.reshape(q.shape),
-            fits.any(axis=2).reshape(q.shape))
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """add[x, j] = j + x and conj(chi(c (j + x))) as [x, c, j], shared
-    read-only by every _diagonal_images call."""
-    mul, add, _, chi = dim.tables
-    shifted_chi = chi[mul[:, add]].conj().swapaxes(0, 1)
-    shifted_chi.flags.writeable = False
-    return add, shifted_chi
-
-
 def _forced(forced, count: int, size: int) -> List[int]:
     """Forced outcomes as count ints in 0..size-1: DimensionMismatch for
     another count, SiteOutOfRange for an entry that is not an integer or
@@ -294,16 +258,13 @@ def _int_tables(dim: DimSpec) -> Tuple[list, list, list]:
 
 @_per_spec
 def _factor_images(spec: EntanglingGateSpec) -> Tuple[tuple, tuple]:
-    """(z, num) for each of the edge factors C1, C2 (factor_certs): C X(x)
-    C^dag = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every shift x,
-    read off the certificate's frame table as int tuples; None for a
-    factor that fixes every X(x), as both factors of a CZ power do."""
-    d = spec.dim.d
+    """(z, num) for each edge factor C1, C2 (factor_diagonal_clifford):
+    C X(x) C^dag = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every
+    shift x, from diagonal_images as int tuples; None for a factor that
+    fixes every X(x), as both factors of a CZ power do."""
     out = []
-    for cert in factor_certs(spec):
-        idx, phase = cert.frame_table()
-        z, num = tuple(i // d for i in idx[:d].tolist()), \
-            tuple(phase[:d].tolist())
+    for C in factor_diagonal_clifford(spec)[:2]:
+        z, num = map(tuple, diagonal_images(spec.dim, np.diag(C)))
         out.append((z, num) if any(z) or any(num) else None)
     return tuple(out)
 
@@ -560,8 +521,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     Generator.choice would; forced_outcomes (T rows of one outcome per
     step, each checked by _forced) draw nothing, and one of the two must
     be given (DimensionMismatch).  Frames are word indices and exact
-    phases, moved by index arithmetic through each outcome's Z^{-k} and
-    the pattern's frame, and by the certificates' frame tables.  Row t's
+    phases, moved by index arithmetic through each outcome's Z^{-k}, each
+    Clifford step's diagonal_images and the pattern's frame, and by G_I's
+    certificate frame table.  Row t's
     fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
     FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
     StateTooLarge is raised before any per-trajectory allocation when the
@@ -598,9 +560,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         if not np.all(np.isfinite(step.phases)):
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
+        phases = np.asarray(step.phases, dtype=float)
         table = None if step.adaptive \
-            else certify(dphi(step.phases), dim).frame_table()
-        plan.append((E.T, fresh, np.asarray(step.phases, dtype=float), table))
+            else np.array(diagonal_images(dim, np.exp(1j * phases)))
+        plan.append((E.T, fresh, phases, table))
     g_table = pattern.intrinsic.certificate().frame_table()
     _, add, sub, _ = dim.tables
     F = pattern.frame
@@ -637,7 +600,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                 branch, u[:, i],
                 None if forced_outcomes is None else forced[rows, i])
             if table is not None:
-                at, ph = table[0][at], ph + table[1][at]
+                # D Z(z) X(x) D^dag = e^{2 pi i num[x] / den} Z(z + c[x]) X(x)
+                c, num = table[:, at % d]
+                at, ph = add[at // d, c] * d + at % d, ph + num
             # Z^{-k} Z(z) X(x) = Z(z - k) X(x)
             at = sub[at // d, k] * d + at % d
             at, ph = g_table[0][at], ph + g_table[1][at]
@@ -677,9 +642,9 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     the edge and D_head = diag(q) the head init's phases, |init> = D_head
     |0_X> (the identity for cz and light-shift chains, S for cx).  The
     returned frame is W conjugated through D_head (its images of every
-    shift X(x) found in one pass by _diagonal_images), then through G_I's
-    certificate, so that the posterior is frame * G_I D_head |psi> up to
-    phase, which is checked on every call.  A chain that is not two
+    shift X(x) read by diagonal_images), then through G_I's certificate,
+    so that the posterior is frame * G_I D_head |psi> up to phase, which
+    is checked on every call.  A chain that is not two
     vertices joined by one edge, or a head init that is not a phase
     vector (a Z-basis label or a raw state), raises DimensionMismatch; a
     non-unitary edge gate raises NonUnitary, a G_I without a certificate
@@ -711,14 +676,10 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     k, post = _draw(branch, rng, forced_outcome)
     intrinsic = intrinsic_of(graph.edges[0].gate)
     cert = intrinsic.certificate()
-    shift, nums, ok = _diagonal_images(dim, q)
-    for g in _additive_basis(dim):
-        if not ok[g]:
-            raise NotCliffordError(f"generator X0^{g} does not conjugate to "
-                                   f"a Pauli word", generator=f"X0^{g}")
+    shift, nums = diagonal_images(dim, q)
     s, t = divmod(k, d)
     # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t)
-    c, num = int(shift[dim.neg(t)]), int(nums[dim.neg(t)])
+    c, num = shift[dim.neg(t)], nums[dim.neg(t)]
     frame = cert.conjugate(PauliWord(dim, 1, [dim.sub(c, s)], [dim.neg(t)],
                                      num))
     ideal = W[frame.z[0] * d + frame.x[0]] @ (intrinsic.matrix @ (q * psi))
@@ -944,10 +905,13 @@ def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
 
 
 def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
-                    new_graph: ResourceGraph, corrections: List[Correction]):
+                    new_graph: ResourceGraph, corrections: List[Correction],
+                    nbrs: List[int], old):
     """FrameMismatch unless the state the other vertices keep when vid is
     found in the vector b on the rows (column m of _measure_and_rewrite's
-    B) is new_graph's, conjugated through the corrections.
+    B) is new_graph's, conjugated through the corrections.  nbrs (vid's
+    sorted neighbours) and old (graph's _tableau of [vid] + nbrs) are passed
+    in as _measure_and_rewrite built them.
 
     Measuring vid multiplies each row(w, y), w != vid, by the row(vid, z)
     whose product has a part P on vid with b as eigenvector (z = 0 for a Z
@@ -966,9 +930,7 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
     """
     dim = graph.dim
     den = dim.phase_den
-    nbrs = graph.neighbors(vid)
     basis = _additive_basis(dim)
-    old = _tableau(graph, [vid] + nbrs)
     ok, eig = _eigen_table(dim, b)
     _, add, swap = _int_tables(dim)
     vz = old[1][0]
@@ -1057,7 +1019,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     for e in edges:
         factor_diagonal_clifford(e.gate)   # raises wherever the edge is
     nbrs = sorted(kept)
-    weights, vz, vnum = _tableau(graph, [vid] + nbrs)
+    weights, vz, vnum = old = _tableau(graph, [vid] + nbrs)
     weight = dict(zip(nbrs, weights[0][1:]))
     mul, add, _, chi = dim.tables
     B = np.eye(d, dtype=complex)
@@ -1096,7 +1058,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in nbrs]
-    _verify_rewrite(graph, vid, B[:, m], new_graph, corrections)
+    _verify_rewrite(graph, vid, B[:, m], new_graph, corrections, nbrs, old)
     post = StabilizerState(new_graph, corrections,
                            np.concatenate((phases[:site], phases[site + 1:])))
     return post, m, corrections, new_graph

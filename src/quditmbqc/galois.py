@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     NonPrimeCharacteristic,
     ReduciblePolynomial,
+    StateTooLarge,
     UnsupportedFormalism,
     WrongCharacteristic,
     ZeroInverse,
@@ -29,6 +30,7 @@ from .errors import (
 
 INTEGER_RING = "integer_ring"
 FINITE_FIELD = "finite_field"
+MAX_AMPS = 10 ** 6    # amplitude budget of dense states and d x d tables
 
 # default irreducible polynomials, coefficients low-to-high
 _DEFAULT_POLY = {
@@ -396,18 +398,23 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
 
     The arguments are checked on every call; the descriptor (and its
     tables) is built once per validated (kind, d, p, m, poly, gr_poly), so
-    equal arguments, defaulted or explicit, give one shared object.
+    equal arguments, defaulted or explicit, give one shared object.  A d or
+    p^m whose d^2 exceeds MAX_AMPS raises StateTooLarge, decided from the
+    arguments before any primality test, factoring or table.
     """
     if kind == INTEGER_RING:
         if d is None or d < 2:
             raise DimensionMismatch("integer-ring dimension must satisfy d >= 2")
+        _check_size(d)
         return _dim_spec(INTEGER_RING, d)
     if kind != FINITE_FIELD:
         raise UnsupportedFormalism(f"unknown kind {kind!r}")
     if p is None or m is None:
         if d is None:
             raise DimensionMismatch("finite field needs (p, m) or d")
+        _check_size(d)
         p, m = _factor_prime_power(d)
+    _check_size(p, m)
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"p = {p} is not prime")
     if m < 1:
@@ -437,6 +444,15 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
                 if _poly_eval(mod2, x, 2) == 0:
                     raise ReduciblePolynomial("gr_poly reducible mod 2")
     return _dim_spec(FINITE_FIELD, dd, p, m, poly_t, gr_t)
+
+
+def _check_size(q: int, m: int = 1):
+    """StateTooLarge when (q^m)^2 exceeds MAX_AMPS, q^m not formed for a
+    large m: every q >= 2 has q^10 > 1000."""
+    if q > 1 and m > 0 and (int(q) ** min(int(m), 10)) ** 2 > MAX_AMPS:
+        size = q if m == 1 else f"{q}^{m}"
+        raise StateTooLarge(f"dimension {size} squared exceeds the "
+                            f"{MAX_AMPS} amplitude budget")
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -94,17 +94,6 @@ def one_qudit_words(dim: DimSpec) -> List[PauliWord]:
     """Every one-qudit word Z^z X^x with phase 0, at index z * d + x."""
     return [PauliWord(dim, 1, (z,), (x,), 0)
             for z in dim.elements for x in dim.elements]
-
-
-def word_table(words: Sequence[PauliWord]) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices z * d + x and exact phase numerators of one-qudit words.
-
-    Given the images of one_qudit_words under a product or a conjugation,
-    the table moves a frame (index i, phase p) to (idx[i], p + phase[i]).
-    """
-    idx = np.array([w.z[0] * w.dim.d + w.x[0] for w in words], dtype=np.intp)
-    phase = np.array([w.phase_num for w in words], dtype=np.int64)
-    return idx, phase
 
 
 def word_power(w: PauliWord, k: int) -> PauliWord:

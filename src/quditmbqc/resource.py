@@ -16,6 +16,7 @@ from .clifford import (
     CliffordCert,
     _additive_basis,
     certify,
+    diagonal_images,
     pauli_order_data,
     shortest_words,
 )
@@ -278,36 +279,25 @@ def light_shift_angle(d: int) -> float:
 
 # --- Clifford factorizations ---------------------------------------------
 
+@_per_spec
 def factor_diagonal_clifford(spec: EntanglingGateSpec
                              ) -> Tuple[np.ndarray, np.ndarray, int]:
     """G_E = (C1 (x) C2) CZ^N up to global phase, for diagonal Clifford G_E.
 
     Returns (C1, C2, N) with C1, C2 diagonal single-qudit Cliffords (read
-    off row and column 0 of theta, and certified on the generators) and N
+    off row and column 0 of theta, and checked by diagonal_images) and N
     a ring/field element weighting the CZ edge: the one N whose
     chi(N j k) is e^{i(theta_jk - theta_j0 - theta_0k + theta_00)} for
     all j, k, which the dense product (C1 (x) C2) CZ^N checks.
     """
-    return _diagonal_factorization(spec)[0]
-
-
-def factor_certs(spec: EntanglingGateSpec
-                 ) -> Tuple[CliffordCert, CliffordCert]:
-    """The certificates of factor_diagonal_clifford's C1 and C2."""
-    return _diagonal_factorization(spec)[1]
-
-
-@_per_spec
-def _diagonal_factorization(spec: EntanglingGateSpec):
     if spec.kind != DIAGONAL:
         raise DimensionMismatch("diagonal gate required")
     th = spec.theta
     C1 = _read_only(np.diag(np.exp(1j * (th[:, 0] - th[0, 0]))))
     C2 = _read_only(np.diag(np.exp(1j * th[0, :])))
-    certs = []
     for site, C in enumerate((C1, C2)):
         try:
-            certs.append(certify(C, spec.dim))
+            diagonal_images(spec.dim, np.diag(C))
         except NotCliffordError as exc:
             label = f"{exc.generator[0]}{site}{exc.generator[2:]}"
             raise NotCliffordError(f"entangling gate is not Clifford at "
@@ -316,7 +306,7 @@ def _diagonal_factorization(spec: EntanglingGateSpec):
     for N in spec.dim.elements:
         cand = np.kron(C1, C2) @ gate_matrix(cz_power(spec.dim, N))
         if np.max(np.abs(normalize_global_phase(cand) - G)) <= PAULI_TOL:
-            return (C1, C2, N), tuple(certs)
+            return C1, C2, N
     raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
 
 

@@ -21,10 +21,9 @@ from .errors import (
     StateTooLarge,
     ZeroProbabilityForced,
 )
-from .galois import DimSpec, complex_to_json, dim_to_json
+from .galois import MAX_AMPS, DimSpec, complex_to_json, dim_to_json
 from .pauli import PAULI_TOL
 
-MAX_AMPS = 10 ** 6
 # fidelity and table gates of the protocols and of graph rewriting
 VERIFY_TOL = 1e-9
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from quditmbqc import engine, sim
-from quditmbqc.clifford import _additive_basis
+from quditmbqc.clifford import _additive_basis, certify
 from quditmbqc.errors import (
     DimensionMismatch,
     FrameMismatch,
@@ -30,11 +30,7 @@ from quditmbqc.errors import (
 from quditmbqc.galois import DimSpec
 from quditmbqc.gates import hadamard
 from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
-from quditmbqc.resource import (
-    factor_certs,
-    factor_diagonal_clifford,
-    gate_matrix,
-)
+from quditmbqc.resource import factor_diagonal_clifford, gate_matrix
 from quditmbqc.sim import StateVector
 
 
@@ -73,7 +69,7 @@ def diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
                        ) -> Optional[Tuple[int, int]]:
     """(c, num) with diag(q) X(x) diag(q)^dag = e^{2 pi i num / phase_den}
     Z(c) X(x), or None when no c fits: one shift at a time, the loop that
-    engine._diagonal_images replaced."""
+    clifford._diagonal_images replaced."""
     den = dim.phase_den
     mul, add, _, chi = dim.tables
     shift = add[x]                                   # j -> j + x
@@ -198,14 +194,24 @@ def bell_basis(dim: DimSpec) -> MeasurementBasis:
 
 # --- graph rewriting on every row ------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _factor_certs(gate) -> tuple:
+    """clifford.certify of factor_diagonal_clifford's C1 and C2, once per
+    gate spec (specs compare by identity)."""
+    return tuple(certify(C, gate.dim)
+                 for C in factor_diagonal_clifford(gate)[:2])
+
+
 class GraphTableau:
     """Stabilizer rows of a diagonal-Clifford graph with its inits left out
     (every vertex in |0_X>), one PauliWord per row over every site.
 
     row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x) with exact phase, D_s
-    the product of site s's certified edge factors C1/C2 (see
-    factor_diagonal_clifford) and N_us the summed weight of its edges to u.
-    rows() lists row(s, y) for every site s and additive basis element y.
+    the product of site s's edge factors C1/C2 (see
+    factor_diagonal_clifford), each certified here by clifford.certify
+    rather than read by the library's diagonal reader, and N_us the summed
+    weight of its edges to u.  rows() lists row(s, y) for every site s and
+    additive basis element y.
     """
 
     def __init__(self, graph: engine.ResourceGraph):
@@ -217,7 +223,7 @@ class GraphTableau:
         for e in graph.edges:
             c, t = site[e.control], site[e.target]
             N = factor_diagonal_clifford(e.gate)[2]
-            for a, b, cert in zip((c, t), (t, c), factor_certs(e.gate)):
+            for a, b, cert in zip((c, t), (t, c), _factor_certs(e.gate)):
                 self.certs[a].append(cert)
                 self.weights[a][b] = dim.add(self.weights[a].get(b, 0), N)
         self._words = {}

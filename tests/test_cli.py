@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,42 @@ def test_malformed_graph_is_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_multi_qudit_frame_is_parse_error(tmp_path, capsys):
+    # a pattern's frame is a one-qudit word: a two-qudit one is refused
+    # when the file is read, before any trajectory runs
+    pattern = {"dim": {"kind": "integer_ring", "d": 3},
+               "intrinsic": gate_to_json(cz_spec(D3)),
+               "steps": [{"phases": [0, 0, 0], "adaptive": True}],
+               "frame": {"phase": [0, 6], "z": [[0], [0]], "x": [[0], [0]]}}
+    path = write_json(tmp_path / "pattern.json", pattern)
+    code = cli.main(["run", "--pattern", path, "--trials", "3"])
+    assert (code, capsys.readouterr().err) == (
+        cli.EXIT_PARSE, "error: frame acts on 2 qudits, the pattern on one\n")
+
+
+@pytest.mark.parametrize("dim", [
+    {"kind": "integer_ring", "d": 10 ** 5},
+    {"kind": "finite_field", "p": 10 ** 18 + 3, "m": 1},
+    {"kind": "finite_field", "p": 2, "m": 10 ** 9}],
+    ids=["ring", "field", "degree"])
+def test_huge_dimension_is_refused_before_allocation(tmp_path, capsys, dim):
+    # d^2 past the 10^6 amplitude budget exits 2 from the arguments alone:
+    # no d x d table, primality test or p^m is formed
+    gate = write_json(tmp_path / "gate.json",
+                      {"kind": "named", "name": "cz", "dim": dim})
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", "--gate", gate])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: dimension ") \
+        and "amplitude budget" in err, err
+    assert peak < 2 ** 20, peak
+
+
 def _usage_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err
@@ -638,10 +675,81 @@ GOLDEN_RUNS = {
               "12d32bbdfa5b07d4b6da260d2dc1ac7c5430c6c17841d61256f86bad3a44fc42"),
 }
 RUN_PATTERNS = Path(__file__).parent / "data" / "run_patterns.json"
+# the same digests for the non-adaptive patterns of each family
+# (tests/data/clifford_patterns.json): its transport pattern and
+# compile_clifford(hadamard(dim), G_I), whose steps move the frame by the
+# step diagonal's images.  The GF4 light shift reaches no Hadamard word,
+# so it has a transport pattern only.
+GOLDEN_CLIFFORD_RUNS = {
+    "GF4-cx-hadamard": (
+        "aa3f821c32ce014cef2baafb18e50fe56de2e336f2febcf3cb0f5ef8195cfa3c",
+        "603c39c18f484fc940b1aafb41359ad0f7f3d35eb038fe5c25382c75090c17e2"),
+    "GF4-cx-transport": (
+        "3f2a8e53fb13fbda0970221ce4efbefc93f44295cc38cbd5fd48d676203aa7b4",
+        "be515e539224129c9125ca0a61c432309fd503a33578a80d923d6f15e8196471"),
+    "GF4-cz-hadamard": (
+        "fc73f44ed5c9bf9ed7480eb302702b9183f543c8ccff79aac24a4e33e7de708f",
+        "739e966bd0b492b6c9eaff0bd2de90a19d2f319cef64d167edeebed637503830"),
+    "GF4-cz-transport": (
+        "f9462ff2e06a542cc12afe3d51bd70929b8b494292b3c804192cf52f1bfc6773",
+        "b8f0e826d3059bdb0721faf63401d9a67ae3accc7d3ed742b4ecfb543f29b7ac"),
+    "GF4-light_shift-transport": (
+        "b4d409476bb227d28a6948e9ce43fe551bdd72fdca8d780ac83bf0a4708f5b53",
+        "ed14cf51c702e30c84e4787cc23b1ebdf3ecfdb305c93e9b2fd093cd483293b6"),
+    "Z2-cx-hadamard": (
+        "2c65184b917d5ebb0d58566f5fd00048c01d02f28445863656b166f2bf3e0732",
+        "2058ae300ceff41733c7ec8e72ed05285f7b8f85714391a652054aa78a23d722"),
+    "Z2-cx-transport": (
+        "fb63e19ee25cbbe24fb17324c7402b907628fc2073c08c3b33c789a1c02a555e",
+        "d09a3a25a072c3998db7e382bde3eb2c8ba91f38fe6de91e76aa61f6556dcb1d"),
+    "Z2-cz-hadamard": (
+        "ef169497db5e86b8a8c6c385922f5be1c28425a8fc9344be0ab8bbf5b54a10fb",
+        "6d33c3e809b5d3a96aecf58b9c15825ebcbb8035ac1b3521e935c95740f1d87a"),
+    "Z2-cz-transport": (
+        "0b7df1b6a4934b76203526ba77ca26a4cdbca693a72b2b0eb23ea5d390cb7d3f",
+        "27647b0712060992643c3c0f15d1c538ae7150275a30045df5eb24a9be24d885"),
+    "Z2-light_shift-hadamard": (
+        "c21b60e0f11e45b2a1f23c3ec0caa3baf37cf7e3a7f82e98cf70921e42a0516f",
+        "fa478b7cd7395ba1df896d1a1e7bd411c4485b6fa53abe9408bb0890adf13805"),
+    "Z2-light_shift-transport": (
+        "18658cca6c6c19ea33e6a6181af8acfcf1a1402f29c77c2c656329dfeb3cd7b9",
+        "b6d85b9056229e2219359f0895bdbe730b25309a029a7cac4f720b2216ce0076"),
+    "Z3-cx-hadamard": (
+        "07e449a548bbbf83eb1419394bd67c5fdc8fcebe5ca72278283b48de82c5998f",
+        "20a4ebdf68e322dc8f78a3e232a4168102cbe900d419cf68155b9fa2ee53bf22"),
+    "Z3-cx-transport": (
+        "d76b373250de4e1111cf9c36c9dbdf0c87de5ea21d7b82c8b40a62b783131161",
+        "d0455c5c320f60a8059f1cca6841136b4696e97927e12bfc8c884e4c4d3dd2e0"),
+    "Z3-cz-hadamard": (
+        "29feac8ce27d81a81dabb01a8571dd808229723238b41db7b519b701f38e0e79",
+        "07b089f483e7e872bb8b396ca1b9cc8854bf1793ddfffd401a9ea0d824bcbf6c"),
+    "Z3-cz-transport": (
+        "5289c3303d81a7c0410879561e6b9afb704b5b033a4ba819c9422eccb263f55e",
+        "587a98dcba0d6254d3c44ab6da772c3c22df6f4cf269b47c136f96e646d7c4f6"),
+    "Z3-light_shift-hadamard": (
+        "e237ed6ba4f58cce68595ecf31a0ce9ef87fd3e9548fb81e7e96bf67206f00cb",
+        "d3e7ff817f6a38a40985b1e9f922c3266483801d24b9dd5487566ee2ab092642"),
+    "Z3-light_shift-transport": (
+        "95a5bb9f8cd8a58bd475a25a472ff8f34577f4824061431627243452f744e7c5",
+        "91364689116525d90f75ae633294e3155178e7b701e1e3abd3d53ee58a6c1333"),
+    "Z5-cx-hadamard": (
+        "cab5730abe64bc58c08ed834f1db1c9bf3cf5506a3743bf38523fff4d1ea1be5",
+        "71773cdaa40dcafa2d2a2e109b17844262e90afa19d58d00dbf077aede13ecaa"),
+    "Z5-cx-transport": (
+        "7231e9be655584ba8a0ed9cfd858b435857411e43628fdc4b4c3042bd483c862",
+        "ddfa60a43075b642d56e19afc2f776e6d21c70dd368d5d063cf687a0cbe7ad93"),
+    "Z5-cz-hadamard": (
+        "d6bd8bb55e3b75356eb9808b90cf247699078ec0eece6d6fb53d966511ffe114",
+        "ff18986f9958211d0fc7211dca23cc22cba6376827d8cad0c36dd50cf2b9ccb0"),
+    "Z5-cz-transport": (
+        "5fca02be28acfd8c41d1f4a9daf874c87e0429083abfe07e5210300024cdfccd",
+        "ac1c4d9f1aeb92cd7cfc528b37eecbae569a811143b0494fb6306c00bf34172e"),
+}
+CLIFFORD_PATTERNS = Path(__file__).parent / "data" / "clifford_patterns.json"
 
 
-def _run_pattern_file(tmp_path, family):
-    pattern = json.loads(RUN_PATTERNS.read_text())[family]
+def _run_pattern_file(tmp_path, family, source=RUN_PATTERNS):
+    pattern = json.loads(source.read_text())[family]
     return write_json(tmp_path / f"{family}.json", pattern)
 
 
@@ -649,6 +757,17 @@ def _run_pattern_file(tmp_path, family):
 def test_run_reports_match_golden_digests(tmp_path, capsys, family):
     path = _run_pattern_file(tmp_path, family)
     for seed, want in zip((7, 4294967290), GOLDEN_RUNS[family]):
+        code, out = run_cli(capsys, ["run", "--pattern", path,
+                                     "--trials", "100", "--seed", str(seed)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, seed
+
+
+@pytest.mark.parametrize("pattern", sorted(GOLDEN_CLIFFORD_RUNS))
+def test_clifford_run_reports_match_golden_digests(tmp_path, capsys,
+                                                   pattern):
+    path = _run_pattern_file(tmp_path, pattern, CLIFFORD_PATTERNS)
+    for seed, want in zip((7, 4294967290), GOLDEN_CLIFFORD_RUNS[pattern]):
         code, out = run_cli(capsys, ["run", "--pattern", path,
                                      "--trials", "100", "--seed", str(seed)])
         assert code == 0

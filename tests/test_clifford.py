@@ -27,11 +27,13 @@ from quditmbqc.pauli import (
     match_pauli,
     matrix_of_pauli,
     single_word,
+    zmat,
 )
 from quditmbqc.clifford import (
     generator_words,
     CliffordCert,
     certify,
+    diagonal_images,
     pauli_order,
     universality_check,
 )
@@ -242,3 +244,49 @@ def test_compose_matches_certify_of_the_dense_product(case):
     # image for image, exact phase included
     assert got.images == want.images
     assert got.class_key() == want.class_key()
+
+
+# --- the diagonal reader ----------------------------------------------------
+
+READER_DIMS = [D2, D3, D5, D4R, D4F, make_dim(FINITE_FIELD, p=2, m=3),
+               make_dim(FINITE_FIELD, p=3, m=2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(READER_DIMS), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_diagonal_images_equal_the_certificate_frame_table(dim, seed,
+                                                           clifford):
+    # on Clifford diagonals (a shear times a Z power, at a global phase)
+    # the reader's images are the certificate's frame table word for word,
+    # index and exact phase: D Z(z) X(x) D^dag = Z(z + c[x]) X(x) at phase
+    # num[x]; on random phase vectors both raise, naming one generator
+    rng = np.random.default_rng(seed)
+    if clifford:
+        q = np.diag(shear_gate(dim, int(rng.integers(dim.d)))
+                    @ zmat(dim, int(rng.integers(dim.d)))) \
+            * np.exp(2j * np.pi * rng.random())
+    else:
+        q = np.exp(2j * np.pi * rng.random(dim.d))
+    try:
+        idx, phase = certify(np.diag(q), dim).frame_table()
+    except NotCliffordError as exc:
+        with pytest.raises(NotCliffordError) as got:
+            diagonal_images(dim, q)
+        assert (got.value.generator, str(got.value)) \
+            == (exc.generator, str(exc))
+        return
+    c, num = diagonal_images(dim, q)
+    assert list(zip(idx.tolist(), phase.tolist())) == [
+        (dim.add(z, c[x]) * dim.d + x, num[x])
+        for z in dim.elements for x in dim.elements]
+
+
+def test_diagonal_images_name_the_generator_they_fail_on():
+    # over GF(4), diag(1, 1, a, a) fixes X(1) but maps X(xi), encoded 2,
+    # to no word: the reader and certify both name X0^2
+    q = np.exp(0.3j * np.array([0, 0, 1, 1]))
+    for read in (diagonal_images, lambda dim, q: certify(np.diag(q), dim)):
+        with pytest.raises(NotCliffordError) as exc:
+            read(D4F, q)
+        assert exc.value.generator == "X0^2"
