@@ -129,8 +129,8 @@ def cmd_analyze(args) -> int:
         note = f"NoRealSolution: {exc}"
         spec = light_shift_spec(spec.dim, float(np.pi))
     kind = expand(spec).kind
+    E = gate_matrix(spec)        # refuses a d^4 past the budget first
     intr = intrinsic_of(spec)
-    E = gate_matrix(spec)
     plus = xplus_state(spec.dim)
     st = StateVector(spec.dim, 2, E @ np.kron(plus, plus))
     max_ent = bool(is_max_entangled(st, [0])) and intr.unitary

@@ -13,11 +13,11 @@ Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges.  Measuring a vertex changes only the
 rows of its neighbours, so a rewrite builds and compares those rows, as
 integer rows on the neighbours' columns: the rows it builds follow the
-vertex's degree, not the graph's size.  It returns a StabilizerState of
-the new graph and its corrections, which builds its rows and a dense
-vector only on request.  Nothing here simulates a whole dense state;
-that oracle lives in the tests.  A failed verification raises
-FrameMismatch rather than returning silently.
+vertex's degree, not the graph's size.  It returns a StabilizerState:
+the new graph, its corrections and the kept init phases, and nothing
+more.  Nothing here builds a posterior's full rows or simulates a whole
+dense state; those views live in the tests' oracle, tests/dense_oracle.py.
+A failed verification raises FrameMismatch rather than returning silently.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     UnsupportedFormalism,
 )
 from .galois import (
-    INTEGER_RING,
     DimSpec,
     dim_from_json,
     dim_to_json,
@@ -378,19 +377,12 @@ def _conjugated(dim: DimSpec, rows, cols: Sequence[int],
 class StabilizerState:
     """The state a rewrite leaves: the graph state of graph (its inits left
     out, every vertex in |0_X>) conjugated through the diagonal corrections,
-    times diag(e^{i phases[s]}) on each site s.
-
-    rows lists its stabilizer rows as PauliWords, row(s, y) of _graph_rows
-    conjugated through the corrections for every site s and additive basis
-    element y, built on first request and kept.  amps builds the
-    normalized dense vector on each request and raises StateTooLarge
-    before allocating when d^n exceeds sim.MAX_AMPS.
-    """
+    times diag(e^{i phases[s]}) on each site s: a graph and local
+    diagonals, as a graph-state simulator keeps them.  Its rows and its
+    dense vector are built by the tests' oracle, not here."""
     graph: ResourceGraph
     corrections: List[Correction]
     phases: np.ndarray               # (n, d) angles
-    _rows: Optional[Tuple[PauliWord, ...]] = field(default=None, init=False,
-                                                   repr=False)
 
     @property
     def dim(self) -> DimSpec:
@@ -399,54 +391,6 @@ class StabilizerState:
     @property
     def n(self) -> int:
         return len(self.graph.vertices)
-
-    @property
-    def rows(self) -> Tuple[PauliWord, ...]:
-        if self._rows is None:
-            dim, n = self.dim, self.n
-            ids = [v.id for v in self.graph.vertices]
-            site = {vid: i for i, vid in enumerate(ids)}
-            rows = _conjugated(
-                dim, _graph_rows(dim, _tableau(self.graph, ids), range(n),
-                                 _additive_basis(dim)),
-                [site[c.vertex] for c in self.corrections], self.corrections)
-            self._rows = tuple(PauliWord(dim, n, tuple(z), tuple(x), num)
-                               for z, x, num in rows)
-        return self._rows
-
-    @property
-    def amps(self) -> np.ndarray:
-        dim, d, n = self.dim, self.dim.d, self.n
-        if d ** n > sim.MAX_AMPS:
-            raise StateTooLarge(f"{d}^{n} amplitudes exceed the budget")
-        mul, _, sub, chi = dim.tables
-        order = d if dim.kind == INTEGER_RING else dim.p
-
-        def axis(s, vec):
-            return vec.reshape(tuple(d if i == s else 1 for i in range(n)))
-
-        def apply(word, T):
-            for s in range(n):
-                if word.x[s]:
-                    T = np.take(T, sub[:, word.x[s]], axis=s)
-            for s in range(n):
-                if word.z[s]:
-                    T = T * axis(s, chi[mul[word.z[s]]])
-            return word.phase * T
-
-        T = np.zeros((d,) * n, dtype=complex)
-        T[(0,) * n] = 1.0
-        for row in self.rows:
-            # project onto the row's eigenspace: sum of its powers
-            cur, acc = T, T
-            for _ in range(order - 1):
-                cur = apply(row, cur)
-                acc = acc + cur
-            T = acc
-        for s in range(n):
-            T = T * axis(s, np.exp(1j * self.phases[s]))
-        amps = T.reshape(-1)
-        return amps / np.linalg.norm(amps)
 
 
 # --- pattern execution ----------------------------------------------------
@@ -524,8 +468,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     phases, moved by index arithmetic through each outcome's Z^{-k}, each
     Clifford step's diagonal_images and the pattern's frame, and by G_I's
     certificate frame table.  Row t's
-    fidelity |<cur_t, total_t P(frame)^dag U psi>| is returned, and
-    FrameMismatch is raised unless every row reaches 1 - VERIFY_TOL.
+    overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
+    P(frame)^dag U psi> is checked: FrameMismatch unless its modulus, the
+    returned fidelity, reaches 1 - VERIFY_TOL and its phase is row 0's,
+    at VERIFY_TOL.
     StateTooLarge is raised before any per-trajectory allocation when the
     T d posterior amplitudes exceed sim.MAX_AMPS.
     """
@@ -619,9 +565,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     for i in set(idx.tolist()):
         ideal[i] = W[i] @ v
         ideal[i] /= np.linalg.norm(ideal[i])
-    fids = np.abs(np.sum(post.conj() * ideal[idx], axis=1))
+    overlap = np.sum(post.conj() * ideal[idx], axis=1)
+    fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
+    # the phase of <post_t, e^{2 pi i phase_t / den} P(frame_t) v>, against
+    # row 0's: a complex init's global phase is the same in every row
+    turn = overlap / fids * np.exp(2j * np.pi / dim.phase_den * phase)
+    turn = np.abs(turn - turn[:1])
+    if not np.all(turn <= VERIFY_TOL):
+        raise FrameMismatch(f"trajectory frame phase is {turn.max():.3e} "
+                            f"off row 0's")
     return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
 
 

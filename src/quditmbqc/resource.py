@@ -29,8 +29,10 @@ from .errors import (
     NotCliffordError,
     NotControlledPauliForm,
     OrderCapExceeded,
+    StateTooLarge,
 )
 from .galois import (
+    MAX_AMPS,
     DimSpec,
     complex_to_json,
     dim_from_json,
@@ -177,8 +179,13 @@ def _per_spec(compute):
 
 @_per_spec
 def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
-    """Dense two-qudit matrix of the entangling gate (control = site 0)."""
+    """Dense two-qudit matrix of the entangling gate (control = site 0);
+    StateTooLarge before anything is allocated when its d^4 entries
+    exceed MAX_AMPS."""
     d = spec.dim.d
+    if d ** 4 > MAX_AMPS:
+        raise StateTooLarge(f"{d}^4 two-qudit gate entries exceed the "
+                            f"{MAX_AMPS} amplitude budget")
     if spec.kind == DIAGONAL:
         return _read_only(np.diag(np.exp(1j * spec.theta.reshape(-1))))
     out = np.zeros((d * d, d * d), dtype=complex)
@@ -466,8 +473,7 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     A = local * chi[mul[sub[0]]]
     Q = A[:, :, None] * A[:, None, :]
     if mode == "entangle":
-        cz = np.diag(gate_matrix(cz_spec(dim))).reshape(d, d)
-        Q = Q * (np.outer(s, s) * cz)
+        Q = Q * (np.outer(s, s) * chi[mul])      # CZ is diag chi(a b)
     c = np.einsum("kab,kab->k", Q.conj(), W) / d ** 2
     deviation = np.max(np.abs(W - c[:, None, None] * Q))
     if not (deviation <= VERIFY_TOL):

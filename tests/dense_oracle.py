@@ -6,8 +6,11 @@ reference those fast paths replaced: product states, gate application
 and projective measurement on whole state vectors, the resource state of
 a graph, the Bell basis, the outcome draw and the diagonal-Clifford
 conjugation in their original forms, and the full-row check of a graph
-rewrite, which builds every graph-form row as a PauliWord.  Site 0 is the
-most significant tensor digit, as in quditmbqc.sim.
+rewrite, which builds every graph-form row as a PauliWord.  A rewrite's
+posterior (engine.StabilizerState) is only its graph and its corrections:
+corrected_rows and corrected_state are its rows and its dense vector, and
+rewrite_basis the basis a rewrite measures in.  Site 0 is the most
+significant tensor digit, as in quditmbqc.sim.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from quditmbqc.errors import (
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import DimSpec
-from quditmbqc.gates import hadamard
+from quditmbqc.gates import hadamard, shear_gate
 from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
 from quditmbqc.resource import factor_diagonal_clifford, gate_matrix
 from quditmbqc.sim import StateVector
@@ -181,6 +184,42 @@ def build(graph: engine.ResourceGraph) -> StateVector:
         state = apply(state, gate_matrix(e.gate),
                       [graph.site_of(e.control), graph.site_of(e.target)])
     return state
+
+
+def corrected_state(graph: engine.ResourceGraph, corrections) -> np.ndarray:
+    """The normalised dense vector of graph, inits included, with each
+    correction applied on its vertex."""
+    state = build(graph)
+    for c in corrections:
+        state = apply(state, c.operator, graph.site_of(c.vertex))
+    return state.normalized().amps
+
+
+def rewrite_basis(graph: engine.ResourceGraph, vid: int, complement: bool
+                  ) -> MeasurementBasis:
+    """The basis a rewrite measures vid in: Z, or for local complementation
+    D W S(N) H, W the product of vid's edge factors, D = diag(sqrt(d)
+    init) for vid's phase-vector init and N its first edge's weight;
+    every column is checked densely to be an eigenvector of every
+    D W X(x) W^dag D^dag Z(N x), x != 0."""
+    dim = graph.dim
+    if not complement:
+        return MeasurementBasis(dim, np.eye(dim.d), "Z")
+    init = engine._init_vector(dim, graph.vertex(vid).init)
+    assert np.allclose(np.abs(init), dim.d ** -0.5)
+    W, N = np.diag(np.sqrt(dim.d) * init), None
+    for e in graph.edges:
+        if vid in (e.control, e.target):
+            C1, C2, w = factor_diagonal_clifford(e.gate)
+            W = W @ (C1 if e.control == vid else C2)
+            N = w if N is None else N
+    B = W @ shear_gate(dim, N) @ hadamard(dim)
+    for x in dim.elements[1:]:
+        M = W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))
+        image = M @ B
+        lam = np.sum(B.conj() * image, axis=0)
+        assert np.max(np.abs(image - lam * B)) <= PAULI_TOL
+    return MeasurementBasis(dim, B, "local-complement")
 
 
 @functools.lru_cache(maxsize=None)

@@ -456,6 +456,24 @@ def test_huge_dimension_is_refused_before_allocation(tmp_path, capsys, dim):
     assert peak < 2 ** 20, peak
 
 
+def test_two_qudit_gate_past_the_budget_is_refused(tmp_path, capsys):
+    # d = 32 passes the d^2 check, but a cz matrix has d^4 > 10^6 entries:
+    # analyze exits 2 before it allocates one
+    gate = write_json(tmp_path / "gate.json", {
+        "kind": "named", "name": "cz",
+        "dim": {"kind": "integer_ring", "d": 32}})
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", "--gate", gate])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: 32^4 two-qudit gate entries"), err
+    assert peak < 2 ** 20, peak
+
+
 def _usage_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err

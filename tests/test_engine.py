@@ -6,6 +6,7 @@ import json
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from quditmbqc.compiler import (
     PatternStep,
     compile_clifford,
     compile_unitary,
+    pattern_from_json,
     transport_pattern,
 )
 from quditmbqc.resource import (
@@ -60,7 +62,6 @@ from quditmbqc.sim import schmidt
 from quditmbqc.engine import (
     GraphEdge,
     ResourceGraph,
-    StabilizerState,
     Vertex,
     chain_graph,
     couple_input,
@@ -110,14 +111,13 @@ def test_build_two_vertex_cz():
 
 
 def _max_row_deviation(graph):
-    """Max |row psi - psi| over the graph's stabilizer rows (a
-    StabilizerState of the graph without corrections), applied densely."""
+    """Max |row psi - psi| over the graph's stabilizer rows
+    (dense_oracle.GraphTableau), applied densely."""
     st = build(graph)
     sites = list(range(st.n))
-    rows = StabilizerState(graph, [], np.zeros((st.n, graph.dim.d))).rows
     return max(np.max(np.abs(apply(st, matrix_of_pauli(w), sites).amps
                              - st.amps))
-               for w in rows)
+               for w in dense_oracle.GraphTableau(graph).rows())
 
 
 @pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])
@@ -319,6 +319,22 @@ def test_batched_non_adaptive_rows_equal_single_trajectories():
     seeds = list(range(10))
     runs = run_trajectories(g, pat, psi, seeds)
     _assert_rows_match_single_runs(g, pat, psi, runs, seeds=seeds)
+
+
+def test_frame_phases_are_checked(monkeypatch):
+    # a Clifford step's images with their phases dropped move each frame's
+    # word as before but not its phase: the rows' overlaps then differ in
+    # phase, which the fidelity's modulus cannot see
+    patterns = Path(__file__).parent / "data" / "clifford_patterns.json"
+    pat = pattern_from_json(json.loads(patterns.read_text())["Z3-cx-hadamard"])
+    g = chain_graph(D3, pat.gate, pat.step_count() + 1)
+    psi = basis_state(D3, 0)
+    run_trajectories(g, pat, psi, range(10))
+    real = engine.diagonal_images
+    monkeypatch.setattr(engine, "diagonal_images",
+                        lambda dim, q: (real(dim, q)[0], [0] * dim.d))
+    with pytest.raises(FrameMismatch, match="frame phase"):
+        run_trajectories(g, pat, psi, range(10))
 
 
 def test_batched_blocks_equal_one_block(monkeypatch):
@@ -727,11 +743,15 @@ def test_vertex_delete_leaf_vertex():
     assert [v.id for v in reduced.vertices] == [1]
 
 
-def _corrected(graph, corrections):
-    state = build(graph)
-    for c in corrections:
-        state = apply(state, c.operator, graph.site_of(c.vertex))
-    return state.amps / np.linalg.norm(state.amps)
+def _assert_dense_posterior(graph, vid, rule, m, post):
+    """The rewrite's posterior, its graph and corrections built densely
+    (dense_oracle.corrected_state), is the state the dense oracle leaves
+    when vid is measured in the rule's basis with outcome m."""
+    basis = dense_oracle.rewrite_basis(graph, vid, rule is local_complement)
+    _, want, _ = measure(build(graph), basis, graph.site_of(vid),
+                         forced_outcome=m)
+    assert abs(np.vdot(want.amps, dense_oracle.corrected_state(
+        post.graph, post.corrections))) > 1 - 1e-9
 
 
 def _star(dim, leaves):
@@ -757,8 +777,7 @@ def test_local_complement_star_every_outcome(leaves):
         assert [c.vertex for c in corrections] == list(range(1, leaves + 1))
         assert all(np.allclose(c.operator, np.diag(np.diag(c.operator)))
                    for c in corrections)
-        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
-            > 1 - 1e-9
+        _assert_dense_posterior(g, 0, local_complement, outcome, post)
     if leaves == 5:
         assert time.perf_counter() - start < 1.0
 
@@ -773,8 +792,7 @@ def test_local_complement_field_chain_every_outcome(p, m):
             g, 1, forced_outcome=outcome)
         assert got == outcome
         assert [{e.control, e.target} for e in new_graph.edges] == [{0, 2}]
-        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
-            > 1 - 1e-9
+        _assert_dense_posterior(g, 1, local_complement, outcome, post)
 
 
 def test_local_complement_replaces_existing_edge():
@@ -795,8 +813,7 @@ def test_local_complement_replaces_existing_edge():
         assert weights == ([D3.add(old, added)] if D3.add(old, added)
                            else [])
         assert all(e.gate is not spec for e in new_graph.edges)
-        assert abs(np.vdot(post.amps, _corrected(new_graph, corrections))) \
-            > 1 - 1e-9
+        _assert_dense_posterior(tri, 1, local_complement, outcome, post)
 
 
 def test_vertex_delete_corrections_are_outcome_z_powers():
@@ -816,8 +833,7 @@ def test_vertex_delete_corrections_are_outcome_z_powers():
         assert {c.vertex for c in corrections} == set(expected)
         for c in corrections:
             assert np.max(np.abs(c.operator - expected[c.vertex])) < 1e-12
-        assert abs(np.vdot(post.amps, _corrected(reduced, corrections))) \
-            > 1 - 1e-9
+        _assert_dense_posterior(g, vid, vertex_delete, m, post)
 
 
 def test_mediator_tables_are_checked_once_per_gate_and_mode():
@@ -829,6 +845,26 @@ def test_mediator_tables_are_checked_once_per_gate_and_mode():
         assert not W.flags.writeable and not Q.flags.writeable
     assert mediator_tables(spec, "entangle")[0] is not \
         mediator_tables(spec, "disconnect")[0]
+
+
+def test_two_qudit_gates_have_a_d4_budget():
+    # over Z_32 a gate's d^4 entries pass the 10^6 budget: the gate matrix
+    # is refused before it is allocated, and so are the rewrites and the
+    # input coupling that read it; the mediator reads CZ's phases off the
+    # ring's tables, so over Z_37 it keeps its d^3 budget and verifies
+    z32, z37 = (make_dim(INTEGER_RING, d=d) for d in (32, 37))
+    g = chain_graph(z32, cz_spec(z32), 3)
+    for call in (lambda: vertex_delete(g, 1, rng=0),
+                 lambda: local_complement(g, 1, rng=0),
+                 lambda: couple_input(basis_state(z32, 0),
+                                      chain_graph(z32, cz_spec(z32), 2))):
+        with pytest.raises(StateTooLarge, match=r"32\^4"):
+            call()
+    with pytest.raises(StateTooLarge, match=r"37\^4"):
+        gate_matrix(cz_spec(z37))
+    psi = random_state(37 ** 2, np.random.default_rng(3))
+    res = mediator_step(cz_spec(z37), psi, "entangle", rng=0)
+    assert res.posterior.amps.shape == (37 ** 2,)
 
 
 def test_mediator_table_check_catches_wrong_local_phases(monkeypatch):

@@ -212,3 +212,43 @@ def test_dense_builders_equal_their_defining_formulas(case):
         CZ = gate_matrix(spec)
         assert np.array_equal(CZ, np.diag(np.exp(1j * theta)))
         assert np.allclose(CZ, np.diag(chi), rtol=0, atol=1e-12)
+
+
+# every supported dimension up to 27: Z2..Z12 and each GF(p^m), m <= 3
+AXIOM_DIMS = [make_dim(INTEGER_RING, d=d) for d in range(2, 13)] + [
+    make_dim(FINITE_FIELD, p=p, m=m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for m in (1, 2, 3) if p ** m <= 27]
+
+
+@st.composite
+def axiom_cases(draw):
+    dim = draw(st.sampled_from(AXIOM_DIMS))
+    element = st.integers(0, dim.d - 1)
+    return dim, draw(element), draw(element), draw(element)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axiom_cases())
+def test_ring_and_field_axioms_over_every_supported_dimension(case):
+    dim, a, b, c = case
+    add, mul, field = dim.add, dim.mul, dim.kind == FINITE_FIELD
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, dim.neg(a)) == 0 and dim.sub(a, b) == add(a, dim.neg(b))
+    # the units: every nonzero element of a field, the a coprime to d in Z_d
+    unit = a != 0 if field else math.gcd(a, dim.d) == 1
+    assert dim.is_invertible(a) == unit
+    if unit:
+        assert mul(a, dim.inv(a)) == 1
+    else:
+        with pytest.raises(ZeroInverse):
+            dim.inv(a)
+    assert cmath.isclose(dim.char_phase(a), cmath.exp(
+        2j * cmath.pi * dim.char_exp(a) / dim.phase_den), abs_tol=1e-12)
+    assert dim.elem_from_coeffs(dim.coeffs_of(a)) == a
+    if field:
+        assert dim.trace(a) in range(dim.p)
+        assert dim.trace(add(a, b)) == (dim.trace(a) + dim.trace(b)) % dim.p
