@@ -1,5 +1,12 @@
 """MBQC execution: resource graphs, adaptive runs, mediators, rewriting.
 
+A resource graph is immutable and validated where it is built (its
+constructor, and so dataclasses.replace, graph_from_json and the lattice
+builders); a changed graph is derived with dataclasses.replace or the
+constructor.  So no call that takes a graph validates it again, and the
+facts derived from a graph (its id index, its adjacency lists and its
+chain) are kept on it and cannot go stale.
+
 Every protocol call is one contraction of its input with a branch table
 and one draw by sim.collapse (through _draw, or on the edge's uniform
 marginals), and its posterior is verified against the predicted action
@@ -12,11 +19,12 @@ the engine certifies nothing), through G_I by its certificate's frame table.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges.  Measuring a vertex changes only the
 rows of its neighbours, so a rewrite builds and compares those rows, as
-integer rows on the neighbours' columns: the rows it builds follow the
-vertex's degree, not the graph's size.  It returns a StabilizerState:
-the new graph, its corrections and the kept init phases, and nothing
-more.  Nothing here builds a posterior's full rows or simulates a whole
-dense state; those views live in the tests' oracle, tests/dense_oracle.py.
+integer rows on the neighbours' columns: the rows it builds, and the
+edges and inits it reads, follow the vertex's degree, not the graph's
+size.  It returns a StabilizerState: the new graph and its corrections,
+and nothing more.  Nothing here builds a posterior's full rows or
+simulates a whole dense state; those views live in the tests' oracle,
+tests/dense_oracle.py.
 A failed verification raises FrameMismatch rather than returning silently.
 """
 
@@ -26,7 +34,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from .resource import (
     VERIFY_TOL,
     EntanglingGateSpec,
     _per_spec,
+    _read_only,
     cz_power,
     cz_spec,
     expand,
@@ -70,6 +79,7 @@ from .resource import (
     intrinsic_of,
     mediator_of,
     mediator_tables,
+    unitary_gate_matrix,
 )
 from . import sim
 from .sim import StateVector
@@ -77,14 +87,22 @@ from .sim import StateVector
 
 # --- resource graphs ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Vertex:
-    """Graph vertex; init is a phase vector, a Z-basis label, or a raw state."""
+    """Graph vertex; init is a phase vector, a Z-basis label, or a raw state.
+    Immutable (an array init is copied read-only) and compared by identity."""
     id: int
     init: Union[np.ndarray, int, None] = None
 
+    def __post_init__(self):
+        if self.init is not None and not isinstance(self.init,
+                                                    (int, np.integer)):
+            init = np.array(self.init)
+            init.flags.writeable = False
+            object.__setattr__(self, "init", init)
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class GraphEdge:
     control: int
     target: int
@@ -92,47 +110,75 @@ class GraphEdge:
     seq: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ResourceGraph:
+    """Vertices and edges, validated where the graph is built: by its
+    constructor, and so by dataclasses.replace, graph_from_json and the
+    lattice builders.  Immutable (tuples of frozen vertices and edges) and
+    compared by identity, so the facts derived from it, such as its id
+    index and adjacency lists, are kept on it (_facts).  A rewrite's
+    output graph is valid by construction and skips the check (_derived)."""
     dim: DimSpec
-    vertices: List[Vertex]
-    edges: List[GraphEdge]
+    vertices: Tuple[Vertex, ...]
+    edges: Tuple[GraphEdge, ...]
+    _facts: Dict[str, object] = field(default_factory=dict, init=False,
+                                      repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        self.validate()
+
+    @classmethod
+    def _derived(cls, dim: DimSpec, vertices: tuple, edges: tuple,
+                 **facts) -> "ResourceGraph":
+        """A graph valid by construction, not validated again, its _facts
+        seeded with facts."""
+        graph = object.__new__(cls)
+        for key, value in (("dim", dim), ("vertices", vertices),
+                           ("edges", edges), ("_facts", facts)):
+            object.__setattr__(graph, key, value)
+        return graph
 
     def site_of(self, vid: int) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.id == vid:
-                return i
-        raise SiteOutOfRange(f"vertex {vid} not in graph")
+        site = self._facts.get("site")
+        if site is None:
+            site = self._facts["site"] = {v.id: i for i, v in
+                                          enumerate(self.vertices)}
+        try:
+            return site[vid]
+        except KeyError:
+            raise SiteOutOfRange(f"vertex {vid} not in graph") from None
 
     def vertex(self, vid: int) -> Vertex:
         return self.vertices[self.site_of(vid)]
 
     def neighbors(self, vid: int) -> List[int]:
-        out = []
-        for e in self.edges:
-            if e.control == vid:
-                out.append(e.target)
-            elif e.target == vid:
-                out.append(e.control)
-        return sorted(set(out))
+        return sorted({e.target if e.control == vid else e.control
+                       for e in _adjacency(self).get(vid, ())})
 
     def validate(self):
-        ids = {v.id for v in self.vertices}
-        if len(ids) != len(self.vertices):
+        """DimensionMismatch or SiteOutOfRange for duplicate ids or seqs,
+        an edge that is a self-loop, leaves the vertex list or is over
+        another dimension, or an init that is a label out of range, of
+        another length than d, or real with a NaN or infinite entry."""
+        site = {v.id: i for i, v in enumerate(self.vertices)}
+        if len(site) != len(self.vertices):
             raise DimensionMismatch("duplicate vertex ids")
-        seqs = [e.seq for e in self.edges]
-        if len(set(seqs)) != len(seqs):
+        seqs = {e.seq for e in self.edges}
+        if len(seqs) != len(self.edges):
             raise DimensionMismatch("edge seq indices must be a total order")
+        dim = self.dim
         for e in self.edges:
-            if e.control not in ids or e.target not in ids:
+            if e.control not in site or e.target not in site:
                 raise SiteOutOfRange("edge endpoint not in vertex list")
             if e.control == e.target:
                 raise SiteOutOfRange("self-loop edge")
-            if e.gate.dim != self.dim:
+            if e.gate.dim is not dim and e.gate.dim != dim:
                 raise DimensionMismatch(
                     f"edge {e.control}-{e.target} gate is over "
-                    f"{e.gate.dim.label()}, the graph over {self.dim.label()}")
-        d = self.dim.d
+                    f"{e.gate.dim.label()}, the graph over {dim.label()}")
+        d = dim.d
         for v in self.vertices:
             if isinstance(v.init, (int, np.integer)):
                 if not 0 <= v.init < d:
@@ -146,6 +192,32 @@ class ResourceGraph:
                 if not (np.iscomplexobj(arr) or np.all(np.isfinite(arr))):
                     raise DimensionMismatch("vertex init has a NaN or "
                                             "infinite entry")
+        self._facts["site"] = site
+
+
+def _adjacency(graph: ResourceGraph) -> Dict[int, tuple]:
+    """Vertex id -> the edges at it, in graph order; built once per graph
+    (a rewrite seeds its output's)."""
+    adj = graph._facts.get("adjacency")
+    if adj is None:
+        lists = {v.id: [] for v in graph.vertices}
+        for e in graph.edges:
+            lists[e.control].append(e)
+            lists[e.target].append(e)
+        adj = graph._facts["adjacency"] = {vid: tuple(es) for vid, es
+                                           in lists.items()}
+    return adj
+
+
+def _edge_index(graph: ResourceGraph) -> Tuple[Dict[GraphEdge, int], list]:
+    """Each edge's position in graph.edges, and the edge seqs from the top
+    down; built once per graph."""
+    index = graph._facts.get("edge index")
+    if index is None:
+        index = graph._facts["edge index"] = (
+            {e: i for i, e in enumerate(graph.edges)},
+            sorted((e.seq for e in graph.edges), reverse=True))
+    return index
 
 
 def _init_vector(dim: DimSpec, init) -> np.ndarray:
@@ -178,32 +250,53 @@ def chain_graph(dim: DimSpec, gate: EntanglingGateSpec, length: int,
 
 # --- graph-form stabilizer tableaux ---------------------------------------
 
-def _init_phases(graph: ResourceGraph) -> np.ndarray:
-    """(n, d) angles with vertex s's init diag(e^{i phases[s]})|0_X>.
+def _vertex_phases(dim: DimSpec, v: Vertex) -> np.ndarray:
+    """(d,) angles with v's init diag(e^{i phases})|0_X>.
 
-    ResourceGraph.validate has checked every init.  None and real inits
-    are phase vectors by construction and are read as they are; a complex
-    init must be one (_phase_diagonal).  A Z-basis label or a complex init
-    that is not a phase vector raises UnsupportedFormalism naming the
-    vertex.
+    ResourceGraph.validate has checked the init.  None and real inits are
+    phase vectors by construction and are read as they are; a complex init
+    must be one (_phase_diagonal).  A Z-basis label or a complex init that
+    is not a phase vector raises UnsupportedFormalism naming the vertex.
     """
-    dim = graph.dim
-    phases = np.zeros((len(graph.vertices), dim.d))
+    if isinstance(v.init, (int, np.integer)):
+        raise UnsupportedFormalism(f"vertex {v.id} init {v.init} is a "
+                                   f"Z-basis label, not a phase vector")
+    if v.init is None:
+        return np.zeros(dim.d)
+    if not np.iscomplexobj(v.init):
+        return np.asarray(v.init, dtype=float)
+    q = _phase_diagonal(dim, _init_vector(dim, v.init))
+    if q is None:
+        raise UnsupportedFormalism(f"vertex {v.id} init is not a phase "
+                                   f"vector")
+    return np.angle(q)
+
+
+def _init_phases(graph: ResourceGraph) -> np.ndarray:
+    """(n, d) angles, row s vertex s's _vertex_phases."""
+    phases = np.zeros((len(graph.vertices), graph.dim.d))
     for i, v in enumerate(graph.vertices):
-        if isinstance(v.init, (int, np.integer)):
-            raise UnsupportedFormalism(f"vertex {v.id} init {v.init} is a "
-                                       f"Z-basis label, not a phase vector")
-        if v.init is None:
-            continue
-        if not np.iscomplexobj(v.init):
-            phases[i] = v.init
-            continue
-        q = _phase_diagonal(dim, _init_vector(dim, v.init))
-        if q is None:
-            raise UnsupportedFormalism(f"vertex {v.id} init is not a phase "
-                                       f"vector")
-        phases[i] = np.angle(q)
+        phases[i] = _vertex_phases(graph.dim, v)
     return phases
+
+
+def _require_tableau(graph: ResourceGraph, star: Sequence[GraphEdge]):
+    """Raise unless the graph has graph-form rows: UnsupportedFormalism
+    for the first init that is not a phase vector (_vertex_phases, read
+    for label and complex inits only), then as factor_diagonal_clifford
+    (DimensionMismatch or NotCliffordError) for the first edge that is not
+    a diagonal Clifford, the star's edges first.  Checked once per graph;
+    a rewrite's output, which only loses vertices and gains CZ powers,
+    inherits the check."""
+    if "tableau" in graph._facts:
+        return
+    for v in graph.vertices:
+        if isinstance(v.init, (int, np.integer)) or np.iscomplexobj(v.init):
+            _vertex_phases(graph.dim, v)
+    # a gate fails or passes wherever its edges are, so each is read once
+    for gate in dict.fromkeys(e.gate for e in (*star, *graph.edges)):
+        factor_diagonal_clifford(gate)
+    graph._facts["tableau"] = True
 
 
 def _forced(forced, count: int, size: int) -> List[int]:
@@ -287,16 +380,17 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int]
     (weights, z, num), weights[i][j] the summed weight of the edges between
     ids[i] and ids[j] and z[i], num[i] the _vertex_table of the edge
     factors ids[i] keeps (C1 as control, C2 as target; see
-    factor_diagonal_clifford).  Only the edges at ids are read."""
+    factor_diagonal_clifford).  Only the edges at ids are read, through
+    the graph's adjacency lists."""
     dim = graph.dim
     add = _int_tables(dim)[1]
+    adj = _adjacency(graph)
     local = {vid: i for i, vid in enumerate(ids)}
     weights = [[0] * len(ids) for _ in ids]
     images: List[list] = [[] for _ in ids]
-    for e in graph.edges:
+    # an edge between two of ids is listed at both
+    for e in dict.fromkeys(e for vid in ids for e in adj[vid]):
         ends = local.get(e.control), local.get(e.target)
-        if ends == (None, None):
-            continue
         N = factor_diagonal_clifford(e.gate)[2]
         for a, b, image in zip(ends, ends[::-1], _factor_images(e.gate)):
             if a is not None:
@@ -377,12 +471,18 @@ def _conjugated(dim: DimSpec, rows, cols: Sequence[int],
 class StabilizerState:
     """The state a rewrite leaves: the graph state of graph (its inits left
     out, every vertex in |0_X>) conjugated through the diagonal corrections,
-    times diag(e^{i phases[s]}) on each site s: a graph and local
-    diagonals, as a graph-state simulator keeps them.  Its rows and its
-    dense vector are built by the tests' oracle, not here."""
+    times diag(e^{i phases[s]}) on each site s, the phases of the graph's
+    own inits: a graph and local diagonals, as a graph-state simulator
+    keeps them.  Its rows and its dense vector are built by the tests'
+    oracle, not here."""
     graph: ResourceGraph
     corrections: List[Correction]
-    phases: np.ndarray               # (n, d) angles
+
+    @property
+    def phases(self) -> np.ndarray:
+        """(n, d) angles of the kept inits (_init_phases), built on
+        request."""
+        return _init_phases(self.graph)
 
     @property
     def dim(self) -> DimSpec:
@@ -402,9 +502,13 @@ class PauliFrame:
     history: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _chain_order(graph: ResourceGraph) -> List[int]:
-    """Vertex ids along a path graph, following edge seq order;
-    DimensionMismatch unless it is a nonempty chain, no vertex met twice."""
+def _chain(graph: ResourceGraph) -> Tuple[tuple, tuple]:
+    """Vertex ids along a path graph and its edges, both in edge seq order;
+    DimensionMismatch unless it is a nonempty chain, no vertex met twice.
+    Kept on the graph."""
+    chain = graph._facts.get("chain")
+    if chain is not None:
+        return chain
     if not graph.vertices:
         raise DimensionMismatch("graph has no vertices")
     edges = sorted(graph.edges, key=lambda e: e.seq)
@@ -413,7 +517,8 @@ def _chain_order(graph: ResourceGraph) -> List[int]:
         if e.control != order[-1] or e.target in order:
             raise DimensionMismatch("graph is not a forward chain")
         order.append(e.target)
-    return order
+    chain = graph._facts["chain"] = (tuple(order), tuple(edges))
+    return chain
 
 
 @dataclass
@@ -475,13 +580,12 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     StateTooLarge is raised before any per-trajectory allocation when the
     T d posterior amplitudes exceed sim.MAX_AMPS.
     """
-    graph.validate()
     dim = pattern.dim
     if graph.dim != dim:
         raise DimensionMismatch(f"graph is over {graph.dim.label()}, the "
                                 f"pattern over {dim.label()}")
     d = dim.d
-    order = _chain_order(graph)
+    order, edges = _chain(graph)
     steps = pattern.steps
     S = len(steps)
     if len(order) < S + 1:
@@ -497,11 +601,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                           dtype=np.intp).reshape(T, S)
     else:
         seeds = list(seeds)
-    edges = sorted(graph.edges, key=lambda e: e.seq)
     plan = []
     for i, step in enumerate(steps):
-        E = gate_matrix(edges[i].gate)
-        sim.require_unitary(E, "operator fails the unitarity check")
+        E = unitary_gate_matrix(edges[i].gate)
         # D_{-psi} H is unitary for every finite real psi, as H is
         if not np.all(np.isfinite(step.phases)):
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
@@ -605,13 +707,12 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     raises as IntrinsicGate.certificate does, and a D_head that is not
     Clifford raises NotCliffordError naming the X generator it fails on.
     """
-    graph.validate()
     dim = graph.dim
     d = dim.d
     if len(graph.vertices) != 2:
         raise DimensionMismatch(
             "dense coupling verification needs a two-vertex chain")
-    order = _chain_order(graph)
+    order = _chain(graph)[0]
     if len(order) != 2:
         raise DimensionMismatch("input coupling needs the chain's edge")
     head = graph.vertex(order[0])
@@ -621,8 +722,7 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
     tail = _init_vector(dim, graph.vertex(order[1]).init)
-    E = gate_matrix(graph.edges[0].gate)
-    sim.require_unitary(E, "operator fails the unitarity check")
+    E = unitary_gate_matrix(graph.edges[0].gate)
     chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
     psi = sim.unit_vector(psi, d, "input state")
     W = _zx_stack(dim)
@@ -769,6 +869,12 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
 
 # --- mediator qudits ------------------------------------------------------
 
+@_per_spec
+def _mediator_angles(spec: EntanglingGateSpec) -> np.ndarray:
+    """The angles of mediator_of's local diagonal, shared read-only."""
+    return _read_only(np.angle(mediator_of(spec)[2]), float)
+
+
 @dataclass
 class MediatorResult:
     posterior: StateVector
@@ -787,12 +893,14 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     onto a mediator prepared in C^{-1}|0_X> (C mapping the controlled
     Pauli P to Z^l).  Measuring the mediator in {G_C|k_X>} restores the
     product state; {G_C S^{-1}|k_X>} applies (S x S) CZ.  Both leave a
-    Z^{-k} x Z^{-k} frame plus known local diagonal phases.
+    Z^{-k} x Z^{-k} frame plus known local diagonal phases, whose angles
+    are kept once per spec and returned read-only (local_phases).
 
     The outcome is drawn from the branches W[k] * psi of the gate's
     mediator_tables (checked once against the predicted action Q) by
-    _draw, and the posterior is checked against Q[k] * psi.  StateTooLarge before any table is built when d^3
-    exceeds sim.MAX_AMPS.
+    _draw, and the posterior is checked against Q[k] * psi.
+    StateTooLarge before any table is built when d^3 exceeds
+    sim.MAX_AMPS.
     """
     if mode not in ("disconnect", "entangle"):
         raise DimensionMismatch(f"unknown mediator mode {mode!r}")
@@ -810,7 +918,7 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     frame = PauliWord(dim, 2, [dim.neg(k), dim.neg(k)], [0, 0], 0)
     return MediatorResult(StateVector(dim, 2, post),
                           PauliFrame(frame, [(0, k)]),
-                          np.angle(mediator_of(spec)[2]), k, mode)
+                          _mediator_angles(spec), k, mode)
 
 
 # --- graph rewriting ------------------------------------------------------
@@ -942,26 +1050,32 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     u.  An outcome whose g is not of that form (which includes |g| != 1
     anywhere) raises FrameMismatch.
 
-    Every init is a phase vector (see _init_phases, which raises
+    Every init is a phase vector (see _require_tableau, which raises
     UnsupportedFormalism before anything is allocated otherwise), a
     diagonal on |0_X> that commutes with every edge, correction and
     measurement but v's own.  So the outcome is drawn from v's reduced
     state on the rows, and _verify_rewrite checks the rewrite on the rows
     of v's neighbourhood, or raises FrameMismatch.  The posterior is a
-    StabilizerState of the new graph, the corrections and the other
-    vertices' init phases.  An edge anywhere that is not a diagonal
+    StabilizerState of the new graph and the corrections; the other
+    vertices keep their inits.  An edge anywhere that is not a diagonal
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
     or NotCliffordError).
+
+    Only N[v] is read: its edges through the adjacency lists, and no init
+    phases at all.  The new graph is valid by construction and is not
+    validated again; its vertex and edge tuples are the old ones with v,
+    v's edges and the replaced pair edges cut out (by _edge_index) and the
+    new edges appended, and its adjacency lists are the old ones with
+    N(v)'s updated.
     """
     dim = graph.dim
     d = dim.d
     site = graph.site_of(vid)
-    star, edges = [], []
-    for e in graph.edges:
-        (star if vid in (e.control, e.target) else edges).append(e)
+    adj = _adjacency(graph)
+    star = adj[vid]
     if complement and not star:
         raise DimensionMismatch(f"vertex {vid} has no edges to complement")
-    phases = _init_phases(graph)
+    _require_tableau(graph, star)
     W = np.eye(d, dtype=complex)
     kept = {}
     for e in star:
@@ -970,8 +1084,6 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         u = e.target if own else e.control
         W = W @ (C1 if own else C2)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ (C2 if own else C1)
-    for e in edges:
-        factor_diagonal_clifford(e.gate)   # raises wherever the edge is
     nbrs = sorted(kept)
     weights, vz, vnum = old = _tableau(graph, [vid] + nbrs)
     weight = dict(zip(nbrs, weights[0][1:]))
@@ -991,31 +1103,43 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
     if delta is None:
         raise FrameMismatch(f"outcome {m} phases are not quadratic")
-    next_seq = max((e.seq for e in edges), default=-1) + 1
-    # the edges between neighbors, the only ones a new edge can replace
-    between = [e for e in edges if e.control in weight and e.target in weight]
+    positions, seqs_down = _edge_index(graph)
+    # one past the top seq that v's edges leave
+    cut = {e.seq for e in star}
+    next_seq = next((s for s in seqs_down if s not in cut), -1) + 1
+    removed, added = set(star), []
     for u, w in itertools.combinations(nbrs, 2):
         new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
         if new_w == 0:
             continue
-        for e in [e for e in between if {e.control, e.target} == {u, w}]:
+        # the edges between u and w, the only ones the new edge replaces
+        for e in [e for e in adj[u] if w in (e.control, e.target)]:
             C1, C2, N = factor_diagonal_clifford(e.gate)
             kept[e.control] = kept[e.control] @ C1
             kept[e.target] = kept[e.target] @ C2
             new_w = dim.add(new_w, N)
-            edges.remove(e)
+            removed.add(e)
         if new_w != 0:
-            edges.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
+            added.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
             next_seq += 1
-    new_graph = ResourceGraph(
-        dim, [v for v in graph.vertices if v.id != vid], edges)
+    pieces, lo = [], 0
+    for i in sorted(positions[e] for e in removed):
+        pieces.append(graph.edges[lo:i])
+        lo = i + 1
+    edges = tuple(itertools.chain(*pieces, graph.edges[lo:], added))
+    new_adj = dict(adj)
+    del new_adj[vid]
+    for u in nbrs:
+        new_adj[u] = tuple(e for e in itertools.chain(adj[u], added)
+                           if e not in removed and u in (e.control, e.target))
+    new_graph = ResourceGraph._derived(
+        dim, graph.vertices[:site] + graph.vertices[site + 1:], edges,
+        adjacency=new_adj, tableau=True)
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in nbrs]
     _verify_rewrite(graph, vid, B[:, m], new_graph, corrections, nbrs, old)
-    post = StabilizerState(new_graph, corrections,
-                           np.concatenate((phases[:site], phases[site + 1:])))
-    return post, m, corrections, new_graph
+    return StabilizerState(new_graph, corrections), m, corrections, new_graph
 
 
 def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
@@ -1032,7 +1156,6 @@ def vertex_delete(graph: ResourceGraph, vid: int, rng=None,
     be the posterior.  Every init must be a phase vector and every edge a
     diagonal Clifford (see _measure_and_rewrite for the errors).
     """
-    graph.validate()
     return _measure_and_rewrite(graph, vid, False, rng, forced_outcome)
 
 
@@ -1054,7 +1177,6 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     the inits and edges it rejects).  The posterior is a StabilizerState.
     A vertex without edges raises DimensionMismatch.
     """
-    graph.validate()
     return _measure_and_rewrite(graph, vid, True, rng, forced_outcome)
 
 
@@ -1068,7 +1190,7 @@ def diagonal_lattice(dim: DimSpec, rows: int, cols: int,
     def vid(r, c):
         return r * cols + c
 
-    vertices = [Vertex(vid(r, c), np.array(phases, dtype=float))
+    vertices = [Vertex(vid(r, c), phases)
                 for r in range(rows) for c in range(cols)]
     edges = []
     seq = 0
@@ -1092,7 +1214,7 @@ def mediated_lattice(dim: DimSpec, rows: int, cols: int,
     def vid(r, c):
         return r * cols + c
 
-    vertices = [Vertex(vid(r, c), np.array(phases, dtype=float))
+    vertices = [Vertex(vid(r, c), phases)
                 for r in range(rows) for c in range(cols)]
     edges = []
     seq = 0
@@ -1146,8 +1268,10 @@ def graph_from_json(obj: dict) -> ResourceGraph:
         init = v.get("init")
         if isinstance(init, dict):
             init = json_check(init, dict, "init")
-            init = json_array(init["re"], (d,), "init re") \
-                + 1j * json_array(init["im"], (d,), "init im")
+            # stacked, not re + 1j im, which loses the sign of a zero part
+            init = np.stack((json_array(init["re"], (d,), "init re"),
+                             json_array(init["im"], (d,), "init im")),
+                            axis=-1).view(complex)[:, 0]
         elif isinstance(init, list):
             init = json_array(init, (d,), "init")
         elif init is not None:

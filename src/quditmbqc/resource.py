@@ -194,6 +194,15 @@ def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
     return _read_only(out)
 
 
+@_per_spec
+def unitary_gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
+    """gate_matrix, checked to be unitary at VERIFY_TOL once per spec;
+    NonUnitary on every call for a gate that fails, as nothing is kept."""
+    E = gate_matrix(spec)
+    require_unitary(E, "operator fails the unitarity check")
+    return E
+
+
 def resource_init(spec: EntanglingGateSpec) -> np.ndarray:
     """Single-qudit initialization vector D_phi |0_X>."""
     spec = expand(spec)

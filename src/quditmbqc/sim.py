@@ -169,8 +169,12 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     Generator.choice, so a generator's random() draws give the outcomes
     its choice() would.  Returns (outcomes, posteriors, probabilities of
     the outcomes).  A row whose total weight is not finite and positive
-    raises DimensionMismatch.
+    raises DimensionMismatch.  A single row (every protocol and rewrite
+    draw) takes _collapse_row, which gives the same result bit for bit.
     """
+    if len(branch) == 1 and np.shape(uniforms if forced is None
+                                     else forced) == (1,):
+        return _collapse_row(branch[0], uniforms, forced)
     weight = (np.abs(branch) ** 2).sum(axis=2)
     total = weight.sum(axis=1, keepdims=True)
     if not ((total > 0) & np.isfinite(total)).all():
@@ -191,6 +195,30 @@ def collapse(branch: np.ndarray, uniforms, forced=None
                 f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
     post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]
     return k, post, probs[rows, k]
+
+
+def _collapse_row(branch: np.ndarray, uniforms, forced
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """collapse of the one row branch (D, R): the same reductions on 1-D
+    arrays, without the batch's row indexing."""
+    weight = (np.abs(branch) ** 2).sum(axis=1)
+    total = weight.sum()
+    if not (total > 0 and np.isfinite(total)):
+        raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
+    probs = weight / total
+    if forced is None:
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        k = np.count_nonzero(cdf <= uniforms[0])
+    else:
+        k = np.asarray(forced, dtype=np.intp)[0]
+        if k < 0 or k >= len(branch):
+            raise SiteOutOfRange("forced outcome out of range")
+        if probs[k] < VERIFY_TOL:
+            raise ZeroProbabilityForced(
+                f"outcome {k} has probability {probs[k]:.3e}")
+    return (np.full(1, k, dtype=np.intp),
+            (branch[k] / np.sqrt(weight[k]))[None], probs[k:k + 1])
 
 
 def _check_sites(state: StateVector, sites: Sequence[int]):

@@ -9,14 +9,15 @@ conjugation in their original forms, and the full-row check of a graph
 rewrite, which builds every graph-form row as a PauliWord.  A rewrite's
 posterior (engine.StabilizerState) is only its graph and its corrections:
 corrected_rows and corrected_state are its rows and its dense vector, and
-rewrite_basis the basis a rewrite measures in.  Site 0 is the most
+rewrite_basis the basis a rewrite measures in.  Graphs are immutable, so
+with_init derives one with an init changed.  Site 0 is the most
 significant tensor digit, as in quditmbqc.sim.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -172,6 +173,14 @@ def measure(state: StateVector, basis: MeasurementBasis,
         k, post, p = sim.collapse(branch[None], None, [forced_outcome])
     return (int(k[0]), StateVector(state.dim, state.n - len(sites), post[0]),
             float(p[0]))
+
+
+def with_init(graph: engine.ResourceGraph, vid: int, init
+              ) -> engine.ResourceGraph:
+    """graph with vertex vid's init replaced: a graph is immutable, so a
+    changed one is derived, and validated as it is built."""
+    return replace(graph, vertices=[replace(v, init=init) if v.id == vid
+                                    else v for v in graph.vertices])
 
 
 def build(graph: engine.ResourceGraph) -> StateVector:

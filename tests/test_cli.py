@@ -570,16 +570,19 @@ Z4 = make_dim(INTEGER_RING, d=4)
 
 
 def _chain_with_first_edge(dim, first, length):
-    graph = chain_graph(dim, cz_spec(dim), length)
-    graph.edges[0].gate = cz_spec(first)
+    """The JSON of a chain over dim whose first edge is a cz over first: a
+    graph file that no ResourceGraph can hold, as the constructor refuses
+    it."""
+    graph = graph_to_json(chain_graph(dim, cz_spec(dim), length))
+    graph["edges"][0]["gate"] = gate_to_json(cz_spec(first))
     return graph
 
 
 @pytest.mark.parametrize("graph, error", [
-    (chain_graph(Z4, cz_spec(Z4), 9), "graph is over Z_4, the pattern over "
-                                      "GF(2^2)"),
-    (chain_graph(D3, cz_spec(D3), 9), "graph is over Z_3, the pattern over "
-                                      "GF(2^2)"),
+    (graph_to_json(chain_graph(Z4, cz_spec(Z4), 9)),
+     "graph is over Z_4, the pattern over GF(2^2)"),
+    (graph_to_json(chain_graph(D3, cz_spec(D3), 9)),
+     "graph is over Z_3, the pattern over GF(2^2)"),
     (_chain_with_first_edge(F4, Z4, 9), "edge 0-1 gate is over Z_4, the "
                                         "graph over GF(2^2)"),
 ], ids=["Z4-chain", "Z3-chain", "Z4-edge"])
@@ -588,7 +591,7 @@ def test_run_on_a_graph_of_another_dimension(tmp_path, capsys, graph, error):
     # is wrong
     pattern = _run_pattern_file(tmp_path, "GF4-cz")
     assert len(json.loads(Path(pattern).read_text())["steps"]) < 9
-    path = write_json(tmp_path / "graph.json", graph_to_json(graph))
+    path = write_json(tmp_path / "graph.json", graph)
     code = cli.main(["run", "--pattern", pattern, "--graph", path])
     assert (code, capsys.readouterr().err) \
         == (cli.EXIT_PARSE, f"error: {error}\n")
@@ -616,6 +619,118 @@ def test_run_refuses_a_graph_that_is_not_a_chain(tmp_path, capsys, vertices,
     code = cli.main(["run", "--pattern", pattern, "--graph", path])
     assert (code, capsys.readouterr().err) \
         == (cli.EXIT_PARSE, f"error: {error}\n")
+
+
+def _malformed_graphs():
+    """(case, graph JSON, message) for bad run --graph files: each
+    mutation of a valid five-vertex Z3 chain applied at every vertex or
+    edge it can reach, with the message its refusal must carry."""
+    base = graph_to_json(chain_graph(D3, cz_spec(D3), 5))
+    vertices, edges = len(base["vertices"]), len(base["edges"])
+
+    def edited(path, value=_DELETE):
+        obj = json.loads(json.dumps(base))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return obj
+
+    for i in range(1, vertices):
+        yield (f"duplicate-id-{i}", edited(["vertices", i, "id"], i - 1),
+               "duplicate vertex ids")
+    others = [make_dim(INTEGER_RING, d=2), make_dim(INTEGER_RING, d=4),
+              make_dim(FINITE_FIELD, p=2, m=2)]
+    for j, e in enumerate(base["edges"]):
+        for end in ("c", "t"):
+            yield (f"dangling-{end}-{j}", edited(["edges", j, end], 99),
+                   "edge endpoint not in vertex list")
+        yield (f"self-loop-{j}", edited(["edges", j, "t"], e["c"]),
+               "self-loop edge")
+        yield (f"repeated-seq-{j}",
+               edited(["edges", j, "seq"], base["edges"][j - 1]["seq"]),
+               "edge seq indices must be a total order")
+        for other in others:
+            yield (f"gate-over-{other.label()}-{j}",
+                   edited(["edges", j, "gate"], gate_to_json(cz_spec(other))),
+                   f"edge {e['c']}-{e['t']} gate is over {other.label()}, "
+                   f"the graph over Z_3")
+        for key in ("c", "t", "gate", "seq"):
+            yield (f"edge-{j}-without-{key}", edited(["edges", j, key]),
+                   f"missing key {key!r} in edge")
+        for key, value in (("c", "0"), ("t", 1.0), ("seq", True)):
+            yield (f"edge-{j}-{key}-{value!r}",
+                   edited(["edges", j, key], value),
+                   f"edge {key} must be an integer")
+        yield (f"edge-{j}-gate-not-object", edited(["edges", j, "gate"], 3),
+               "gate must be a JSON object")
+        yield f"edge-{j}-not-object", edited(["edges", j], []), \
+            "edge must be a JSON object"
+    for i in range(vertices):
+        for length in (2, 4):
+            yield (f"init-length-{length}-{i}",
+                   edited(["vertices", i, "init"], [0.0] * length),
+                   f"init must have shape (3), got ({length})")
+            yield (f"complex-init-length-{length}-{i}",
+                   edited(["vertices", i, "init"],
+                          {"re": [0.0] * 3, "im": [0.0] * length}),
+                   f"init im must have shape (3), got ({length})")
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            yield (f"init-{bad}-{i}",
+                   edited(["vertices", i, "init"], [0.0, bad, 0.0]),
+                   "init has a NaN or infinite entry")
+            yield (f"complex-init-{bad}-{i}",
+                   edited(["vertices", i, "init"],
+                          {"re": [bad, 0.0, 0.0], "im": [0.0] * 3}),
+                   "init re has a NaN or infinite entry")
+        for label in (3, -1, 9):
+            yield (f"label-{label}-{i}", edited(["vertices", i, "init"], label),
+                   f"vertex init {label} is not a label in 0..2")
+        for value in (1.5, "1", True):
+            yield (f"init-{value!r}-{i}", edited(["vertices", i, "init"], value),
+                   "vertex init must be an integer")
+        yield (f"init-not-numeric-{i}",
+               edited(["vertices", i, "init"], ["a", 0.0, 0.0]),
+               "init is not a numeric array")
+        yield (f"complex-init-without-im-{i}",
+               edited(["vertices", i, "init"], {"re": [0.0] * 3}),
+               "missing key 'im' in init")
+        yield (f"vertex-{i}-without-id", edited(["vertices", i, "id"]),
+               "missing key 'id' in vertex")
+        yield (f"vertex-{i}-id-string", edited(["vertices", i, "id"], "0"),
+               "vertex id must be an integer")
+        yield f"vertex-{i}-not-object", edited(["vertices", i], 7), \
+            "vertex must be a JSON object"
+    for key in ("dim", "vertices", "edges"):
+        yield (f"graph-without-{key}", edited([key]),
+               f"missing key {key!r} in graph")
+    for key, kind in (("dim", "object"), ("vertices", "array"),
+                      ("edges", "array")):
+        yield (f"{key}-not-{kind}", edited([key], "x"),
+               f"{key} must be a JSON {kind}")
+    for value in ([], "graph", 3, None):
+        yield f"graph-{value!r}", value, "graph must be a JSON object"
+
+
+_MALFORMED_GRAPHS = list(_malformed_graphs())
+
+
+@pytest.mark.parametrize("graph, message",
+                         [case[1:] for case in _MALFORMED_GRAPHS],
+                         ids=[case[0] for case in _MALFORMED_GRAPHS])
+def test_malformed_graph_file_exits_2_with_its_message(tmp_path, capsys,
+                                                        graph, message):
+    # every bad graph file is refused where it is read, as a parse error
+    # with its own message and no traceback
+    pattern = write_json(tmp_path / "pattern.json",
+                         json.loads(RUN_PATTERNS.read_text())["Z3-cz"])
+    path = write_json(tmp_path / "graph.json", graph)
+    code = cli.main(["run", "--pattern", pattern, "--graph", path])
+    assert (code, capsys.readouterr().err) \
+        == (cli.EXIT_PARSE, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("label", [5, -1])

@@ -85,6 +85,7 @@ from dense_oracle import (
     build,
     measure,
     product_state,
+    with_init,
 )
 
 D2 = make_dim(INTEGER_RING, d=2)
@@ -143,25 +144,33 @@ def test_diagonal_build_is_edge_order_independent(dim, spec_of):
 
 
 def test_validate_rejects_duplicates_and_loops():
-    g = ResourceGraph(D3, [Vertex(0), Vertex(0)], [])
-    with pytest.raises(DimensionMismatch):
-        g.validate()
-    g = ResourceGraph(D3, [Vertex(0)], [GraphEdge(0, 0, cz_spec(D3), 0)])
-    with pytest.raises(SiteOutOfRange):
-        g.validate()
+    # a graph is validated where it is built, so neither can be held
+    with pytest.raises(DimensionMismatch, match="duplicate vertex ids"):
+        ResourceGraph(D3, [Vertex(0), Vertex(0)], [])
+    with pytest.raises(SiteOutOfRange, match="self-loop edge"):
+        ResourceGraph(D3, [Vertex(0)], [GraphEdge(0, 0, cz_spec(D3), 0)])
+    g = chain_graph(D3, cz_spec(D3), 2)
+    with pytest.raises(DimensionMismatch, match="duplicate vertex ids"):
+        replace(g, vertices=g.vertices * 2)
+    g.validate()
 
 
 @pytest.mark.parametrize("label", [5, -1])
 def test_out_of_range_label_init_is_refused(label):
     # a Z-basis label must index the basis: 5 is no IndexError, and -1 is
-    # not read as label 2
+    # not read as label 2.  The graph is refused where it is built, by
+    # the constructor, dataclasses.replace and graph_from_json alike, so
+    # no call that takes a graph can meet it
     pat = transport_pattern(intrinsic_of(cz_spec(D3)))
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
-    g.vertices[1].init = label
+    vertices = [Vertex(v.id, label if v.id == 1 else v.init)
+                for v in g.vertices]
+    obj = graph_to_json(g)
+    obj["vertices"][1]["init"] = label
     message = f"vertex init {label} is not a label in 0..2"
-    for call in (lambda: build(g), lambda: g.validate(),
-                 lambda: run_trajectories(g, pat, basis_state(D3, 0), [0]),
-                 lambda: vertex_delete(g, 1)):
+    for call in (lambda: ResourceGraph(D3, vertices, g.edges),
+                 lambda: replace(g, vertices=vertices),
+                 lambda: graph_from_json(obj)):
         with pytest.raises(DimensionMismatch, match=message):
             call()
 
@@ -337,6 +346,35 @@ def test_frame_phases_are_checked(monkeypatch):
         run_trajectories(g, pat, psi, range(10))
 
 
+_DATA = Path(__file__).parent / "data"
+_PATTERN_FILES = {f"{name}:{key}": (name, key)
+                  for name in ("run_patterns.json", "clifford_patterns.json")
+                  for key in json.loads((_DATA / name).read_text())}
+
+
+@pytest.mark.parametrize("trials", [1, 20])
+@pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
+def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
+    # the outcomes a seeded run drew, forced, give that run back bit for
+    # bit: outcomes, frames and their phases, probabilities, posteriors
+    # and fidelities; and two forced calls give the same result.  One
+    # trajectory draws through sim.collapse's one-row path
+    name, key = _PATTERN_FILES[case]
+    pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
+    g = chain_graph(pat.dim, pat.gate, pat.step_count() + 1)
+    psi = random_state(pat.dim.d, np.random.default_rng(trials))
+    seeded = run_trajectories(g, pat, psi, range(trials))
+    runs = [run_trajectories(g, pat, psi, None,
+                             forced_outcomes=seeded.outcomes.tolist())
+            for _ in range(2)]
+    for run in runs:
+        for field in ("outcomes", "frame_index", "frame_phase",
+                      "probabilities", "posteriors", "fidelities"):
+            got, want = getattr(run, field), getattr(seeded, field)
+            assert (got.dtype, got.shape, got.tobytes()) \
+                == (want.dtype, want.shape, want.tobytes()), field
+
+
 def test_batched_blocks_equal_one_block(monkeypatch):
     pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
                           intrinsic_of(cz_spec(D3)))
@@ -376,8 +414,8 @@ def test_run_checks_still_raise():
         run_trajectories(g, pat, plus, None, forced_outcomes=[[3] * n])
     with pytest.raises(DimensionMismatch):
         run_trajectories(chain_graph(D3, cz_spec(D3), n), pat, plus, [0])
-    backward = replace(g, edges=[replace(g.edges[0], control=1, target=0)]
-                       + g.edges[1:])
+    backward = replace(g, edges=(replace(g.edges[0], control=1, target=0),
+                                 *g.edges[1:]))
     with pytest.raises(DimensionMismatch):
         run_trajectories(backward, pat, plus, [0])
     leaky = EntanglingGateSpec(D3, "block_diagonal",
@@ -467,8 +505,7 @@ def test_couple_input_predicts_every_outcome(dim, spec_of):
 
 @pytest.mark.parametrize("init", [0, np.array([1, 0, 0], dtype=complex)])
 def test_couple_input_rejects_non_phase_head(init):
-    g = chain_graph(D3, cx_spec(D3), 2)
-    g.vertices[0].init = init
+    g = with_init(chain_graph(D3, cx_spec(D3), 2), 0, init)
     with pytest.raises(DimensionMismatch, match="head vertex 0 init"):
         couple_input(basis_state(D3, 0), g)
 
@@ -801,7 +838,7 @@ def test_local_complement_replaces_existing_edge():
     spec = light_shift_spec(D3)
     chain = chain_graph(D3, spec, 3)
     tri = ResourceGraph(D3, chain.vertices,
-                        chain.edges + [GraphEdge(0, 2, spec, 2)])
+                        (*chain.edges, GraphEdge(0, 2, spec, 2)))
     old = factor_diagonal_clifford(spec)[2]
     for outcome in range(3):
         _, _, _, joined = local_complement(chain, 1, forced_outcome=outcome)
@@ -1029,8 +1066,8 @@ def test_protocol_size_guards_fire_before_allocation(call):
 
 
 def test_couple_input_non_clifford_head_init_names_generator():
-    g = chain_graph(D3, cz_spec(D3), 2)
-    g.vertices[0].init = np.array([0.0, 0.3, 0.0])
+    g = with_init(chain_graph(D3, cz_spec(D3), 2), 0,
+                  np.array([0.0, 0.3, 0.0]))
     for outcome in range(9):
         with pytest.raises(NotCliffordError) as exc:
             couple_input(basis_state(D3, 0), g, forced_outcome=outcome)
@@ -1058,9 +1095,8 @@ def test_mediated_lattice_uses_mediator_step_init(spec_of):
 
 
 def test_graph_json_round_trip():
-    g = chain_graph(D3, light_shift_spec(D3), 3)
-    g.vertices[0].init = 2
-    g.vertices[2].init = np.array([1, 1j, 0]) / np.sqrt(2)
+    g = with_init(with_init(chain_graph(D3, light_shift_spec(D3), 3), 0, 2),
+                  2, np.array([1, 1j, 0]) / np.sqrt(2))
     back = graph_from_json(graph_to_json(g))
     assert np.allclose(build(back).amps, build(g).amps)
 
@@ -1074,8 +1110,7 @@ def _nan_entry_points():
     pat = transport_pattern(intrinsic_of(cz_spec(D3)))
     chain = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     nan1, nan2 = np.full(3, NAN, dtype=complex), np.full(9, NAN, dtype=complex)
-    nan_end = chain_graph(D3, cz_spec(D3), 3)
-    nan_end.vertices[2].init = nan1
+    nan_end = with_init(chain_graph(D3, cz_spec(D3), 3), 2, nan1)
     return {
         "run_trajectories": lambda: run_trajectories(chain, pat, nan1,
                                                      range(3)),

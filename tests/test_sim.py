@@ -223,6 +223,36 @@ def test_collapse_equals_the_first_formula(n, D, R, seed, how, spoil):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["drawn", "forced"]),
+       st.sampled_from([None, 0.0, np.nan, np.inf]))
+def test_one_row_collapse_equals_the_batched_path(D, R, seed, how, spoil):
+    # a single row (every protocol and rewrite draw) takes its own path:
+    # its outcome, posterior, probability and error are those of the
+    # batched path on a batch of that row, bit for bit, over outcome
+    # counts past numpy's 8- and 128-element summation blocks
+    rng = np.random.default_rng(seed)
+    row = rng.normal(size=(D, R)) + 1j * rng.normal(size=(D, R))
+    row[rng.random(D) < 0.3] = 0
+    u = 0.0 if rng.random() < 0.2 else rng.random()
+    k = int(rng.integers(0, D))
+    with np.errstate(invalid="ignore", over="ignore"):
+        if spoil is not None:
+            row *= spoil
+        args = ([u], None) if how == "drawn" else (None, [k])
+        got = _draw_or_error(collapse, row[None], *args)
+        batch = [None if a is None else a * 2 for a in args]
+        want = _draw_or_error(collapse, np.stack([row, row]), *batch)
+    assert type(got[0]) is type(want[0])
+    if isinstance(got[0], type):
+        assert got == want
+    else:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b[:1].shape
+            assert np.array_equal(a, b[:1])
+
+
 # --- seeded uniforms ------------------------------------------------------
 
 def default_rng_rows(seeds, n):

@@ -3,6 +3,7 @@
 import itertools
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from quditmbqc.resource import (
 )
 
 import dense_oracle
-from dense_oracle import build
+from dense_oracle import build, with_init
 
 D3 = make_dim(INTEGER_RING, d=3)
 D4R = make_dim(INTEGER_RING, d=4)
@@ -223,8 +224,8 @@ def test_complex_and_real_centre_init_complement_alike(dim):
     # an init given as real phases and the same init given as its complex
     # vector differ by roundoff only, which must not change the outcome
     # drawn, the corrections or the edges
-    graph = chain_graph(dim, cz_spec(dim), 3)
-    graph.vertices[1].init = np.angle(np.diag(sgate(dim)))
+    graph = with_init(chain_graph(dim, cz_spec(dim), 3), 1,
+                      np.angle(np.diag(sgate(dim))))
     alike = _complex_inits(graph)
     for seed in range(20):
         _, m, corr, new = local_complement(graph, 1, rng=seed)
@@ -242,8 +243,7 @@ def test_clifford_centre_init_complements_on_every_outcome(dim, init):
     # as a complex vector
     diag = {"S": np.diag(sgate(dim)), "S^-1": np.diag(sgate(dim)).conj(),
             "Z": np.diag(zmat(dim, 1))}[init]
-    graph = chain_graph(dim, cz_spec(dim), 3)
-    graph.vertices[1].init = np.angle(diag)
+    graph = with_init(chain_graph(dim, cz_spec(dim), 3), 1, np.angle(diag))
     assert _check_every_outcome(graph, 1, local_complement) == dim.d
     assert _check_every_outcome(_complex_inits(graph), 1,
                                 local_complement) == dim.d
@@ -267,8 +267,8 @@ def test_label_or_raw_spectator_keeps_the_dense_path(spectator, rule):
     # rewriting has no dense path: a Z-basis label, or a raw init that is
     # not a phase vector, anywhere in the graph raises naming its vertex
     # before any state is allocated (3^100 amplitudes here)
-    graph = diagonal_lattice(D3, 10, 10, cz_spec(D3))
-    graph.vertices[99].init = spectator
+    graph = with_init(diagonal_lattice(D3, 10, 10, cz_spec(D3)), 99,
+                      spectator)
     tracemalloc.start()
     try:
         with pytest.raises(UnsupportedFormalism, match="vertex 99"):
@@ -297,14 +297,14 @@ def test_z4_star_local_complement_errors(second, errors):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_edge_of_another_dimension_is_named(rule):
+    # the graph is refused where it is built, before any rule can run
     f4 = make_dim(FINITE_FIELD, p=2, m=2)
-    graph = ResourceGraph(f4, [Vertex(i) for i in range(3)],
-                          [GraphEdge(0, 1, cz_spec(f4), 0),
-                           GraphEdge(1, 2, cz_spec(D3), 1)])
     with pytest.raises(DimensionMismatch,
                        match=r"edge 1-2 gate is over Z_3, the graph over "
                              r"GF\(2\^2\)"):
-        rule(graph, 1, rng=0)
+        rule(ResourceGraph(f4, [Vertex(i) for i in range(3)],
+                           [GraphEdge(0, 1, cz_spec(f4), 0),
+                            GraphEdge(1, 2, cz_spec(D3), 1)]), 1, rng=0)
 
 
 def test_rewrites_a_lattice_past_the_dense_ceiling():
@@ -326,10 +326,13 @@ def test_block_edge_away_from_the_vertex_keeps_the_dense_path(rule):
     # where it commutes with measuring 0: a cx edge is not diagonal, and a
     # light-shift edge at a non-Clifford angle is not Clifford
     graph = chain_graph(D3, cz_spec(D3), 3)
-    graph.edges[1] = GraphEdge(1, 2, cx_spec(D3), 1)
+    graph = replace(graph, edges=(graph.edges[0],
+                                  GraphEdge(1, 2, cx_spec(D3), 1)))
     with pytest.raises(DimensionMismatch, match="diagonal gate required"):
         rule(graph, 0, rng=0)
-    graph.edges[1] = GraphEdge(1, 2, light_shift_spec(D3, 0.7), 1)
+    graph = replace(graph, edges=(graph.edges[0],
+                                  GraphEdge(1, 2, light_shift_spec(D3, 0.7),
+                                            1)))
     with pytest.raises(NotCliffordError):
         rule(graph, 0, rng=0)
 
@@ -519,6 +522,37 @@ def test_neighbourhood_check_rejects_a_changed_correction_or_edge(rule):
                 dense_oracle.verify_rewrite(graph, vid, b, bent_graph, bent)
             mutated += 1
     assert mutated > len(_benchmark_graphs())
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rewrite_validates_nothing_and_reads_no_far_init(rule, monkeypatch):
+    # a graph is validated where it is built, and a rewrite's output is
+    # valid by construction: no rewrite calls ResourceGraph.validate, and
+    # at the centre of a 40x40 qutrit lattice it reads the init phases of
+    # N[v] at most (its real inits need no reading at all), never every
+    # vertex's
+    graph = diagonal_lattice(D3, 40, 40, cz_spec(D3))
+    vid = 40 * 20 + 20
+    near = {vid, *graph.neighbors(vid)}
+    validated, read = [], []
+    validate, vertex_phases = ResourceGraph.validate, engine._vertex_phases
+
+    def counted_validate(self):
+        validated.append(self)
+        return validate(self)
+
+    def counted_phases(dim, v):
+        read.append(v.id)
+        return vertex_phases(dim, v)
+
+    monkeypatch.setattr(ResourceGraph, "validate", counted_validate)
+    monkeypatch.setattr(engine, "_vertex_phases", counted_phases)
+    for seed in range(3):
+        post, _, _, new_graph = rule(graph, vid, rng=seed)
+        assert post.graph is new_graph
+        assert len(new_graph.vertices) == 40 * 40 - 1
+    assert validated == []
+    assert set(read) <= near
 
 
 @pytest.mark.parametrize("rule", RULES)
