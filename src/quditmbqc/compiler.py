@@ -4,8 +4,8 @@ patterns over the gate set {G_I * D_phi}.
 A pattern is an ordered list of diagonal rotations; step 0 is applied first
 (the rightmost factor).  The dense product of the steps equals
 phase * frame * U for the declared Pauli frame.  Both compilers emit native
-words directly: a unitary's steps are the solved phases of
-G D_{L-1} ... G D_0 (identity frame), a Clifford's are the shears of its
+words directly: a unitary's steps are the phases of G D_{L-1} ... G D_0
+fitted to U itself (identity frame), a Clifford's are the shears of its
 class's shortest word G S(l_{k-1}) ... G S(l_0).
 """
 
@@ -108,56 +108,57 @@ class MeasurementPattern:
 
 # --- single-qudit unitary compilation -------------------------------------
 
-def _als_run(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
+def _als_run(U: np.ndarray, G: np.ndarray, phis: np.ndarray
              ) -> Tuple[np.ndarray, int]:
-    """Alternating exact maximization of |tr(U^dag V)| over group phases,
-    until V is in the basin (1 - |tr|/d < BASIN_TOL) or a sweep stalls.
-    Returns the phases and the number of sweeps."""
-    m, d, _ = Ks.shape
-    Ud, Kd = U.conj().T, Ks.conj().transpose(0, 2, 1)
-    F = Ks @ (np.exp(1j * phis)[:, :, None] * Kd)
+    """Alternating exact maximization of |tr(U^dag W)| over the groups of
+    W = G D_0 G D_1 ... G D_{L-1}, until W is in the basin (1 - |tr|/d <
+    BASIN_TOL) or a sweep stalls; returns the phases and the sweeps.  With
+    A = G D_0 ... G D_{j-1} G and B = G D_{j+1} ... G D_{L-1}, |tr(U^dag W)|
+    = |sum_k D_jk diag(B U^dag A)_k| peaks at D_jk = conj(diag_k)/|diag_k|.
+    Groups are kept as these unit factors (a step G D_j scales G's columns)
+    and read as angles once, at the end."""
+    L, d = phis.shape
+    E = np.exp(1j * phis)
+    R = [U.conj().T] * L                 # R_j = B U^dag
     best = 0.0
     for sweep in range(1, MAX_SWEEPS + 1):
-        suffix = [np.eye(d)] * m
-        for j in range(m - 1, 0, -1):
-            suffix[j - 1] = F[j] @ suffix[j]
-        L = np.eye(d)
-        for j, K in enumerate(Ks):
-            diag = (K.conj() * (suffix[j] @ Ud @ L @ K)).sum(axis=0)
-            phis[j] = np.where(np.abs(diag) > 1e-14,
-                               -np.angle(diag), phis[j])
-            F[j] = K @ (np.exp(1j * phis[j])[:, None] * Kd[j])
-            L = L @ F[j]
-        val = abs(np.trace(Ud @ L)) / d
+        for j in range(L - 1, 0, -1):
+            R[j - 1] = G @ (E[j][:, None] * R[j])
+        for j in range(L):
+            A = W @ G if j else G
+            diag = (R[j] @ A).diagonal()
+            mod = np.abs(diag)
+            np.divide(diag.conj(), mod, out=E[j], where=mod > 1e-14)
+            W = A * E[j]
+        val = abs(np.vdot(U, W)) / d
         gain, best = val - best, max(best, val)
         if 1.0 - val < BASIN_TOL or gain < 1e-13:
             break
-    return phis, sweep
+    return np.angle(E), sweep
 
 
-def _torus(Ks: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """V(x) = prod_j K_j D(x_j) K_j^dag and dV/dx as a (2 d^2, m d) real
+def _word(G: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """W(x) = G D(x_0) ... G D(x_{L-1}) and dW/dx as a (2 d^2, L d) real
     matrix (real parts over imaginary parts; x flat over group, then k)."""
-    m, d, _ = Ks.shape
-    E = np.exp(1j * x).reshape(m, d)
-    Kd = Ks.conj().transpose(0, 2, 1)
-    F = Ks @ (E[:, :, None] * Kd)
-    prefix, suffix = np.empty_like(F), np.empty_like(F)
-    prefix[0] = suffix[m - 1] = np.eye(d)
-    for j in range(1, m):
-        prefix[j] = prefix[j - 1] @ F[j - 1]
-        suffix[m - 1 - j] = F[m - j] @ suffix[m - j]
-    # dV/dx_jk = i e^{i x_jk} (P_j K_j)[:, k] (K_j^dag S_j)[k, :]
-    J = np.einsum("jak,jkb->abjk", (prefix @ Ks) * (1j * E)[:, None, :],
-                  Kd @ suffix).reshape(d * d, m * d)
-    return prefix[m - 1] @ F[m - 1], np.concatenate([J.real, J.imag])
+    d = G.shape[0]
+    E = np.exp(1j * x).reshape(-1, d)
+    PG = np.empty((len(E), d, d), complex)   # P_j G, P_j = G D_0 ... G D_{j-1}
+    PG[0] = G
+    for j in range(1, len(E)):
+        np.matmul(PG[j - 1] * E[j - 1], G, out=PG[j])
+    W = PG[-1] * E[-1]
+    # dW/dx_jk = i e^{i x_jk} (P_j G)[:, k] Q_j[k, :] with Q_j the steps after
+    # j; every step is unitary, so e^{i x_jk} Q_j[k, :] = ((P_j G)^dag W)[k, :]
+    J = np.einsum("jak,jkb->abjk", PG,
+                  PG.conj().transpose(0, 2, 1) @ (1j * W)).reshape(d * d, -1)
+    return W, np.concatenate([J.real, J.imag])
 
 
-def _polish(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
+def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
             ) -> Tuple[np.ndarray, float, int]:
-    """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag V)|/d = 0.
+    """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag W)|/d = 0.
 
-    The residual V - (T/|T|) U, T = tr(U^dag V), has squared norm
+    The residual W - (T/|T|) U, T = tr(U^dag W), has squared norm
     2d(1 - |T|/d).  Each group's global phase is free, so J^T J is rank
     deficient; the damping mu I keeps every step solvable.  Returns the
     phases, |T|/d and the number of accepted steps.
@@ -165,9 +166,9 @@ def _polish(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
     d = U.shape[0]
 
     def fit(x):
-        V, J = _torus(Ks, x)
-        T = np.vdot(U, V)
-        r = (V - np.exp(1j * np.angle(T)) * U).ravel()
+        W, J = _word(G, x)
+        T = np.vdot(U, W)
+        r = (W - np.exp(1j * np.angle(T)) * U).ravel()
         return 1.0 - abs(T) / d, np.concatenate([r.real, r.imag]), J
 
     x = phis.ravel()
@@ -190,41 +191,30 @@ def _polish(U: np.ndarray, Ks: np.ndarray, phis: np.ndarray
 
 
 def _lengths(intrinsic: IntrinsicGate) -> Tuple[int, int]:
-    """Native word lengths, tried in order: d + 1 steps for qubits and d + 2
-    otherwise (a step has d - 1 free phases and PU(d) has d^2 - 1
+    """Native word lengths L, tried in order: d + 1 steps for qubits and
+    d + 2 otherwise (a step has d - 1 free phases and PU(d) has d^2 - 1
     dimensions, so no word is shorter than d + 1), then the paper's bound
-    d * o, o the Pauli order of G_I."""
+    d * o, o the Pauli order of G_I; _solve fits each to the target."""
     d = intrinsic.dim.d
     return d + 1 if d == 2 else d + 2, d * intrinsic.pauli_order
-
-
-def _powers(G: np.ndarray, L: int) -> np.ndarray:
-    """The native word's conjugators K_j = G^{j+1}, j < L (see _solve)."""
-    Ks = [G]
-    for _ in range(L - 1):
-        Ks.append(G @ Ks[-1])
-    return np.stack(Ks)
 
 
 def _solve(U: np.ndarray, G: np.ndarray, L: int, seed: int,
            stats: CompileStats) -> Tuple[np.ndarray, float]:
     """Phases of the native word G D_{L-1} ... G D_0 closest to U (step 0
-    first) and its residual 1 - |tr(U^dag V)|/d; the work joins `stats`.
+    first) and its residual 1 - |tr(U^dag W)|/d; the work joins `stats`.
 
-    With K_j = G^{j+1}, prod_j K_j D_j K_j^dag = G D_0 G D_1 ... G D_{L-1}
-    G^{-L}, so the groups are fitted to U G^{-L} and read in reverse.  Each
-    attempt runs ALS into the basin, then polishes to the floor; the first
-    starts from zero phases, each restart from random ones.
+    The groups are fitted as W = G D_0 G D_1 ... G D_{L-1} to U itself, so
+    they are read in reverse.  Each attempt runs ALS into the basin, then
+    polishes to the floor; the first starts from zero phases, each restart
+    from random ones of np.random.default_rng(seed), built at the first
+    restart.
     """
-    d = G.shape[0]
-    Ks = _powers(G, L)
-    target = U @ Ks[-1].conj().T
-    rng = np.random.default_rng(seed)
-    start = np.zeros((L, d))
+    start, rng = np.zeros((L, G.shape[0])), None
     best, best_phis = -1.0, start
     for _ in range(MAX_RESTARTS + 1):
-        phis, sweeps = _als_run(target, Ks, start)
-        phis, val, steps = _polish(target, Ks, phis)
+        phis, sweeps = _als_run(U, G, start)
+        phis, val, steps = _polish(U, G, phis)
         stats.als_runs += 1
         stats.als_sweeps += sweeps
         stats.polish_steps += steps
@@ -232,7 +222,9 @@ def _solve(U: np.ndarray, G: np.ndarray, L: int, seed: int,
             best, best_phis = val, phis
         if 1.0 - best <= RESIDUAL_TOL * 1e-3:
             break
-        start = rng.uniform(-math.pi, math.pi, (L, d))
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        start = rng.uniform(-math.pi, math.pi, start.shape)
     return best_phis[::-1], 1.0 - best
 
 
@@ -243,7 +235,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     The steps are the phases of the native word G D_{L-1} ... G D_0 (see
     _solve), at the first length of _lengths whose residual is within
     RESIDUAL_TOL.  The pattern's `stats` hold that residual
-    1 - |tr(U^dag V)|/d and the work spent over both lengths.  A target
+    1 - |tr(U^dag W)|/d and the work spent over both lengths.  A target
     that fails sim.require_unitary raises NonUnitary before any ALS sweep.
     """
     dim = intrinsic.dim

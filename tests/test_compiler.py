@@ -14,11 +14,11 @@ from quditmbqc.galois import (
     complex_to_json,
     make_dim,
 )
-from quditmbqc.gates import hadamard, mult_gate, sgate, shear_gate
+from quditmbqc.gates import dphi, hadamard, mult_gate, sgate, shear_gate
 from quditmbqc.pauli import PauliWord, matrix_of_pauli
 from quditmbqc.compiler import (
-    _powers,
-    _torus,
+    _als_run,
+    _word,
     compile_clifford,
     compile_unitary,
     pattern_from_json,
@@ -162,16 +162,58 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
 @pytest.mark.parametrize("dim,spec_of", [(D3, cz_spec), (D4F, cx_spec),
                                          (D5, cx_spec)])
 def test_polish_jacobian_matches_finite_differences(dim, spec_of):
-    Ks = _powers(intrinsic_of(spec_of(dim)).matrix, dim.d + 2)
-    x = np.random.default_rng(3).uniform(-np.pi, np.pi, Ks.shape[0] * dim.d)
-    _, J = _torus(Ks, x)
+    G = intrinsic_of(spec_of(dim)).matrix
+    x = np.random.default_rng(3).uniform(-np.pi, np.pi, (dim.d + 2) * dim.d)
+    _, J = _word(G, x)
     h = 1e-6
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = h
-        dV = (_torus(Ks, x + e)[0] - _torus(Ks, x - e)[0]).ravel() / (2 * h)
+        dV = (_word(G, x + e)[0] - _word(G, x - e)[0]).ravel() / (2 * h)
         assert np.allclose(J[:, i], np.concatenate([dV.real, dV.imag]),
                            rtol=0, atol=1e-6)
+
+
+def _dense_word(G, phis):
+    """G D(phis_0) G D(phis_1) ... G D(phis_{L-1}), one dense product."""
+    out = np.eye(G.shape[0], dtype=complex)
+    for p in phis:
+        out = out @ G @ dphi(p)
+    return out
+
+
+@pytest.mark.parametrize("dim,spec_of", [(D2, cz_spec), (D3, cz_spec),
+                                         (D4F, cx_spec), (D5, cx_spec)])
+def test_word_is_the_dense_product(dim, spec_of):
+    G = intrinsic_of(spec_of(dim)).matrix
+    phis = np.random.default_rng(6).uniform(-np.pi, np.pi, (dim.d + 2, dim.d))
+    W, _ = _word(G, phis.ravel())
+    assert np.allclose(W, _dense_word(G, phis), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,spec_of", [(D3, cz_spec), (D4F, cx_spec),
+                                         (D5, cz_spec)])
+def test_als_update_reaches_the_closed_form_maximum(dim, spec_of,
+                                                    monkeypatch):
+    # one sweep: group j is updated after groups < j, before groups > j
+    monkeypatch.setattr(compiler, "MAX_SWEEPS", 1)
+    G = intrinsic_of(spec_of(dim)).matrix
+    rng = np.random.default_rng(7)
+    U = haar_unitary(dim.d, rng)
+    start = rng.uniform(-np.pi, np.pi, (dim.d + 2, dim.d))
+    phis, sweeps = _als_run(U, G, start.copy())
+    assert sweeps == 1
+    for j in range(len(start)):
+        A = _dense_word(G, phis[:j]) @ G
+        B = _dense_word(G, start[j + 1:])
+        best = np.abs(np.diag(B @ U.conj().T @ A)).sum()
+        now = np.concatenate([phis[:j + 1], start[j + 1:]])
+        got = abs(np.trace(U.conj().T @ _dense_word(G, now)))
+        assert got == pytest.approx(best, rel=0, abs=1e-12)
+        # the maximum is over group j alone: no other phase reaches more
+        other = now.copy()
+        other[j] += rng.uniform(-0.1, 0.1, dim.d)
+        assert abs(np.trace(U.conj().T @ _dense_word(G, other))) < got
 
 
 def test_compile_reaches_the_floor():
