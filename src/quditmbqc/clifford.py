@@ -22,7 +22,7 @@ from .errors import (
     NotCliffordError,
     OrderCapExceeded,
 )
-from .galois import INTEGER_RING, DimSpec
+from .galois import DimSpec
 from .gates import shear_gate
 from .pauli import (
     PAULI_TOL,
@@ -39,9 +39,7 @@ from .pauli import (
 def _additive_basis(dim: DimSpec) -> List[int]:
     """1 for Z_d; the encoded 1, xi, xi^2, ... for GF(p^m), matching the
     digits of DimSpec.coeffs_of."""
-    if dim.kind == INTEGER_RING:
-        return [1]
-    return [dim.p ** i for i in range(dim.m)]
+    return [dim.base ** i for i in range(dim.m)]
 
 
 def generator_words(dim: DimSpec, n: int):

@@ -4,7 +4,9 @@ Field elements are encoded as integers in [0, d): the element
 a_0 + a_1*xi + ... + a_{m-1}*xi^{m-1} is the integer with base-p digits
 (a_0, ..., a_{m-1}), a_0 least significant.  Galois-ring elements use the
 same encoding with base-4 digits.  Integer-ring elements are plain residues
-mod d.  Immutable tables: tuples at construction, arrays on first use.
+mod d.  One builder, _ring_tables, makes every table: Z_d is Z_d[xi]/(xi),
+GF(p^m) is Z_p[xi]/(poly) and GR(4,m) is Z_4[xi]/(gr_poly).  A DimSpec
+builds its tables once, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ _DEFAULT_POLY = {
     (2, 3): (1, 1, 0, 1),  # xi^3 + xi + 1
     (3, 2): (1, 0, 1),     # xi^2 + 1
 }
+# default lifts to Z_4, taken when they lift poly
 _DEFAULT_GR_POLY = {
     (2, 2): (3, 3, 1),     # xi^2 + 3 xi + 3 over Z_4
     (2, 3): (3, 1, 2, 1),  # xi^3 + 2 xi^2 + xi + 3, lifts xi^3 + xi + 1
@@ -60,27 +63,6 @@ def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
     return acc
 
 
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modpoly: Sequence[int],
-                  q: int) -> Tuple[int, ...]:
-    """Multiply polynomials over Z_q and reduce modulo the monic modpoly."""
-    m = len(modpoly) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-    # reduce: xi^m = -(modpoly[:m])
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(m):
-                prod[k - m + j] = (prod[k - m + j] - c * modpoly[j]) % q
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return tuple(out)
-
-
 def _digits(value: int, base: int, m: int) -> Tuple[int, ...]:
     out = []
     for _ in range(m):
@@ -96,6 +78,30 @@ def _undigits(coeffs: Sequence[int], base: int) -> int:
     return acc
 
 
+def _ring_tables(q: int, poly: Sequence[int]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mul, add and trace tables of Z_q[xi]/(poly), poly monic of degree m,
+    on the base-q digit encoding.  trace[t] is the trace of the Z_q-linear
+    map x -> t x: for a field the standard trace, for GR(4, m) tr_4.
+    Z_d is (d, xi), GF(p^m) is (p, poly), GR(4, m) is (4, gr_poly)."""
+    m = len(poly) - 1
+    weights = q ** np.arange(m)
+    digits = np.arange(q ** m)[:, None] // weights % q
+    add = (digits[:, None] + digits) % q @ weights
+    # cols[j][a] holds the digits of a xi^j: xi v shifts v up one place
+    # and replaces xi^m by -(poly[0] + ... + poly[m-1] xi^(m-1))
+    cols = [digits]
+    for _ in range(m - 1):
+        v = cols[-1]
+        up = np.pad(v[:, :-1], ((0, 0), (1, 0)))
+        cols.append((up - v[:, -1:] * np.array(poly[:m])) % q)
+    # a b = sum_j b_j (a xi^j), digit by digit
+    mul = sum(c[:, None] * digits[:, j, None]
+              for j, c in enumerate(cols)) % q @ weights
+    trace = sum(c[:, j] for j, c in enumerate(cols)) % q
+    return mul, add, trace
+
+
 # DimSpec.tables, which every dense builder indexes: mul[a, b] = a b,
 # add[a, b] = a + b, sub[a, b] = a - b and chi[t] = char_phase(t)
 ElementTables = collections.namedtuple("ElementTables", "mul add sub chi")
@@ -103,7 +109,11 @@ ElementTables = collections.namedtuple("ElementTables", "mul add sub chi")
 
 @dataclass(frozen=True)
 class DimSpec:
-    """Dimension descriptor for one qudit: Z_d or GF(p^m) (+ GR(4,m) lift)."""
+    """Dimension descriptor for one qudit: Z_d or GF(p^m) (+ GR(4,m) lift).
+
+    base is the digit modulus, d for Z_d and p for GF(p^m), and tables the
+    read-only arrays of _ring_tables; the scalar methods read lists taken
+    from the same arrays, so they return Python ints."""
 
     kind: str
     d: int
@@ -111,112 +121,38 @@ class DimSpec:
     m: int = 1
     poly: Optional[Tuple[int, ...]] = None
     gr_poly: Optional[Tuple[int, ...]] = None
-    _add: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
-    _neg: Tuple[int, ...] = field(default=None, repr=False, compare=False)
-    _mul: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
-    _inv: Tuple[Optional[int], ...] = field(default=None, repr=False, compare=False)
-    _tr: Tuple[int, ...] = field(default=None, repr=False, compare=False)
-    _gr_mul: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
-    _gr_tr: Tuple[int, ...] = field(default=None, repr=False, compare=False)
-    _tables: ElementTables = field(default=None, repr=False, compare=False)
-
-    # --- constructors -----------------------------------------------------
+    base: int = field(init=False, repr=False, compare=False)
+    tables: ElementTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == FINITE_FIELD:
-            self._build_field_tables()
-        elif self.kind == INTEGER_RING:
-            self._build_ring_tables()
-        else:
+        if self.kind not in (INTEGER_RING, FINITE_FIELD):
             raise UnsupportedFormalism(f"unknown kind {self.kind!r}")
-
-    def _build_ring_tables(self):
-        d = self.d
-        object.__setattr__(self, "_add", tuple(
-            tuple((a + b) % d for b in range(d)) for a in range(d)))
-        object.__setattr__(self, "_neg", tuple((-a) % d for a in range(d)))
-        mul = tuple(tuple((a * b) % d for b in range(d)) for a in range(d))
-        inv = []
-        for a in range(d):
-            try:
-                inv.append(pow(a, -1, d))
-            except ValueError:
-                inv.append(None)
-        object.__setattr__(self, "_mul", mul)
-        object.__setattr__(self, "_inv", tuple(inv))
-
-    def _build_field_tables(self):
-        p, m, d = self.p, self.m, self.d
-        digits = [_digits(a, p, m) for a in range(d)]
-        object.__setattr__(self, "_add", tuple(
-            tuple(_undigits([x + y for x, y in zip(digits[a], digits[b])], p)
-                  for b in range(d)) for a in range(d)))
-        object.__setattr__(self, "_neg", tuple(
-            _undigits([-x for x in digits[a]], p) for a in range(d)))
-        mul = [[0] * d for _ in range(d)]
-        for a in range(d):
-            ca = _digits(a, p, m)
-            for b in range(a, d):
-                cb = _digits(b, p, m)
-                v = _undigits(_poly_mul_mod(ca, cb, self.poly, p), p)
-                mul[a][b] = v
-                mul[b][a] = v
-        mul = tuple(tuple(row) for row in mul)
-        inv = [None] * d
-        for a in range(1, d):
-            for b in range(1, d):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise ReduciblePolynomial(
-                    f"element {a} has no inverse; polynomial not irreducible")
-        tr = []
-        for t in range(d):
-            acc, cur = 0, t
-            for _ in range(m):
-                acc = self._add[acc][cur]
-                cur = self._pow_static(cur, p, mul)
-            digits = _digits(acc, p, m)
-            if any(digits[1:]):
-                raise ReduciblePolynomial("trace left the prime subfield")
-            tr.append(digits[0])
-        object.__setattr__(self, "_mul", mul)
-        object.__setattr__(self, "_inv", tuple(inv))
-        object.__setattr__(self, "_tr", tuple(tr))
-        if self.gr_poly is not None:
-            self._build_gr_tables()
-
-    @staticmethod
-    def _pow_static(a: int, k: int, mul) -> int:
-        out = 1
-        for _ in range(k):
-            out = mul[out][a]
-        return out
-
-    def _build_gr_tables(self):
-        m = self.m
-        size = 4 ** m
-        gmul = [[0] * size for _ in range(size)]
-        for a in range(size):
-            ca = _digits(a, 4, m)
-            for b in range(a, size):
-                cb = _digits(b, 4, m)
-                v = _undigits(_poly_mul_mod(ca, cb, self.gr_poly, 4), 4)
-                gmul[a][b] = v
-                gmul[b][a] = v
-        gtr = []
-        for t in range(size):
-            # trace of the multiplication-by-t matrix over the Z_4 module
-            acc = 0
-            ct = _digits(t, 4, m)
-            for i in range(m):
-                col = _poly_mul_mod(ct, tuple(1 if j == i else 0 for j in range(m)),
-                                    self.gr_poly, 4)
-                acc = (acc + col[i]) % 4
-            gtr.append(acc)
-        object.__setattr__(self, "_gr_mul", tuple(tuple(r) for r in gmul))
-        object.__setattr__(self, "_gr_tr", tuple(gtr))
+        base = self.p if self.kind == FINITE_FIELD else self.d
+        mul, add, trace = _ring_tables(base, self.poly or (0, 1))
+        one = mul == 1
+        inv = [b if unit else None for b, unit in
+               zip(one.argmax(axis=1).tolist(), one.any(axis=1))]
+        if self.kind == FINITE_FIELD and None in inv[1:]:
+            raise ReduciblePolynomial(f"element {inv.index(None, 1)} has no "
+                                      "inverse; polynomial not irreducible")
+        neg = (add == 0).argmax(axis=1)
+        tr = trace.tolist()
+        chi = [cmath.exp(2j * cmath.pi * t / base) for t in tr]
+        tables = ElementTables(mul, add, add[:, neg], np.array(chi))
+        for t in tables:
+            t.flags.writeable = False    # shared by every caller
+        gr_mul = gr_tr = None
+        if self.p == 2:    # GR(4, 1) = Z_4 is Z_4[xi]/(xi)
+            gr_mul, _, gr_tr = (t.tolist() for t in
+                                _ring_tables(4, self.gr_poly or (0, 1)))
+        scale = self.phase_den // base
+        for name, value in (
+                ("base", base), ("tables", tables), ("_add", add.tolist()),
+                ("_neg", neg.tolist()), ("_mul", mul.tolist()), ("_inv", inv),
+                ("_tr", tr), ("_chi", chi),
+                ("_char_exp", [scale * t for t in tr]),
+                ("_gr_mul", gr_mul), ("_gr_tr", gr_tr)):
+            object.__setattr__(self, name, value)
 
     # --- unified element arithmetic --------------------------------------
 
@@ -255,12 +191,7 @@ class DimSpec:
 
     def scalar(self, k: int) -> int:
         """Image of the integer k in the ring/field (k * 1)."""
-        if self.kind == INTEGER_RING:
-            return k % self.d
-        out = 0
-        for _ in range(k % self.p):
-            out = self.add(out, 1)
-        return out
+        return k % self.base
 
     @property
     def xi(self) -> int:
@@ -281,21 +212,6 @@ class DimSpec:
             return f"Z_{self.d}"
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
 
-    @property
-    def tables(self) -> ElementTables:
-        """The tuple tables as read-only arrays, built on first use."""
-        # not a functools.cached_property: a materialized instance __dict__
-        # slows every attribute read of a DimSpec by about half
-        if self._tables is None:
-            add = np.array(self._add)
-            chi = np.array([self.char_phase(t) for t in self.elements])
-            tables = ElementTables(np.array(self._mul), add,
-                                   add[:, list(self._neg)], chi)
-            for t in tables:
-                t.flags.writeable = False    # shared by every caller
-            object.__setattr__(self, "_tables", tables)
-        return self._tables
-
     # --- traces and characters -------------------------------------------
 
     def trace(self, t: int) -> int:
@@ -305,15 +221,11 @@ class DimSpec:
 
     def char_phase(self, t: int) -> complex:
         """Additive character: omega_d^t (ring) or chi(t) = omega_p^{tr t}."""
-        if self.kind == INTEGER_RING:
-            return cmath.exp(2j * cmath.pi * (t % self.d) / self.d)
-        return cmath.exp(2j * cmath.pi * self.trace(t) / self.p)
+        return self._chi[t % self.d]
 
     def char_exp(self, t: int) -> int:
         """Exponent of char_phase(t) in units of 2*pi/phase_den."""
-        if self.kind == INTEGER_RING:
-            return (2 * (t % self.d)) % self.phase_den
-        return (4 * self.trace(t)) % self.phase_den
+        return self._char_exp[t % self.d]
 
     @property
     def phase_den(self) -> int:
@@ -325,11 +237,8 @@ class DimSpec:
     # --- Galois ring ------------------------------------------------------
 
     def _require_gr(self):
-        if self.kind != FINITE_FIELD or self.p != 2:
+        if self._gr_mul is None:
             raise WrongCharacteristic("Galois-ring operations require p = 2")
-        if self.m > 1 and self._gr_mul is None:
-            raise UnsupportedFormalism(
-                "no gr_poly configured for this GF(2^m); pass gr_poly explicitly")
 
     def gr_embed(self, a: int) -> int:
         """Coefficient-lift embedding of a field element into GR(4,m)."""
@@ -338,14 +247,10 @@ class DimSpec:
 
     def gr_mul(self, a: int, b: int) -> int:
         self._require_gr()
-        if self.m == 1:
-            return (a * b) % 4
         return self._gr_mul[a][b]
 
     def gr_trace(self, t: int) -> int:
         self._require_gr()
-        if self.m == 1:
-            return t % 4
         return self._gr_tr[t]
 
     def chi4(self, t: int) -> complex:
@@ -355,16 +260,12 @@ class DimSpec:
     # --- coefficient views ------------------------------------------------
 
     def coeffs_of(self, a: int) -> Tuple[int, ...]:
-        if self.kind == INTEGER_RING:
-            return (a % self.d,)
-        return _digits(a, self.p, self.m)
+        return _digits(a, self.base, self.m)
 
     def elem_from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if self.kind == INTEGER_RING:
-            return coeffs[0] % self.d
         if len(coeffs) != self.m:
             raise DimensionMismatch("coefficient vector has wrong length")
-        return _undigits(coeffs, self.p)
+        return _undigits(coeffs, self.base)
 
 
 def _check_poly(poly: Sequence[int], p: int, m: int) -> Tuple[int, ...]:
@@ -432,10 +333,10 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
     if p == 2:
         if gr_poly is not None:
             gr_t = tuple(c % 4 for c in gr_poly)
-        elif (2, m) in _DEFAULT_GR_POLY:
-            gr_t = _DEFAULT_GR_POLY[(2, m)]
-        elif m == 1:
-            gr_t = None  # GR(4,1) = Z_4 needs no modulus
+        elif m > 1:
+            # the default lift if it lifts poly, else poly read over Z_4
+            lift = _DEFAULT_GR_POLY[(2, m)]
+            gr_t = lift if tuple(c % 2 for c in lift) == poly_t else poly_t
         if gr_t is not None:
             if len(gr_t) != m + 1 or gr_t[-1] % 4 != 1:
                 raise ReduciblePolynomial("gr_poly must be monic of degree m")
@@ -443,6 +344,9 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
             for x in range(2):
                 if _poly_eval(mod2, x, 2) == 0:
                     raise ReduciblePolynomial("gr_poly reducible mod 2")
+            if mod2 != poly_t:
+                raise ReduciblePolynomial(
+                    "gr_poly does not reduce to poly mod 2")
     return _dim_spec(FINITE_FIELD, dd, p, m, poly_t, gr_t)
 
 

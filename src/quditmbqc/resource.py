@@ -125,8 +125,7 @@ def cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
     """CZ^w = sum_jk chi(w j k) |jk><jk| in diagonal form; one spec per
     (dimension, weight), so the edges graph rewriting adds share facts."""
     mul, _, _, chi = dim.tables
-    theta = np.array([[cmath.phase(c) for c in row]
-                      for row in chi[mul[w % dim.d][mul]]])
+    theta = np.array([cmath.phase(c) for c in chi])[mul[w % dim.d][mul]]
     return EntanglingGateSpec(dim, DIAGONAL, theta=np.mod(theta, 2 * math.pi),
                               init_phases=np.zeros(dim.d))
 

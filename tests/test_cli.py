@@ -71,6 +71,23 @@ def test_analyze_cz(tmp_path, capsys):
     assert res["universality"]["universal"] is True
 
 
+def test_analyze_refuses_a_gr_poly_that_does_not_lift_poly(tmp_path, capsys):
+    # x^3 + x^2 + 1 is read over Z_4 as its own lift; GF(8)'s default lift
+    # (3, 1, 2, 1) lifts x^3 + x + 1, so an S built from it is not S
+    dim = {"kind": "finite_field", "p": 2, "m": 3, "poly": [1, 0, 1, 1]}
+    gate = write_json(tmp_path / "gate.json",
+                      {"kind": "named", "name": "cx", "dim": dim})
+    code, out = run_cli(capsys, ["analyze", "--gate", gate])
+    assert code == 0 and json.loads(out)["results"]["clifford"]
+    gate = write_json(tmp_path / "gate.json", {
+        "kind": "named", "name": "cx",
+        "dim": dict(dim, gr_poly=[3, 1, 2, 1])})
+    code = cli.main(["analyze", "--gate", gate])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (
+        cli.EXIT_PARSE, "", "error: gr_poly does not reduce to poly mod 2\n")
+
+
 def test_analyze_infeasible_light_shift(tmp_path, capsys):
     dim5 = make_dim(INTEGER_RING, d=5)
     gate = write_json(tmp_path / "gate.json",

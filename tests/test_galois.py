@@ -1,6 +1,7 @@
 """Dimension descriptors: ring and field arithmetic, traces, characters."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from quditmbqc.galois import (
     json_array,
     make_dim,
 )
-from quditmbqc.gates import hadamard, mult_gate, tau
+from quditmbqc.clifford import diagonal_images
+from quditmbqc.gates import hadamard, mult_gate, shear_gate, tau
 from quditmbqc.pauli import xmat, zmat
 from quditmbqc.resource import cz_power, cz_spec, gate_matrix
 
@@ -252,3 +254,56 @@ def test_ring_and_field_axioms_over_every_supported_dimension(case):
     if field:
         assert dim.trace(a) in range(dim.p)
         assert dim.trace(add(a, b)) == (dim.trace(a) + dim.trace(b)) % dim.p
+
+
+# AXIOM_DIMS and GF(31^2), built in the test
+RULE_DIMS = [dim_to_json(dim) for dim in AXIOM_DIMS] + [
+    {"kind": "finite_field", "p": 31, "m": 2}]
+
+
+@pytest.mark.parametrize("obj", RULE_DIMS, ids=lambda obj: f"Z{obj['d']}"
+                         if "d" in obj else f"GF{obj['p']}^{obj['m']}")
+def test_tables_follow_their_definitions(obj):
+    dim = dim_from_json(obj)
+    q, m, els = dim.base, dim.m, dim.elements
+    xi = dim.elem_from_coeffs([0, 1] + [0] * (m - 2)) if m > 1 else None
+    for a in els:
+        if m == 1:
+            assert [dim.mul(a, b) for b in els] == [a * b % q for b in els]
+        else:
+            # xi a: a's digits shifted up one place, xi^m reduced by poly
+            v = dim.coeffs_of(a)
+            assert dim.coeffs_of(dim.mul(xi, a)) == tuple(
+                (up - v[-1] * c) % q for up, c in zip((0,) + v[:-1], dim.poly))
+        if dim.kind == FINITE_FIELD:
+            # tr(a) = a + a^p + ... + a^(p^(m-1))
+            assert dim.trace(a) == functools.reduce(
+                dim.add, (dim.power(a, dim.p ** i) for i in range(m)))
+
+
+# each GF(2^m) polynomial with its default lift, x^3 + x^2 + 1, which has
+# none and is read over Z_4, and two explicit lifts of it
+GR_LIFTS = [((1, 1, 1), None), ((1, 1, 0, 1), None), ((1, 0, 1, 1), None),
+            ((1, 0, 1, 1), (3, 2, 3, 1)), ((1, 0, 1, 1), (1, 2, 1, 1))]
+
+
+@pytest.mark.parametrize("poly, gr_poly", GR_LIFTS)
+def test_every_shear_multiplies_by_l_whichever_lift(poly, gr_poly):
+    # S(l) X(x) S(l)^dag is Z(l x) X(x) up to phase, for every l and x
+    dim = make_dim(FINITE_FIELD, p=2, m=len(poly) - 1, poly=poly,
+                   gr_poly=gr_poly)
+    for l in dim.elements:
+        c, _ = diagonal_images(dim, np.diag(shear_gate(dim, l)))
+        assert c == [dim.mul(l, x) for x in dim.elements]
+
+
+def test_gr_poly_must_lift_poly():
+    assert make_dim(FINITE_FIELD, p=2, m=2).gr_poly == (3, 3, 1)
+    assert make_dim(FINITE_FIELD, p=2, m=3).gr_poly == (3, 1, 2, 1)
+    assert make_dim(FINITE_FIELD, p=2, m=3,
+                    poly=(1, 0, 1, 1)).gr_poly == (1, 0, 1, 1)
+    for poly, gr_poly in [((1, 0, 1, 1), (3, 1, 2, 1)),
+                          (None, (1, 0, 1, 1)), (None, (3, 2, 3, 1))]:
+        with pytest.raises(ReduciblePolynomial,
+                           match="^gr_poly does not reduce to poly mod 2$"):
+            make_dim(FINITE_FIELD, p=2, m=3, poly=poly, gr_poly=gr_poly)

@@ -1,5 +1,5 @@
-"""Graph and pattern JSON round trips: what a file holds comes back the
-same, bit for bit, over every supported small dimension."""
+"""Graph, pattern, Pauli and gate JSON round trips: what a file holds
+comes back the same, bit for bit, over every supported small dimension."""
 
 import json
 from dataclasses import replace
@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_galois import AXIOM_DIMS
 
 from quditmbqc.compiler import (
     MeasurementPattern,
@@ -22,10 +23,14 @@ from quditmbqc.engine import (
     graph_to_json,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, dim_to_json, make_dim
-from quditmbqc.pauli import PauliWord
+from quditmbqc.pauli import PauliWord, pauli_from_json, pauli_to_json
 from quditmbqc.resource import (
+    BLOCK_DIAGONAL,
+    DIAGONAL,
+    EntanglingGateSpec,
     cx_spec,
     cz_spec,
+    gate_from_json,
     gate_to_json,
     intrinsic_of,
     light_shift_spec,
@@ -138,3 +143,61 @@ def test_pattern_json_round_trip_is_exact(pattern):
     if pattern.gate is not None:
         assert gate_to_json(back.gate) == gate_to_json(pattern.gate)
     assert _bits(back.intrinsic.matrix) == _bits(pattern.intrinsic.matrix)
+
+
+@st.composite
+def words(draw):
+    """A word on one to three sites over any AXIOM_DIMS dimension, its
+    values and phase drawn."""
+    dim = draw(st.sampled_from(AXIOM_DIMS))
+    n = draw(st.integers(1, 3))
+    values = st.lists(st.integers(0, dim.d - 1), min_size=n, max_size=n)
+    return PauliWord(dim, n, tuple(draw(values)), tuple(draw(values)),
+                     draw(st.integers(0, dim.phase_den - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(words())
+def test_pauli_json_round_trip_is_exact(word):
+    obj = _through_json(pauli_to_json(word))
+    back = pauli_from_json(word.dim, obj)
+    assert back == word and pauli_to_json(back) == obj
+
+
+@st.composite
+def any_gates(draw):
+    """A named gate, or a diagonal or block-diagonal one of arbitrary
+    entries, signed zeros among them, with or without init phases, over
+    any AXIOM_DIMS dimension."""
+    dim = draw(st.sampled_from(AXIOM_DIMS))
+    d = dim.d
+    kind = draw(st.sampled_from([DIAGONAL, BLOCK_DIAGONAL, "named"]))
+    if kind == "named":
+        return draw(gates(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def floats(*shape):
+        return np.where(rng.random(shape) < 0.2, -0.0,
+                        rng.normal(size=shape) * 10)
+
+    init = draw(st.sampled_from([None, floats(d)]))
+    if kind == DIAGONAL:
+        return EntanglingGateSpec(dim, DIAGONAL, theta=floats(d, d),
+                                  init_phases=init)
+    return EntanglingGateSpec(dim, BLOCK_DIAGONAL, init_phases=init,
+                              blocks=floats(d, d, d) + 1j * floats(d, d, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_gates())
+def test_gate_json_round_trip_is_exact(spec):
+    obj = _through_json(gate_to_json(spec))
+    back = gate_from_json(obj)
+    assert back.dim is spec.dim and gate_to_json(back) == obj
+    assert (back.kind, back.name, back.ls_theta) == \
+        (spec.kind, spec.name, spec.ls_theta)
+    for key in ("theta", "blocks", "init_phases"):
+        got, want = getattr(back, key), getattr(spec, key)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _bits(got) == _bits(want)

@@ -1,7 +1,13 @@
 """Generalized Pauli words: products, inverses, dense matching."""
 
+import cmath
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_galois import AXIOM_DIMS
 
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.gates import hadamard, sgate
@@ -142,3 +148,38 @@ def test_f4_x_shift_uses_field_addition():
     v = np.zeros(4)
     v[3] = 1
     assert np.allclose(X2 @ np.eye(4)[:, 1], v)
+
+
+def _dense(w):
+    """w's matrix from the scalar arithmetic: its exact phase times the
+    Kronecker product of Z(z_i) X(x_i) over its sites."""
+    phase = cmath.exp(2j * cmath.pi * w.phase_num / w.dim.phase_den)
+    return phase * functools.reduce(np.kron, [
+        _zmat(w.dim, z) @ _xmat(w.dim, x) for z, x in zip(w.z, w.x)])
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words with drawn phases over any AXIOM_DIMS dimension, on one
+    site, or on two where d <= 9."""
+    dim = draw(st.sampled_from(AXIOM_DIMS))
+    n = draw(st.sampled_from([1, 2] if dim.d <= 9 else [1]))
+    values = st.lists(st.integers(0, dim.d - 1), min_size=n, max_size=n)
+
+    def word():
+        return PauliWord(dim, n, tuple(draw(values)), tuple(draw(values)),
+                         draw(st.integers(0, dim.phase_den - 1)))
+
+    return word(), word()
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_normal_form_and_inverse_are_dense_products(pair):
+    # the lattice's spacing 2 pi / phase_den is far above the tolerance, so
+    # equal matrices pin the exact phase_num, not just the Pauli
+    a, b = pair
+    A, B = _dense(a), _dense(b)
+    assert np.allclose(_dense(normal_form(a, b)), A @ B, rtol=0, atol=1e-9)
+    assert np.allclose(_dense(invert_word(a)), np.linalg.inv(A), rtol=0,
+                       atol=1e-9)
