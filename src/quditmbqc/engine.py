@@ -21,10 +21,11 @@ inits and diagonal Clifford edges.  Measuring a vertex changes only the
 rows of its neighbours, so a rewrite builds and compares those rows, as
 integer rows on the neighbours' columns: the rows it builds, and the
 edges and inits it reads, follow the vertex's degree, not the graph's
-size.  It returns a StabilizerState: the new graph and its corrections,
-and nothing more.  Nothing here builds a posterior's full rows or
-simulates a whole dense state; those views live in the tests' oracle,
-tests/dense_oracle.py.
+size; what they read of the vertex's star alone is built once per star
+signature (_StarRule).  It returns a StabilizerState: the new graph and
+its corrections, and nothing more.  Nothing here builds a posterior's full
+rows or simulates a whole dense state; those views live in the tests'
+oracle, tests/dense_oracle.py.
 A failed verification raises FrameMismatch rather than returning silently.
 """
 
@@ -930,27 +931,6 @@ class Correction:
     label: str
 
 
-def _tableau_outcome(dim: DimSpec, vertex, weights, vectors: np.ndarray,
-                     rng, forced_outcome: Optional[int]) -> int:
-    """Outcome of measuring a vertex in the basis whose column k is outcome
-    k's vector on the rows (the vertex's init cancels there), drawn by
-    _draw; vertex is its _vertex_table and weights those of its edges.
-
-    The vertex's reduced state is (1/d) sum_x row(v, x)|_v over the x whose
-    row has no support elsewhere (N x = 0 for every weight N): I/d for a
-    vertex with an edge over a field or a prime ring.
-    """
-    z, num = vertex
-    rho = np.eye(dim.d, dtype=complex) / dim.d
-    for x in dim.elements[1:]:
-        if all(dim.mul(N, x) == 0 for N in weights):
-            rho += matrix_of_pauli(PauliWord(dim, 1, (z[x],), (x,),
-                                             num[x])) / dim.d
-    weight = np.real(np.sum(vectors.conj() * (rho @ vectors), axis=0))
-    return _draw(np.sqrt(np.clip(weight, 0, None))[:, None], rng,
-                 forced_outcome)[0]
-
-
 def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
     """(ok, num) over every word Z(a) X(x), as nested lists [a][x]: ok
     where b is its eigenvector with eigenvalue e^{2 pi i num / phase_den},
@@ -966,14 +946,84 @@ def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
             num.reshape(dim.d, dim.d).tolist())
 
 
+class _StarRule:
+    """What a rewrite reads of the measured vertex v's star alone: W, each
+    neighbour slot's kept factors and summed weight N_u, B (checked
+    unitary) and amps, outcome k's amplitude sqrt(<b_k|rho|b_k>) for b_k =
+    B[:, k] and rho v's reduced state on the rows.  Its signature: shear,
+    v's first edge weight for local complementation (None for deletion),
+    and per sorted neighbour its edges' (gate, v is control), in order."""
+
+    def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
+                 slots: tuple):
+        dim, d = spec.dim, spec.dim.d
+        add = _int_tables(dim)[1]
+        self.dim, self.kept, self.weights = dim, [], []
+        W, images = np.eye(d, dtype=complex), []
+        for edges in slots:
+            K, N_u = np.eye(d, dtype=complex), 0
+            for gate, own in edges:
+                C1, C2, N = factor_diagonal_clifford(gate)
+                W = W @ (C1 if own else C2)
+                K = K @ (C2 if own else C1)
+                N_u = add[N_u][N]
+                images.append(_factor_images(gate)[0 if own else 1])
+            self.kept.append(_read_only(K))
+            self.weights.append(N_u)
+        B = np.eye(d, dtype=complex)
+        if shear is not None:
+            B = W @ shear_gate(dim, shear) @ hadamard(dim)
+            sim.require_unitary(B, "basis 'local-complement' is not "
+                                   "orthonormal")
+        z, num = _vertex_table(dim, images)
+        rho = np.eye(d, dtype=complex) / d
+        for x in dim.elements[1:]:
+            if all(dim.mul(N, x) == 0 for N in self.weights):
+                rho += matrix_of_pauli(PauliWord(dim, 1, (z[x],), (x,),
+                                                 num[x])) / d
+        weight = np.real(np.sum(B.conj() * (rho @ B), axis=0))
+        self.W, self.B = W, B
+        self.amps = _read_only(np.sqrt(np.clip(weight, 0, None))[:, None])
+        self.outcomes: Dict[int, Union[tuple, str]] = {}
+
+    def outcome(self, m: int) -> Tuple[np.ndarray, int, Tuple[list, list]]:
+        """(g, delta, _eigen_table(B[:, m])), built on first use: f(s) =
+        sum_j conj(B_jm) W_jj chi(j s), g = f / f(0) and the delta with
+        g(a + b) = g(a) g(b) chi(delta a b).  FrameMismatch, its message
+        kept and raised on every call, when f(0) = 0 or no delta fits."""
+        if m not in self.outcomes:
+            self.outcomes[m] = self._outcome(m)
+        out = self.outcomes[m]
+        if isinstance(out, str):
+            raise FrameMismatch(out)
+        return out
+
+    def _outcome(self, m: int) -> Union[tuple, str]:
+        mul, add, _, chi = self.dim.tables
+        f = (self.B[:, m].conj() * np.diag(self.W)) @ chi[mul]
+        if abs(f[0]) < VERIFY_TOL:
+            return f"outcome {m} leaves no graph state"
+        g = f / f[0]
+        delta = next((w for w in self.dim.elements if np.max(np.abs(
+            g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
+        if delta is None:
+            return f"outcome {m} phases are not quadratic"
+        return g, delta, _eigen_table(self.dim, self.B[:, m])
+
+
+# kept on the spec of the star's first slot's first gate, as long as it lives
+_star_rule = _per_spec(_StarRule)
+
+
 def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
                     new_graph: ResourceGraph, corrections: List[Correction],
-                    nbrs: List[int], old):
+                    nbrs: List[int], old, eigen: Tuple[list, list]):
     """FrameMismatch unless the state the other vertices keep when vid is
     found in the vector b on the rows (column m of _measure_and_rewrite's
     B) is new_graph's, conjugated through the corrections.  nbrs (vid's
-    sorted neighbours) and old (graph's _tableau of [vid] + nbrs) are passed
-    in as _measure_and_rewrite built them.
+    sorted neighbours), old (graph's _tableau of [vid] + nbrs) and eigen
+    (b's _eigen_table, as the star's rule keeps it) are passed in as
+    _measure_and_rewrite built them; the tests' dense oracle reads b.
 
     Measuring vid multiplies each row(w, y), w != vid, by the row(vid, z)
     whose product has a part P on vid with b as eigenvector (z = 0 for a Z
@@ -993,7 +1043,7 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
     dim = graph.dim
     den = dim.phase_den
     basis = _additive_basis(dim)
-    ok, eig = _eigen_table(dim, b)
+    ok, eig = eigen
     _, add, swap = _int_tables(dim)
     vz = old[1][0]
     partners = {}
@@ -1061,48 +1111,36 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
     or NotCliffordError).
 
-    Only N[v] is read: its edges through the adjacency lists, and no init
-    phases at all.  The new graph is valid by construction and is not
-    validated again; its vertex and edge tuples are the old ones with v,
+    W, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
+    delta and eigen table come from the star's _StarRule.  Only N[v] is
+    read: its edges through the adjacency lists, and no init phases at
+    all.  The new graph is valid by construction and is not validated
+    again; its vertex and edge tuples are the old ones with v,
     v's edges and the replaced pair edges cut out (by _edge_index) and the
     new edges appended, and its adjacency lists are the old ones with
     N(v)'s updated.
     """
     dim = graph.dim
-    d = dim.d
     site = graph.site_of(vid)
     adj = _adjacency(graph)
     star = adj[vid]
     if complement and not star:
         raise DimensionMismatch(f"vertex {vid} has no edges to complement")
     _require_tableau(graph, star)
-    W = np.eye(d, dtype=complex)
-    kept = {}
+    slots: Dict[int, list] = {}
     for e in star:
-        C1, C2, _ = factor_diagonal_clifford(e.gate)
         own = e.control == vid
-        u = e.target if own else e.control
-        W = W @ (C1 if own else C2)
-        kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ (C2 if own else C1)
-    nbrs = sorted(kept)
-    weights, vz, vnum = old = _tableau(graph, [vid] + nbrs)
-    weight = dict(zip(nbrs, weights[0][1:]))
-    mul, add, _, chi = dim.tables
-    B = np.eye(d, dtype=complex)
-    if complement:
-        B = W @ shear_gate(dim, factor_diagonal_clifford(star[0].gate)[2]) \
-            @ hadamard(dim)
-        sim.require_unitary(B, "basis 'local-complement' is not orthonormal")
-    m = _tableau_outcome(dim, (vz[0], vnum[0]), weights[0][1:], B, rng,
-                         forced_outcome)
-    f = (B[:, m].conj() * np.diag(W)) @ chi[mul]
-    if abs(f[0]) < VERIFY_TOL:
-        raise FrameMismatch(f"outcome {m} leaves no graph state")
-    g = f / f[0]
-    delta = next((w for w in dim.elements if np.max(np.abs(
-        g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
-    if delta is None:
-        raise FrameMismatch(f"outcome {m} phases are not quadratic")
+        slots.setdefault(e.target if own else e.control, []).append(
+            (expand(e.gate), own))
+    nbrs = sorted(slots)
+    shear = factor_diagonal_clifford(star[0].gate)[2] if complement else None
+    # an isolated vertex's rule depends on the dimension alone
+    rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
+                      tuple(tuple(slots[u]) for u in nbrs))
+    m = _draw(rule.amps, rng, forced_outcome)[0]
+    g, delta, eigen = rule.outcome(m)
+    weight = dict(zip(nbrs, rule.weights))
+    kept = dict(zip(nbrs, rule.kept))
     positions, seqs_down = _edge_index(graph)
     # one past the top seq that v's edges leave
     cut = {e.seq for e in star}
@@ -1135,10 +1173,12 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     new_graph = ResourceGraph._derived(
         dim, graph.vertices[:site] + graph.vertices[site + 1:], edges,
         adjacency=new_adj, tableau=True)
+    mul = dim.tables.mul
     corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
                               f"C g({weight[u]}*j) on {u}")
                    for u in nbrs]
-    _verify_rewrite(graph, vid, B[:, m], new_graph, corrections, nbrs, old)
+    _verify_rewrite(graph, vid, rule.B[:, m], new_graph, corrections, nbrs,
+                    _tableau(graph, [vid] + nbrs), eigen)
     return StabilizerState(new_graph, corrections), m, corrections, new_graph
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report determinism, round trips."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -23,6 +24,8 @@ from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
+RUN_PATTERNS = Path(__file__).parent / "data" / "run_patterns.json"
+CLIFFORD_PATTERNS = Path(__file__).parent / "data" / "clifford_patterns.json"
 
 
 def write_json(path, obj):
@@ -542,14 +545,9 @@ def test_missing_key_is_named(tmp_path, capsys, kind, path, where):
 _DELETE = object()
 
 
-def _run_edited(tmp_path, capsys, kind, path, value=_DELETE):
-    """Exit code and stderr of the CLI on a gate, pattern or graph file
-    whose entry at path is set to value (or deleted)."""
-    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
-    _, out = run_cli(capsys, ["transport", "--gate", gate])
-    pattern = json.loads(out)["results"]["pattern"]
-    obj = {"gate": gate_to_json(cz_spec(D3)), "pattern": pattern,
-           "graph": graph_to_json(chain_graph(D3, cz_spec(D3), 5))}[kind]
+def _edited(obj, path, value=_DELETE):
+    """A copy of the JSON obj with its entry at path set to value, or
+    deleted."""
     obj = json.loads(json.dumps(obj))
     parent = obj
     for key in path[:-1]:
@@ -558,7 +556,18 @@ def _run_edited(tmp_path, capsys, kind, path, value=_DELETE):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    bad = write_json(tmp_path / "bad.json", obj)
+    return obj
+
+
+def _run_edited(tmp_path, capsys, kind, path, value=_DELETE):
+    """Exit code and stderr of the CLI on a gate, pattern or graph file
+    whose entry at path is set to value (or deleted)."""
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    _, out = run_cli(capsys, ["transport", "--gate", gate])
+    pattern = json.loads(out)["results"]["pattern"]
+    obj = {"gate": gate_to_json(cz_spec(D3)), "pattern": pattern,
+           "graph": graph_to_json(chain_graph(D3, cz_spec(D3), 5))}[kind]
+    bad = write_json(tmp_path / "bad.json", _edited(obj, path, value))
     argv = {"gate": ["analyze", "--gate", bad],
             "pattern": ["run", "--pattern", bad],
             "graph": ["run", "--graph", bad, "--pattern",
@@ -646,15 +655,7 @@ def _malformed_graphs():
     vertices, edges = len(base["vertices"]), len(base["edges"])
 
     def edited(path, value=_DELETE):
-        obj = json.loads(json.dumps(base))
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is _DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
-        return obj
+        return _edited(base, path, value)
 
     for i in range(1, vertices):
         yield (f"duplicate-id-{i}", edited(["vertices", i, "id"], i - 1),
@@ -750,6 +751,205 @@ def test_malformed_graph_file_exits_2_with_its_message(tmp_path, capsys,
         == (cli.EXIT_PARSE, f"error: {message}\n")
 
 
+def _malformed_patterns():
+    """(case, pattern JSON, exit code, message) for bad run --pattern
+    files: each mutation of a valid Z3 transport pattern and of a
+    compile_clifford pattern applied at every key, step and frame entry
+    it can reach, with the exit code and message its refusal must carry."""
+    patterns = json.loads(CLIFFORD_PATTERNS.read_text())
+    others = [D2, make_dim(INTEGER_RING, d=4), make_dim(FINITE_FIELD, p=2, m=2)]
+    parse, formalism = cli.EXIT_PARSE, cli.EXIT_FORMALISM
+    for name in ("Z3-cz-transport", "Z3-cz-hadamard"):
+        base = patterns[name]
+
+        def edited(path, value=_DELETE):
+            return _edited(base, path, value)
+
+        for key, missing in (("dim", "dim"), ("intrinsic", "intrinsic_matrix"),
+                             ("steps", "steps"), ("frame", "frame")):
+            yield (f"{name}-without-{key}", edited([key]), parse,
+                   f"missing key {missing!r} in pattern")
+        for key, value, message in (
+                ("dim", "x", "dim must be a JSON object"),
+                ("intrinsic", 3, "gate must be a JSON object"),
+                ("steps", {}, "steps must be a JSON array"),
+                ("frame", [], "frame must be a JSON object")):
+            yield f"{name}-{key}-{value!r}", edited([key], value), parse, message
+        for value in ([], "pattern", 3, None):
+            yield (f"{name}-pattern-{value!r}", value, parse,
+                   "pattern must be a JSON object")
+        for key, value, message in (
+                ("kind", "torus", "unknown dim kind 'torus'"),
+                ("kind", _DELETE, "missing key 'kind' in dim"),
+                ("d", _DELETE, "missing key 'd' in dim"),
+                ("d", "3", "d must be an integer"),
+                ("d", 2, "intrinsic gate and pattern dimensions differ")):
+            label = "deleted" if value is _DELETE else repr(value)
+            yield (f"{name}-dim-{key}-{label}", edited(["dim", key], value),
+                   parse, message)
+        # an intrinsic gate over another dimension, or malformed
+        for other in others:
+            yield (f"{name}-intrinsic-over-{other.label()}",
+                   edited(["intrinsic"], gate_to_json(cz_spec(other))), parse,
+                   "intrinsic gate and pattern dimensions differ")
+        for key, value, message in (
+                ("kind", "x", "unknown gate kind 'x'"),
+                ("kind", _DELETE, "missing key 'kind' in gate"),
+                ("dim", _DELETE, "missing key 'dim' in gate"),
+                ("name", _DELETE, "missing key 'name' in gate")):
+            label = "deleted" if value is _DELETE else repr(value)
+            yield (f"{name}-intrinsic-{key}-{label}",
+                   edited(["intrinsic", key], value), parse, message)
+        # an intrinsic matrix instead of a gate: refused if malformed, and
+        # a well-formed one has no gate to build the chain from
+        eye = complex_to_json(np.eye(3))
+        for case, matrix, code, message in (
+                ("well-formed", eye, formalism,
+                 "pattern has no gate; pass --graph"),
+                ("2x3", eye[:2], parse,
+                 "intrinsic_matrix must have shape (3, 3, 2), got (2, 3, 2)"),
+                ("nan", _edited(eye, [1, 1, 0], float("nan")), parse,
+                 "intrinsic_matrix has a NaN or infinite entry"),
+                ("string", "x", parse,
+                 "intrinsic_matrix is not a numeric array")):
+            obj = edited(["intrinsic"], None)
+            obj["intrinsic_matrix"] = matrix
+            yield f"{name}-intrinsic-matrix-{case}", obj, code, message
+        for j in range(len(base["steps"])):
+            step = ["steps", j]
+            yield (f"{name}-step-{j}-not-object", edited(step, 7), parse,
+                   "step must be a JSON object")
+            for key in ("phases", "adaptive"):
+                yield (f"{name}-step-{j}-without-{key}", edited(step + [key]),
+                       parse, f"missing key {key!r} in step")
+            for value in (1, "true", None):
+                yield (f"{name}-step-{j}-adaptive-{value!r}",
+                       edited(step + ["adaptive"], value), parse,
+                       "adaptive must be a JSON boolean")
+            for value, shape in (([0.0] * 2, "2"), ([0.0] * 4, "4"),
+                                 (0.5, ""), ([[0.0] * 3], "1, 3")):
+                yield (f"{name}-step-{j}-phases-shape-{shape}",
+                       edited(step + ["phases"], value), parse,
+                       f"phases must have shape (3), got ({shape})")
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                yield (f"{name}-step-{j}-phases-{bad}",
+                       edited(step + ["phases"], [0.0, bad, 0.0]), parse,
+                       "phases has a NaN or infinite entry")
+            yield (f"{name}-step-{j}-phases-not-numeric",
+                   edited(step + ["phases"], ["a", 0.0, 0.0]), parse,
+                   "phases is not a numeric array")
+        for key in ("phase", "z", "x"):
+            yield (f"{name}-frame-without-{key}", edited(["frame", key]),
+                   parse, f"missing key {key!r} in frame")
+        for value, message in (
+                ([0, 6, 1], "phase must have shape (2), got (3)"),
+                ([0, 7], "phase denominator does not match DimSpec"),
+                ([0.5, 6], "phase must be an array of integers"),
+                ([float("nan"), 6], "phase must be an array of integers")):
+            yield (f"{name}-frame-phase-{value!r}",
+                   edited(["frame", "phase"], value), parse, message)
+        # multi-qudit frames, and exponent vectors of unequal lengths
+        for qudits in (0, 2, 3):
+            obj = edited(["frame", "z"], [[0]] * qudits)
+            obj["frame"]["x"] = [[0]] * qudits
+            message = f"frame acts on {qudits} qudits, the pattern on one" \
+                if qudits else "z must have shape (n, 1), got (0)"
+            yield f"{name}-frame-on-{qudits}-qudits", obj, parse, message
+        for key in ("z", "x"):
+            yield (f"{name}-frame-{key}-two-rows",
+                   edited(["frame", key], [[0], [0]]), parse,
+                   "exponent vectors must have length n")
+            yield (f"{name}-frame-{key}-two-columns",
+                   edited(["frame", key], [[0, 0]]), parse,
+                   f"{key} must have shape (n, 1), got (1, 2)")
+            yield (f"{name}-frame-{key}-not-integer",
+                   edited(["frame", key], [[0.5]]), parse,
+                   f"{key} must be an array of integers")
+
+
+_MALFORMED_PATTERNS = list(_malformed_patterns())
+
+
+@pytest.mark.parametrize("pattern, code, message",
+                         [case[1:] for case in _MALFORMED_PATTERNS],
+                         ids=[case[0] for case in _MALFORMED_PATTERNS])
+def test_malformed_pattern_file_exits_with_its_message(tmp_path, capsys,
+                                                        pattern, code,
+                                                        message):
+    # every bad pattern file is refused with its own exit code and
+    # message, and no traceback
+    path = write_json(tmp_path / "pattern.json", pattern)
+    assert (cli.main(["run", "--pattern", path]), capsys.readouterr().err) \
+        == (code, f"error: {message}\n")
+
+
+def _malformed_targets():
+    """(case, target JSON, message) for bad compile --target files over a
+    Z3 cz gate: each mutation of a seeded Haar qutrit target at its key
+    and at every entry of its matrix, with the message its refusal (exit
+    2) must carry."""
+    base = {"matrix": complex_to_json(haar_unitary(3, np.random.default_rng(7)))}
+    M = base["matrix"]
+
+    def edited(path, value=_DELETE):
+        return _edited(base, path, value)
+
+    yield "without-matrix", edited(["matrix"]), "missing key 'matrix' in target"
+    for value in ([], "target", 3, None):
+        yield f"target-{value!r}", value, "target must be a JSON object"
+    size = "target size does not match the dimension"
+    for case, value, message in (
+            ("2x2", [row[:2] for row in M[:2]], size),
+            ("2x3", M[:2], size),
+            ("3x2", [row[:2] for row in M], size),
+            ("4x4", [row + [[0.0, 0.0]] for row in M] + [[[0.0, 0.0]] * 4],
+             size),
+            ("1x1", [[[1.0, 0.0]]], size),
+            ("vector", M[0], "matrix must have shape (n, n, 2), got (3, 2)"),
+            ("scalar", 3, "matrix must have shape (n, n, 2), got ()"),
+            ("null", None, "matrix must have shape (n, n, 2), got ()"),
+            ("empty", [], "matrix must have shape (n, n, 2), got (0)"),
+            ("string", "x", "matrix is not a numeric array"),
+            ("object", {}, "matrix is not a numeric array"),
+            ("ragged", [M[0], M[1], M[2][:2]], "matrix is not a numeric array"),
+            ("scaled", [[[2 * a, 2 * b] for a, b in row] for row in M],
+             "target is not unitary"),
+            ("zero", [[[0.0, 0.0]] * 3] * 3, "target is not unitary")):
+        yield f"matrix-{case}", edited(["matrix"], value), message
+    for i, j in itertools.product(range(3), repeat=2):
+        entry = ["matrix", i, j]
+        for part, bad in ((0, float("nan")), (1, float("inf")),
+                          (0, float("-inf"))):
+            yield (f"entry-{i}{j}-{part}-{bad}", edited(entry + [part], bad),
+                   "matrix has a NaN or infinite entry")
+        yield (f"entry-{i}{j}-not-numeric", edited(entry + [1], "a"),
+               "matrix is not a numeric array")
+        # one pair of another length makes the array ragged
+        for pair in ([1.0], [1.0, 0.0, 0.0]):
+            yield (f"entry-{i}{j}-pair-{len(pair)}", edited(entry, pair),
+                   "matrix is not a numeric array")
+        yield (f"entry-{i}{j}-doubled", edited(entry, [2 * v for v in
+                                                       M[i][j]]),
+               "target is not unitary")
+
+
+_MALFORMED_TARGETS = list(_malformed_targets())
+
+
+@pytest.mark.parametrize("target, message",
+                         [case[1:] for case in _MALFORMED_TARGETS],
+                         ids=[case[0] for case in _MALFORMED_TARGETS])
+def test_malformed_target_file_exits_2_with_its_message(tmp_path, capsys,
+                                                         target, message):
+    # every bad target file is refused before any ALS sweep, as a parse
+    # error with its own message and no traceback
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    path = write_json(tmp_path / "target.json", target)
+    code = cli.main(["compile", "--gate", gate, "--target", path])
+    assert (code, capsys.readouterr().err) \
+        == (cli.EXIT_PARSE, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("label", [5, -1])
 def test_graph_label_init_out_of_range(tmp_path, capsys, label):
     assert _run_edited(tmp_path, capsys, "graph", ["vertices", 4, "init"],
@@ -824,7 +1024,6 @@ GOLDEN_RUNS = {
     "Z5-cx": ("604fa8678a4e278b8df47d622a18d68179b1a42068f8d24dfd212093f88df291",
               "12d32bbdfa5b07d4b6da260d2dc1ac7c5430c6c17841d61256f86bad3a44fc42"),
 }
-RUN_PATTERNS = Path(__file__).parent / "data" / "run_patterns.json"
 # the same digests for the non-adaptive patterns of each family
 # (tests/data/clifford_patterns.json): its transport pattern and
 # compile_clifford(hadamard(dim), G_I), whose steps move the frame by the
@@ -895,7 +1094,6 @@ GOLDEN_CLIFFORD_RUNS = {
         "5fca02be28acfd8c41d1f4a9daf874c87e0429083abfe07e5210300024cdfccd",
         "ac1c4d9f1aeb92cd7cfc528b37eecbae569a811143b0494fb6306c00bf34172e"),
 }
-CLIFFORD_PATTERNS = Path(__file__).parent / "data" / "clifford_patterns.json"
 
 
 def _run_pattern_file(tmp_path, family, source=RUN_PATTERNS):

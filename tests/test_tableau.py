@@ -35,6 +35,7 @@ from quditmbqc.gates import sgate, shear_gate
 from quditmbqc.pauli import PAULI_TOL, zmat
 from quditmbqc.resource import (
     VERIFY_TOL,
+    EntanglingGateSpec,
     cx_spec,
     cz_power,
     cz_spec,
@@ -586,3 +587,96 @@ def test_rewrite_builds_rows_of_the_neighbourhood_only(rule, monkeypatch):
         rule(graph, vid, rng=2)
         assert sum(built) <= 3 * len(graph.neighbors(vid)) \
             * len(engine._additive_basis(graph.dim))
+
+
+def _fresh_cz(dim, w=1):
+    """A diagonal CZ^w spec no other test shares, so the star rules kept
+    on it are this test's alone."""
+    return EntanglingGateSpec(dim, "diagonal", theta=cz_power(dim, w).theta,
+                              init_phases=np.zeros(dim.d))
+
+
+def _star_rules(spec):
+    return [r for r in spec._facts.values() if isinstance(r, engine._StarRule)]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_star_rule_is_built_once_per_signature(rule, monkeypatch):
+    # two separately built 3x3 qutrit cz lattices, one with its edges
+    # listed in reverse, and what a corner's rewrite leaves of each, give
+    # the centre the same star signature whatever its adjacency order: its
+    # rule is built once, and every forced outcome gives the same
+    # corrections on all four graphs
+    cz = _fresh_cz(D3)
+    built = []
+    init = engine._StarRule.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(engine._StarRule, "__init__", counted)
+    graphs = [diagonal_lattice(D3, 3, 3, cz) for _ in range(2)]
+    graphs[1] = ResourceGraph(D3, graphs[1].vertices, graphs[1].edges[::-1])
+    assert engine._adjacency(graphs[0])[4] != engine._adjacency(graphs[1])[4]
+    graphs += [rule(graph, 0, rng=5)[3] for graph in graphs]
+    built.clear()
+    outputs = []
+    for graph in graphs:
+        outputs.append([[(c.label, c.operator.tobytes()) for c in
+                         rule(graph, 4, forced_outcome=m)[2]]
+                        for m in D3.elements])
+        rule(graph, 4, rng=1)
+    assert len(built) == 1
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_a_cached_non_quadratic_outcome_raises_on_every_draw():
+    # Z4 CZ^2: outcomes 0 and 2 of the chain centre's local complement
+    # have phases g that no delta fits; the message is kept with the rule
+    # and raised on every call that forces or draws those outcomes
+    Z4 = make_dim(INTEGER_RING, d=4)
+    graph = chain_graph(Z4, _fresh_cz(Z4, 2), 3)
+    for _ in range(3):
+        for m in (0, 2):
+            with pytest.raises(FrameMismatch,
+                               match=f"outcome {m} phases are not quadratic"):
+                local_complement(graph, 1, forced_outcome=m)
+        with pytest.raises(FrameMismatch, match="phases are not quadratic"):
+            local_complement(graph, 1, rng=0)
+    [rule] = _star_rules(graph.edges[0].gate)
+    assert rule.outcomes == {0: "outcome 0 phases are not quadratic",
+                             2: "outcome 2 phases are not quadratic"}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rewrite_check_catches_a_corrupted_star_rule(rule):
+    # the per-call check reads the cached eigen table and the corrections
+    # built from the cached g, so one corrupted entry of either, for the
+    # outcome forced, fails the next rewrite in _verify_rewrite.  Each
+    # neighbour row of the qutrit lattice's centre has the part Z(1) on it:
+    # a Z measurement replaces it by its eigenvalue, num[1][0]; the local
+    # complement takes it with the centre's row(v, 1), whose part X(1) on
+    # it leaves Z(1) X(1), num[1][1]
+    graph = diagonal_lattice(D3, 3, 3, _fresh_cz(D3))
+    a, x = (1, 0) if rule is vertex_delete else (1, 1)
+    for m in D3.elements:
+        rule(graph, 4, forced_outcome=m)
+        [star_rule] = _star_rules(graph.edges[0].gate)
+        g, delta, (ok, num) = cached = star_rule.outcomes[m]
+        bent = [row[:] for row in num]
+        bent[a][x] = (bent[a][x] + 1) % D3.phase_den
+        corrupted = [(g, delta, (ok, bent))]
+        # g(1) turned by a phase that is not Clifford, or by chi(1)
+        for scale in (np.exp(0.1j), np.exp(2j * np.pi / 3)):
+            bent = g.copy()
+            bent[1] *= scale
+            corrupted.append((bent, delta, (ok, num)))
+        for entry in corrupted:
+            star_rule.outcomes[m] = entry
+            with pytest.raises(FrameMismatch) as excinfo:
+                rule(graph, 4, forced_outcome=m)
+            assert any(frame.name == "_verify_rewrite"
+                       for frame in excinfo.traceback)
+        star_rule.outcomes[m] = cached
+        rule(graph, 4, forced_outcome=m)
