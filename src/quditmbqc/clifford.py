@@ -158,25 +158,20 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c, num, ok) over every shift x: diag(q) X(x) diag(q)^dag =
     e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
-    where not ok[x] (diag(q) is not Clifford).  A stack of diagonals q
-    (..., d) gives a stack of tables (..., d).
+    where not ok[x] (diag(q) is not Clifford).
 
     Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
     with phi snapped to the exact phase lattice, at PAULI_TOL.
     """
     den = dim.phase_den
     add, shifted_chi = _shift_tables(dim)
-    flat = q.reshape(-1, dim.d)
-    # ratio[k, x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
-    ratio = (flat[:, add] * flat.conj()[:, None, :])[:, :, None, :] \
-        * shifted_chi
+    # ratio[x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
+    ratio = (q[add] * q.conj())[:, None, :] * shifted_chi
     num = np.round(np.angle(ratio[..., 0]) * den / (2 * np.pi))
     fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
-                  axis=3) <= PAULI_TOL
-    c = fits.argmax(axis=2)
-    num = num[np.arange(len(flat))[:, None], add[0], c].astype(int)
-    return (c.reshape(q.shape), num.reshape(q.shape),
-            fits.any(axis=2).reshape(q.shape))
+                  axis=2) <= PAULI_TOL
+    c = fits.argmax(axis=1)
+    return c, num[add[0], c].astype(int), fits.any(axis=1)
 
 
 @functools.lru_cache(maxsize=None)

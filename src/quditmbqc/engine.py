@@ -23,9 +23,10 @@ integer rows on the neighbours' columns: the rows it builds, and the
 edges and inits it reads, follow the vertex's degree, not the graph's
 size; what they read of the vertex's star alone is built once per star
 signature (_StarRule).  It returns a StabilizerState: the new graph and
-its corrections, and nothing more.  Nothing here builds a posterior's full
-rows or simulates a whole dense state; those views live in the tests'
-oracle, tests/dense_oracle.py.
+its corrections, each a diagonal with its exact images, added up from
+integer tables in closed form, and nothing more.  Nothing here builds a
+posterior's full rows, a correction's dense operator or a whole dense
+state; those views live in the tests' oracle, tests/dense_oracle.py.
 A failed verification raises FrameMismatch rather than returning silently.
 """
 
@@ -56,7 +57,7 @@ from .galois import (
     json_int,
 )
 from .gates import hadamard, shear_gate, xplus_state
-from .clifford import _additive_basis, _diagonal_images, diagonal_images
+from .clifford import _additive_basis, diagonal_images
 from .compiler import MeasurementPattern
 from .pauli import (
     PAULI_TOL,
@@ -350,41 +351,45 @@ def _int_tables(dim: DimSpec) -> Tuple[list, list, list]:
 
 
 @_per_spec
-def _factor_images(spec: EntanglingGateSpec) -> Tuple[tuple, tuple]:
-    """(z, num) for each edge factor C1, C2 (factor_diagonal_clifford):
-    C X(x) C^dag = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every
-    shift x, from diagonal_images as int tuples; None for a factor that
-    fixes every X(x), as both factors of a CZ power do."""
+def _edge_factors(spec: EntanglingGateSpec) -> Tuple[tuple, tuple, int]:
+    """factor_diagonal_clifford's (C1, C2, N), each factor C as (q, images):
+    its diagonal q, read-only, and its exact images (z, num), C X(x) C^dag
+    = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every shift x, from
+    diagonal_images as int tuples, or None for a factor that fixes every
+    X(x), as both factors of a CZ power do."""
+    *factors, N = factor_diagonal_clifford(spec)
     out = []
-    for C in factor_diagonal_clifford(spec)[:2]:
-        z, num = map(tuple, diagonal_images(spec.dim, np.diag(C)))
-        out.append((z, num) if any(z) or any(num) else None)
-    return tuple(out)
+    for C in factors:
+        q = _read_only(np.diag(C))
+        z, num = map(tuple, diagonal_images(spec.dim, q))
+        out.append((q, (z, num) if any(z) or any(num) else None))
+    return (*out, N)
 
 
-def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
+def _vertex_table(tables, images) -> Tuple[List[int], List[int]]:
     """(z, num) over every shift x: D X(x) D^dag = e^{2 pi i num[x] /
-    phase_den} Z(z[x]) X(x) for D the product of the diagonal factors
-    whose _factor_images are images.  Each factor maps X(x) to a phase
-    times Z(c) X(x), so the c and the phases add up."""
-    add = _int_tables(dim)[1]
-    z, num = [0] * dim.d, [0] * dim.d
-    for cz, cnum in filter(None, images):
+    phase_den} Z(z[x]) X(x) for D the product of the diagonals whose exact
+    images are images (None for one that fixes every X(x)), read with the
+    dimension's _int_tables.  Each diagonal maps X(x) to a phase times
+    Z(c) X(x), so the c and the phases add up."""
+    add = tables[1]
+    images = [image for image in images if image is not None]
+    z, num = images.pop() if images else ([0] * len(add), [0] * len(add))
+    for cz, cnum in images:
         z = [add[a][b] for a, b in zip(z, cz)]
         num = [a + b for a, b in zip(num, cnum)]
-    return z, num
+    return list(z), list(num)
 
 
-def _tableau(graph: ResourceGraph, ids: Sequence[int]
+def _tableau(graph: ResourceGraph, ids: Sequence[int], tables
              ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """The graph-form tableau of the vertices ids, on their own columns:
     (weights, z, num), weights[i][j] the summed weight of the edges between
     ids[i] and ids[j] and z[i], num[i] the _vertex_table of the edge
     factors ids[i] keeps (C1 as control, C2 as target; see
     factor_diagonal_clifford).  Only the edges at ids are read, through
-    the graph's adjacency lists."""
-    dim = graph.dim
-    add = _int_tables(dim)[1]
+    the graph's adjacency lists; tables are the dimension's _int_tables."""
+    add = tables[1]
     adj = _adjacency(graph)
     local = {vid: i for i, vid in enumerate(ids)}
     weights = [[0] * len(ids) for _ in ids]
@@ -392,21 +397,22 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int]
     # an edge between two of ids is listed at both
     for e in dict.fromkeys(e for vid in ids for e in adj[vid]):
         ends = local.get(e.control), local.get(e.target)
-        N = factor_diagonal_clifford(e.gate)[2]
-        for a, b, image in zip(ends, ends[::-1], _factor_images(e.gate)):
+        *factors, N = _edge_factors(e.gate)
+        for a, b, (_, image) in zip(ends, ends[::-1], factors):
             if a is not None:
                 images[a].append(image)
                 if b is not None:
                     weights[a][b] = add[weights[a][b]][N]
-    tables = [_vertex_table(dim, i) for i in images]
-    return weights, [t[0] for t in tables], [t[1] for t in tables]
+    vertex_tables = [_vertex_table(tables, i) for i in images]
+    return (weights, [t[0] for t in vertex_tables],
+            [t[1] for t in vertex_tables])
 
 
-def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
-                xs: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
+def _graph_rows(tables, tableau, sites: Sequence[int], xs: Sequence[int]
+                ) -> List[Tuple[List[int], List[int], int]]:
     """(z, x, num) of row(s, x) for s in sites and x in xs, s major, on the
     tableau's columns: the word's Z and X exponents as int lists and its
-    exact phase numerator.
+    exact phase numerator; tables are the dimension's _int_tables.
 
     row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x), D_s the product of
     site s's edge factors and N_us the summed weight of its edges to u.
@@ -415,7 +421,7 @@ def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
     and a group element is fixed by its X part, so two such states are
     equal iff their rows are equal.
     """
-    mul = _int_tables(dim)[0]
+    mul = tables[0]
     weights, vz, vnum = tableau
     rows = []
     for s in sites:
@@ -425,47 +431,6 @@ def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
             z[s], xv[s] = vz[s][x], x
             rows.append((z, xv, vnum[s][x]))
     return rows
-
-
-def _conjugated(dim: DimSpec, rows, cols: Sequence[int],
-                corrections: List[Correction]
-                ) -> List[Tuple[List[int], List[int], int]]:
-    """Rows (z, x, num) conjugated through the corrections, corrections[i]
-    on column cols[i].
-
-    A correction is a diagonal C = diag(q), so it fixes Z parts and maps
-    X(x) to C X(x) C^dag = e^{i phi} Z(c) X(x) (_diagonal_images, one pass
-    for every correction).  FrameMismatch, naming the first correction
-    that fails, for one that is not a diagonal unitary or not Clifford on
-    the shifts the rows carry.
-    """
-    if not corrections:
-        return rows
-    add = _int_tables(dim)[1]
-    ops = np.array([c.operator for c in corrections])
-    # | |C| - I | holds the off-diagonal moduli and the diagonal's | |q| - 1 |
-    unitary = np.abs(np.abs(ops) - np.eye(dim.d)).max(axis=(1, 2)) \
-        <= PAULI_TOL
-    # images only up to the first correction that is not a diagonal unitary
-    j = len(corrections) if unitary.all() else int(unitary.argmin())
-    shift, nums, ok = (a.tolist() for a in _diagonal_images(
-        dim, np.diagonal(ops[:j], axis1=1, axis2=2)))
-    for i, c in enumerate(corrections[:j]):
-        if not all(ok[i][x[cols[i]]] for _, x, _ in rows if x[cols[i]]):
-            raise FrameMismatch(f"correction on vertex {c.vertex} is not "
-                                f"Clifford")
-    if j < len(corrections):
-        raise FrameMismatch(f"correction on vertex {corrections[j].vertex} "
-                            f"is not a diagonal unitary")
-    out = []
-    for z, x, num in rows:
-        z = list(z)
-        for i, col in enumerate(cols):
-            if x[col]:
-                z[col] = add[z[col]][shift[i][x[col]]]
-                num += nums[i][x[col]]
-        out.append((z, x, num))
-    return out
 
 
 @dataclass(eq=False)
@@ -924,10 +889,15 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
 
 # --- graph rewriting ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Correction:
+    """The diagonal diag(q) a rewrite leaves on a vertex (q read-only; the
+    tests' oracle builds the dense operator) and its exact images (c, num),
+    diag(q) X(x) diag(q)^dag = e^{2 pi i num[x] / phase_den} Z(c[x]) X(x)
+    for every shift x, as int lists with num in [0, phase_den)."""
     vertex: int
-    operator: np.ndarray
+    q: np.ndarray
+    images: Tuple[List[int], List[int]]
     label: str
 
 
@@ -948,34 +918,37 @@ def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
 
 class _StarRule:
     """What a rewrite reads of the measured vertex v's star alone: W, each
-    neighbour slot's kept factors and summed weight N_u, B (checked
-    unitary) and amps, outcome k's amplitude sqrt(<b_k|rho|b_k>) for b_k =
-    B[:, k] and rho v's reduced state on the rows.  Its signature: shear,
-    v's first edge weight for local complementation (None for deletion),
-    and per sorted neighbour its edges' (gate, v is control), in order."""
+    neighbour slot's kept factors (their diagonal, read-only, and the sum
+    of their exact images) and summed weight N_u, B (checked unitary) and
+    amps, outcome k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and
+    rho v's reduced state on the rows.  Its signature: shear, v's first
+    edge weight for local complementation (None for deletion), and per
+    sorted neighbour its edges' (gate, v is control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
         dim, d = spec.dim, spec.dim.d
-        add = _int_tables(dim)[1]
+        tables = _int_tables(dim)
         self.dim, self.kept, self.weights = dim, [], []
         W, images = np.eye(d, dtype=complex), []
         for edges in slots:
-            K, N_u = np.eye(d, dtype=complex), 0
+            q, kept, N_u = np.ones(d, dtype=complex), [], 0
             for gate, own in edges:
-                C1, C2, N = factor_diagonal_clifford(gate)
-                W = W @ (C1 if own else C2)
-                K = K @ (C2 if own else C1)
-                N_u = add[N_u][N]
-                images.append(_factor_images(gate)[0 if own else 1])
-            self.kept.append(_read_only(K))
+                *factors, N = _edge_factors(gate)
+                (qv, image), (qu, other) = factors[::1 if own else -1]
+                W = W @ np.diag(qv)
+                q = q * qu
+                N_u = tables[1][N_u][N]
+                images.append(image)
+                kept.append(other)
+            self.kept.append((_read_only(q), _vertex_table(tables, kept)))
             self.weights.append(N_u)
         B = np.eye(d, dtype=complex)
         if shear is not None:
             B = W @ shear_gate(dim, shear) @ hadamard(dim)
             sim.require_unitary(B, "basis 'local-complement' is not "
                                    "orthonormal")
-        z, num = _vertex_table(dim, images)
+        z, num = _vertex_table(tables, images)
         rho = np.eye(d, dtype=complex) / d
         for x in dim.elements[1:]:
             if all(dim.mul(N, x) == 0 for N in self.weights):
@@ -986,11 +959,13 @@ class _StarRule:
         self.amps = _read_only(np.sqrt(np.clip(weight, 0, None))[:, None])
         self.outcomes: Dict[int, Union[tuple, str]] = {}
 
-    def outcome(self, m: int) -> Tuple[np.ndarray, int, Tuple[list, list]]:
-        """(g, delta, _eigen_table(B[:, m])), built on first use: f(s) =
-        sum_j conj(B_jm) W_jj chi(j s), g = f / f(0) and the delta with
-        g(a + b) = g(a) g(b) chi(delta a b).  FrameMismatch, its message
-        kept and raised on every call, when f(0) = 0 or no delta fits."""
+    def outcome(self, m: int) -> Tuple[np.ndarray, list, int, tuple]:
+        """(g, gnum, delta, _eigen_table(B[:, m])), built on first use:
+        f(s) = sum_j conj(B_jm) W_jj chi(j s), g = f / f(0), gnum its
+        exact phase numerators, g(s) = e^{2 pi i gnum[s] / phase_den}
+        checked at PAULI_TOL, and the delta with g(a + b) = g(a) g(b)
+        chi(delta a b).  FrameMismatch, its message kept and raised on
+        every call, when f(0) = 0, no delta fits or g is off the lattice."""
         if m not in self.outcomes:
             self.outcomes[m] = self._outcome(m)
         out = self.outcomes[m]
@@ -1008,7 +983,12 @@ class _StarRule:
             g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
         if delta is None:
             return f"outcome {m} phases are not quadratic"
-        return g, delta, _eigen_table(self.dim, self.B[:, m])
+        den = self.dim.phase_den
+        gnum = np.round(np.angle(g) * den / (2 * np.pi)) % den
+        if np.max(np.abs(g - np.exp(2j * np.pi * gnum / den))) > PAULI_TOL:
+            return f"outcome {m} phases are off the exact phase lattice"
+        return (g, gnum.astype(int).tolist(), delta,
+                _eigen_table(self.dim, self.B[:, m]))
 
 
 # kept on the spec of the star's first slot's first gate, as long as it lives
@@ -1017,13 +997,14 @@ _star_rule = _per_spec(_StarRule)
 
 def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
                     new_graph: ResourceGraph, corrections: List[Correction],
-                    nbrs: List[int], old, eigen: Tuple[list, list]):
+                    nbrs: List[int], old, eigen: Tuple[list, list], tables):
     """FrameMismatch unless the state the other vertices keep when vid is
     found in the vector b on the rows (column m of _measure_and_rewrite's
     B) is new_graph's, conjugated through the corrections.  nbrs (vid's
-    sorted neighbours), old (graph's _tableau of [vid] + nbrs) and eigen
-    (b's _eigen_table, as the star's rule keeps it) are passed in as
-    _measure_and_rewrite built them; the tests' dense oracle reads b.
+    sorted neighbours), old (graph's _tableau of [vid] + nbrs), eigen (b's
+    _eigen_table, as the star's rule keeps it) and tables (the dimension's
+    _int_tables) are passed in as _measure_and_rewrite built them; the
+    tests' dense oracle reads b.
 
     Measuring vid multiplies each row(w, y), w != vid, by the row(vid, z)
     whose product has a part P on vid with b as eigenvector (z = 0 for a Z
@@ -1038,13 +1019,16 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
     the corrections sit on N(v), where the other rows have no X part.  So
     only the neighbours' rows are built (_graph_rows) and compared word
     for word, exact phases included.  (A new_graph that changed an edge
-    away from N(v) would go unseen; _measure_and_rewrite makes none.)
+    away from N(v) would go unseen; _measure_and_rewrite makes none.)  A
+    correction fixes Z parts and maps X(x) to its exact image, and only a
+    neighbour's own rows have an X part on it: its images add to its
+    vertex table (_vertex_table).
     """
     dim = graph.dim
     den = dim.phase_den
     basis = _additive_basis(dim)
     ok, eig = eigen
-    _, add, swap = _int_tables(dim)
+    _, add, swap = tables
     vz = old[1][0]
     partners = {}
 
@@ -1053,12 +1037,13 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
         # and z = 0 is the identity
         for z in dim.elements:
             if ok[add[a][vz[z]]][z]:
-                return _graph_rows(dim, old, [0], [z])[0] if z else None
+                return _graph_rows(tables, old, [0], [z])[0] if z else None
         raise FrameMismatch("measured vector is not an eigenvector of any "
                             "stabilizer's part on the measured vertex")
 
     posterior = []
-    for z, x, num in _graph_rows(dim, old, range(1, len(nbrs) + 1), basis):
+    for z, x, num in _graph_rows(tables, old, range(1, len(nbrs) + 1),
+                                 basis):
         if z[0] not in partners:
             partners[z[0]] = partner(z[0])
         if partners[z[0]] is not None:
@@ -1070,10 +1055,12 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
             x = [add[c][e] for c, e in zip(x, px)]
         # vid's part is replaced by its eigenvalue, and vid dropped
         posterior.append((z[1:], x[1:], (num + eig[z[0]][x[0]]) % den))
-    new = _conjugated(dim, _graph_rows(dim, _tableau(new_graph, nbrs),
-                                       range(len(nbrs)), basis),
-                      [nbrs.index(c.vertex) for c in corrections],
-                      corrections)
+    weights, zs, nums = _tableau(new_graph, nbrs, tables)
+    col = {u: i for i, u in enumerate(nbrs)}
+    for c in corrections:
+        i = col[c.vertex]
+        zs[i], nums[i] = _vertex_table(tables, [(zs[i], nums[i]), c.images])
+    new = _graph_rows(tables, (weights, zs, nums), range(len(nbrs)), basis)
     if [(z, x, num % den) for z, x, num in new] != posterior:
         raise FrameMismatch("rewritten graph and corrections do not verify")
 
@@ -1112,13 +1099,17 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     or NotCliffordError).
 
     W, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
-    delta and eigen table come from the star's _StarRule.  Only N[v] is
-    read: its edges through the adjacency lists, and no init phases at
-    all.  The new graph is valid by construction and is not validated
-    again; its vertex and edge tuples are the old ones with v,
-    v's edges and the replaced pair edges cut out (by _edge_index) and the
-    new edges appended, and its adjacency lists are the old ones with
-    N(v)'s updated.
+    its exact phases, delta and eigen table come from the star's
+    _StarRule.  Each correction is its diagonal and its exact images,
+    added up from the integer images of C_u, of any replaced pair edge's
+    factors and of diag g(N_u j), which maps X(x) to g(N_u x) chi(-c x)
+    Z(c) X(x) for c = delta N_u^2 x: no correction is built or read as a
+    dense operator.  Only N[v] is read: its edges through the adjacency
+    lists, and no init phases at all.  The new graph is valid by
+    construction and is not validated again; its vertex and edge tuples
+    are the old ones with v, v's edges and the replaced pair edges cut
+    out (by _edge_index) and the new edges appended, and its adjacency
+    lists are the old ones with N(v)'s updated.
     """
     dim = graph.dim
     site = graph.site_of(vid)
@@ -1133,14 +1124,17 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         slots.setdefault(e.target if own else e.control, []).append(
             (expand(e.gate), own))
     nbrs = sorted(slots)
-    shear = factor_diagonal_clifford(star[0].gate)[2] if complement else None
+    shear = _edge_factors(star[0].gate)[2] if complement else None
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
     m = _draw(rule.amps, rng, forced_outcome)[0]
-    g, delta, eigen = rule.outcome(m)
+    g, gnum, delta, eigen = rule.outcome(m)
+    tables = _int_tables(dim)
+    mul, _, swap = tables
     weight = dict(zip(nbrs, rule.weights))
-    kept = dict(zip(nbrs, rule.kept))
+    # each neighbour's kept diagonal, and the exact images to add up
+    kept = {u: (q, [images]) for u, (q, images) in zip(nbrs, rule.kept)}
     positions, seqs_down = _edge_index(graph)
     # one past the top seq that v's edges leave
     cut = {e.seq for e in star}
@@ -1152,9 +1146,9 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
             continue
         # the edges between u and w, the only ones the new edge replaces
         for e in [e for e in adj[u] if w in (e.control, e.target)]:
-            C1, C2, N = factor_diagonal_clifford(e.gate)
-            kept[e.control] = kept[e.control] @ C1
-            kept[e.target] = kept[e.target] @ C2
+            *factors, N = _edge_factors(e.gate)
+            for end, (q, image) in zip((e.control, e.target), factors):
+                kept[end] = (kept[end][0] * q, kept[end][1] + [image])
             new_w = dim.add(new_w, N)
             removed.add(e)
         if new_w != 0:
@@ -1173,12 +1167,18 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     new_graph = ResourceGraph._derived(
         dim, graph.vertices[:site] + graph.vertices[site + 1:], edges,
         adjacency=new_adj, tableau=True)
-    mul = dim.tables.mul
-    corrections = [Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
-                              f"C g({weight[u]}*j) on {u}")
-                   for u in nbrs]
+    corrections = []
+    for u in nbrs:
+        N, (q, images) = weight[u], kept[u]
+        # diag g(N j) maps X(x) to g(N x) chi(-c x) Z(c) X(x), c = delta N^2 x
+        c = mul[mul[delta][mul[N][N]]]
+        z, num = _vertex_table(tables, images + [(c, [
+            gnum[mul[N][x]] + swap[c[x]][x] for x in dim.elements])])
+        corrections.append(Correction(
+            u, _read_only(q * g[dim.tables.mul[N]]),
+            (z, [n % dim.phase_den for n in num]), f"C g({N}*j) on {u}"))
     _verify_rewrite(graph, vid, rule.B[:, m], new_graph, corrections, nbrs,
-                    _tableau(graph, [vid] + nbrs), eigen)
+                    _tableau(graph, [vid] + nbrs, tables), eigen, tables)
     return StabilizerState(new_graph, corrections), m, corrections, new_graph
 
 

@@ -447,10 +447,12 @@ def _json_leaves(value) -> list:
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,
                dtype=float) -> np.ndarray:
     """value as a finite numeric array of the shape; None matches any size.
-    An int array takes JSON integers only, as json_int does."""
-    if dtype is int and any(isinstance(v, bool) or not isinstance(v, int)
-                            for v in _json_leaves(value)):
-        raise DimensionMismatch(f"{what} must be an array of integers")
+    An int array takes JSON integers only, as json_int does, and no array
+    takes JSON booleans."""
+    if any(isinstance(v, bool) or dtype is int and not isinstance(v, int)
+           for v in _json_leaves(value)):
+        kind = "integers" if dtype is int else "numbers"
+        raise DimensionMismatch(f"{what} must be an array of {kind}")
     try:
         arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):

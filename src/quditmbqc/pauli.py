@@ -209,8 +209,11 @@ def pauli_from_json(dim: DimSpec, obj: dict) -> PauliWord:
     num, den = json_array(obj["phase"], (2,), "phase", int).tolist()
     if den != dim.phase_den:
         raise DimensionMismatch("phase denominator does not match DimSpec")
-    width = len(dim.coeffs_of(0))
-    z, x = (tuple(dim.elem_from_coeffs(row) for row in
-                  json_array(obj[key], (None, width), key, int).tolist())
-            for key in ("z", "x"))
-    return PauliWord(dim, len(z), z, x, num)
+    exponents = []
+    for key in ("z", "x"):
+        coeffs = json_array(obj[key], (None, dim.m), key, int).tolist()
+        if not all(0 <= c < dim.base for row in coeffs for c in row):
+            raise DimensionMismatch(f"{key} coefficients must lie in "
+                                    f"0..{dim.base - 1}")
+        exponents.append(tuple(map(dim.elem_from_coeffs, coeffs)))
+    return PauliWord(dim, len(exponents[0]), *exponents, num)

@@ -7,11 +7,12 @@ and projective measurement on whole state vectors, the resource state of
 a graph, the Bell basis, the outcome draw and the diagonal-Clifford
 conjugation in their original forms, and the full-row check of a graph
 rewrite, which builds every graph-form row as a PauliWord.  A rewrite's
-posterior (engine.StabilizerState) is only its graph and its corrections:
-corrected_rows and corrected_state are its rows and its dense vector, and
-rewrite_basis the basis a rewrite measures in.  Graphs are immutable, so
-with_init derives one with an init changed.  Site 0 is the most
-significant tensor digit, as in quditmbqc.sim.
+posterior (engine.StabilizerState) is only its graph and its corrections,
+each a diagonal with its exact images: operator is a correction's dense
+view, corrected_rows and corrected_state are the posterior's rows and its
+dense vector, and rewrite_basis the basis a rewrite measures in.  Graphs
+are immutable, so with_init derives one with an init changed.  Site 0 is
+the most significant tensor digit, as in quditmbqc.sim.
 """
 
 from __future__ import annotations
@@ -85,6 +86,22 @@ def diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
         return None
     c = int(np.argmax(fits))
     return c, int(num[c])
+
+
+def operator(c: engine.Correction) -> np.ndarray:
+    """A correction's dense d x d view, diag(q)."""
+    return np.diag(c.q)
+
+
+def correction(dim: DimSpec, vertex: int, q: np.ndarray, label: str
+               ) -> engine.Correction:
+    """The engine.Correction diag(q) on vertex, its exact images read one
+    shift at a time (diagonal_conjugate); q must be Clifford."""
+    images = [diagonal_conjugate(dim, q, x) for x in dim.elements]
+    assert None not in images, f"diag(q) on vertex {vertex} is not Clifford"
+    return engine.Correction(vertex, q, ([c for c, _ in images],
+                                         [n % dim.phase_den
+                                          for _, n in images]), label)
 
 
 def product_state(dim: DimSpec, vectors: Sequence[np.ndarray]) -> StateVector:
@@ -200,7 +217,7 @@ def corrected_state(graph: engine.ResourceGraph, corrections) -> np.ndarray:
     correction applied on its vertex."""
     state = build(graph)
     for c in corrections:
-        state = apply(state, c.operator, graph.site_of(c.vertex))
+        state = apply(state, operator(c), graph.site_of(c.vertex))
     return state.normalized().amps
 
 
@@ -350,15 +367,15 @@ def posterior_rows(tableau: GraphTableau, s: int, b: np.ndarray
 
 def corrected_rows(graph: engine.ResourceGraph, corrections
                    ) -> List[PauliWord]:
-    """GraphTableau(graph).rows() conjugated through the corrections, each
-    shift's image found by diagonal_conjugate.  FrameMismatch for a
-    correction that is not a diagonal unitary or not Clifford."""
+    """GraphTableau(graph).rows() conjugated through the corrections' dense
+    diagonals, each shift's image found by diagonal_conjugate (their exact
+    images are not read).  FrameMismatch for a correction that is not
+    unitary or not Clifford."""
     dim = graph.dim
     rows = GraphTableau(graph).rows()
     for c in corrections:
-        q = np.diag(c.operator)
-        if not (np.max(np.abs(c.operator - np.diag(q))) <= PAULI_TOL
-                and np.max(np.abs(np.abs(q) - 1)) <= PAULI_TOL):
+        q = c.q
+        if not np.max(np.abs(np.abs(q) - 1)) <= PAULI_TOL:
             raise FrameMismatch(f"correction on vertex {c.vertex} is not a "
                                 f"diagonal unitary")
         s = graph.site_of(c.vertex)

@@ -838,6 +838,9 @@ def _malformed_patterns():
             yield (f"{name}-step-{j}-phases-not-numeric",
                    edited(step + ["phases"], ["a", 0.0, 0.0]), parse,
                    "phases is not a numeric array")
+            yield (f"{name}-step-{j}-phases-boolean",
+                   edited(step + ["phases"], [True, 0.0, 0.0]), parse,
+                   "phases must be an array of numbers")
         for key in ("phase", "z", "x"):
             yield (f"{name}-frame-without-{key}", edited(["frame", key]),
                    parse, f"missing key {key!r} in frame")
@@ -865,6 +868,19 @@ def _malformed_patterns():
             yield (f"{name}-frame-{key}-not-integer",
                    edited(["frame", key], [[0.5]]), parse,
                    f"{key} must be an array of integers")
+            # a coefficient outside 0..p-1 is refused, not reduced mod p
+            for value in (3, -1, 4):
+                yield (f"{name}-frame-{key}-coefficient-{value}",
+                       edited(["frame", key], [[value]]), parse,
+                       f"{key} coefficients must lie in 0..2")
+    # over GF(4) each exponent is two coefficients in 0..1: 2 is not the
+    # element xi
+    base = patterns["GF4-cx-hadamard"]
+    for key, row in itertools.product(("z", "x"), ([2, 0], [0, 2], [-1, 0],
+                                                   [0, 3])):
+        yield (f"GF4-cx-hadamard-frame-{key}-coefficients-{row[0]}-{row[1]}",
+               _edited(base, ["frame", key], [row]), parse,
+               f"{key} coefficients must lie in 0..1")
 
 
 _MALFORMED_PATTERNS = list(_malformed_patterns())
@@ -924,6 +940,8 @@ def _malformed_targets():
                    "matrix has a NaN or infinite entry")
         yield (f"entry-{i}{j}-not-numeric", edited(entry + [1], "a"),
                "matrix is not a numeric array")
+        yield (f"entry-{i}{j}-boolean", edited(entry, [True, 0]),
+               "matrix must be an array of numbers")
         # one pair of another length makes the array ragged
         for pair in ([1.0], [1.0, 0.0, 0.0]):
             yield (f"entry-{i}{j}-pair-{len(pair)}", edited(entry, pair),

@@ -23,7 +23,7 @@ from quditmbqc.errors import (
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
-from quditmbqc.clifford import certify
+from quditmbqc.clifford import certify, diagonal_images
 from quditmbqc.gates import (
     basis_state,
     dphi,
@@ -801,7 +801,8 @@ def _star(dim, leaves):
 @pytest.mark.parametrize("leaves", [1, 2, 3, 4, 5])
 def test_local_complement_star_every_outcome(leaves):
     # the centre's outcome joins every pair of leaves; corrections are
-    # read off the outcome, not searched, so five leaves stay fast
+    # read off the outcome, not searched, so five leaves stay fast, and
+    # each carries its diagonal's images
     g = _star(D3, leaves)
     start = time.perf_counter()
     for outcome in range(3):
@@ -812,7 +813,7 @@ def test_local_complement_star_every_outcome(leaves):
                       for e in new_graph.edges) == \
             [list(p) for p in itertools.combinations(range(1, leaves + 1), 2)]
         assert [c.vertex for c in corrections] == list(range(1, leaves + 1))
-        assert all(np.allclose(c.operator, np.diag(np.diag(c.operator)))
+        assert all(c.images == tuple(diagonal_images(D3, c.q))
                    for c in corrections)
         _assert_dense_posterior(g, 0, local_complement, outcome, post)
     if leaves == 5:
@@ -869,7 +870,8 @@ def test_vertex_delete_corrections_are_outcome_z_powers():
                 expected[u] = C @ zmat(dim, dim.mul(N, m))
         assert {c.vertex for c in corrections} == set(expected)
         for c in corrections:
-            assert np.max(np.abs(c.operator - expected[c.vertex])) < 1e-12
+            assert np.max(np.abs(dense_oracle.operator(c)
+                                 - expected[c.vertex])) < 1e-12
         _assert_dense_posterior(g, vid, vertex_delete, m, post)
 
 

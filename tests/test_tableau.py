@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditmbqc import engine, sim
+from quditmbqc.clifford import _diagonal_images, diagonal_images
 from quditmbqc.engine import (
     GraphEdge,
     ResourceGraph,
@@ -104,9 +105,9 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
             edges.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
             next_seq += 1
     new_graph = ResourceGraph(dim, vertices, edges)
-    corrections = [engine.Correction(u, kept[u] @ np.diag(g[mul[weight[u]]]),
-                                     f"C g({weight[u]}*j) on {u}")
-                   for u in sorted(weight)]
+    corrections = [dense_oracle.correction(
+        dim, u, np.diag(kept[u] @ np.diag(g[mul[weight[u]]])),
+        f"C g({weight[u]}*j) on {u}") for u in sorted(weight)]
     if new_graph.vertices and not abs(np.vdot(dense_oracle.corrected_state(
             new_graph, corrections), post.amps)) >= 1 - VERIFY_TOL:
         raise FrameMismatch("rewritten graph and corrections do not verify")
@@ -120,9 +121,9 @@ def _edge_list(graph):
 
 def _assert_matches_dense(got, want):
     """A library rewrite result equals the dense reference's: outcome,
-    corrections, edges and posterior (its graph and corrections built
-    densely, at fidelity 1 - 1e-9), and the posterior keeps its graph's
-    init phases."""
+    corrections (their diagonals, and their exact images word for word),
+    edges and posterior (its graph and corrections built densely, at
+    fidelity 1 - 1e-9), and the posterior keeps its graph's init phases."""
     post, m, corrections, new = got
     amps, m_dense, dense_corrections, dense_new = want
     assert isinstance(post, StabilizerState)
@@ -131,8 +132,10 @@ def _assert_matches_dense(got, want):
     assert m == m_dense
     assert [c.label for c in corrections] == \
         [c.label for c in dense_corrections]
-    assert all(np.max(np.abs(c.operator - o.operator)) <= 1e-9
+    assert all(np.max(np.abs(c.q - o.q)) <= 1e-9
                for c, o in zip(corrections, dense_corrections))
+    assert [c.images for c in corrections] == \
+        [o.images for o in dense_corrections]
     assert _edge_list(new) == _edge_list(dense_new)
     assert abs(np.vdot(amps, dense_oracle.corrected_state(
         post.graph, post.corrections))) >= 1 - 1e-9
@@ -407,7 +410,7 @@ def test_diagonal_images_equal_the_loop_over_shifts(dim, seed, clifford):
             * np.exp(2j * np.pi * rng.random())
     else:
         q = np.exp(2j * np.pi * rng.random(dim.d))
-    c, num, ok = engine._diagonal_images(dim, q)
+    c, num, ok = _diagonal_images(dim, q)
     for x in dim.elements:
         want = dense_oracle.diagonal_conjugate(dim, q, x)
         assert ok[x] == (want is not None)
@@ -478,18 +481,26 @@ def test_neighbourhood_check_matches_the_full_rows_on_benchmark_graphs(
 
 
 def _mutations(dim, vid, new_graph, corrections):
-    """(new graph, corrections) pairs that each differ from a verified
-    rewrite in one place: a correction's diagonal scaled by the
-    non-Clifford phases e^{0.3 i j^2} or by Z, which moves only the phase
-    of the correction's image of X(x), or a new edge between two of vid's
-    former neighbours given another weight."""
-    twist = np.diag(np.exp(0.3j * np.arange(dim.d) ** 2))
+    """(new graph, corrections, dense) triples that each differ from a
+    verified rewrite in one place: one entry of a correction's exact images
+    bent, the Z shift or the phase of its image of a basis shift X(x), its
+    diagonal left as it was (dense False: only the neighbourhood check reads
+    the images); a correction's diagonal scaled by Z and its images read
+    again, which moves only the phase of its image of X(x); or a new edge
+    between two of vid's former neighbours given another weight."""
     for i, c in enumerate(corrections):
-        for scale in (twist, zmat(dim, 1)):
+        for x, bend in itertools.product(engine._additive_basis(dim),
+                                         ((1, 0), (0, 1))):
+            shift, nums = (list(t) for t in c.images)
+            shift[x] = dim.add(shift[x], bend[0])
+            nums[x] = (nums[x] + bend[1]) % dim.phase_den
             bent = list(corrections)
-            bent[i] = engine.Correction(c.vertex, c.operator @ scale,
-                                        c.label)
-            yield new_graph, bent
+            bent[i] = engine.Correction(c.vertex, c.q, (shift, nums), c.label)
+            yield new_graph, bent, False
+        bent = list(corrections)
+        bent[i] = dense_oracle.correction(dim, c.vertex,
+                                          c.q * np.diag(zmat(dim, 1)), c.label)
+        yield new_graph, bent, True
     near = {c.vertex for c in corrections}
     for i, e in enumerate(new_graph.edges):
         if {e.control, e.target} <= near:
@@ -497,14 +508,16 @@ def _mutations(dim, vid, new_graph, corrections):
             edges = list(new_graph.edges)
             edges[i] = GraphEdge(e.control, e.target,
                                  cz_power(dim, dim.add(w, 1)), e.seq)
-            yield ResourceGraph(dim, new_graph.vertices, edges), corrections
+            yield (ResourceGraph(dim, new_graph.vertices, edges), corrections,
+                   True)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_neighbourhood_check_rejects_a_changed_correction_or_edge(rule):
-    # one bent correction or one re-weighted new edge (_mutations): the
-    # neighbourhood check and the full-row reference both raise
-    # FrameMismatch
+    # one bent image entry, one correction scaled by Z or one re-weighted
+    # new edge (_mutations): the neighbourhood check raises FrameMismatch,
+    # and so does the full-row reference, which reads the corrections'
+    # diagonals, wherever a diagonal or an edge changed
     mutated = 0
     for graph, vid in _benchmark_graphs():
         calls = []
@@ -514,15 +527,49 @@ def test_neighbourhood_check_rejects_a_changed_correction_or_edge(rule):
             rule(graph, vid, rng=3)
         _, _, b, new_graph, corrections, *local = calls[0]
         engine._verify_rewrite(*calls[0])
-        for bent_graph, bent in _mutations(graph.dim, vid, new_graph,
-                                           corrections):
+        for bent_graph, bent, dense in _mutations(graph.dim, vid, new_graph,
+                                                  corrections):
             with pytest.raises(FrameMismatch):
                 engine._verify_rewrite(graph, vid, b, bent_graph, bent,
                                        *local)
-            with pytest.raises(FrameMismatch):
-                dense_oracle.verify_rewrite(graph, vid, b, bent_graph, bent)
+            if dense:
+                with pytest.raises(FrameMismatch):
+                    dense_oracle.verify_rewrite(graph, vid, b, bent_graph,
+                                                bent)
             mutated += 1
     assert mutated > len(_benchmark_graphs())
+
+
+def test_correction_images_are_the_images_of_its_diagonal():
+    # a correction's exact images, added up from integer tables, are what
+    # clifford.diagonal_images reads off its diagonal, for every forced
+    # outcome of both rules on the benchmark's graphs and on Z4 CZ^w
+    # chains; and the dense oracle's corrected posterior (its graph and
+    # diagonals) is the state measuring the vertex leaves
+    Z4 = make_dim(INTEGER_RING, d=4)
+    cases = _benchmark_graphs() + [
+        (chain_graph(Z4, cz_power(Z4, w), 3), vid)
+        for w in (1, 2, 3) for vid in (0, 1)]
+    checked = 0
+    for (graph, vid), rule in itertools.product(cases, RULES):
+        dense = graph.dim.d ** len(graph.vertices) <= sim.MAX_AMPS
+        for m in graph.dim.elements:
+            got = _rewrite_or_error(rule, graph, vid, m)
+            if isinstance(got, type):
+                continue
+            post, _, corrections, _ = got
+            for c in corrections:
+                assert not c.q.flags.writeable
+                assert c.images == tuple(diagonal_images(graph.dim, c.q))
+            if dense and post.graph.vertices:
+                basis = dense_oracle.rewrite_basis(graph, vid,
+                                                   rule is local_complement)
+                _, want, _ = dense_oracle.measure(
+                    build(graph), basis, graph.site_of(vid), forced_outcome=m)
+                assert abs(np.vdot(want.amps, dense_oracle.corrected_state(
+                    post.graph, post.corrections))) > 1 - 1e-9
+            checked += len(corrections)
+    assert checked > 300
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -623,7 +670,7 @@ def test_a_star_rule_is_built_once_per_signature(rule, monkeypatch):
     built.clear()
     outputs = []
     for graph in graphs:
-        outputs.append([[(c.label, c.operator.tobytes()) for c in
+        outputs.append([[(c.label, c.q.tobytes(), c.images) for c in
                          rule(graph, 4, forced_outcome=m)[2]]
                         for m in D3.elements])
         rule(graph, 4, rng=1)
@@ -651,27 +698,29 @@ def test_a_cached_non_quadratic_outcome_raises_on_every_draw():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_rewrite_check_catches_a_corrupted_star_rule(rule):
-    # the per-call check reads the cached eigen table and the corrections
-    # built from the cached g, so one corrupted entry of either, for the
-    # outcome forced, fails the next rewrite in _verify_rewrite.  Each
-    # neighbour row of the qutrit lattice's centre has the part Z(1) on it:
-    # a Z measurement replaces it by its eigenvalue, num[1][0]; the local
-    # complement takes it with the centre's row(v, 1), whose part X(1) on
-    # it leaves Z(1) X(1), num[1][1]
+    # the per-call check reads the cached eigen table and the corrections'
+    # images built from the cached exact phases gnum of g, so one corrupted
+    # entry of either, for the outcome forced, fails the next rewrite in
+    # _verify_rewrite.  Each neighbour row of the qutrit lattice's centre
+    # has the part Z(1) on it: a Z measurement replaces it by its
+    # eigenvalue, num[1][0]; the local complement takes it with the
+    # centre's row(v, 1), whose part X(1) on it leaves Z(1) X(1),
+    # num[1][1].  Each neighbour's correction maps X(1) at the phase
+    # gnum[1] of g(1)
     graph = diagonal_lattice(D3, 3, 3, _fresh_cz(D3))
     a, x = (1, 0) if rule is vertex_delete else (1, 1)
     for m in D3.elements:
         rule(graph, 4, forced_outcome=m)
         [star_rule] = _star_rules(graph.edges[0].gate)
-        g, delta, (ok, num) = cached = star_rule.outcomes[m]
+        g, gnum, delta, (ok, num) = cached = star_rule.outcomes[m]
         bent = [row[:] for row in num]
         bent[a][x] = (bent[a][x] + 1) % D3.phase_den
-        corrupted = [(g, delta, (ok, bent))]
-        # g(1) turned by a phase that is not Clifford, or by chi(1)
-        for scale in (np.exp(0.1j), np.exp(2j * np.pi / 3)):
-            bent = g.copy()
-            bent[1] *= scale
-            corrupted.append((bent, delta, (ok, num)))
+        corrupted = [(g, gnum, delta, (ok, bent))]
+        # g(1)'s phase moved one step of the lattice, or by chi(1)
+        for step in (1, D3.char_exp(1)):
+            bent = list(gnum)
+            bent[1] = (bent[1] + step) % D3.phase_den
+            corrupted.append((g, bent, delta, (ok, num)))
         for entry in corrupted:
             star_rule.outcomes[m] = entry
             with pytest.raises(FrameMismatch) as excinfo:
