@@ -150,11 +150,11 @@ def cmd_analyze(args) -> int:
                                    "witness": [int(a), int(b)]}
     try:
         if kind == DIAGONAL:
-            C1, C2, N = factor_diagonal_clifford(spec)
+            (q1, _), (q2, _), N = factor_diagonal_clifford(spec)
             results["factorization"] = {
                 "form": "(C1 x C2) CZ^N",
-                "C1": complex_to_json(C1),
-                "C2": complex_to_json(C2),
+                "C1": complex_to_json(np.diag(q1)),
+                "C2": complex_to_json(np.diag(q2)),
                 "N": int(N),
             }
         else:

@@ -17,16 +17,18 @@ predicted actions once, for every input at once.  Pauli frames move by
 index arithmetic: through a diagonal by its images (clifford.diagonal_images;
 the engine certifies nothing), through G_I by its certificate's frame table.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
-inits and diagonal Clifford edges.  Measuring a vertex changes only the
-rows of its neighbours, so a rewrite builds and compares those rows, as
-integer rows on the neighbours' columns: the rows it builds, and the
-edges and inits it reads, follow the vertex's degree, not the graph's
-size; what they read of the vertex's star alone is built once per star
-signature (_StarRule).  It returns a StabilizerState: the new graph and
-its corrections, each a diagonal with its exact images, added up from
-integer tables in closed form, and nothing more.  Nothing here builds a
-posterior's full rows, a correction's dense operator or a whole dense
-state; those views live in the tests' oracle, tests/dense_oracle.py.
+inits and diagonal Clifford edges, each read as its gate's factor
+diagonals, their exact images and its weight (factor_diagonal_clifford).
+Measuring a vertex changes only the rows of its neighbours, so a rewrite
+builds and compares those rows, as integer rows on the neighbours'
+columns: the rows it builds, and the edges and inits it reads, follow
+the vertex's degree, not the graph's size; what they read of the
+vertex's star alone is built once per star signature (_StarRule).  It
+returns a StabilizerState: the new graph and its corrections, each a
+diagonal with its exact images, added up from integer tables in closed
+form, and nothing more.  Nothing here builds a posterior's full rows, a
+correction's dense operator or a whole dense state; those views live in
+the tests' oracle, tests/dense_oracle.py.
 A failed verification raises FrameMismatch rather than returning silently.
 """
 
@@ -350,22 +352,6 @@ def _int_tables(dim: DimSpec) -> Tuple[list, list, list]:
             [[dim.char_exp(t) for t in neg[row].tolist()] for row in mul])
 
 
-@_per_spec
-def _edge_factors(spec: EntanglingGateSpec) -> Tuple[tuple, tuple, int]:
-    """factor_diagonal_clifford's (C1, C2, N), each factor C as (q, images):
-    its diagonal q, read-only, and its exact images (z, num), C X(x) C^dag
-    = e^{2 pi i num[x] / phase_den} Z(z[x]) X(x) over every shift x, from
-    diagonal_images as int tuples, or None for a factor that fixes every
-    X(x), as both factors of a CZ power do."""
-    *factors, N = factor_diagonal_clifford(spec)
-    out = []
-    for C in factors:
-        q = _read_only(np.diag(C))
-        z, num = map(tuple, diagonal_images(spec.dim, q))
-        out.append((q, (z, num) if any(z) or any(num) else None))
-    return (*out, N)
-
-
 def _vertex_table(tables, images) -> Tuple[List[int], List[int]]:
     """(z, num) over every shift x: D X(x) D^dag = e^{2 pi i num[x] /
     phase_den} Z(z[x]) X(x) for D the product of the diagonals whose exact
@@ -385,8 +371,8 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int], tables
              ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """The graph-form tableau of the vertices ids, on their own columns:
     (weights, z, num), weights[i][j] the summed weight of the edges between
-    ids[i] and ids[j] and z[i], num[i] the _vertex_table of the edge
-    factors ids[i] keeps (C1 as control, C2 as target; see
+    ids[i] and ids[j] and z[i], num[i] the _vertex_table of the images of
+    the edge factors ids[i] keeps (q1's as control, q2's as target; see
     factor_diagonal_clifford).  Only the edges at ids are read, through
     the graph's adjacency lists; tables are the dimension's _int_tables."""
     add = tables[1]
@@ -397,7 +383,7 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int], tables
     # an edge between two of ids is listed at both
     for e in dict.fromkeys(e for vid in ids for e in adj[vid]):
         ends = local.get(e.control), local.get(e.target)
-        *factors, N = _edge_factors(e.gate)
+        *factors, N = factor_diagonal_clifford(e.gate)
         for a, b, (_, image) in zip(ends, ends[::-1], factors):
             if a is not None:
                 images[a].append(image)
@@ -511,7 +497,11 @@ class Trajectories:
 
 @functools.lru_cache(maxsize=None)
 def _zx_stack(dim: DimSpec) -> np.ndarray:
-    """zx_matrix of every one_qudit_words entry, stacked by word index."""
+    """zx_matrix of every one_qudit_words entry, stacked by word index;
+    StateTooLarge, before it is allocated, past the d^4 budget."""
+    if dim.d ** 4 > sim.MAX_AMPS:
+        raise StateTooLarge(f"{dim.d}^4 entries of the one-qudit Pauli stack"
+                            f" exceed the {sim.MAX_AMPS} amplitude budget")
     out = np.array([zx_matrix(w) for w in one_qudit_words(dim)])
     out.flags.writeable = False    # shared by every caller
     return out
@@ -917,26 +907,27 @@ def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
 
 
 class _StarRule:
-    """What a rewrite reads of the measured vertex v's star alone: W, each
-    neighbour slot's kept factors (their diagonal, read-only, and the sum
-    of their exact images) and summed weight N_u, B (checked unitary) and
-    amps, outcome k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and
-    rho v's reduced state on the rows.  Its signature: shear, v's first
-    edge weight for local complementation (None for deletion), and per
-    sorted neighbour its edges' (gate, v is control), in order."""
+    """What a rewrite reads of the measured vertex v's star alone: w, the
+    product of v's own factor diagonals as a vector, each neighbour slot's
+    kept factors (their diagonal, read-only, and the sum of their exact
+    images) and summed weight N_u, B (checked unitary) and amps, outcome
+    k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and rho v's
+    reduced state on the rows.  Its signature: shear, v's first edge
+    weight for local complementation (None for deletion), and per sorted
+    neighbour its edges' (gate, v is control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
         dim, d = spec.dim, spec.dim.d
         tables = _int_tables(dim)
         self.dim, self.kept, self.weights = dim, [], []
-        W, images = np.eye(d, dtype=complex), []
+        w, images = np.ones(d, dtype=complex), []
         for edges in slots:
             q, kept, N_u = np.ones(d, dtype=complex), [], 0
             for gate, own in edges:
-                *factors, N = _edge_factors(gate)
+                *factors, N = factor_diagonal_clifford(gate)
                 (qv, image), (qu, other) = factors[::1 if own else -1]
-                W = W @ np.diag(qv)
+                w = w * qv
                 q = q * qu
                 N_u = tables[1][N_u][N]
                 images.append(image)
@@ -945,7 +936,7 @@ class _StarRule:
             self.weights.append(N_u)
         B = np.eye(d, dtype=complex)
         if shear is not None:
-            B = W @ shear_gate(dim, shear) @ hadamard(dim)
+            B = w[:, None] * (shear_gate(dim, shear) @ hadamard(dim))
             sim.require_unitary(B, "basis 'local-complement' is not "
                                    "orthonormal")
         z, num = _vertex_table(tables, images)
@@ -955,13 +946,13 @@ class _StarRule:
                 rho += matrix_of_pauli(PauliWord(dim, 1, (z[x],), (x,),
                                                  num[x])) / d
         weight = np.real(np.sum(B.conj() * (rho @ B), axis=0))
-        self.W, self.B = W, B
+        self.w, self.B = w, B
         self.amps = _read_only(np.sqrt(np.clip(weight, 0, None))[:, None])
         self.outcomes: Dict[int, Union[tuple, str]] = {}
 
     def outcome(self, m: int) -> Tuple[np.ndarray, list, int, tuple]:
         """(g, gnum, delta, _eigen_table(B[:, m])), built on first use:
-        f(s) = sum_j conj(B_jm) W_jj chi(j s), g = f / f(0), gnum its
+        f(s) = sum_j conj(B_jm) w_j chi(j s), g = f / f(0), gnum its
         exact phase numerators, g(s) = e^{2 pi i gnum[s] / phase_den}
         checked at PAULI_TOL, and the delta with g(a + b) = g(a) g(b)
         chi(delta a b).  FrameMismatch, its message kept and raised on
@@ -975,7 +966,7 @@ class _StarRule:
 
     def _outcome(self, m: int) -> Union[tuple, str]:
         mul, add, _, chi = self.dim.tables
-        f = (self.B[:, m].conj() * np.diag(self.W)) @ chi[mul]
+        f = (self.B[:, m].conj() * self.w) @ chi[mul]
         if abs(f[0]) < VERIFY_TOL:
             return f"outcome {m} leaves no graph state"
         g = f / f[0]
@@ -1072,17 +1063,18 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     """Measure a vertex, in Z or (complement) in its local-complement
     basis, and read the rewrite off the outcome.
 
-    Each edge e at v factors as (C1 x C2) CZ^{N_e}; C_{v,e} is v's factor
-    and C_u the product of the factors that neighbor u keeps.  W is
-    prod_e C_{v,e}, N_u the summed weight of v's edges to u and N the
-    weight of v's first edge.  Outcome k's vector is D_v b_k, with D_v =
-    diag(sqrt(d) init_v) for v's init and b_k column k of B = W S(N) H
+    Each edge e at v factors as (diag(q1) x diag(q2)) CZ^{N_e}
+    (factor_diagonal_clifford); C_{v,e} is v's factor and C_u the product
+    of the factors that neighbor u keeps.  w is the product of v's factor
+    diagonals, N_u the summed weight of v's edges to u and N the weight of
+    v's first edge.  Outcome k's vector is D_v b_k, with D_v = diag(sqrt(d)
+    init_v) for v's init and b_k column k of B = diag(w) S(N) H
     (complement) or of the identity; D_v cancels on the rows, which hold
     v in |0_X>.  Outcome m leaves f(sum_u N_u j_u) prod_u C_u |G-v> where
-    f(s) = sum_j conj(B_jm) W_jj chi(j s).  When g = f / f(0) obeys
+    f(s) = sum_j conj(B_jm) w_j chi(j s).  When g = f / f(0) obeys
     g(a + b) = g(a) g(b) chi(delta a b), this is the graph G - v with
     CZ^{delta N_u N_w} added on every neighbor pair (an existing pair edge
-    is replaced by its CZ power, its C1/C2 factors moving into the
+    is replaced by its CZ power, its two factors moving into the
     corrections) and the correction C_u diag_j g(N_u j) on each neighbor
     u.  An outcome whose g is not of that form (which includes |g| != 1
     anywhere) raises FrameMismatch.
@@ -1098,7 +1090,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
     or NotCliffordError).
 
-    W, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
+    w, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
     its exact phases, delta and eigen table come from the star's
     _StarRule.  Each correction is its diagonal and its exact images,
     added up from the integer images of C_u, of any replaced pair edge's
@@ -1124,7 +1116,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         slots.setdefault(e.target if own else e.control, []).append(
             (expand(e.gate), own))
     nbrs = sorted(slots)
-    shear = _edge_factors(star[0].gate)[2] if complement else None
+    shear = factor_diagonal_clifford(star[0].gate)[2] if complement else None
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
@@ -1146,7 +1138,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
             continue
         # the edges between u and w, the only ones the new edge replaces
         for e in [e for e in adj[u] if w in (e.control, e.target)]:
-            *factors, N = _edge_factors(e.gate)
+            *factors, N = factor_diagonal_clifford(e.gate)
             for end, (q, image) in zip((e.control, e.target), factors):
                 kept[end] = (kept[end][0] * q, kept[end][1] + [image])
             new_w = dim.add(new_w, N)

@@ -193,12 +193,20 @@ def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
     return _read_only(out)
 
 
+def _blocks(spec: EntanglingGateSpec) -> np.ndarray:
+    """The d blocks U_j of the gate sum_j |j><j| (x) U_j, as (d, d, d): a
+    diagonal gate's are its rows as diagonals, U_j = diag(e^{i theta_j})."""
+    if spec.kind == BLOCK_DIAGONAL:
+        return spec.blocks
+    return np.eye(spec.dim.d) * np.exp(1j * spec.theta)[:, None, :]
+
+
 @_per_spec
 def unitary_gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
-    """gate_matrix, checked to be unitary at VERIFY_TOL once per spec;
-    NonUnitary on every call for a gate that fails, as nothing is kept."""
+    """gate_matrix, checked to be unitary on its d _blocks at VERIFY_TOL once
+    per spec; NonUnitary on every call for a gate that fails."""
     E = gate_matrix(spec)
-    require_unitary(E, "operator fails the unitarity check")
+    require_unitary(_blocks(spec), "operator fails the unitarity check")
     return E
 
 
@@ -296,41 +304,44 @@ def light_shift_angle(d: int) -> float:
 
 @_per_spec
 def factor_diagonal_clifford(spec: EntanglingGateSpec
-                             ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """G_E = (C1 (x) C2) CZ^N up to global phase, for diagonal Clifford G_E.
+                             ) -> Tuple[tuple, tuple, int]:
+    """G_E = (C1 (x) C2) CZ^N up to global phase, for diagonal Clifford G_E,
+    as ((q1, images1), (q2, images2), N).
 
-    Returns (C1, C2, N) with C1, C2 diagonal single-qudit Cliffords (read
-    off row and column 0 of theta, and checked by diagonal_images) and N
-    a ring/field element weighting the CZ edge: the one N whose
-    chi(N j k) is e^{i(theta_jk - theta_j0 - theta_0k + theta_00)} for
-    all j, k, which the dense product (C1 (x) C2) CZ^N checks.
+    C1 = diag(q1), q1[j] = e^{i(theta_j0 - theta_00)}, and C2 = diag(q2),
+    q2[k] = e^{i theta_0k}, are read-only vectors with their exact images,
+    diagonal_images' (z, num) as int tuples (None where every X(x) is
+    fixed); NotCliffordError names the generator a factor fails on.  N is
+    read off row 1 of the d x d table R_jk = e^{i(theta_jk - theta_j0 -
+    theta_0k + theta_00)} and chi(N j k) = R_jk checked on all of it.
     """
     if spec.kind != DIAGONAL:
         raise DimensionMismatch("diagonal gate required")
-    th = spec.theta
-    C1 = _read_only(np.diag(np.exp(1j * (th[:, 0] - th[0, 0]))))
-    C2 = _read_only(np.diag(np.exp(1j * th[0, :])))
-    for site, C in enumerate((C1, C2)):
+    dim, th = spec.dim, spec.theta
+    factors = []
+    for site, q in enumerate((np.exp(1j * (th[:, 0] - th[0, 0])),
+                              np.exp(1j * th[0, :]))):
         try:
-            diagonal_images(spec.dim, np.diag(C))
+            z, num = diagonal_images(dim, q)
         except NotCliffordError as exc:
             label = f"{exc.generator[0]}{site}{exc.generator[2:]}"
             raise NotCliffordError(f"entangling gate is not Clifford at "
                                    f"generator {label}", generator=label)
-    G = normalize_global_phase(gate_matrix(spec))
-    for N in spec.dim.elements:
-        cand = np.kron(C1, C2) @ gate_matrix(cz_power(spec.dim, N))
-        if np.max(np.abs(normalize_global_phase(cand) - G)) <= PAULI_TOL:
-            return C1, C2, N
-    raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
+        factors.append((_read_only(q), (tuple(z), tuple(num))
+                        if any(z) or any(num) else None))
+    mul, _, _, chi = dim.tables
+    R = np.exp(1j * (th - th[:, :1] - th[:1] + th[0, 0]))
+    N = int(np.argmin(np.max(np.abs(chi[mul] - R[1]), axis=1)))
+    if not np.max(np.abs(chi[mul[N][mul]] - R)) <= PAULI_TOL:
+        raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
+    return (*factors, N)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockFactorization:
-    C1: np.ndarray          # diagonal of control phases e^{i theta_k}
     C2: np.ndarray          # target Clifford U_0 (phase-fixed)
     P: PauliWord            # zero-phase controlled Pauli
-    thetas: np.ndarray      # control phase angles
+    thetas: np.ndarray      # control phase angles: C1 = diag(e^{i thetas})
 
 
 def _controlled_paulis(word: PauliWord) -> np.ndarray:
@@ -359,12 +370,11 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
 
     CP = sum_k |k><k| (x) P(k) with P = phase-normalized U_0^{-1} U_1 and
     P(k) its field multiple (_controlled_paulis); succeeds iff
-    U_k = e^{i theta_k} U_0 P(k) for all k within tolerance.  A diagonal
-    gate's blocks are its rows, U_j = diag(e^{i theta_j}).
+    U_k = e^{i theta_k} U_0 P(k) for all k within tolerance, U_k the
+    gate's blocks (_blocks).
     """
     dim = spec.dim
-    blocks = spec.blocks if spec.kind != DIAGONAL \
-        else [np.diag(np.exp(1j * row)) for row in spec.theta]
+    blocks = _blocks(spec)
     U0 = blocks[0]
     r = match_pauli(dim, 1, U0.conj().T @ blocks[1])
     if r is None:
@@ -383,8 +393,7 @@ def factor_block_controlled_pauli(spec: EntanglingGateSpec
             raise NotControlledPauliForm(
                 f"block {k} is not e^(i theta) U0 P^{k}")
         thetas[k] = cmath.phase(ph)
-    return BlockFactorization(C1=_read_only(np.diag(np.exp(1j * thetas))),
-                              C2=_read_only(normalize_global_phase(U0)),
+    return BlockFactorization(C2=_read_only(normalize_global_phase(U0)),
                               P=word, thetas=_read_only(thetas, float))
 
 
@@ -455,8 +464,7 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     """Branch table W and predicted action Q of a mediator step, (d, d, d)
     arrays indexed [outcome k, control a, control b], checked once.
 
-    The gate is sum_j |j><j| (x) U_j, with U_j = diag(e^{i theta_j}) for
-    a diagonal gate and block j for a block-diagonal one, so after both
+    The gate is sum_j |j><j| (x) U_j, U_j its blocks (_blocks), so after both
     controls outcome k leaves W[k, a, b] psi[a, b], where W[k, a, b] =
     <b_k| U_b U_a |init> and b_k is column k of G_C H (mode "disconnect")
     or else of G_C S^-1 H ("entangle"), mediator_of's init and G_C.  The
@@ -469,8 +477,7 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     dim = spec.dim
     d = dim.d
     init, G, local = mediator_of(spec)
-    U = spec.blocks if spec.kind == BLOCK_DIAGONAL \
-        else np.eye(d) * np.exp(1j * spec.theta)[:, None, :]
+    U = _blocks(spec)
     s = np.diag(sgate(dim))
     B = (G if mode == "disconnect" else G * s.conj()) @ hadamard(dim)
     require_unitary(B, f"basis {mode!r} is not orthonormal")

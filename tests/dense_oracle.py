@@ -5,14 +5,16 @@ tableaux or batched trajectory kernels.  This module keeps the dense
 reference those fast paths replaced: product states, gate application
 and projective measurement on whole state vectors, the resource state of
 a graph, the Bell basis, the outcome draw and the diagonal-Clifford
-conjugation in their original forms, and the full-row check of a graph
-rewrite, which builds every graph-form row as a PauliWord.  A rewrite's
-posterior (engine.StabilizerState) is only its graph and its corrections,
-each a diagonal with its exact images: operator is a correction's dense
-view, corrected_rows and corrected_state are the posterior's rows and its
-dense vector, and rewrite_basis the basis a rewrite measures in.  Graphs
-are immutable, so with_init derives one with an init changed.  Site 0 is
-the most significant tensor digit, as in quditmbqc.sim.
+conjugation in their original forms, a diagonal gate's factorization
+as (C1 x C2) CZ^N checked by dense products (factor_diagonal), and the
+full-row check of a graph rewrite, which builds every graph-form row as
+a PauliWord.  A rewrite's posterior (engine.StabilizerState) is only its
+graph and its corrections, each a diagonal with its exact images:
+operator is a correction's dense view, corrected_rows and
+corrected_state are the posterior's rows and its dense vector, and
+rewrite_basis the basis a rewrite measures in.  Graphs are immutable, so
+with_init derives one with an init changed.  Site 0 is the most
+significant tensor digit, as in quditmbqc.sim.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from quditmbqc import engine, sim
-from quditmbqc.clifford import _additive_basis, certify
+from quditmbqc.clifford import _additive_basis, certify, diagonal_images
 from quditmbqc.errors import (
     DimensionMismatch,
     FrameMismatch,
+    NotCliffordError,
     SiteOutOfRange,
     StateTooLarge,
     ZeroProbabilityForced,
 )
 from quditmbqc.galois import DimSpec
-from quditmbqc.gates import hadamard, shear_gate
+from quditmbqc.gates import hadamard, normalize_global_phase, shear_gate
 from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
-from quditmbqc.resource import factor_diagonal_clifford, gate_matrix
+from quditmbqc.resource import DIAGONAL, expand, gate_matrix
 from quditmbqc.sim import StateVector
 
 
@@ -236,7 +239,7 @@ def rewrite_basis(graph: engine.ResourceGraph, vid: int, complement: bool
     W, N = np.diag(np.sqrt(dim.d) * init), None
     for e in graph.edges:
         if vid in (e.control, e.target):
-            C1, C2, w = factor_diagonal_clifford(e.gate)
+            C1, C2, w = factor_diagonal(e.gate)
             W = W @ (C1 if e.control == vid else C2)
             N = w if N is None else N
     B = W @ shear_gate(dim, N) @ hadamard(dim)
@@ -246,6 +249,43 @@ def rewrite_basis(graph: engine.ResourceGraph, vid: int, complement: bool
         lam = np.sum(B.conj() * image, axis=0)
         assert np.max(np.abs(image - lam * B)) <= PAULI_TOL
     return MeasurementBasis(dim, B, "local-complement")
+
+
+@functools.lru_cache(maxsize=None)
+def factor_diagonal(gate) -> Tuple[np.ndarray, np.ndarray, int]:
+    """resource.factor_diagonal_clifford by dense products: (C1, C2, N) as
+    d x d matrices and the weight, G = (C1 (x) C2) CZ^N up to global
+    phase.  C1 and C2 are read off column and row 0 of theta and checked
+    by clifford.diagonal_images, raising as the library does; then every
+    N is tried, CZ^N = diag chi(N j k) built from DimSpec.char_phase, and
+    the d^2 x d^2 product compared with the gate matrix at PAULI_TOL.
+    NotCliffordError when no N fits; at most one may.  Kept per gate
+    spec."""
+    spec = expand(gate)
+    if spec.kind != DIAGONAL:
+        raise DimensionMismatch("diagonal gate required")
+    dim, th = spec.dim, spec.theta
+    C1 = np.diag(np.exp(1j * (th[:, 0] - th[0, 0])))
+    C2 = np.diag(np.exp(1j * th[0, :]))
+    for site, C in enumerate((C1, C2)):
+        try:
+            diagonal_images(dim, np.diag(C))
+        except NotCliffordError as exc:
+            label = f"{exc.generator[0]}{site}{exc.generator[2:]}"
+            raise NotCliffordError(f"entangling gate is not Clifford at "
+                                   f"generator {label}", generator=label)
+    G = normalize_global_phase(gate_matrix(spec))
+    fits = []
+    for N in dim.elements:
+        cz = np.diag([dim.char_phase(dim.mul(N, dim.mul(j, k)))
+                      for j in dim.elements for k in dim.elements])
+        cand = normalize_global_phase(np.kron(C1, C2) @ cz)
+        if np.max(np.abs(cand - G)) <= PAULI_TOL:
+            fits.append(N)
+    if not fits:
+        raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
+    assert len(fits) == 1, f"weights {fits} all fit"
+    return C1, C2, fits[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,10 +301,9 @@ def bell_basis(dim: DimSpec) -> MeasurementBasis:
 
 @functools.lru_cache(maxsize=None)
 def _factor_certs(gate) -> tuple:
-    """clifford.certify of factor_diagonal_clifford's C1 and C2, once per
-    gate spec (specs compare by identity)."""
-    return tuple(certify(C, gate.dim)
-                 for C in factor_diagonal_clifford(gate)[:2])
+    """clifford.certify of factor_diagonal's C1 and C2, once per gate spec
+    (specs compare by identity)."""
+    return tuple(certify(C, gate.dim) for C in factor_diagonal(gate)[:2])
 
 
 class GraphTableau:
@@ -272,10 +311,10 @@ class GraphTableau:
     (every vertex in |0_X>), one PauliWord per row over every site.
 
     row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x) with exact phase, D_s
-    the product of site s's edge factors C1/C2 (see
-    factor_diagonal_clifford), each certified here by clifford.certify
-    rather than read by the library's diagonal reader, and N_us the summed
-    weight of its edges to u.  rows() lists row(s, y) for every site s and
+    the product of site s's edge factors C1/C2 (see factor_diagonal),
+    each certified here by clifford.certify rather than read by the
+    library's diagonal reader, and N_us the summed weight of its edges to
+    u.  rows() lists row(s, y) for every site s and
     additive basis element y.
     """
 
@@ -287,7 +326,7 @@ class GraphTableau:
         self.weights: List[dict] = [{} for _ in range(self.n)]
         for e in graph.edges:
             c, t = site[e.control], site[e.target]
-            N = factor_diagonal_clifford(e.gate)[2]
+            N = factor_diagonal(e.gate)[2]
             for a, b, cert in zip((c, t), (t, c), _factor_certs(e.gate)):
                 self.certs[a].append(cert)
                 self.weights[a][b] = dim.add(self.weights[a].get(b, 0), N)

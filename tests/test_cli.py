@@ -20,7 +20,7 @@ from quditmbqc.galois import (
     complex_to_json,
     make_dim,
 )
-from quditmbqc.resource import cz_spec, gate_to_json, light_shift_spec
+from quditmbqc.resource import cx_spec, cz_spec, gate_to_json, light_shift_spec
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
@@ -897,6 +897,82 @@ def test_malformed_pattern_file_exits_with_its_message(tmp_path, capsys,
     path = write_json(tmp_path / "pattern.json", pattern)
     assert (cli.main(["run", "--pattern", path]), capsys.readouterr().err) \
         == (code, f"error: {message}\n")
+
+
+# each value a gate file's entry is replaced by, or deleted
+_FUZZ_VALUES = {"null": None, "true": True, "3": 3, "-1": -1, "2.5": 2.5,
+                "string": "x", "[]": [], "{}": {}, "[1]": [1], "[[1]]": [[1]],
+                "NaN": float("nan"), "deleted": _DELETE}
+
+
+def _fuzz_expected(gate, key, label, value):
+    """(exit code, message) of analyze on gate's file with the entry at
+    key (dotted) replaced by value, or deleted: today's refusal, or 0."""
+    if label == "deleted":
+        if key == "init_phases" or (gate == "light-shift" and key == "theta"):
+            return 0, None      # optional: the default is read
+        where, name = key.split(".") if "." in key else ("gate", key)
+        return cli.EXIT_PARSE, f"missing key {name!r} in {where}"
+    if key == "dim":
+        return cli.EXIT_PARSE, ("missing key 'kind' in dim" if label == "{}"
+                                else "dim must be a JSON object")
+    if key in ("kind", "name", "dim.kind"):
+        what = {"kind": "gate kind", "name": "named gate",
+                "dim.kind": "dim kind"}[key]
+        return cli.EXIT_PARSE, f"unknown {what} {value!r}"
+    if key == "dim.d":
+        if label == "3":
+            return 0, None
+        return cli.EXIT_PARSE, (
+            "integer-ring dimension must satisfy d >= 2" if label == "-1"
+            else "d must be an integer")
+    # a numeric array: theta, init_phases or blocks
+    if label == "true":
+        return cli.EXIT_PARSE, f"{key} must be an array of numbers"
+    if label in ("string", "{}"):
+        return cli.EXIT_PARSE, f"{key} is not a numeric array"
+    got = np.shape(value) if isinstance(value, list) else ()
+    if gate == "light-shift" and got == ():
+        # null is the default angle, any other finite number an angle
+        return (cli.EXIT_PARSE, "theta has a NaN or infinite entry") \
+            if label == "NaN" else (0, None)
+    shape = {"theta": () if gate == "light-shift" else (3, 3),
+             "init_phases": (3,), "blocks": (3, 3, 3, 2)}[key]
+    return cli.EXIT_PARSE, (f"{key} must have shape "
+                            f"({', '.join(map(str, shape))}), got "
+                            f"({', '.join(map(str, got))})")
+
+
+def _fuzzed_gates():
+    """(case, gate JSON, exit code, message) for every key of a named
+    light-shift gate with its theta, a diagonal and a block-diagonal gate
+    file over Z3, and of their dim, each value of _FUZZ_VALUES in turn:
+    the exit code analyze gives today and its message (None on exit 0)."""
+    bases = {"light-shift": gate_to_json(light_shift_spec(D3, 2.0)),
+             "diagonal": gate_to_json(resource.expand(light_shift_spec(D3))),
+             "block": gate_to_json(resource.expand(cx_spec(D3)))}
+    for gate, base in bases.items():
+        for path in [[k] for k in base] + [["dim", k] for k in base["dim"]]:
+            key = ".".join(path)
+            for label, value in _FUZZ_VALUES.items():
+                yield (f"{gate}-{key}-{label}", _edited(base, path, value),
+                       *_fuzz_expected(gate, key, label, value))
+
+
+_FUZZED_GATES = list(_fuzzed_gates())
+
+
+@pytest.mark.parametrize("gate, code, message",
+                         [case[1:] for case in _FUZZED_GATES],
+                         ids=[case[0] for case in _FUZZED_GATES])
+def test_fuzzed_gate_file_exits_with_its_message(tmp_path, capsys, gate,
+                                                 code, message):
+    # every entry of a gate file replaced by a value of the wrong type,
+    # size or sign, or deleted: a refusal with its own exit code and
+    # message, or a report, and no traceback
+    path = write_json(tmp_path / "gate.json", gate)
+    assert (cli.main(["analyze", "--gate", path]), capsys.readouterr().err) \
+        == (code, "" if message is None else f"error: {message}\n")
 
 
 def _malformed_targets():

@@ -865,7 +865,7 @@ def test_vertex_delete_corrections_are_outcome_z_powers():
         expected = {}
         for e in g.edges:
             if vid in (e.control, e.target):
-                C1, C2, N = factor_diagonal_clifford(e.gate)
+                C1, C2, N = dense_oracle.factor_diagonal(e.gate)
                 u, C = (e.target, C2) if e.control == vid else (e.control, C1)
                 expected[u] = C @ zmat(dim, dim.mul(N, m))
         assert {c.vertex for c in corrections} == set(expected)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from quditmbqc import clifford, resource
 from quditmbqc.errors import (
     NonInvertibleGcd,
+    NonUnitary,
     NoRealSolution,
     NotCliffordError,
     NotControlledPauliForm,
@@ -20,6 +21,7 @@ from quditmbqc.gates import (
     hadamard,
     normalize_global_phase,
     sgate,
+    shear_gate,
     xplus_state,
 )
 from quditmbqc.pauli import (
@@ -27,6 +29,7 @@ from quditmbqc.pauli import (
     match_pauli,
     matrix_of_pauli,
     single_word,
+    zmat,
 )
 from quditmbqc.resource import (
     BLOCK_DIAGONAL,
@@ -47,8 +50,11 @@ from quditmbqc.resource import (
     mediator_of,
     mediator_tables,
     resource_init,
+    unitary_gate_matrix,
 )
-from quditmbqc.sim import StateVector, is_max_entangled
+from quditmbqc.sim import StateVector, is_max_entangled, require_unitary
+
+import dense_oracle
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
@@ -137,30 +143,31 @@ def test_resource_init_feeds_max_entanglement():
 
 
 def test_factor_cz_is_trivial():
-    C1, C2, N = factor_diagonal_clifford(cz_spec(D3))
-    assert_allclose(normalize_global_phase(C1),
-                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
-    assert_allclose(normalize_global_phase(C2),
-                    normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
+    (q1, images1), (q2, images2), N = factor_diagonal_clifford(cz_spec(D3))
+    assert_allclose(q1, np.ones(3), rtol=0, atol=1e-8)
+    assert_allclose(q2, np.ones(3), rtol=0, atol=1e-8)
+    assert images1 is None and images2 is None
     assert N == 1
+    assert not q1.flags.writeable and not q2.flags.writeable
 
 
 @pytest.mark.parametrize("dim", CZ_POWER_DIMS, ids=lambda dim: dim.label())
 def test_factor_cz_power(dim):
     for w in dim.elements[1:]:
         spec = cz_power(dim, w)
-        C1, C2, N = factor_diagonal_clifford(spec)
+        (q1, _), (q2, _), N = factor_diagonal_clifford(spec)
         assert N == w
         czN = np.diag([dim.char_phase(dim.mul(N, dim.mul(j, k)))
                        for j in dim.elements for k in dim.elements])
-        assert_allclose(normalize_global_phase(np.kron(C1, C2) @ czN),
+        assert_allclose(normalize_global_phase(np.diag(np.kron(q1, q2)) @ czN),
                         normalize_global_phase(gate_matrix(spec)),
                         rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("dim,power", [(D2, 1), (D3, 2)])
 def test_factor_light_shift(dim, power):
-    C1, C2, N = factor_diagonal_clifford(light_shift_spec(dim))
+    (q1, _), (q2, _), N = factor_diagonal_clifford(light_shift_spec(dim))
+    C1, C2 = np.diag(q1), np.diag(q2)
     S = np.linalg.matrix_power(sgate(dim), power)
     assert_allclose(normalize_global_phase(C1),
                     normalize_global_phase(S), rtol=0, atol=1e-8)
@@ -195,10 +202,121 @@ def test_factor_light_shift_ring4_rejected():
         factor_diagonal_clifford(light_shift_spec(D4R))
 
 
+# every ring Z2..Z7 and the fields GF(4), GF(8), GF(9)
+ORACLE_DIMS = [make_dim(INTEGER_RING, d=d) for d in range(2, 8)] + [
+    make_dim(FINITE_FIELD, p=p, m=m) for p, m in ((2, 2), (2, 3), (3, 2))]
+
+
+def _random_factored_gate(dim, rng):
+    """theta of (C1 x C2) CZ^N at a random global phase, C1 and C2 random
+    diagonal Cliffords (a shear times a Z power) and N a random weight."""
+    q1, q2 = (np.diag(shear_gate(dim, int(rng.integers(dim.d)))
+                      @ zmat(dim, int(rng.integers(dim.d))))
+              for _ in range(2))
+    N = int(rng.integers(dim.d))
+    cz = [[dim.char_phase(dim.mul(N, dim.mul(j, k))) for k in dim.elements]
+          for j in dim.elements]
+    return (np.angle(q1)[:, None] + np.angle(q2) + np.angle(cz)
+            + 2 * np.pi * rng.random())
+
+
+def _factor_or_error(factor, spec):
+    try:
+        return factor(spec)
+    except NotCliffordError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS, ids=lambda dim: dim.label())
+def test_factorization_matches_the_dense_oracle(dim):
+    # N read off the d x d phase table is the one N whose dense d^4
+    # product (C1 x C2) CZ^N is the gate; the diagonals are the oracle's
+    # to the byte, their images diagonal_images', and a gate that does not
+    # factor raises as the oracle does
+    rng = np.random.default_rng(dim.d * 31 + dim.m)
+    specs = [cz_power(dim, w) for w in dim.elements] + [cz_spec(dim)]
+    if dim.d < 5:
+        specs.append(light_shift_spec(dim))
+    for _ in range(20):
+        theta = _random_factored_gate(dim, rng)
+        specs.append(EntanglingGateSpec(dim, "diagonal", theta=theta))
+        theta[1, 1] += 1e-3
+        specs.append(EntanglingGateSpec(dim, "diagonal", theta=theta))
+    factored = 0
+    for spec in specs:
+        got = _factor_or_error(factor_diagonal_clifford, spec)
+        want = _factor_or_error(dense_oracle.factor_diagonal, spec)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        factored += 1
+        assert got[2] == want[2]
+        for (q, images), C in zip(got[:2], want[:2]):
+            assert not q.flags.writeable
+            assert q.tobytes() == np.diag(C).tobytes()
+            z, num = clifford.diagonal_images(dim, q)
+            assert images == (None if not any(z) and not any(num)
+                              else (tuple(z), tuple(num)))
+    # every CZ power, cz, the Z2 and Z3 light shifts and every random gate
+    # factor; no bent one does
+    assert factored == dim.d + 21 + (dim.label() in ("Z_2", "Z_3"))
+
+
+def test_factoring_builds_no_two_qudit_matrix(monkeypatch):
+    # a fresh Z_13 diagonal gate that does not factor: N is read off the
+    # d x d phase table, so no d^4 gate matrix is built and no CZ power
+    # spec is made to try against it
+    z13 = make_dim(INTEGER_RING, d=13)
+    theta = np.zeros((13, 13))
+    theta[1, 1] = 0.3
+    spec = EntanglingGateSpec(z13, "diagonal", theta=theta)
+    calls = []
+    real = resource.gate_matrix
+    monkeypatch.setattr(resource, "gate_matrix",
+                        lambda s: calls.append(s) or real(s))
+    specs = resource.cz_power.cache_info().currsize
+    with pytest.raises(NotCliffordError, match="does not factor"):
+        factor_diagonal_clifford(spec)
+    assert calls == []
+    assert resource.cz_power.cache_info().currsize == specs
+
+
+def test_unitarity_is_checked_on_the_blocks():
+    # the d blocks decide as the d^2 x d^2 Gram matrix does, with its
+    # message, and the checked matrix is gate_matrix's own
+    for spec in (cz_spec(D3), cx_spec(D3), light_shift_spec(D3)):
+        assert unitary_gate_matrix(spec) is gate_matrix(spec)
+    rng = np.random.default_rng(5)
+    blocks = np.linalg.qr(rng.normal(size=(3, 3, 3))
+                          + 1j * rng.normal(size=(3, 3, 3)))[0]
+    specs = []
+    for eps in (0.0, 1e-12, 1e-6, 0.1):
+        bent = blocks.copy()
+        bent[2, 1, 0] += eps
+        specs.append(EntanglingGateSpec(D3, BLOCK_DIAGONAL, blocks=bent))
+    theta = rng.random((3, 3)) * 2 * np.pi
+    specs.append(EntanglingGateSpec(D3, "diagonal", theta=theta))
+    theta[1, 2] = np.nan
+    specs.append(EntanglingGateSpec(D3, "diagonal", theta=theta))
+    refused = []
+    for spec in specs:
+        try:
+            require_unitary(gate_matrix(spec), "dense")
+        except NonUnitary:
+            refused.append(spec)
+            with pytest.raises(NonUnitary, match="^operator fails the "
+                                                 "unitarity check$"):
+                unitary_gate_matrix(spec)
+        else:
+            assert unitary_gate_matrix(spec) is gate_matrix(spec)
+    # the two largest bends and the NaN angle
+    assert refused == [specs[2], specs[3], specs[5]]
+
+
 def test_factor_cx_block():
     bf = factor_block_controlled_pauli(cx_spec(D3))
     assert bf.P.z[0] == 0 and bf.P.x[0] == 1
-    assert_allclose(normalize_global_phase(bf.C1),
+    assert_allclose(normalize_global_phase(np.diag(np.exp(1j * bf.thetas))),
                     normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)
     assert_allclose(normalize_global_phase(bf.C2),
                     normalize_global_phase(np.eye(3)), rtol=0, atol=1e-8)

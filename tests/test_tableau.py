@@ -66,7 +66,7 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
     d = dim.d
     W = np.eye(d, dtype=complex)
     weight, kept = {}, {}
-    star = [(e, *factor_diagonal_clifford(e.gate)) for e in graph.edges
+    star = [(e, *dense_oracle.factor_diagonal(e.gate)) for e in graph.edges
             if vid in (e.control, e.target)]
     for e, C1, C2, N in star:
         Cv, Cu, u = (C1, C2, e.target) if e.control == vid \
@@ -96,7 +96,7 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
         if new_w == 0:
             continue
         for e in [e for e in edges if {e.control, e.target} == {u, w}]:
-            C1, C2, N = factor_diagonal_clifford(e.gate)
+            C1, C2, N = dense_oracle.factor_diagonal(e.gate)
             kept[e.control] = kept[e.control] @ C1
             kept[e.target] = kept[e.target] @ C2
             new_w = dim.add(new_w, N)
