@@ -31,7 +31,6 @@ from .pauli import (
     normal_form,
     one_qudit_words,
     single_word,
-    word_power,
     zx_matrix,
 )
 
@@ -67,15 +66,16 @@ class CliffordCert:
         for value != 0.
 
         The value is split over the additive basis, so the letter is a
-        product of generator powers; their images are multiplied in normal
-        form once and cached.
+        product of generator powers, each generator's digit c < p times;
+        their images are multiplied in normal form once and cached.
         """
         key = (site, letter, value)
         if key not in self._letters:
-            powers = [word_power(self.images[f"{letter}{site}^{g}"], c)
+            images = [self.images[f"{letter}{site}^{g}"]
                       for g, c in zip(_additive_basis(self.dim),
-                                      self.dim.coeffs_of(value)) if c]
-            self._letters[key] = functools.reduce(normal_form, powers)
+                                      self.dim.coeffs_of(value))
+                      for _ in range(c)]
+            self._letters[key] = functools.reduce(normal_form, images)
         return self._letters[key]
 
     def conjugate(self, word: PauliWord) -> PauliWord:

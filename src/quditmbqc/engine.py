@@ -213,17 +213,6 @@ def _adjacency(graph: ResourceGraph) -> Dict[int, tuple]:
     return adj
 
 
-def _edge_index(graph: ResourceGraph) -> Tuple[Dict[GraphEdge, int], list]:
-    """Each edge's position in graph.edges, and the edge seqs from the top
-    down; built once per graph."""
-    index = graph._facts.get("edge index")
-    if index is None:
-        index = graph._facts["edge index"] = (
-            {e: i for i, e in enumerate(graph.edges)},
-            sorted((e.seq for e in graph.edges), reverse=True))
-    return index
-
-
 def _init_vector(dim: DimSpec, init) -> np.ndarray:
     """Resolve a vertex init, checked by ResourceGraph.validate, to a
     normalized state vector."""
@@ -341,24 +330,12 @@ def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
     return int(k[0]), post[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _int_tables(dim: DimSpec) -> Tuple[list, list, list]:
-    """dim.tables' mul and add as nested int lists, for rows of Python ints
-    to index, and swap[z][x], the exponent of chi(-z x) in X(x) Z(z) =
-    chi(-z x) Z(z) X(x)."""
-    mul, add, sub, _ = dim.tables
-    neg = sub[0]
-    return (mul.tolist(), add.tolist(),
-            [[dim.char_exp(t) for t in neg[row].tolist()] for row in mul])
-
-
-def _vertex_table(tables, images) -> Tuple[List[int], List[int]]:
+def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
     """(z, num) over every shift x: D X(x) D^dag = e^{2 pi i num[x] /
     phase_den} Z(z[x]) X(x) for D the product of the diagonals whose exact
-    images are images (None for one that fixes every X(x)), read with the
-    dimension's _int_tables.  Each diagonal maps X(x) to a phase times
-    Z(c) X(x), so the c and the phases add up."""
-    add = tables[1]
+    images are images (None for one that fixes every X(x)).  Each diagonal
+    maps X(x) to a phase times Z(c) X(x), so the c and the phases add up."""
+    add = dim.ints.add
     images = [image for image in images if image is not None]
     z, num = images.pop() if images else ([0] * len(add), [0] * len(add))
     for cz, cnum in images:
@@ -367,15 +344,15 @@ def _vertex_table(tables, images) -> Tuple[List[int], List[int]]:
     return list(z), list(num)
 
 
-def _tableau(graph: ResourceGraph, ids: Sequence[int], tables
+def _tableau(graph: ResourceGraph, ids: Sequence[int]
              ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """The graph-form tableau of the vertices ids, on their own columns:
     (weights, z, num), weights[i][j] the summed weight of the edges between
     ids[i] and ids[j] and z[i], num[i] the _vertex_table of the images of
     the edge factors ids[i] keeps (q1's as control, q2's as target; see
     factor_diagonal_clifford).  Only the edges at ids are read, through
-    the graph's adjacency lists; tables are the dimension's _int_tables."""
-    add = tables[1]
+    the graph's adjacency lists."""
+    add = graph.dim.ints.add
     adj = _adjacency(graph)
     local = {vid: i for i, vid in enumerate(ids)}
     weights = [[0] * len(ids) for _ in ids]
@@ -389,16 +366,16 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int], tables
                 images[a].append(image)
                 if b is not None:
                     weights[a][b] = add[weights[a][b]][N]
-    vertex_tables = [_vertex_table(tables, i) for i in images]
+    vertex_tables = [_vertex_table(graph.dim, i) for i in images]
     return (weights, [t[0] for t in vertex_tables],
             [t[1] for t in vertex_tables])
 
 
-def _graph_rows(tables, tableau, sites: Sequence[int], xs: Sequence[int]
-                ) -> List[Tuple[List[int], List[int], int]]:
+def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
+                xs: Sequence[int]) -> List[Tuple[List[int], List[int], int]]:
     """(z, x, num) of row(s, x) for s in sites and x in xs, s major, on the
     tableau's columns: the word's Z and X exponents as int lists and its
-    exact phase numerator; tables are the dimension's _int_tables.
+    exact phase numerator.
 
     row(s, x) = D_s X_s(x) D_s^dag prod_u Z_u(N_us x), D_s the product of
     site s's edge factors and N_us the summed weight of its edges to u.
@@ -407,7 +384,7 @@ def _graph_rows(tables, tableau, sites: Sequence[int], xs: Sequence[int]
     and a group element is fixed by its X part, so two such states are
     equal iff their rows are equal.
     """
-    mul = tables[0]
+    mul = dim.ints.mul
     weights, vz, vnum = tableau
     rows = []
     for s in sites:
@@ -435,10 +412,6 @@ class StabilizerState:
         """(n, d) angles of the kept inits (_init_phases), built on
         request."""
         return _init_phases(self.graph)
-
-    @property
-    def dim(self) -> DimSpec:
-        return self.graph.dim
 
     @property
     def n(self) -> int:
@@ -572,7 +545,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     _, add, sub, _ = dim.tables
     F = pattern.frame
     fz, fx = F.z[0], F.x[0]
-    f_swap = np.array(_int_tables(dim)[2][fz])
+    # f_swap[x], the exponent of chi(-fz x)
+    ints = dim.ints
+    f_swap = np.array([ints.char_exp[ints.neg[t]] for t in ints.mul[fz]])
     H = hadamard(dim)
     psi_in = sim.unit_vector(psi, d, "input state")
     post = np.empty((T, d), dtype=complex)
@@ -919,7 +894,6 @@ class _StarRule:
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
         dim, d = spec.dim, spec.dim.d
-        tables = _int_tables(dim)
         self.dim, self.kept, self.weights = dim, [], []
         w, images = np.ones(d, dtype=complex), []
         for edges in slots:
@@ -929,17 +903,17 @@ class _StarRule:
                 (qv, image), (qu, other) = factors[::1 if own else -1]
                 w = w * qv
                 q = q * qu
-                N_u = tables[1][N_u][N]
+                N_u = dim.ints.add[N_u][N]
                 images.append(image)
                 kept.append(other)
-            self.kept.append((_read_only(q), _vertex_table(tables, kept)))
+            self.kept.append((_read_only(q), _vertex_table(dim, kept)))
             self.weights.append(N_u)
         B = np.eye(d, dtype=complex)
         if shear is not None:
             B = w[:, None] * (shear_gate(dim, shear) @ hadamard(dim))
             sim.require_unitary(B, "basis 'local-complement' is not "
                                    "orthonormal")
-        z, num = _vertex_table(tables, images)
+        z, num = _vertex_table(dim, images)
         rho = np.eye(d, dtype=complex) / d
         for x in dim.elements[1:]:
             if all(dim.mul(N, x) == 0 for N in self.weights):
@@ -988,14 +962,13 @@ _star_rule = _per_spec(_StarRule)
 
 def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
                     new_graph: ResourceGraph, corrections: List[Correction],
-                    nbrs: List[int], old, eigen: Tuple[list, list], tables):
+                    nbrs: List[int], old, eigen: Tuple[list, list]):
     """FrameMismatch unless the state the other vertices keep when vid is
     found in the vector b on the rows (column m of _measure_and_rewrite's
     B) is new_graph's, conjugated through the corrections.  nbrs (vid's
-    sorted neighbours), old (graph's _tableau of [vid] + nbrs), eigen (b's
-    _eigen_table, as the star's rule keeps it) and tables (the dimension's
-    _int_tables) are passed in as _measure_and_rewrite built them; the
-    tests' dense oracle reads b.
+    sorted neighbours), old (graph's _tableau of [vid] + nbrs) and eigen
+    (b's _eigen_table, as the star's rule keeps it) are passed in as
+    _measure_and_rewrite built them; the tests' dense oracle reads b.
 
     Measuring vid multiplies each row(w, y), w != vid, by the row(vid, z)
     whose product has a part P on vid with b as eigenvector (z = 0 for a Z
@@ -1019,7 +992,7 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
     den = dim.phase_den
     basis = _additive_basis(dim)
     ok, eig = eigen
-    _, add, swap = tables
+    mul, add, neg, char_exp = dim.ints
     vz = old[1][0]
     partners = {}
 
@@ -1028,30 +1001,30 @@ def _verify_rewrite(graph: ResourceGraph, vid: int, b: np.ndarray,
         # and z = 0 is the identity
         for z in dim.elements:
             if ok[add[a][vz[z]]][z]:
-                return _graph_rows(tables, old, [0], [z])[0] if z else None
+                return _graph_rows(dim, old, [0], [z])[0] if z else None
         raise FrameMismatch("measured vector is not an eigenvector of any "
                             "stabilizer's part on the measured vertex")
 
     posterior = []
-    for z, x, num in _graph_rows(tables, old, range(1, len(nbrs) + 1),
-                                 basis):
+    for z, x, num in _graph_rows(dim, old, range(1, len(nbrs) + 1), basis):
         if z[0] not in partners:
             partners[z[0]] = partner(z[0])
         if partners[z[0]] is not None:
             # the product in normal form: X(x) moves right past Z(z) at
             # chi(-z x)
             pz, px, pnum = partners[z[0]]
-            num += pnum + sum(swap[c][e] for c, e in zip(pz, x))
+            num += pnum + sum(char_exp[neg[mul[c][e]]]
+                              for c, e in zip(pz, x))
             z = [add[c][e] for c, e in zip(z, pz)]
             x = [add[c][e] for c, e in zip(x, px)]
         # vid's part is replaced by its eigenvalue, and vid dropped
         posterior.append((z[1:], x[1:], (num + eig[z[0]][x[0]]) % den))
-    weights, zs, nums = _tableau(new_graph, nbrs, tables)
+    weights, zs, nums = _tableau(new_graph, nbrs)
     col = {u: i for i, u in enumerate(nbrs)}
     for c in corrections:
         i = col[c.vertex]
-        zs[i], nums[i] = _vertex_table(tables, [(zs[i], nums[i]), c.images])
-    new = _graph_rows(tables, (weights, zs, nums), range(len(nbrs)), basis)
+        zs[i], nums[i] = _vertex_table(dim, [(zs[i], nums[i]), c.images])
+    new = _graph_rows(dim, (weights, zs, nums), range(len(nbrs)), basis)
     if [(z, x, num % den) for z, x, num in new] != posterior:
         raise FrameMismatch("rewritten graph and corrections do not verify")
 
@@ -1099,9 +1072,10 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     dense operator.  Only N[v] is read: its edges through the adjacency
     lists, and no init phases at all.  The new graph is valid by
     construction and is not validated again; its vertex and edge tuples
-    are the old ones with v, v's edges and the replaced pair edges cut
-    out (by _edge_index) and the new edges appended, and its adjacency
-    lists are the old ones with N(v)'s updated.
+    are the old ones with v, v's edges and the replaced pair edges filtered
+    out and the new edges appended, numbered from one past the top seq that
+    v's edges leave, and its adjacency lists are the old ones with N(v)'s
+    updated.
     """
     dim = graph.dim
     site = graph.site_of(vid)
@@ -1122,16 +1096,14 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
                       tuple(tuple(slots[u]) for u in nbrs))
     m = _draw(rule.amps, rng, forced_outcome)[0]
     g, gnum, delta, eigen = rule.outcome(m)
-    tables = _int_tables(dim)
-    mul, _, swap = tables
+    mul, _, neg, char_exp = dim.ints
     weight = dict(zip(nbrs, rule.weights))
     # each neighbour's kept diagonal, and the exact images to add up
     kept = {u: (q, [images]) for u, (q, images) in zip(nbrs, rule.kept)}
-    positions, seqs_down = _edge_index(graph)
-    # one past the top seq that v's edges leave
-    cut = {e.seq for e in star}
-    next_seq = next((s for s in seqs_down if s not in cut), -1) + 1
     removed, added = set(star), []
+    # one past the top seq that v's edges leave
+    next_seq = max(map(operator.attrgetter("seq"), itertools.filterfalse(
+        removed.__contains__, graph.edges)), default=-1) + 1
     for u, w in itertools.combinations(nbrs, 2):
         new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
         if new_w == 0:
@@ -1146,11 +1118,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         if new_w != 0:
             added.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
             next_seq += 1
-    pieces, lo = [], 0
-    for i in sorted(positions[e] for e in removed):
-        pieces.append(graph.edges[lo:i])
-        lo = i + 1
-    edges = tuple(itertools.chain(*pieces, graph.edges[lo:], added))
+    edges = tuple(itertools.chain(itertools.filterfalse(
+        removed.__contains__, graph.edges), added))
     new_adj = dict(adj)
     del new_adj[vid]
     for u in nbrs:
@@ -1164,13 +1133,14 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         N, (q, images) = weight[u], kept[u]
         # diag g(N j) maps X(x) to g(N x) chi(-c x) Z(c) X(x), c = delta N^2 x
         c = mul[mul[delta][mul[N][N]]]
-        z, num = _vertex_table(tables, images + [(c, [
-            gnum[mul[N][x]] + swap[c[x]][x] for x in dim.elements])])
+        z, num = _vertex_table(dim, images + [(c, [
+            gnum[mul[N][x]] + char_exp[neg[mul[c[x]][x]]]
+            for x in dim.elements])])
         corrections.append(Correction(
             u, _read_only(q * g[dim.tables.mul[N]]),
             (z, [n % dim.phase_den for n in num]), f"C g({N}*j) on {u}"))
     _verify_rewrite(graph, vid, rule.B[:, m], new_graph, corrections, nbrs,
-                    _tableau(graph, [vid] + nbrs, tables), eigen, tables)
+                    _tableau(graph, [vid] + nbrs), eigen)
     return StabilizerState(new_graph, corrections), m, corrections, new_graph
 
 

@@ -6,7 +6,8 @@ a_0 + a_1*xi + ... + a_{m-1}*xi^{m-1} is the integer with base-p digits
 same encoding with base-4 digits.  Integer-ring elements are plain residues
 mod d.  One builder, _ring_tables, makes every table: Z_d is Z_d[xi]/(xi),
 GF(p^m) is Z_p[xi]/(poly) and GR(4,m) is Z_4[xi]/(gr_poly).  A DimSpec
-builds its tables once, as read-only arrays.
+builds its tables once: as read-only arrays (tables) and as nested tuples
+of Python ints (ints), which its scalar methods and the engine's rows index.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ def _ring_tables(q: int, poly: Sequence[int]
 # DimSpec.tables, which every dense builder indexes: mul[a, b] = a b,
 # add[a, b] = a + b, sub[a, b] = a - b and chi[t] = char_phase(t)
 ElementTables = collections.namedtuple("ElementTables", "mul add sub chi")
+# DimSpec.ints, as Python ints: mul[a][b], add[a][b], neg[a] = -a and
+# char_exp[t], the exponent of char_phase(t) over phase_den
+IntTables = collections.namedtuple("IntTables", "mul add neg char_exp")
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,8 @@ class DimSpec:
     """Dimension descriptor for one qudit: Z_d or GF(p^m) (+ GR(4,m) lift).
 
     base is the digit modulus, d for Z_d and p for GF(p^m), and tables the
-    read-only arrays of _ring_tables; the scalar methods read lists taken
-    from the same arrays, so they return Python ints."""
+    read-only arrays of _ring_tables; ints are the same tables as tuples of
+    Python ints, which the scalar methods read, so they return Python ints."""
 
     kind: str
     d: int
@@ -123,6 +127,7 @@ class DimSpec:
     gr_poly: Optional[Tuple[int, ...]] = None
     base: int = field(init=False, repr=False, compare=False)
     tables: ElementTables = field(init=False, repr=False, compare=False)
+    ints: IntTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (INTEGER_RING, FINITE_FIELD):
@@ -146,11 +151,11 @@ class DimSpec:
             gr_mul, _, gr_tr = (t.tolist() for t in
                                 _ring_tables(4, self.gr_poly or (0, 1)))
         scale = self.phase_den // base
+        ints = IntTables(*(tuple(map(tuple, t.tolist())) for t in (mul, add)),
+                         tuple(neg.tolist()), tuple(scale * t for t in tr))
         for name, value in (
-                ("base", base), ("tables", tables), ("_add", add.tolist()),
-                ("_neg", neg.tolist()), ("_mul", mul.tolist()), ("_inv", inv),
-                ("_tr", tr), ("_chi", chi),
-                ("_char_exp", [scale * t for t in tr]),
+                ("base", base), ("tables", tables), ("ints", ints),
+                ("_inv", inv), ("_tr", tr), ("_chi", chi),
                 ("_gr_mul", gr_mul), ("_gr_tr", gr_tr)):
             object.__setattr__(self, name, value)
 
@@ -161,16 +166,16 @@ class DimSpec:
         return range(self.d)
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a % self.d][b % self.d]
+        return self.ints.add[a % self.d][b % self.d]
 
     def neg(self, a: int) -> int:
-        return self._neg[a % self.d]
+        return self.ints.neg[a % self.d]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a % self.d][b % self.d]
+        return self.ints.mul[a % self.d][b % self.d]
 
     def inv(self, a: int) -> int:
         v = self._inv[a % self.d]
@@ -225,7 +230,7 @@ class DimSpec:
 
     def char_exp(self, t: int) -> int:
         """Exponent of char_phase(t) in units of 2*pi/phase_den."""
-        return self._char_exp[t % self.d]
+        return self.ints.char_exp[t % self.d]
 
     @property
     def phase_den(self) -> int:

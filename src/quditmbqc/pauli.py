@@ -43,12 +43,6 @@ class PauliWord:
     def is_identity(self) -> bool:
         return all(v == 0 for v in self.z) and all(v == 0 for v in self.x)
 
-    def __str__(self):
-        parts = [f"e^(2pi i {self.phase_num}/{self.dim.phase_den})"]
-        for i in range(self.n):
-            parts.append(f"Z^{self.z[i]}X^{self.x[i]}")
-        return " ".join(parts)
-
 
 def identity_word(dim: DimSpec, n: int = 1) -> PauliWord:
     return PauliWord(dim, n, (0,) * n, (0,) * n, 0)
@@ -77,32 +71,10 @@ def normal_form(a: PauliWord, b: PauliWord) -> PauliWord:
     return PauliWord(dim, a.n, tuple(z), tuple(x), phase)
 
 
-def invert_word(w: PauliWord) -> PauliWord:
-    """Inverse word in normal form."""
-    dim = w.dim
-    phase = -w.phase_num
-    z, x = [], []
-    for i in range(w.n):
-        # (Z^z X^x)^-1 = X^{-x} Z^{-z} = char(-z x) Z^{-z} X^{-x}
-        phase += dim.char_exp(dim.neg(dim.mul(w.z[i], w.x[i])))
-        z.append(dim.neg(w.z[i]))
-        x.append(dim.neg(w.x[i]))
-    return PauliWord(dim, w.n, tuple(z), tuple(x), phase)
-
-
 def one_qudit_words(dim: DimSpec) -> List[PauliWord]:
     """Every one-qudit word Z^z X^x with phase 0, at index z * d + x."""
     return [PauliWord(dim, 1, (z,), (x,), 0)
             for z in dim.elements for x in dim.elements]
-
-
-def word_power(w: PauliWord, k: int) -> PauliWord:
-    out = identity_word(w.dim, w.n)
-    if k < 0:
-        w, k = invert_word(w), -k
-    for _ in range(k):
-        out = normal_form(out, w)
-    return out
 
 
 # --- dense matrices -------------------------------------------------------

@@ -532,11 +532,13 @@ def gate_from_json(obj: dict) -> EntanglingGateSpec:
                                   init_phases=init)
     if kind == NAMED:
         name, theta = obj["name"], obj.get("theta")
-        if theta is None and name in ("cz", "cx"):
-            return (cz_spec if name == "cz" else cx_spec)(dim)
-        if theta is not None:
-            theta = float(json_array(theta, (), "theta"))
         if name == "light_shift":
-            return light_shift_spec(dim, theta)
-        return EntanglingGateSpec(dim, NAMED, name=name, ls_theta=theta)
+            return light_shift_spec(dim, None if theta is None else
+                                    float(json_array(theta, (), "theta")))
+        if name not in ("cz", "cx"):
+            raise DimensionMismatch(f"unknown named gate {name!r}")
+        if theta is not None:
+            raise DimensionMismatch(f"theta applies to the light_shift gate, "
+                                    f"not {name!r}")
+        return (cz_spec if name == "cz" else cx_spec)(dim)
     raise DimensionMismatch(f"unknown gate kind {kind!r}")

@@ -908,6 +908,11 @@ _FUZZ_VALUES = {"null": None, "true": True, "3": 3, "-1": -1, "2.5": 2.5,
 def _fuzz_expected(gate, key, label, value):
     """(exit code, message) of analyze on gate's file with the entry at
     key (dotted) replaced by value, or deleted: today's refusal, or 0."""
+    if gate in ("cz", "cx") and key == "theta":
+        # any theta but null is refused on a named cz or cx
+        return (0, None) if value is None else (
+            cli.EXIT_PARSE, f"theta applies to the light_shift gate, not "
+                            f"{gate!r}")
     if label == "deleted":
         if key == "init_phases" or (gate == "light-shift" and key == "theta"):
             return 0, None      # optional: the default is read
@@ -945,16 +950,22 @@ def _fuzz_expected(gate, key, label, value):
 
 def _fuzzed_gates():
     """(case, gate JSON, exit code, message) for every key of a named
-    light-shift gate with its theta, a diagonal and a block-diagonal gate
-    file over Z3, and of their dim, each value of _FUZZ_VALUES in turn:
-    the exit code analyze gives today and its message (None on exit 0)."""
+    light-shift gate with its theta, a named cz and cx gate, a diagonal and
+    a block-diagonal gate file over Z3, and of their dim, and for a theta
+    added to the cz and cx files, each value of _FUZZ_VALUES in turn: the
+    exit code analyze gives today and its message (None on exit 0)."""
     bases = {"light-shift": gate_to_json(light_shift_spec(D3, 2.0)),
+             "cz": gate_to_json(cz_spec(D3)), "cx": gate_to_json(cx_spec(D3)),
              "diagonal": gate_to_json(resource.expand(light_shift_spec(D3))),
              "block": gate_to_json(resource.expand(cx_spec(D3)))}
     for gate, base in bases.items():
-        for path in [[k] for k in base] + [["dim", k] for k in base["dim"]]:
+        added = [["theta"]] if gate in ("cz", "cx") else []
+        for path in [[k] for k in base] + [["dim", k] for k in base["dim"]] \
+                + added:
             key = ".".join(path)
             for label, value in _FUZZ_VALUES.items():
+                if path in added and label == "deleted":
+                    continue
                 yield (f"{gate}-{key}-{label}", _edited(base, path, value),
                        *_fuzz_expected(gate, key, label, value))
 

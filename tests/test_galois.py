@@ -25,7 +25,7 @@ from quditmbqc.galois import (
 )
 from quditmbqc.clifford import diagonal_images
 from quditmbqc.gates import hadamard, mult_gate, shear_gate, tau
-from quditmbqc.pauli import xmat, zmat
+from quditmbqc.pauli import PauliWord, normal_form, xmat, zmat
 from quditmbqc.resource import cz_power, cz_spec, gate_matrix
 
 
@@ -254,6 +254,20 @@ def test_ring_and_field_axioms_over_every_supported_dimension(case):
     if field:
         assert dim.trace(a) in range(dim.p)
         assert dim.trace(add(a, b)) == (dim.trace(a) + dim.trace(b)) % dim.p
+    # the integer view: dim.tables as tuples of ints, read by the scalar
+    # methods
+    ints = dim.ints
+    tables = dim.tables
+    assert ints.mul == tuple(map(tuple, tables.mul.tolist()))
+    assert ints.add == tuple(map(tuple, tables.add.tolist()))
+    assert ints.neg == tuple(tables.sub[0].tolist())
+    assert (ints.mul[a][b], ints.add[a][b], ints.neg[a], ints.char_exp[a]) \
+        == (mul(a, b), add(a, b), dim.neg(a), dim.char_exp(a))
+    # chi(-z x), the phase X(x) Z(z) = chi(-z x) Z(z) X(x) takes, is
+    # char_exp[neg[mul[z][x]]], the exponent normal_form adds
+    word = normal_form(PauliWord(dim, 1, (0,), (a,)),
+                       PauliWord(dim, 1, (b,), (0,)))
+    assert word.phase_num == ints.char_exp[ints.neg[ints.mul[b][a]]]
 
 
 # AXIOM_DIMS and GF(31^2), built in the test

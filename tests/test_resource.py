@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from quditmbqc import clifford, resource
 from quditmbqc.errors import (
+    DimensionMismatch,
     NonInvertibleGcd,
     NonUnitary,
     NoRealSolution,
@@ -16,7 +17,7 @@ from quditmbqc.errors import (
     NotControlledPauliForm,
 )
 from quditmbqc.clifford import universality_check
-from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
+from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, dim_to_json, make_dim
 from quditmbqc.gates import (
     hadamard,
     normalize_global_phase,
@@ -373,6 +374,21 @@ def test_named_gate_json_returns_the_shared_spec(dim, spec_of):
     # a named gate file reuses the one analysed spec per dimension
     spec = spec_of(dim)
     assert gate_from_json(gate_to_json(spec)) is spec
+
+
+@pytest.mark.parametrize("name, theta, message", [
+    ("cz", 2.5, "theta applies to the light_shift gate, not 'cz'"),
+    ("cx", 0.0, "theta applies to the light_shift gate, not 'cx'"),
+    ("x", None, "unknown named gate 'x'")])
+def test_named_gate_file_is_refused_where_it_is_loaded(name, theta, message):
+    # only cz, cx and light_shift are named, and only light_shift takes a
+    # theta: anything else is refused by gate_from_json itself
+    obj = {"kind": "named", "name": name, "dim": dim_to_json(D3)}
+    if theta is not None:
+        obj["theta"] = theta
+    with pytest.raises(DimensionMismatch) as excinfo:
+        gate_from_json(obj)
+    assert str(excinfo.value) == message
 
 
 def test_light_shift_spec_is_shared_per_theta():

@@ -354,6 +354,40 @@ def test_mediated_lattice_matches_the_dense_reference(spec_of):
             assert _check_every_outcome(graph, vid, rule) == 3
 
 
+GF4 = make_dim(FINITE_FIELD, p=2, m=2)
+
+
+@pytest.mark.parametrize("graph", [
+    diagonal_lattice(D3, 3, 3, cz_spec(D3)),
+    diagonal_lattice(D3, 3, 3, light_shift_spec(D3)),
+    diagonal_lattice(GF4, 2, 3, cz_spec(GF4))],
+    ids=["Z3-cz", "Z3-light-shift", "GF4-cz"])
+def test_rewrites_of_rewrite_outputs_match_the_dense_reference(graph):
+    # a chain of local complementations and Z deletions, each on the
+    # previous step's output, a derived graph: every forced outcome of each
+    # step verifies against the dense reference, and the edges a step adds
+    # follow the edges it keeps, in order, numbered from one past the top
+    # seq that the measured vertex's star leaves
+    n, seqs = len(graph.vertices), []
+    for step, rule in enumerate(RULES[::-1] * 2):
+        # the vertex with the most edges, the lowest id among equals
+        vid = min(graph.vertices,
+                  key=lambda v: (-len(graph.neighbors(v.id)), v.id)).id
+        assert _check_every_outcome(graph, vid, rule) == graph.dim.d
+        new = rule(graph, vid, rng=step)[3]
+        left = [e for e in graph.edges if vid not in (e.control, e.target)]
+        kept = [e for e in new.edges if e in left]
+        top = max((e.seq for e in left), default=-1)
+        added = new.edges[len(kept):]
+        assert list(new.edges[:len(kept)]) == kept
+        seqs.append([e.seq for e in added])
+        assert seqs[-1] == list(range(top + 1, top + 1 + len(added)))
+        graph = new
+    assert len(graph.vertices) == n - 4
+    # the local complementations join their neighbours
+    assert seqs[0] and seqs[2]
+
+
 def test_rewrites_a_mediated_lattice_past_the_dense_ceiling():
     # 3x3 chains and 6 mediators: 3^15 amplitudes, over the dense budget
     graph = mediated_lattice(D3, 3, 3, cz_spec(D3))
