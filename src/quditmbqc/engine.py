@@ -4,18 +4,22 @@ A resource graph is immutable and validated where it is built (its
 constructor, and so dataclasses.replace, graph_from_json and the lattice
 builders); a changed graph is derived with dataclasses.replace or the
 constructor.  So no call that takes a graph validates it again, and the
-facts derived from a graph (its id index, its adjacency lists and its
-chain) are kept on it and cannot go stale.
+facts derived from a graph (its id index, its adjacency lists, its chain
+and couple_input's chain tensor and frame tables) are kept on it and
+cannot go stale.
 
 Every protocol call is one contraction of its input with a branch table
-and one draw by sim.collapse (through _draw, or on the edge's uniform
-marginals), and its posterior is verified against the predicted action
-on every call: as a vector, or, for graph rewriting, by exact equality of
-graph-form stabilizer rows.  The mediator's and the edge's branch tables,
-the very arrays the calls contract, are also checked against their
-predicted actions once, for every input at once.  Pauli frames move by
-index arithmetic: through a diagonal by its images (clifford.diagonal_images;
-the engine certifies nothing), through G_I by its certificate's frame table.
+and one draw by sim.collapse's rule (one row through _draw and
+sim.collapse_row, a rewrite's off its star rule's kept CDF, the edge's on
+uniform marginals), and its posterior is verified against the predicted
+action on every call: as a vector, or, for graph rewriting, by exact
+equality of graph-form stabilizer rows.  The mediator's and the edge's
+branch tables, the very arrays the calls contract, are also checked
+against their predicted actions once, for every input at once.  Pauli
+frames move by index arithmetic, read from tables built once: through a
+diagonal by its images (clifford.diagonal_images; the engine certifies
+nothing), through G_I by its certificate's frame table; the mediator's d
+frame words are kept on its spec.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -34,6 +38,7 @@ A failed verification raises FrameMismatch rather than returning silently.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -294,8 +299,9 @@ def _require_tableau(graph: ResourceGraph, star: Sequence[GraphEdge]):
 
 def _forced(forced, count: int, size: int) -> List[int]:
     """Forced outcomes as count ints in 0..size-1: DimensionMismatch for
-    another count, SiteOutOfRange for an entry that is not an integer or
-    out of range.  Every protocol and rewrite draw checks them here."""
+    another count, SiteOutOfRange for an entry that is not an integer (a
+    bool included) or out of range.  Every protocol and rewrite draw
+    checks them here."""
     try:
         given = len(forced)
     except TypeError:                # a scalar, or a 0-d array
@@ -306,6 +312,9 @@ def _forced(forced, count: int, size: int) -> List[int]:
     out = []
     for k in forced:
         try:
+            # a bool, Python's or numpy's, is not an outcome
+            if isinstance(k, (bool, np.bool_)):
+                raise TypeError
             k = operator.index(k)
         except TypeError:
             raise SiteOutOfRange(f"forced outcome {k} is not an "
@@ -319,15 +328,13 @@ def _forced(forced, count: int, size: int) -> List[int]:
 def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
           ) -> Tuple[int, np.ndarray]:
     """Outcome and normalized posterior of one row of branch amplitudes
-    (D, R), drawn by sim.collapse from one random() of rng (a seed or a
-    Generator), or the forced outcome (checked by _forced)."""
+    (D, R), drawn by sim.collapse_row from one random() of rng (a seed or
+    a Generator), or the forced outcome (checked by _forced)."""
     if forced_outcome is None:
-        k, post, _ = sim.collapse(branch[None],
-                                  np.random.default_rng(rng).random(1))
-    else:
-        k, post, _ = sim.collapse(branch[None], None,
-                                  _forced([forced_outcome], 1, len(branch)))
-    return int(k[0]), post[0]
+        return sim.collapse_row(
+            branch, np.random.default_rng(rng).random(), None)[:2]
+    return sim.collapse_row(
+        branch, None, _forced([forced_outcome], 1, len(branch))[0])[:2]
 
 
 def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
@@ -614,30 +621,18 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
 
 # --- input coupling -------------------------------------------------------
 
-def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
-                 forced_outcome: Optional[int] = None
-                 ) -> Tuple[StateVector, PauliFrame, int]:
-    """Teleport an external state into a two-vertex chain via a Bell
-    measurement of the input and the chain's head.
-
-    The chain is the edge gate on |init_head> |init_tail>.  Bell outcome
-    Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
-    sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
-    contraction gives all d^2 branches, and the outcome is drawn from
-    them as every protocol draws (_draw).  It leaves the tail carrying
-    G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
-    the edge and D_head = diag(q) the head init's phases, |init> = D_head
-    |0_X> (the identity for cz and light-shift chains, S for cx).  The
-    returned frame is W conjugated through D_head (its images of every
-    shift X(x) read by diagonal_images), then through G_I's certificate,
-    so that the posterior is frame * G_I D_head |psi> up to phase, which
-    is checked on every call.  A chain that is not two
-    vertices joined by one edge, or a head init that is not a phase
-    vector (a Z-basis label or a raw state), raises DimensionMismatch; a
-    non-unitary edge gate raises NonUnitary, a G_I without a certificate
-    raises as IntrinsicGate.certificate does, and a D_head that is not
-    Clifford raises NotCliffordError naming the X generator it fails on.
-    """
+def _coupling(graph: ResourceGraph) -> tuple:
+    """What couple_input reads of its graph alone, built on its first call
+    and kept on it: the chain tensor (the edge gate on |init_head>
+    |init_tail>, as [head, tail]), the conjugated word stack W.conj()
+    that its Bell vectors are read from and W itself, the head init's
+    phases q, G_I's matrix, and the frame rule's integer tables: the
+    images (c, num) of every shift under diag(q) (diagonal_images) and
+    G_I's certificate frame table.  Raises as couple_input documents; a
+    graph that raises keeps nothing, so every later call raises again."""
+    facts = graph._facts.get("coupling")
+    if facts is not None:
+        return facts
     dim = graph.dim
     d = dim.d
     if len(graph.vertices) != 2:
@@ -655,19 +650,59 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     tail = _init_vector(dim, graph.vertex(order[1]).init)
     E = unitary_gate_matrix(graph.edges[0].gate)
     chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
-    psi = sim.unit_vector(psi, d, "input state")
-    W = _zx_stack(dim)
-    branch = np.einsum("kab,a,bt->kt", W.conj(), psi, chain) / np.sqrt(d)
-    k, post = _draw(branch, rng, forced_outcome)
     intrinsic = intrinsic_of(graph.edges[0].gate)
-    cert = intrinsic.certificate()
-    shift, nums = diagonal_images(dim, q)
+    g_idx, g_phase = intrinsic.certificate().frame_table()
+    W = _zx_stack(dim)
+    facts = graph._facts["coupling"] = (
+        chain, W.conj(), W, q, intrinsic.matrix, diagonal_images(dim, q),
+        (g_idx.tolist(), g_phase.tolist()))
+    return facts
+
+
+def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
+                 forced_outcome: Optional[int] = None
+                 ) -> Tuple[StateVector, PauliFrame, int]:
+    """Teleport an external state into a two-vertex chain via a Bell
+    measurement of the input and the chain's head.
+
+    The chain is the edge gate on |init_head> |init_tail>.  Bell outcome
+    Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
+    sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
+    contraction gives all d^2 branches, and the outcome is drawn from
+    them as every protocol draws (_draw).  It leaves the tail carrying
+    G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
+    the edge and D_head = diag(q) the head init's phases, |init> = D_head
+    |0_X> (the identity for cz and light-shift chains, S for cx).  The
+    returned frame is W conjugated through D_head, by the head's exact
+    images of every shift X(x) (diagonal_images), then through G_I, read
+    off its certificate's frame table: no word is conjugated per call.
+    The posterior is frame * G_I D_head |psi> up to phase, which is
+    checked on every call.  The chain tensor, the tables and the head's
+    phases depend on the graph alone and are kept on it (_coupling).
+
+    A chain that is not two vertices joined by one edge, or a head init
+    that is not a phase vector (a Z-basis label or a raw state), raises
+    DimensionMismatch; a non-unitary edge gate raises NonUnitary, a G_I
+    without a certificate raises as IntrinsicGate.certificate does, and a
+    D_head that is not Clifford raises NotCliffordError naming the X
+    generator it fails on.  These graph errors are raised before the
+    input state and the forced outcome are checked.
+    """
+    dim = graph.dim
+    d = dim.d
+    chain, Wc, W, q, G, (shift, nums), (g_idx, g_phase) = _coupling(graph)
+    psi = sim.unit_vector(psi, d, "input state")
+    branch = np.einsum("kab,a,bt->kt", Wc, psi, chain) / np.sqrt(d)
+    k, post = _draw(branch, rng, forced_outcome)
+    _, add, neg, _ = dim.ints
     s, t = divmod(k, d)
-    # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t)
-    c, num = shift[dim.neg(t)], nums[dim.neg(t)]
-    frame = cert.conjugate(PauliWord(dim, 1, [dim.sub(c, s)], [dim.neg(t)],
-                                     num))
-    ideal = W[frame.z[0] * d + frame.x[0]] @ (intrinsic.matrix @ (q * psi))
+    t = neg[t]
+    # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t),
+    # word i, which G_I moves to word g_idx[i] at the phase g_phase[i]
+    i = add[shift[t]][neg[s]] * d + t
+    frame = PauliWord(dim, 1, (g_idx[i] // d,), (g_idx[i] % d,),
+                      nums[t] + g_phase[i])
+    ideal = W[g_idx[i]] @ (G @ (q * psi))
     if not (abs(np.vdot(post, ideal / np.linalg.norm(ideal)))
             >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted coupling frame does not verify")
@@ -801,9 +836,13 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
 # --- mediator qudits ------------------------------------------------------
 
 @_per_spec
-def _mediator_angles(spec: EntanglingGateSpec) -> np.ndarray:
-    """The angles of mediator_of's local diagonal, shared read-only."""
-    return _read_only(np.angle(mediator_of(spec)[2]), float)
+def _mediator_out(spec: EntanglingGateSpec) -> Tuple[np.ndarray, list]:
+    """The angles of mediator_of's local diagonal, shared read-only, and
+    outcome k's frame word Z^{-k} x Z^{-k}, at index k."""
+    dim = spec.dim
+    return (_read_only(np.angle(mediator_of(spec)[2]), float),
+            [PauliWord(dim, 2, [dim.neg(k)] * 2, [0, 0], 0)
+             for k in dim.elements])
 
 
 @dataclass
@@ -824,8 +863,9 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     onto a mediator prepared in C^{-1}|0_X> (C mapping the controlled
     Pauli P to Z^l).  Measuring the mediator in {G_C|k_X>} restores the
     product state; {G_C S^{-1}|k_X>} applies (S x S) CZ.  Both leave a
-    Z^{-k} x Z^{-k} frame plus known local diagonal phases, whose angles
-    are kept once per spec and returned read-only (local_phases).
+    Z^{-k} x Z^{-k} frame plus known local diagonal phases; the angles
+    (returned read-only as local_phases) and the d frame words are kept
+    once per spec (_mediator_out).
 
     The outcome is drawn from the branches W[k] * psi of the gate's
     mediator_tables (checked once against the predicted action Q) by
@@ -846,10 +886,9 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     fid = abs(np.vdot(post, predicted / np.linalg.norm(predicted)))
     if not (fid >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"mediator {mode} fidelity {fid:.12f}")
-    frame = PauliWord(dim, 2, [dim.neg(k), dim.neg(k)], [0, 0], 0)
+    angles, frames = _mediator_out(spec)
     return MediatorResult(StateVector(dim, 2, post),
-                          PauliFrame(frame, [(0, k)]),
-                          _mediator_angles(spec), k, mode)
+                          PauliFrame(frames[k], [(0, k)]), angles, k, mode)
 
 
 # --- graph rewriting ------------------------------------------------------
@@ -887,9 +926,11 @@ class _StarRule:
     kept factors (their diagonal, read-only, and the sum of their exact
     images) and summed weight N_u, B (checked unitary) and amps, outcome
     k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and rho v's
-    reduced state on the rows.  Its signature: shear, v's first edge
-    weight for local complementation (None for deletion), and per sorted
-    neighbour its edges' (gate, v is control), in order."""
+    reduced state on the rows, with the outcome probabilities and inverse
+    CDF that sim.collapse reads off amps (probs, cdf; draw).  Its
+    signature: shear, v's first edge weight for local complementation
+    (None for deletion), and per sorted neighbour its edges' (gate, v is
+    control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
@@ -922,7 +963,20 @@ class _StarRule:
         weight = np.real(np.sum(B.conj() * (rho @ B), axis=0))
         self.w, self.B = w, B
         self.amps = _read_only(np.sqrt(np.clip(weight, 0, None))[:, None])
+        probs = sim.row_probabilities(self.amps)[1]
+        self.probs, self.cdf = probs.tolist(), sim.row_cdf(probs).tolist()
         self.outcomes: Dict[int, Union[tuple, str]] = {}
+
+    def draw(self, rng, forced_outcome: Optional[int]) -> int:
+        """The outcome sim.collapse draws from amps (so _draw would) with
+        one random() of rng, read off the kept CDF, or the forced outcome
+        (checked by _forced, and for nonzero probability)."""
+        if forced_outcome is None:
+            return bisect.bisect_right(self.cdf,
+                                       np.random.default_rng(rng).random())
+        k = _forced([forced_outcome], 1, len(self.probs))[0]
+        sim.check_forced(self.probs, k)
+        return k
 
     def outcome(self, m: int) -> Tuple[np.ndarray, list, int, tuple]:
         """(g, gnum, delta, _eigen_table(B[:, m])), built on first use:
@@ -1094,7 +1148,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
-    m = _draw(rule.amps, rng, forced_outcome)[0]
+    m = rule.draw(rng, forced_outcome)
     g, gnum, delta, eigen = rule.outcome(m)
     mul, _, neg, char_exp = dim.ints
     weight = dict(zip(nbrs, rule.weights))

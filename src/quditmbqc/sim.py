@@ -9,8 +9,9 @@ Dense gate application and measurement live in the test suite's oracle
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,12 +170,16 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     Generator.choice, so a generator's random() draws give the outcomes
     its choice() would.  Returns (outcomes, posteriors, probabilities of
     the outcomes).  A row whose total weight is not finite and positive
-    raises DimensionMismatch.  A single row (every protocol and rewrite
-    draw) takes _collapse_row, which gives the same result bit for bit.
+    raises DimensionMismatch.  A batch of one row takes collapse_row,
+    which gives the same result bit for bit.
     """
     if len(branch) == 1 and np.shape(uniforms if forced is None
                                      else forced) == (1,):
-        return _collapse_row(branch[0], uniforms, forced)
+        k, post, p = collapse_row(
+            branch[0], None if forced is not None else uniforms[0],
+            None if forced is None
+            else int(np.asarray(forced, dtype=np.intp)[0]))
+        return np.full(1, k, dtype=np.intp), post[None], np.array([p])
     weight = (np.abs(branch) ** 2).sum(axis=2)
     total = weight.sum(axis=1, keepdims=True)
     if not ((total > 0) & np.isfinite(total)).all():
@@ -190,35 +195,53 @@ def collapse(branch: np.ndarray, uniforms, forced=None
         if k.min() < 0 or k.max() >= branch.shape[1]:
             raise SiteOutOfRange("forced outcome out of range")
         t = probs[rows, k].argmin()
-        if probs[t, k[t]] < VERIFY_TOL:
-            raise ZeroProbabilityForced(
-                f"outcome {k[t]} has probability {probs[t, k[t]]:.3e}")
+        check_forced(probs[t], k[t])
     post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]
     return k, post, probs[rows, k]
 
 
-def _collapse_row(branch: np.ndarray, uniforms, forced
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """collapse of the one row branch (D, R): the same reductions on 1-D
-    arrays, without the batch's row indexing."""
+def row_probabilities(branch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(weight, probs) of one row of branch amplitudes (D, R): outcome k's
+    weight |branch[k]|^2 and its probability, collapse's reductions on 1-D
+    arrays; DimensionMismatch unless the total weight is finite and
+    positive."""
     weight = (np.abs(branch) ** 2).sum(axis=1)
     total = weight.sum()
-    if not (total > 0 and np.isfinite(total)):
+    if not (total > 0 and math.isfinite(total)):
         raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
-    probs = weight / total
+    return weight, weight / total
+
+
+def row_cdf(probs: np.ndarray) -> np.ndarray:
+    """collapse's inverse CDF of one row's probabilities: the outcome of a
+    uniform u is the count of its entries <= u."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def check_forced(probs, k: int):
+    """ZeroProbabilityForced unless forced outcome k of a row with these
+    outcome probabilities has probability VERIFY_TOL or more."""
+    if probs[k] < VERIFY_TOL:
+        raise ZeroProbabilityForced(
+            f"outcome {k} has probability {probs[k]:.3e}")
+
+
+def collapse_row(branch: np.ndarray, u: Optional[float],
+                 forced: Optional[int]) -> Tuple[int, np.ndarray, float]:
+    """collapse of the one row branch (D, R), the draw of every protocol:
+    (outcome, posterior, its probability) for the uniform u, or for the
+    int forced, checked for range and nonzero probability."""
+    weight, probs = row_probabilities(branch)
     if forced is None:
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        k = np.count_nonzero(cdf <= uniforms[0])
+        k = int(np.count_nonzero(row_cdf(probs) <= u))
     else:
-        k = np.asarray(forced, dtype=np.intp)[0]
-        if k < 0 or k >= len(branch):
+        k = forced
+        if not 0 <= k < len(branch):
             raise SiteOutOfRange("forced outcome out of range")
-        if probs[k] < VERIFY_TOL:
-            raise ZeroProbabilityForced(
-                f"outcome {k} has probability {probs[k]:.3e}")
-    return (np.full(1, k, dtype=np.intp),
-            (branch[k] / np.sqrt(weight[k]))[None], probs[k:k + 1])
+        check_forced(probs, k)
+    return k, branch[k] / np.sqrt(weight[k]), probs[k]
 
 
 def _check_sites(state: StateVector, sites: Sequence[int]):

@@ -625,8 +625,26 @@ Z3_CHAIN = chain_graph(D3, cz_spec(D3), Z3_TRANSPORT.step_count() + 1)
     (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), None,
                               forced_outcomes=[[0] * 7]),
      DimensionMismatch, "4 forced outcomes needed"),
+] + [
+    # a bool, Python's or numpy's, is not read as outcome 0 or 1
+    (call, SiteOutOfRange, f"forced outcome {flag} is not an integer")
+    for flag in (True, np.True_, False, np.False_)
+    for call in (
+        lambda flag=flag: couple_input(PSI9[:3], chain_graph(D3, cz_spec(D3), 2),
+                                       forced_outcome=flag),
+        lambda flag=flag: entangle_via_edge(D3, PSI9,
+                                            forced_outcomes=[0, flag, 1, 0]),
+        lambda flag=flag: mediator_step(cz_spec(D3), PSI9, "disconnect",
+                                        forced_outcome=flag),
+        lambda flag=flag: local_complement(chain_graph(D3, cz_spec(D3), 3), 1,
+                                           forced_outcome=flag),
+        lambda flag=flag: run_trajectories(
+            Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), None,
+            forced_outcomes=[[flag, 0, 0, 0]]))
 ], ids=["edge-two", "edge-five", "edge-half", "edge-three", "couple-half",
-        "mediator-half", "rewrite-float", "run-half", "run-seven"])
+        "mediator-half", "rewrite-float", "run-half", "run-seven"] + [
+    f"{call}-{flag}" for flag in ("true", "np-true", "false", "np-false")
+    for call in ("couple", "edge", "mediator", "rewrite", "run")])
 def test_forced_outcomes_are_validated(call, error, message):
     # a wrong count is not cut or padded, and a non-integer entry is not
     # truncated: every draw checks its forced outcomes in one place
@@ -1068,12 +1086,78 @@ def test_protocol_size_guards_fire_before_allocation(call):
 
 
 def test_couple_input_non_clifford_head_init_names_generator():
+    # a graph whose coupling facts fail to build keeps none of them, so it
+    # raises on every call
     g = with_init(chain_graph(D3, cz_spec(D3), 2), 0,
                   np.array([0.0, 0.3, 0.0]))
     for outcome in range(9):
         with pytest.raises(NotCliffordError) as exc:
             couple_input(basis_state(D3, 0), g, forced_outcome=outcome)
         assert exc.value.generator == "X0^1"
+        assert "coupling" not in g._facts
+
+
+def test_couple_input_builds_its_graph_facts_once(monkeypatch):
+    counts = {"diagonal_images": 0, "_init_vector": 0}
+    for name in counts:
+        def counted(*args, name=name, wrapped=getattr(engine, name)):
+            counts[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(engine, name, counted)
+    g = chain_graph(D3, cx_spec(D3), 2)
+    psi = random_state(3, np.random.default_rng(8))
+    for seed in range(10):
+        couple_input(psi, g, rng=seed)
+    assert counts == {"diagonal_images": 1, "_init_vector": 2}
+
+
+def _dense_forced_couple(psi, graph, k):
+    full = sim.StateVector(graph.dim, 3, np.kron(psi, build(graph).amps))
+    head = graph.site_of(graph.edges[0].control) + 1
+    return measure(full, bell_basis(graph.dim), [0, head],
+                   forced_outcome=k)[1].amps
+
+
+@pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
+def test_a_derived_chain_couples_with_its_own_facts(dim):
+    # with_init derives a new graph: it builds its own coupling facts,
+    # and both chains land where the dense oracle does on every outcome
+    g = chain_graph(dim, cz_spec(dim), 2)
+    psi = random_state(dim.d, np.random.default_rng(9))
+    couple_input(psi, g, rng=0)
+    S = np.angle(np.diag(sgate(dim)))
+    derived = with_init(g, g.edges[0].control, S)
+    couple_input(psi, derived, rng=0)
+    assert derived._facts["coupling"] is not g._facts["coupling"]
+    for graph in (g, derived):
+        for k in range(dim.d ** 2):
+            post, _, got = couple_input(psi, graph, forced_outcome=k)
+            assert got == k
+            assert abs(np.vdot(_dense_forced_couple(psi, graph, k),
+                               post.amps)) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("dim", [
+    D2, D3, make_dim(INTEGER_RING, d=4), make_dim(INTEGER_RING, d=5), D4F,
+    make_dim(FINITE_FIELD, p=2, m=3), make_dim(FINITE_FIELD, p=3, m=2)],
+    ids=lambda dim: dim.label())
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_coupling_frame_table_equals_the_certificate(dim, spec_of):
+    # the frame read off the certificate's frame table and the head's
+    # exact images is the word the certificate conjugates, its exact
+    # phase included, for every outcome
+    g = chain_graph(dim, spec_of(dim), 2)
+    cert = intrinsic_of(g.edges[0].gate).certificate()
+    q = engine._phase_diagonal(dim, engine._init_vector(dim,
+                                                        g.vertices[0].init))
+    shift, nums = diagonal_images(dim, q)
+    psi = random_state(dim.d, np.random.default_rng(10))
+    for k in range(dim.d ** 2):
+        s, t = divmod(k, dim.d)
+        t = dim.neg(t)
+        want = cert.conjugate(PauliWord(dim, 1, [dim.sub(shift[t], s)], [t],
+                                        nums[t]))
+        assert couple_input(psi, g, forced_outcome=k)[1].word == want
 
 
 def test_mediated_lattice_builds():
@@ -1134,16 +1218,23 @@ def test_nan_state_is_rejected(name):
 @pytest.mark.parametrize("name", sorted(_nan_entry_points()))
 def test_nan_state_fails_dense_verification(name, monkeypatch):
     # with the input checks bypassed (the draw's weight check too, by
-    # drawing through the oracle's collapse without its _row_totals test),
-    # the NaN reaches the posterior verification, whose comparison must
-    # fail rather than pass; rewriting verifies on the tableau, so there
-    # the phase-vector check must reject the NaN init
+    # drawing batches through the oracle's collapse without its _row_totals
+    # test and single rows without row_probabilities' test), the NaN
+    # reaches the posterior verification, whose comparison must fail
+    # rather than pass; rewriting verifies on the tableau, so there the
+    # phase-vector check must reject the NaN init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
     monkeypatch.setattr(dense_oracle, "_row_totals",
                         lambda w: w.sum(axis=1, keepdims=True))
     monkeypatch.setattr(sim, "collapse", dense_oracle.collapse)
+
+    def unchecked(branch):
+        weight = (np.abs(branch) ** 2).sum(axis=1)
+        return weight, weight / weight.sum()
+
+    monkeypatch.setattr(sim, "row_probabilities", unchecked)
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
     error = UnsupportedFormalism if name == "vertex_delete" else FrameMismatch

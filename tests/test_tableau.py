@@ -40,6 +40,7 @@ from quditmbqc.resource import (
     cx_spec,
     cz_power,
     cz_spec,
+    expand,
     factor_diagonal_clifford,
     light_shift_spec,
     mediator_of,
@@ -728,6 +729,67 @@ def test_a_cached_non_quadratic_outcome_raises_on_every_draw():
     [rule] = _star_rules(graph.edges[0].gate)
     assert rule.outcomes == {0: "outcome 0 phases are not quadratic",
                              2: "outcome 2 phases are not quadratic"}
+
+
+class _Uniform:
+    """A stand-in generator whose random() is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _corpus_star_rules():
+    """Every star rule kept on the gates of the benchmark graphs and of
+    the Z4 stars whose first edge has weight 2, once each graph has been
+    rewritten by both rules."""
+    graphs = _benchmark_graphs() + [(ResourceGraph(
+        D4R, [Vertex(i) for i in range(3)],
+        [GraphEdge(0, 1, cz_power(D4R, 2), 0),
+         GraphEdge(0, 2, cz_power(D4R, second), 1)]), 0)
+        for second in (1, 2, 3)]
+    specs = {}
+    for graph, vid in graphs:
+        for rule in RULES:
+            for m in graph.dim.elements:
+                _rewrite_or_error(rule, graph, vid, m)
+        specs.update((id(e.gate), expand(e.gate)) for e in graph.edges)
+    return [r for spec in specs.values() for r in _star_rules(spec)]
+
+
+def test_star_rule_draws_are_collapse_draws(monkeypatch):
+    # a rule's kept CDF gives sim.collapse's outcome on its amplitudes for
+    # a uniform at and on both sides of each CDF entry, and a forced
+    # outcome of zero probability raises collapse's error and message
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda rng: rng
+                        if isinstance(rng, _Uniform) else default_rng(rng))
+    rules = _corpus_star_rules()
+    assert len(rules) >= 20
+    zero = 0
+    for rule in rules:
+        amps = rule.amps[None]
+        for c in rule.cdf:
+            for u in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)):
+                if 0 <= u < 1:
+                    assert rule.draw(_Uniform(float(u)), None) == \
+                        sim.collapse(amps, [u])[0][0]
+        for seed in range(5):
+            assert rule.draw(seed, None) == sim.collapse(
+                amps, default_rng(seed).random(1))[0][0]
+        for m in range(len(rule.probs)):
+            try:
+                want = sim.collapse(amps, None, [m])[0][0]
+            except ZeroProbabilityForced as exc:
+                zero += 1
+                with pytest.raises(ZeroProbabilityForced) as got:
+                    rule.draw(None, m)
+                assert str(got.value) == str(exc)
+            else:
+                assert rule.draw(None, m) == want
+    assert zero
 
 
 @pytest.mark.parametrize("rule", RULES)
