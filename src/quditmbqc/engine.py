@@ -4,16 +4,16 @@ A resource graph is immutable and validated where it is built (its
 constructor, and so dataclasses.replace, graph_from_json and the lattice
 builders); a changed graph is derived with dataclasses.replace or the
 constructor.  So no call that takes a graph validates it again, and the
-facts derived from a graph (its id index, its adjacency lists, its chain
-and couple_input's chain tensor and frame tables) are kept on it and
-cannot go stale.
+facts derived from a graph (its id index, its adjacency lists, its
+vertex tables, its chain and couple_input's chain tensor and frame
+tables) are kept on it and cannot go stale.
 
 Every protocol call is one contraction of its input with a branch table
 and one draw by sim.collapse's rule (one row through _draw and
-sim.collapse_row, a rewrite's off its star rule's kept CDF, the edge's on
-uniform marginals), and its posterior is verified against the predicted
-action on every call: as a vector, or, for graph rewriting, by exact
-equality of graph-form stabilizer rows.  The mediator's and the edge's
+sim.collapse_row, a rewrite's off its star rule's kept CDF, the edge's
+off a uniform CDF kept per d), and its posterior is verified against the
+predicted action on every call: as a vector, or, for graph rewriting, by
+exact equality of graph-form stabilizer rows.  The mediator's and the edge's
 branch tables, the very arrays the calls contract, are also checked
 against their predicted actions once, for every input at once.  Pauli
 frames move by index arithmetic, read from tables built once: through a
@@ -26,13 +26,16 @@ diagonals, their exact images and its weight (factor_diagonal_clifford).
 Measuring a vertex changes only the rows of its neighbours, so a rewrite
 builds and compares those rows, as integer rows on the neighbours'
 columns: the rows it builds, and the edges and inits it reads, follow
-the vertex's degree, not the graph's size; what they read of the
-vertex's star alone is built once per star signature (_StarRule).  It
-returns a StabilizerState: the new graph and its corrections, each a
-diagonal with its exact images, added up from integer tables in closed
-form, and nothing more.  Nothing here builds a posterior's full rows, a
-correction's dense operator or a whole dense state; those views live in
-the tests' oracle, tests/dense_oracle.py.
+the vertex's degree, not the graph's size.  What they read of the
+vertex's star alone, each outcome's corrections and new pair weights
+included, is built once per star signature (_StarRule); each vertex's
+table is built once per graph, and a rewrite's output inherits every
+table its edges leave as they were.  It returns a StabilizerState: the
+new graph and its corrections, each a diagonal with its exact images,
+added up from integer tables in closed form, and nothing more.  Nothing
+here builds a posterior's full rows, a correction's dense operator or a
+whole dense state; those views live in the tests' oracle,
+tests/dense_oracle.py.
 A failed verification raises FrameMismatch rather than returning silently.
 """
 
@@ -163,8 +166,9 @@ class ResourceGraph:
         return self.vertices[self.site_of(vid)]
 
     def neighbors(self, vid: int) -> List[int]:
+        self.site_of(vid)    # SiteOutOfRange for an id not in the graph
         return sorted({e.target if e.control == vid else e.control
-                       for e in _adjacency(self).get(vid, ())})
+                       for e in _adjacency(self)[vid]})
 
     def validate(self):
         """DimensionMismatch or SiteOutOfRange for duplicate ids or seqs,
@@ -355,27 +359,34 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int]
              ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
     """The graph-form tableau of the vertices ids, on their own columns:
     (weights, z, num), weights[i][j] the summed weight of the edges between
-    ids[i] and ids[j] and z[i], num[i] the _vertex_table of the images of
-    the edge factors ids[i] keeps (q1's as control, q2's as target; see
-    factor_diagonal_clifford).  Only the edges at ids are read, through
-    the graph's adjacency lists."""
+    ids[i] and ids[j] and z[i], num[i] ids[i]'s vertex table, the
+    _vertex_table of the images of the edge factors it keeps (q1's as
+    control, q2's as target; see factor_diagonal_clifford).  Only the
+    edges at ids are read, through the graph's adjacency lists.  A table
+    is built on its first read and kept on the graph, never mutated; a
+    rewrite's output inherits its parent's but N[v]'s."""
     add = graph.dim.ints.add
     adj = _adjacency(graph)
+    tables = graph._facts.setdefault("tables", {})
     local = {vid: i for i, vid in enumerate(ids)}
     weights = [[0] * len(ids) for _ in ids]
-    images: List[list] = [[] for _ in ids]
-    # an edge between two of ids is listed at both
-    for e in dict.fromkeys(e for vid in ids for e in adj[vid]):
-        ends = local.get(e.control), local.get(e.target)
-        *factors, N = factor_diagonal_clifford(e.gate)
-        for a, b, (_, image) in zip(ends, ends[::-1], factors):
-            if a is not None:
-                images[a].append(image)
-                if b is not None:
-                    weights[a][b] = add[weights[a][b]][N]
-    vertex_tables = [_vertex_table(graph.dim, i) for i in images]
-    return (weights, [t[0] for t in vertex_tables],
-            [t[1] for t in vertex_tables])
+    zs, nums = [], []
+    for row, vid in zip(weights, ids):
+        table, images = tables.get(vid), []
+        for e in adj[vid]:
+            own = e.control == vid
+            j = local.get(e.target if own else e.control)
+            if j is None and table:
+                continue
+            *factors, N = factor_diagonal_clifford(e.gate)
+            if j is not None:
+                row[j] = add[row[j]][N]
+            images.append(factors[0 if own else 1][1])
+        if table is None:
+            table = tables[vid] = _vertex_table(graph.dim, images)
+        zs.append(table[0])
+        nums.append(table[1])
+    return weights, zs, nums
 
 
 def _graph_rows(dim: DimSpec, tableau, sites: Sequence[int],
@@ -787,6 +798,14 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, net, action
 
 
+@functools.lru_cache(maxsize=None)
+def _uniform_cdf(d: int) -> Tuple[list, list]:
+    """(probs, cdf) that sim.collapse reads off a row of d equal weights,
+    kept per d for entangle_via_edge's draw."""
+    probs = sim.row_probabilities(np.ones((d, 1)))[1]
+    return probs.tolist(), sim.row_cdf(probs).tolist()
+
+
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
                       forced_outcomes: Optional[Sequence[int]] = None
                       ) -> Tuple[StateVector, PauliFrame]:
@@ -799,23 +818,29 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Every
     outcome's branch map is that frame times the action over d^2 (checked
     once per dimension by _check_edge_branches), so every outcome has
-    probability 1/d^4 for every input: sim.collapse draws the four
-    outcomes on uniform marginals from rng's next four random() values, as
-    four sequential X measurements would draw them, or takes
-    forced_outcomes (four, checked by _forced).  One contraction of the
-    d^6 CZ network with psi and the four X-basis vectors gives the
-    branch; its norm is checked to be 1/d^2 and its posterior to be the
-    frame times the action on psi, on every call (FrameMismatch).
+    probability 1/d^4 for every input: the four outcomes are drawn on
+    uniform marginals from rng's next four random() values, as four
+    sequential X measurements would draw them by sim.collapse's rule, off
+    one CDF kept per d (_uniform_cdf), or forced_outcomes are taken (four,
+    checked by _forced and against the kept probabilities).  One
+    contraction of the d^6 CZ network with psi and the four X-basis
+    vectors gives the branch; its norm is checked to be 1/d^2 and its
+    posterior to be the frame times the action on psi, on every call
+    (FrameMismatch).
     StateTooLarge before any allocation when d^6 exceeds sim.MAX_AMPS.
     """
     d = dim.d
     if d ** 6 > sim.MAX_AMPS:
         raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
-    forced = None if forced_outcomes is None \
-        else _forced(forced_outcomes, 4, d)
-    u = np.random.default_rng(rng).random(4) if forced is None else None
-    ks = sim.collapse(np.ones((4, d, 1)), u, forced)[0].tolist()
+    probs, cdf = _uniform_cdf(d)
+    if forced_outcomes is None:
+        ks = [bisect.bisect_right(cdf, u)
+              for u in np.random.default_rng(rng).random(4).tolist()]
+    else:
+        ks = _forced(forced_outcomes, 4, d)
+        for k in ks:
+            sim.check_forced(probs, k)
     h, net, action = _edge_tables(dim)
     k1, k2, k4, k5 = ks
     branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
@@ -927,10 +952,11 @@ class _StarRule:
     images) and summed weight N_u, B (checked unitary) and amps, outcome
     k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and rho v's
     reduced state on the rows, with the outcome probabilities and inverse
-    CDF that sim.collapse reads off amps (probs, cdf; draw).  Its
-    signature: shear, v's first edge weight for local complementation
-    (None for deletion), and per sorted neighbour its edges' (gate, v is
-    control), in order."""
+    CDF that sim.collapse reads off amps (probs, cdf; draw), and, per
+    outcome drawn, each slot's correction and the new pair weights
+    (outcome).  Its signature: shear, v's first edge weight for local
+    complementation (None for deletion), and per sorted neighbour its
+    edges' (gate, v is control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
@@ -978,13 +1004,17 @@ class _StarRule:
         sim.check_forced(self.probs, k)
         return k
 
-    def outcome(self, m: int) -> Tuple[np.ndarray, list, int, tuple]:
-        """(g, gnum, delta, _eigen_table(B[:, m])), built on first use:
-        f(s) = sum_j conj(B_jm) w_j chi(j s), g = f / f(0), gnum its
-        exact phase numerators, g(s) = e^{2 pi i gnum[s] / phase_den}
-        checked at PAULI_TOL, and the delta with g(a + b) = g(a) g(b)
-        chi(delta a b).  FrameMismatch, its message kept and raised on
-        every call, when f(0) = 0, no delta fits or g is off the lattice."""
+    def outcome(self, m: int) -> Tuple[np.ndarray, tuple, list, list]:
+        """(g, _eigen_table(B[:, m]), slots, pairs), built on first use:
+        f(s) = sum_j conj(B_jm) w_j chi(j s), g = f / f(0), and the delta
+        with g(a + b) = g(a) g(b) chi(delta a b).  Slot u's correction is
+        (q, images): its kept diagonal times g(N_u j), read-only, and the
+        sum of their exact images mod phase_den, the outcome's read off
+        gnum, g's exact phase numerators (g(s) = e^{2 pi i gnum[s] /
+        phase_den}, checked at PAULI_TOL).  pairs are (i, j, w, cz_power
+        spec) for slots i < j with w = delta N_i N_j nonzero.
+        FrameMismatch, its message kept and raised on every call, when
+        f(0) = 0, no delta fits or g is off the lattice."""
         if m not in self.outcomes:
             self.outcomes[m] = self._outcome(m)
         out = self.outcomes[m]
@@ -993,21 +1023,36 @@ class _StarRule:
         return out
 
     def _outcome(self, m: int) -> Union[tuple, str]:
-        mul, add, _, chi = self.dim.tables
+        dim = self.dim
+        mul, add, _, chi = dim.tables
         f = (self.B[:, m].conj() * self.w) @ chi[mul]
         if abs(f[0]) < VERIFY_TOL:
             return f"outcome {m} leaves no graph state"
         g = f / f[0]
-        delta = next((w for w in self.dim.elements if np.max(np.abs(
+        delta = next((w for w in dim.elements if np.max(np.abs(
             g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
         if delta is None:
             return f"outcome {m} phases are not quadratic"
-        den = self.dim.phase_den
+        den = dim.phase_den
         gnum = np.round(np.angle(g) * den / (2 * np.pi)) % den
         if np.max(np.abs(g - np.exp(2j * np.pi * gnum / den))) > PAULI_TOL:
             return f"outcome {m} phases are off the exact phase lattice"
-        return (g, gnum.astype(int).tolist(), delta,
-                _eigen_table(self.dim, self.B[:, m]))
+        gnum = gnum.astype(int).tolist()
+        imul, _, neg, char_exp = dim.ints
+        slots = []
+        for N, (q, table) in zip(self.weights, self.kept):
+            # diag g(N j) maps X(x) to g(N x) chi(-c x) Z(c) X(x), for
+            # c = delta N^2 x
+            c = imul[imul[delta][imul[N][N]]]
+            z, num = _vertex_table(dim, [table, (c, [
+                gnum[imul[N][x]] + char_exp[neg[imul[c[x]][x]]]
+                for x in dim.elements])])
+            slots.append((_read_only(q * g[mul[N]]),
+                          (z, [n % den for n in num])))
+        pairs = [(i, j, w, cz_power(dim, w)) for (i, Ni), (j, Nj)
+                 in itertools.combinations(enumerate(self.weights), 2)
+                 if (w := imul[delta][imul[Ni][Nj]])]
+        return g, _eigen_table(dim, self.B[:, m]), slots, pairs
 
 
 # kept on the spec of the star's first slot's first gate, as long as it lives
@@ -1118,18 +1163,21 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     or NotCliffordError).
 
     w, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
-    its exact phases, delta and eigen table come from the star's
-    _StarRule.  Each correction is its diagonal and its exact images,
-    added up from the integer images of C_u, of any replaced pair edge's
-    factors and of diag g(N_u j), which maps X(x) to g(N_u x) chi(-c x)
-    Z(c) X(x) for c = delta N_u^2 x: no correction is built or read as a
-    dense operator.  Only N[v] is read: its edges through the adjacency
-    lists, and no init phases at all.  The new graph is valid by
-    construction and is not validated again; its vertex and edge tuples
-    are the old ones with v, v's edges and the replaced pair edges filtered
-    out and the new edges appended, numbered from one past the top seq that
-    v's edges leave, and its adjacency lists are the old ones with N(v)'s
-    updated.
+    eigen table, corrections and pair weights delta N_u N_w (with their
+    cz_power specs) come from the star's _StarRule.  Each correction is
+    its diagonal and its exact images, added up from the integer images of
+    C_u and of diag g(N_u j), which maps X(x) to g(N_u x) chi(-c x) Z(c)
+    X(x) for c = delta N_u^2 x: no correction is built or read as a dense
+    operator.  A call rebuilds a correction, or a pair's spec, only where a
+    replaced pair edge's factors move into it or its weight adds to the
+    pair's, in the same order of float products.  Only N[v] is read: its
+    edges through the adjacency lists, and no init phases at all.  The new
+    graph is valid by construction and is not validated again; its vertex
+    and edge tuples are the old ones with v, v's edges and the replaced
+    pair edges filtered out and the new edges appended, numbered from one
+    past the top seq that v's edges leave, its adjacency lists are the old
+    ones with N(v)'s updated, and it inherits the old graph's vertex
+    tables but N[v]'s (_tableau), which the check builds from its edges.
     """
     dim = graph.dim
     site = graph.site_of(vid)
@@ -1149,28 +1197,27 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
     m = rule.draw(rng, forced_outcome)
-    g, gnum, delta, eigen = rule.outcome(m)
-    mul, _, neg, char_exp = dim.ints
-    weight = dict(zip(nbrs, rule.weights))
-    # each neighbour's kept diagonal, and the exact images to add up
-    kept = {u: (q, [images]) for u, (q, images) in zip(nbrs, rule.kept)}
-    removed, added = set(star), []
+    g, eigen, kept, pairs = rule.outcome(m)
+    old = _tableau(graph, [vid] + nbrs)
+    removed, added, folded = set(star), [], {}
     # one past the top seq that v's edges leave
     next_seq = max(map(operator.attrgetter("seq"), itertools.filterfalse(
         removed.__contains__, graph.edges)), default=-1) + 1
-    for u, w in itertools.combinations(nbrs, 2):
-        new_w = dim.mul(delta, dim.mul(weight[u], weight[w]))
-        if new_w == 0:
-            continue
-        # the edges between u and w, the only ones the new edge replaces
-        for e in [e for e in adj[u] if w in (e.control, e.target)]:
+    for i, j, new_w, gate in pairs:
+        u, w = nbrs[i], nbrs[j]
+        # the edges between u and w, the only ones the new edge replaces;
+        # their factors move into the corrections
+        between = [e for e in adj[u] if w in (e.control, e.target)]
+        for e in between:
             *factors, N = factor_diagonal_clifford(e.gate)
-            for end, (q, image) in zip((e.control, e.target), factors):
-                kept[end] = (kept[end][0] * q, kept[end][1] + [image])
+            for end, factor in zip((e.control, e.target), factors):
+                folded.setdefault(end, []).append(factor)
             new_w = dim.add(new_w, N)
             removed.add(e)
-        if new_w != 0:
-            added.append(GraphEdge(u, w, cz_power(dim, new_w), next_seq))
+        if between:
+            gate = cz_power(dim, new_w) if new_w else None
+        if gate is not None:
+            added.append(GraphEdge(u, w, gate, next_seq))
             next_seq += 1
     edges = tuple(itertools.chain(itertools.filterfalse(
         removed.__contains__, graph.edges), added))
@@ -1179,22 +1226,28 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     for u in nbrs:
         new_adj[u] = tuple(e for e in itertools.chain(adj[u], added)
                            if e not in removed and u in (e.control, e.target))
+    # every table but N[v]'s reads edges this rewrite leaves as they were
+    tables = dict(graph._facts["tables"])
+    for u in (vid, *nbrs):
+        del tables[u]
     new_graph = ResourceGraph._derived(
         dim, graph.vertices[:site] + graph.vertices[site + 1:], edges,
-        adjacency=new_adj, tableau=True)
+        adjacency=new_adj, tableau=True, tables=tables)
     corrections = []
-    for u in nbrs:
-        N, (q, images) = weight[u], kept[u]
-        # diag g(N j) maps X(x) to g(N x) chi(-c x) Z(c) X(x), c = delta N^2 x
-        c = mul[mul[delta][mul[N][N]]]
-        z, num = _vertex_table(dim, images + [(c, [
-            gnum[mul[N][x]] + char_exp[neg[mul[c[x]][x]]]
-            for x in dim.elements])])
-        corrections.append(Correction(
-            u, _read_only(q * g[dim.tables.mul[N]]),
-            (z, [n % dim.phase_den for n in num]), f"C g({N}*j) on {u}"))
+    for u, N, (q, _), (cq, (z, num)) in zip(nbrs, rule.weights, rule.kept,
+                                            kept):
+        if u in folded:
+            # q from the slot's own diagonal, times the factors in the order
+            # they were met, as a correction built whole multiplies them
+            for fq, _ in folded[u]:
+                q = q * fq
+            cq = _read_only(q * g[dim.tables.mul[N]])
+            z, num = _vertex_table(dim, [(z, num)] + [f[1] for f in folded[u]])
+            num = [n % dim.phase_den for n in num]
+        corrections.append(Correction(u, cq, (list(z), list(num)),
+                                      f"C g({N}*j) on {u}"))
     _verify_rewrite(graph, vid, rule.B[:, m], new_graph, corrections, nbrs,
-                    _tableau(graph, [vid] + nbrs), eigen)
+                    old, eigen)
     return StabilizerState(new_graph, corrections), m, corrections, new_graph
 
 

@@ -1,6 +1,7 @@
 """Resource-state engine: pattern runs, protocols, mediators, rewriting,
 checked against the dense oracle."""
 
+import bisect
 import itertools
 import json
 import time
@@ -153,6 +154,22 @@ def test_validate_rejects_duplicates_and_loops():
     with pytest.raises(DimensionMismatch, match="duplicate vertex ids"):
         replace(g, vertices=g.vertices * 2)
     g.validate()
+
+
+def test_a_vertex_not_in_the_graph_is_refused_alike():
+    # neighbors refuses an unknown id as vertex, site_of and a rewrite do,
+    # on the graph as built and on a rewrite's output
+    g = chain_graph(D3, cz_spec(D3), 3)
+    derived = vertex_delete(g, 0, rng=0)[3]
+    for graph in (g, derived):
+        for call in (graph.neighbors, graph.vertex, graph.site_of,
+                     lambda vid: vertex_delete(graph, vid, rng=0)):
+            with pytest.raises(SiteOutOfRange,
+                               match="vertex 99 not in graph"):
+                call(99)
+    assert g.neighbors(1) == [0, 2] and derived.neighbors(1) == [2]
+    with pytest.raises(SiteOutOfRange, match="vertex 0 not in graph"):
+        derived.neighbors(0)
 
 
 @pytest.mark.parametrize("label", [5, -1])
@@ -549,6 +566,49 @@ def test_entangle_via_edge_predicts_every_outcome(dim):
         assert [k for _, k in frame.history] == list(ks)
         ideal = matrix_of_pauli(frame.word) @ target
         assert abs(np.vdot(out.amps, ideal)) > 1 - 1e-9
+
+
+class _Uniforms:
+    """A stand-in generator whose random(n) is the n values us."""
+
+    def __init__(self, us):
+        self.us = us
+
+    def random(self, n):
+        assert n == len(self.us)
+        return np.array(self.us)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_entangle_via_edge_draws_are_collapse_draws(d, monkeypatch):
+    # the edge's four outcomes come off one uniform CDF kept per d: a
+    # uniform at and on both sides of each of its entries gives the outcome
+    # sim.collapse draws from a row of d equal weights, and the kept
+    # probabilities are collapse's.  For d <= 3 each uniform also goes
+    # through entangle_via_edge, in each of the four draws
+    probs, cdf = engine._uniform_cdf(d)
+    rows = np.ones((4, d, 1))
+    assert probs == [1 / d] * d
+    assert sim.collapse(rows, None, [d - 1] * 4)[2].tolist() == [1 / d] * 4
+    uniforms = [u for c in cdf for u in (np.nextafter(c, -np.inf), c,
+                                         np.nextafter(c, np.inf))
+                if 0 <= u < 1]
+    assert len(uniforms) >= 2 * d - 1
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda rng: rng
+                        if isinstance(rng, _Uniforms) else default_rng(rng))
+    dim = make_dim(INTEGER_RING, d=d)
+    psi = random_state(d * d, np.random.default_rng(d))
+    for u in uniforms:
+        want = sim.collapse(rows, np.full(4, u))[0].tolist()
+        assert [bisect.bisect_right(cdf, float(u))] * 4 == want
+        if d <= 3:
+            for i in range(4):
+                us = [0.5] * 4
+                us[i] = float(u)
+                ks = [k for _, k in entangle_via_edge(
+                    dim, psi, rng=_Uniforms(us))[1].history]
+                assert ks == sim.collapse(rows, np.array(us))[0].tolist()
 
 
 def _edge_frame_reference(dim):

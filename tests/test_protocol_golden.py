@@ -8,9 +8,14 @@ and cx over Z_d, and couple_input on a cz 2-chain, each run with seeds
 the frames (z, x and exact phase numerator), the corrections (label,
 exact images and diagonal bytes), the new graph's edges and the
 posterior bytes, or the error a forced outcome raises.
+
+A second digest pins entangle_via_edge over Z2, Z3, GF(4), Z4 and Z5
+with seeds 0-199 and, for d <= 3, every forced 4-tuple: its outcomes,
+frame (z, x and exact phase numerator) and posterior bytes.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from quditmbqc.resource import (
 )
 
 GOLDEN = "54735323dc5e7858da3f81ca2ea295fc8c8fa40ed7b2c2bc4fda46d3204a76b2"
+EDGE_GOLDEN = (
+    "a9a60f47f28a7a8548369f4399c499ac3f9f41c9facc60e234d43d3b053a709f")
 
 SEEDS = range(200)
 SPECS = {"cz": cz_spec, "cx": cx_spec, "light_shift": light_shift_spec}
@@ -126,3 +133,24 @@ def _digest():
 
 def test_protocol_and_rewrite_outputs_match_the_golden_digest():
     assert _digest() == GOLDEN
+
+
+def _edge_digest():
+    h = hashlib.sha256()
+    for formalism, d in [("ring", 2), ("ring", 3), ("field", 4), ("ring", 4),
+                         ("ring", 5)]:
+        dim = _dim(formalism, d)
+        psi = _state(dim, d * d)
+        forced = itertools.product(range(d), repeat=4) if d <= 3 else ()
+        for r, k in [(seed, None) for seed in SEEDS] + [(None, list(ks))
+                                                        for ks in forced]:
+            post, f = engine.entangle_via_edge(dim, psi, rng=r,
+                                               forced_outcomes=k)
+            record = [f.word.z, f.word.x, f.word.phase_num, f.history,
+                      post.amps.tobytes()]
+            h.update(repr((dim.label(), r, k, record)).encode())
+    return h.hexdigest()
+
+
+def test_entangle_via_edge_outputs_match_the_golden_digest():
+    assert _edge_digest() == EDGE_GOLDEN

@@ -671,6 +671,48 @@ def test_rewrite_builds_rows_of_the_neighbourhood_only(rule, monkeypatch):
             * len(engine._additive_basis(graph.dim))
 
 
+CARVE_DIMS = [make_dim(INTEGER_RING, d=2), D3,
+              make_dim(FINITE_FIELD, p=2, m=2), make_dim(INTEGER_RING, d=5)]
+
+
+# the light shift is a diagonal Clifford over Z2 and Z3 only
+@pytest.mark.parametrize("dim, gate", [(dim, cz_spec) for dim in CARVE_DIMS]
+                         + [(dim, light_shift_spec) for dim in CARVE_DIMS[:2]],
+                         ids=lambda x: getattr(x, "__name__", None)
+                         or x.label())
+def test_a_chain_of_rewrites_keeps_no_stale_vertex_table(dim, gate):
+    # seeded vertex deletions and local complementations on a 3x4 lattice,
+    # each on the previous output as a carve makes them: after every step,
+    # each vertex table the output keeps (inherited from its parent, or
+    # built by the per-call check for the measured vertex's neighbours)
+    # equals the table of the same graph rebuilt from scratch.  On the
+    # first two steps, every forced outcome of both rules agrees with the
+    # full-row reference and, at up to 3^12 amplitudes, with the dense
+    # state oracle
+    rng = np.random.default_rng([dim.d, dim.m, len(gate.__name__)])
+    graph = diagonal_lattice(dim, 3, 4, gate(dim))
+    inherited = 0
+    for step in range(9):
+        ids = [v.id for v in graph.vertices]
+        vid = ids[rng.integers(len(ids))]
+        nbrs = graph.neighbors(vid)
+        rule = RULES[rng.integers(2)] if nbrs else vertex_delete
+        if step < 2:
+            _assert_check_matches_the_full_rows(graph, vid)
+            if dim.d ** len(ids) <= 3 ** 12:
+                assert _check_every_outcome(graph, vid, rule) > 0
+        parent = set(graph._facts["tables"]) - {vid, *nbrs}
+        new = rule(graph, vid, rng=int(rng.integers(2 ** 32)))[3]
+        tables = new._facts["tables"]
+        assert parent | set(nbrs) == set(tables)
+        inherited += len(parent)
+        fresh = ResourceGraph(dim, new.vertices, new.edges)
+        _, zs, nums = engine._tableau(fresh, list(tables))
+        assert [tables[u] for u in tables] == list(zip(zs, nums))
+        graph = new
+    assert inherited > 9
+
+
 def _fresh_cz(dim, w=1):
     """A diagonal CZ^w spec no other test shares, so the star rules kept
     on it are this test's alone."""
@@ -794,29 +836,40 @@ def test_star_rule_draws_are_collapse_draws(monkeypatch):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_rewrite_check_catches_a_corrupted_star_rule(rule):
-    # the per-call check reads the cached eigen table and the corrections'
-    # images built from the cached exact phases gnum of g, so one corrupted
-    # entry of either, for the outcome forced, fails the next rewrite in
-    # _verify_rewrite.  Each neighbour row of the qutrit lattice's centre
-    # has the part Z(1) on it: a Z measurement replaces it by its
-    # eigenvalue, num[1][0]; the local complement takes it with the
-    # centre's row(v, 1), whose part X(1) on it leaves Z(1) X(1),
-    # num[1][1].  Each neighbour's correction maps X(1) at the phase
-    # gnum[1] of g(1)
+    # the per-call check reads the kept eigen table, each neighbour's kept
+    # correction images and the kept pair weights with their cz_power
+    # specs, so one corrupted entry of any, for the outcome forced, fails
+    # the next rewrite in _verify_rewrite.  Each neighbour row of the
+    # qutrit lattice's centre has the part Z(1) on it: a Z measurement
+    # replaces it by its eigenvalue, num[1][0]; the local complement takes
+    # it with the centre's row(v, 1), whose part X(1) on it leaves Z(1)
+    # X(1), num[1][1].  Each neighbour's correction maps X(1) to its kept
+    # image at x = 1: its phase moved one step of the lattice or by chi(1),
+    # or its Z shift moved by one.  The local complement joins every pair
+    # of neighbours by CZ^w, w = delta, kept with its spec: CZ^-w instead
     graph = diagonal_lattice(D3, 3, 3, _fresh_cz(D3))
     a, x = (1, 0) if rule is vertex_delete else (1, 1)
     for m in D3.elements:
         rule(graph, 4, forced_outcome=m)
         [star_rule] = _star_rules(graph.edges[0].gate)
-        g, gnum, delta, (ok, num) = cached = star_rule.outcomes[m]
+        g, (ok, num), slots, pairs = cached = star_rule.outcomes[m]
         bent = [row[:] for row in num]
         bent[a][x] = (bent[a][x] + 1) % D3.phase_den
-        corrupted = [(g, gnum, delta, (ok, bent))]
-        # g(1)'s phase moved one step of the lattice, or by chi(1)
-        for step in (1, D3.char_exp(1)):
-            bent = list(gnum)
-            bent[1] = (bent[1] + step) % D3.phase_den
-            corrupted.append((g, bent, delta, (ok, num)))
+        corrupted = [(g, (ok, bent), slots, pairs)]
+        assert len(slots) == 4
+        for i, (q, (z, nums)) in enumerate(slots):
+            for shift, step in ((0, 1), (0, D3.char_exp(1)), (1, 0)):
+                bent_z, bent_nums = list(z), list(nums)
+                bent_z[1] = D3.add(bent_z[1], shift)
+                bent_nums[1] = (bent_nums[1] + step) % D3.phase_den
+                bent = list(slots)
+                bent[i] = (q, (bent_z, bent_nums))
+                corrupted.append((g, (ok, num), bent, pairs))
+        assert len(pairs) == (0 if rule is vertex_delete else 6)
+        for k, (i, j, w, _) in enumerate(pairs):
+            bent = list(pairs)
+            bent[k] = (i, j, D3.neg(w), cz_power(D3, D3.neg(w)))
+            corrupted.append((g, (ok, num), slots, bent))
         for entry in corrupted:
             star_rule.outcomes[m] = entry
             with pytest.raises(FrameMismatch) as excinfo:
