@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -79,9 +78,11 @@ def _mark_floats(obj):
 
 
 def dumps_report(obj: dict) -> str:
-    """Stable JSON text: sorted keys, 17-significant-digit floats."""
+    """Stable JSON text: sorted keys, 17-significant-digit floats, written
+    as marked strings, marks and quotes then stripped; a report's strings
+    (command names, hex digests, version and library text) hold no mark."""
     text = json.dumps(_mark_floats(obj), sort_keys=True)
-    return re.sub(r'"@@F(-?[0-9.eE+naif-]+)F@@"', r"\1", text)
+    return text.replace('"@@F', "").replace('F@@"', "")
 
 
 def _digest(paths: List[Optional[str]]) -> str:

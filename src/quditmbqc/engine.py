@@ -18,8 +18,8 @@ branch tables, the very arrays the calls contract, are also checked
 against their predicted actions once, for every input at once.  Pauli
 frames move by index arithmetic, read from tables built once: through a
 diagonal by its images (clifford.diagonal_images; the engine certifies
-nothing), through G_I by its certificate's frame table; the mediator's d
-frame words are kept on its spec.
+nothing), through G_I by its certificate's frame table, a trajectory step
+by both composed per call; the mediator's d frame words are kept on its spec.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -498,6 +498,49 @@ def _zx_stack(dim: DimSpec) -> np.ndarray:
     return out
 
 
+def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
+                     ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
+    """What run_trajectories reads, built once per call: per step (E^T, the
+    next vertex's init vector, adaptive, bases, (nxt, dph)), a frame (word
+    index a, phase) moving on outcome k to nxt[a, k], adding dph[a, k], and
+    (f_idx, f_ph), the final move through F.  bases[s] is the conjugated
+    basis at frame shift s, phases[u - s] (a Clifford step's one basis has
+    shape (1, d, d)).  NonUnitary for phases that are not all finite."""
+    dim, d = pattern.dim, pattern.dim.d
+    order, edges = _chain(graph)
+    _, add, sub, _ = dim.tables
+    # every word index z * d + x as (z, x)
+    z, x = np.divmod(np.arange(d * d), d)
+    # Z^{-k} Z(z) X(x) = Z(z - k) X(x), then G_I
+    g_idx, g_ph = pattern.intrinsic.certificate().frame_table()
+    zk = sub[z] * d + x[:, None]
+    nxt, dph = g_idx[zk], g_ph[zk]
+    H = hadamard(dim)
+    plan = []
+    for i, step in enumerate(pattern.steps):
+        E = unitary_gate_matrix(edges[i].gate)
+        # D_{-psi} H is unitary for every finite real psi, as H is
+        if not np.all(np.isfinite(step.phases)):
+            raise NonUnitary(f"basis 'step{i}' is not orthonormal")
+        fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
+        phases = np.asarray(step.phases, dtype=float)
+        if step.adaptive:
+            bases = (np.exp(-1j * phases[sub.T])[:, :, None] * H).conj()
+            move = (nxt, dph)
+        else:
+            bases = (np.exp(-1j * phases)[None, :, None] * H).conj()
+            # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
+            c, num = np.array(diagonal_images(dim, np.exp(1j * phases)))
+            a = add[z, c[x]] * d + x
+            move = (nxt[a], dph[a] + num[x][:, None])
+        plan.append((E.T, fresh, step.adaptive, bases, move))
+    F, ints = pattern.frame, dim.ints
+    fz, fx = F.z[0], F.x[0]
+    # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
+    f_swap = np.array([ints.char_exp[ints.neg[t]] for t in ints.mul[fz]])
+    return plan, (add[z, fz] * d + add[x, fx], f_swap[x] + F.phase_num)
+
+
 def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                      psi: np.ndarray, seeds: Optional[Sequence] = None,
                      forced_outcomes: Optional[Sequence[Sequence[int]]] = None
@@ -507,35 +550,32 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     The input replaces the head vertex; each step entangles the current
     head with the next chain qudit and measures the head in the basis
     {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  Adaptive steps
-    permute the nominal phases through the frame's X part; non-adaptive
-    (Clifford) steps conjugate the frame through the fixed diagonal.  All
-    T trajectories advance together as (T, d, d) arrays, in blocks of at
-    most sim.MAX_AMPS // d^2 rows.
+    permute the nominal phases through the frame's X part, each row's
+    basis gathered by its frame shift; non-adaptive (Clifford) steps
+    conjugate the frame through the fixed diagonal.  All T trajectories
+    advance together as (T, d, d) arrays, in blocks of at most
+    sim.MAX_AMPS // d^2 rows.
 
     Trajectory t draws default_rng(seeds[t]).random(steps) (one
     sim.seed_uniforms pass for the block) and takes the outcome
     Generator.choice would; forced_outcomes (T rows of one outcome per
     step, each checked by _forced) draw nothing, and one of the two must
     be given (DimensionMismatch).  Frames are word indices and exact
-    phases, moved by index arithmetic through each outcome's Z^{-k}, each
-    Clifford step's diagonal_images and the pattern's frame, and by G_I's
-    certificate frame table.  Row t's
-    overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
-    P(frame)^dag U psi> is checked: FrameMismatch unless its modulus, the
-    returned fidelity, reaches 1 - VERIFY_TOL and its phase is row 0's,
-    at VERIFY_TOL.
-    StateTooLarge is raised before any per-trajectory allocation when the
-    T d posterior amplitudes exceed sim.MAX_AMPS.
+    phases, moved by _trajectory_plan's tables.  Row t's overlap <cur_t,
+    e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi>, its
+    ideal built once per frame index, is checked: FrameMismatch unless its
+    modulus, the returned fidelity, reaches 1 - VERIFY_TOL and its phase
+    is row 0's, at VERIFY_TOL.  StateTooLarge is raised before any
+    per-trajectory allocation when the T d posterior amplitudes, or the
+    d^4 entries of the word stack, exceed sim.MAX_AMPS.
     """
     dim = pattern.dim
     if graph.dim != dim:
         raise DimensionMismatch(f"graph is over {graph.dim.label()}, the "
                                 f"pattern over {dim.label()}")
     d = dim.d
-    order, edges = _chain(graph)
-    steps = pattern.steps
-    S = len(steps)
-    if len(order) < S + 1:
+    S = len(pattern.steps)
+    if len(_chain(graph)[0]) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
     if seeds is None and forced_outcomes is None:
         raise DimensionMismatch("seeds or forced_outcomes must be given")
@@ -548,25 +588,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                           dtype=np.intp).reshape(T, S)
     else:
         seeds = list(seeds)
-    plan = []
-    for i, step in enumerate(steps):
-        E = unitary_gate_matrix(edges[i].gate)
-        # D_{-psi} H is unitary for every finite real psi, as H is
-        if not np.all(np.isfinite(step.phases)):
-            raise NonUnitary(f"basis 'step{i}' is not orthonormal")
-        fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
-        phases = np.asarray(step.phases, dtype=float)
-        table = None if step.adaptive \
-            else np.array(diagonal_images(dim, np.exp(1j * phases)))
-        plan.append((E.T, fresh, phases, table))
-    g_table = pattern.intrinsic.certificate().frame_table()
-    _, add, sub, _ = dim.tables
-    F = pattern.frame
-    fz, fx = F.z[0], F.x[0]
-    # f_swap[x], the exponent of chi(-fz x)
-    ints = dim.ints
-    f_swap = np.array([ints.char_exp[ints.neg[t]] for t in ints.mul[fz]])
-    H = hadamard(dim)
+    W = _zx_stack(dim)
+    plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
     psi_in = sim.unit_vector(psi, d, "input state")
     post = np.empty((T, d), dtype=complex)
     idx = np.zeros(T, dtype=np.intp)
@@ -577,46 +600,35 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     for lo in range(0, T, block):
         rows = slice(lo, min(lo + block, T))
         n = rows.stop - lo
-        if forced_outcomes is None:
-            u = sim.seed_uniforms(seeds[rows], S)
-        else:
-            u = np.zeros((n, S))    # unused: collapse takes the forced ones
+        # collapse reads no uniforms for forced outcomes
+        u = sim.seed_uniforms(seeds[rows], S) if forced_outcomes is None \
+            else np.zeros((n, S))
         cur = np.broadcast_to(psi_in, (n, d))
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
-        for i, (ET, fresh, phases, table) in enumerate(plan):
+        for i, (ET, fresh, adaptive, bases, (nxt, dph)) in enumerate(plan):
             two = (cur[:, :, None] * fresh).reshape(n, d * d) @ ET
-            if table is None:
-                # adaptive phases psi_t[u] = phases[u - x_t]
-                psi_t = phases[sub[:, at % d].T]
-            else:
-                psi_t = phases[None, :]
-            basis = np.exp(-1j * psi_t)[:, :, None] * H
-            branch = np.swapaxes(basis.conj(), 1, 2) @ two.reshape(n, d, d)
+            basis = bases[at % d] if adaptive else bases
+            branch = np.swapaxes(basis, 1, 2) @ two.reshape(n, d, d)
             k, cur, probabilities[rows, i] = sim.collapse(
                 branch, u[:, i],
                 None if forced_outcomes is None else forced[rows, i])
-            if table is not None:
-                # D Z(z) X(x) D^dag = e^{2 pi i num[x] / den} Z(z + c[x]) X(x)
-                c, num = table[:, at % d]
-                at, ph = add[at // d, c] * d + at % d, ph + num
-            # Z^{-k} Z(z) X(x) = Z(z - k) X(x)
-            at = sub[at // d, k] * d + at % d
-            at, ph = g_table[0][at], ph + g_table[1][at]
+            at, ph = nxt[at, k], ph + dph[at, k]
             outcomes[rows, i] = k
         post[rows] = cur
-        # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
-        z, x = divmod(at, d)
-        idx[rows] = add[z, fz] * d + add[x, fx]
-        phase[rows] = ph + F.phase_num + f_swap[x]
+        idx[rows] = f_idx[at]
+        phase[rows] = ph + f_ph[at]
     phase %= dim.phase_den
-    v = matrix_of_pauli(F).conj().T @ pattern.dense_product() @ psi_in
-    W = _zx_stack(dim)
-    ideal = np.zeros((d * d, d), dtype=complex)
-    for i in set(idx.tolist()):
-        ideal[i] = W[i] @ v
-        ideal[i] /= np.linalg.norm(ideal[i])
-    overlap = np.sum(post.conj() * ideal[idx], axis=1)
+    F = pattern.frame
+    v = (F.phase * W[F.z[0] * d + F.x[0]]).conj().T \
+        @ pattern.dense_product() @ psi_in
+    # each frame index's ideal row, normed as np.linalg.norm norms one row
+    uniq, inv = np.unique(idx, return_inverse=True)
+    ideal = W[uniq] @ v
+    re, im = ideal.real[:, None], ideal.imag[:, None]
+    ideal /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+                     )[:, :, 0]
+    overlap = np.sum(post.conj() * ideal[inv], axis=1)
     fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
@@ -954,7 +966,7 @@ class _StarRule:
     reduced state on the rows, with the outcome probabilities and inverse
     CDF that sim.collapse reads off amps (probs, cdf; draw), and, per
     outcome drawn, each slot's correction and the new pair weights
-    (outcome).  Its signature: shear, v's first edge weight for local
+    (outcome).  Its signature: shear, v's first unit edge weight for local
     complementation (None for deletion), and per sorted neighbour its
     edges' (gate, v is control), in order."""
 
@@ -1139,9 +1151,10 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     (factor_diagonal_clifford); C_{v,e} is v's factor and C_u the product
     of the factors that neighbor u keeps.  w is the product of v's factor
     diagonals, N_u the summed weight of v's edges to u and N the weight of
-    v's first edge.  Outcome k's vector is D_v b_k, with D_v = diag(sqrt(d)
-    init_v) for v's init and b_k column k of B = diag(w) S(N) H
-    (complement) or of the identity; D_v cancels on the rows, which hold
+    v's first edge weight that is a unit (UnsupportedFormalism, before the
+    draw, when none is).  Outcome k's vector is D_v b_k, with D_v =
+    diag(sqrt(d) init_v) for v's init and b_k column k of B = diag(w) S(N)
+    H (complement) or of the identity; D_v cancels on the rows, which hold
     v in |0_X>.  Outcome m leaves f(sum_u N_u j_u) prod_u C_u |G-v> where
     f(s) = sum_j conj(B_jm) w_j chi(j s).  When g = f / f(0) obeys
     g(a + b) = g(a) g(b) chi(delta a b), this is the graph G - v with
@@ -1192,7 +1205,12 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         slots.setdefault(e.target if own else e.control, []).append(
             (expand(e.gate), own))
     nbrs = sorted(slots)
-    shear = factor_diagonal_clifford(star[0].gate)[2] if complement else None
+    # the first unit weight: a zero-divisor shear leaves no graph state
+    weights = (factor_diagonal_clifford(e.gate)[2] for e in star)
+    shear = next((N for N in weights if dim.is_invertible(N)), None) \
+        if complement else None
+    if complement and shear is None:
+        raise UnsupportedFormalism(f"vertex {vid} has no edge of unit weight")
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
@@ -1276,15 +1294,17 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
 
     Outcome k is the vector D_v W S(N) |k_X>, column k of D_v W S(N) H:
     W is the product of v's edge factors, D_v = diag(sqrt(d) init_v) for
-    its phase-vector init (the identity for None), N the weight of its
-    first edge, S(N) = shear_gate(dim, N) and H = hadamard(dim).  As
-    S(N) X(x) S(N)^dag is X(x) Z(N x) up to phase, these are joint
-    eigenvectors of D_v W X(x) W^dag D_v^dag Z(N x) for every x.  The
+    its phase-vector init (the identity for None), N its first edge
+    weight that is a unit, S(N) = shear_gate(dim, N) and H =
+    hadamard(dim).  As S(N) X(x) S(N)^dag is X(x) Z(N x) up to phase,
+    these are joint eigenvectors of D_v W X(x) W^dag D_v^dag Z(N x) for
+    every x.  The
     outcome fixes, in closed form, a weight delta != 0: neighbors u, w
     gain CZ^{delta N_u N_w} (control = lower vertex id) and each neighbor
     gets a diagonal correction (see _measure_and_rewrite, which also names
     the inits and edges it rejects).  The posterior is a StabilizerState.
-    A vertex without edges raises DimensionMismatch.
+    A vertex without edges raises DimensionMismatch, and one whose edge
+    weights are all zero divisors (in a composite Z_d) UnsupportedFormalism.
     """
     return _measure_and_rewrite(graph, vid, True, rng, forced_outcome)
 

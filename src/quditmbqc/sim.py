@@ -36,14 +36,15 @@ _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(init: int, mult: int, count: int) -> Tuple[int, ...]:
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """SeedSequence's hash constants init * mult^k mod 2^32, k < count."""
-    return tuple(init * pow(mult, k, 1 << 32) & _M32 for k in range(count))
+    return np.array([init * pow(mult, k, 1 << 32) & _M32
+                     for k in range(count)], dtype=np.uint32)[:, None]
 
 
 # 16 hash-mix calls mix the entropy pool, 8 more draw PCG64's state words
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = np.array(_hash_constants(0x8B51F9DD, 0x58F38DED, 9), dtype=np.uint32)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,19 +63,20 @@ def _pcg_jumps(n: int) -> np.ndarray:
 
 
 def _mul128(hi, lo, chi, clo):
-    """(hi, lo) * (chi, clo) mod 2^128 on uint64 halves, 32-bit limbs."""
+    """(hi, lo) * (chi, clo) mod 2^128, 32-bit limbs, cross products once."""
     a1, a0, b1, b0 = lo >> 32, lo & _M32, clo >> 32, clo & _M32
-    mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
-    top = a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+    c01, c10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (c01 & _M32) + (c10 & _M32)
+    top = a1 * b1 + (c01 >> 32) + (c10 >> 32) + (mid >> 32)
     return top + hi * clo + lo * chi, lo * clo
 
 
 def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
     """Row t is np.random.default_rng(seeds[t]).random(n), bit for bit.
 
-    Int seeds in [0, 2^128) run together: SeedSequence's uint32 hash-mix
-    of the entropy words zero-padded to its 4-word pool, PCG64's 128-bit
-    LCG seeded and jumped to each draw, its XSL-RR output and
+    Int seeds in [0, 2^128) run together, as (4, T) uint32 words: each
+    seed's 16 bytes as SeedSequence's 4-word pool, its hash-mix, PCG64's
+    128-bit LCG seeded and jumped to each draw, its XSL-RR output and
     (x >> 11) * 2^-53.  Any other seed (a Generator, None, an np.integer,
     a negative int or one >= 2^128) draws through default_rng itself, in
     row order, so default_rng's ValueError for a negative seed comes
@@ -86,20 +88,20 @@ def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
     for t, f in enumerate(fast):
         if not f:
             out[t] = np.random.default_rng(seeds[t]).random(n)
-    ent = np.array([s for s, f in zip(seeds, fast) if f], dtype=object)
-    pool = list(np.array([ent >> k & _M32 for k in (0, 32, 64, 96)])
-                .astype(np.uint32))
+    pool = np.frombuffer(b"".join(s.to_bytes(16, "little")
+                                  for s, f in zip(seeds, fast) if f),
+                         dtype="<u4").reshape(-1, 4).T
     with np.errstate(over="ignore"):    # uint32 / uint64 wraparound
-        def hashmix(v, k):
-            v = (v ^ _HASH_A[k]) * _HASH_A[k + 1]
-            return v ^ v >> 16
-
-        pool = [hashmix(v, i) for i, v in enumerate(pool)]
-        pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
-        for k, (src, dst) in enumerate(pairs, start=4):
-            m = pool[dst] * 0xCA01F9DD - hashmix(pool[src], k) * 0x4973F715
+        pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]
+        pool ^= pool >> 16
+        # SeedSequence's 12 mix calls, one round per source word s, whose
+        # three destination words are independent
+        for s in range(4):
+            dst, k = [t for t in range(4) if t != s], 4 + 3 * s
+            h = (pool[s] ^ _HASH_A[k:k + 3]) * _HASH_A[k + 1:k + 4]
+            m = pool[dst] * 0xCA01F9DD - (h ^ h >> 16) * 0x4973F715
             pool[dst] = m ^ m >> 16
-        w = (np.array(pool * 2) ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
+        w = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:-1]) * _HASH_B[1:]
         w = (w ^ w >> 16).astype(np.uint64)
         val = (w[0::2] | w[1::2] << 32)[:, :, None]
         ph, pl, qh, ql = _pcg_jumps(n)
@@ -182,7 +184,7 @@ def collapse(branch: np.ndarray, uniforms, forced=None
         return np.full(1, k, dtype=np.intp), post[None], np.array([p])
     weight = (np.abs(branch) ** 2).sum(axis=2)
     total = weight.sum(axis=1, keepdims=True)
-    if not ((total > 0) & np.isfinite(total)).all():
+    if not (total.min() > 0 and np.isfinite(total.max())):
         raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
     probs = weight / total
     rows = np.arange(len(branch))

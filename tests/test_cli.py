@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -265,6 +266,25 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _, first = run_cli(capsys, ["analyze", "--gate", gate])
     _, second = run_cli(capsys, ["analyze", "--gate", gate])
     assert first == second
+
+
+def _regex_report(obj):
+    """The report writer as it was: one re.sub over the marked JSON."""
+    text = json.dumps(cli._mark_floats(obj), sort_keys=True)
+    return re.sub(r'"@@F(-?[0-9.eE+naif-]+)F@@"', r"\1", text)
+
+
+def test_report_writer_strips_the_marks_as_the_regex_did():
+    floats = [1 / 3, -2.5, 1e-300, -7.25e+300, 5e-324, 0.0, -0.0,
+              float("nan"), float("inf"), float("-inf")]
+    report = {"command": "run", "seed": 3, "version": "x.y",
+              "results": {"floats": floats, "nested": {"b": [
+                  (0.1, -1e-12), {"c": [None, True, 7, "GF(4)"]}],
+                  "a": [[[12345678901234567.0]]]}}}
+    text = cli.dumps_report(report)
+    assert text == _regex_report(report)
+    assert "@@" not in text
+    assert "4.9406564584124654e-324, 0, -0, nan, inf, -inf]" in text
 
 
 def test_compile_run_round_trip(tmp_path, capsys):

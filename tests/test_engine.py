@@ -392,6 +392,42 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
                 == (want.dtype, want.shape, want.tobytes()), field
 
 
+@pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
+def test_trajectory_tables_equal_the_step_by_step_moves(case):
+    # for every word index and outcome, a step's composed move (nxt, dph)
+    # is its diagonal's images (a Clifford step's), then Z^{-k}, then G_I's
+    # frame table, and the final table is the product with the pattern's
+    # frame; the basis of each shift s is exp(-1j psi_s)[:, None] H, psi_s
+    # the phases shifted by s, conjugated
+    name, key = _PATTERN_FILES[case]
+    pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
+    dim, d = pat.dim, pat.dim.d
+    g = chain_graph(dim, pat.gate, pat.step_count() + 1)
+    plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
+    g_idx, g_ph = pat.intrinsic.certificate().frame_table()
+    H = hadamard(dim)
+    for step, (_, _, adaptive, bases, (nxt, dph)) in zip(pat.steps, plan):
+        assert adaptive == step.adaptive
+        phases = np.asarray(step.phases, dtype=float)
+        c, num = ([0] * d, [0] * d) if adaptive \
+            else diagonal_images(dim, np.exp(1j * phases))
+        for a, k in itertools.product(range(d * d), range(d)):
+            z, x = divmod(a, d)
+            moved = dim.sub(dim.add(z, c[x]), k) * d + x
+            assert (nxt[a, k], dph[a, k]) == (g_idx[moved],
+                                              num[x] + g_ph[moved])
+        shifts = range(d) if adaptive else [0]
+        assert bases.shape == (len(shifts), d, d)
+        for s in shifts:
+            psi_s = phases[[dim.sub(u, s) for u in range(d)]]
+            assert np.array_equal(bases[s].conj(),
+                                  np.exp(-1j * psi_s)[:, None] * H)
+    for a in range(d * d):
+        want = normal_form(PauliWord(dim, 1, (a // d,), (a % d,)), pat.frame)
+        assert f_idx[a] == want.z[0] * d + want.x[0]
+        assert f_ph[a] % dim.phase_den == want.phase_num
+
+
 def test_batched_blocks_equal_one_block(monkeypatch):
     pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
                           intrinsic_of(cz_spec(D3)))

@@ -282,6 +282,20 @@ def test_seed_uniforms_match_default_rng(seeds, n):
     assert np.array_equal(seed_uniforms(seeds, n), default_rng_rows(seeds, n))
 
 
+@pytest.mark.parametrize("start", [2 ** 32 - 50, 2 ** 64 - 50])
+def test_seed_uniforms_match_default_rng_across_an_entropy_word(start):
+    # consecutive seeds whose entropy grows by a word halfway through
+    seeds = range(start, start + 100)
+    assert np.array_equal(seed_uniforms(seeds, 7), default_rng_rows(seeds, 7))
+
+
+def test_seed_uniforms_match_default_rng_on_mixed_entropy_widths():
+    # one batch of seeds of 1, 2, 3 and 4 entropy words, interleaved
+    seeds = [w + 7919 * i for i in range(6)
+             for w in (0, 2 ** 32, 2 ** 64, 2 ** 96)]
+    assert np.array_equal(seed_uniforms(seeds, 9), default_rng_rows(seeds, 9))
+
+
 def test_seed_uniforms_send_other_seeds_through_default_rng():
     # a Generator is drawn from in row order, so twice gives fresh draws
     def seeds():

@@ -284,20 +284,38 @@ def test_label_or_raw_spectator_keeps_the_dense_path(spectator, rule):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("second, errors", [
-    (1, [FrameMismatch] * 4),
-    (3, [FrameMismatch] * 4),
-    (2, [FrameMismatch, ZeroProbabilityForced] * 2),
-])
-def test_z4_star_local_complement_errors(second, errors):
-    # a first edge of weight 2 (not a unit in Z4) leaves no graph state
-    graph = ResourceGraph(D4R, [Vertex(i) for i in range(3)],
-                          [GraphEdge(0, 1, cz_power(D4R, 2), 0),
-                           GraphEdge(0, 2, cz_power(D4R, second), 1)])
-    for m, error in enumerate(errors):
-        with pytest.raises(error) as exc:
-            local_complement(graph, 0, forced_outcome=m)
-        assert exc.type is error
+# zero-divisor weights w over composite Z_d, as (d, w)
+ZERO_DIVISORS = [(4, 2), (6, 2), (8, 2), (6, 3), (9, 3), (8, 4)]
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+@pytest.mark.parametrize("unit_first", [False, True])
+@pytest.mark.parametrize("d, w", ZERO_DIVISORS)
+def test_zero_divisor_star_complements_along_its_first_unit_edge(
+        d, w, unit_first, unit):
+    # the chain 0-1-2 with CZ^w on 0-1 and CZ^unit on 1-2: in either edge
+    # order the shear is the unit weight, and every outcome verifies
+    dim = make_dim(INTEGER_RING, d=d)
+    edges = [(0, 1, cz_power(dim, w)), (1, 2, cz_power(dim, unit % d))]
+    graph = ResourceGraph(dim, [Vertex(i) for i in range(3)], [
+        GraphEdge(*e, seq) for seq, e in enumerate(
+            edges[::-1] if unit_first else edges)])
+    assert _check_every_outcome(graph, 1, local_complement) == d
+    _assert_check_matches_the_full_rows(graph, 1)
+
+
+@pytest.mark.parametrize("d, w", ZERO_DIVISORS)
+def test_star_without_a_unit_weight_is_refused_before_the_draw(d, w):
+    # a zero-divisor shear leaves no graph state; the out-of-range forced
+    # outcome d would raise SiteOutOfRange if anything were drawn
+    dim = make_dim(INTEGER_RING, d=d)
+    graph = ResourceGraph(dim, [Vertex(i) for i in range(3)],
+                          [GraphEdge(0, 1, cz_power(dim, w), 0),
+                           GraphEdge(1, 2, cz_power(dim, w), 1)])
+    for forced in (0, d, None):
+        with pytest.raises(UnsupportedFormalism, match="unit weight"):
+            local_complement(graph, 1, rng=0, forced_outcome=forced)
+    assert _check_every_outcome(graph, 1, vertex_delete) == d
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -471,9 +489,10 @@ def test_rewriting_is_one_path(monkeypatch):
 
 
 def _rewrite_or_error(rule, graph, vid, m):
+    # UnsupportedFormalism: a local complementation without a unit weight
     try:
         return rule(graph, vid, forced_outcome=m)
-    except (FrameMismatch, ZeroProbabilityForced) as exc:
+    except (FrameMismatch, ZeroProbabilityForced, UnsupportedFormalism) as exc:
         return type(exc)
 
 
@@ -755,20 +774,25 @@ def test_a_star_rule_is_built_once_per_signature(rule, monkeypatch):
     assert all(out == outputs[0] for out in outputs)
 
 
+def _zero_divisor_rule(second):
+    """The star rule of vertex 0 with CZ^2 to 1 and CZ^second to 2 over Z4,
+    sheared by the zero divisor 2, built directly: local_complement shears
+    by the first unit weight, and refuses the star when second is 2."""
+    spec = expand(cz_power(D4R, 2))
+    slots = (((spec, True),), ((expand(cz_power(D4R, second)), True),))
+    return engine._StarRule(spec, 2, slots)
+
+
 def test_a_cached_non_quadratic_outcome_raises_on_every_draw():
-    # Z4 CZ^2: outcomes 0 and 2 of the chain centre's local complement
-    # have phases g that no delta fits; the message is kept with the rule
-    # and raised on every call that forces or draws those outcomes
-    Z4 = make_dim(INTEGER_RING, d=4)
-    graph = chain_graph(Z4, _fresh_cz(Z4, 2), 3)
+    # Z4 CZ^2 sheared by 2: outcomes 0 and 2 of the star's rule have phases
+    # g that no delta fits; the message is kept with the rule and raised
+    # on every read of those outcomes
+    rule = _zero_divisor_rule(2)
     for _ in range(3):
         for m in (0, 2):
             with pytest.raises(FrameMismatch,
                                match=f"outcome {m} phases are not quadratic"):
-                local_complement(graph, 1, forced_outcome=m)
-        with pytest.raises(FrameMismatch, match="phases are not quadratic"):
-            local_complement(graph, 1, rng=0)
-    [rule] = _star_rules(graph.edges[0].gate)
+                rule.outcome(m)
     assert rule.outcomes == {0: "outcome 0 phases are not quadratic",
                              2: "outcome 2 phases are not quadratic"}
 
@@ -786,7 +810,8 @@ class _Uniform:
 def _corpus_star_rules():
     """Every star rule kept on the gates of the benchmark graphs and of
     the Z4 stars whose first edge has weight 2, once each graph has been
-    rewritten by both rules."""
+    rewritten by both rules, and the Z4 rules sheared by 2, whose
+    outcomes include zero-probability ones."""
     graphs = _benchmark_graphs() + [(ResourceGraph(
         D4R, [Vertex(i) for i in range(3)],
         [GraphEdge(0, 1, cz_power(D4R, 2), 0),
@@ -798,7 +823,8 @@ def _corpus_star_rules():
             for m in graph.dim.elements:
                 _rewrite_or_error(rule, graph, vid, m)
         specs.update((id(e.gate), expand(e.gate)) for e in graph.edges)
-    return [r for spec in specs.values() for r in _star_rules(spec)]
+    return [r for spec in specs.values() for r in _star_rules(spec)] + [
+        _zero_divisor_rule(second) for second in (1, 2, 3)]
 
 
 def test_star_rule_draws_are_collapse_draws(monkeypatch):
