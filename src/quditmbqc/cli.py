@@ -1,7 +1,8 @@
 """Command-line surface: analyze, compile, run, table, transport.
 
 All output is JSON with stable key order and floats at 17 significant
-digits, so identical inputs and seed give byte-identical reports.
+digits, so identical inputs and seed give byte-identical reports.  Each
+input file is read once, as bytes that are parsed (UTF-8) and hashed.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,17 +64,17 @@ EXIT_TABLE = 4
 EXIT_DIVERGED = 5
 EXIT_FRAME = 6
 
-_FLOAT_MARK = "@@F{}F@@"
-
 
 def _mark_floats(obj):
-    if isinstance(obj, float):
-        return _FLOAT_MARK.format(format(obj, ".17g"))
+    """A dict's or list's entries, floats written as marked strings at 17
+    significant digits; only nested dicts, lists and tuples recurse."""
     if isinstance(obj, dict):
-        return {k: _mark_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_mark_floats(v) for v in obj]
-    return obj
+        return {k: "@@F%.17gF@@" % v if isinstance(v, float)
+                else _mark_floats(v) if isinstance(v, (dict, list, tuple))
+                else v for k, v in obj.items()}
+    return ["@@F%.17gF@@" % v if isinstance(v, float)
+            else _mark_floats(v) if isinstance(v, (dict, list, tuple))
+            else v for v in obj]
 
 
 def dumps_report(obj: dict) -> str:
@@ -85,11 +85,11 @@ def dumps_report(obj: dict) -> str:
     return text.replace('"@@F', "").replace('F@@"', "")
 
 
-def _digest(paths: List[Optional[str]]) -> str:
+def _digest(inputs: List[Tuple[str, bytes]]) -> str:
+    """SHA-256 of the inputs' bytes, concatenated in sorted-path order."""
     h = hashlib.sha256()
-    for p in sorted(x for x in paths if x):
-        with open(p, "rb") as fh:
-            h.update(fh.read())
+    for _, blob in sorted(inputs):
+        h.update(blob)
     return h.hexdigest()
 
 
@@ -104,14 +104,17 @@ def _report(command: str, digest: str, results: dict,
     }
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path: str, inputs: List[Tuple[str, bytes]]):
+    """The file's JSON; its bytes, read once, join `inputs` with its path."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    inputs.append((path, blob))
+    return json.loads(blob.decode("utf-8"))
 
 
-def _load_gate(args):
+def _load_gate(args, inputs: List[Tuple[str, bytes]]):
     """The --gate spec; UnsupportedFormalism unless it uses --formalism."""
-    spec = gate_from_json(_load_json(args.gate))
+    spec = gate_from_json(_load_json(args.gate, inputs))
     want = {"ring": INTEGER_RING, "field": FINITE_FIELD}.get(args.formalism)
     if want is not None and spec.dim.kind != want:
         raise UnsupportedFormalism(
@@ -122,7 +125,8 @@ def _load_gate(args):
 # --- analyze --------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    spec = _load_gate(args)
+    inputs: List[Tuple[str, bytes]] = []
+    spec = _load_gate(args, inputs)
     note = None
     try:
         expand(spec)
@@ -167,7 +171,7 @@ def cmd_analyze(args) -> int:
             }
     except (NotCliffordError, NotControlledPauliForm) as exc:
         results["factorization"] = {"form": None, "note": str(exc)}
-    print(dumps_report(_report("analyze", _digest([args.gate]),
+    print(dumps_report(_report("analyze", _digest(inputs),
                                results, None)))
     return 0
 
@@ -228,30 +232,31 @@ def cmd_table(args) -> int:
 
 # --- compile / transport --------------------------------------------------
 
-def _print_pattern(command: str, pattern, spec, paths: List[str],
+def _print_pattern(command: str, pattern, spec, inputs,
                    seed: Optional[int]) -> int:
     pattern.gate = spec
     results = {"pattern": pattern_to_json(pattern),
                "steps": pattern.step_count()}
     if pattern.stats is not None:
-        results["stats"] = asdict(pattern.stats)
-    print(dumps_report(_report(command, _digest(paths), results, seed)))
+        results["stats"] = dict(vars(pattern.stats))
+    print(dumps_report(_report(command, _digest(inputs), results, seed)))
     return 0
 
 
 def cmd_compile(args) -> int:
-    spec = _load_gate(args)
-    target = json_check(_load_json(args.target), dict, "target")
+    inputs: List[Tuple[str, bytes]] = []
+    spec = _load_gate(args, inputs)
+    target = json_check(_load_json(args.target, inputs), dict, "target")
     target = json_complex(target["matrix"], (None, None), "matrix")
     pattern = compile_unitary(target, intrinsic_of(spec), seed=args.seed or 0)
-    return _print_pattern("compile", pattern, spec, [args.gate, args.target],
-                          args.seed)
+    return _print_pattern("compile", pattern, spec, inputs, args.seed)
 
 
 def cmd_transport(args) -> int:
-    spec = _load_gate(args)
+    inputs: List[Tuple[str, bytes]] = []
+    spec = _load_gate(args, inputs)
     return _print_pattern("transport", transport_pattern(intrinsic_of(spec)),
-                          spec, [args.gate], None)
+                          spec, inputs, None)
 
 
 # --- run ------------------------------------------------------------------
@@ -259,10 +264,11 @@ def cmd_transport(args) -> int:
 def cmd_run(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    pattern = pattern_from_json(_load_json(args.pattern))
+    inputs: List[Tuple[str, bytes]] = []
+    pattern = pattern_from_json(_load_json(args.pattern, inputs))
     dim = pattern.dim
     if args.graph:
-        graph = graph_from_json(_load_json(args.graph))
+        graph = graph_from_json(_load_json(args.graph, inputs))
     else:
         if pattern.gate is None:
             raise WrongFormalism("pattern has no gate; pass --graph")
@@ -287,7 +293,7 @@ def cmd_run(args) -> int:
         results["state"] = state_to_json(
             StateVector(dim, 1, runs.posteriors[-1]))
     print(dumps_report(_report(
-        "run", _digest([args.pattern, args.graph]), results, seed)))
+        "run", _digest(inputs), results, seed)))
     return 0
 
 

@@ -57,7 +57,9 @@ from .sim import require_unitary
 RESIDUAL_TOL = 1e-6
 MAX_RESTARTS = 32
 MAX_SWEEPS = 500
-BASIN_TOL = 1e-2       # ALS hands over to the polish below this residual
+# ALS hands over to the polish below this residual: ALS converges linearly,
+# and past about 0.1 a sweep buys less than one quadratic polish step
+BASIN_TOL = 1e-1
 POLISH_FLOOR = 1e-12   # the polish stops at this residual
 POLISH_STEPS = 30
 
@@ -112,11 +114,12 @@ def _als_run(U: np.ndarray, G: np.ndarray, phis: np.ndarray
              ) -> Tuple[np.ndarray, int]:
     """Alternating exact maximization of |tr(U^dag W)| over the groups of
     W = G D_0 G D_1 ... G D_{L-1}, until W is in the basin (1 - |tr|/d <
-    BASIN_TOL) or a sweep stalls; returns the phases and the sweeps.  With
-    A = G D_0 ... G D_{j-1} G and B = G D_{j+1} ... G D_{L-1}, |tr(U^dag W)|
-    = |sum_k D_jk diag(B U^dag A)_k| peaks at D_jk = conj(diag_k)/|diag_k|.
-    Groups are kept as these unit factors (a step G D_j scales G's columns)
-    and read as angles once, at the end."""
+    BASIN_TOL, where the polish takes over) or a sweep stalls; returns the
+    phases and the sweeps.  With A = G D_0 ... G D_{j-1} G and B = G
+    D_{j+1} ... G D_{L-1}, |tr(U^dag W)| = |sum_k D_jk diag(B U^dag A)_k|
+    peaks at D_jk = conj(diag_k)/|diag_k|.  Groups are kept as these unit
+    factors (a step G D_j scales G's columns) and read as angles once, at
+    the end."""
     L, d = phis.shape
     E = np.exp(1j * phis)
     R = [U.conj().T] * L                 # R_j = B U^dag
@@ -138,8 +141,9 @@ def _als_run(U: np.ndarray, G: np.ndarray, phis: np.ndarray
 
 
 def _word(G: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """W(x) = G D(x_0) ... G D(x_{L-1}) and dW/dx as a (2 d^2, L d) real
-    matrix (real parts over imaginary parts; x flat over group, then k)."""
+    """W(x) = G D(x_0) ... G D(x_{L-1}) and dW/dx as an (L d, 2 d^2) real
+    matrix: row jk is dW/dx_jk, W's complex entries row by row viewed as
+    interleaved (real, imaginary) pairs (x flat over group, then k)."""
     d = G.shape[0]
     E = np.exp(1j * x).reshape(-1, d)
     PG = np.empty((len(E), d, d), complex)   # P_j G, P_j = G D_0 ... G D_{j-1}
@@ -149,35 +153,38 @@ def _word(G: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     W = PG[-1] * E[-1]
     # dW/dx_jk = i e^{i x_jk} (P_j G)[:, k] Q_j[k, :] with Q_j the steps after
     # j; every step is unitary, so e^{i x_jk} Q_j[k, :] = ((P_j G)^dag W)[k, :]
-    J = np.einsum("jak,jkb->abjk", PG,
-                  PG.conj().transpose(0, 2, 1) @ (1j * W)).reshape(d * d, -1)
-    return W, np.concatenate([J.real, J.imag])
+    J = np.einsum("jak,jkb->jkab", PG,
+                  PG.conj().transpose(0, 2, 1) @ (1j * W))
+    return W, J.reshape(E.size, d * d).view(float)
 
 
 def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
             ) -> Tuple[np.ndarray, float, int]:
     """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag W)|/d = 0.
 
-    The residual W - (T/|T|) U, T = tr(U^dag W), has squared norm
-    2d(1 - |T|/d).  Each group's global phase is free, so J^T J is rank
-    deficient; the damping mu I keeps every step solvable.  Returns the
-    phases, |T|/d and the number of accepted steps.
+    The residual W - (T/|T|) U, T = tr(U^dag W) (phase 1 when T = 0), has
+    squared norm 2d(1 - |T|/d); it and _word's Jacobian J are read as
+    interleaved real pairs, so the normal equations are J J^T and J r.
+    Each group's global phase is free, so J J^T is rank deficient; the
+    damping mu I keeps every step solvable.  Returns the phases, |T|/d and
+    the number of accepted steps.
     """
     d = U.shape[0]
 
     def fit(x):
         W, J = _word(G, x)
         T = np.vdot(U, W)
-        r = (W - np.exp(1j * np.angle(T)) * U).ravel()
-        return 1.0 - abs(T) / d, np.concatenate([r.real, r.imag]), J
+        size = abs(T)
+        r = (W - (T / size if size else 1.0) * U).ravel()
+        return 1.0 - size / d, r.view(float), J
 
     x = phis.ravel()
     res, r, J = fit(x)
-    mu, steps = 1e-3, 0
+    mu, steps, eye = 1e-3, 0, np.eye(x.size)
     while res > POLISH_FLOOR and steps < POLISH_STEPS:
-        A, g = J.T @ J, J.T @ r
+        A, g = J @ J.T, J @ r
         for _ in range(8):
-            x_new = x - np.linalg.solve(A + mu * np.eye(x.size), g)
+            x_new = x - np.linalg.solve(A + mu * eye, g)
             new = fit(x_new)
             if new[0] < res:
                 break
@@ -205,10 +212,11 @@ def _solve(U: np.ndarray, G: np.ndarray, L: int, seed: int,
     first) and its residual 1 - |tr(U^dag W)|/d; the work joins `stats`.
 
     The groups are fitted as W = G D_0 G D_1 ... G D_{L-1} to U itself, so
-    they are read in reverse.  Each attempt runs ALS into the basin, then
-    polishes to the floor; the first starts from zero phases, each restart
-    from random ones of np.random.default_rng(seed), built at the first
-    restart.
+    they are read in reverse.  Each attempt runs ALS into the basin
+    (residual below BASIN_TOL), then polishes toward POLISH_FLOOR; the
+    attempts stop at a residual within RESIDUAL_TOL / 1000.  The first
+    starts from zero phases, each restart from random ones of
+    np.random.default_rng(seed), built at the first restart.
     """
     start, rng = np.zeros((L, G.shape[0])), None
     best, best_phis = -1.0, start

@@ -967,8 +967,8 @@ class _StarRule:
     CDF that sim.collapse reads off amps (probs, cdf; draw), and, per
     outcome drawn, each slot's correction and the new pair weights
     (outcome).  Its signature: shear, v's first unit edge weight for local
-    complementation (None for deletion), and per sorted neighbour its
-    edges' (gate, v is control), in order."""
+    complementation (1 when no weight is a unit; None for deletion), and
+    per sorted neighbour its edges' (gate, v is control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):
@@ -1151,8 +1151,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     (factor_diagonal_clifford); C_{v,e} is v's factor and C_u the product
     of the factors that neighbor u keeps.  w is the product of v's factor
     diagonals, N_u the summed weight of v's edges to u and N the weight of
-    v's first edge weight that is a unit (UnsupportedFormalism, before the
-    draw, when none is).  Outcome k's vector is D_v b_k, with D_v =
+    v's first edge weight that is a unit, or 1 when none is (a zero-divisor
+    shear leaves no graph state).  Outcome k's vector is D_v b_k, with D_v =
     diag(sqrt(d) init_v) for v's init and b_k column k of B = diag(w) S(N)
     H (complement) or of the identity; D_v cancels on the rows, which hold
     v in |0_X>.  Outcome m leaves f(sum_u N_u j_u) prod_u C_u |G-v> where
@@ -1205,12 +1205,10 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         slots.setdefault(e.target if own else e.control, []).append(
             (expand(e.gate), own))
     nbrs = sorted(slots)
-    # the first unit weight: a zero-divisor shear leaves no graph state
+    # the first unit weight, else 1: no zero-divisor shear leaves a graph
     weights = (factor_diagonal_clifford(e.gate)[2] for e in star)
-    shear = next((N for N in weights if dim.is_invertible(N)), None) \
+    shear = next((N for N in weights if dim.is_invertible(N)), 1) \
         if complement else None
-    if complement and shear is None:
-        raise UnsupportedFormalism(f"vertex {vid} has no edge of unit weight")
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
@@ -1295,7 +1293,8 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     Outcome k is the vector D_v W S(N) |k_X>, column k of D_v W S(N) H:
     W is the product of v's edge factors, D_v = diag(sqrt(d) init_v) for
     its phase-vector init (the identity for None), N its first edge
-    weight that is a unit, S(N) = shear_gate(dim, N) and H =
+    weight that is a unit (1 when none is, which only a composite Z_d
+    allows), S(N) = shear_gate(dim, N) and H =
     hadamard(dim).  As S(N) X(x) S(N)^dag is X(x) Z(N x) up to phase,
     these are joint eigenvectors of D_v W X(x) W^dag D_v^dag Z(N x) for
     every x.  The
@@ -1303,8 +1302,7 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
     gain CZ^{delta N_u N_w} (control = lower vertex id) and each neighbor
     gets a diagonal correction (see _measure_and_rewrite, which also names
     the inits and edges it rejects).  The posterior is a StabilizerState.
-    A vertex without edges raises DimensionMismatch, and one whose edge
-    weights are all zero divisors (in a composite Z_d) UnsupportedFormalism.
+    A vertex without edges raises DimensionMismatch.
     """
     return _measure_and_rewrite(graph, vid, True, rng, forced_outcome)
 

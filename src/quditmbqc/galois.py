@@ -443,10 +443,13 @@ def json_int(value, what: str) -> int:
 
 
 def _json_leaves(value) -> list:
-    """The scalars of a nested JSON array, or [value] for a scalar."""
-    if not isinstance(value, list):
-        return [value]
-    return [leaf for v in value for leaf in _json_leaves(v)]
+    """The scalars of a nested JSON array in order, or [value] for a
+    scalar; each pass flattens one nesting level."""
+    leaves = [value]
+    while any(isinstance(v, list) for v in leaves):
+        leaves = [u for v in leaves
+                  for u in (v if isinstance(v, list) else (v,))]
+    return leaves
 
 
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,

@@ -156,7 +156,7 @@ def require_unitary(M: np.ndarray, message: str):
     """NonUnitary(message) unless every trailing square matrix of M has
     orthonormal columns (a NaN entry fails the check)."""
     gram = np.swapaxes(M.conj(), -1, -2) @ M
-    if not (np.max(np.abs(gram - np.eye(M.shape[-1]))) <= VERIFY_TOL):
+    if not (np.abs(gram - np.eye(M.shape[-1])).max() <= VERIFY_TOL):
         raise NonUnitary(message)
 
 

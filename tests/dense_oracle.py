@@ -229,8 +229,9 @@ def rewrite_basis(graph: engine.ResourceGraph, vid: int, complement: bool
     """The basis a rewrite measures vid in: Z, or for local complementation
     D W S(N) H, W the product of vid's edge factors, D = diag(sqrt(d)
     init) for vid's phase-vector init and N the weight of its first edge
-    whose weight is a unit; every column is checked densely to be an
-    eigenvector of every D W X(x) W^dag D^dag Z(N x), x != 0."""
+    whose weight is a unit, or 1 when none is; every column is checked
+    densely to be an eigenvector of every D W X(x) W^dag D^dag Z(N x),
+    x != 0."""
     dim = graph.dim
     if not complement:
         return MeasurementBasis(dim, np.eye(dim.d), "Z")
@@ -242,6 +243,7 @@ def rewrite_basis(graph: engine.ResourceGraph, vid: int, complement: bool
             C1, C2, w = factor_diagonal(e.gate)
             W = W @ (C1 if e.control == vid else C2)
             N = w if N is None and dim.is_invertible(w) else N
+    N = 1 if N is None else N
     B = W @ shear_gate(dim, N) @ hadamard(dim)
     for x in dim.elements[1:]:
         M = W @ xmat(dim, x) @ W.conj().T @ zmat(dim, dim.mul(N, x))

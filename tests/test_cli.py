@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditmbqc import cli, resource
+from hypothesis import given, settings, strategies as st
+
+from quditmbqc import cli, galois, resource
 from quditmbqc.engine import chain_graph, graph_to_json
 from quditmbqc.galois import (
     FINITE_FIELD,
@@ -268,9 +270,21 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert first == second
 
 
+def _recursive_marks(obj):
+    """The float marker as it was: one recursive call per value."""
+    if isinstance(obj, float):
+        return "@@F{}F@@".format(format(obj, ".17g"))
+    if isinstance(obj, dict):
+        return {k: _recursive_marks(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_recursive_marks(v) for v in obj]
+    return obj
+
+
 def _regex_report(obj):
-    """The report writer as it was: one re.sub over the marked JSON."""
-    text = json.dumps(cli._mark_floats(obj), sort_keys=True)
+    """The report writer as it was: the recursive marker, then one re.sub
+    over the marked JSON."""
+    text = json.dumps(_recursive_marks(obj), sort_keys=True)
     return re.sub(r'"@@F(-?[0-9.eE+naif-]+)F@@"', r"\1", text)
 
 
@@ -280,11 +294,96 @@ def test_report_writer_strips_the_marks_as_the_regex_did():
     report = {"command": "run", "seed": 3, "version": "x.y",
               "results": {"floats": floats, "nested": {"b": [
                   (0.1, -1e-12), {"c": [None, True, 7, "GF(4)"]}],
-                  "a": [[[12345678901234567.0]]]}}}
+                  "a": [[[12345678901234567.0]]]},
+                  "numpy": [np.float64(v) for v in floats],
+                  "scalar": np.float64(-1 / 7), "zero": -0.0}}
     text = cli.dumps_report(report)
     assert text == _regex_report(report)
     assert "@@" not in text
     assert "4.9406564584124654e-324, 0, -0, nan, inf, -inf]" in text
+    assert '"numpy": [0.33333333333333331, -2.5' in text
+
+
+def _recursive_leaves(value):
+    """The JSON leaf reader as it was: one recursive call per list."""
+    if not isinstance(value, list):
+        return [value]
+    return [leaf for v in value for leaf in _recursive_leaves(v)]
+
+
+_JSON_SCALARS = (st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=3)
+                 | st.dictionaries(st.text(max_size=2), st.integers(),
+                                   max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                    max_leaves=40))
+def test_json_leaves_match_the_recursive_reader(value):
+    # nested, ragged lists with every kind of scalar at every depth
+    assert galois._json_leaves(value) == _recursive_leaves(value)
+
+
+def _count_opens(monkeypatch, paths):
+    """path -> how often the builtin open is called on it from now on."""
+    counts, real = dict.fromkeys(paths, 0), open
+
+    def counting(file, *args, **kwargs):
+        if file in counts:
+            counts[file] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    return counts
+
+
+def _cli_input_cases(tmp_path, capsys):
+    """(argv, input paths) of compile, run --graph and analyze."""
+    gate = write_json(tmp_path / "gate.json", gate_to_json(cz_spec(D3)))
+    target = write_json(tmp_path / "target.json", {"matrix": complex_to_json(
+        haar_unitary(3, np.random.default_rng(5)))})
+    pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
+    graph = write_json(tmp_path / "graph.json", graph_to_json(
+        chain_graph(D3, cz_spec(D3), 5)))
+    return [(["compile", "--gate", gate, "--target", target, "--seed", "2"],
+             [gate, target]),
+            (["run", "--pattern", pattern, "--graph", graph, "--trials", "3"],
+             [pattern, graph]),
+            (["analyze", "--gate", gate], [gate])]
+
+
+def test_each_input_is_read_once_and_its_bytes_hashed(tmp_path, capsys,
+                                                      monkeypatch):
+    cases = _cli_input_cases(tmp_path, capsys)
+    for argv, paths in cases:
+        counts = _count_opens(monkeypatch, paths)
+        code, out = run_cli(capsys, argv)
+        monkeypatch.undo()
+        assert code == 0
+        assert counts == dict.fromkeys(paths, 1), argv[0]
+        blobs = b"".join(Path(p).read_bytes() for p in sorted(paths))
+        assert json.loads(out)["inputs_sha256"] == \
+            hashlib.sha256(blobs).hexdigest()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"\xef\xbb\xbf" + json.dumps(gate_to_json(cz_spec(D3))).encode(),
+     "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+     "(char 0)\n"),
+    (b'{"kind": "named", "name": "c\xffz"}',
+     "error: 'utf-8' codec can't decode byte 0xff in position 28: invalid "
+     "start byte\n")], ids=["bom", "invalid-utf8"])
+def test_gate_file_that_is_not_plain_utf8_exits_2(tmp_path, capsys, blob,
+                                                  message):
+    gate = tmp_path / "gate.json"
+    gate.write_bytes(blob)
+    for argv in (["analyze", "--gate", str(gate)],
+                 ["compile", "--gate", str(gate), "--target", str(gate)]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == message
 
 
 def test_compile_run_round_trip(tmp_path, capsys):

@@ -304,18 +304,26 @@ def test_zero_divisor_star_complements_along_its_first_unit_edge(
     _assert_check_matches_the_full_rows(graph, 1)
 
 
-@pytest.mark.parametrize("d, w", ZERO_DIVISORS)
-def test_star_without_a_unit_weight_is_refused_before_the_draw(d, w):
-    # a zero-divisor shear leaves no graph state; the out-of-range forced
-    # outcome d would raise SiteOutOfRange if anything were drawn
+# stars with no unit weight over composite Z_d, as (d, weights): vertex 0
+# joined to vertex i + 1 by CZ^weights[i]
+UNITLESS_STARS = [(4, (2, 2)), (6, (2, 2)), (8, (2, 2)), (6, (2, 3)),
+                  (6, (3, 3)), (8, (2, 4)), (8, (4, 4)), (8, (2, 6)),
+                  (9, (3, 3)), (9, (3, 6)), (9, (3, 6, 3)), (4, (2,)),
+                  (6, (3,))]
+
+
+@pytest.mark.parametrize("d, weights", UNITLESS_STARS, ids=lambda v: f"Z{v}"
+                         if isinstance(v, int) else "_".join(map(str, v)))
+def test_star_without_a_unit_weight_complements_with_shear_one(d, weights):
+    # a zero-divisor shear leaves no graph state, so such a star is sheared
+    # by 1, as the dense reference's basis is: every outcome verifies
     dim = make_dim(INTEGER_RING, d=d)
-    graph = ResourceGraph(dim, [Vertex(i) for i in range(3)],
-                          [GraphEdge(0, 1, cz_power(dim, w), 0),
-                           GraphEdge(1, 2, cz_power(dim, w), 1)])
-    for forced in (0, d, None):
-        with pytest.raises(UnsupportedFormalism, match="unit weight"):
-            local_complement(graph, 1, rng=0, forced_outcome=forced)
-    assert _check_every_outcome(graph, 1, vertex_delete) == d
+    graph = ResourceGraph(dim, [Vertex(i) for i in range(len(weights) + 1)],
+                          [GraphEdge(0, i + 1, cz_power(dim, w), i)
+                           for i, w in enumerate(weights)])
+    for rule in RULES:
+        assert _check_every_outcome(graph, 0, rule) == d
+    _assert_check_matches_the_full_rows(graph, 0)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -489,10 +497,11 @@ def test_rewriting_is_one_path(monkeypatch):
 
 
 def _rewrite_or_error(rule, graph, vid, m):
-    # UnsupportedFormalism: a local complementation without a unit weight
+    # a star without a unit weight is sheared by 1, so no rewrite of a
+    # valid graph is refused before its draw
     try:
         return rule(graph, vid, forced_outcome=m)
-    except (FrameMismatch, ZeroProbabilityForced, UnsupportedFormalism) as exc:
+    except (FrameMismatch, ZeroProbabilityForced) as exc:
         return type(exc)
 
 
@@ -777,7 +786,7 @@ def test_a_star_rule_is_built_once_per_signature(rule, monkeypatch):
 def _zero_divisor_rule(second):
     """The star rule of vertex 0 with CZ^2 to 1 and CZ^second to 2 over Z4,
     sheared by the zero divisor 2, built directly: local_complement shears
-    by the first unit weight, and refuses the star when second is 2."""
+    by the first unit weight, or by 1 when second is 2."""
     spec = expand(cz_power(D4R, 2))
     slots = (((spec, True),), ((expand(cz_power(D4R, second)), True),))
     return engine._StarRule(spec, 2, slots)
