@@ -141,21 +141,26 @@ def _als_run(U: np.ndarray, G: np.ndarray, phis: np.ndarray
 
 
 def _word(G: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """W(x) = G D(x_0) ... G D(x_{L-1}) and dW/dx as an (L d, 2 d^2) real
-    matrix: row jk is dW/dx_jk, W's complex entries row by row viewed as
-    interleaved (real, imaginary) pairs (x flat over group, then k)."""
+    """W(x) = G D(x_0) ... G D(x_{L-1}) and its prefixes P_j G, P_j =
+    G D(x_0) ... G D(x_{j-1}), as (L, d, d) (x flat over group, then k)."""
     d = G.shape[0]
     E = np.exp(1j * x).reshape(-1, d)
-    PG = np.empty((len(E), d, d), complex)   # P_j G, P_j = G D_0 ... G D_{j-1}
+    PG = np.empty((len(E), d, d), complex)
     PG[0] = G
     for j in range(1, len(E)):
         np.matmul(PG[j - 1] * E[j - 1], G, out=PG[j])
-    W = PG[-1] * E[-1]
+    return PG[-1] * E[-1], PG
+
+
+def _jacobian(W: np.ndarray, PG: np.ndarray) -> np.ndarray:
+    """dW/dx of _word's W and prefixes PG as an (L d, 2 d^2) real matrix:
+    row jk is dW/dx_jk, W's complex entries row by row viewed as
+    interleaved (real, imaginary) pairs."""
     # dW/dx_jk = i e^{i x_jk} (P_j G)[:, k] Q_j[k, :] with Q_j the steps after
     # j; every step is unitary, so e^{i x_jk} Q_j[k, :] = ((P_j G)^dag W)[k, :]
     J = np.einsum("jak,jkb->jkab", PG,
                   PG.conj().transpose(0, 2, 1) @ (1j * W))
-    return W, J.reshape(E.size, d * d).view(float)
+    return J.reshape(-1, W.size).view(float)
 
 
 def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
@@ -163,8 +168,8 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
     """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag W)|/d = 0.
 
     The residual W - (T/|T|) U, T = tr(U^dag W) (phase 1 when T = 0), has
-    squared norm 2d(1 - |T|/d); it and _word's Jacobian J are read as
-    interleaved real pairs, so the normal equations are J J^T and J r.
+    squared norm 2d(1 - |T|/d); it and J = _jacobian, built only where a
+    step starts, are interleaved real pairs: normal equations J J^T, J r.
     Each group's global phase is free, so J J^T is rank deficient; the
     damping mu I keeps every step solvable.  Returns the phases, |T|/d and
     the number of accepted steps.
@@ -172,16 +177,17 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
     d = U.shape[0]
 
     def fit(x):
-        W, J = _word(G, x)
+        W, PG = _word(G, x)
         T = np.vdot(U, W)
         size = abs(T)
         r = (W - (T / size if size else 1.0) * U).ravel()
-        return 1.0 - size / d, r.view(float), J
+        return 1.0 - size / d, r.view(float), (W, PG)
 
     x = phis.ravel()
-    res, r, J = fit(x)
+    res, r, word = fit(x)
     mu, steps, eye = 1e-3, 0, np.eye(x.size)
     while res > POLISH_FLOOR and steps < POLISH_STEPS:
+        J = _jacobian(*word)
         A, g = J @ J.T, J @ r
         for _ in range(8):
             x_new = x - np.linalg.solve(A + mu * eye, g)
@@ -191,7 +197,7 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
             mu *= 10
         else:
             break
-        x, (res, r, J) = x_new, new
+        x, (res, r, word) = x_new, new
         mu /= 10
         steps += 1
     return x.reshape(phis.shape), 1.0 - res, steps

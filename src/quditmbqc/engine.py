@@ -6,16 +6,18 @@ builders); a changed graph is derived with dataclasses.replace or the
 constructor.  So no call that takes a graph validates it again, and the
 facts derived from a graph (its id index, its adjacency lists, its
 vertex tables, its chain and couple_input's chain tensor and frame
-tables) are kept on it and cannot go stale.
+words) are kept on it and cannot go stale.
 
 Every protocol call is one contraction of its input with a branch table
-and one draw by sim.collapse's rule (one row through _draw and
-sim.collapse_row, a rewrite's off its star rule's kept CDF, the edge's
-off a uniform CDF kept per d), and its posterior is verified against the
-predicted action on every call: as a vector, or, for graph rewriting, by
-exact equality of graph-form stabilizer rows.  The mediator's and the edge's
-branch tables, the very arrays the calls contract, are also checked
-against their predicted actions once, for every input at once.  Pauli
+and one draw by sim.collapse's rule (couple_input's by sim.collapse_row,
+the others' off a kept CDF, _draw: a rewrite's off its star rule's, the
+mediator's and the edge's, whose outcomes have probability 1/d for every
+input, off a uniform one kept per d), and its posterior is verified
+against the predicted action on every call: as a vector, or, for graph
+rewriting, by exact equality of graph-form stabilizer rows.  The
+mediator's and the edge's branch tables, the very arrays the calls
+contract, are also checked against their predicted actions (the
+mediator's outcome weights 1/d too) once, for every input at once.  Pauli
 frames move by index arithmetic, read from tables built once: through a
 diagonal by its images (clifford.diagonal_images; the engine certifies
 nothing), through G_I by its certificate's frame table, a trajectory step
@@ -44,6 +46,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -329,16 +332,16 @@ def _forced(forced, count: int, size: int) -> List[int]:
     return out
 
 
-def _draw(branch: np.ndarray, rng, forced_outcome: Optional[int]
-          ) -> Tuple[int, np.ndarray]:
-    """Outcome and normalized posterior of one row of branch amplitudes
-    (D, R), drawn by sim.collapse_row from one random() of rng (a seed or
-    a Generator), or the forced outcome (checked by _forced)."""
+def _draw(probs: list, cdf: list, rng, forced_outcome: Optional[int]
+          ) -> int:
+    """The outcome sim.collapse draws from a row with these kept outcome
+    probabilities and CDF (sim.row_cdf), by one random() of rng and one
+    bisection, or the forced outcome (checked by _forced, check_forced)."""
     if forced_outcome is None:
-        return sim.collapse_row(
-            branch, np.random.default_rng(rng).random(), None)[:2]
-    return sim.collapse_row(
-        branch, None, _forced([forced_outcome], 1, len(branch))[0])[:2]
+        return bisect.bisect_right(cdf, np.random.default_rng(rng).random())
+    k = _forced([forced_outcome], 1, len(probs))[0]
+    sim.check_forced(probs, k)
+    return k
 
 
 def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
@@ -648,11 +651,11 @@ def _coupling(graph: ResourceGraph) -> tuple:
     """What couple_input reads of its graph alone, built on its first call
     and kept on it: the chain tensor (the edge gate on |init_head>
     |init_tail>, as [head, tail]), the conjugated word stack W.conj()
-    that its Bell vectors are read from and W itself, the head init's
-    phases q, G_I's matrix, and the frame rule's integer tables: the
-    images (c, num) of every shift under diag(q) (diagonal_images) and
-    G_I's certificate frame table.  Raises as couple_input documents; a
-    graph that raises keeps nothing, so every later call raises again."""
+    that its Bell vectors are read from, the head init's phases q, G_I's
+    matrix, and each outcome's frame word with its matrix, from the images
+    (c, num) of every shift under diag(q) (diagonal_images) and G_I's
+    certificate frame table.  Raises as couple_input documents; a graph
+    that raises keeps nothing."""
     facts = graph._facts.get("coupling")
     if facts is not None:
         return facts
@@ -674,11 +677,20 @@ def _coupling(graph: ResourceGraph) -> tuple:
     E = unitary_gate_matrix(graph.edges[0].gate)
     chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
     intrinsic = intrinsic_of(graph.edges[0].gate)
-    g_idx, g_phase = intrinsic.certificate().frame_table()
-    W = _zx_stack(dim)
+    g_idx, g_phase = (a.tolist()
+                      for a in intrinsic.certificate().frame_table())
+    (shift, nums), (_, add, neg, _) = diagonal_images(dim, q), dim.ints
+    W, frames = _zx_stack(dim), []
+    for s, t in itertools.product(neg, repeat=2):
+        # outcome s' d + t' for s = -s', t = -t': D_head Z^s X^t D_head^dag
+        # = e^{2 pi i num / den} Z(c + s) X(t), word i, which G_I moves to
+        # word g_idx[i] at the phase g_phase[i]
+        i = add[shift[t]][s] * d + t
+        z, x = divmod(g_idx[i], d)
+        frames.append((W[g_idx[i]], PauliWord(dim, 1, (z,), (x,),
+                                              nums[t] + g_phase[i])))
     facts = graph._facts["coupling"] = (
-        chain, W.conj(), W, q, intrinsic.matrix, diagonal_images(dim, q),
-        (g_idx.tolist(), g_phase.tolist()))
+        chain, W.conj(), q, intrinsic.matrix, frames)
     return facts
 
 
@@ -692,16 +704,15 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
     sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
     contraction gives all d^2 branches, and the outcome is drawn from
-    them as every protocol draws (_draw).  It leaves the tail carrying
+    them by sim.collapse_row, or forced.  It leaves the tail carrying
     G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
     the edge and D_head = diag(q) the head init's phases, |init> = D_head
     |0_X> (the identity for cz and light-shift chains, S for cx).  The
     returned frame is W conjugated through D_head, by the head's exact
     images of every shift X(x) (diagonal_images), then through G_I, read
-    off its certificate's frame table: no word is conjugated per call.
-    The posterior is frame * G_I D_head |psi> up to phase, which is
-    checked on every call.  The chain tensor, the tables and the head's
-    phases depend on the graph alone and are kept on it (_coupling).
+    off its certificate's frame table, once per graph (_coupling), with
+    the chain tensor and the head's phases.  The posterior is frame * G_I
+    D_head |psi> up to phase, which is checked on every call.
 
     A chain that is not two vertices joined by one edge, or a head init
     that is not a phase vector (a Z-basis label or a raw state), raises
@@ -713,21 +724,18 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     """
     dim = graph.dim
     d = dim.d
-    chain, Wc, W, q, G, (shift, nums), (g_idx, g_phase) = _coupling(graph)
+    chain, Wc, q, G, frames = _coupling(graph)
     psi = sim.unit_vector(psi, d, "input state")
     branch = np.einsum("kab,a,bt->kt", Wc, psi, chain) / np.sqrt(d)
-    k, post = _draw(branch, rng, forced_outcome)
-    _, add, neg, _ = dim.ints
-    s, t = divmod(k, d)
-    t = neg[t]
-    # D_head Z^{-s} X^{-t} D_head^dag = e^{2 pi i num / den} Z(c - s) X(-t),
-    # word i, which G_I moves to word g_idx[i] at the phase g_phase[i]
-    i = add[shift[t]][neg[s]] * d + t
-    frame = PauliWord(dim, 1, (g_idx[i] // d,), (g_idx[i] % d,),
-                      nums[t] + g_phase[i])
-    ideal = W[g_idx[i]] @ (G @ (q * psi))
-    if not (abs(np.vdot(post, ideal / np.linalg.norm(ideal)))
-            >= 1 - VERIFY_TOL):
+    if forced_outcome is None:
+        u, forced = np.random.default_rng(rng).random(), None
+    else:
+        u, forced = None, _forced([forced_outcome], 1, d * d)[0]
+    k, post, _ = sim.collapse_row(branch, u, forced)
+    M, frame = frames[k]
+    ideal = M @ (G @ (q * psi))
+    if not (abs(np.vdot(post, ideal))
+            >= (1 - VERIFY_TOL) * sim.vector_norm(ideal)):
         raise FrameMismatch("predicted coupling frame does not verify")
     return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k
 
@@ -813,7 +821,7 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _uniform_cdf(d: int) -> Tuple[list, list]:
     """(probs, cdf) that sim.collapse reads off a row of d equal weights,
-    kept per d for entangle_via_edge's draw."""
+    kept per d for entangle_via_edge's and mediator_step's draws."""
     probs = sim.row_probabilities(np.ones((d, 1)))[1]
     return probs.tolist(), sim.row_cdf(probs).tolist()
 
@@ -857,7 +865,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     k1, k2, k4, k5 = ks
     branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
                        h[k4], h[k5]).reshape(-1) @ net
-    norm = np.linalg.norm(branch)
+    norm = sim.vector_norm(branch)
     if not (abs(norm * d * d - 1) <= VERIFY_TOL):
         raise FrameMismatch(f"edge branch norm {norm:.12e} is not 1/{d}^2")
     frame = edge_frame(dim, k1, k2, k4, k5)
@@ -888,7 +896,6 @@ class MediatorResult:
     frame: PauliFrame
     local_phases: np.ndarray
     outcome: int
-    mode: str
 
 
 def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
@@ -904,9 +911,10 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     (returned read-only as local_phases) and the d frame words are kept
     once per spec (_mediator_out).
 
-    The outcome is drawn from the branches W[k] * psi of the gate's
-    mediator_tables (checked once against the predicted action Q) by
-    _draw, and the posterior is checked against Q[k] * psi.
+    The branches W[k] * psi of mediator_tables are c_k Q[k] psi, Q[k] the
+    unitary predicted action and |c_k|^2 = 1/d (checked once), so the
+    outcome is drawn off the uniform CDF kept per d (_draw), and outcome
+    k's weight 1/d and posterior Q[k] psi are checked on every call.
     StateTooLarge before any table is built when d^3 exceeds
     sim.MAX_AMPS.
     """
@@ -918,14 +926,20 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
         raise StateTooLarge(f"{d}^3 amplitudes exceed the budget")
     W, Q = mediator_tables(spec, mode)
     psi = sim.unit_vector(psi, d * d, "input state").reshape(d, d)
-    k, post = _draw((W * psi).reshape(d, d * d), rng, forced_outcome)
+    k = _draw(*_uniform_cdf(d), rng, forced_outcome)
+    # the whole branch's reduction, so each row sums as collapse sums it
+    B = (W * psi).reshape(d, d * d)
+    w = np.add.reduce(np.square(np.abs(B)), axis=1)[k]
+    if not (abs(w * d - 1) <= VERIFY_TOL):
+        raise FrameMismatch(f"mediator {mode} weight {w:.12e} is not 1/{d}")
+    post = B[k] / math.sqrt(w)
     predicted = (Q[k] * psi).reshape(-1)
-    fid = abs(np.vdot(post, predicted / np.linalg.norm(predicted)))
-    if not (fid >= 1 - VERIFY_TOL):
-        raise FrameMismatch(f"mediator {mode} fidelity {fid:.12f}")
+    overlap, norm = abs(np.vdot(post, predicted)), sim.vector_norm(predicted)
+    if not (overlap >= (1 - VERIFY_TOL) * norm):
+        raise FrameMismatch(f"mediator {mode} fidelity {overlap / norm:.12f}")
     angles, frames = _mediator_out(spec)
     return MediatorResult(StateVector(dim, 2, post),
-                          PauliFrame(frames[k], [(0, k)]), angles, k, mode)
+                          PauliFrame(frames[k], [(0, k)]), angles, k)
 
 
 # --- graph rewriting ------------------------------------------------------
@@ -1004,17 +1018,6 @@ class _StarRule:
         probs = sim.row_probabilities(self.amps)[1]
         self.probs, self.cdf = probs.tolist(), sim.row_cdf(probs).tolist()
         self.outcomes: Dict[int, Union[tuple, str]] = {}
-
-    def draw(self, rng, forced_outcome: Optional[int]) -> int:
-        """The outcome sim.collapse draws from amps (so _draw would) with
-        one random() of rng, read off the kept CDF, or the forced outcome
-        (checked by _forced, and for nonzero probability)."""
-        if forced_outcome is None:
-            return bisect.bisect_right(self.cdf,
-                                       np.random.default_rng(rng).random())
-        k = _forced([forced_outcome], 1, len(self.probs))[0]
-        sim.check_forced(self.probs, k)
-        return k
 
     def outcome(self, m: int) -> Tuple[np.ndarray, tuple, list, list]:
         """(g, _eigen_table(B[:, m]), slots, pairs), built on first use:
@@ -1212,7 +1215,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
-    m = rule.draw(rng, forced_outcome)
+    m = _draw(rule.probs, rule.cdf, rng, forced_outcome)
     g, eigen, kept, pairs = rule.outcome(m)
     old = _tableau(graph, [vid] + nbrs)
     removed, added, folded = set(star), [], {}

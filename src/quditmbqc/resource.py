@@ -470,9 +470,9 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     or else of G_C S^-1 H ("entangle"), mediator_of's init and G_C.  The
     predicted action is diagonal too: Q[k] = A_k (x) A_k, or
     (A_k S (x) A_k S) CZ, with A_k = diag(local) Z^{-k}.  FrameMismatch unless each W[k] is
-    c_k Q[k] for one constant c_k, at VERIFY_TOL: the predicted action,
-    checked for every input at once.  NonUnitary if the basis is not
-    orthonormal.
+    c_k Q[k] for one constant c_k with |c_k|^2 d = 1, at VERIFY_TOL: the
+    predicted action, and every outcome's probability 1/d, checked for
+    every input at once.  NonUnitary if the basis is not orthonormal.
     """
     dim = spec.dim
     d = dim.d
@@ -494,6 +494,10 @@ def mediator_tables(spec: EntanglingGateSpec, mode: str
     if not (deviation <= VERIFY_TOL):
         raise FrameMismatch(f"mediator {mode} branches deviate from the "
                             f"predicted action by {deviation:.3e}")
+    deviation = np.max(np.abs(np.abs(c) ** 2 * d - 1))
+    if not (deviation <= VERIFY_TOL):
+        raise FrameMismatch(f"mediator {mode} outcome weights times {d} "
+                            f"deviate from 1 by {deviation:.3e}")
     return _read_only(W), _read_only(Q)
 
 

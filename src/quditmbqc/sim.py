@@ -145,11 +145,16 @@ def unit_vector(v, size: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.size != size:
         raise DimensionMismatch(f"{what} has {v.size} amplitudes, not {size}")
-    v = v.reshape(size)
-    norm = np.linalg.norm(v)
-    if not (np.isfinite(norm) and norm > 0):
+    v = v.ravel()
+    norm = vector_norm(v)
+    if not (math.isfinite(norm) and norm > 0):
         raise DimensionMismatch(f"{what} has NaN/infinite entries or norm 0")
     return v / norm
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous complex vector, by its formula."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def require_unitary(M: np.ndarray, message: str):
@@ -207,8 +212,8 @@ def row_probabilities(branch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     weight |branch[k]|^2 and its probability, collapse's reductions on 1-D
     arrays; DimensionMismatch unless the total weight is finite and
     positive."""
-    weight = (np.abs(branch) ** 2).sum(axis=1)
-    total = weight.sum()
+    weight = np.add.reduce(np.square(np.abs(branch)), axis=1)
+    total = np.add.reduce(weight)
     if not (total > 0 and math.isfinite(total)):
         raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
     return weight, weight / total
@@ -217,7 +222,7 @@ def row_probabilities(branch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def row_cdf(probs: np.ndarray) -> np.ndarray:
     """collapse's inverse CDF of one row's probabilities: the outcome of a
     uniform u is the count of its entries <= u."""
-    cdf = (probs / probs.sum()).cumsum()
+    cdf = (probs / np.add.reduce(probs)).cumsum()
     cdf /= cdf[-1]
     return cdf
 
@@ -232,7 +237,7 @@ def check_forced(probs, k: int):
 
 def collapse_row(branch: np.ndarray, u: Optional[float],
                  forced: Optional[int]) -> Tuple[int, np.ndarray, float]:
-    """collapse of the one row branch (D, R), the draw of every protocol:
+    """collapse of the one row branch (D, R), couple_input's draw:
     (outcome, posterior, its probability) for the uniform u, or for the
     int forced, checked for range and nonzero probability."""
     weight, probs = row_probabilities(branch)
@@ -243,7 +248,7 @@ def collapse_row(branch: np.ndarray, u: Optional[float],
         if not 0 <= k < len(branch):
             raise SiteOutOfRange("forced outcome out of range")
         check_forced(probs, k)
-    return k, branch[k] / np.sqrt(weight[k]), probs[k]
+    return k, branch[k] / math.sqrt(weight[k]), probs[k]
 
 
 def _check_sites(state: StateVector, sites: Sequence[int]):

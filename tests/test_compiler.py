@@ -18,6 +18,7 @@ from quditmbqc.gates import dphi, hadamard, mult_gate, sgate, shear_gate
 from quditmbqc.pauli import PauliWord, matrix_of_pauli
 from quditmbqc.compiler import (
     _als_run,
+    _jacobian,
     _word,
     compile_clifford,
     compile_unitary,
@@ -164,7 +165,7 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
 def test_polish_jacobian_matches_finite_differences(dim, spec_of):
     G = intrinsic_of(spec_of(dim)).matrix
     x = np.random.default_rng(3).uniform(-np.pi, np.pi, (dim.d + 2) * dim.d)
-    _, J = _word(G, x)
+    J = _jacobian(*_word(G, x))
     assert J.shape == (x.size, 2 * dim.d ** 2)
     h = 1e-6
     for i in range(x.size):

@@ -1032,6 +1032,49 @@ def test_mediator_table_check_catches_wrong_local_phases(monkeypatch):
                       "disconnect", rng=0)
 
 
+def test_mediator_weight_checks_catch_rows_off_one_over_d(monkeypatch):
+    # a fresh spec whose init is scaled keeps W[k] = c_k Q[k], but with
+    # |c_k|^2 d = 1.21: the once-per-spec check refuses it
+    spec = EntanglingGateSpec(D3, "diagonal", theta=expand(cz_spec(D3)).theta,
+                              init_phases=np.zeros(3))
+    init, G, local = mediator_of(spec)
+    psi = random_state(9, np.random.default_rng(1))
+    W, Q = mediator_tables(cx_spec(D3), "entangle")
+    monkeypatch.setattr(resource, "mediator_of",
+                        lambda s: (init * 1.1, G, local))
+    with pytest.raises(FrameMismatch, match="outcome weights"):
+        mediator_step(spec, psi, "disconnect", rng=0)
+    # tables whose rows weigh 1.21 / d reach a call: its own check refuses
+    # the drawn outcome, and a forced one
+    monkeypatch.setattr(engine, "mediator_tables", lambda s, m: (W * 1.1, Q))
+    for rng, forced in [(0, None), (None, 2)]:
+        with pytest.raises(FrameMismatch, match="weight"):
+            mediator_step(cx_spec(D3), psi, "entangle", rng=rng,
+                          forced_outcome=forced)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+@pytest.mark.parametrize("mode", ["disconnect", "entangle"])
+def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
+                                                                mode):
+    # every outcome has probability 1/d, so the draw off the kept uniform
+    # CDF gives the outcome that sim.collapse_row draws from the whole
+    # branch W * psi, and the same posterior bytes
+    dim = make_dim(INTEGER_RING, d=d)
+    spec = spec_of(dim)
+    raw = random_state(d * d, np.random.default_rng([d, 7]))
+    psi = sim.unit_vector(raw, d * d, "psi").reshape(d, d)
+    branch = (mediator_tables(spec, mode)[0] * psi).reshape(d, d * d)
+    for seed, forced in [(s, None) for s in range(200)] \
+            + [(None, k) for k in range(d)]:
+        out = mediator_step(spec, raw, mode, rng=seed, forced_outcome=forced)
+        u = None if seed is None else np.random.default_rng(seed).random()
+        k, post, _ = sim.collapse_row(branch, u, forced)
+        assert out.outcome == k
+        assert out.posterior.amps.tobytes() == post.tobytes()
+
+
 def _dense_mediator(spec, psi, mode, seed):
     """mediator_step by dense simulation: both controls applied with
     apply, the mediator measured with measure."""
@@ -1272,8 +1315,10 @@ def test_mediated_lattice_uses_mediator_step_init(spec_of):
     for v in g.vertices[4:]:
         assert np.array_equal(v.init, init)
     psi = np.kron(xplus_state(D3), basis_state(D3, 1))
-    assert mediator_step(spec, psi, "disconnect", forced_outcome=0).mode \
-        == "disconnect"
+    out = mediator_step(spec, psi, "disconnect", forced_outcome=0)
+    assert out.outcome == 0
+    assert out.frame.word == identity_word(D3, 2)
+    assert out.frame.history == [(0, 0)]
 
 
 def test_graph_json_round_trip():
