@@ -9,15 +9,15 @@ vertex tables, its chain and couple_input's chain tensor and frame
 words) are kept on it and cannot go stale.
 
 Every protocol call is one contraction of its input with a branch table
-and one draw by sim.collapse's rule (couple_input's by sim.collapse_row,
-the others' off a kept CDF, _draw: a rewrite's off its star rule's, the
-mediator's and the edge's, whose outcomes have probability 1/d for every
-input, off a uniform one kept per d), and its posterior is verified
+and one draw by sim.collapse's rule: a trajectory step's, whose outcome
+probabilities depend on the state, by sim.collapse, for a batch of any
+size; every other by _draw, one bisection per outcome of a kept CDF
+(sim.kept_cdf): a rewrite's star rule's, or a uniform one per outcome
+count for the mediator, the coupling and the edge, whose branch tables
+are checked once, for every input at once, to give each outcome
+probability 1/d (1/d^2 for the coupling).  Its posterior is verified
 against the predicted action on every call: as a vector, or, for graph
-rewriting, by exact equality of graph-form stabilizer rows.  The
-mediator's and the edge's branch tables, the very arrays the calls
-contract, are also checked against their predicted actions (the
-mediator's outcome weights 1/d too) once, for every input at once.  Pauli
+rewriting, by exact equality of graph-form stabilizer rows.  Pauli
 frames move by index arithmetic, read from tables built once: through a
 diagonal by its images (clifford.diagonal_images; the engine certifies
 nothing), through G_I by its certificate's frame table, a trajectory step
@@ -332,16 +332,34 @@ def _forced(forced, count: int, size: int) -> List[int]:
     return out
 
 
-def _draw(probs: list, cdf: list, rng, forced_outcome: Optional[int]
-          ) -> int:
-    """The outcome sim.collapse draws from a row with these kept outcome
-    probabilities and CDF (sim.row_cdf), by one random() of rng and one
-    bisection, or the forced outcome (checked by _forced, check_forced)."""
-    if forced_outcome is None:
-        return bisect.bisect_right(cdf, np.random.default_rng(rng).random())
-    k = _forced([forced_outcome], 1, len(probs))[0]
-    sim.check_forced(probs, k)
-    return k
+def _draw(probs: list, cdf: list, rng, forced: Optional[Sequence[int]],
+          count: int = 1) -> List[int]:
+    """The count outcomes sim.collapse draws from rows with these kept
+    outcome probabilities and CDF (sim.kept_cdf), off rng's next count
+    random() values, one bisection each, or the count forced outcomes
+    (checked by _forced and sim.check_forced)."""
+    if forced is None:
+        return [bisect.bisect_right(cdf, u)
+                for u in np.random.default_rng(rng).random(count).tolist()]
+    ks = _forced(forced, count, len(probs))
+    for k in ks:
+        sim.check_forced(probs, k)
+    return ks
+
+
+def _branch_posterior(B: np.ndarray, k: int, predicted: np.ndarray,
+                      what: str) -> np.ndarray:
+    """Row k of the branch B (D, R), drawn off the uniform CDF, normalized;
+    FrameMismatch unless its weight, from the whole branch's reduction as
+    sim.collapse reduces it, is 1/D and it is predicted up to phase."""
+    w = np.add.reduce(np.square(np.abs(B)), axis=1)[k]
+    if not (abs(w * len(B) - 1) <= VERIFY_TOL):
+        raise FrameMismatch(f"{what} weight {w:.12e} is not 1/{len(B)}")
+    post = B[k] / math.sqrt(w)
+    overlap, norm = abs(np.vdot(post, predicted)), sim.vector_norm(predicted)
+    if not (overlap >= (1 - VERIFY_TOL) * norm):
+        raise FrameMismatch(f"{what} fidelity {overlap / norm:.12f}")
+    return post
 
 
 def _vertex_table(dim: DimSpec, images) -> Tuple[List[int], List[int]]:
@@ -654,8 +672,9 @@ def _coupling(graph: ResourceGraph) -> tuple:
     that its Bell vectors are read from, the head init's phases q, G_I's
     matrix, and each outcome's frame word with its matrix, from the images
     (c, num) of every shift under diag(q) (diagonal_images) and G_I's
-    certificate frame table.  Raises as couple_input documents; a graph
-    that raises keeps nothing."""
+    certificate frame table.  Raises as couple_input documents (the
+    outcome weights: every branch map T_k, branch k = T_k psi, must have
+    T_k^dag T_k = I/d^2); a graph that raises keeps nothing."""
     facts = graph._facts.get("coupling")
     if facts is not None:
         return facts
@@ -689,8 +708,15 @@ def _coupling(graph: ResourceGraph) -> tuple:
         z, x = divmod(g_idx[i], d)
         frames.append((W[g_idx[i]], PauliWord(dim, 1, (z,), (x,),
                                               nums[t] + g_phase[i])))
+    # branch k = psi M[k] / sqrt(d), so d^2 T_k^dag T_k = d conj(M_k) M_k^T
+    Wc = W.conj()
+    M = Wc @ chain
+    deviation = np.abs(d * M.conj() @ np.swapaxes(M, 1, 2) - np.eye(d)).max()
+    if not (deviation <= VERIFY_TOL):
+        raise FrameMismatch(f"coupling outcome weights times {d * d} "
+                            f"deviate from 1 by {deviation:.3e}")
     facts = graph._facts["coupling"] = (
-        chain, W.conj(), q, intrinsic.matrix, frames)
+        chain, Wc, q, intrinsic.matrix, frames)
     return facts
 
 
@@ -703,8 +729,9 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     The chain is the edge gate on |init_head> |init_tail>.  Bell outcome
     Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
     sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
-    contraction gives all d^2 branches, and the outcome is drawn from
-    them by sim.collapse_row, or forced.  It leaves the tail carrying
+    contraction gives all d^2 branches, each of weight 1/d^2 for every
+    input (checked once per graph), so the outcome is drawn off a uniform
+    CDF (_draw), or forced.  It leaves the tail carrying
     G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
     the edge and D_head = diag(q) the head init's phases, |init> = D_head
     |0_X> (the identity for cz and light-shift chains, S for cx).  The
@@ -712,31 +739,26 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     images of every shift X(x) (diagonal_images), then through G_I, read
     off its certificate's frame table, once per graph (_coupling), with
     the chain tensor and the head's phases.  The posterior is frame * G_I
-    D_head |psi> up to phase, which is checked on every call.
+    D_head |psi> up to phase; it and its weight are checked on every call.
 
     A chain that is not two vertices joined by one edge, or a head init
     that is not a phase vector (a Z-basis label or a raw state), raises
     DimensionMismatch; a non-unitary edge gate raises NonUnitary, a G_I
     without a certificate raises as IntrinsicGate.certificate does, and a
     D_head that is not Clifford raises NotCliffordError naming the X
-    generator it fails on.  These graph errors are raised before the
-    input state and the forced outcome are checked.
+    generator it fails on; a chain whose outcomes do not all weigh 1/d^2
+    (a diagonal gate's with a Z-basis label tail) raises FrameMismatch.
+    All are raised before the input state and forced outcome are checked.
     """
     dim = graph.dim
     d = dim.d
     chain, Wc, q, G, frames = _coupling(graph)
     psi = sim.unit_vector(psi, d, "input state")
+    k, = _draw(*_uniform_cdf(d * d), rng,
+               None if forced_outcome is None else [forced_outcome])
     branch = np.einsum("kab,a,bt->kt", Wc, psi, chain) / np.sqrt(d)
-    if forced_outcome is None:
-        u, forced = np.random.default_rng(rng).random(), None
-    else:
-        u, forced = None, _forced([forced_outcome], 1, d * d)[0]
-    k, post, _ = sim.collapse_row(branch, u, forced)
     M, frame = frames[k]
-    ideal = M @ (G @ (q * psi))
-    if not (abs(np.vdot(post, ideal))
-            >= (1 - VERIFY_TOL) * sim.vector_norm(ideal)):
-        raise FrameMismatch("predicted coupling frame does not verify")
+    post = _branch_posterior(branch, k, M @ (G @ (q * psi)), "coupling")
     return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k
 
 
@@ -819,11 +841,10 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _uniform_cdf(d: int) -> Tuple[list, list]:
-    """(probs, cdf) that sim.collapse reads off a row of d equal weights,
-    kept per d for entangle_via_edge's and mediator_step's draws."""
-    probs = sim.row_probabilities(np.ones((d, 1)))[1]
-    return probs.tolist(), sim.row_cdf(probs).tolist()
+def _uniform_cdf(D: int) -> Tuple[list, list]:
+    """(probs, cdf) that sim.collapse reads off a row of D equal weights,
+    kept per D for the protocols' draws (D = d, or d^2 for the coupling)."""
+    return sim.kept_cdf(np.ones((D, 1)))
 
 
 def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
@@ -841,7 +862,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     probability 1/d^4 for every input: the four outcomes are drawn on
     uniform marginals from rng's next four random() values, as four
     sequential X measurements would draw them by sim.collapse's rule, off
-    one CDF kept per d (_uniform_cdf), or forced_outcomes are taken (four,
+    one CDF kept per d (_draw), or forced_outcomes are taken (four,
     checked by _forced and against the kept probabilities).  One
     contraction of the d^6 CZ network with psi and the four X-basis
     vectors gives the branch; its norm is checked to be 1/d^2 and its
@@ -853,14 +874,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     if d ** 6 > sim.MAX_AMPS:
         raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
-    probs, cdf = _uniform_cdf(d)
-    if forced_outcomes is None:
-        ks = [bisect.bisect_right(cdf, u)
-              for u in np.random.default_rng(rng).random(4).tolist()]
-    else:
-        ks = _forced(forced_outcomes, 4, d)
-        for k in ks:
-            sim.check_forced(probs, k)
+    ks = _draw(*_uniform_cdf(d), rng, forced_outcomes, 4)
     h, net, action = _edge_tables(dim)
     k1, k2, k4, k5 = ks
     branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
@@ -926,17 +940,10 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
         raise StateTooLarge(f"{d}^3 amplitudes exceed the budget")
     W, Q = mediator_tables(spec, mode)
     psi = sim.unit_vector(psi, d * d, "input state").reshape(d, d)
-    k = _draw(*_uniform_cdf(d), rng, forced_outcome)
-    # the whole branch's reduction, so each row sums as collapse sums it
-    B = (W * psi).reshape(d, d * d)
-    w = np.add.reduce(np.square(np.abs(B)), axis=1)[k]
-    if not (abs(w * d - 1) <= VERIFY_TOL):
-        raise FrameMismatch(f"mediator {mode} weight {w:.12e} is not 1/{d}")
-    post = B[k] / math.sqrt(w)
-    predicted = (Q[k] * psi).reshape(-1)
-    overlap, norm = abs(np.vdot(post, predicted)), sim.vector_norm(predicted)
-    if not (overlap >= (1 - VERIFY_TOL) * norm):
-        raise FrameMismatch(f"mediator {mode} fidelity {overlap / norm:.12f}")
+    k, = _draw(*_uniform_cdf(d), rng,
+               None if forced_outcome is None else [forced_outcome])
+    post = _branch_posterior((W * psi).reshape(d, d * d), k,
+                             (Q[k] * psi).reshape(-1), f"mediator {mode}")
     angles, frames = _mediator_out(spec)
     return MediatorResult(StateVector(dim, 2, post),
                           PauliFrame(frames[k], [(0, k)]), angles, k)
@@ -978,7 +985,7 @@ class _StarRule:
     images) and summed weight N_u, B (checked unitary) and amps, outcome
     k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and rho v's
     reduced state on the rows, with the outcome probabilities and inverse
-    CDF that sim.collapse reads off amps (probs, cdf; draw), and, per
+    CDF that sim.collapse reads off amps (probs, cdf; sim.kept_cdf), and, per
     outcome drawn, each slot's correction and the new pair weights
     (outcome).  Its signature: shear, v's first unit edge weight for local
     complementation (1 when no weight is a unit; None for deletion), and
@@ -1015,8 +1022,7 @@ class _StarRule:
         weight = np.real(np.sum(B.conj() * (rho @ B), axis=0))
         self.w, self.B = w, B
         self.amps = _read_only(np.sqrt(np.clip(weight, 0, None))[:, None])
-        probs = sim.row_probabilities(self.amps)[1]
-        self.probs, self.cdf = probs.tolist(), sim.row_cdf(probs).tolist()
+        self.probs, self.cdf = sim.kept_cdf(self.amps)
         self.outcomes: Dict[int, Union[tuple, str]] = {}
 
     def outcome(self, m: int) -> Tuple[np.ndarray, tuple, list, list]:
@@ -1215,7 +1221,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     # an isolated vertex's rule depends on the dimension alone
     rule = _star_rule(slots[nbrs[0]][0][0] if star else cz_spec(dim), shear,
                       tuple(tuple(slots[u]) for u in nbrs))
-    m = _draw(rule.probs, rule.cdf, rng, forced_outcome)
+    m, = _draw(rule.probs, rule.cdf, rng,
+               None if forced_outcome is None else [forced_outcome])
     g, eigen, kept, pairs = rule.outcome(m)
     old = _tableau(graph, [vid] + nbrs)
     removed, added, folded = set(star), [], {}

@@ -35,12 +35,6 @@ INTEGER_RING = "integer_ring"
 FINITE_FIELD = "finite_field"
 MAX_AMPS = 10 ** 6    # amplitude budget of dense states and d x d tables
 
-# default irreducible polynomials, coefficients low-to-high
-_DEFAULT_POLY = {
-    (2, 2): (1, 1, 1),     # xi^2 + xi + 1
-    (2, 3): (1, 1, 0, 1),  # xi^3 + xi + 1
-    (3, 2): (1, 0, 1),     # xi^2 + 1
-}
 # default lifts to Z_4, taken when they lift poly
 _DEFAULT_GR_POLY = {
     (2, 2): (3, 3, 1),     # xi^2 + 3 xi + 3 over Z_4
@@ -287,9 +281,8 @@ def _check_poly(poly: Sequence[int], p: int, m: int) -> Tuple[int, ...]:
 
 
 def _default_poly(p: int, m: int) -> Tuple[int, ...]:
-    if (p, m) in _DEFAULT_POLY:
-        return _DEFAULT_POLY[(p, m)]
-    # first monic rootless polynomial (valid iff m <= 3)
+    # the first monic rootless polynomial (valid iff m <= 3), low-to-high:
+    # xi^2 + xi + 1 for GF(4), xi^3 + xi + 1 for GF(8), xi^2 + 1 for GF(9)
     for low in range(p ** m):
         cand = _digits(low, p, m) + (1,)
         if all(_poly_eval(cand, x, p) != 0 for x in range(p)):

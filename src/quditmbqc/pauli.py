@@ -181,6 +181,8 @@ def pauli_from_json(dim: DimSpec, obj: dict) -> PauliWord:
     num, den = json_array(obj["phase"], (2,), "phase", int).tolist()
     if den != dim.phase_den:
         raise DimensionMismatch("phase denominator does not match DimSpec")
+    if not 0 <= num < den:
+        raise DimensionMismatch(f"phase numerator must lie in 0..{den - 1}")
     exponents = []
     for key in ("z", "x"):
         coeffs = json_array(obj[key], (None, dim.m), key, int).tolist()

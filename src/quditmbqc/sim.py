@@ -1,5 +1,5 @@
-"""State vectors, the shared outcome draw, seeded uniforms and Schmidt
-probes.
+"""State vectors, the outcome draw and its kept CDF, seeded uniforms and
+Schmidt probes.
 
 Site 0 is the most significant tensor digit, so |jk> has j at site 0.
 Dense gate application and measurement live in the test suite's oracle
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -167,8 +167,8 @@ def require_unitary(M: np.ndarray, message: str):
 
 def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One outcome per row t of branch amplitudes (n, D, R): the draw
-    that every protocol, rewrite and trajectory makes.
+    """One outcome per row t of branch amplitudes (n, D, R), in a batch of
+    any size: the draw whose outcome probabilities depend on the state.
 
     Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
     the normalized branch[t, k].  Row t takes forced[t] when forced
@@ -177,26 +177,21 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     Generator.choice, so a generator's random() draws give the outcomes
     its choice() would.  Returns (outcomes, posteriors, probabilities of
     the outcomes).  A row whose total weight is not finite and positive
-    raises DimensionMismatch.  A batch of one row takes collapse_row,
-    which gives the same result bit for bit.
+    raises DimensionMismatch.  It reduces by ufunc methods, the array
+    methods' arithmetic bit for bit without their Python wrappers.
     """
-    if len(branch) == 1 and np.shape(uniforms if forced is None
-                                     else forced) == (1,):
-        k, post, p = collapse_row(
-            branch[0], None if forced is not None else uniforms[0],
-            None if forced is None
-            else int(np.asarray(forced, dtype=np.intp)[0]))
-        return np.full(1, k, dtype=np.intp), post[None], np.array([p])
-    weight = (np.abs(branch) ** 2).sum(axis=2)
-    total = weight.sum(axis=1, keepdims=True)
-    if not (total.min() > 0 and np.isfinite(total.max())):
+    weight = np.add.reduce(np.square(np.abs(branch)), axis=2)
+    total = np.add.reduce(weight, axis=1, keepdims=True)
+    if not (np.minimum.reduce(total, axis=None) > 0
+            and math.isfinite(np.maximum.reduce(total, axis=None))):
         raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
     probs = weight / total
     rows = np.arange(len(branch))
     if forced is None:
-        cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf = np.add.accumulate(
+            probs / np.add.reduce(probs, axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        k = (cdf <= np.asarray(uniforms)[:, None]).sum(axis=1)
+        k = np.add.reduce(cdf <= np.asarray(uniforms)[:, None], axis=1)
     else:
         k = np.asarray(forced, dtype=np.intp)
         if k.min() < 0 or k.max() >= branch.shape[1]:
@@ -207,24 +202,18 @@ def collapse(branch: np.ndarray, uniforms, forced=None
     return k, post, probs[rows, k]
 
 
-def row_probabilities(branch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(weight, probs) of one row of branch amplitudes (D, R): outcome k's
-    weight |branch[k]|^2 and its probability, collapse's reductions on 1-D
-    arrays; DimensionMismatch unless the total weight is finite and
-    positive."""
+def kept_cdf(branch: np.ndarray) -> Tuple[list, list]:
+    """collapse's (probs, cdf) of one row of branch amplitudes (D, R), as
+    lists to keep where they do not depend on the state: a uniform u draws
+    outcome bisect_right(cdf, u).  Raises as collapse does."""
     weight = np.add.reduce(np.square(np.abs(branch)), axis=1)
     total = np.add.reduce(weight)
     if not (total > 0 and math.isfinite(total)):
         raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
-    return weight, weight / total
-
-
-def row_cdf(probs: np.ndarray) -> np.ndarray:
-    """collapse's inverse CDF of one row's probabilities: the outcome of a
-    uniform u is the count of its entries <= u."""
-    cdf = (probs / np.add.reduce(probs)).cumsum()
+    probs = weight / total
+    cdf = np.add.accumulate(probs / np.add.reduce(probs))
     cdf /= cdf[-1]
-    return cdf
+    return probs.tolist(), cdf.tolist()
 
 
 def check_forced(probs, k: int):
@@ -233,22 +222,6 @@ def check_forced(probs, k: int):
     if probs[k] < VERIFY_TOL:
         raise ZeroProbabilityForced(
             f"outcome {k} has probability {probs[k]:.3e}")
-
-
-def collapse_row(branch: np.ndarray, u: Optional[float],
-                 forced: Optional[int]) -> Tuple[int, np.ndarray, float]:
-    """collapse of the one row branch (D, R), couple_input's draw:
-    (outcome, posterior, its probability) for the uniform u, or for the
-    int forced, checked for range and nonzero probability."""
-    weight, probs = row_probabilities(branch)
-    if forced is None:
-        k = int(np.count_nonzero(row_cdf(probs) <= u))
-    else:
-        k = forced
-        if not 0 <= k < len(branch):
-            raise SiteOutOfRange("forced outcome out of range")
-        check_forced(probs, k)
-    return k, branch[k] / math.sqrt(weight[k]), probs[k]
 
 
 def _check_sites(state: StateVector, sites: Sequence[int]):

@@ -966,6 +966,9 @@ def _malformed_patterns():
         for value, message in (
                 ([0, 6, 1], "phase must have shape (2), got (3)"),
                 ([0, 7], "phase denominator does not match DimSpec"),
+                # a numerator outside 0..den-1 is refused, not reduced
+                ([7, 6], "phase numerator must lie in 0..5"),
+                ([-1, 6], "phase numerator must lie in 0..5"),
                 ([0.5, 6], "phase must be an array of integers"),
                 ([float("nan"), 6], "phase must be an array of integers")):
             yield (f"{name}-frame-phase-{value!r}",

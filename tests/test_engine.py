@@ -375,7 +375,7 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
     # the outcomes a seeded run drew, forced, give that run back bit for
     # bit: outcomes, frames and their phases, probabilities, posteriors
     # and fidelities; and two forced calls give the same result.  One
-    # trajectory draws through sim.collapse's one-row path
+    # trajectory draws through sim.collapse as a batch of one row
     name, key = _PATTERN_FILES[case]
     pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
     g = chain_graph(pat.dim, pat.gate, pat.step_count() + 1)
@@ -1055,24 +1055,43 @@ def test_mediator_weight_checks_catch_rows_off_one_over_d(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
-@pytest.mark.parametrize("mode", ["disconnect", "entangle"])
+@pytest.mark.parametrize("protocol", ["disconnect", "entangle", "couple"])
 def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
-                                                                mode):
-    # every outcome has probability 1/d, so the draw off the kept uniform
-    # CDF gives the outcome that sim.collapse_row draws from the whole
-    # branch W * psi, and the same posterior bytes
+                                                                protocol):
+    # every outcome of the mediator (of the coupling) has probability 1/d
+    # (1/d^2), so the draw off the kept uniform CDF gives the outcome that
+    # sim.collapse draws from the whole branch, W * psi (the chain's Bell
+    # branches), and the same posterior bytes
     dim = make_dim(INTEGER_RING, d=d)
     spec = spec_of(dim)
-    raw = random_state(d * d, np.random.default_rng([d, 7]))
-    psi = sim.unit_vector(raw, d * d, "psi").reshape(d, d)
-    branch = (mediator_tables(spec, mode)[0] * psi).reshape(d, d * d)
+    if protocol == "couple":
+        chain = chain_graph(dim, spec, 2)
+        raw = random_state(d, np.random.default_rng([d, 7]))
+        psi = sim.unit_vector(raw, d, "psi")
+        tensor, Wc = engine._coupling(chain)[:2]
+        branch = np.einsum("kab,a,bt->kt", Wc, psi, tensor) / np.sqrt(d)
+
+        def call(seed, forced):
+            post, _, k = couple_input(raw, chain, rng=seed,
+                                      forced_outcome=forced)
+            return k, post.amps
+    else:
+        raw = random_state(d * d, np.random.default_rng([d, 7]))
+        psi = sim.unit_vector(raw, d * d, "psi").reshape(d, d)
+        branch = (mediator_tables(spec, protocol)[0] * psi).reshape(d, d * d)
+
+        def call(seed, forced):
+            out = mediator_step(spec, raw, protocol, rng=seed,
+                                forced_outcome=forced)
+            return out.outcome, out.posterior.amps
     for seed, forced in [(s, None) for s in range(200)] \
-            + [(None, k) for k in range(d)]:
-        out = mediator_step(spec, raw, mode, rng=seed, forced_outcome=forced)
-        u = None if seed is None else np.random.default_rng(seed).random()
-        k, post, _ = sim.collapse_row(branch, u, forced)
-        assert out.outcome == k
-        assert out.posterior.amps.tobytes() == post.tobytes()
+            + [(None, k) for k in range(len(branch))]:
+        u = None if seed is None else np.random.default_rng(seed).random(1)
+        k, post, _ = sim.collapse(branch[None], u,
+                                  None if forced is None else [forced])
+        got, amps = call(seed, forced)
+        assert got == k[0]
+        assert amps.tobytes() == post[0].tobytes()
 
 
 def _dense_mediator(spec, psi, mode, seed):
@@ -1236,6 +1255,21 @@ def test_couple_input_non_clifford_head_init_names_generator():
         assert "coupling" not in g._facts
 
 
+@pytest.mark.parametrize("spec_of", [cz_spec, light_shift_spec])
+def test_couple_input_refuses_a_chain_without_uniform_outcome_weights(spec_of):
+    # a Z-basis label tail leaves a diagonal gate's chain a product state,
+    # so the Bell outcomes' weights depend on the input and no uniform CDF
+    # draws them: the graph's check refuses it on every call, before the
+    # input state or the forced outcome is read, and keeps nothing
+    g = with_init(chain_graph(D3, spec_of(D3), 2), 1, 0)
+    for psi in (basis_state(D3, 0), [1, 0], np.full(3, np.nan)):
+        for kwargs in ({"rng": 0}, {"forced_outcome": 4},
+                       {"forced_outcome": 99}, {"forced_outcome": 0.5}):
+            with pytest.raises(FrameMismatch, match="outcome weights"):
+                couple_input(psi, g, **kwargs)
+            assert "coupling" not in g._facts
+
+
 def test_couple_input_builds_its_graph_facts_once(monkeypatch):
     counts = {"diagonal_images": 0, "_init_vector": 0}
     for name in counts:
@@ -1358,24 +1392,18 @@ def test_nan_state_is_rejected(name):
 
 @pytest.mark.parametrize("name", sorted(_nan_entry_points()))
 def test_nan_state_fails_dense_verification(name, monkeypatch):
-    # with the input checks bypassed (the draw's weight check too, by
-    # drawing batches through the oracle's collapse without its _row_totals
-    # test and single rows without row_probabilities' test), the NaN
-    # reaches the posterior verification, whose comparison must fail
-    # rather than pass; rewriting verifies on the tableau, so there the
-    # phase-vector check must reject the NaN init
+    # with the input checks bypassed (the trajectories' weight check too,
+    # by drawing through the oracle's collapse without its _row_totals
+    # test), the NaN reaches the posterior verification, whose weight or
+    # fidelity comparison must fail rather than pass; rewriting verifies
+    # on the tableau, so there the phase-vector check must reject the NaN
+    # init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
     monkeypatch.setattr(dense_oracle, "_row_totals",
                         lambda w: w.sum(axis=1, keepdims=True))
     monkeypatch.setattr(sim, "collapse", dense_oracle.collapse)
-
-    def unchecked(branch):
-        weight = (np.abs(branch) ** 2).sum(axis=1)
-        return weight, weight / weight.sum()
-
-    monkeypatch.setattr(sim, "row_probabilities", unchecked)
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
     error = UnsupportedFormalism if name == "vertex_delete" else FrameMismatch

@@ -122,6 +122,18 @@ def test_reducible_polynomial_rejected():
         make_dim(FINITE_FIELD, p=2, m=2, poly=[1, 0, 1])  # x^2 + 1 = (x+1)^2
 
 
+@pytest.mark.parametrize("p, m, poly", [
+    (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)),
+    (5, 2, (2, 0, 1)), (3, 3, (1, 2, 0, 1))])
+def test_default_poly_is_the_first_rootless_one(p, m, poly):
+    # the default is searched for, not looked up: GF(4), GF(8) and GF(9)
+    # keep the polynomials they always had, and the descriptor is shared
+    # with the one that names it
+    assert make_dim(FINITE_FIELD, p=p, m=m).poly == poly
+    assert make_dim(FINITE_FIELD, p=p, m=m) is \
+        make_dim(FINITE_FIELD, p=p, m=m, poly=poly)
+
+
 def test_tau_is_primitive_phase():
     d3 = make_dim(INTEGER_RING, d=3)
     t = tau(d3)

@@ -21,12 +21,10 @@ from quditmbqc.galois import (
     make_dim,
 )
 from quditmbqc.gates import basis_state, hadamard, xplus_state
-from quditmbqc import sim
 from quditmbqc.resource import cz_spec, gate_matrix
 from quditmbqc.sim import (
     StateVector,
     collapse,
-    collapse_row,
     is_max_entangled,
     schmidt,
     seed_uniforms,
@@ -204,7 +202,7 @@ def _draw_or_error(draw, branch, uniforms, forced):
        st.integers(0, 2 ** 32 - 1), st.sampled_from(["drawn", "forced"]),
        st.sampled_from([None, 0.0, np.nan, np.inf]))
 def test_collapse_equals_the_first_formula(n, D, R, seed, how, spoil):
-    # sim.collapse calls the array methods where the oracle's first form
+    # sim.collapse calls ufunc methods where the oracle's first form
     # calls np.sum, np.cumsum and _row_totals: every array, outcome and
     # error must be the same, bit for bit
     rng = np.random.default_rng(seed)
@@ -230,10 +228,10 @@ def test_collapse_equals_the_first_formula(n, D, R, seed, how, spoil):
        st.sampled_from(["drawn", "forced"]),
        st.sampled_from([None, 0.0, np.nan, np.inf]))
 def test_one_row_collapse_equals_the_batched_path(D, R, seed, how, spoil):
-    # a single row (every protocol and rewrite draw) takes its own path:
-    # its outcome, posterior, probability and error are those of the
-    # batched path on a batch of that row, bit for bit, over outcome
-    # counts past numpy's 8- and 128-element summation blocks
+    # a batch of one row (a single trajectory, the oracle's measure) gives
+    # the outcome, posterior, probability and error of a batch of two
+    # copies of that row, bit for bit, over outcome counts past numpy's 8-
+    # and 128-element summation blocks
     rng = np.random.default_rng(seed)
     row = rng.normal(size=(D, R)) + 1j * rng.normal(size=(D, R))
     row[rng.random(D) < 0.3] = 0
@@ -255,9 +253,10 @@ def test_one_row_collapse_equals_the_batched_path(D, R, seed, how, spoil):
             assert np.array_equal(a, b[:1])
 
 
-def _wrapped_collapse_row(branch, u, forced):
-    """collapse_row's arithmetic through numpy's Python wrappers (.sum,
-    ** 2, np.sqrt), the form its wrapper-free one must equal."""
+def _wrapped_one_row(branch, u, forced):
+    """collapse's arithmetic on one row (D, R) through numpy's Python
+    wrappers (.sum, ** 2, np.sqrt), the form its wrapper-free one must
+    equal."""
     weight = (np.abs(branch) ** 2).sum(axis=1)
     probs = weight / weight.sum()
     if forced is None:
@@ -273,7 +272,7 @@ def _wrapped_collapse_row(branch, u, forced):
        st.sampled_from(["contiguous", "transposed", "strided"]))
 def test_wrapper_free_draw_and_norm_equal_the_wrapped_forms(D, R, seed, how,
                                                            layout):
-    # collapse_row and unit_vector drop numpy's Python wrappers, not their
+    # collapse and unit_vector drop numpy's Python wrappers, not their
     # arithmetic: outcome, posterior, probability and unit vector are the
     # wrapped forms', bit for bit, whatever the input's memory layout
     rng = np.random.default_rng(seed)
@@ -283,27 +282,15 @@ def test_wrapper_free_draw_and_norm_equal_the_wrapped_forms(D, R, seed, how,
     u = 0.0 if rng.random() < 0.2 else rng.random()
     live = np.flatnonzero(np.abs(row).sum(axis=1))
     forced = None if how == "drawn" else int(rng.choice(live))
-    got = collapse_row(row, u, forced)
-    want = _wrapped_collapse_row(row, u, forced)
-    assert got[0] == want[0] and got[2] == want[2]
-    assert got[1].tobytes() == want[1].tobytes()
+    got = collapse(row[None], [u], None if forced is None else [forced])
+    want = _wrapped_one_row(row, u, forced)
+    assert got[0][0] == want[0] and got[2][0] == want[2]
+    assert got[1][0].tobytes() == want[1].tobytes()
     v = {"contiguous": row, "transposed": row.T,
          "strided": row.reshape(-1)[::2]}[layout]
     want = np.asarray(v, dtype=complex).reshape(v.size)
     want = want / np.linalg.norm(want)
     assert unit_vector(v, v.size, "v").tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("D", [1, 2, 5])
-def test_nan_cdf_draws_outcome_zero(D, monkeypatch):
-    # with row_probabilities' check bypassed, a NaN row's CDF counts no
-    # entry <= u, so outcome 0 (a bisection would return D, past the row)
-    monkeypatch.setattr(sim, "row_probabilities",
-                        lambda b: (np.full(D, np.nan), np.full(D, np.nan)))
-    branch = np.full((D, 3), np.nan, dtype=complex)
-    with np.errstate(invalid="ignore"):
-        assert collapse_row(branch, 0.5, None)[0] == 0
-        assert _wrapped_collapse_row(branch, 0.5, None)[0] == 0
 
 
 # --- seeded uniforms ------------------------------------------------------
