@@ -1322,6 +1322,109 @@ GOLDEN_CLIFFORD_RUNS = {
         "ac1c4d9f1aeb92cd7cfc528b37eecbae569a811143b0494fb6306c00bf34172e"),
 }
 
+# SHA-256 of the JSON list [outcome_counts, frame, history] of the same
+# `run --trials 100` reports, for every pattern of both files at the same
+# two seeds: the draws and frames alone, which a change to the step's
+# floating-point order must leave exactly as they are.
+GOLDEN_RUN_OUTCOMES = {
+    "Z2-cz": (
+        "357b64500396f31b7ac2a90efd42c10726fd6dcd6d7b33b8cd075d08d8efb686",
+        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+    "Z2-light_shift": (
+        "a42ab4e7fa080333a12832cd51d8699b332808b47212aa0189f0036544e17fbf",
+        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+    "Z2-cx": (
+        "a42ab4e7fa080333a12832cd51d8699b332808b47212aa0189f0036544e17fbf",
+        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+    "Z3-cz": (
+        "9d319fa4b6f51d9d96589fc6a4d8b8f42a905491913cc4a8b511c0eebe0dfc1c",
+        "2dd6135ae41f172cedeeabbd2a0eb4e1ae82bfd979742986b4dd7a4dde9aefe9"),
+    "Z3-light_shift": (
+        "6c6b6d432d8842e9c5139f59450df0ba3e2861f7f12f1bcc1bd0fdb69bc4ba57",
+        "f7f77d4a718a5b145e5974846d9cab6820e3a2ce5260e7327fdb5cb659a44bfe"),
+    "Z3-cx": (
+        "9d319fa4b6f51d9d96589fc6a4d8b8f42a905491913cc4a8b511c0eebe0dfc1c",
+        "f7f77d4a718a5b145e5974846d9cab6820e3a2ce5260e7327fdb5cb659a44bfe"),
+    "GF4-cz": (
+        "dc452c0b8906d1ff18ea46e8edf78ce0e9683a43a10db595f37fd0847dc69739",
+        "4470e8a5bb5cdae886866eef117e25ceb585deb2366b53f9c7f054ff385e2968"),
+    "GF4-light_shift": (
+        "827ace68c91169839d72295e5f955eb0614c0d3ec559758a0b189a884171897a",
+        "10ba44091278fcf6f26642d762ade02675f46906716f0310029a72e0df534bcf"),
+    "GF4-cx": (
+        "827ace68c91169839d72295e5f955eb0614c0d3ec559758a0b189a884171897a",
+        "bf597ff2c846896f47f97ab21ea5683ad66807409d46381f43499e9f609eb2d2"),
+    "Z5-cz": (
+        "964ea5bf0ca108d46246a51c184d45a503c88bcb64a5127670d7ed312a46195a",
+        "9b8b075ad213cd944b2d201814155cf3d5d8d0ff55a28c553cd50529d12a5e80"),
+    "Z5-cx": (
+        "afdb30dfbf2399e91d68f25eef1a1d4217405278dec6bbd9fed4e1cfab81aa83",
+        "9b8b075ad213cd944b2d201814155cf3d5d8d0ff55a28c553cd50529d12a5e80"),
+    "GF4-cx-hadamard": (
+        "e308b62cb267d0e6ea94e1eda6188d466dd1f75aee0ce3463656c42c83c780f6",
+        "e37a028e6d34415e628ddfcfc9f79a8c490008496be264d30610a157d41e5cb3"),
+    "GF4-cx-transport": (
+        "b90abb36086c15179f990287f5acf3846473340120c117c08b62365fc3883815",
+        "4d1906e02e0ab51297ae085b4df95cef3d0bdd479f1ac4a13d40de72df91802e"),
+    "GF4-cz-hadamard": (
+        "f03e6cb62bbeaf22dd7fa20875436bc1202955b3d190553547adad96253ffd28",
+        "2741211f5b7e7b5bd92d02a2ccdde67dfc0277b37006ccd6910266c09a07c8e2"),
+    "GF4-cz-transport": (
+        "9dfa88a2de61f2cfd30464c9323c67858f6197968b55c8eceaa6b7bc95b37656",
+        "d27c380f22096a96a4cbbdd3ba576e927a5b65655e8e8cd525b29b9f9fa1f1a9"),
+    "GF4-light_shift-transport": (
+        "9dfa88a2de61f2cfd30464c9323c67858f6197968b55c8eceaa6b7bc95b37656",
+        "4d1906e02e0ab51297ae085b4df95cef3d0bdd479f1ac4a13d40de72df91802e"),
+    "Z2-cx-hadamard": (
+        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
+        "6cae4768c5604fdd3112f4d038f51c25583c173668035e6e8abd053faa78719c"),
+    "Z2-cx-transport": (
+        "074846a6935c3bdf758e2f45a032be1eab3ebc205faf07f5e9d8c3d54952750b",
+        "ed6927726d718952feeb8a8026368889dece49536fd4d84dbb39c212244bb9ff"),
+    "Z2-cz-hadamard": (
+        "ae4beae7d0fd8849f23cd2f2fdfd6b96646e5d84878619979db04aa8deffdec6",
+        "ad41a1ca7255f5723234ac16a0b219ed07cf9a47cae04fb1e7f500bbd6d1c6c2"),
+    "Z2-cz-transport": (
+        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
+        "459ffb0def0b79bc4c492db8f97882887f4471ed929bcf872456bf3e2094fe9b"),
+    "Z2-light_shift-hadamard": (
+        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
+        "6cae4768c5604fdd3112f4d038f51c25583c173668035e6e8abd053faa78719c"),
+    "Z2-light_shift-transport": (
+        "074846a6935c3bdf758e2f45a032be1eab3ebc205faf07f5e9d8c3d54952750b",
+        "ed6927726d718952feeb8a8026368889dece49536fd4d84dbb39c212244bb9ff"),
+    "Z3-cx-hadamard": (
+        "ea8667d9b3104bb164af2efe4e01764f278747fb04179d7250a255937633dd08",
+        "ae2ce4bc4257711f02d4bedefdfdfcd7a16504e380b2953a072a915ebcfcf292"),
+    "Z3-cx-transport": (
+        "ca33241cd5daec65c913c23c3891f1467647bc49a4e4ba5dbe2d5e416d398671",
+        "76b48b90ad5e221a49c334a872e591f093e20927272585b25fab45065a208b23"),
+    "Z3-cz-hadamard": (
+        "ba4c703099ed0f09f198f345ad255eb0e3459b0ccd40a4fce44c5ddd052b6721",
+        "5b9650d821e4d6dc0d883103aa375a933305d0746860fec34d59dedaa03f5122"),
+    "Z3-cz-transport": (
+        "ac75cb2c1436cbea3015ff005f34b6c2503d3fee7a553464d11676d7e9e74789",
+        "23b0f646c21924149625051c2fd027cdf7aef0a602144093d8d12e034d5902cd"),
+    "Z3-light_shift-hadamard": (
+        "76c6311833f08e359629d958e686c0714cbc3621ca2d060d42f9c3741d331718",
+        "5ce02b3b04da66dd25aab76df5b21e0a4eb296e9413db0fed27d2a2eabf03db0"),
+    "Z3-light_shift-transport": (
+        "ca33241cd5daec65c913c23c3891f1467647bc49a4e4ba5dbe2d5e416d398671",
+        "fc2ba8f9abbe7b482aed9774e88b925e664704ea1196575a47d1007ecae88f0b"),
+    "Z5-cx-hadamard": (
+        "041a91dede614779ad271b20e7afd5b533a4a0902d503a731aa1e96a746e3a25",
+        "d7d4bfd2ff4336adc4eee8a558845171813cf272cd62f99b3c461a39186f79d7"),
+    "Z5-cx-transport": (
+        "a806e03fa0a9a4280daacee594d9a10604aa6acd2277d90b0dcbf9355a845f5a",
+        "48b35811ba3888938e2615b2d1db054c946d59809a07c03b793f50236ddce8f8"),
+    "Z5-cz-hadamard": (
+        "75ecebf3d1156af7b235dd18a52c0324f195c47e829e31dd325fda0610adb85d",
+        "24987df4c368e03aef40d0415fd6dd37a1fc57f78f4f0a85c4a523b5f7b879f7"),
+    "Z5-cz-transport": (
+        "8762f8384418b889accb72593e8a0cab77ead0f8480fbe07652494aa6bb05c7f",
+        "be935e5cd8273c3d68eb8801008f7a94e001169b5c46fcb282fade47bb4723d7"),
+}
+
 
 def _run_pattern_file(tmp_path, family, source=RUN_PATTERNS):
     pattern = json.loads(source.read_text())[family]
@@ -1347,6 +1450,20 @@ def test_clifford_run_reports_match_golden_digests(tmp_path, capsys,
                                      "--trials", "100", "--seed", str(seed)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, seed
+
+
+@pytest.mark.parametrize("pattern", sorted(GOLDEN_RUN_OUTCOMES))
+def test_run_outcomes_match_golden_digests(tmp_path, capsys, pattern):
+    source = RUN_PATTERNS if pattern in GOLDEN_RUNS else CLIFFORD_PATTERNS
+    path = _run_pattern_file(tmp_path, pattern, source)
+    for seed, want in zip((7, 4294967290), GOLDEN_RUN_OUTCOMES[pattern]):
+        code, out = run_cli(capsys, ["run", "--pattern", path,
+                                     "--trials", "100", "--seed", str(seed)])
+        assert code == 0
+        results = json.loads(out)["results"]
+        blob = json.dumps([results[k] for k in
+                           ("outcome_counts", "frame", "history")])
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, seed
 
 
 def test_light_shift_is_analysed_once_per_process(tmp_path, capsys,
