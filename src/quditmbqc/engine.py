@@ -521,12 +521,15 @@ def _zx_stack(dim: DimSpec) -> np.ndarray:
 
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
-    """What run_trajectories reads, built once per call: per step (E^T, the
-    next vertex's init vector, adaptive, bases, (nxt, dph)), a frame (word
-    index a, phase) moving on outcome k to nxt[a, k], adding dph[a, k], and
-    (f_idx, f_ph), the final move through F.  bases[s] is the conjugated
-    basis at frame shift s, phases[u - s] (a Clifford step's one basis has
-    shape (1, d, d)).  NonUnitary for phases that are not all finite."""
+    """What run_trajectories reads, built once per call: per step (table,
+    rows, (nxt, dph)), a frame (word index a, phase) moving on outcome k
+    to nxt[a, k], adding dph[a, k], and (f_idx, f_ph), the final move
+    through F.  The edge gate is E = sum_a |a><a| (x) U_a, controlled by
+    the head, so the gate, the next vertex's state and the basis fold into
+    table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r], once per (gate, init);
+    rows[s] = e^{i phases[a - s]} is the phase row at frame shift s (a
+    Clifford step's rows are all its phases).  NonUnitary for phases that
+    are not all finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
@@ -536,25 +539,28 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
     g_idx, g_ph = pattern.intrinsic.certificate().frame_table()
     zk = sub[z] * d + x[:, None]
     nxt, dph = g_idx[zk], g_ph[zk]
-    H = hadamard(dim)
-    plan = []
+    Hc, tables, plan = hadamard(dim).conj(), {}, []
     for i, step in enumerate(pattern.steps):
-        E = unitary_gate_matrix(edges[i].gate)
-        # D_{-psi} H is unitary for every finite real psi, as H is
-        if not np.all(np.isfinite(step.phases)):
-            raise NonUnitary(f"basis 'step{i}' is not orthonormal")
-        fresh = _init_vector(dim, graph.vertex(order[i + 1]).init)
+        init = graph.vertex(order[i + 1]).init
+        key = (edges[i].gate, (init.dtype.str, init.tobytes())
+               if isinstance(init, np.ndarray) else init)
+        if key not in tables:
+            E = unitary_gate_matrix(edges[i].gate).reshape(d, d, d, d)
+            Uf = E[range(d), :, range(d)] @ _init_vector(dim, init)
+            tables[key] = (Hc[:, :, None] * Uf[:, None]).reshape(d, d * d)
         phases = np.asarray(step.phases, dtype=float)
+        # D_{-psi} H is unitary for every finite real psi, as H is
+        if not np.isfinite(phases).all():
+            raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         if step.adaptive:
-            bases = (np.exp(-1j * phases[sub.T])[:, :, None] * H).conj()
-            move = (nxt, dph)
+            rows, move = np.exp(1j * phases[sub.T]), (nxt, dph)
         else:
-            bases = (np.exp(-1j * phases)[None, :, None] * H).conj()
+            rows = np.broadcast_to(np.exp(1j * phases), (d, d))
             # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
             c, num = np.array(diagonal_images(dim, np.exp(1j * phases)))
             a = add[z, c[x]] * d + x
             move = (nxt[a], dph[a] + num[x][:, None])
-        plan.append((E.T, fresh, step.adaptive, bases, move))
+        plan.append((tables[key], rows, move))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
     # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
@@ -570,12 +576,12 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
 
     The input replaces the head vertex; each step entangles the current
     head with the next chain qudit and measures the head in the basis
-    {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  Adaptive steps
-    permute the nominal phases through the frame's X part, each row's
-    basis gathered by its frame shift; non-adaptive (Clifford) steps
-    conjugate the frame through the fixed diagonal.  All T trajectories
-    advance together as (T, d, d) arrays, in blocks of at most
-    sim.MAX_AMPS // d^2 rows.
+    {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  The step is folded
+    into one d x d^2 table, so all T trajectories advance together, in
+    blocks of at most sim.MAX_AMPS // d^2 rows, by one (T, d) @ (d, d^2)
+    product, O(d^3) per row, of their heads times their phase rows,
+    gathered by frame shift, the frame's X part (a Clifford step's phases
+    are fixed, its diagonal moving the frame).
 
     Trajectory t draws default_rng(seeds[t]).random(steps) (one
     sim.seed_uniforms pass for the block) and takes the outcome
@@ -583,8 +589,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     step, each checked by _forced) draw nothing, and one of the two must
     be given (DimensionMismatch).  Frames are word indices and exact
     phases, moved by _trajectory_plan's tables.  Row t's overlap <cur_t,
-    e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi>, its
-    ideal built once per frame index, is checked: FrameMismatch unless its
+    e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi> reads
+    its ideal off one per-word table W @ v, v the normalized ideal output,
+    gathered by frame index, and is checked: FrameMismatch unless its
     modulus, the returned fidelity, reaches 1 - VERIFY_TOL and its phase
     is row 0's, at VERIFY_TOL.  StateTooLarge is raised before any
     per-trajectory allocation when the T d posterior amplitudes, or the
@@ -627,10 +634,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         cur = np.broadcast_to(psi_in, (n, d))
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
-        for i, (ET, fresh, adaptive, bases, (nxt, dph)) in enumerate(plan):
-            two = (cur[:, :, None] * fresh).reshape(n, d * d) @ ET
-            basis = bases[at % d] if adaptive else bases
-            branch = np.swapaxes(basis, 1, 2) @ two.reshape(n, d, d)
+        for i, (table, phase_rows, (nxt, dph)) in enumerate(plan):
+            branch = ((cur * phase_rows[at % d]) @ table).reshape(n, d, d)
             k, cur, probabilities[rows, i] = sim.collapse(
                 branch, u[:, i],
                 None if forced_outcomes is None else forced[rows, i])
@@ -643,13 +648,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     F = pattern.frame
     v = (F.phase * W[F.z[0] * d + F.x[0]]).conj().T \
         @ pattern.dense_product() @ psi_in
-    # each frame index's ideal row, normed as np.linalg.norm norms one row
-    uniq, inv = np.unique(idx, return_inverse=True)
-    ideal = W[uniq] @ v
-    re, im = ideal.real[:, None], ideal.imag[:, None]
-    ideal /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-                     )[:, :, 0]
-    overlap = np.sum(post.conj() * ideal[inv], axis=1)
+    # each frame word's ideal row, read off one table
+    ideal = W @ (v / sim.vector_norm(v))
+    overlap = np.sum(post.conj() * ideal[idx], axis=1)
     fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")

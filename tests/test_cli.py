@@ -1223,33 +1223,33 @@ def test_json_integer_arrays_must_be_integers(tmp_path, capsys, family, path,
 # seed's entropy grows to two words.  The same inputs and seed must keep
 # printing the same bytes.
 GOLDEN_RUNS = {
-    "Z2-cz": ("d949a5564adc7a354bc3540d523612fd285fc5c930f3280853da4fc07c9162b5",
-              "b8148e2ceb9ca963bdc24b11aa5568edf07d9c67f35089c15941d21eac20b4d0"),
+    "Z2-cz": ("17297c73a6cc5275f30b64823913a5ee93443d00f7b610f7cf7ebe3bc0d568ea",
+              "0ab680a01a2470c1d1c25281fb7b3d0941412bf6286d1d1138b516342b6b574e"),
     "Z2-light_shift": (
-        "747d3aa0b40685432f91d978bdfb2665b2a2831804db2711c51556dcb7417bf2",
-        "ab580f08383676b8539910b01a780505a67728c3ef213e6befe23f70aee63e71"),
-    "Z2-cx": ("a47c4b143c6efe32e5fed4f3531ce616b6612036d95dbc331dd42eff0c01774d",
-              "db75d9f6db03a69d8109d6743732eaba6eb4748821605a6a957912cafa3be938"),
-    "Z3-cz": ("1868438268c8101708577683e643b9a7e34e627d1274880bc0e79ba5cc14cf79",
-              "4b276bff97b0f6759ac21ec7bea475b8f923d1641f54d56e3fdafda955f389c0"),
+        "96fb7cd43f6153216309410ba36619a7d61359dd1ebebf45f3d421db039c7a91",
+        "2cd740af90bbadd5a737ee8acd032aef20a112ca9b8d6984bb8ca2904783e877"),
+    "Z2-cx": ("2cd2a3ca8f9e93c9f16e08c0661cc2ce19943247c27a160a2435555065b9d8f8",
+              "7894ed78647e928a6ba9baea020eede23865e65c95d8519b6764fe5d6754f6de"),
+    "Z3-cz": ("43ba000f2e281f1dec865b6587821d09d7acf0521ebb833e6d7cd36ca266155f",
+              "bc28b4cef7c0a0f9def1f239c740ce974c1d87df0bbb0a72130e5ccbb970399f"),
     "Z3-light_shift": (
-        "890671dbf9bd8e39a1e216422d9d3051ced0fe581a58797ca1008ac323d503db",
-        "d9f60a902330af384f43901520d102bb3914d5195eeb436dc67313c8741a7828"),
-    "Z3-cx": ("4c0b2965c6f386ede10eff81590e317edc61b124d750c60c587b726949391540",
-              "dff6a1a42b6d95b3542967a9f97386fb79b3403e073caf1adec7fafa0be3947e"),
+        "80b16b8d789e028d2e112ad9ec77ae0ca327fde4c9dcc30e5cfe6a1e811aee56",
+        "76a29431366e77060ebf78793c9e5b5afab757f2f51e067d7236471186f639b6"),
+    "Z3-cx": ("9aaa9c2aebd4917acd5f6e24cd1287ccddaf4f73a07d3587083f174d7321f52d",
+              "403a100e2cd7ea6a57281775587a447e40d31d730cff5a4617045ac026d9811d"),
     "GF4-cz": (
-        "2f88d65da43406afb5540bc734216aad5d1fe95212dcc2279837c62c584da127",
-        "99e6b7b3d6bcbd21508728affdd02ac2d86a54903b10a385b46fbea621ec17ec"),
+        "ff85f19a978430668d2ba701c53c90215bf836686ae800bceeecc2b92bc4433e",
+        "48896ae822bc5da93cf550952ab5f2134c567319c7a721cba520b2c560474338"),
     "GF4-light_shift": (
-        "1cafce8d61a69a93657174c2c6ae7c9ea2311548b67aee6952d091fc02f275a6",
-        "b40b5fc36590e300b73cea590c53791c3ab9a5da6007a9f1c9ff3de915eddc5b"),
+        "71daa84ba5e3b70d4545406f0de14486dcb82ae3ffd9b681e4f380e2e5e2fde8",
+        "920b18cea301a3abb16b72b1ac0e2b0989ca85da669536f9700f11b2c8933008"),
     "GF4-cx": (
-        "38f61983921982c8912e60b6e7ce4d1a2b6ef452b40018d8e7f7373aaf4b25b5",
-        "d639146bf5ff81c46039217e8394ec913b9270055abf6ccc6d35bf888fa75ac4"),
-    "Z5-cz": ("4231016ffebe9f93b865dedb5eab749626ddac38117b38f7970805746d642607",
-              "ad652ee0c199fb84d98c416432ac259a445f23cc57768e07c543e431ec57ce83"),
-    "Z5-cx": ("604fa8678a4e278b8df47d622a18d68179b1a42068f8d24dfd212093f88df291",
-              "12d32bbdfa5b07d4b6da260d2dc1ac7c5430c6c17841d61256f86bad3a44fc42"),
+        "09d2dd2e7f3d9c1d4a4b292c98c0f9d765e64e40584501553d3ad1c7ceb6f82a",
+        "1fd7b8abe829c7a72e478e41d707fd6fe061a9e41d4a8f3f9bf4c97d49d68c8f"),
+    "Z5-cz": ("c6bcb9e78c79e4589f6296df1c3df2fb43fadc78d0899aa65363b1f16170e97a",
+              "99b3b6fc5fb3544bcd023fcce8308f3fcdba9211998bba76c306c839a3e50ab3"),
+    "Z5-cx": ("eacbb808e31fc14a40a08640280658bdeffcfed2c0e9c13b16d48d1e5dafd87f",
+              "92e81435ed8b02d08bdfbad3321b164152334702ccaeb3c1a2c6a29a601c4769"),
 }
 # the same digests for the non-adaptive patterns of each family
 # (tests/data/clifford_patterns.json): its transport pattern and
@@ -1258,8 +1258,8 @@ GOLDEN_RUNS = {
 # so it has a transport pattern only.
 GOLDEN_CLIFFORD_RUNS = {
     "GF4-cx-hadamard": (
-        "aa3f821c32ce014cef2baafb18e50fe56de2e336f2febcf3cb0f5ef8195cfa3c",
-        "603c39c18f484fc940b1aafb41359ad0f7f3d35eb038fe5c25382c75090c17e2"),
+        "708d4c5c3dea5e957ce439353786800567a9805f4d14151d9c161123c4a26312",
+        "05e1843c2f014f8ea65bc76d0a4d0279962c7d27e74278ea3cbb55364ff0fd52"),
     "GF4-cx-transport": (
         "3f2a8e53fb13fbda0970221ce4efbefc93f44295cc38cbd5fd48d676203aa7b4",
         "be515e539224129c9125ca0a61c432309fd503a33578a80d923d6f15e8196471"),
@@ -1291,35 +1291,35 @@ GOLDEN_CLIFFORD_RUNS = {
         "18658cca6c6c19ea33e6a6181af8acfcf1a1402f29c77c2c656329dfeb3cd7b9",
         "b6d85b9056229e2219359f0895bdbe730b25309a029a7cac4f720b2216ce0076"),
     "Z3-cx-hadamard": (
-        "07e449a548bbbf83eb1419394bd67c5fdc8fcebe5ca72278283b48de82c5998f",
-        "20a4ebdf68e322dc8f78a3e232a4168102cbe900d419cf68155b9fa2ee53bf22"),
+        "f1f53b26bb641cda41eb3e02e5dd95bf209d2f08af6266c228d93ef1fc02fa82",
+        "1569034155df8e6705f05bd60a08530fa3838965e81aea5746d1d204a0ef1e78"),
     "Z3-cx-transport": (
-        "d76b373250de4e1111cf9c36c9dbdf0c87de5ea21d7b82c8b40a62b783131161",
-        "d0455c5c320f60a8059f1cca6841136b4696e97927e12bfc8c884e4c4d3dd2e0"),
+        "a4a5041f21d38034f0c7e12ba8ff32ed1c9834faff734d29d8efee8c9a2cb30d",
+        "762e328bfd17a569aec1c568ec9364bb56572e0c4150a1739ae4eee0f659a27d"),
     "Z3-cz-hadamard": (
         "29feac8ce27d81a81dabb01a8571dd808229723238b41db7b519b701f38e0e79",
         "07b089f483e7e872bb8b396ca1b9cc8854bf1793ddfffd401a9ea0d824bcbf6c"),
     "Z3-cz-transport": (
-        "5289c3303d81a7c0410879561e6b9afb704b5b033a4ba819c9422eccb263f55e",
-        "587a98dcba0d6254d3c44ab6da772c3c22df6f4cf269b47c136f96e646d7c4f6"),
+        "8e9477a9175592db94fe4e33beed0e6b5253f5cf966d159c398e608789275c11",
+        "c1340f237a4223265642c8ac7a1cec007f4709178fa275f6fd87c59ad9d9580e"),
     "Z3-light_shift-hadamard": (
-        "e237ed6ba4f58cce68595ecf31a0ce9ef87fd3e9548fb81e7e96bf67206f00cb",
-        "d3e7ff817f6a38a40985b1e9f922c3266483801d24b9dd5487566ee2ab092642"),
+        "ffdd5a7e6915a1e9b79f4347d4f14dcda379828fcb4cddc8acebbe19096a165d",
+        "cc1134db3e24c3f8a86b573292706e7a6f816112302af9edf9e287c5a9dd33e4"),
     "Z3-light_shift-transport": (
-        "95a5bb9f8cd8a58bd475a25a472ff8f34577f4824061431627243452f744e7c5",
-        "91364689116525d90f75ae633294e3155178e7b701e1e3abd3d53ee58a6c1333"),
+        "49e68df5a5c3408c2b2e5f9f5bbc274df988435fcd99b735475f3f2b1626076d",
+        "fb29064c5ac27c5d0b884af908469ff8a34e6b49fff4d4b0c91f65468eea2a92"),
     "Z5-cx-hadamard": (
-        "cab5730abe64bc58c08ed834f1db1c9bf3cf5506a3743bf38523fff4d1ea1be5",
-        "71773cdaa40dcafa2d2a2e109b17844262e90afa19d58d00dbf077aede13ecaa"),
+        "af09340ce336ff3f737b6b0df5a184e8cf8b059f5c0e5c2a17e932701af675d4",
+        "dd7cba565cd7e27466fa36eac701a626e8572b22098b0572ed44f63cf2a03a0e"),
     "Z5-cx-transport": (
-        "7231e9be655584ba8a0ed9cfd858b435857411e43628fdc4b4c3042bd483c862",
-        "ddfa60a43075b642d56e19afc2f776e6d21c70dd368d5d063cf687a0cbe7ad93"),
+        "61beac5652d047c507b174949d7ed4f97cbf79310741f3d1a71ace7fe5944ff8",
+        "717bc8ee0e95f391ecfac5795195dbd6c106152a706ada7844cce019bb731104"),
     "Z5-cz-hadamard": (
         "d6bd8bb55e3b75356eb9808b90cf247699078ec0eece6d6fb53d966511ffe114",
         "ff18986f9958211d0fc7211dca23cc22cba6376827d8cad0c36dd50cf2b9ccb0"),
     "Z5-cz-transport": (
-        "5fca02be28acfd8c41d1f4a9daf874c87e0429083abfe07e5210300024cdfccd",
-        "ac1c4d9f1aeb92cd7cfc528b37eecbae569a811143b0494fb6306c00bf34172e"),
+        "f952db9502fae113f57806848a816264004cf9572418a8765315c0983368bb65",
+        "21e956eb8a5a0054149575a2b342aec4b7470718cfa3ae4728c3a7c43814817a"),
 }
 
 # SHA-256 of the JSON list [outcome_counts, frame, history] of the same

@@ -397,8 +397,9 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
     # for every word index and outcome, a step's composed move (nxt, dph)
     # is its diagonal's images (a Clifford step's), then Z^{-k}, then G_I's
     # frame table, and the final table is the product with the pattern's
-    # frame; the basis of each shift s is exp(-1j psi_s)[:, None] H, psi_s
-    # the phases shifted by s, conjugated
+    # frame; the folded step on e_a at frame shift s is basis_s^T times
+    # (e_a (x) fresh) E^T as d x d, basis_s = conj(exp(-1j psi_s)[:, None]
+    # H), psi_s the phases shifted by s (a Clifford step's are not)
     name, key = _PATTERN_FILES[case]
     pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
     dim, d = pat.dim, pat.dim.d
@@ -406,8 +407,11 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
     plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
     g_idx, g_ph = pat.intrinsic.certificate().frame_table()
     H = hadamard(dim)
-    for step, (_, _, adaptive, bases, (nxt, dph)) in zip(pat.steps, plan):
-        assert adaptive == step.adaptive
+    # every chain vertex starts in the gate's resource state
+    two_in = np.kron(np.eye(d), resource.resource_init(pat.gate))
+    E = gate_matrix(pat.gate)
+    for step, (table, rows, (nxt, dph)) in zip(pat.steps, plan):
+        adaptive = step.adaptive
         phases = np.asarray(step.phases, dtype=float)
         c, num = ([0] * d, [0] * d) if adaptive \
             else diagonal_images(dim, np.exp(1j * phases))
@@ -416,16 +420,45 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
             moved = dim.sub(dim.add(z, c[x]), k) * d + x
             assert (nxt[a, k], dph[a, k]) == (g_idx[moved],
                                               num[x] + g_ph[moved])
-        shifts = range(d) if adaptive else [0]
-        assert bases.shape == (len(shifts), d, d)
-        for s in shifts:
-            psi_s = phases[[dim.sub(u, s) for u in range(d)]]
-            assert np.array_equal(bases[s].conj(),
-                                  np.exp(-1j * psi_s)[:, None] * H)
+        for s, a in itertools.product(range(d), range(d)):
+            psi_s = phases[[dim.sub(u, s) if adaptive else u
+                            for u in range(d)]]
+            basis = (np.exp(-1j * psi_s)[:, None] * H).conj()
+            want = basis.T @ (two_in[a] @ E.T).reshape(d, d)
+            got = ((np.eye(d)[a] * rows[s]) @ table).reshape(d, d)
+            assert np.max(np.abs(got - want)) < 1e-12, (s, a)
     for a in range(d * d):
         want = normal_form(PauliWord(dim, 1, (a // d,), (a % d,)), pat.frame)
         assert f_idx[a] == want.z[0] * d + want.x[0]
         assert f_ph[a] % dim.phase_den == want.phase_num
+
+
+def test_step_tables_fold_each_vertex_init():
+    # a chain whose vertices start in different states folds one table per
+    # distinct (gate, init): equal inits, as arrays of any identity, share
+    # one; an int label, a complex vector and a phase vector each get their
+    # own, equal to the dense product with that vertex's state
+    pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
+                          intrinsic_of(cz_spec(D3)))
+    n = pat.step_count()    # five adaptive steps
+    phases = expand(cz_spec(D3)).init_phases
+    inits = [None, 1, phases, np.array([1, 1j, -1]) / np.sqrt(3), None,
+             phases.copy()]
+    g = ResourceGraph(D3, [Vertex(i, inits[i]) for i in range(n + 1)],
+                      chain_graph(D3, cz_spec(D3), n + 1).edges)
+    plan, _ = engine._trajectory_plan(g, pat)
+    E, H = gate_matrix(cz_spec(D3)), hadamard(D3)
+    for i, (step, (table, rows, _)) in enumerate(zip(pat.steps, plan)):
+        fresh = engine._init_vector(D3, inits[i + 1])
+        basis = (np.exp(-1j * np.asarray(step.phases))[:, None] * H).conj()
+        for a in range(3):
+            two = np.kron(np.eye(3)[a], fresh) @ E.T
+            want = basis.T @ two.reshape(3, 3)
+            got = ((np.eye(3)[a] * rows[0]) @ table).reshape(3, 3)
+            assert np.max(np.abs(got - want)) < 1e-12, (i, a)
+    tables = [id(table) for table, _, _ in plan]
+    assert tables[1] == tables[4]
+    assert len(set(tables[:4])) == 4
 
 
 def test_batched_blocks_equal_one_block(monkeypatch):
