@@ -277,7 +277,6 @@ def cmd_run(args) -> int:
     trials, seed = args.trials, args.seed or 0
     runs = run_trajectories(graph, pattern, psi, range(seed, seed + trials))
     last = runs.frame(trials - 1)
-    probs = runs.probabilities
     results = {
         "trials": trials,
         "min_fidelity": float(runs.fidelities.min()),
@@ -286,8 +285,8 @@ def cmd_run(args) -> int:
         "history": [[int(a), int(b)] for a, b in last.history],
         "outcome_counts": [[int(c) for c in np.bincount(col, minlength=dim.d)]
                            for col in runs.outcomes.T],
-        "outcome_prob_range": [[float(lo), float(hi)] for lo, hi in
-                               zip(probs.min(axis=0), probs.max(axis=0))],
+        # every outcome of every step weighs 1/d (run_trajectories checks)
+        "outcome_prob_range": [[1 / dim.d] * 2] * len(pattern.steps),
     }
     if args.dump_state:
         results["state"] = state_to_json(

@@ -8,20 +8,21 @@ facts derived from a graph (its id index, its adjacency lists, its
 vertex tables, its chain and couple_input's chain tensor and frame
 words) are kept on it and cannot go stale.
 
-Every protocol call is one contraction of its input with a branch table
-and one draw by sim.collapse's rule: a trajectory step's, whose outcome
-probabilities depend on the state, by sim.collapse, for a batch of any
-size; every other by _draw, one bisection per outcome of a kept CDF
-(sim.kept_cdf): a rewrite's star rule's, or a uniform one per outcome
-count for the mediator, the coupling and the edge, whose branch tables
-are checked once, for every input at once, to give each outcome
-probability 1/d (1/d^2 for the coupling).  Its posterior is verified
-against the predicted action on every call: as a vector, or, for graph
-rewriting, by exact equality of graph-form stabilizer rows.  Pauli
-frames move by index arithmetic, read from tables built once: through a
-diagonal by its images (clifford.diagonal_images; the engine certifies
-nothing), through G_I by its certificate's frame table, a trajectory step
-by both composed per call; the mediator's d frame words are kept on its spec.
+Every protocol call and trajectory step is one contraction of its input
+with a branch table and one draw by one rule: bisect_right on a kept CDF
+(sim.kept_cdf), a rewrite's star rule's, or the uniform one kept per
+outcome count (_uniform_cdf) for a trajectory step, the mediator, the
+coupling and the edge, whose branch tables are checked once, for every
+input at once, to give each outcome probability 1/d (1/d^2 for the
+coupling).  _draw draws one call's outcomes, and a trajectory step a
+whole batch's by np.searchsorted on the same CDF.  Its posterior is
+verified against the predicted action on every call: as a vector, or,
+for graph rewriting, by exact equality of graph-form stabilizer rows.
+Pauli frames move by index arithmetic, read from tables built once:
+through a diagonal by its images (clifford.diagonal_images; the engine
+certifies nothing), through G_I by its certificate's frame table, a
+trajectory step by both composed per call; the mediator's d frame words
+are kept on its spec.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -334,10 +335,10 @@ def _forced(forced, count: int, size: int) -> List[int]:
 
 def _draw(probs: list, cdf: list, rng, forced: Optional[Sequence[int]],
           count: int = 1) -> List[int]:
-    """The count outcomes sim.collapse draws from rows with these kept
-    outcome probabilities and CDF (sim.kept_cdf), off rng's next count
-    random() values, one bisection each, or the count forced outcomes
-    (checked by _forced and sim.check_forced)."""
+    """count outcomes of rows with these kept outcome probabilities and
+    CDF (sim.kept_cdf): one bisect_right of the CDF for each of rng's next
+    count random() values, the inverse-CDF rule of Generator.choice, or
+    the count forced outcomes (checked by _forced and sim.check_forced)."""
     if forced is None:
         return [bisect.bisect_right(cdf, u)
                 for u in np.random.default_rng(rng).random(count).tolist()]
@@ -350,8 +351,8 @@ def _draw(probs: list, cdf: list, rng, forced: Optional[Sequence[int]],
 def _branch_posterior(B: np.ndarray, k: int, predicted: np.ndarray,
                       what: str) -> np.ndarray:
     """Row k of the branch B (D, R), drawn off the uniform CDF, normalized;
-    FrameMismatch unless its weight, from the whole branch's reduction as
-    sim.collapse reduces it, is 1/D and it is predicted up to phase."""
+    FrameMismatch unless its weight, read off the whole branch's
+    reduction, is 1/D and it is predicted up to phase."""
     w = np.add.reduce(np.square(np.abs(B)), axis=1)[k]
     if not (abs(w * len(B) - 1) <= VERIFY_TOL):
         raise FrameMismatch(f"{what} weight {w:.12e} is not 1/{len(B)}")
@@ -496,8 +497,7 @@ class Trajectories:
     posteriors: np.ndarray           # (T, d) final head states
     frame_index: np.ndarray          # (T,)
     frame_phase: np.ndarray          # (T,)
-    outcomes: np.ndarray             # (T, steps)
-    probabilities: np.ndarray        # (T, steps) of the drawn outcomes
+    outcomes: np.ndarray             # (T, steps), each of weight 1/d
     fidelities: np.ndarray           # (T,) verified fidelities
 
     def frame(self, t: int) -> PauliFrame:
@@ -528,8 +528,12 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
     the head, so the gate, the next vertex's state and the basis fold into
     table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r], once per (gate, init);
     rows[s] = e^{i phases[a - s]} is the phase row at frame shift s (a
-    Clifford step's rows are all its phases).  NonUnitary for phases that
-    are not all finite."""
+    Clifford step's rows are all its phases).  Each table is checked once
+    to give every outcome weight 1/d for every input: the images U_a
+    |fresh> must be orthonormal, at VERIFY_TOL, else FrameMismatch
+    naming the first step that reads it (a Z-basis label on a diagonal
+    edge's vertex fails).  NonUnitary for phases that are not all
+    finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
@@ -547,6 +551,13 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
         if key not in tables:
             E = unitary_gate_matrix(edges[i].gate).reshape(d, d, d, d)
             Uf = E[range(d), :, range(d)] @ _init_vector(dim, init)
+            # outcome k's map T_k = conj(H)[:, k] Uf^T has T_k^dag T_k = I/d,
+            # so weight 1/d on every input, iff the rows U_a fresh are
+            # orthonormal
+            deviation = np.abs(Uf.conj() @ Uf.T - np.eye(d)).max()
+            if not (deviation <= VERIFY_TOL):
+                raise FrameMismatch(f"step {i} outcome weights times {d} "
+                                    f"deviate from 1 by {deviation:.3e}")
             tables[key] = (Hc[:, :, None] * Uf[:, None]).reshape(d, d * d)
         phases = np.asarray(step.phases, dtype=float)
         # D_{-psi} H is unitary for every finite real psi, as H is
@@ -583,12 +594,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     gathered by frame shift, the frame's X part (a Clifford step's phases
     are fixed, its diagonal moving the frame).
 
-    Trajectory t draws default_rng(seeds[t]).random(steps) (one
-    sim.seed_uniforms pass for the block) and takes the outcome
-    Generator.choice would; forced_outcomes (T rows of one outcome per
-    step, each checked by _forced) draw nothing, and one of the two must
-    be given (DimensionMismatch).  Frames are word indices and exact
-    phases, moved by _trajectory_plan's tables.  Row t's overlap <cur_t,
+    Every outcome of every step weighs 1/d for every input, as
+    _trajectory_plan checks once per table before any uniform is drawn or
+    forced outcome read.  So trajectory t draws
+    default_rng(seeds[t]).random(steps) (one sim.seed_uniforms pass for
+    the block) and takes each step's outcome off the uniform CDF kept per
+    d (_uniform_cdf) by np.searchsorted, _draw's bisect_right rule;
+    forced_outcomes (T rows of one outcome per step, each checked by
+    _forced) draw nothing, and one of the two must be given
+    (DimensionMismatch).  The posterior is the drawn branch times
+    sqrt(d).  Frames are word indices and exact phases, moved by
+    _trajectory_plan's tables.  Row t's overlap <cur_t,
     e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi> reads
     its ideal off one per-word table W @ v, v the normalized ideal output,
     gathered by frame index, and is checked: FrameMismatch unless its
@@ -611,36 +627,35 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     if T * d > sim.MAX_AMPS:
         raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
                             f"the budget")
-    if forced_outcomes is not None:
-        forced = np.array([_forced(row, S, d) for row in forced_outcomes],
-                          dtype=np.intp).reshape(T, S)
-    else:
-        seeds = list(seeds)
     W = _zx_stack(dim)
     plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
+    if forced_outcomes is not None:
+        outcomes = np.array([_forced(row, S, d) for row in forced_outcomes],
+                            dtype=np.intp).reshape(T, S)
+    else:
+        seeds = list(seeds)
+        outcomes = np.empty((T, S), dtype=np.intp)
     psi_in = sim.unit_vector(psi, d, "input state")
+    cdf = np.array(_uniform_cdf(d)[1])
     post = np.empty((T, d), dtype=complex)
     idx = np.zeros(T, dtype=np.intp)
     phase = np.zeros(T, dtype=np.int64)
-    outcomes = np.zeros((T, S), dtype=np.intp)
-    probabilities = np.zeros((T, S))
     block = max(1, sim.MAX_AMPS // (d * d))
     for lo in range(0, T, block):
         rows = slice(lo, min(lo + block, T))
         n = rows.stop - lo
-        # collapse reads no uniforms for forced outcomes
-        u = sim.seed_uniforms(seeds[rows], S) if forced_outcomes is None \
-            else np.zeros((n, S))
+        if forced_outcomes is None:
+            outcomes[rows] = np.searchsorted(
+                cdf, sim.seed_uniforms(seeds[rows], S), side="right")
         cur = np.broadcast_to(psi_in, (n, d))
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
+        picks = np.arange(n)
         for i, (table, phase_rows, (nxt, dph)) in enumerate(plan):
+            k = outcomes[rows, i]
             branch = ((cur * phase_rows[at % d]) @ table).reshape(n, d, d)
-            k, cur, probabilities[rows, i] = sim.collapse(
-                branch, u[:, i],
-                None if forced_outcomes is None else forced[rows, i])
+            cur = branch[picks, k] * math.sqrt(d)
             at, ph = nxt[at, k], ph + dph[at, k]
-            outcomes[rows, i] = k
         post[rows] = cur
         idx[rows] = f_idx[at]
         phase[rows] = ph + f_ph[at]
@@ -661,7 +676,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     if not np.all(turn <= VERIFY_TOL):
         raise FrameMismatch(f"trajectory frame phase is {turn.max():.3e} "
                             f"off row 0's")
-    return Trajectories(dim, post, idx, phase, outcomes, probabilities, fids)
+    return Trajectories(dim, post, idx, phase, outcomes, fids)
 
 
 # --- input coupling -------------------------------------------------------
@@ -843,8 +858,9 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _uniform_cdf(D: int) -> Tuple[list, list]:
-    """(probs, cdf) that sim.collapse reads off a row of D equal weights,
-    kept per D for the protocols' draws (D = d, or d^2 for the coupling)."""
+    """sim.kept_cdf of a row of D equal weights, kept per D for every draw
+    whose outcomes each weigh 1/D for every input: a trajectory step's,
+    the mediator's and the edge's (D = d) and the coupling's (D = d^2)."""
     return sim.kept_cdf(np.ones((D, 1)))
 
 
@@ -862,8 +878,8 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     once per dimension by _check_edge_branches), so every outcome has
     probability 1/d^4 for every input: the four outcomes are drawn on
     uniform marginals from rng's next four random() values, as four
-    sequential X measurements would draw them by sim.collapse's rule, off
-    one CDF kept per d (_draw), or forced_outcomes are taken (four,
+    sequential X measurements would draw them, off one CDF kept per d
+    (_draw), or forced_outcomes are taken (four,
     checked by _forced and against the kept probabilities).  One
     contraction of the d^6 CZ network with psi and the four X-basis
     vectors gives the branch; its norm is checked to be 1/d^2 and its
@@ -986,11 +1002,11 @@ class _StarRule:
     images) and summed weight N_u, B (checked unitary) and amps, outcome
     k's amplitude sqrt(<b_k|rho|b_k>) for b_k = B[:, k] and rho v's
     reduced state on the rows, with the outcome probabilities and inverse
-    CDF that sim.collapse reads off amps (probs, cdf; sim.kept_cdf), and, per
-    outcome drawn, each slot's correction and the new pair weights
-    (outcome).  Its signature: shear, v's first unit edge weight for local
-    complementation (1 when no weight is a unit; None for deletion), and
-    per sorted neighbour its edges' (gate, v is control), in order."""
+    CDF of amps (probs, cdf; sim.kept_cdf), and, per outcome drawn, each
+    slot's correction and the new pair weights (outcome).  Its signature:
+    shear, v's first unit edge weight for local complementation (1 when no
+    weight is a unit; None for deletion), and per sorted neighbour its
+    edges' (gate, v is control), in order."""
 
     def __init__(self, spec: EntanglingGateSpec, shear: Optional[int],
                  slots: tuple):

@@ -1,9 +1,11 @@
-"""State vectors, the outcome draw and its kept CDF, seeded uniforms and
-Schmidt probes.
+"""State vectors, the kept outcome CDF that every draw bisects, seeded
+uniforms and Schmidt probes.
 
 Site 0 is the most significant tensor digit, so |jk> has j at site 0.
-Dense gate application and measurement live in the test suite's oracle
-(tests/dense_oracle.py), which every protocol is cross-checked against.
+Dense gate application, measurement and the draw whose outcome
+probabilities depend on the state (collapse) live in the test suite's
+oracle (tests/dense_oracle.py), which every protocol is cross-checked
+against.
 """
 
 from __future__ import annotations
@@ -165,47 +167,12 @@ def require_unitary(M: np.ndarray, message: str):
         raise NonUnitary(message)
 
 
-def collapse(branch: np.ndarray, uniforms, forced=None
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One outcome per row t of branch amplitudes (n, D, R), in a batch of
-    any size: the draw whose outcome probabilities depend on the state.
-
-    Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
-    the normalized branch[t, k].  Row t takes forced[t] when forced
-    outcomes are given (each checked for range and nonzero probability),
-    else the inverse-CDF outcome of uniforms[t] in [0, 1): the rule of
-    Generator.choice, so a generator's random() draws give the outcomes
-    its choice() would.  Returns (outcomes, posteriors, probabilities of
-    the outcomes).  A row whose total weight is not finite and positive
-    raises DimensionMismatch.  It reduces by ufunc methods, the array
-    methods' arithmetic bit for bit without their Python wrappers.
-    """
-    weight = np.add.reduce(np.square(np.abs(branch)), axis=2)
-    total = np.add.reduce(weight, axis=1, keepdims=True)
-    if not (np.minimum.reduce(total, axis=None) > 0
-            and math.isfinite(np.maximum.reduce(total, axis=None))):
-        raise DimensionMismatch("state has NaN/infinite amplitudes or norm 0")
-    probs = weight / total
-    rows = np.arange(len(branch))
-    if forced is None:
-        cdf = np.add.accumulate(
-            probs / np.add.reduce(probs, axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
-        k = np.add.reduce(cdf <= np.asarray(uniforms)[:, None], axis=1)
-    else:
-        k = np.asarray(forced, dtype=np.intp)
-        if k.min() < 0 or k.max() >= branch.shape[1]:
-            raise SiteOutOfRange("forced outcome out of range")
-        t = probs[rows, k].argmin()
-        check_forced(probs[t], k[t])
-    post = branch[rows, k] / np.sqrt(weight[rows, k])[:, None]
-    return k, post, probs[rows, k]
-
-
 def kept_cdf(branch: np.ndarray) -> Tuple[list, list]:
-    """collapse's (probs, cdf) of one row of branch amplitudes (D, R), as
-    lists to keep where they do not depend on the state: a uniform u draws
-    outcome bisect_right(cdf, u).  Raises as collapse does."""
+    """(probs, cdf) of one row of branch amplitudes (D, R), as lists to keep
+    where they do not depend on the state: a uniform u in [0, 1) draws
+    outcome bisect_right(cdf, u), the inverse-CDF rule of Generator.choice.
+    DimensionMismatch unless the row's total weight is finite and
+    positive."""
     weight = np.add.reduce(np.square(np.abs(branch)), axis=1)
     total = np.add.reduce(weight)
     if not (total > 0 and math.isfinite(total)):

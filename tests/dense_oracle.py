@@ -52,8 +52,18 @@ def _row_totals(weight: np.ndarray) -> np.ndarray:
 
 def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sim.collapse as first written, through np.sum, np.cumsum and
-    _row_totals: the formula the library's draw must equal bit for bit."""
+    """One outcome per row t of branch amplitudes (n, D, R): the draw
+    whose outcome probabilities depend on the state, which every kept-CDF
+    draw of the library (sim.kept_cdf, engine._draw, a trajectory step)
+    is checked against.
+
+    Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
+    the normalized branch[t, k].  Row t takes forced[t] when forced
+    outcomes are given (each checked for range and nonzero probability),
+    else the inverse-CDF outcome of uniforms[t] in [0, 1), the rule of
+    Generator.choice.  Returns (outcomes, posteriors, probabilities of the
+    outcomes); a row whose total weight is not finite and positive raises
+    DimensionMismatch (_row_totals)."""
     weight = np.sum(np.abs(branch) ** 2, axis=2)
     probs = weight / _row_totals(weight)
     rows = np.arange(len(branch))
@@ -172,7 +182,7 @@ def measure(state: StateVector, basis: MeasurementBasis,
     """Measure sites in the basis; returns (outcome, posterior, probability).
 
     The measured sites are removed from the posterior; remaining sites keep
-    their relative order.  The outcome is drawn by sim.collapse from one
+    their relative order.  The outcome is drawn by collapse from one
     random() of rng (a seed or a Generator), or forced.
     """
     if isinstance(sites, int):
@@ -187,10 +197,10 @@ def measure(state: StateVector, basis: MeasurementBasis,
     T = np.moveaxis(T, sites, range(k)).reshape(d ** k, -1)
     branch = basis.vectors.conj().T @ T      # outcome -> residual amplitudes
     if forced_outcome is None:
-        k, post, p = sim.collapse(branch[None],
-                                  np.random.default_rng(rng).random(1))
+        k, post, p = collapse(branch[None],
+                              np.random.default_rng(rng).random(1))
     else:
-        k, post, p = sim.collapse(branch[None], None, [forced_outcome])
+        k, post, p = collapse(branch[None], None, [forced_outcome])
     return (int(k[0]), StateVector(state.dim, state.n - len(sites), post[0]),
             float(p[0]))
 

@@ -423,8 +423,8 @@ def test_run_reports_outcome_statistics(tmp_path, capsys):
     counts, ranges = res["outcome_counts"], res["outcome_prob_range"]
     assert len(counts) == len(ranges) == len(res["history"]) == 4
     assert all(len(c) == 3 and sum(c) == 30 for c in counts)
-    # cz chains draw every outcome with probability 1/3
-    assert np.allclose(ranges, 1 / 3, atol=1e-12)
+    # every outcome of every step has probability exactly 1/3
+    assert ranges == [[1 / 3, 1 / 3]] * 4
 
 
 def test_run_rejects_trials_below_one(tmp_path, capsys):
@@ -764,6 +764,20 @@ def test_run_refuses_a_graph_that_is_not_a_chain(tmp_path, capsys, vertices,
     code = cli.main(["run", "--pattern", pattern, "--graph", path])
     assert (code, capsys.readouterr().err) \
         == (cli.EXIT_PARSE, f"error: {error}\n")
+
+
+def test_run_refuses_a_chain_with_a_label_init(tmp_path, capsys):
+    # a Z-basis label on a cz chain's vertex makes the step's outcome
+    # weights depend on the input: refused before any draw, as a frame
+    # error naming them
+    pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
+    graph = graph_to_json(chain_graph(D3, cz_spec(D3), 5))
+    graph["vertices"][2]["init"] = 1
+    path = write_json(tmp_path / "graph.json", graph)
+    code = cli.main(["run", "--pattern", pattern, "--graph", path])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FRAME
+    assert "step 1 outcome weights times 3 deviate from 1" in err, err
 
 
 def _malformed_graphs():

@@ -21,7 +21,6 @@ from quditmbqc.errors import (
     SiteOutOfRange,
     StateTooLarge,
     UnsupportedFormalism,
-    ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.clifford import certify, diagonal_images
@@ -373,9 +372,8 @@ _PATTERN_FILES = {f"{name}:{key}": (name, key)
 @pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
 def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
     # the outcomes a seeded run drew, forced, give that run back bit for
-    # bit: outcomes, frames and their phases, probabilities, posteriors
-    # and fidelities; and two forced calls give the same result.  One
-    # trajectory draws through sim.collapse as a batch of one row
+    # bit: outcomes, frames and their phases, posteriors and fidelities;
+    # and two forced calls give the same result
     name, key = _PATTERN_FILES[case]
     pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
     g = chain_graph(pat.dim, pat.gate, pat.step_count() + 1)
@@ -386,10 +384,40 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
             for _ in range(2)]
     for run in runs:
         for field in ("outcomes", "frame_index", "frame_phase",
-                      "probabilities", "posteriors", "fidelities"):
+                      "posteriors", "fidelities"):
             got, want = getattr(run, field), getattr(seeded, field)
             assert (got.dtype, got.shape, got.tobytes()) \
                 == (want.dtype, want.shape, want.tobytes()), field
+
+
+# seeds on both sides of 2^32, where a seed's entropy grows to two words
+_ORACLE_SEEDS = [*range(150), *range(2 ** 32 - 75, 2 ** 32 + 75)]
+
+
+@pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
+def test_trajectory_draws_equal_the_oracle_collapse(case):
+    # every outcome weighs 1/d, so the kernel's draw off the kept uniform
+    # CDF gives the outcome the oracle's collapse draws from each step's
+    # whole branch on the same uniforms, and the posterior to 1e-12
+    name, key = _PATTERN_FILES[case]
+    pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
+    dim, d = pat.dim, pat.dim.d
+    g = chain_graph(dim, pat.gate, pat.step_count() + 1)
+    psi = random_state(d, np.random.default_rng(list(case.encode())))
+    runs = run_trajectories(g, pat, psi, _ORACLE_SEEDS)
+    plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
+    u = sim.seed_uniforms(_ORACLE_SEEDS, len(plan))
+    T = len(_ORACLE_SEEDS)
+    cur = np.broadcast_to(sim.unit_vector(psi, d, "psi"), (T, d))
+    at, ph = np.zeros(T, dtype=np.intp), np.zeros(T, dtype=np.int64)
+    for i, (table, rows, (nxt, dph)) in enumerate(plan):
+        branch = ((cur * rows[at % d]) @ table).reshape(T, d, d)
+        k, cur, _ = dense_oracle.collapse(branch, u[:, i])
+        assert np.array_equal(runs.outcomes[:, i], k), i
+        at, ph = nxt[at, k], ph + dph[at, k]
+    assert np.max(np.abs(runs.posteriors - cur)) < 1e-12
+    assert np.array_equal(runs.frame_index, f_idx[at])
+    assert np.array_equal(runs.frame_phase, (ph + f_ph[at]) % dim.phase_den)
 
 
 @pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
@@ -436,14 +464,14 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
 def test_step_tables_fold_each_vertex_init():
     # a chain whose vertices start in different states folds one table per
     # distinct (gate, init): equal inits, as arrays of any identity, share
-    # one; an int label, a complex vector and a phase vector each get their
-    # own, equal to the dense product with that vertex's state
+    # one; other phase vectors, real or complex, each get their own, equal
+    # to the dense product with that vertex's state
     pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
                           intrinsic_of(cz_spec(D3)))
     n = pat.step_count()    # five adaptive steps
     phases = expand(cz_spec(D3)).init_phases
-    inits = [None, 1, phases, np.array([1, 1j, -1]) / np.sqrt(3), None,
-             phases.copy()]
+    inits = [None, np.array([0.3, 1.1, -0.4]), phases,
+             np.array([1, 1j, -1]) / np.sqrt(3), None, phases.copy()]
     g = ResourceGraph(D3, [Vertex(i, inits[i]) for i in range(n + 1)],
                       chain_graph(D3, cz_spec(D3), n + 1).edges)
     plan, _ = engine._trajectory_plan(g, pat)
@@ -473,11 +501,11 @@ def test_batched_blocks_equal_one_block(monkeypatch):
     assert np.max(np.abs(split.fidelities - whole.fidelities)) < 1e-12
     for name in ("frame_index", "frame_phase", "outcomes"):
         assert np.array_equal(getattr(split, name), getattr(whole, name))
-    assert np.max(np.abs(split.probabilities - whole.probabilities)) < 1e-12
 
 
 def _identity_edge_chain(dim, length):
-    # an edge gate that entangles nothing, so outcomes can be impossible
+    # an edge gate that entangles nothing, so outcome weights depend on the
+    # input
     flat = EntanglingGateSpec(dim, "diagonal", theta=np.zeros((dim.d, dim.d)),
                               init_phases=np.zeros(dim.d))
     return chain_graph(dim, flat, length)
@@ -487,15 +515,34 @@ def test_run_checks_still_raise():
     pat = transport_pattern(intrinsic_of(cz_spec(D3)))
     n = pat.step_count()
     plus = xplus_state(D3)
-    # step 0 measures |+> in {H|k>}: outcome 1 has probability 0
-    g = _identity_edge_chain(D3, n + 1)
-    with pytest.raises(ZeroProbabilityForced):
-        run_trajectories(g, pat, plus, None,
-                         forced_outcomes=[[1] + [0] * (n - 1)])
-    with pytest.raises(ZeroProbabilityForced):
-        run_trajectories(g, pat, plus, None,
-                         forced_outcomes=[[0] * n, [1] + [0] * (n - 1)])
     g = chain_graph(D3, cz_spec(D3), n + 1)
+    # a chain whose outcome weights depend on the input is refused before
+    # any uniform is drawn or forced outcome read: the identity edge (step
+    # 0 measures |+> in {H|k>}, where outcome 1 has probability 0), a
+    # Z-basis label and a raw state that is not a phase vector
+    refused = [(_identity_edge_chain(D3, n + 1), 0),
+               (with_init(g, 2, 1), 1),
+               (with_init(g, 3, np.array([1, 1j, 0]) / np.sqrt(2)), 2)]
+    for bad, step in refused:
+        for seeds, forced in [(range(3), None),
+                              (None, [[1] + [0] * (n - 1)]),
+                              (None, [[0] * n, [1] + [0] * (n - 1)]),
+                              (None, [[3] * n])]:
+            with pytest.raises(FrameMismatch,
+                               match=f"step {step} outcome weights times 3"):
+                run_trajectories(bad, pat, plus, seeds,
+                                 forced_outcomes=forced)
+    # phase inits other than the gate's own pass the table check and reach
+    # the final one, on diagonal edges
+    for spec in (cz_spec(D3), light_shift_spec(D3)):
+        chain = chain_graph(D3, spec, n + 1)
+        for vid in range(1, n + 1):
+            other = with_init(chain, vid, 2 * np.pi * np.arange(3) / 3)
+            engine._trajectory_plan(other, pat)
+            try:
+                run_trajectories(other, pat, plus, range(3))
+            except FrameMismatch as exc:
+                assert "outcome weights" not in str(exc)
     with pytest.raises(SiteOutOfRange):
         run_trajectories(g, pat, plus, None, forced_outcomes=[[3] * n])
     with pytest.raises(DimensionMismatch):
@@ -652,13 +699,14 @@ class _Uniforms:
 def test_entangle_via_edge_draws_are_collapse_draws(d, monkeypatch):
     # the edge's four outcomes come off one uniform CDF kept per d: a
     # uniform at and on both sides of each of its entries gives the outcome
-    # sim.collapse draws from a row of d equal weights, and the kept
-    # probabilities are collapse's.  For d <= 3 each uniform also goes
+    # the oracle's collapse draws from a row of d equal weights, and the
+    # kept probabilities are collapse's.  For d <= 3 each uniform also goes
     # through entangle_via_edge, in each of the four draws
     probs, cdf = engine._uniform_cdf(d)
     rows = np.ones((4, d, 1))
     assert probs == [1 / d] * d
-    assert sim.collapse(rows, None, [d - 1] * 4)[2].tolist() == [1 / d] * 4
+    assert dense_oracle.collapse(rows, None, [d - 1] * 4)[2].tolist() \
+        == [1 / d] * 4
     uniforms = [u for c in cdf for u in (np.nextafter(c, -np.inf), c,
                                          np.nextafter(c, np.inf))
                 if 0 <= u < 1]
@@ -669,7 +717,7 @@ def test_entangle_via_edge_draws_are_collapse_draws(d, monkeypatch):
     dim = make_dim(INTEGER_RING, d=d)
     psi = random_state(d * d, np.random.default_rng(d))
     for u in uniforms:
-        want = sim.collapse(rows, np.full(4, u))[0].tolist()
+        want = dense_oracle.collapse(rows, np.full(4, u))[0].tolist()
         assert [bisect.bisect_right(cdf, float(u))] * 4 == want
         if d <= 3:
             for i in range(4):
@@ -677,7 +725,8 @@ def test_entangle_via_edge_draws_are_collapse_draws(d, monkeypatch):
                 us[i] = float(u)
                 ks = [k for _, k in entangle_via_edge(
                     dim, psi, rng=_Uniforms(us))[1].history]
-                assert ks == sim.collapse(rows, np.array(us))[0].tolist()
+                assert ks == dense_oracle.collapse(
+                    rows, np.array(us))[0].tolist()
 
 
 def _edge_frame_reference(dim):
@@ -1093,8 +1142,8 @@ def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
                                                                 protocol):
     # every outcome of the mediator (of the coupling) has probability 1/d
     # (1/d^2), so the draw off the kept uniform CDF gives the outcome that
-    # sim.collapse draws from the whole branch, W * psi (the chain's Bell
-    # branches), and the same posterior bytes
+    # the oracle's collapse draws from the whole branch, W * psi (the
+    # chain's Bell branches), and the same posterior bytes
     dim = make_dim(INTEGER_RING, d=d)
     spec = spec_of(dim)
     if protocol == "couple":
@@ -1120,8 +1169,8 @@ def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
     for seed, forced in [(s, None) for s in range(200)] \
             + [(None, k) for k in range(len(branch))]:
         u = None if seed is None else np.random.default_rng(seed).random(1)
-        k, post, _ = sim.collapse(branch[None], u,
-                                  None if forced is None else [forced])
+        k, post, _ = dense_oracle.collapse(
+            branch[None], u, None if forced is None else [forced])
         got, amps = call(seed, forced)
         assert got == k[0]
         assert amps.tobytes() == post[0].tobytes()
@@ -1425,18 +1474,14 @@ def test_nan_state_is_rejected(name):
 
 @pytest.mark.parametrize("name", sorted(_nan_entry_points()))
 def test_nan_state_fails_dense_verification(name, monkeypatch):
-    # with the input checks bypassed (the trajectories' weight check too,
-    # by drawing through the oracle's collapse without its _row_totals
-    # test), the NaN reaches the posterior verification, whose weight or
-    # fidelity comparison must fail rather than pass; rewriting verifies
-    # on the tableau, so there the phase-vector check must reject the NaN
-    # init
+    # with the input checks bypassed, the NaN reaches the posterior
+    # verification, whose weight or fidelity comparison must fail rather
+    # than pass (a trajectory step's draw reads no state, so the NaN
+    # reaches its final check); rewriting verifies on the tableau, so there
+    # the phase-vector check must reject the NaN init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
                         lambda v, size, what: np.reshape(v, size))
-    monkeypatch.setattr(dense_oracle, "_row_totals",
-                        lambda w: w.sum(axis=1, keepdims=True))
-    monkeypatch.setattr(sim, "collapse", dense_oracle.collapse)
     monkeypatch.setattr(engine, "_init_vector", lambda dim, init: init
                         if np.iscomplexobj(init) else init_vector(dim, init))
     error = UnsupportedFormalism if name == "vertex_delete" else FrameMismatch

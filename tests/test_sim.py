@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from quditmbqc.errors import (
     DimensionMismatch,
-    QuditError,
     NonUnitary,
     SiteOutOfRange,
     StateTooLarge,
@@ -24,7 +23,6 @@ from quditmbqc.gates import basis_state, hadamard, xplus_state
 from quditmbqc.resource import cz_spec, gate_matrix
 from quditmbqc.sim import (
     StateVector,
-    collapse,
     is_max_entangled,
     schmidt,
     seed_uniforms,
@@ -32,7 +30,6 @@ from quditmbqc.sim import (
     unit_vector,
 )
 
-import dense_oracle
 from dense_oracle import (
     MeasurementBasis,
     apply,
@@ -188,104 +185,19 @@ def test_unit_vector_rejects_non_finite(bad):
     assert np.allclose(unit_vector([3, 4j, 0], 3, "psi"), [0.6, 0.8j, 0])
 
 
-# --- the shared draw -----------------------------------------------------
-
-def _draw_or_error(draw, branch, uniforms, forced):
-    try:
-        return draw(branch, uniforms, forced)
-    except QuditError as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 4),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from(["drawn", "forced"]),
-       st.sampled_from([None, 0.0, np.nan, np.inf]))
-def test_collapse_equals_the_first_formula(n, D, R, seed, how, spoil):
-    # sim.collapse calls ufunc methods where the oracle's first form
-    # calls np.sum, np.cumsum and _row_totals: every array, outcome and
-    # error must be the same, bit for bit
-    rng = np.random.default_rng(seed)
-    branch = rng.normal(size=(n, D, R)) + 1j * rng.normal(size=(n, D, R))
-    branch[rng.random((n, D)) < 0.3] = 0        # impossible outcomes
-    uniforms = rng.random(n)
-    uniforms[rng.random(n) < 0.2] = 0.0
-    forced = rng.integers(0, D, size=n) if how == "forced" else None
-    with np.errstate(invalid="ignore", over="ignore"):
-        if spoil is not None:
-            branch[rng.integers(n)] *= spoil    # a zero, NaN or inf row
-        got = _draw_or_error(collapse, branch, uniforms, forced)
-        want = _draw_or_error(dense_oracle.collapse, branch, uniforms, forced)
-    assert type(got[0]) is type(want[0])
-    if isinstance(got[0], type):
-        assert got == want
-    else:
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 200), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["drawn", "forced"]),
-       st.sampled_from([None, 0.0, np.nan, np.inf]))
-def test_one_row_collapse_equals_the_batched_path(D, R, seed, how, spoil):
-    # a batch of one row (a single trajectory, the oracle's measure) gives
-    # the outcome, posterior, probability and error of a batch of two
-    # copies of that row, bit for bit, over outcome counts past numpy's 8-
-    # and 128-element summation blocks
-    rng = np.random.default_rng(seed)
-    row = rng.normal(size=(D, R)) + 1j * rng.normal(size=(D, R))
-    row[rng.random(D) < 0.3] = 0
-    u = 0.0 if rng.random() < 0.2 else rng.random()
-    k = int(rng.integers(0, D))
-    with np.errstate(invalid="ignore", over="ignore"):
-        if spoil is not None:
-            row *= spoil
-        args = ([u], None) if how == "drawn" else (None, [k])
-        got = _draw_or_error(collapse, row[None], *args)
-        batch = [None if a is None else a * 2 for a in args]
-        want = _draw_or_error(collapse, np.stack([row, row]), *batch)
-    assert type(got[0]) is type(want[0])
-    if isinstance(got[0], type):
-        assert got == want
-    else:
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b[:1].shape
-            assert np.array_equal(a, b[:1])
-
-
-def _wrapped_one_row(branch, u, forced):
-    """collapse's arithmetic on one row (D, R) through numpy's Python
-    wrappers (.sum, ** 2, np.sqrt), the form its wrapper-free one must
-    equal."""
-    weight = (np.abs(branch) ** 2).sum(axis=1)
-    probs = weight / weight.sum()
-    if forced is None:
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        forced = int(np.count_nonzero(cdf <= u))
-    return forced, branch[forced] / np.sqrt(weight[forced]), probs[forced]
-
+# --- the wrapper-free norm -----------------------------------------------
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 81), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["drawn", "forced"]),
        st.sampled_from(["contiguous", "transposed", "strided"]))
-def test_wrapper_free_draw_and_norm_equal_the_wrapped_forms(D, R, seed, how,
-                                                           layout):
-    # collapse and unit_vector drop numpy's Python wrappers, not their
-    # arithmetic: outcome, posterior, probability and unit vector are the
-    # wrapped forms', bit for bit, whatever the input's memory layout
+def test_wrapper_free_norm_equals_the_wrapped_form(D, R, seed, layout):
+    # unit_vector drops np.linalg.norm's Python wrapper, not its
+    # arithmetic: the unit vector is the wrapped form's, bit for bit,
+    # whatever the input's memory layout
     rng = np.random.default_rng(seed)
     row = rng.normal(size=(D, R)) + 1j * rng.normal(size=(D, R))
     row[rng.random(D) < 0.3] = 0
-    row[0, 0] += 1        # a live outcome, and a nonzero strided view
-    u = 0.0 if rng.random() < 0.2 else rng.random()
-    live = np.flatnonzero(np.abs(row).sum(axis=1))
-    forced = None if how == "drawn" else int(rng.choice(live))
-    got = collapse(row[None], [u], None if forced is None else [forced])
-    want = _wrapped_one_row(row, u, forced)
-    assert got[0][0] == want[0] and got[2][0] == want[2]
-    assert got[1][0].tobytes() == want[1].tobytes()
+    row[0, 0] += 1        # a nonzero strided view
     v = {"contiguous": row, "transposed": row.T,
          "strided": row.reshape(-1)[::2]}[layout]
     want = np.asarray(v, dtype=complex).reshape(v.size)

@@ -263,8 +263,8 @@ def test_clifford_centre_init_complements_on_every_outcome(dim, init):
 @pytest.mark.parametrize("rule, vid", [(vertex_delete, 4),
                                        (local_complement, 1)])
 def test_seeded_outcomes_match_the_dense_path(rule, vid):
-    # the tableau draws by sim.collapse's inverse CDF, as the dense
-    # oracle's measure does
+    # the tableau draws by the inverse-CDF rule of the dense oracle's
+    # collapse, which its measure draws by
     graph = diagonal_lattice(D3, 3, 3, light_shift_spec(D3))
     for seed in range(40):
         _assert_matches_dense(rule(graph, vid, rng=seed),
@@ -844,9 +844,10 @@ def _corpus_star_rules():
 
 
 def test_star_rule_draws_are_collapse_draws(monkeypatch):
-    # a rule's kept CDF gives sim.collapse's outcome on its amplitudes for
-    # a uniform at and on both sides of each CDF entry, and a forced
-    # outcome of zero probability raises collapse's error and message
+    # a rule's kept CDF gives the oracle's collapse outcome on its
+    # amplitudes for a uniform at and on both sides of each CDF entry, and
+    # a forced outcome of zero probability raises collapse's error and
+    # message
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda rng: rng
                         if isinstance(rng, _Uniform) else default_rng(rng))
@@ -860,13 +861,13 @@ def test_star_rule_draws_are_collapse_draws(monkeypatch):
             for u in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)):
                 if 0 <= u < 1:
                     assert draw(_Uniform(float(u)), None) == \
-                        sim.collapse(amps, [u])[0].tolist()
+                        dense_oracle.collapse(amps, [u])[0].tolist()
         for seed in range(5):
-            assert draw(seed, None) == sim.collapse(
+            assert draw(seed, None) == dense_oracle.collapse(
                 amps, default_rng(seed).random(1))[0].tolist()
         for m in range(len(rule.probs)):
             try:
-                want = sim.collapse(amps, None, [m])[0].tolist()
+                want = dense_oracle.collapse(amps, None, [m])[0].tolist()
             except ZeroProbabilityForced as exc:
                 zero += 1
                 with pytest.raises(ZeroProbabilityForced) as got:
