@@ -1237,33 +1237,33 @@ def test_json_integer_arrays_must_be_integers(tmp_path, capsys, family, path,
 # seed's entropy grows to two words.  The same inputs and seed must keep
 # printing the same bytes.
 GOLDEN_RUNS = {
-    "Z2-cz": ("17297c73a6cc5275f30b64823913a5ee93443d00f7b610f7cf7ebe3bc0d568ea",
-              "0ab680a01a2470c1d1c25281fb7b3d0941412bf6286d1d1138b516342b6b574e"),
+    "Z2-cz": ("935848074b69e18fa5f6b3c8b42e837d554450e83eeaa851ed3799a1b0b31b56",
+              "767cbe361530c5f6d6ac70cd8505331bc0099f4d0db13414c854a26e35fc9ee9"),
     "Z2-light_shift": (
-        "96fb7cd43f6153216309410ba36619a7d61359dd1ebebf45f3d421db039c7a91",
-        "2cd740af90bbadd5a737ee8acd032aef20a112ca9b8d6984bb8ca2904783e877"),
-    "Z2-cx": ("2cd2a3ca8f9e93c9f16e08c0661cc2ce19943247c27a160a2435555065b9d8f8",
-              "7894ed78647e928a6ba9baea020eede23865e65c95d8519b6764fe5d6754f6de"),
-    "Z3-cz": ("43ba000f2e281f1dec865b6587821d09d7acf0521ebb833e6d7cd36ca266155f",
-              "bc28b4cef7c0a0f9def1f239c740ce974c1d87df0bbb0a72130e5ccbb970399f"),
+        "4ed4b5419f22f2a7e8c59b8ae3ebeefb0322cb472510af6e2be4445fc319cf81",
+        "2e1e758b1133142f96f2f1b7fa68924402131a140bc0ebd120915dae838602cf"),
+    "Z2-cx": ("8550b6509c8d61e61617cd0b6b946ced17737af709855f34add73f397edbf314",
+              "4ade939d35562454758fdb164cde83c03e7c9b7590edb9649afb9a8df627deb5"),
+    "Z3-cz": ("5db989c037f3b4ae54b51d2d0505a3a0757c0f4dec62c07e2337abd6739542b4",
+              "c81d536894434ce7814c78a7b83f6f9d548f5d230bfc5f21b84dc3fcde9a0ddc"),
     "Z3-light_shift": (
-        "80b16b8d789e028d2e112ad9ec77ae0ca327fde4c9dcc30e5cfe6a1e811aee56",
-        "76a29431366e77060ebf78793c9e5b5afab757f2f51e067d7236471186f639b6"),
-    "Z3-cx": ("9aaa9c2aebd4917acd5f6e24cd1287ccddaf4f73a07d3587083f174d7321f52d",
-              "403a100e2cd7ea6a57281775587a447e40d31d730cff5a4617045ac026d9811d"),
+        "e84010cfc645f1e6a834eec0fdcdf78b0c7f68cd0caf46230320b22f82606f40",
+        "6c7ce9896991fa1faa3cb90580361936d09b326e1a38fb896a0c05b5cc09cf6b"),
+    "Z3-cx": ("c355674fa73d1cfe8f3923671aadec7fd44709bf3958a2645cd71ee5857568d0",
+              "c5f41573a2b9365e429edb4fcc7503b1e101ad0d57e23a2cf16ac2aa96fda07c"),
     "GF4-cz": (
-        "ff85f19a978430668d2ba701c53c90215bf836686ae800bceeecc2b92bc4433e",
-        "48896ae822bc5da93cf550952ab5f2134c567319c7a721cba520b2c560474338"),
+        "76ef5b032e6fd5189cf904622bab1c8c17377cbb6e78fac9be506011de11c1a2",
+        "2673d1a29a3b3573256e5a03057cc12cf8b045861ba8601df6a124a59eebe147"),
     "GF4-light_shift": (
-        "71daa84ba5e3b70d4545406f0de14486dcb82ae3ffd9b681e4f380e2e5e2fde8",
-        "920b18cea301a3abb16b72b1ac0e2b0989ca85da669536f9700f11b2c8933008"),
+        "665281d660b5eb3afcb3751c6a8899d6b2b6691e532fb7463398d9bfef002440",
+        "5ede36abea1d104430282177129bc60480cfe8bf05261d4d81aeb1ee63ebc5c7"),
     "GF4-cx": (
-        "09d2dd2e7f3d9c1d4a4b292c98c0f9d765e64e40584501553d3ad1c7ceb6f82a",
-        "1fd7b8abe829c7a72e478e41d707fd6fe061a9e41d4a8f3f9bf4c97d49d68c8f"),
-    "Z5-cz": ("c6bcb9e78c79e4589f6296df1c3df2fb43fadc78d0899aa65363b1f16170e97a",
-              "99b3b6fc5fb3544bcd023fcce8308f3fcdba9211998bba76c306c839a3e50ab3"),
-    "Z5-cx": ("eacbb808e31fc14a40a08640280658bdeffcfed2c0e9c13b16d48d1e5dafd87f",
-              "92e81435ed8b02d08bdfbad3321b164152334702ccaeb3c1a2c6a29a601c4769"),
+        "4922c68305098ea7184b064b879127a469a20b428f4d018df6b61ee1e08d1074",
+        "af04eae7cb1745ebd17b8184520f2fa19bf2757f865bfcb28a27daf449786c21"),
+    "Z5-cz": ("9bdccf8e2b0fa509888c5d2a5e2f3fcdc15039a0f84a5c8cccc0b1cfb34a7bb1",
+              "43beba0c6526857bd1cbb5b0eddad1341d14cdda141455196637c8d06fd942f5"),
+    "Z5-cx": ("068045c3318065d739ca215d58b999240f520aa8a0113229e261632938525001",
+              "fa47b453a7eaf751341b0d9429d46ba4753f4ab5d4db39b54f58173403e96a16"),
 }
 # the same digests for the non-adaptive patterns of each family
 # (tests/data/clifford_patterns.json): its transport pattern and
@@ -1287,53 +1287,53 @@ GOLDEN_CLIFFORD_RUNS = {
         "b4d409476bb227d28a6948e9ce43fe551bdd72fdca8d780ac83bf0a4708f5b53",
         "ed14cf51c702e30c84e4787cc23b1ebdf3ecfdb305c93e9b2fd093cd483293b6"),
     "Z2-cx-hadamard": (
-        "2c65184b917d5ebb0d58566f5fd00048c01d02f28445863656b166f2bf3e0732",
-        "2058ae300ceff41733c7ec8e72ed05285f7b8f85714391a652054aa78a23d722"),
+        "23d992314804d251a13f749760d6e943e0b5ac0ceeac2f10a40642f8432a190e",
+        "226703f266aad4d7cb77b42b0d3df2477bb7483b1e976b51061fa2737e0ebd2e"),
     "Z2-cx-transport": (
-        "fb63e19ee25cbbe24fb17324c7402b907628fc2073c08c3b33c789a1c02a555e",
-        "d09a3a25a072c3998db7e382bde3eb2c8ba91f38fe6de91e76aa61f6556dcb1d"),
+        "f30b1e7097bf90110216f5bea9dba534081b5492d5565f3b5329609b7bef7d7f",
+        "9aa7216c03ee328e485982e69f780f10179e2a132835d9a3d9d6b3f5c4f165a8"),
     "Z2-cz-hadamard": (
-        "ef169497db5e86b8a8c6c385922f5be1c28425a8fc9344be0ab8bbf5b54a10fb",
-        "6d33c3e809b5d3a96aecf58b9c15825ebcbb8035ac1b3521e935c95740f1d87a"),
+        "d84555236d3d426badfcd0c9e5b3abaeb7c8e1b9ce3c52954f68a1c29b394e89",
+        "5206e72a344b9d8af428ba801f03a5894bfa5f333800418d15687a09498b0c97"),
     "Z2-cz-transport": (
-        "0b7df1b6a4934b76203526ba77ca26a4cdbca693a72b2b0eb23ea5d390cb7d3f",
-        "27647b0712060992643c3c0f15d1c538ae7150275a30045df5eb24a9be24d885"),
+        "09f5d6dcd925e09b6ef8b0dbf302782c69dd86f71bbebeaf08ed0af11011b48e",
+        "a7c32858b027be6f83bd5655330b4e1eb61a43cd9ddce00e187f0478251a7ce2"),
     "Z2-light_shift-hadamard": (
-        "c21b60e0f11e45b2a1f23c3ec0caa3baf37cf7e3a7f82e98cf70921e42a0516f",
-        "fa478b7cd7395ba1df896d1a1e7bd411c4485b6fa53abe9408bb0890adf13805"),
+        "24f3a720b7cb7dacc6e4c6c5359fda41f06503209d585308df8cd06ebcb0ca25",
+        "2a642845da0196498fccece83c1549d7d0c58a2489fb7adbd55ef9993c77ab33"),
     "Z2-light_shift-transport": (
-        "18658cca6c6c19ea33e6a6181af8acfcf1a1402f29c77c2c656329dfeb3cd7b9",
-        "b6d85b9056229e2219359f0895bdbe730b25309a029a7cac4f720b2216ce0076"),
+        "2a1273f1d0bceaa120e7d7cef33dbbf1cff0f120a9cfe12455717303e22494b2",
+        "7619973f38d59b25cfc3ca8b0dabc7f81d2ccfd1e190d8620fb0d9f9b6f3dffe"),
     "Z3-cx-hadamard": (
-        "f1f53b26bb641cda41eb3e02e5dd95bf209d2f08af6266c228d93ef1fc02fa82",
-        "1569034155df8e6705f05bd60a08530fa3838965e81aea5746d1d204a0ef1e78"),
+        "7501166e279029a936b9c51a1a0b5f84df3e15a6025fa4ff318c8935b63233b6",
+        "6696cf23173c0a1593e76a100137fc8691a5025bb1f1bf68a84b4734a9bbfd4b"),
     "Z3-cx-transport": (
-        "a4a5041f21d38034f0c7e12ba8ff32ed1c9834faff734d29d8efee8c9a2cb30d",
-        "762e328bfd17a569aec1c568ec9364bb56572e0c4150a1739ae4eee0f659a27d"),
+        "4dac390a174e437ac03da1e9d388fb2e034a1964fdde0121f487cbb4e5745525",
+        "01d89180936de565f7d5b2aa9f7bcb4a5c2c4d58adfe1f4879b7a26013331110"),
     "Z3-cz-hadamard": (
-        "29feac8ce27d81a81dabb01a8571dd808229723238b41db7b519b701f38e0e79",
-        "07b089f483e7e872bb8b396ca1b9cc8854bf1793ddfffd401a9ea0d824bcbf6c"),
+        "e032a08c9eaff5d940bf79cf4a8c24118f2cff3f305bea64b79aaf4977d5cdbc",
+        "4f445f482e17b245c6548f26c9589c3a4adb8c54080ba62b88de7e832fecfbd5"),
     "Z3-cz-transport": (
-        "8e9477a9175592db94fe4e33beed0e6b5253f5cf966d159c398e608789275c11",
-        "c1340f237a4223265642c8ac7a1cec007f4709178fa275f6fd87c59ad9d9580e"),
+        "7a1ca6da27ab8d11bcf18a769ce09bdfa788519658379ceb108ade036b9e3e93",
+        "c663a615f1838791e7c8addd517bda50e2932a3c2977cd4956a0f03dc6f9d12f"),
     "Z3-light_shift-hadamard": (
-        "ffdd5a7e6915a1e9b79f4347d4f14dcda379828fcb4cddc8acebbe19096a165d",
-        "cc1134db3e24c3f8a86b573292706e7a6f816112302af9edf9e287c5a9dd33e4"),
+        "1e6bffecac06f1db4e1ee992690d5466bc1756b332770ca89bb1dc2007e9a66c",
+        "1cc68beac09dd8c64241b6ba63a7bd48bfcfe938017592518c9b463878522813"),
     "Z3-light_shift-transport": (
-        "49e68df5a5c3408c2b2e5f9f5bbc274df988435fcd99b735475f3f2b1626076d",
-        "fb29064c5ac27c5d0b884af908469ff8a34e6b49fff4d4b0c91f65468eea2a92"),
+        "335a58d6512500b48484522d55c61315a2ce57085e00f2931627307cdd49fe0c",
+        "d4766066c53aa74026a86643a3307c1d822b5fb1af82959747884f65b9adf620"),
     "Z5-cx-hadamard": (
-        "af09340ce336ff3f737b6b0df5a184e8cf8b059f5c0e5c2a17e932701af675d4",
-        "dd7cba565cd7e27466fa36eac701a626e8572b22098b0572ed44f63cf2a03a0e"),
+        "dd6dc222befb20c0af6d0e29d3d74df5dc9225a12dbeadd5b2188fc0f921a9c0",
+        "2728f9b1a3d66df900526a1751b6227f93c1de958c9257e6f0e6035dd78e4748"),
     "Z5-cx-transport": (
-        "61beac5652d047c507b174949d7ed4f97cbf79310741f3d1a71ace7fe5944ff8",
-        "717bc8ee0e95f391ecfac5795195dbd6c106152a706ada7844cce019bb731104"),
+        "15b5ae8bd676174f60b80345eac017fe56b2304c99d8365de5882e0f20e28d5c",
+        "e28e889dfb7eee2b74a8bca82790d7bc4bab6742b16b5002e42dd555e7b13e48"),
     "Z5-cz-hadamard": (
-        "d6bd8bb55e3b75356eb9808b90cf247699078ec0eece6d6fb53d966511ffe114",
-        "ff18986f9958211d0fc7211dca23cc22cba6376827d8cad0c36dd50cf2b9ccb0"),
+        "7223820afb6a0a23e5aaf082b891d4cabe828fc0427c075bade1438679e79d5c",
+        "f3190515bd5dcd724a367bd9169c692b1d698750a475ba31abd7520551046786"),
     "Z5-cz-transport": (
-        "f952db9502fae113f57806848a816264004cf9572418a8765315c0983368bb65",
-        "21e956eb8a5a0054149575a2b342aec4b7470718cfa3ae4728c3a7c43814817a"),
+        "8c0b6a1f539aaac1fd38501e4012a5a09b25931f72ff2a2cc0c57e1aabdf8160",
+        "c8355ed3cc9f81402fec9a012d1b63adeec3d36a1e2c5c18c1cf96245da1dab6"),
 }
 
 # SHA-256 of the JSON list [outcome_counts, frame, history] of the same
