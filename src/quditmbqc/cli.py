@@ -285,8 +285,6 @@ def cmd_run(args) -> int:
         "history": [[int(a), int(b)] for a, b in last.history],
         "outcome_counts": [[int(c) for c in np.bincount(col, minlength=dim.d)]
                            for col in runs.outcomes.T],
-        # every outcome of every step weighs 1/d (run_trajectories checks)
-        "outcome_prob_range": [[1 / dim.d] * 2] * len(pattern.steps),
     }
     if args.dump_state:
         results["state"] = state_to_json(

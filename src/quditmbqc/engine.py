@@ -9,13 +9,13 @@ vertex tables, its chain and couple_input's chain tensor and frame
 words) are kept on it and cannot go stale.
 
 Every protocol call and trajectory step is one contraction of its input
-with a branch table and one draw by one rule: bisect_right on a kept CDF
-(sim.kept_cdf), a rewrite's star rule's, or the uniform one kept per
-outcome count (_uniform_cdf) for a trajectory step, the mediator, the
-coupling and the edge, whose branch tables are checked once, for every
-input at once, to give each outcome probability 1/d (1/d^2 for the
-coupling).  _draw draws one call's outcomes, and a trajectory step a
-whole batch's by np.searchsorted on the same CDF.  Its posterior is
+with a branch table and one draw, bisect_right on a CDF at a uniform,
+kept (sim.kept_cdf) where it does not depend on the state: a rewrite's
+star rule's, or the uniform one per outcome count (_uniform_cdf) for the
+mediator, the coupling, the edge and a uniform trajectory step, whose
+branch tables are checked once, for every input at once, to give each
+outcome probability 1/d (1/d^2 for the coupling); any other trajectory
+step reads each row's own CDF (_weighted_step).  Its posterior is
 verified against the predicted action on every call: as a vector, or,
 for graph rewriting, by exact equality of graph-form stabilizer rows.
 Pauli frames move by index arithmetic, read from tables built once:
@@ -497,7 +497,7 @@ class Trajectories:
     posteriors: np.ndarray           # (T, d) final head states
     frame_index: np.ndarray          # (T,)
     frame_phase: np.ndarray          # (T,)
-    outcomes: np.ndarray             # (T, steps), each of weight 1/d
+    outcomes: np.ndarray             # (T, steps)
     fidelities: np.ndarray           # (T,) verified fidelities
 
     def frame(self, t: int) -> PauliFrame:
@@ -522,18 +522,16 @@ def _zx_stack(dim: DimSpec) -> np.ndarray:
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
     """What run_trajectories reads, built once per call: per step (table,
-    rows, (nxt, dph)), a frame (word index a, phase) moving on outcome k
-    to nxt[a, k], adding dph[a, k], and (f_idx, f_ph), the final move
-    through F.  The edge gate is E = sum_a |a><a| (x) U_a, controlled by
-    the head, so the gate, the next vertex's state and the basis fold into
-    table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r], once per (gate, init);
-    rows[s] = e^{i phases[a - s]} is the phase row at frame shift s (a
-    Clifford step's rows are all its phases).  Each table is checked once
-    to give every outcome weight 1/d for every input: the images U_a
-    |fresh> must be orthonormal, at VERIFY_TOL, else FrameMismatch
-    naming the first step that reads it (a Z-basis label on a diagonal
-    edge's vertex fails).  NonUnitary for phases that are not all
-    finite."""
+    uniform, rows, (nxt, dph)), a frame (word index a, phase) moving on
+    outcome k to nxt[a, k], adding dph[a, k], and (f_idx, f_ph), the
+    final move through F.  The edge gate is E = sum_a |a><a| (x) U_a,
+    controlled by the head, so the gate, the next vertex's state and the
+    basis fold into table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r], once
+    per (gate, init); rows[s] = e^{i phases[a - s]} is the phase row at
+    frame shift s (a Clifford step's rows are all its phases); uniform,
+    checked once per table, is whether every outcome weighs 1/d for every
+    input (a Z-basis label on a diagonal edge's vertex does not).
+    NonUnitary for phases that are not all finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
@@ -555,10 +553,8 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
             # so weight 1/d on every input, iff the rows U_a fresh are
             # orthonormal
             deviation = np.abs(Uf.conj() @ Uf.T - np.eye(d)).max()
-            if not (deviation <= VERIFY_TOL):
-                raise FrameMismatch(f"step {i} outcome weights times {d} "
-                                    f"deviate from 1 by {deviation:.3e}")
-            tables[key] = (Hc[:, :, None] * Uf[:, None]).reshape(d, d * d)
+            tables[key] = ((Hc[:, :, None] * Uf[:, None]).reshape(d, d * d),
+                           bool(deviation <= VERIFY_TOL))
         phases = np.asarray(step.phases, dtype=float)
         # D_{-psi} H is unitary for every finite real psi, as H is
         if not np.isfinite(phases).all():
@@ -571,12 +567,31 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
             c, num = np.array(diagonal_images(dim, np.exp(1j * phases)))
             a = add[z, c[x]] * d + x
             move = (nxt[a], dph[a] + num[x][:, None])
-        plan.append((tables[key], rows, move))
+        plan.append((*tables[key], rows, move))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
     # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
     f_swap = np.array([ints.char_exp[ints.neg[t]] for t in ints.mul[fz]])
     return plan, (add[z, fz] * d + add[x, fx], f_swap[x] + F.phase_num)
+
+
+def _weighted_step(branch: np.ndarray, u: Optional[np.ndarray], i: int,
+                   k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(outcomes, normalized posteriors) of step i (n, d, d) that is not
+    uniform: row t takes bisect_right of its own CDF at u[t, i] or,
+    without u, the forced outcome k[t], checked by sim.check_forced."""
+    w = np.add.reduce(np.square(np.abs(branch)), axis=2)
+    probs = w / np.add.reduce(w, axis=1, keepdims=True)
+    picks = np.arange(len(w))
+    if u is None:
+        t = probs[picks, k].argmin()
+        sim.check_forced(probs[t], k[t])
+    else:
+        cdf = np.add.accumulate(
+            probs / np.add.reduce(probs, axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        k = np.add.reduce(cdf <= u[:, i, None], axis=1)
+    return k, branch[picks, k] / np.sqrt(w[picks, k])[:, None]
 
 
 def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
@@ -594,16 +609,15 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     gathered by frame shift, the frame's X part (a Clifford step's phases
     are fixed, its diagonal moving the frame).
 
-    Every outcome of every step weighs 1/d for every input, as
-    _trajectory_plan checks once per table before any uniform is drawn or
-    forced outcome read.  So trajectory t draws
-    default_rng(seeds[t]).random(steps) (one sim.seed_uniforms pass for
-    the block) and takes each step's outcome off the uniform CDF kept per
-    d (_uniform_cdf) by np.searchsorted, _draw's bisect_right rule;
-    forced_outcomes (T rows of one outcome per step, each checked by
-    _forced) draw nothing, and one of the two must be given
-    (DimensionMismatch).  The posterior is the drawn branch times
-    sqrt(d).  Frames are word indices and exact phases, moved by
+    Trajectory t draws default_rng(seeds[t]).random(steps) (one
+    sim.seed_uniforms pass for the block); each step takes bisect_right
+    of a CDF at its uniform: a uniform step (_trajectory_plan) the CDF
+    kept per d, for the whole block by one np.searchsorted, its posterior
+    the drawn branch times sqrt(d); any other step each row's own CDF
+    (_weighted_step).  forced_outcomes (T rows of one outcome per step,
+    each checked by _forced) draw nothing, and one of the two must be
+    given (DimensionMismatch).  Posteriors are normalized after the last
+    step.  Frames are word indices and exact phases, moved by
     _trajectory_plan's tables.  Row t's overlap <cur_t,
     e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi> reads
     its ideal off one per-word table W @ v, v the normalized ideal output,
@@ -627,14 +641,14 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     if T * d > sim.MAX_AMPS:
         raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
                             f"the budget")
-    W = _zx_stack(dim)
-    plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
     if forced_outcomes is not None:
         outcomes = np.array([_forced(row, S, d) for row in forced_outcomes],
                             dtype=np.intp).reshape(T, S)
     else:
         seeds = list(seeds)
         outcomes = np.empty((T, S), dtype=np.intp)
+    W = _zx_stack(dim)
+    plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
     psi_in = sim.unit_vector(psi, d, "input state")
     cdf = np.array(_uniform_cdf(d)[1])
     post = np.empty((T, d), dtype=complex)
@@ -644,19 +658,24 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     for lo in range(0, T, block):
         rows = slice(lo, min(lo + block, T))
         n = rows.stop - lo
+        u = None
         if forced_outcomes is None:
-            outcomes[rows] = np.searchsorted(
-                cdf, sim.seed_uniforms(seeds[rows], S), side="right")
+            u = sim.seed_uniforms(seeds[rows], S)
+            outcomes[rows] = np.searchsorted(cdf, u, side="right")
         cur = np.broadcast_to(psi_in, (n, d))
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
         picks = np.arange(n)
-        for i, (table, phase_rows, (nxt, dph)) in enumerate(plan):
-            k = outcomes[rows, i]
+        for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
             branch = ((cur * phase_rows[at % d]) @ table).reshape(n, d, d)
-            cur = branch[picks, k] * math.sqrt(d)
+            k = outcomes[rows, i]
+            if uniform:
+                cur = branch[picks, k] * math.sqrt(d)
+            else:
+                k, cur = _weighted_step(branch, u, i, k)
+                outcomes[rows, i] = k
             at, ph = nxt[at, k], ph + dph[at, k]
-        post[rows] = cur
+        post[rows] = cur / np.linalg.norm(cur, axis=1)[:, None]
         idx[rows] = f_idx[at]
         phase[rows] = ph + f_ph[at]
     phase %= dim.phase_den
@@ -859,8 +878,9 @@ def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _uniform_cdf(D: int) -> Tuple[list, list]:
     """sim.kept_cdf of a row of D equal weights, kept per D for every draw
-    whose outcomes each weigh 1/D for every input: a trajectory step's,
-    the mediator's and the edge's (D = d) and the coupling's (D = d^2)."""
+    whose outcomes each weigh 1/D for every input: a uniform trajectory
+    step's, the mediator's and the edge's (D = d) and the coupling's
+    (D = d^2)."""
     return sim.kept_cdf(np.ones((D, 1)))
 
 

@@ -1,11 +1,10 @@
-"""State vectors, the kept outcome CDF that every draw bisects, seeded
-uniforms and Schmidt probes.
+"""State vectors, kept outcome CDFs, seeded uniforms and Schmidt probes.
 
 Site 0 is the most significant tensor digit, so |jk> has j at site 0.
-Dense gate application, measurement and the draw whose outcome
-probabilities depend on the state (collapse) live in the test suite's
-oracle (tests/dense_oracle.py), which every protocol is cross-checked
-against.
+Dense gate application and measurement, and collapse, the draw off a
+whole branch that every draw of the library is checked against, live in
+the test suite's oracle (tests/dense_oracle.py), which every protocol is
+cross-checked against.
 """
 
 from __future__ import annotations

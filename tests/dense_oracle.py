@@ -53,9 +53,9 @@ def _row_totals(weight: np.ndarray) -> np.ndarray:
 def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One outcome per row t of branch amplitudes (n, D, R): the draw
-    whose outcome probabilities depend on the state, which every kept-CDF
-    draw of the library (sim.kept_cdf, engine._draw, a trajectory step)
-    is checked against.
+    whose outcome probabilities depend on the state, which every draw of
+    the library (sim.kept_cdf, engine._draw, a trajectory step's, off the
+    kept CDF or engine._weighted_step) is checked against.
 
     Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
     the normalized branch[t, k].  Row t takes forced[t] when forced

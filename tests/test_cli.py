@@ -420,11 +420,10 @@ def test_run_reports_outcome_statistics(tmp_path, capsys):
                                  "--trials", "30", "--seed", "4"])
     assert code == 0
     res = json.loads(out)["results"]
-    counts, ranges = res["outcome_counts"], res["outcome_prob_range"]
-    assert len(counts) == len(ranges) == len(res["history"]) == 4
+    counts = res["outcome_counts"]
+    assert len(counts) == len(res["history"]) == 4
     assert all(len(c) == 3 and sum(c) == 30 for c in counts)
-    # every outcome of every step has probability exactly 1/3
-    assert ranges == [[1 / 3, 1 / 3]] * 4
+    assert "outcome_prob_range" not in res
 
 
 def test_run_rejects_trials_below_one(tmp_path, capsys):
@@ -766,18 +765,26 @@ def test_run_refuses_a_graph_that_is_not_a_chain(tmp_path, capsys, vertices,
         == (cli.EXIT_PARSE, f"error: {error}\n")
 
 
-def test_run_refuses_a_chain_with_a_label_init(tmp_path, capsys):
-    # a Z-basis label on a cz chain's vertex makes the step's outcome
-    # weights depend on the input: refused before any draw, as a frame
-    # error naming them
+@pytest.mark.parametrize("vertex", [1, 2])
+def test_run_checks_a_chain_with_a_label_init(tmp_path, capsys, vertex):
+    # a Z-basis label on a cz chain's vertex makes its step's outcome
+    # weights depend on the input, |0>: on vertex 2 that step always draws
+    # outcome 1 and the run verifies; on vertex 1 the final check fails
     pattern = _transport_pattern(tmp_path, capsys, cz_spec(D3))
     graph = graph_to_json(chain_graph(D3, cz_spec(D3), 5))
-    graph["vertices"][2]["init"] = 1
+    graph["vertices"][vertex]["init"] = 1
     path = write_json(tmp_path / "graph.json", graph)
-    code = cli.main(["run", "--pattern", pattern, "--graph", path])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_FRAME
-    assert "step 1 outcome weights times 3 deviate from 1" in err, err
+    code = cli.main(["run", "--pattern", pattern, "--graph", path,
+                     "--trials", "100"])
+    out, err = capsys.readouterr()
+    if vertex == 2:
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert res["min_fidelity"] >= 1 - 1e-9
+        assert res["outcome_counts"][1] == [0, 100, 0]
+    else:
+        assert code == cli.EXIT_FRAME
+        assert err.startswith("error: trajectory fidelity"), err
 
 
 def _malformed_graphs():

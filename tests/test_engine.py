@@ -21,6 +21,7 @@ from quditmbqc.errors import (
     SiteOutOfRange,
     StateTooLarge,
     UnsupportedFormalism,
+    ZeroProbabilityForced,
 )
 from quditmbqc.galois import FINITE_FIELD, INTEGER_RING, make_dim
 from quditmbqc.clifford import certify, diagonal_images
@@ -394,30 +395,101 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
 _ORACLE_SEEDS = [*range(150), *range(2 ** 32 - 75, 2 ** 32 + 75)]
 
 
-@pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
-def test_trajectory_draws_equal_the_oracle_collapse(case):
-    # every outcome weighs 1/d, so the kernel's draw off the kept uniform
-    # CDF gives the outcome the oracle's collapse draws from each step's
-    # whole branch on the same uniforms, and the posterior to 1e-12
-    name, key = _PATTERN_FILES[case]
-    pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
+def _check_against_the_oracle_collapse(g, pat, psi):
+    # each of the kernel's steps gives the outcome the oracle's collapse
+    # draws from the step's whole branch on the same uniforms, and the
+    # posterior to 1e-12; returns the plan's uniform flags
     dim, d = pat.dim, pat.dim.d
-    g = chain_graph(dim, pat.gate, pat.step_count() + 1)
-    psi = random_state(d, np.random.default_rng(list(case.encode())))
     runs = run_trajectories(g, pat, psi, _ORACLE_SEEDS)
     plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
     u = sim.seed_uniforms(_ORACLE_SEEDS, len(plan))
     T = len(_ORACLE_SEEDS)
     cur = np.broadcast_to(sim.unit_vector(psi, d, "psi"), (T, d))
     at, ph = np.zeros(T, dtype=np.intp), np.zeros(T, dtype=np.int64)
-    for i, (table, rows, (nxt, dph)) in enumerate(plan):
+    for i, (table, _, rows, (nxt, dph)) in enumerate(plan):
         branch = ((cur * rows[at % d]) @ table).reshape(T, d, d)
         k, cur, _ = dense_oracle.collapse(branch, u[:, i])
         assert np.array_equal(runs.outcomes[:, i], k), i
         at, ph = nxt[at, k], ph + dph[at, k]
     assert np.max(np.abs(runs.posteriors - cur)) < 1e-12
+    # unit posteriors, so no fidelity reads past 1
+    norms = np.linalg.norm(runs.posteriors, axis=1)
+    assert np.max(np.abs(norms - 1)) <= 2 * np.finfo(float).eps
     assert np.array_equal(runs.frame_index, f_idx[at])
     assert np.array_equal(runs.frame_phase, (ph + f_ph[at]) % dim.phase_den)
+    return [uniform for _, uniform, _, _ in plan]
+
+
+@pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
+def test_trajectory_draws_equal_the_oracle_collapse(case):
+    # every outcome weighs 1/d, so the kernel's draw off the kept uniform
+    # CDF is the oracle's draw off the whole branch
+    name, key = _PATTERN_FILES[case]
+    pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
+    g = chain_graph(pat.dim, pat.gate, pat.step_count() + 1)
+    psi = random_state(pat.dim.d, np.random.default_rng(list(case.encode())))
+    assert all(_check_against_the_oracle_collapse(g, pat, psi))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_weighted_step_draws_are_collapse_draws(d):
+    # off each row's own CDF: a uniform at and on both sides of each of
+    # its entries, zero-weight outcomes included, gives the outcome and
+    # posterior of the oracle's collapse, and a forced zero-weight outcome
+    # raises as there
+    rng = np.random.default_rng(d)
+    branch = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    branch[1, 0] = branch[2, d - 1] = branch[3, 1:] = 0
+    branch /= np.linalg.norm(branch, axis=(1, 2))[:, None, None]
+    cdf = np.cumsum(np.sum(np.abs(branch) ** 2, axis=2), axis=1)
+    cdf /= cdf[:, -1:]
+    for c in cdf.T:
+        for u in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)):
+            u = np.clip(u, 0, np.nextafter(1, 0))
+            k, post = engine._weighted_step(branch, u[:, None], 0, None)
+            want_k, want_post, _ = dense_oracle.collapse(branch, u)
+            assert np.array_equal(k, want_k)
+            assert np.max(np.abs(post - want_post)) < 1e-15
+    with pytest.raises(ZeroProbabilityForced):
+        engine._weighted_step(branch, None, 0, np.array([0, 0, 0, 1]))
+
+
+# chains that hold a vertex whose table is not uniform, with an input
+# that they transport: (gate, vertex, init, input)
+_WEIGHTED_CHAINS = {
+    "cz-label-2": (cz_spec, 2, 1, 0),
+    "cz-label-1": (cz_spec, 1, 1, "+"),
+    "light_shift-label-3": (light_shift_spec, 3, 1, 0),
+    "cx-phases-1": (cx_spec, 1, "phases", "+"),
+}
+
+
+def _weighted_chain(case):
+    spec_of, vid, init, label = _WEIGHTED_CHAINS[case]
+    pat = transport_pattern(intrinsic_of(spec_of(D3)))
+    g = chain_graph(D3, spec_of(D3), pat.step_count() + 1)
+    if init == "phases":
+        init = 2 * np.pi * np.arange(3) / 3
+    psi = xplus_state(D3) if label == "+" else basis_state(D3, label)
+    return with_init(g, vid, init), pat, psi, vid
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHTED_CHAINS))
+def test_weighted_steps_draw_as_the_oracle_collapse(case):
+    # a step whose outcome weights depend on the state draws off each row's
+    # own CDF, which is the oracle's draw too; every other step of the same
+    # chain still reads the kept uniform CDF, and forcing a seeded run's
+    # outcomes gives it back bit for bit
+    g, pat, psi, vid = _weighted_chain(case)
+    uniform = _check_against_the_oracle_collapse(g, pat, psi)
+    assert uniform == [i != vid - 1 for i in range(pat.step_count())]
+    seeded = run_trajectories(g, pat, psi, range(50))
+    forced = run_trajectories(g, pat, psi, None,
+                              forced_outcomes=seeded.outcomes)
+    for field in ("outcomes", "frame_index", "frame_phase", "posteriors",
+                  "fidelities"):
+        assert getattr(forced, field).tobytes() \
+            == getattr(seeded, field).tobytes(), field
 
 
 @pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
@@ -438,7 +510,7 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
     # every chain vertex starts in the gate's resource state
     two_in = np.kron(np.eye(d), resource.resource_init(pat.gate))
     E = gate_matrix(pat.gate)
-    for step, (table, rows, (nxt, dph)) in zip(pat.steps, plan):
+    for step, (table, _, rows, (nxt, dph)) in zip(pat.steps, plan):
         adaptive = step.adaptive
         phases = np.asarray(step.phases, dtype=float)
         c, num = ([0] * d, [0] * d) if adaptive \
@@ -464,19 +536,20 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
 def test_step_tables_fold_each_vertex_init():
     # a chain whose vertices start in different states folds one table per
     # distinct (gate, init): equal inits, as arrays of any identity, share
-    # one; other phase vectors, real or complex, each get their own, equal
-    # to the dense product with that vertex's state
+    # one; an int label, a complex vector and a phase vector each get their
+    # own, equal to the dense product with that vertex's state, and only
+    # the label's outcome weights depend on the state
     pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
                           intrinsic_of(cz_spec(D3)))
     n = pat.step_count()    # five adaptive steps
     phases = expand(cz_spec(D3)).init_phases
-    inits = [None, np.array([0.3, 1.1, -0.4]), phases,
-             np.array([1, 1j, -1]) / np.sqrt(3), None, phases.copy()]
+    inits = [None, 1, phases, np.array([1, 1j, -1]) / np.sqrt(3), None,
+             phases.copy()]
     g = ResourceGraph(D3, [Vertex(i, inits[i]) for i in range(n + 1)],
                       chain_graph(D3, cz_spec(D3), n + 1).edges)
     plan, _ = engine._trajectory_plan(g, pat)
     E, H = gate_matrix(cz_spec(D3)), hadamard(D3)
-    for i, (step, (table, rows, _)) in enumerate(zip(pat.steps, plan)):
+    for i, (step, (table, _, rows, _)) in enumerate(zip(pat.steps, plan)):
         fresh = engine._init_vector(D3, inits[i + 1])
         basis = (np.exp(-1j * np.asarray(step.phases))[:, None] * H).conj()
         for a in range(3):
@@ -484,7 +557,8 @@ def test_step_tables_fold_each_vertex_init():
             want = basis.T @ two.reshape(3, 3)
             got = ((np.eye(3)[a] * rows[0]) @ table).reshape(3, 3)
             assert np.max(np.abs(got - want)) < 1e-12, (i, a)
-    tables = [id(table) for table, _, _ in plan]
+    tables = [id(table) for table, *_ in plan]
+    assert [uniform for _, uniform, _, _ in plan] == [False] + [True] * 4
     assert tables[1] == tables[4]
     assert len(set(tables[:4])) == 4
 
@@ -504,8 +578,7 @@ def test_batched_blocks_equal_one_block(monkeypatch):
 
 
 def _identity_edge_chain(dim, length):
-    # an edge gate that entangles nothing, so outcome weights depend on the
-    # input
+    # an edge gate that entangles nothing, so outcomes can be impossible
     flat = EntanglingGateSpec(dim, "diagonal", theta=np.zeros((dim.d, dim.d)),
                               init_phases=np.zeros(dim.d))
     return chain_graph(dim, flat, length)
@@ -515,34 +588,30 @@ def test_run_checks_still_raise():
     pat = transport_pattern(intrinsic_of(cz_spec(D3)))
     n = pat.step_count()
     plus = xplus_state(D3)
-    g = chain_graph(D3, cz_spec(D3), n + 1)
-    # a chain whose outcome weights depend on the input is refused before
-    # any uniform is drawn or forced outcome read: the identity edge (step
-    # 0 measures |+> in {H|k>}, where outcome 1 has probability 0), a
-    # Z-basis label and a raw state that is not a phase vector
-    refused = [(_identity_edge_chain(D3, n + 1), 0),
-               (with_init(g, 2, 1), 1),
-               (with_init(g, 3, np.array([1, 1j, 0]) / np.sqrt(2)), 2)]
-    for bad, step in refused:
-        for seeds, forced in [(range(3), None),
-                              (None, [[1] + [0] * (n - 1)]),
-                              (None, [[0] * n, [1] + [0] * (n - 1)]),
-                              (None, [[3] * n])]:
-            with pytest.raises(FrameMismatch,
-                               match=f"step {step} outcome weights times 3"):
-                run_trajectories(bad, pat, plus, seeds,
-                                 forced_outcomes=forced)
-    # phase inits other than the gate's own pass the table check and reach
-    # the final one, on diagonal edges
-    for spec in (cz_spec(D3), light_shift_spec(D3)):
-        chain = chain_graph(D3, spec, n + 1)
-        for vid in range(1, n + 1):
+    # step 0 measures |+> in {H|k>}: outcome 1 has probability 0
+    g = _identity_edge_chain(D3, n + 1)
+    with pytest.raises(ZeroProbabilityForced):
+        run_trajectories(g, pat, plus, None,
+                         forced_outcomes=[[1] + [0] * (n - 1)])
+    with pytest.raises(ZeroProbabilityForced):
+        run_trajectories(g, pat, plus, None,
+                         forced_outcomes=[[0] * n, [1] + [0] * (n - 1)])
+    # phase inits other than the gate's own reach the final check: on a
+    # diagonal edge it fails for |+> (ROADMAP item 3), on a cx edge, whose
+    # step then draws off each row's own CDF, it passes
+    for spec_of in (cz_spec, light_shift_spec, cx_spec):
+        own = transport_pattern(intrinsic_of(spec_of(D3)))
+        chain = chain_graph(D3, spec_of(D3), own.step_count() + 1)
+        for vid in range(1, own.step_count() + 1):
             other = with_init(chain, vid, 2 * np.pi * np.arange(3) / 3)
-            engine._trajectory_plan(other, pat)
-            try:
-                run_trajectories(other, pat, plus, range(3))
-            except FrameMismatch as exc:
-                assert "outcome weights" not in str(exc)
+            if spec_of is cx_spec:
+                runs = run_trajectories(other, own, plus, range(50))
+                assert runs.fidelities.min() >= 1 - 1e-9
+            else:
+                with pytest.raises(FrameMismatch, match="trajectory "
+                                   "(fidelity|frame phase)"):
+                    run_trajectories(other, own, plus, range(50))
+    g = chain_graph(D3, cz_spec(D3), n + 1)
     with pytest.raises(SiteOutOfRange):
         run_trajectories(g, pat, plus, None, forced_outcomes=[[3] * n])
     with pytest.raises(DimensionMismatch):
@@ -1476,8 +1545,8 @@ def test_nan_state_is_rejected(name):
 def test_nan_state_fails_dense_verification(name, monkeypatch):
     # with the input checks bypassed, the NaN reaches the posterior
     # verification, whose weight or fidelity comparison must fail rather
-    # than pass (a trajectory step's draw reads no state, so the NaN
-    # reaches its final check); rewriting verifies on the tableau, so there
+    # than pass (a uniform trajectory step's draw reads no state, so the
+    # NaN reaches its final check); rewriting verifies on the tableau, so there
     # the phase-vector check must reject the NaN init
     init_vector = engine._init_vector
     monkeypatch.setattr(sim, "unit_vector",
