@@ -1244,33 +1244,33 @@ def test_json_integer_arrays_must_be_integers(tmp_path, capsys, family, path,
 # seed's entropy grows to two words.  The same inputs and seed must keep
 # printing the same bytes.
 GOLDEN_RUNS = {
-    "Z2-cz": ("935848074b69e18fa5f6b3c8b42e837d554450e83eeaa851ed3799a1b0b31b56",
-              "767cbe361530c5f6d6ac70cd8505331bc0099f4d0db13414c854a26e35fc9ee9"),
+    "Z2-cz": ("63521d961ae22a7788bcb6184edd63a9436964c33f2dbc7d6d0ccbfb7b57024d",
+              "09d9be07ee51ecf44bdcfd85261976481bb53f4d2f991ac1aa2899890c40aa33"),
     "Z2-light_shift": (
-        "4ed4b5419f22f2a7e8c59b8ae3ebeefb0322cb472510af6e2be4445fc319cf81",
-        "2e1e758b1133142f96f2f1b7fa68924402131a140bc0ebd120915dae838602cf"),
-    "Z2-cx": ("8550b6509c8d61e61617cd0b6b946ced17737af709855f34add73f397edbf314",
-              "4ade939d35562454758fdb164cde83c03e7c9b7590edb9649afb9a8df627deb5"),
-    "Z3-cz": ("5db989c037f3b4ae54b51d2d0505a3a0757c0f4dec62c07e2337abd6739542b4",
-              "c81d536894434ce7814c78a7b83f6f9d548f5d230bfc5f21b84dc3fcde9a0ddc"),
+        "4d3944d5aaf90a4f8abddb1e9eb2d35fe4e39d9d8316c79366d3ce2aaa530923",
+        "7257dd416bcb8dd21ec928df3af581d8da1bd363806b119b8207aeedd6641d13"),
+    "Z2-cx": ("2dda688186fe4226e80a2cadc6bf529f743764d58c8151045a1948f6ab5f7218",
+              "d91afd3f74d382616db1e5eff6839021564c0fdb8f3b65ddaa5ef893a2ef8e54"),
+    "Z3-cz": ("a57593242258617ee06e6a06b70967c865172774748b8b7f98b79e8978454268",
+              "d0b15f01dda8f0893e9fbe0c80188b60898506ae17f42880e2366225fd209b6b"),
     "Z3-light_shift": (
-        "e84010cfc645f1e6a834eec0fdcdf78b0c7f68cd0caf46230320b22f82606f40",
-        "6c7ce9896991fa1faa3cb90580361936d09b326e1a38fb896a0c05b5cc09cf6b"),
-    "Z3-cx": ("c355674fa73d1cfe8f3923671aadec7fd44709bf3958a2645cd71ee5857568d0",
-              "c5f41573a2b9365e429edb4fcc7503b1e101ad0d57e23a2cf16ac2aa96fda07c"),
+        "20796ec7511e50ea7df9942c4dde384bb858b4a1e90004e5a5221e5a32326a07",
+        "960b4ded329baa608d3f7bbaa8ffea7a4e152d2043bd2f54dc99692e9a58dda2"),
+    "Z3-cx": ("7572d5c0c044438850a9d1ac87da702e9e2f732feaa395ee948925742c1ac75a",
+              "dec9e4309d7a81d60a9f858d49d3dd3e0f77a439160faf5ebab32149564e2c62"),
     "GF4-cz": (
-        "76ef5b032e6fd5189cf904622bab1c8c17377cbb6e78fac9be506011de11c1a2",
-        "2673d1a29a3b3573256e5a03057cc12cf8b045861ba8601df6a124a59eebe147"),
+        "4b4734356844a480632fe3c48037241ad0fb641fb64db2a5f9c5585ce54874b8",
+        "d40b2b3fb611052f4ad5f56046dd976e7b5aff41065d169c09ea3dcc7466fab5"),
     "GF4-light_shift": (
-        "665281d660b5eb3afcb3751c6a8899d6b2b6691e532fb7463398d9bfef002440",
-        "5ede36abea1d104430282177129bc60480cfe8bf05261d4d81aeb1ee63ebc5c7"),
+        "4247fdfb8fb9fd34f55fe6000010a41792cf771008a01639ee055a9486daecf0",
+        "5e2a78014560c3989b8f87c82a3a8c3d4c0941da3bebb068e43ef3e6239dd9d7"),
     "GF4-cx": (
-        "4922c68305098ea7184b064b879127a469a20b428f4d018df6b61ee1e08d1074",
-        "af04eae7cb1745ebd17b8184520f2fa19bf2757f865bfcb28a27daf449786c21"),
-    "Z5-cz": ("9bdccf8e2b0fa509888c5d2a5e2f3fcdc15039a0f84a5c8cccc0b1cfb34a7bb1",
-              "43beba0c6526857bd1cbb5b0eddad1341d14cdda141455196637c8d06fd942f5"),
-    "Z5-cx": ("068045c3318065d739ca215d58b999240f520aa8a0113229e261632938525001",
-              "fa47b453a7eaf751341b0d9429d46ba4753f4ab5d4db39b54f58173403e96a16"),
+        "8840d059ec623ebd0387ea79c8243872ebeb7e45b5df70786baaf8476af1160f",
+        "3007026d1f5cff26d8b19842c35593a9f001d2aa3ddeadfd57d1ecc18331c0b6"),
+    "Z5-cz": ("f204a82f0fe734bf949e6fc2c9437e7e8620d4fba01677160d7a45485d33b65b",
+              "3aa3c4298ae7ea5d259226552f9a5437cd0ab54bb4c8f37c218a122860f87312"),
+    "Z5-cx": ("0b7136e68a181f920145a7f150bc76678676636de902fe6be7c254ca14991f29",
+              "207883fa26e0a6f20a67b49233a6e32fbf916cdeddf85e60a48267a5c4700eb9"),
 }
 # the same digests for the non-adaptive patterns of each family
 # (tests/data/clifford_patterns.json): its transport pattern and
@@ -1279,68 +1279,68 @@ GOLDEN_RUNS = {
 # so it has a transport pattern only.
 GOLDEN_CLIFFORD_RUNS = {
     "GF4-cx-hadamard": (
-        "708d4c5c3dea5e957ce439353786800567a9805f4d14151d9c161123c4a26312",
-        "05e1843c2f014f8ea65bc76d0a4d0279962c7d27e74278ea3cbb55364ff0fd52"),
+        "b488d7c23efb793ce2d6b872af5432f72cc003149ef8855e2daa4dc4e6eb7d29",
+        "6b055ecf8b04ae7d210364bab233c1490f7d62ee5ab4e97233b7c49e3cb3be9d"),
     "GF4-cx-transport": (
-        "3f2a8e53fb13fbda0970221ce4efbefc93f44295cc38cbd5fd48d676203aa7b4",
-        "be515e539224129c9125ca0a61c432309fd503a33578a80d923d6f15e8196471"),
+        "d7cc14d0c241068f7cae5b41a5e9b9f5d6bcf55b90a4e2c151ac6564560772b0",
+        "ed7a8af71932a040d0ce80d74a8ac70d2b233dbda5c0504edb12a958f69a24fc"),
     "GF4-cz-hadamard": (
-        "fc73f44ed5c9bf9ed7480eb302702b9183f543c8ccff79aac24a4e33e7de708f",
-        "739e966bd0b492b6c9eaff0bd2de90a19d2f319cef64d167edeebed637503830"),
+        "35a8ba3e97ff074dddbea89d0d119548fb31153e4f7cdcd050cb7a1b84775de7",
+        "343c5f1bf6314885978aa1d415115ab0504641f4f72385fee374c6c319d71223"),
     "GF4-cz-transport": (
-        "f9462ff2e06a542cc12afe3d51bd70929b8b494292b3c804192cf52f1bfc6773",
-        "b8f0e826d3059bdb0721faf63401d9a67ae3accc7d3ed742b4ecfb543f29b7ac"),
+        "e29a0e1361380cc30dd06c0f78d61a0bc429bd8e0833f336662142adc1cd1559",
+        "58df16927f0ed1ad27e276ac6a644c3d0bde2915d8d8e825525d2a8421f3e121"),
     "GF4-light_shift-transport": (
-        "b4d409476bb227d28a6948e9ce43fe551bdd72fdca8d780ac83bf0a4708f5b53",
-        "ed14cf51c702e30c84e4787cc23b1ebdf3ecfdb305c93e9b2fd093cd483293b6"),
+        "aae1c336ac07b27ee0e21119d245dc19919a7546a9d6212f2abfed88a3d8084c",
+        "155b2829a28aa06d949a132a5ed98db7b73ea9515614f36a8ddad232c33d58d2"),
     "Z2-cx-hadamard": (
-        "23d992314804d251a13f749760d6e943e0b5ac0ceeac2f10a40642f8432a190e",
-        "226703f266aad4d7cb77b42b0d3df2477bb7483b1e976b51061fa2737e0ebd2e"),
+        "2007345115f7dd93aa13b754f4a06e3b32d5c3e4ed0273aebff981a4ad7c67be",
+        "13ddb49432c2fcd6687ebea7bc2bd021ce02b515fdcef9c625453a46efee8bf2"),
     "Z2-cx-transport": (
-        "f30b1e7097bf90110216f5bea9dba534081b5492d5565f3b5329609b7bef7d7f",
-        "9aa7216c03ee328e485982e69f780f10179e2a132835d9a3d9d6b3f5c4f165a8"),
+        "026d4dbead87d50e86a944a0b12d9dafc376d8bcdcdfc81f90abe440dda9f77f",
+        "49142a1b1865abf5a0bfef83d71b631c5395ab0efd444c930ebfff75f156f7c9"),
     "Z2-cz-hadamard": (
-        "d84555236d3d426badfcd0c9e5b3abaeb7c8e1b9ce3c52954f68a1c29b394e89",
-        "5206e72a344b9d8af428ba801f03a5894bfa5f333800418d15687a09498b0c97"),
+        "6ff0d984597f66b4da8c9c6bf62137f2f34d3d6c6a9d4006617b95fba30a8970",
+        "a9913beb027dedb60e32271289c262e2ee062e0ad5c35443a07675d09dc958fb"),
     "Z2-cz-transport": (
-        "09f5d6dcd925e09b6ef8b0dbf302782c69dd86f71bbebeaf08ed0af11011b48e",
-        "a7c32858b027be6f83bd5655330b4e1eb61a43cd9ddce00e187f0478251a7ce2"),
+        "5e2f679315759e59c87de8bf23f3504f38c4717e3dd27f639fde3c77df13bf5d",
+        "c280d19ef79e6d789fc58b9c7b5aa47091528f50cba62564a58556721506a3f0"),
     "Z2-light_shift-hadamard": (
-        "24f3a720b7cb7dacc6e4c6c5359fda41f06503209d585308df8cd06ebcb0ca25",
-        "2a642845da0196498fccece83c1549d7d0c58a2489fb7adbd55ef9993c77ab33"),
+        "f324c9b0fbcb3a1242d0dff3a8cd416a36df6574a8c4ea55680ce7fe6f6e9300",
+        "b3b032e7a388d4d1e921387ffc8607b96c839612664bb32d16e7023e1f217f14"),
     "Z2-light_shift-transport": (
-        "2a1273f1d0bceaa120e7d7cef33dbbf1cff0f120a9cfe12455717303e22494b2",
-        "7619973f38d59b25cfc3ca8b0dabc7f81d2ccfd1e190d8620fb0d9f9b6f3dffe"),
+        "cb40a5a13f664041378c52a895880685b2415dac416921f5c9e8b13d43db2532",
+        "413254d6dc62270b9d1abd31b3953c45f4f99ca44bc949c080c3f440c5aeeb3f"),
     "Z3-cx-hadamard": (
-        "7501166e279029a936b9c51a1a0b5f84df3e15a6025fa4ff318c8935b63233b6",
-        "6696cf23173c0a1593e76a100137fc8691a5025bb1f1bf68a84b4734a9bbfd4b"),
+        "de18eacbea1d8f08f1ce11a1706e7fb0279ff4fd0c0b5c5a73fa5444684e40aa",
+        "4f99e10accb4d40ec10d1d409ddbf664ff5b86be28a6274dfff580ad449e44e9"),
     "Z3-cx-transport": (
-        "4dac390a174e437ac03da1e9d388fb2e034a1964fdde0121f487cbb4e5745525",
-        "01d89180936de565f7d5b2aa9f7bcb4a5c2c4d58adfe1f4879b7a26013331110"),
+        "394d0bdd82de4724e57820e18d1e43a583678054f0463e24728f4c0288d2b4d6",
+        "4cb27544f5b5db89a8c1d268dcfa2845adc60370a6b80b356658052a2c7988e2"),
     "Z3-cz-hadamard": (
-        "e032a08c9eaff5d940bf79cf4a8c24118f2cff3f305bea64b79aaf4977d5cdbc",
-        "4f445f482e17b245c6548f26c9589c3a4adb8c54080ba62b88de7e832fecfbd5"),
+        "0e2f26624429cd9c5c48f1b874c5f1f1582cb9a73f61363c6fb6d5fee630198e",
+        "0d6beb3e28d9988a66626f6d48569926a94a87c0832a0ada615be6fd7a28293c"),
     "Z3-cz-transport": (
-        "7a1ca6da27ab8d11bcf18a769ce09bdfa788519658379ceb108ade036b9e3e93",
-        "c663a615f1838791e7c8addd517bda50e2932a3c2977cd4956a0f03dc6f9d12f"),
+        "9aa706f677136fcb29addfeb9a1df8bac6f3f853954544a047bc8a26d55807c8",
+        "2a0603523a2e1c083672d7cc8465ec07f9f206757a4224e72f8f74770c70d571"),
     "Z3-light_shift-hadamard": (
-        "1e6bffecac06f1db4e1ee992690d5466bc1756b332770ca89bb1dc2007e9a66c",
-        "1cc68beac09dd8c64241b6ba63a7bd48bfcfe938017592518c9b463878522813"),
+        "7ec2c9c5d31d524758cda97bc96444515cb400c6cfa8099dc47785fc9dec60dc",
+        "2f8f4f6eb7aeeb56caa212a9754e19c6ef5ab01084ae6ff19d06064004eb9a7b"),
     "Z3-light_shift-transport": (
-        "335a58d6512500b48484522d55c61315a2ce57085e00f2931627307cdd49fe0c",
-        "d4766066c53aa74026a86643a3307c1d822b5fb1af82959747884f65b9adf620"),
+        "02742bb4e5bfd32c6d47e6ae917a9ddf5afd4b97d0fae64a93aa27424730860d",
+        "d67e2dc3835c48b451d1af779407b86ce940712b56e7ae69e072eee5d7fde450"),
     "Z5-cx-hadamard": (
-        "dd6dc222befb20c0af6d0e29d3d74df5dc9225a12dbeadd5b2188fc0f921a9c0",
-        "2728f9b1a3d66df900526a1751b6227f93c1de958c9257e6f0e6035dd78e4748"),
+        "31987787418a4d8026974e3d8baba44659c8f21a299ec55eb741c1a518217a5a",
+        "94d52a7976ace1477e8d41a97cd82134559fab4a9c056b78085c845d11c570ab"),
     "Z5-cx-transport": (
-        "15b5ae8bd676174f60b80345eac017fe56b2304c99d8365de5882e0f20e28d5c",
-        "e28e889dfb7eee2b74a8bca82790d7bc4bab6742b16b5002e42dd555e7b13e48"),
+        "fdc412a0bde973b99d790a2f8de3a213272fab0aea165989eef52f8e47cd1f2b",
+        "131036ff564ee9765f696519e58c59b3ef6575d9a29e986bcfd6e46248f6ce9b"),
     "Z5-cz-hadamard": (
-        "7223820afb6a0a23e5aaf082b891d4cabe828fc0427c075bade1438679e79d5c",
-        "f3190515bd5dcd724a367bd9169c692b1d698750a475ba31abd7520551046786"),
+        "60f3085140e8b697125211ca50ea76555a229df13c6711079d4d738513056495",
+        "84af91f6e2324b43e694bfff0d240b6d95e4eecb73ccbd2e5aa9b450f353b5d0"),
     "Z5-cz-transport": (
-        "8c0b6a1f539aaac1fd38501e4012a5a09b25931f72ff2a2cc0c57e1aabdf8160",
-        "c8355ed3cc9f81402fec9a012d1b63adeec3d36a1e2c5c18c1cf96245da1dab6"),
+        "8a40953d8277f0803c5baa2a58848be41fbab0689653c607a166fded1547ae56",
+        "9ea6ba44d5883e9b39f57d16becea24917691cb96f76b80c9e392ce64df26ddf"),
 }
 
 # SHA-256 of the JSON list [outcome_counts, frame, history] of the same
