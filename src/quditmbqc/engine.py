@@ -791,7 +791,7 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     psi = sim.unit_vector(psi, d, "input state")
     k, = _draw(*_uniform_cdf(d * d), rng,
                None if forced_outcome is None else [forced_outcome])
-    branch = np.einsum("kab,a,bt->kt", Wc, psi, chain) / np.sqrt(d)
+    branch = (psi @ Wc) @ chain / np.sqrt(d)
     M, frame = frames[k]
     post = _branch_posterior(branch, k, M @ (G @ (q * psi)), "coupling")
     return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k

@@ -1220,7 +1220,7 @@ def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
         raw = random_state(d, np.random.default_rng([d, 7]))
         psi = sim.unit_vector(raw, d, "psi")
         tensor, Wc = engine._coupling(chain)[:2]
-        branch = np.einsum("kab,a,bt->kt", Wc, psi, tensor) / np.sqrt(d)
+        branch = (psi @ Wc) @ tensor / np.sqrt(d)
 
         def call(seed, forced):
             post, _, k = couple_input(raw, chain, rng=seed,
