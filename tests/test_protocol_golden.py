@@ -29,7 +29,7 @@ from quditmbqc.resource import (
     light_shift_spec,
 )
 
-GOLDEN = "54735323dc5e7858da3f81ca2ea295fc8c8fa40ed7b2c2bc4fda46d3204a76b2"
+GOLDEN = "90a32e637e48e4d1168eb4e62aa05d995d1bb8c3bda63e3630d5a053fd39032a"
 EDGE_GOLDEN = (
     "a9a60f47f28a7a8548369f4399c499ac3f9f41c9facc60e234d43d3b053a709f")
 
