@@ -15,9 +15,12 @@ star rule's, or the uniform one per outcome count (_uniform_cdf) for the
 mediator, the coupling, the edge and a uniform trajectory step, whose
 branch tables are checked once, for every input at once, to give each
 outcome probability 1/d (1/d^2 for the coupling); any other trajectory
-step reads each row's own CDF (_weighted_step).  Its posterior is
-verified against the predicted action on every call: as a vector, or,
-for graph rewriting, by exact equality of graph-form stabilizer rows.
+step reads each row's own CDF (_weighted_step).  The edge protocol is
+two transport wires joined by one rung: its four X measurements are the
+trajectory step's table (_step_table), applied on either side of its
+input.  A posterior is verified against the predicted action on every
+call: as a vector, or, for graph rewriting, by exact equality of
+graph-form stabilizer rows.
 Pauli frames move by index arithmetic, read from tables built once:
 through a diagonal by its images (clifford.diagonal_images; the engine
 certifies nothing), through G_I by its certificate's frame table, a
@@ -519,19 +522,35 @@ def _zx_stack(dim: DimSpec) -> np.ndarray:
     return out
 
 
+def _step_table(dim: DimSpec, gate: EntanglingGateSpec, init
+                ) -> Tuple[np.ndarray, bool]:
+    """One transport step folded into a d x d^2 table, and whether it is
+    uniform.  The edge gate is E = sum_a |a><a| (x) U_a, controlled by the
+    measured head, so the gate, the fresh vertex's state and the X basis
+    fold into table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r]: outcome k
+    takes the head psi to sum_a psi[a] table[a, (k, :)], unnormalized.
+    uniform is whether every outcome weighs 1/d for every input (a
+    Z-basis label on a diagonal edge's vertex does not)."""
+    d = dim.d
+    E = unitary_gate_matrix(gate).reshape(d, d, d, d)
+    Uf = E[range(d), :, range(d)] @ _init_vector(dim, init)
+    # outcome k's map T_k = conj(H)[:, k] Uf^T has T_k^dag T_k = I/d,
+    # so weight 1/d on every input, iff the rows U_a fresh are
+    # orthonormal
+    deviation = np.abs(Uf.conj() @ Uf.T - np.eye(d)).max()
+    table = hadamard(dim).conj()[:, :, None] * Uf[:, None]
+    return table.reshape(d, d * d), bool(deviation <= VERIFY_TOL)
+
+
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
     """What run_trajectories reads, built once per call: per step (table,
     uniform, rows, (nxt, dph)), a frame (word index a, phase) moving on
     outcome k to nxt[a, k], adding dph[a, k], and (f_idx, f_ph), the
-    final move through F.  The edge gate is E = sum_a |a><a| (x) U_a,
-    controlled by the head, so the gate, the next vertex's state and the
-    basis fold into table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r], once
-    per (gate, init); rows[s] = e^{i phases[a - s]} is the phase row at
-    frame shift s (a Clifford step's rows are all its phases); uniform,
-    checked once per table, is whether every outcome weighs 1/d for every
-    input (a Z-basis label on a diagonal edge's vertex does not).
-    NonUnitary for phases that are not all finite."""
+    final move through F.  (table, uniform) is _step_table's, built once
+    per (gate, init) in the call; rows[s] = e^{i phases[a - s]} is the
+    phase row at frame shift s (a Clifford step's rows are all its
+    phases).  NonUnitary for phases that are not all finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
@@ -541,20 +560,13 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
     g_idx, g_ph = pattern.intrinsic.certificate().frame_table()
     zk = sub[z] * d + x[:, None]
     nxt, dph = g_idx[zk], g_ph[zk]
-    Hc, tables, plan = hadamard(dim).conj(), {}, []
+    tables, plan = {}, []
     for i, step in enumerate(pattern.steps):
         init = graph.vertex(order[i + 1]).init
         key = (edges[i].gate, (init.dtype.str, init.tobytes())
                if isinstance(init, np.ndarray) else init)
         if key not in tables:
-            E = unitary_gate_matrix(edges[i].gate).reshape(d, d, d, d)
-            Uf = E[range(d), :, range(d)] @ _init_vector(dim, init)
-            # outcome k's map T_k = conj(H)[:, k] Uf^T has T_k^dag T_k = I/d,
-            # so weight 1/d on every input, iff the rows U_a fresh are
-            # orthonormal
-            deviation = np.abs(Uf.conj() @ Uf.T - np.eye(d)).max()
-            tables[key] = ((Hc[:, :, None] * Uf[:, None]).reshape(d, d * d),
-                           bool(deviation <= VERIFY_TOL))
+            tables[key] = _step_table(dim, edges[i].gate, init)
         phases = np.asarray(step.phases, dtype=float)
         # D_{-psi} H is unitary for every finite real psi, as H is
         if not np.isfinite(phases).all():
@@ -797,7 +809,7 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k
 
 
-# --- entangling through an existing edge (six-qudit cluster) --------------
+# --- entangling through an existing edge (two transport wires) ------------
 
 def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
                ) -> PauliWord:
@@ -810,69 +822,26 @@ def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
     return PauliWord(dim, 2, [k1, k4], [sub(k2, k4), sub(k5, k1)], phase)
 
 
-def _check_edge_branches(dim: DimSpec, h: np.ndarray, net: np.ndarray,
-                         action: np.ndarray):
-    """FrameMismatch unless every outcome (k1, k2, k4, k5) of
-    entangle_via_edge has the branch map edge_frame(k) action / d^2, with
-    its exact phase: the calls' network net, contracted with the outcomes'
-    X-basis vectors h[k] = <k_X| as each call contracts it, is compared
-    entry by entry with the predicted maps.  This runs one (k1, k2) slice
-    at a time, as d^6 arrays (k4, k5, out0, out1, in0, in1)."""
-    d = dim.d
-    W = _zx_stack(dim)
-    # the action (H x H) CZ (H x H) as [c, g in0 in1], over d^2
-    target = action.reshape(d, d ** 3) / d ** 2
-    # one d^6 buffer for every slice, so no two slices are live at once
-    dense = np.empty((d,) * 6, dtype=complex)
-    for k1, k2 in itertools.product(dim.elements, repeat=2):
-        words = [edge_frame(dim, k1, k2, k4, k5)
-                 for k4 in dim.elements for k5 in dim.elements]
-        phase = np.exp(2j * np.pi / dim.phase_den
-                       * np.array([w.phase_num for w in words]))
-        # site 0's word depends on k4 only, site 1's on (k4, k5)
-        M0 = W[[w.z[0] * d + w.x[0] for w in words[::d]]]
-        M1 = W[[w.z[1] * d + w.x[1] for w in words]] * phase[:, None, None]
-        # net [a, b, e, f, cg] with h[k2] on b and every h[k5] on f:
-        # [a, e, k5, cg], then h[k1] on a and every h[k4] on e
-        wires = h @ (h[k2] @ net.reshape(d, d, d ** 4)).reshape(d, d, d, -1)
-        np.multiply((h[k1][:, None] * h[:, None])[:, None, None, None],
-                    wires.transpose(2, 3, 0, 1).reshape(1, d, d, d, d, d),
-                    out=dense)
-        # less the predicted [k4, k5, c, g, in0 in1]: (M0 x M1) the action,
-        # one k4 at a time, in d^5 pieces
-        for k4, (m1, m0) in enumerate(zip(M1.reshape(d, d, 1, d, d), M0)):
-            dense[k4] -= (m1 @ (m0 @ target).reshape(d, d, -1)).reshape(
-                (d,) * 5)
-        if not (np.abs(dense).max() <= VERIFY_TOL):
-            raise FrameMismatch(f"edge outcomes ({k1}, {k2}, *, *) do not "
-                                f"have the predicted branches")
-
-
 @functools.lru_cache(maxsize=None)
-def _edge_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The conjugated X basis h[k] = <k_X|, the wires' psi-independent d^6
-    network of CZ phases over d^2 (rows a b e f, columns c g, for the
-    wires a-b-c and e-f-g joined by b-f) that every entangle_via_edge call
-    contracts, and the action (H x H) CZ (H x H); the network's branches
-    are checked once per dimension (_check_edge_branches) and the tables
-    shared read-only."""
+def _edge_facts(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every entangle_via_edge call reads, kept read-only per
+    dimension: the cz transport step onto a |+> vertex as step[a, k, r]
+    (_step_table, run_trajectories' step), CZ's phases cz[a, b] and the
+    action (H x H) CZ (H x H).  FrameMismatch unless the step is uniform:
+    then, CZ being unitary, each of the four outcomes weighs 1/d for
+    every input."""
     d = dim.d
-    E = gate_matrix(cz_spec(dim))
-    cz = np.diag(E).reshape(d, d)
-    H = hadamard(dim)
-    HH = np.kron(H, H)
-    action = HH @ E @ HH
-    h = H.conj().T
-    # cz[a, b] cz[e, f] cz[b, f] as [a, b, e, f], cz[b, c] cz[f, g] as
-    # [b, f, c, g]: their product is one d^6 allocation
-    heads = cz[:, :, None, None] * cz[None, None] * cz[None, :, None, :]
-    tails = cz[:, None, :, None] * cz[None, :, None, :]
-    net = (heads[..., None, None] / d ** 2 * tails[None, :, None]
-           ).reshape(d ** 4, d * d)
-    _check_edge_branches(dim, h, net, action)
-    for t in (h, net, action):
+    gate = cz_spec(dim)
+    table, uniform = _step_table(dim, gate, None)
+    if not uniform:
+        raise FrameMismatch("cz transport step outcomes do not all weigh "
+                            f"1/{d}")
+    cz = np.diag(gate_matrix(gate)).reshape(d, d)
+    HH = np.kron(hadamard(dim), hadamard(dim))
+    facts = table.reshape(d, d, d), cz, (HH * cz.reshape(-1)) @ HH
+    for t in facts:
         t.flags.writeable = False
-    return h, net, action
+    return facts
 
 
 @functools.lru_cache(maxsize=None)
@@ -893,29 +862,30 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     input at their heads; a CZ edge joins the midpoints 1 and 4.
     X-measuring the four interior qudits (outcomes k1, k2 on the first
     wire, k4, k5 on the second) leaves the tails carrying (H x H) CZ
-    (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Every
-    outcome's branch map is that frame times the action over d^2 (checked
-    once per dimension by _check_edge_branches), so every outcome has
-    probability 1/d^4 for every input: the four outcomes are drawn on
-    uniform marginals from rng's next four random() values, as four
-    sequential X measurements would draw them, off one CDF kept per d
-    (_draw), or forced_outcomes are taken (four,
-    checked by _forced and against the kept probabilities).  One
-    contraction of the d^6 CZ network with psi and the four X-basis
-    vectors gives the branch; its norm is checked to be 1/d^2 and its
-    posterior to be the frame times the action on psi, on every call
-    (FrameMismatch).
-    StateTooLarge before any allocation when d^6 exceeds sim.MAX_AMPS.
+    (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Each
+    measurement is a cz transport step, run on run_trajectories' step
+    table (_step_table), checked once per dimension to be uniform
+    (_edge_facts), so every outcome has probability 1/d^4 for every
+    input: the four outcomes are drawn on uniform marginals from rng's
+    next four random() values, as four sequential X measurements would
+    draw them, off one CDF kept per d (_draw), or forced_outcomes are
+    taken (four, checked by _forced and against the kept probabilities).
+    The branch is four (d, d) products, the heads' steps on either side
+    of psi as [a, e], then the rung's CZ phases, then the midpoints'
+    steps; its norm is checked to be 1/d^2 and its posterior to be the
+    frame times the action on psi, on every call (FrameMismatch).
+    StateTooLarge before any allocation when d^4 exceeds sim.MAX_AMPS.
     """
     d = dim.d
-    if d ** 6 > sim.MAX_AMPS:
-        raise StateTooLarge(f"{d}^6 amplitudes exceed the budget")
+    if d ** 4 > sim.MAX_AMPS:
+        raise StateTooLarge(f"{d}^4 entries of the edge's action exceed "
+                            f"the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
     ks = _draw(*_uniform_cdf(d), rng, forced_outcomes, 4)
-    h, net, action = _edge_tables(dim)
+    step, cz, action = _edge_facts(dim)
     k1, k2, k4, k5 = ks
-    branch = np.einsum("ae,a,b,e,f->abef", psi.reshape(d, d), h[k1], h[k2],
-                       h[k4], h[k5]).reshape(-1) @ net
+    mids = step[:, k1].T @ psi.reshape(d, d) @ step[:, k4] * cz
+    branch = (step[:, k2].T @ mids @ step[:, k5]).reshape(-1)
     norm = sim.vector_norm(branch)
     if not (abs(norm * d * d - 1) <= VERIFY_TOL):
         raise FrameMismatch(f"edge branch norm {norm:.12e} is not 1/{d}^2")

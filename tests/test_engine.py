@@ -1337,53 +1337,84 @@ def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
-def test_edge_branch_check_catches_a_corrupted_cz_table(dim):
-    # the check contracts the very network every call contracts, so one
-    # corrupted entry of it, wherever it sits, fails the check
-    h, net, action = engine._edge_tables(dim)
-    engine._check_edge_branches(dim, h, net, action)
+def test_edge_call_check_catches_a_corrupted_step_or_cz(dim, monkeypatch):
+    # every call checks its branch's norm and posterior against the
+    # predicted frame times the action, so one corrupted entry of the kept
+    # step table, on the outcome that reads it, or of the rung's CZ phases
+    # fails the call
+    d = dim.d
+    step, cz, action = engine._edge_facts(dim)
+    psi = random_state(d * d, np.random.default_rng(d))
     rng = np.random.default_rng(dim.d)
-    for entry in [(0, 0), (-1, -1)] + [tuple(rng.integers(net.shape))
+    entries = [(0, 0, 0), (d - 1,) * 3] + [tuple(rng.integers(d, size=3))
+                                          for _ in range(4)]
+    for a, k, r in entries:
+        bad = step.copy()
+        bad[a, k, r] *= np.exp(0.1j)
+        monkeypatch.setattr(engine, "_edge_facts",
+                            lambda dim, bad=bad: (bad, cz, action))
+        for ks in ([k, 0, 0, 0], [0, k, 0, 0], [0, 0, k, 0], [0, 0, 0, k]):
+            with pytest.raises(FrameMismatch):
+                entangle_via_edge(dim, psi, forced_outcomes=ks)
+    for entry in [(0, 0), (-1, -1)] + [tuple(rng.integers(d, size=2))
                                        for _ in range(4)]:
-        bad = net.copy()
+        bad = cz.copy()
         bad[entry] *= np.exp(0.1j)
-        with pytest.raises(FrameMismatch, match="predicted branches"):
-            engine._check_edge_branches(dim, h, bad, action)
-    with pytest.raises(FrameMismatch, match="predicted branches"):
-        engine._check_edge_branches(dim, h, np.ones_like(net), action)
+        monkeypatch.setattr(engine, "_edge_facts",
+                            lambda dim, bad=bad: (step, bad, action))
+        with pytest.raises(FrameMismatch):
+            entangle_via_edge(dim, psi, rng=0)
 
 
-def test_edge_tables_are_checked_once_per_dimension():
-    tables = engine._edge_tables(D3)
-    assert engine._edge_tables(make_dim(INTEGER_RING, d=3)) is tables
-    assert not any(t.flags.writeable for t in tables)
+def test_edge_facts_are_checked_once_per_dimension(monkeypatch):
+    facts = engine._edge_facts(D3)
+    assert engine._edge_facts(make_dim(INTEGER_RING, d=3)) is facts
+    assert not any(t.flags.writeable for t in facts)
+    # the step is run_trajectories' own, and a step whose outcomes do not
+    # all weigh 1/d is refused before any call draws off the uniform CDF
+    table, uniform = engine._step_table(D3, cz_spec(D3), None)
+    assert uniform and facts[0].tobytes() == table.tobytes()
+    monkeypatch.setattr(engine, "_step_table",
+                        lambda dim, gate, init: (table, False))
+    with pytest.raises(FrameMismatch, match="do not all weigh 1/3"):
+        engine._edge_facts.__wrapped__(D3)
 
 
 def test_first_edge_call_at_d5_stays_below_a_megabyte():
-    # the once-per-dimension check runs in (k1, k2) slices of d^6 = 15625
-    # amplitudes; the whole d^8 table would be 6.25 MB
+    # the per-dimension facts are d x d^2, d x d and d^2 x d^2 tables; no
+    # array of the six-qudit cluster is formed
     psi = random_state(25, np.random.default_rng(3))
-    engine._edge_tables.cache_clear()
+    engine._edge_facts.cache_clear()
     tracemalloc.start()
     try:
         entangle_via_edge(D5, psi, rng=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert engine._edge_tables.cache_info().currsize == 1
+    assert engine._edge_facts.cache_info().currsize == 1
     assert peak < 2 ** 20, peak
 
 
-D11, D101 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=101)
+D11, D32 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=32)
+D101 = make_dim(INTEGER_RING, d=101)
+
+
+def test_entangle_via_edge_runs_past_the_old_d6_limit():
+    # 11^6 amplitudes exceeded sim.MAX_AMPS; 11^4 do not
+    reference = _edge_frame_reference(D11)
+    psi = random_state(121, np.random.default_rng(11))
+    for seed in range(20):
+        _, frame = entangle_via_edge(D11, psi, rng=seed)
+        assert frame.word == reference(*(k for _, k in frame.history))
 
 
 @pytest.mark.parametrize("call", [
-    lambda: entangle_via_edge(D11, np.ones(11 ** 2), rng=0),
+    lambda: entangle_via_edge(D32, np.ones(32 ** 2), rng=0),
     lambda: mediator_step(cz_spec(D101), np.ones(101 ** 2), "disconnect",
                           rng=0),
 ], ids=["entangle_via_edge", "mediator_step"])
 def test_protocol_size_guards_fire_before_allocation(call):
-    # 11^6 and 101^3 amplitudes exceed sim.MAX_AMPS
+    # 32^4 and 101^3 amplitudes exceed sim.MAX_AMPS
     tracemalloc.start()
     try:
         with pytest.raises(StateTooLarge):
