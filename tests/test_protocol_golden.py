@@ -31,7 +31,7 @@ from quditmbqc.resource import (
 
 GOLDEN = "90a32e637e48e4d1168eb4e62aa05d995d1bb8c3bda63e3630d5a053fd39032a"
 EDGE_GOLDEN = (
-    "a9a60f47f28a7a8548369f4399c499ac3f9f41c9facc60e234d43d3b053a709f")
+    "49040f1c4ceddc995c29bdfc2f773545a11be1c5bfa6a2e846dcf68a16800f2e")
 
 SEEDS = range(200)
 SPECS = {"cz": cz_spec, "cx": cx_spec, "light_shift": light_shift_spec}
