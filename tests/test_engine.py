@@ -1381,8 +1381,8 @@ def test_edge_facts_are_checked_once_per_dimension(monkeypatch):
 
 
 def test_first_edge_call_at_d5_stays_below_a_megabyte():
-    # the per-dimension facts are d x d^2, d x d and d^2 x d^2 tables; no
-    # array of the six-qudit cluster is formed
+    # the per-dimension facts and a call's arrays hold at most d^4 = 625
+    # entries
     psi = random_state(25, np.random.default_rng(3))
     engine._edge_facts.cache_clear()
     tracemalloc.start()
