@@ -339,12 +339,14 @@ def _forced(forced, count: int, size: int) -> List[int]:
 def _draw(probs: list, cdf: list, rng, forced: Optional[Sequence[int]],
           count: int = 1) -> List[int]:
     """count outcomes of rows with these kept outcome probabilities and
-    CDF (sim.kept_cdf): one bisect_right of the CDF for each of rng's next
-    count random() values, the inverse-CDF rule of Generator.choice, or
-    the count forced outcomes (checked by _forced and sim.check_forced)."""
+    CDF (sim.kept_cdf): one bisect_right of the CDF for each of
+    default_rng(rng)'s next count random() values, drawn by sim.seed_row
+    with no Generator built for an int seed, the inverse-CDF rule of
+    Generator.choice, or the count forced outcomes (checked by _forced
+    and sim.check_forced)."""
     if forced is None:
         return [bisect.bisect_right(cdf, u)
-                for u in np.random.default_rng(rng).random(count).tolist()]
+                for u in sim.seed_row(rng, count)]
     ks = _forced(forced, count, len(probs))
     for k in ks:
         sim.check_forced(probs, k)

@@ -33,8 +33,10 @@ VERIFY_TOL = 1e-9
 # --- seeded uniforms ------------------------------------------------------
 
 _M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TO_UNIT = 1.0 / 9007199254740992.0     # 2^-53
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -46,19 +48,30 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 # 16 hash-mix calls mix the entropy pool, 8 more draw PCG64's state words
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+# generate_state's word i: pool word i mod 4, hashed by _HASH_B[i], [i + 1]
+_STATE_WORDS = tuple(zip([0, 1, 2, 3, 0, 1, 2, 3], _HASH_B[:-1, 0].tolist(),
+                         _HASH_B[1:, 0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)
-def _pcg_jumps(n: int) -> np.ndarray:
-    """Rows (P hi, P lo, Q hi, Q lo) of columns j < n: PCG64 seeded with
-    (initstate, inc) draws the output of P_j initstate + Q_j inc at draw
-    j + 1, with P_j = M^(j+2) and Q_j = M^0 + ... + M^(j+2) mod 2^128."""
-    p, q, cols = _PCG_MULT, 1 + _PCG_MULT, []
+def _pcg_jumps(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(P_j, Q_j) for j < n: PCG64 seeded with (initstate, inc) draws the
+    output of state P_j initstate + Q_j inc mod 2^128 at draw j + 1, with
+    P_j = M^(j+2) and Q_j = M^0 + ... + M^(j+2) mod 2^128."""
+    p, q, out = _PCG_MULT, 1 + _PCG_MULT, []
     for _ in range(n):
         p = p * _PCG_MULT & _M128
         q = q + p & _M128
-        cols.append((p >> 64, p & (1 << 64) - 1, q >> 64, q & (1 << 64) - 1))
-    out = np.array(cols, dtype=np.uint64).reshape(n, 4).T
+        out.append((p, q))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_limbs(n: int) -> np.ndarray:
+    """_pcg_jumps(n) as rows (P hi, P lo, Q hi, Q lo) of n uint64 columns."""
+    out = np.array([(p >> 64, p & _M64, q >> 64, q & _M64)
+                    for p, q in _pcg_jumps(n)],
+                   dtype=np.uint64).reshape(n, 4).T
     out.flags.writeable = False    # shared by every caller
     return out
 
@@ -72,23 +85,53 @@ def _mul128(hi, lo, chi, clo):
     return top + hi * clo + lo * chi, lo * clo
 
 
+def seed_row(seed, n: int) -> list:
+    """np.random.default_rng(seed).random(n).tolist(), bit for bit.
+
+    A non-negative int seed, of any size, keeps only numpy's SeedSequence
+    pool (its C entropy mix); the rest is Python int arithmetic:
+    generate_state's eight words, PCG64 seeded with initstate words 0-3
+    and inc 2 * words 4-7 + 1, jumped to each draw (_pcg_jumps), its
+    XSL-RR output x and (x >> 11) * 2^-53.  Any other seed (a Generator,
+    None, an np.integer, a bool or a negative int) draws through
+    default_rng itself, so a Generator is advanced and a negative seed
+    raises default_rng's ValueError.
+    """
+    if type(seed) is not int or seed < 0:
+        return np.random.default_rng(seed).random(n).tolist()
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    w = []
+    for i, a, b in _STATE_WORDS:
+        x = (pool[i] ^ a) * b & _M32
+        w.append(x ^ x >> 16)
+    init = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
+    out = []
+    for p, q in _pcg_jumps(n):
+        s = p * init + q * inc & _M128
+        hi = s >> 64
+        x, r = hi ^ s & _M64, hi >> 58
+        out.append(((x >> r | x << 64 - r) & _M64) >> 11)
+    return [x * _TO_UNIT for x in out]
+
+
 def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
     """Row t is np.random.default_rng(seeds[t]).random(n), bit for bit.
 
     Int seeds in [0, 2^128) run together, as (4, T) uint32 words: each
     seed's 16 bytes as SeedSequence's 4-word pool, its hash-mix, PCG64's
-    128-bit LCG seeded and jumped to each draw, its XSL-RR output and
-    (x >> 11) * 2^-53.  Any other seed (a Generator, None, an np.integer,
-    a negative int or one >= 2^128) draws through default_rng itself, in
-    row order, so default_rng's ValueError for a negative seed comes
-    through.
+    128-bit LCG seeded and jumped to each draw (_pcg_jumps, as uint64
+    limbs), its XSL-RR output and (x >> 11) * 2^-53.  Any other seed (a
+    Generator, None, an np.integer, a negative int or one >= 2^128) is one
+    seed_row, in row order, so a Generator is drawn from in turn and
+    default_rng's ValueError for a negative seed comes through.
     """
     seeds = list(seeds)
     out = np.empty((len(seeds), n))
     fast = [type(s) is int and 0 <= s <= _M128 for s in seeds]
     for t, f in enumerate(fast):
         if not f:
-            out[t] = np.random.default_rng(seeds[t]).random(n)
+            out[t] = seed_row(seeds[t], n)
     pool = np.frombuffer(b"".join(s.to_bytes(16, "little")
                                   for s, f in zip(seeds, fast) if f),
                          dtype="<u4").reshape(-1, 4).T
@@ -105,14 +148,14 @@ def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
         w = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:-1]) * _HASH_B[1:]
         w = (w ^ w >> 16).astype(np.uint64)
         val = (w[0::2] | w[1::2] << 32)[:, :, None]
-        ph, pl, qh, ql = _pcg_jumps(n)
+        ph, pl, qh, ql = _pcg_limbs(n)
         h1, l1 = _mul128(val[0], val[1], ph, pl)
         h2, l2 = _mul128(val[2] << 1 | val[3] >> 63, val[3] << 1 | 1, qh, ql)
         lo = l1 + l2
         hi = h1 + h2 + (lo < l1)
         x, r = hi ^ lo, hi >> 58
         x = x >> r | x << (64 - r & 63)
-    out[fast] = (x >> 11) * (1.0 / 9007199254740992.0)
+    out[fast] = (x >> 11) * _TO_UNIT
     return out
 
 

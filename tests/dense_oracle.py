@@ -54,8 +54,10 @@ def collapse(branch: np.ndarray, uniforms, forced=None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One outcome per row t of branch amplitudes (n, D, R): the draw
     whose outcome probabilities depend on the state, which every draw of
-    the library (sim.kept_cdf, engine._draw, a trajectory step's, off the
-    kept CDF or engine._weighted_step) is checked against.
+    the library (sim.kept_cdf, engine._draw at sim.seed_row's uniforms, a
+    trajectory step's, off the kept CDF or engine._weighted_step) is
+    checked against; measure draws its uniform by default_rng itself, the
+    reference sim.seed_row matches bit for bit.
 
     Outcome k has probability |branch[t, k]|^2 / |branch[t]|^2 and leaves
     the normalized branch[t, k].  Row t takes forced[t] when forced

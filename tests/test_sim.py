@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditmbqc.engine import mediator_step
 from quditmbqc.errors import (
     DimensionMismatch,
     NonUnitary,
@@ -25,6 +26,7 @@ from quditmbqc.sim import (
     StateVector,
     is_max_entangled,
     schmidt,
+    seed_row,
     seed_uniforms,
     state_to_json,
     unit_vector,
@@ -213,48 +215,64 @@ def default_rng_rows(seeds, n):
                      for s in seeds]).reshape(len(seeds), n)
 
 
-# where SeedSequence's entropy grows by a uint32 word, and the range's ends
+def seed_row_rows(seeds, n):
+    """One sim.seed_row(seed, n) per seed, in row order."""
+    return np.array([seed_row(s, n) for s in seeds]).reshape(len(seeds), n)
+
+
+# each case runs on the batched numpy pass and on the one-seed Python ints
+ROWS = pytest.mark.parametrize("rows", [seed_uniforms, seed_row_rows],
+                               ids=["seed_uniforms", "seed_row"])
+
+# where SeedSequence's entropy grows by a uint32 word, the batched pass's
+# ends, and seeds past it, which seed_row serves from SeedSequence's pool
 EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96,
-              2 ** 128 - 1]
+              2 ** 128 - 1, 2 ** 128, 2 ** 200 + 5]
 
 
+@ROWS
 @pytest.mark.parametrize("n", range(13))
-def test_seed_uniforms_match_default_rng_at_edge_seeds(n):
-    got = seed_uniforms(EDGE_SEEDS, n)
+def test_seed_uniforms_match_default_rng_at_edge_seeds(rows, n):
+    got = rows(EDGE_SEEDS, n)
     assert got.shape == (len(EDGE_SEEDS), n)
     assert np.array_equal(got, default_rng_rows(EDGE_SEEDS, n))
 
 
+@ROWS
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
                           st.integers(0, 2 ** 128 - 1)),
                 min_size=1, max_size=12),
        st.integers(0, 12))
-def test_seed_uniforms_match_default_rng(seeds, n):
-    assert np.array_equal(seed_uniforms(seeds, n), default_rng_rows(seeds, n))
+def test_seed_uniforms_match_default_rng(rows, seeds, n):
+    assert np.array_equal(rows(seeds, n), default_rng_rows(seeds, n))
 
 
+@ROWS
 @pytest.mark.parametrize("start", [2 ** 32 - 50, 2 ** 64 - 50])
-def test_seed_uniforms_match_default_rng_across_an_entropy_word(start):
+def test_seed_uniforms_match_default_rng_across_an_entropy_word(rows, start):
     # consecutive seeds whose entropy grows by a word halfway through
     seeds = range(start, start + 100)
-    assert np.array_equal(seed_uniforms(seeds, 7), default_rng_rows(seeds, 7))
+    assert np.array_equal(rows(seeds, 7), default_rng_rows(seeds, 7))
 
 
-def test_seed_uniforms_match_default_rng_on_mixed_entropy_widths():
+@ROWS
+def test_seed_uniforms_match_default_rng_on_mixed_entropy_widths(rows):
     # one batch of seeds of 1, 2, 3 and 4 entropy words, interleaved
     seeds = [w + 7919 * i for i in range(6)
              for w in (0, 2 ** 32, 2 ** 64, 2 ** 96)]
-    assert np.array_equal(seed_uniforms(seeds, 9), default_rng_rows(seeds, 9))
+    assert np.array_equal(rows(seeds, 9), default_rng_rows(seeds, 9))
 
 
-def test_seed_uniforms_send_other_seeds_through_default_rng():
+@ROWS
+def test_seed_uniforms_send_other_seeds_through_default_rng(rows):
     # a Generator is drawn from in row order, so twice gives fresh draws
     def seeds():
         gen = np.random.default_rng(5)
-        return [3, gen, np.int64(11), 2 ** 128, gen, 2 ** 200, None, 4]
+        return [3, gen, np.int64(11), 2 ** 128, gen, 2 ** 200, None, 4,
+                True]
 
-    got = seed_uniforms(seeds(), 6)
+    got = rows(seeds(), 6)
     want = default_rng_rows(seeds(), 6)
     assert np.array_equal(np.delete(got, 6, axis=0),
                           np.delete(want, 6, axis=0))
@@ -262,9 +280,24 @@ def test_seed_uniforms_send_other_seeds_through_default_rng():
     assert not np.array_equal(got[1], got[4])
 
 
-def test_seed_uniforms_negative_seed_raises_default_rngs_error():
+@ROWS
+def test_seed_uniforms_negative_seed_raises_default_rngs_error(rows):
     with pytest.raises(ValueError) as want:
         np.random.default_rng(-1)
     with pytest.raises(ValueError) as got:
-        seed_uniforms([1, -1], 3)
+        rows([1, -1], 3)
     assert str(got.value) == str(want.value)
+
+
+def test_a_generator_rng_is_advanced_by_one_random():
+    # mediator_step draws its outcome off the Generator's next random(),
+    # the first uniform of the int seed the Generator was built from
+    dim = make_dim(INTEGER_RING, d=5)
+    z = np.random.default_rng(5).normal(size=(2, 25))
+    psi = z[0] + 1j * z[1]
+    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
+    out = mediator_step(cz_spec(dim), psi, "entangle", rng=gen)
+    assert out.outcome == mediator_step(cz_spec(dim), psi, "entangle",
+                                        rng=9).outcome
+    ref.random()
+    assert gen.bit_generator.state == ref.bit_generator.state
