@@ -58,6 +58,13 @@ DIMS = [make_dim(INTEGER_RING, d=d) for d in (2, 3, 4, 5, 6, 8, 9)] + [
 RULES = [vertex_delete, local_complement]
 
 
+@functools.lru_cache(maxsize=2)
+def _dense_start(graph, vid, complement):
+    """The dense state of graph and the basis vid is measured in, built
+    once for every outcome of a check (a graph is hashed by identity)."""
+    return build(graph), dense_oracle.rewrite_basis(graph, vid, complement)
+
+
 def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
     """The dense rewrite reference: build the graph, measure vid in
     dense_oracle.rewrite_basis, read the rewrite off the outcome by the
@@ -78,10 +85,9 @@ def _dense_rewrite(graph, vid, rule, forced_outcome=None, rng=None):
         weight[u] = dim.add(weight.get(u, 0), N)
         kept[u] = kept.get(u, np.eye(d, dtype=complex)) @ Cu
     init_v = engine._init_vector(dim, graph.vertex(vid).init)
-    basis = dense_oracle.rewrite_basis(graph, vid, rule is local_complement)
-    m, post, _ = dense_oracle.measure(build(graph), basis,
-                                      graph.site_of(vid), rng=rng,
-                                      forced_outcome=forced_outcome)
+    state, basis = _dense_start(graph, vid, rule is local_complement)
+    m, post, _ = dense_oracle.measure(state, basis, graph.site_of(vid),
+                                      rng=rng, forced_outcome=forced_outcome)
     mul, add, _, chi = dim.tables
     f = (basis.vectors[:, m].conj() * init_v * np.diag(W)) @ chi[mul]
     if abs(f[0]) < VERIFY_TOL:
@@ -171,19 +177,22 @@ def _complex_inits(graph):
 
 
 @st.composite
-def phase_graphs(draw):
-    """A 2-5 vertex graph of cz powers (and light-shift edges over Z2 and
-    Z3), and a vertex with an edge to measure.  Its init phases are 0, Z,
-    S or S^-1, the others' any phases or None; each init is drawn as real
-    phases, as the complex vector e^{i phi}/sqrt(d) or, over a ring, as
-    the mediator init mediator_of(gate)[0] of one of the graph's gates
-    that has one: a cz power of zero-divisor weight has none."""
-    dim = draw(st.sampled_from(DIMS))
+def phase_graphs(draw, dim=None, min_vertices=2):
+    """A graph of min_vertices-5 vertices and at least min_vertices - 1
+    cz-power edges (and light-shift edges over Z2 and Z3), over dim or one
+    drawn from DIMS, and a vertex with an edge to measure.  Its init
+    phases are 0, Z, S or S^-1, the others' any phases or None; each init
+    is drawn as real phases, as the complex vector e^{i phi}/sqrt(d) or,
+    over a ring, as the mediator init mediator_of(gate)[0] of one of the
+    graph's gates that has one: a cz power of zero-divisor weight has
+    none."""
+    if dim is None:
+        dim = draw(st.sampled_from(DIMS))
     d = dim.d
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(min_vertices, 5))
     pairs = draw(st.lists(st.sampled_from(
         list(itertools.combinations(range(n), 2))),
-        min_size=1, max_size=6, unique=True))
+        min_size=min_vertices - 1, max_size=6, unique=True))
     ring = dim.kind == INTEGER_RING
     light_shift = ring and d in (2, 3)
     edges, mediated = [], []
@@ -219,15 +228,46 @@ def phase_graphs(draw):
     return graph, vid
 
 
-@settings(max_examples=60, deadline=None)
-@given(phase_graphs())
-def test_tableau_rewrite_matches_dense_oracles(case):
-    graph, vid = case
-    for rule in RULES:
-        # the measured vertex's init phases join its basis, so it rewrites
-        # on every outcome: each weight is a unit, so every outcome is
-        # equally likely
-        assert _check_every_outcome(graph, vid, rule) == graph.dim.d
+# a carve's steps on a phase graph: rule, seed, and which vertex to measure
+REWRITE_CHAINS = st.lists(st.tuples(st.sampled_from(RULES),
+                                    st.integers(0, 2 ** 32 - 1),
+                                    st.integers(0, 4)),
+                          min_size=2, max_size=3)
+
+
+def _chain_vertex(graph, pick, last):
+    """The pick-th (cyclically) vertex that has an edge, among those whose
+    rewrite keeps one, an edge leaving their closed neighbourhood, unless
+    the step is the chain's last or no vertex's does; None when no vertex
+    has an edge."""
+    live = [v.id for v in graph.vertices if graph.neighbors(v.id)]
+    if not last:
+        live = [v for v in live if any(
+            not {e.control, e.target} <= {v, *graph.neighbors(v)}
+            for e in graph.edges)] or live
+    return live[pick % len(live)] if live else None
+
+
+@pytest.mark.parametrize("dim", DIMS, ids=lambda dim: dim.label())
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_tableau_rewrite_matches_dense_oracles(dim, data):
+    # a chain of 2-3 seeded rewrites, each on the previous output as a
+    # carve makes them, the first at the drawn vertex: before each step,
+    # every forced outcome of both rules at the measured vertex matches the
+    # dense reference.  Its init phases join its basis, so it rewrites on
+    # every outcome: each weight is a unit, so every outcome is equally
+    # likely
+    graph, vid = data.draw(phase_graphs(dim, min_vertices=3))
+    chain = data.draw(REWRITE_CHAINS)
+    for step, (rule, seed, pick) in enumerate(chain):
+        if step:
+            vid = _chain_vertex(graph, pick, step == len(chain) - 1)
+            if vid is None:
+                break
+        for check in RULES:
+            assert _check_every_outcome(graph, vid, check) == dim.d
+        graph = rule(graph, vid, rng=seed)[3]
 
 
 @pytest.mark.parametrize("dim", DIMS, ids=lambda dim: dim.label())
