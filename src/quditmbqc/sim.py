@@ -111,8 +111,8 @@ def seed_row(seed, n: int) -> list:
         s = p * init + q * inc & _M128
         hi = s >> 64
         x, r = hi ^ s & _M64, hi >> 58
-        out.append(((x >> r | x << 64 - r) & _M64) >> 11)
-    return [x * _TO_UNIT for x in out]
+        out.append((((x >> r | x << 64 - r) & _M64) >> 11) * _TO_UNIT)
+    return out
 
 
 def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:

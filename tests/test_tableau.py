@@ -235,16 +235,14 @@ REWRITE_CHAINS = st.lists(st.tuples(st.sampled_from(RULES),
                           min_size=2, max_size=3)
 
 
-def _chain_vertex(graph, pick, last):
+def _chain_vertex(graph, pick):
     """The pick-th (cyclically) vertex that has an edge, among those whose
-    rewrite keeps one, an edge leaving their closed neighbourhood, unless
-    the step is the chain's last or no vertex's does; None when no vertex
-    has an edge."""
+    rewrite keeps one, an edge leaving their closed neighbourhood, if any
+    vertex's does; None when no vertex has an edge."""
     live = [v.id for v in graph.vertices if graph.neighbors(v.id)]
-    if not last:
-        live = [v for v in live if any(
-            not {e.control, e.target} <= {v, *graph.neighbors(v)}
-            for e in graph.edges)] or live
+    live = [v for v in live if any(
+        not {e.control, e.target} <= {v, *graph.neighbors(v)}
+        for e in graph.edges)] or live
     return live[pick % len(live)] if live else None
 
 
@@ -262,7 +260,7 @@ def test_tableau_rewrite_matches_dense_oracles(dim, data):
     chain = data.draw(REWRITE_CHAINS)
     for step, (rule, seed, pick) in enumerate(chain):
         if step:
-            vid = _chain_vertex(graph, pick, step == len(chain) - 1)
+            vid = _chain_vertex(graph, pick)
             if vid is None:
                 break
         for check in RULES:
