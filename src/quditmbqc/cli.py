@@ -276,15 +276,16 @@ def cmd_run(args) -> int:
     psi = basis_state(dim, 0)
     trials, seed = args.trials, args.seed or 0
     runs = run_trajectories(graph, pattern, psi, range(seed, seed + trials))
-    last = runs.frame(trials - 1)
+    S, d, last = pattern.step_count(), dim.d, runs.outcomes[-1].tolist()
+    z, x = divmod(int(runs.frame_index[-1]), d)    # the last frame, Z^z X^x
     results = {
         "trials": trials,
         "min_fidelity": float(runs.fidelities.min()),
-        "frame": {"z": [int(v) for v in last.word.z],
-                  "x": [int(v) for v in last.word.x]},
-        "history": [[int(a), int(b)] for a, b in last.history],
-        "outcome_counts": [[int(c) for c in np.bincount(col, minlength=dim.d)]
-                           for col in runs.outcomes.T],
+        "frame": {"z": [z], "x": [x]},
+        "history": [[i, k] for i, k in enumerate(last)],
+        # step i's outcome k counted at i d + k, every step in one bincount
+        "outcome_counts": np.bincount((runs.outcomes + np.arange(
+            0, S * d, d)).ravel(), minlength=S * d).reshape(S, d).tolist(),
     }
     if args.dump_state:
         results["state"] = state_to_json(

@@ -11,6 +11,7 @@ class's shortest word G S(l_{k-1}) ... G S(l_0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -36,7 +37,7 @@ from .galois import (
     json_check,
     json_complex,
 )
-from .gates import dphi, shear_gate
+from .gates import shear_gate
 from .pauli import (
     PauliWord,
     identity_word,
@@ -101,11 +102,14 @@ class MeasurementPattern:
         return len(self.steps)
 
     def dense_product(self) -> np.ndarray:
-        """Product of (G_I D_phi) factors, step 0 rightmost."""
-        out = np.eye(self.dim.d, dtype=complex)
-        for step in self.steps:
-            out = (self.intrinsic.matrix @ dphi(step.phases)) @ out
-        return out
+        """Product of (G_I D_phi) factors, step 0 rightmost, by one np.exp
+        and one stacked matmul G_I @ D_phi."""
+        d, S = self.dim.d, len(self.steps)
+        D = np.zeros((S, d, d), dtype=complex)
+        D[:, range(d), range(d)] = np.exp(1j * np.array(
+            [step.phases for step in self.steps], dtype=float).reshape(S, d))
+        return functools.reduce(lambda out, GD: GD @ out,
+                                self.intrinsic.matrix @ D, np.eye(d) + 0j)
 
 
 # --- single-qudit unitary compilation -------------------------------------

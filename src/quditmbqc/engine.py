@@ -98,7 +98,7 @@ from .resource import (
     intrinsic_of,
     mediator_of,
     mediator_tables,
-    unitary_gate_matrix,
+    unitary_blocks,
 )
 from . import sim
 from .sim import StateVector
@@ -109,14 +109,17 @@ from .sim import StateVector
 @dataclass(frozen=True, eq=False)
 class Vertex:
     """Graph vertex; init is a phase vector, a Z-basis label, or a raw state.
-    Immutable (an array init is copied read-only) and compared by identity."""
+    Immutable, compared by identity; an array init is copied read-only
+    unless it is read-only and owns its memory (a spec's init_phases)."""
     id: int
     init: Union[np.ndarray, int, None] = None
 
     def __post_init__(self):
-        if self.init is not None and not isinstance(self.init,
-                                                    (int, np.integer)):
-            init = np.array(self.init)
+        init = self.init
+        if not (init is None or isinstance(init, (int, np.integer)) or
+                isinstance(init, np.ndarray) and init.flags.owndata
+                and not init.flags.writeable):
+            init = np.array(init)
             init.flags.writeable = False
             object.__setattr__(self, "init", init)
 
@@ -199,7 +202,8 @@ class ResourceGraph:
                     f"edge {e.control}-{e.target} gate is over "
                     f"{e.gate.dim.label()}, the graph over {dim.label()}")
         d = dim.d
-        for v in self.vertices:
+        # each distinct init once: lattice vertices share their spec's
+        for v in {id(v.init): v for v in self.vertices}.values():
             if isinstance(v.init, (int, np.integer)):
                 if not 0 <= v.init < d:
                     raise DimensionMismatch(f"vertex init {v.init} is not a "
@@ -526,62 +530,69 @@ def _zx_stack(dim: DimSpec) -> np.ndarray:
 
 def _step_table(dim: DimSpec, gate: EntanglingGateSpec, init
                 ) -> Tuple[np.ndarray, bool]:
-    """One transport step folded into a d x d^2 table, and whether it is
-    uniform.  The edge gate is E = sum_a |a><a| (x) U_a, controlled by the
-    measured head, so the gate, the fresh vertex's state and the X basis
-    fold into table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r]: outcome k
-    takes the head psi to sum_a psi[a] table[a, (k, :)], unnormalized.
-    uniform is whether every outcome weighs 1/d for every input (a
-    Z-basis label on a diagonal edge's vertex does not)."""
+    """One transport step folded into a read-only d x d^2 table, and
+    whether it is uniform.  The edge gate is E = sum_a |a><a| (x) U_a,
+    controlled by the measured head, so its d blocks (unitary_blocks, not
+    the d^4 matrix), the fresh vertex's state and the X basis fold into
+    table[a, (k, r)] = conj(H)[a, k] (U_a fresh)[r]: outcome k takes the
+    head psi to sum_a psi[a] table[a, (k, :)], unnormalized.  uniform is
+    whether every outcome weighs 1/d for every input (a Z-basis label on
+    a diagonal edge's vertex does not)."""
     d = dim.d
-    E = unitary_gate_matrix(gate).reshape(d, d, d, d)
-    Uf = E[range(d), :, range(d)] @ _init_vector(dim, init)
+    Uf = unitary_blocks(gate) @ _init_vector(dim, init)
     # outcome k's map T_k = conj(H)[:, k] Uf^T has T_k^dag T_k = I/d,
     # so weight 1/d on every input, iff the rows U_a fresh are
     # orthonormal
     deviation = np.abs(Uf.conj() @ Uf.T - np.eye(d)).max()
     table = hadamard(dim).conj()[:, :, None] * Uf[:, None]
-    return table.reshape(d, d * d), bool(deviation <= VERIFY_TOL)
+    return _read_only(table.reshape(d, d * d)), bool(deviation <= VERIFY_TOL)
+
+
+@_per_spec
+def _spec_step(gate: EntanglingGateSpec) -> Tuple[np.ndarray, bool]:
+    """_step_table of a vertex holding the expanded gate's own init."""
+    return _step_table(gate.dim, gate, gate.init_phases)
 
 
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
-    """What run_trajectories reads, built once per call: per step (table,
-    uniform, rows, (nxt, dph)), a frame (word index a, phase) moving on
-    outcome k to nxt[a, k], adding dph[a, k], and (f_idx, f_ph), the
-    final move through F.  (table, uniform) is _step_table's, built once
-    per (gate, init) in the call; rows[s] = e^{i phases[a - s]} is the
-    phase row at frame shift s (a Clifford step's rows are all its
-    phases).  NonUnitary for phases that are not all finite."""
+    """What run_trajectories reads: per step (table, uniform, rows, (nxt,
+    dph)), a frame (word index a, phase) moving on outcome k to nxt[a, k],
+    adding dph[a, k] (an adaptive step's: the certificate's move_table),
+    and (f_idx, f_ph), the final move through F.  (table, uniform) is kept
+    on the spec for the gate's own init (_spec_step), else built once per
+    (gate, init) in the call; rows[z d + x] = e^{i phases[u - x]} over u,
+    all from one np.exp (a Clifford step's rows are its phases).
+    NonUnitary for phases that are not all finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
     # every word index z * d + x as (z, x)
     z, x = np.divmod(np.arange(d * d), d)
-    # Z^{-k} Z(z) X(x) = Z(z - k) X(x), then G_I
-    g_idx, g_ph = pattern.intrinsic.certificate().frame_table()
-    zk = sub[z] * d + x[:, None]
-    nxt, dph = g_idx[zk], g_ph[zk]
+    nxt, dph = pattern.intrinsic.certificate().move_table()
+    phases = np.array([step.phases for step in pattern.steps],
+                      dtype=float).reshape(-1, d)
+    # D_{-psi} H is unitary for every finite real psi, as H is
+    finite = np.isfinite(phases).all(axis=1)
+    e = np.exp(1j * np.where(finite[:, None], phases, 0.0))
     tables, plan = {}, []
     for i, step in enumerate(pattern.steps):
-        init = graph.vertex(order[i + 1]).init
-        key = (edges[i].gate, (init.dtype.str, init.tobytes())
+        gate, init = edges[i].gate, graph.vertex(order[i + 1]).init
+        key = (gate, (init.dtype.str, init.tobytes())
                if isinstance(init, np.ndarray) else init)
         if key not in tables:
-            tables[key] = _step_table(dim, edges[i].gate, init)
-        phases = np.asarray(step.phases, dtype=float)
-        # D_{-psi} H is unitary for every finite real psi, as H is
-        if not np.isfinite(phases).all():
+            tables[key] = _spec_step(gate) if init is expand(
+                gate).init_phases else _step_table(dim, gate, init)
+        if not finite[i]:
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         if step.adaptive:
-            rows, move = np.exp(1j * phases[sub.T]), (nxt, dph)
-        else:
-            rows = np.broadcast_to(np.exp(1j * phases), (d, d))
-            # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
-            c, num = np.array(diagonal_images(dim, np.exp(1j * phases)))
-            a = add[z, c[x]] * d + x
-            move = (nxt[a], dph[a] + num[x][:, None])
-        plan.append((*tables[key], rows, move))
+            plan.append((*tables[key], e[i, sub.T[x]], (nxt, dph)))
+            continue
+        # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
+        c, num = np.array(diagonal_images(dim, e[i]))
+        a = add[z, c[x]] * d + x
+        plan.append((*tables[key], np.broadcast_to(e[i], (d * d, d)),
+                     (nxt[a], dph[a] + num[x][:, None])))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
     # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
@@ -619,25 +630,22 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     {D_{-psi}|k_X>}, which applies G_I Z^{-k} D_psi.  The step is folded
     into one d x d^2 table, so all T trajectories advance together, in
     blocks of at most sim.MAX_AMPS // d^2 rows, by one (T, d) @ (d, d^2)
-    product, O(d^3) per row, of their heads times their phase rows,
-    gathered by frame shift, the frame's X part (a Clifford step's phases
-    are fixed, its diagonal moving the frame).
+    product, O(d^3) per row, of their heads times their phase rows; rows,
+    branches and frame moves (_trajectory_plan) are gathered by take.
 
     Trajectory t draws default_rng(seeds[t]).random(steps) (one
     sim.seed_uniforms pass for the block); each step takes bisect_right
-    of a CDF at its uniform: a uniform step (_trajectory_plan) the CDF
-    kept per d, for the whole block by one np.searchsorted, its posterior
-    the drawn branch times sqrt(d); any other step each row's own CDF
-    (_weighted_step).  forced_outcomes (T rows of one outcome per step,
-    each checked by _forced) draw nothing, and one of the two must be
-    given (DimensionMismatch).  Posteriors are normalized after the last
-    step.  Frames are word indices and exact phases, moved by
-    _trajectory_plan's tables.  Row t's overlap <cur_t,
-    e^{2 pi i frame_phase_t / phase_den} total_t P(frame)^dag U psi> reads
-    its ideal off one per-word table W @ v, v the normalized ideal output,
-    gathered by frame index, and is checked: FrameMismatch unless its
-    modulus, the returned fidelity, reaches 1 - VERIFY_TOL and its phase
-    is row 0's, at VERIFY_TOL.  StateTooLarge is raised before any
+    of a CDF at its uniform: a uniform step the CDF kept per d, for the
+    whole block by one np.searchsorted, its posterior the drawn branch
+    times sqrt(d); any other step each row's own CDF (_weighted_step).
+    forced_outcomes (T rows of one outcome per step, each checked by
+    _forced) draw nothing; one of the two must be given
+    (DimensionMismatch).  Posteriors are normalized after the last step.
+    Row t's overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
+    P(frame)^dag U psi> reads its ideal off one per-word table W @ v, v
+    the normalized ideal output, gathered by frame index: FrameMismatch
+    unless its modulus, the returned fidelity, reaches 1 - VERIFY_TOL and
+    its phase is row 0's, at VERIFY_TOL.  StateTooLarge before any
     per-trajectory allocation when the T d posterior amplitudes, or the
     d^4 entries of the word stack, exceed sim.MAX_AMPS.
     """
@@ -659,7 +667,6 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         outcomes = np.array([_forced(row, S, d) for row in forced_outcomes],
                             dtype=np.intp).reshape(T, S)
     else:
-        seeds = list(seeds)
         outcomes = np.empty((T, S), dtype=np.intp)
     W = _zx_stack(dim)
     plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
@@ -679,16 +686,18 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         cur = np.broadcast_to(psi_in, (n, d))
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
-        picks = np.arange(n)
+        heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k
         for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
-            branch = ((cur * phase_rows[at % d]) @ table).reshape(n, d, d)
+            branch = (cur * phase_rows.take(at, axis=0)) @ table
             k = outcomes[rows, i]
             if uniform:
-                cur = branch[picks, k] * math.sqrt(d)
+                cur = branch.reshape(n * d, d).take(heads + k, axis=0) \
+                    * math.sqrt(d)
             else:
-                k, cur = _weighted_step(branch, u, i, k)
+                k, cur = _weighted_step(branch.reshape(n, d, d), u, i, k)
                 outcomes[rows, i] = k
-            at, ph = nxt[at, k], ph + dph[at, k]
+            at = at * d + k
+            at, ph = nxt.take(at), ph + dph.take(at)
         post[rows] = cur / np.linalg.norm(cur, axis=1)[:, None]
         idx[rows] = f_idx[at]
         phase[rows] = ph + f_ph[at]
@@ -698,7 +707,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         @ pattern.dense_product() @ psi_in
     # each frame word's ideal row, read off one table
     ideal = W @ (v / sim.vector_norm(v))
-    overlap = np.sum(post.conj() * ideal[idx], axis=1)
+    overlap = np.add.reduce(post.conj() * ideal.take(idx, axis=0), axis=1)
     fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
@@ -742,7 +751,8 @@ def _coupling(graph: ResourceGraph) -> tuple:
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
     tail = _init_vector(dim, graph.vertex(order[1]).init)
-    E = unitary_gate_matrix(graph.edges[0].gate)
+    E = gate_matrix(graph.edges[0].gate)
+    unitary_blocks(graph.edges[0].gate)    # NonUnitary, once per spec
     chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
     intrinsic = intrinsic_of(graph.edges[0].gate)
     g_idx, g_phase = (a.tolist()
@@ -825,25 +835,19 @@ def edge_frame(dim: DimSpec, k1: int, k2: int, k4: int, k5: int
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_facts(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edge_facts(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
     """What every entangle_via_edge call reads, kept read-only per
-    dimension: the cz transport step onto a |+> vertex as step[a, k, r]
-    (_step_table, run_trajectories' step), CZ's phases cz[a, b] and the
-    action (H x H) CZ (H x H).  FrameMismatch unless the step is uniform:
-    then, CZ being unitary, each of the four outcomes weighs 1/d for
-    every input."""
+    dimension, d^3 entries: the cz step onto a |+> vertex as step[a, k, r]
+    (run_trajectories' own, _spec_step) and CZ's phases cz[a, b].
+    FrameMismatch unless the step is uniform: then, CZ being unitary, each
+    of the four outcomes weighs 1/d for every input."""
     d = dim.d
-    gate = cz_spec(dim)
-    table, uniform = _step_table(dim, gate, None)
+    gate = expand(cz_spec(dim))
+    table, uniform = _spec_step(gate)
     if not uniform:
         raise FrameMismatch("cz transport step outcomes do not all weigh "
                             f"1/{d}")
-    cz = np.diag(gate_matrix(gate)).reshape(d, d)
-    HH = np.kron(hadamard(dim), hadamard(dim))
-    facts = table.reshape(d, d, d), cz, (HH * cz.reshape(-1)) @ HH
-    for t in facts:
-        t.flags.writeable = False
-    return facts
+    return table.reshape(d, d, d), _read_only(np.exp(1j * gate.theta))
 
 
 @functools.lru_cache(maxsize=None)
@@ -866,7 +870,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     wire, k4, k5 on the second) leaves the tails carrying (H x H) CZ
     (H x H) |psi> up to the frame edge_frame(k1, k2, k4, k5).  Each
     measurement is a cz transport step, run on run_trajectories' step
-    table (_step_table), checked once per dimension to be uniform
+    table (kept on cz's spec), checked once per dimension to be uniform
     (_edge_facts), so every outcome has probability 1/d^4 for every
     input: the four outcomes are drawn on uniform marginals from rng's
     next four random() values, as four sequential X measurements would
@@ -875,7 +879,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     The branch is four (d, d) products, the heads' steps on either side
     of psi as [a, e], then the rung's CZ phases, then the midpoints'
     steps; its norm is checked to be 1/d^2 and its posterior to be the
-    frame times the action on psi, on every call (FrameMismatch).
+    frame times the action on psi, in O(d^3), on every call (FrameMismatch).
     StateTooLarge before any allocation when d^4 exceeds sim.MAX_AMPS.
     """
     d = dim.d
@@ -884,7 +888,7 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
                             f"the budget")
     psi = sim.unit_vector(psi, d * d, "input state")
     ks = _draw(*_uniform_cdf(d), rng, forced_outcomes, 4)
-    step, cz, action = _edge_facts(dim)
+    step, cz = _edge_facts(dim)
     k1, k2, k4, k5 = ks
     mids = step[:, k1].T @ psi.reshape(d, d) @ step[:, k4] * cz
     branch = (step[:, k2].T @ mids @ step[:, k5]).reshape(-1)
@@ -892,9 +896,12 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     if not (abs(norm * d * d - 1) <= VERIFY_TOL):
         raise FrameMismatch(f"edge branch norm {norm:.12e} is not 1/{d}^2")
     frame = edge_frame(dim, k1, k2, k4, k5)
-    W = _zx_stack(dim)
-    M0, M1 = (W[frame.z[i] * d + frame.x[i]] for i in (0, 1))
-    target = M0 @ (action @ psi).reshape(d, d) @ M1.T
+    (z0, z1), (x0, x1), (mul, _, sub, chi) = frame.z, frame.x, dim.tables
+    # the action H (CZ o (H psi H^T)) H^T, CZ = chi[mul] off the characters,
+    # not the kept phases, then the frame's X shifts and Z phases: O(d^3)
+    H = hadamard(dim)
+    target = (H @ (chi[mul] * (H @ psi.reshape(d, d) @ H.T)) @ H.T)[
+        sub[:, x0]][:, sub[:, x1]] * chi[mul[z0]][:, None] * chi[mul[z1]]
     post = branch / norm
     if not (abs(np.vdot(post, target.reshape(-1))) >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted edge-entangling frame does not verify")
@@ -1330,25 +1337,15 @@ def local_complement(graph: ResourceGraph, vid: int, rng=None,
 
 def diagonal_lattice(dim: DimSpec, rows: int, cols: int,
                      gate: EntanglingGateSpec) -> ResourceGraph:
-    """Rectangular lattice with row- and column-directed diagonal edges."""
-    phases = expand(gate).init_phases
-
-    def vid(r, c):
-        return r * cols + c
-
-    vertices = [Vertex(vid(r, c), phases)
-                for r in range(rows) for c in range(cols)]
-    edges = []
-    seq = 0
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append(GraphEdge(vid(r, c), vid(r, c + 1), gate, seq))
-                seq += 1
-            if r + 1 < rows:
-                edges.append(GraphEdge(vid(r, c), vid(r + 1, c), gate, seq))
-                seq += 1
-    return ResourceGraph(dim, vertices, edges)
+    """Rectangular lattice with row- and column-directed diagonal edges,
+    vertex r * cols + c at (r, c), each vertex's row edge before its column
+    edge; every vertex shares the gate's read-only init phases."""
+    n, phases = rows * cols, expand(gate).init_phases
+    ends = [(v, v + step) for v in range(n)
+            for step, ok in ((1, (v + 1) % cols), (cols, v + cols < n)) if ok]
+    return ResourceGraph(dim, [Vertex(v, phases) for v in range(n)],
+                         [GraphEdge(c, t, gate, seq)
+                          for seq, (c, t) in enumerate(ends)])
 
 
 def mediated_lattice(dim: DimSpec, rows: int, cols: int,

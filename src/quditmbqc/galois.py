@@ -435,14 +435,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _json_leaves(value) -> list:
-    """The scalars of a nested JSON array in order, or [value] for a
+def _leaf_types(value) -> set:
+    """The types of a nested JSON array's scalars, or {type(value)} for a
     scalar; each pass flattens one nesting level."""
-    leaves = [value]
-    while any(isinstance(v, list) for v in leaves):
-        leaves = [u for v in leaves
-                  for u in (v if isinstance(v, list) else (v,))]
-    return leaves
+    leaves, kinds = [value], {type(value)}
+    while list in kinds:
+        leaves = [u for v in leaves for u in (v if type(v) is list else (v,))]
+        kinds = set(map(type, leaves))
+    return kinds
 
 
 def json_array(value, shape: Tuple[Optional[int], ...], what: str,
@@ -450,8 +450,9 @@ def json_array(value, shape: Tuple[Optional[int], ...], what: str,
     """value as a finite numeric array of the shape; None matches any size.
     An int array takes JSON integers only, as json_int does, and no array
     takes JSON booleans."""
-    if any(isinstance(v, bool) or dtype is int and not isinstance(v, int)
-           for v in _json_leaves(value)):
+    kinds = _leaf_types(value)
+    if bool in kinds or dtype is int and any(not issubclass(k, int)
+                                             for k in kinds):
         kind = "integers" if dtype is int else "numbers"
         raise DimensionMismatch(f"{what} must be an array of {kind}")
     try:
@@ -464,7 +465,7 @@ def json_array(value, shape: Tuple[Optional[int], ...], what: str,
         got = ", ".join(str(s) for s in arr.shape)
         raise DimensionMismatch(
             f"{what} must have shape ({want}), got ({got})")
-    if not np.all(np.isfinite(arr)):
+    if dtype is not int and not np.isfinite(arr).all():    # ints are finite
         raise DimensionMismatch(f"{what} has a NaN or infinite entry")
     return arr
 

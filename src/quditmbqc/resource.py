@@ -202,12 +202,12 @@ def _blocks(spec: EntanglingGateSpec) -> np.ndarray:
 
 
 @_per_spec
-def unitary_gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
-    """gate_matrix, checked to be unitary on its d _blocks at VERIFY_TOL once
-    per spec; NonUnitary on every call for a gate that fails."""
-    E = gate_matrix(spec)
-    require_unitary(_blocks(spec), "operator fails the unitarity check")
-    return E
+def unitary_blocks(spec: EntanglingGateSpec) -> np.ndarray:
+    """The gate's d _blocks, read-only, checked to be unitary at VERIFY_TOL
+    once per spec; NonUnitary on every call for a gate that fails."""
+    blocks = _read_only(_blocks(spec))
+    require_unitary(blocks, "operator fails the unitarity check")
+    return blocks
 
 
 def resource_init(spec: EntanglingGateSpec) -> np.ndarray:

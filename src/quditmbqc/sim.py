@@ -51,6 +51,8 @@ _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 # generate_state's word i: pool word i mod 4, hashed by _HASH_B[i], [i + 1]
 _STATE_WORDS = tuple(zip([0, 1, 2, 3, 0, 1, 2, 3], _HASH_B[:-1, 0].tolist(),
                          _HASH_B[1:, 0].tolist()))
+# the three destination words of each source word's SeedSequence mix calls
+_MIX_DST = np.array([[t for t in range(4) if t != s] for s in range(4)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,10 +70,10 @@ def _pcg_jumps(n: int) -> Tuple[Tuple[int, int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _pcg_limbs(n: int) -> np.ndarray:
-    """_pcg_jumps(n) as rows (P hi, P lo, Q hi, Q lo) of n uint64 columns."""
-    out = np.array([(p >> 64, p & _M64, q >> 64, q & _M64)
+    """_pcg_jumps(n) as uint64 limbs [[P hi, Q hi], [P lo, Q lo]]."""
+    out = np.array([(p >> 64, q >> 64, p & _M64, q & _M64)
                     for p, q in _pcg_jumps(n)],
-                   dtype=np.uint64).reshape(n, 4).T
+                   dtype=np.uint64).reshape(n, 4).T.reshape(2, 2, n, 1)
     out.flags.writeable = False    # shared by every caller
     return out
 
@@ -118,44 +120,48 @@ def seed_row(seed, n: int) -> list:
 def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
     """Row t is np.random.default_rng(seeds[t]).random(n), bit for bit.
 
-    Int seeds in [0, 2^128) run together, as (4, T) uint32 words: each
-    seed's 16 bytes as SeedSequence's 4-word pool, its hash-mix, PCG64's
-    128-bit LCG seeded and jumped to each draw (_pcg_jumps, as uint64
-    limbs), its XSL-RR output and (x >> 11) * 2^-53.  Any other seed (a
-    Generator, None, an np.integer, a negative int or one >= 2^128) is one
-    seed_row, in row order, so a Generator is drawn from in turn and
-    default_rng's ValueError for a negative seed comes through.
+    Int seeds in [0, 2^128) run together, as SeedSequence's 4-word pools
+    ((4, T) uint32, a range below 2^64's by np.arange): their hash-mix in
+    place, PCG64 seeded and jumped to each draw (_pcg_jumps, both 128-bit
+    products in one _mul128 pass), XSL-RR and (x >> 11) * 2^-53.  Any
+    other seed (a Generator, None, an np.integer, a negative int or one >=
+    2^128) is one seed_row, in row order, so a Generator is drawn from in
+    turn and default_rng's ValueError for a negative seed comes through.
     """
-    seeds = list(seeds)
-    out = np.empty((len(seeds), n))
-    fast = [type(s) is int and 0 <= s <= _M128 for s in seeds]
-    for t, f in enumerate(fast):
-        if not f:
-            out[t] = seed_row(seeds[t], n)
-    pool = np.frombuffer(b"".join(s.to_bytes(16, "little")
-                                  for s, f in zip(seeds, fast) if f),
-                         dtype="<u4").reshape(-1, 4).T
+    out, fast = np.empty((len(seeds), n)), slice(None)
+    if type(seeds) is range and seeds and 0 <= min(seeds[0], seeds[-1]) \
+            and max(seeds[0], seeds[-1]) <= _M64:    # t step wraps mod 2^64
+        v = np.arange(len(seeds), dtype=np.uint64) * np.uint64(
+            seeds.step & _M64) + np.uint64(seeds[0])
+        pool = np.array([v, v >> 32, 0 * v, 0 * v]).astype(np.uint32)
+    else:
+        fast = [type(s) is int and 0 <= s <= _M128 for s in seeds]
+        for t, f in enumerate(fast):
+            if not f:
+                out[t] = seed_row(seeds[t], n)
+        pool = np.frombuffer(b"".join(s.to_bytes(16, "little")
+                                      for s, f in zip(seeds, fast) if f),
+                             dtype="<u4").reshape(-1, 4).T
     with np.errstate(over="ignore"):    # uint32 / uint64 wraparound
         pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]
         pool ^= pool >> 16
-        # SeedSequence's 12 mix calls, one round per source word s, whose
-        # three destination words are independent
-        for s in range(4):
-            dst, k = [t for t in range(4) if t != s], 4 + 3 * s
+        for s, k in zip(range(4), range(4, 16, 3)):    # 12 mix calls
             h = (pool[s] ^ _HASH_A[k:k + 3]) * _HASH_A[k + 1:k + 4]
-            m = pool[dst] * 0xCA01F9DD - (h ^ h >> 16) * 0x4973F715
-            pool[dst] = m ^ m >> 16
+            h ^= h >> 16    # three independent destination words
+            m = pool[_MIX_DST[s]] * 0xCA01F9DD - h * 0x4973F715
+            pool[_MIX_DST[s]] = m ^ m >> 16
         w = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:-1]) * _HASH_B[1:]
-        w = (w ^ w >> 16).astype(np.uint64)
-        val = (w[0::2] | w[1::2] << 32)[:, :, None]
-        ph, pl, qh, ql = _pcg_limbs(n)
-        h1, l1 = _mul128(val[0], val[1], ph, pl)
-        h2, l2 = _mul128(val[2] << 1 | val[3] >> 63, val[3] << 1 | 1, qh, ql)
-        lo = l1 + l2
-        hi = h1 + h2 + (lo < l1)
+        v = (w ^ w >> 16).astype(np.uint64)
+        v = v[0::2] | v[1::2] << 32    # initstate hi, lo; inc / 2 hi, lo
+        a = np.stack((v[:2], v[2:] << 1))    # [initstate, inc] x [hi, lo]
+        a[1, 0] |= v[3] >> 63
+        a[1, 1] |= 1
+        h, l = _mul128(a[:, 0, None], a[:, 1, None], *_pcg_limbs(n))
+        lo = l[0] + l[1]
+        hi = h[0] + h[1] + (lo < l[0])
         x, r = hi ^ lo, hi >> 58
         x = x >> r | x << (64 - r & 63)
-    out[fast] = (x >> 11) * _TO_UNIT
+    out[fast] = ((x >> 11) * _TO_UNIT).T
     return out
 
 

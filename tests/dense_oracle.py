@@ -135,9 +135,19 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
 
 
+@functools.lru_cache(maxsize=256)
+def _check_unitary(shape: Tuple[int, ...], data: bytes):
+    """sim.require_unitary on the complex matrix with these bytes, once per
+    distinct matrix: a graph's edge gates are a few matrices applied many
+    times.  A matrix that fails raises on every call, as none is kept."""
+    sim.require_unitary(np.frombuffer(data, dtype=complex).reshape(shape),
+                        "operator fails the unitarity check")
+
+
 def apply(state: StateVector, op: np.ndarray,
           sites: Union[int, Sequence[int]]) -> StateVector:
-    """Apply a unitary acting on the given sites (in the given order)."""
+    """Apply a unitary acting on the given sites (in the given order),
+    checked once per distinct matrix (_check_unitary)."""
     if isinstance(sites, int):
         sites = [sites]
     sites = list(sites)
@@ -147,7 +157,7 @@ def apply(state: StateVector, op: np.ndarray,
     op = np.asarray(op, dtype=complex)
     if op.shape != (d ** k, d ** k):
         raise DimensionMismatch("operator size does not match site count")
-    sim.require_unitary(op, "operator fails the unitarity check")
+    _check_unitary(op.shape, op.tobytes())
     T = state.tensor()
     T = np.moveaxis(T, sites, range(k))
     shape = T.shape

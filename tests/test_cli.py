@@ -321,8 +321,10 @@ _JSON_SCALARS = (st.booleans() | st.integers() | st.floats()
 @given(st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4),
                     max_leaves=40))
 def test_json_leaves_match_the_recursive_reader(value):
-    # nested, ragged lists with every kind of scalar at every depth
-    assert galois._json_leaves(value) == _recursive_leaves(value)
+    # nested, ragged lists with every kind of scalar at every depth: the
+    # leaf types json_array checks are those of every leaf
+    assert galois._leaf_types(value) == set(map(type,
+                                                _recursive_leaves(value)))
 
 
 def _count_opens(monkeypatch, paths):

@@ -2,6 +2,7 @@
 checked against the dense oracle."""
 
 import bisect
+import gc
 import itertools
 import json
 import time
@@ -45,6 +46,7 @@ from quditmbqc.compiler import (
     compile_clifford,
     compile_unitary,
     pattern_from_json,
+    pattern_to_json,
     transport_pattern,
 )
 from quditmbqc.resource import (
@@ -561,6 +563,80 @@ def test_step_tables_fold_each_vertex_init():
     assert [uniform for _, uniform, _, _ in plan] == [False] + [True] * 4
     assert tables[1] == tables[4]
     assert len(set(tables[:4])) == 4
+
+
+def test_kept_step_and_move_tables_are_shared_across_runs(monkeypatch):
+    # chain vertices share their spec's read-only init, so two runs on
+    # fresh chain graphs, of a pattern read twice from its JSON as two CLI
+    # calls do, read the step table kept on the spec and the move tables
+    # kept on the certificate: the same read-only objects
+    pat = compile_unitary(haar_unitary(3, np.random.default_rng(14)),
+                          intrinsic_of(cz_spec(D3)))
+    pat.gate = cz_spec(D3)    # as cli compile writes it
+    obj = pattern_to_json(pat)
+    real, plans = engine._trajectory_plan, []
+    monkeypatch.setattr(engine, "_trajectory_plan",
+                        lambda g, p: plans.append(real(g, p)) or plans[-1])
+    for _ in range(2):
+        pat = pattern_from_json(obj)
+        g = chain_graph(D3, pat.gate, pat.step_count() + 1)
+        assert all(v.init is expand(cz_spec(D3)).init_phases
+                   for v in g.vertices)
+        run_trajectories(g, pat, basis_state(D3, 0), range(10))
+    kept = (engine._spec_step(cz_spec(D3))[0],
+            *pat.intrinsic.certificate().move_table())
+    (first, _), (second, _) = plans
+    assert all(step.adaptive for step in pat.steps)
+    for a, b in zip(first, second):
+        assert a[0] is b[0] is kept[0]
+        assert a[3][0] is b[3][0] is kept[1] and a[3][1] is b[3][1] is kept[2]
+    assert not any(t.flags.writeable for t in kept)
+
+
+def test_a_vertex_keeps_a_private_copy_of_a_writeable_init():
+    # a caller's writeable array, or a read-only view of one, is copied
+    # read-only, so writing the caller's array later moves nothing; only a
+    # read-only array that owns its memory, as a spec's init is, is shared
+    arr = np.array([0.5, 1.0, 2.0])
+    view = arr[:]
+    view.flags.writeable = False
+    for init in (arr, view, arr.tolist()):
+        v = Vertex(0, init)
+        assert v.init is not init and not v.init.flags.writeable
+        assert not np.shares_memory(v.init, arr)
+    v = Vertex(0, arr)
+    arr[0] = 7.0
+    assert v.init[0] == 0.5
+    phases = expand(cx_spec(D3)).init_phases
+    assert Vertex(1, phases).init is phases
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHTED_CHAINS))
+def test_weighted_and_forced_steps_match_a_dense_chain(case):
+    # each step of a chain whose weights depend on the state goes through
+    # _weighted_step, seeded or forced; gathered by flat index, its
+    # posteriors are those of the oracle's whole-state chain: the head and
+    # the fresh vertex, the dense edge gate, then the head measured in the
+    # step's basis at the run's outcome
+    g, pat, psi, _ = _weighted_chain(case)
+    seeded = run_trajectories(g, pat, psi, range(40))
+    forced = run_trajectories(g, pat, psi, None,
+                              forced_outcomes=seeded.outcomes)
+    order, edges = engine._chain(g)
+    H = hadamard(D3)
+    for t, ks in enumerate(seeded.outcomes):
+        state = psi
+        for i, (step, k) in enumerate(zip(pat.steps, ks)):
+            fresh = engine._init_vector(D3, g.vertex(order[i + 1]).init)
+            two = dense_oracle.apply(
+                sim.StateVector(D3, 2, np.kron(state, fresh)),
+                gate_matrix(edges[i].gate), [0, 1])
+            basis = dense_oracle.MeasurementBasis(
+                D3, np.exp(-1j * np.asarray(step.phases))[:, None] * H)
+            _, post, _ = dense_oracle.measure(two, basis, 0, forced_outcome=k)
+            state = post.amps
+        for runs in (seeded, forced):
+            assert abs(np.vdot(state, runs.posteriors[t])) > 1 - 1e-12
 
 
 def test_batched_blocks_equal_one_block(monkeypatch):
@@ -1339,11 +1415,11 @@ def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
 @pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
 def test_edge_call_check_catches_a_corrupted_step_or_cz(dim, monkeypatch):
     # every call checks its branch's norm and posterior against the
-    # predicted frame times the action, so one corrupted entry of the kept
-    # step table, on the outcome that reads it, or of the rung's CZ phases
-    # fails the call
+    # predicted frame times the action, whose CZ is read off the characters,
+    # so one corrupted entry of the kept step table, on the outcome that
+    # reads it, or of the rung's kept CZ phases fails the call
     d = dim.d
-    step, cz, action = engine._edge_facts(dim)
+    step, cz = engine._edge_facts(dim)
     psi = random_state(d * d, np.random.default_rng(d))
     rng = np.random.default_rng(dim.d)
     entries = [(0, 0, 0), (d - 1,) * 3] + [tuple(rng.integers(d, size=3))
@@ -1352,7 +1428,7 @@ def test_edge_call_check_catches_a_corrupted_step_or_cz(dim, monkeypatch):
         bad = step.copy()
         bad[a, k, r] *= np.exp(0.1j)
         monkeypatch.setattr(engine, "_edge_facts",
-                            lambda dim, bad=bad: (bad, cz, action))
+                            lambda dim, bad=bad: (bad, cz))
         for ks in ([k, 0, 0, 0], [0, k, 0, 0], [0, 0, k, 0], [0, 0, 0, k]):
             with pytest.raises(FrameMismatch):
                 entangle_via_edge(dim, psi, forced_outcomes=ks)
@@ -1361,7 +1437,7 @@ def test_edge_call_check_catches_a_corrupted_step_or_cz(dim, monkeypatch):
         bad = cz.copy()
         bad[entry] *= np.exp(0.1j)
         monkeypatch.setattr(engine, "_edge_facts",
-                            lambda dim, bad=bad: (step, bad, action))
+                            lambda dim, bad=bad: (step, bad))
         with pytest.raises(FrameMismatch):
             entangle_via_edge(dim, psi, rng=0)
 
@@ -1370,12 +1446,13 @@ def test_edge_facts_are_checked_once_per_dimension(monkeypatch):
     facts = engine._edge_facts(D3)
     assert engine._edge_facts(make_dim(INTEGER_RING, d=3)) is facts
     assert not any(t.flags.writeable for t in facts)
-    # the step is run_trajectories' own, and a step whose outcomes do not
-    # all weigh 1/d is refused before any call draws off the uniform CDF
+    # the step is run_trajectories' own, kept on cz's spec, and a step
+    # whose outcomes do not all weigh 1/d is refused before any call draws
+    # off the uniform CDF
     table, uniform = engine._step_table(D3, cz_spec(D3), None)
     assert uniform and facts[0].tobytes() == table.tobytes()
-    monkeypatch.setattr(engine, "_step_table",
-                        lambda dim, gate, init: (table, False))
+    assert np.shares_memory(facts[0], engine._spec_step(cz_spec(D3))[0])
+    monkeypatch.setattr(engine, "_spec_step", lambda gate: (table, False))
     with pytest.raises(FrameMismatch, match="do not all weigh 1/3"):
         engine._edge_facts.__wrapped__(D3)
 
@@ -1393,6 +1470,27 @@ def test_first_edge_call_at_d5_stays_below_a_megabyte():
         tracemalloc.stop()
     assert engine._edge_facts.cache_info().currsize == 1
     assert peak < 2 ** 20, peak
+
+
+def test_an_edge_call_at_d31_leaves_under_two_mebibytes_held():
+    # the edge reads d^3 tables only (the cz spec's checked blocks and kept
+    # step, and CZ's phases), and checks its posterior in O(d^3) off two
+    # frame words: no d^4 gate matrix, action or word stack (14.7 MB each
+    # at d = 31) is built or kept
+    D31 = make_dim(INTEGER_RING, d=31)
+    psi = random_state(31 * 31, np.random.default_rng(31))
+    engine._edge_facts.cache_clear()
+    expand(cz_spec(D31))._facts.clear()    # rebuilt inside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        entangle_via_edge(D31, psi, rng=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine._edge_facts.cache_info().currsize == 1
+    assert held < 2 * 2 ** 20, held
 
 
 D11, D32 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=32)

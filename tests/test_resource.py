@@ -51,7 +51,7 @@ from quditmbqc.resource import (
     mediator_of,
     mediator_tables,
     resource_init,
-    unitary_gate_matrix,
+    unitary_blocks,
 )
 from quditmbqc.sim import StateVector, is_max_entangled, require_unitary
 
@@ -284,9 +284,12 @@ def test_factoring_builds_no_two_qudit_matrix(monkeypatch):
 
 def test_unitarity_is_checked_on_the_blocks():
     # the d blocks decide as the d^2 x d^2 Gram matrix does, with its
-    # message, and the checked matrix is gate_matrix's own
+    # message, and the checked blocks, kept read-only, are gate_matrix's
     for spec in (cz_spec(D3), cx_spec(D3), light_shift_spec(D3)):
-        assert unitary_gate_matrix(spec) is gate_matrix(spec)
+        blocks = unitary_blocks(spec)
+        assert unitary_blocks(spec) is blocks and not blocks.flags.writeable
+        E = gate_matrix(spec).reshape(3, 3, 3, 3)
+        assert np.array_equal(E[range(3), :, range(3)], blocks)
     rng = np.random.default_rng(5)
     blocks = np.linalg.qr(rng.normal(size=(3, 3, 3))
                           + 1j * rng.normal(size=(3, 3, 3)))[0]
@@ -307,9 +310,9 @@ def test_unitarity_is_checked_on_the_blocks():
             refused.append(spec)
             with pytest.raises(NonUnitary, match="^operator fails the "
                                                  "unitarity check$"):
-                unitary_gate_matrix(spec)
+                unitary_blocks(spec)
         else:
-            assert unitary_gate_matrix(spec) is gate_matrix(spec)
+            assert unitary_blocks(spec) is unitary_blocks(spec)
     # the two largest bends and the NaN angle
     assert refused == [specs[2], specs[3], specs[5]]
 

@@ -256,6 +256,19 @@ def test_seed_uniforms_match_default_rng_across_an_entropy_word(rows, start):
     assert np.array_equal(rows(seeds, 7), default_rng_rows(seeds, 7))
 
 
+@pytest.mark.parametrize("start", [0, 2 ** 32 - 500, 2 ** 64 - 500,
+                                   2 ** 128 - 500])
+def test_seed_uniforms_on_ranges_and_lists_equal_default_rng_rows(start):
+    # a range below 2^64 builds its pool words by np.arange, any other
+    # range or list seed by seed; across 2^32, where the entropy grows a
+    # word, 2^64, where ranges leave np.arange, and 2^128, where seeds
+    # leave the batched pass, every row is default_rng's
+    for seeds in (range(start, start + 1000), list(range(start, start + 1000)),
+                  range(start + 999, start - 1, -7)):
+        assert np.array_equal(seed_uniforms(seeds, 7),
+                              default_rng_rows(seeds, 7))
+
+
 @ROWS
 def test_seed_uniforms_match_default_rng_on_mixed_entropy_widths(rows):
     # one batch of seeds of 1, 2, 3 and 4 entropy words, interleaved
