@@ -358,11 +358,10 @@ def pattern_from_json(obj: dict) -> MeasurementPattern:
         gate = None
         M = json_complex(obj["intrinsic_matrix"], (d, d), "intrinsic_matrix")
         intr = intrinsic_from_matrix(dim, M)
-    steps = []
-    for s in json_check(obj["steps"], list, "steps"):
-        s = json_check(s, dict, "step")
-        steps.append(PatternStep(json_array(s["phases"], (d,), "phases"),
-                                 json_check(s["adaptive"], bool, "adaptive")))
+    steps = [PatternStep(json_array(s["phases"], (d,), "phases"),
+                         json_check(s["adaptive"], bool, "adaptive"))
+             for s in (json_check(s, dict, "step")
+                       for s in json_check(obj["steps"], list, "steps"))]
     frame = pauli_from_json(dim, obj["frame"])
     if frame.n != 1:
         raise DimensionMismatch(f"frame acts on {frame.n} qudits, the "

@@ -575,7 +575,7 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
     # D_{-psi} H is unitary for every finite real psi, as H is
     finite = np.isfinite(phases).all(axis=1)
     e = np.exp(1j * np.where(finite[:, None], phases, 0.0))
-    tables, plan = {}, []
+    tables, plan, shifted = {}, [], e[:, sub.T[x]]
     for i, step in enumerate(pattern.steps):
         gate, init = edges[i].gate, graph.vertex(order[i + 1]).init
         key = (gate, (init.dtype.str, init.tobytes())
@@ -586,7 +586,7 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
         if not finite[i]:
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         if step.adaptive:
-            plan.append((*tables[key], e[i, sub.T[x]], (nxt, dph)))
+            plan.append((*tables[key], shifted[i], (nxt, dph)))
             continue
         # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
         c, num = np.array(diagonal_images(dim, e[i]))
@@ -683,7 +683,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         if forced_outcomes is None:
             u = sim.seed_uniforms(seeds[rows], S)
             outcomes[rows] = np.searchsorted(cdf, u, side="right")
-        cur = np.broadcast_to(psi_in, (n, d))
+        cur = psi_in[None]    # broadcast over the block's rows
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
         heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k

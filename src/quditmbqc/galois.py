@@ -459,8 +459,8 @@ def json_array(value, shape: Tuple[Optional[int], ...], what: str,
         arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise DimensionMismatch(f"{what} is not a numeric array") from None
-    if arr.ndim != len(shape) or any(
-            want not in (None, got) for want, got in zip(shape, arr.shape)):
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape))):
         want = ", ".join("n" if s is None else str(s) for s in shape)
         got = ", ".join(str(s) for s in arr.shape)
         raise DimensionMismatch(
