@@ -899,9 +899,9 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     (z0, z1), (x0, x1), (mul, _, sub, chi) = frame.z, frame.x, dim.tables
     # the action H (CZ o (H psi H^T)) H^T, CZ = chi[mul] off the characters,
     # not the kept phases, then the frame's X shifts and Z phases: O(d^3)
-    H = hadamard(dim)
-    target = (H @ (chi[mul] * (H @ psi.reshape(d, d) @ H.T)) @ H.T)[
-        sub[:, x0]][:, sub[:, x1]] * chi[mul[z0]][:, None] * chi[mul[z1]]
+    CZ, H = chi[mul], hadamard(dim)    # H = H^T; Z^z's phases are CZ[z]
+    target = (H @ (CZ * (H @ psi.reshape(d, d) @ H)) @ H).take(
+        sub[:, x0], 0).take(sub[:, x1], 1) * (CZ[z0][:, None] * CZ[z1])
     post = branch / norm
     if not (abs(np.vdot(post, target.reshape(-1))) >= 1 - VERIFY_TOL):
         raise FrameMismatch("predicted edge-entangling frame does not verify")
