@@ -1415,9 +1415,9 @@ def test_mediator_and_edge_protocols_apply_no_dense_gate(monkeypatch):
 @pytest.mark.parametrize("dim", [D2, D3, D4F], ids=lambda dim: dim.label())
 def test_edge_call_check_catches_a_corrupted_step_or_cz(dim, monkeypatch):
     # every call checks its branch's norm and posterior against the
-    # predicted frame times the action, whose CZ is read off the characters,
-    # so one corrupted entry of the kept step table, on the outcome that
-    # reads it, or of the rung's kept CZ phases fails the call
+    # predicted frame times the action, so one corrupted entry of the kept
+    # step table, on the outcome that reads it, or of the rung's CZ phases
+    # fails the call
     d = dim.d
     step, cz = engine._edge_facts(dim)
     psi = random_state(d * d, np.random.default_rng(d))
