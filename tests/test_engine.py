@@ -619,6 +619,7 @@ def test_weighted_and_forced_steps_match_a_dense_chain(case):
     # the fresh vertex, the dense edge gate, then the head measured in the
     # step's basis at the run's outcome
     g, pat, psi, _ = _weighted_chain(case)
+    assert not any(step.adaptive for step in pat.steps)    # fixed bases
     seeded = run_trajectories(g, pat, psi, range(40))
     forced = run_trajectories(g, pat, psi, None,
                               forced_outcomes=seeded.outcomes)
