@@ -109,8 +109,8 @@ class CliffordCert:
 
     def frame_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Index z * d + x and exact phase numerator of U w U^dagger for each
-        w in one_qudit_words, built once with move_table's: the table moves
-        a frame (index i, phase p) to (idx[i], p + phase[i])."""
+        w in one_qudit_words, built once: the table moves a frame (index i,
+        phase p) to (idx[i], p + phase[i])."""
         if self.n != 1:
             raise DimensionMismatch("frame tables are single-qudit")
         if self._frame_table is None:
@@ -118,18 +118,21 @@ class CliffordCert:
                                     for w in one_qudit_words(self.dim)]
             idx = np.array([w.z[0] * d + w.x[0] for w in words], dtype=np.intp)
             phase = np.array([w.phase_num for w in words], dtype=np.int64)
-            # Z^{-k} Z(z) X(x) = Z(z - k) X(x), word (z - k) d + x
-            z, x = np.divmod(np.arange(d * d), d)
-            zk = self.dim.tables.sub[z] * d + x[:, None]
-            self._frame_table = idx, phase, idx[zk], phase[zk]
-            for t in self._frame_table[2:]:
-                t.flags.writeable = False
+            self._frame_table = idx, phase
         return self._frame_table[:2]
 
     def move_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only (nxt, dph), kept with frame_table: Z^{-k}, then U, move
-        a frame (index a, phase p) to (nxt[a, k], p + dph[a, k])."""
-        self.frame_table()
+        """Read-only (nxt, dph), built on first use: Z^{-k}, then U, move a
+        frame (index a, phase p) to (nxt[a, k], p + dph[a, k])."""
+        idx, phase = self.frame_table()
+        if len(self._frame_table) == 2:
+            # Z^{-k} Z(z) X(x) = Z(z - k) X(x), word (z - k) d + x
+            d = self.dim.d
+            z, x = np.divmod(np.arange(d * d), d)
+            zk = self.dim.tables.sub[z] * d + x[:, None]
+            self._frame_table += (idx[zk], phase[zk])
+            for t in self._frame_table[2:]:
+                t.flags.writeable = False
         return self._frame_table[2:]
 
 

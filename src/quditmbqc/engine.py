@@ -5,8 +5,8 @@ constructor, and so dataclasses.replace, graph_from_json and the lattice
 builders); a changed graph is derived with dataclasses.replace or the
 constructor.  So no call that takes a graph validates it again, and the
 facts derived from a graph (its id index, its adjacency lists, its
-vertex tables, its chain and couple_input's chain tensor and frame
-words) are kept on it and cannot go stale.
+vertex tables, its chain and couple_input's step and frame words) are
+kept on it and cannot go stale.
 
 Every protocol call and trajectory step is one contraction of its input
 with a branch table and one draw, bisect_right on a CDF at a uniform,
@@ -25,7 +25,9 @@ Pauli frames move by index arithmetic, read from tables built once:
 through a diagonal by its images (clifford.diagonal_images; the engine
 certifies nothing), through G_I by its certificate's frame table, a
 trajectory step by both composed per call; the mediator's d frame words
-are kept on its spec.
+are kept on its spec.  Words act on vectors by index too (X(x) a gather
+at sub[:, x], Z(z) a product with chi[mul[z]]): no table here has d^4
+entries, though run, coupling, rewrite and edge keep that budget.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -76,13 +78,7 @@ from .galois import (
 from .gates import hadamard, shear_gate, xplus_state
 from .clifford import _additive_basis, diagonal_images
 from .compiler import MeasurementPattern
-from .pauli import (
-    PAULI_TOL,
-    PauliWord,
-    matrix_of_pauli,
-    one_qudit_words,
-    zx_matrix,
-)
+from .pauli import PAULI_TOL, PauliWord, matrix_of_pauli
 from .resource import (
     VERIFY_TOL,
     EntanglingGateSpec,
@@ -93,7 +89,6 @@ from .resource import (
     expand,
     factor_diagonal_clifford,
     gate_from_json,
-    gate_matrix,
     gate_to_json,
     intrinsic_of,
     mediator_of,
@@ -357,14 +352,15 @@ def _draw(probs: list, cdf: list, rng, forced: Optional[Sequence[int]],
     return ks
 
 
-def _branch_posterior(B: np.ndarray, k: int, predicted: np.ndarray,
+def _branch_posterior(B: np.ndarray, k: int, D: int, predicted: np.ndarray,
                       what: str) -> np.ndarray:
-    """Row k of the branch B (D, R), drawn off the uniform CDF, normalized;
-    FrameMismatch unless its weight, read off the whole branch's
-    reduction, is 1/D and it is predicted up to phase."""
+    """Row k of the branch rows B (the whole branch, or the drawn row
+    alone), one of D outcomes drawn off the uniform CDF, normalized;
+    FrameMismatch unless its weight, read off B's reduction, is 1/D and it
+    is predicted up to phase."""
     w = np.add.reduce(np.square(np.abs(B)), axis=1)[k]
-    if not (abs(w * len(B) - 1) <= VERIFY_TOL):
-        raise FrameMismatch(f"{what} weight {w:.12e} is not 1/{len(B)}")
+    if not (abs(w * D - 1) <= VERIFY_TOL):
+        raise FrameMismatch(f"{what} weight {w:.12e} is not 1/{D}")
     post = B[k] / math.sqrt(w)
     overlap, norm = abs(np.vdot(post, predicted)), sim.vector_norm(predicted)
     if not (overlap >= (1 - VERIFY_TOL) * norm):
@@ -516,16 +512,12 @@ class Trajectories:
                                  for i, k in enumerate(self.outcomes[t])])
 
 
-@functools.lru_cache(maxsize=None)
-def _zx_stack(dim: DimSpec) -> np.ndarray:
-    """zx_matrix of every one_qudit_words entry, stacked by word index;
-    StateTooLarge, before it is allocated, past the d^4 budget."""
+def _d4_budget(dim: DimSpec):
+    """StateTooLarge past gate_matrix's d^4 budget: run, coupling, rewrite
+    and edge check it where they are entered, before anything is read."""
     if dim.d ** 4 > sim.MAX_AMPS:
-        raise StateTooLarge(f"{dim.d}^4 entries of the one-qudit Pauli stack"
-                            f" exceed the {sim.MAX_AMPS} amplitude budget")
-    out = np.array([zx_matrix(w) for w in one_qudit_words(dim)])
-    out.flags.writeable = False    # shared by every caller
-    return out
+        raise StateTooLarge(f"{dim.d}^4 two-qudit gate entries exceed the "
+                            f"{sim.MAX_AMPS} amplitude budget")
 
 
 def _step_table(dim: DimSpec, gate: EntanglingGateSpec, init
@@ -554,15 +546,22 @@ def _spec_step(gate: EntanglingGateSpec) -> Tuple[np.ndarray, bool]:
     return _step_table(gate.dim, gate, gate.init_phases)
 
 
+def _vertex_step(dim: DimSpec, gate: EntanglingGateSpec, init) -> tuple:
+    """_spec_step for the expanded gate's own init (every chain_graph
+    vertex), else a new _step_table onto init."""
+    own = init is expand(gate).init_phases
+    return _spec_step(gate) if own else _step_table(dim, gate, init)
+
+
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
     """What run_trajectories reads: per step (table, uniform, rows, (nxt,
     dph)), a frame (word index a, phase) moving on outcome k to nxt[a, k],
     adding dph[a, k] (an adaptive step's: the certificate's move_table),
-    and (f_idx, f_ph), the final move through F.  (table, uniform) is kept
-    on the spec for the gate's own init (_spec_step), else built once per
-    (gate, init) in the call; rows[z d + x] = e^{i phases[u - x]} over u,
-    all from one np.exp (a Clifford step's rows are its phases).
+    and (f_idx, f_ph), the final move through F.  (table, uniform) is
+    _vertex_step's, once per (gate, init) in the call; rows[x] =
+    e^{i phases[u - x]} over u, read at the frame word's X part x = a mod
+    d, all from one np.exp (a Clifford step's rows are its phases).
     NonUnitary for phases that are not all finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
@@ -575,14 +574,13 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
     # D_{-psi} H is unitary for every finite real psi, as H is
     finite = np.isfinite(phases).all(axis=1)
     e = np.exp(1j * np.where(finite[:, None], phases, 0.0))
-    tables, plan, shifted = {}, [], e[:, sub.T[x]]
+    tables, plan, shifted = {}, [], e[:, sub.T]
     for i, step in enumerate(pattern.steps):
         gate, init = edges[i].gate, graph.vertex(order[i + 1]).init
         key = (gate, (init.dtype.str, init.tobytes())
                if isinstance(init, np.ndarray) else init)
         if key not in tables:
-            tables[key] = _spec_step(gate) if init is expand(
-                gate).init_phases else _step_table(dim, gate, init)
+            tables[key] = _vertex_step(dim, gate, init)
         if not finite[i]:
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         if step.adaptive:
@@ -591,7 +589,7 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
         # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
         c, num = np.array(diagonal_images(dim, e[i]))
         a = add[z, c[x]] * d + x
-        plan.append((*tables[key], np.broadcast_to(e[i], (d * d, d)),
+        plan.append((*tables[key], np.broadcast_to(e[i], (d, d)),
                      (nxt[a], dph[a] + num[x][:, None])))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
@@ -642,14 +640,15 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     _forced) draw nothing; one of the two must be given
     (DimensionMismatch).  Posteriors are normalized after the last step.
     Row t's overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
-    P(frame)^dag U psi> reads its ideal off one per-word table W @ v, v
-    the normalized ideal output, gathered by frame index: FrameMismatch
-    unless its modulus, the returned fidelity, reaches 1 - VERIFY_TOL and
-    its phase is row 0's, at VERIFY_TOL.  StateTooLarge before any
-    per-trajectory allocation when the T d posterior amplitudes, or the
-    d^4 entries of the word stack, exceed sim.MAX_AMPS.
+    P(frame)^dag U psi> reads its ideal, its frame word on v, the
+    normalized ideal output, by index: FrameMismatch unless its modulus,
+    the returned fidelity, reaches 1 - VERIFY_TOL and its phase is row
+    0's, at VERIFY_TOL.  StateTooLarge past the d^4 budget (_d4_budget),
+    and before any per-trajectory allocation when the T d posterior
+    amplitudes exceed sim.MAX_AMPS.
     """
     dim = pattern.dim
+    _d4_budget(dim)
     if graph.dim != dim:
         raise DimensionMismatch(f"graph is over {graph.dim.label()}, the "
                                 f"pattern over {dim.label()}")
@@ -668,7 +667,6 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
                             dtype=np.intp).reshape(T, S)
     else:
         outcomes = np.empty((T, S), dtype=np.intp)
-    W = _zx_stack(dim)
     plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
     psi_in = sim.unit_vector(psi, d, "input state")
     cdf = np.array(_uniform_cdf(d)[1])
@@ -688,7 +686,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         ph = np.zeros(n, dtype=np.int64)
         heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k
         for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
-            branch = (cur * phase_rows.take(at, axis=0)) @ table
+            branch = (cur * phase_rows.take(at % d, axis=0)) @ table
             k = outcomes[rows, i]
             if uniform:
                 cur = branch.reshape(n * d, d).take(heads + k, axis=0) \
@@ -702,12 +700,13 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         idx[rows] = f_idx[at]
         phase[rows] = ph + f_ph[at]
     phase %= dim.phase_den
-    F = pattern.frame
-    v = (F.phase * W[F.z[0] * d + F.x[0]]).conj().T \
-        @ pattern.dense_product() @ psi_in
-    # each frame word's ideal row, read off one table
-    ideal = W @ (v / sim.vector_norm(v))
-    overlap = np.add.reduce(post.conj() * ideal.take(idx, axis=0), axis=1)
+    F, (mul, add, sub, chi) = pattern.frame, dim.tables
+    # v = (F.phase Z(fz) X(fx))^dag U psi, and each row's ideal, by index
+    v = (np.conj(F.phase * chi[mul[F.z[0]]])[:, None]
+         * pattern.dense_product())[add[:, F.x[0]]] @ psi_in
+    z, x = np.divmod(idx, d)
+    ideal = chi[mul[z]] * (v / sim.vector_norm(v))[sub.T[x]]
+    overlap = np.add.reduce(post.conj() * ideal, axis=1)
     fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
@@ -725,19 +724,20 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
 
 def _coupling(graph: ResourceGraph) -> tuple:
     """What couple_input reads of its graph alone, built on its first call
-    and kept on it: the chain tensor (the edge gate on |init_head>
-    |init_tail>, as [head, tail]), the conjugated word stack W.conj()
-    that its Bell vectors are read from, the head init's phases q, G_I's
-    matrix, and each outcome's frame word with its matrix, from the images
-    (c, num) of every shift under diag(q) (diagonal_images) and G_I's
-    certificate frame table.  Raises as couple_input documents (the
-    outcome weights: every branch map T_k, branch k = T_k psi, must have
-    T_k^dag T_k = I/d^2); a graph that raises keeps nothing."""
+    and kept on it: the head's step onto the tail at outcome 0, step[a, r]
+    = conj(H)[a, 0] (U_a tail)[r], a view of _vertex_step's table; the
+    head init's phases q; G_I's matrix; and each outcome's frame word, from
+    the images (c, num) of every shift under diag(q) (diagonal_images) and
+    G_I's certificate frame table.  Raises as couple_input documents; the
+    outcome weights are the step's uniform flag, as every branch map has
+    T_k^dag T_k = I/d^2 exactly when the rows U_a|tail> are orthonormal.
+    A graph that raises keeps nothing."""
     facts = graph._facts.get("coupling")
     if facts is not None:
         return facts
     dim = graph.dim
     d = dim.d
+    _d4_budget(dim)
     if len(graph.vertices) != 2:
         raise DimensionMismatch(
             "dense coupling verification needs a two-vertex chain")
@@ -745,37 +745,30 @@ def _coupling(graph: ResourceGraph) -> tuple:
     if len(order) != 2:
         raise DimensionMismatch("input coupling needs the chain's edge")
     head = graph.vertex(order[0])
-    init = _init_vector(dim, head.init)
-    q = _phase_diagonal(dim, init)
+    q = _phase_diagonal(dim, _init_vector(dim, head.init))
     if q is None:
         raise DimensionMismatch(f"head vertex {head.id} init {head.init!r} "
                                 f"is not a phase vector")
-    tail = _init_vector(dim, graph.vertex(order[1]).init)
-    E = gate_matrix(graph.edges[0].gate)
-    unitary_blocks(graph.edges[0].gate)    # NonUnitary, once per spec
-    chain = (E @ np.outer(init, tail).reshape(-1)).reshape(d, d)
-    intrinsic = intrinsic_of(graph.edges[0].gate)
+    gate = graph.edges[0].gate
+    # NonUnitary, once per spec, before the certificate is read
+    table, uniform = _vertex_step(dim, gate, graph.vertex(order[1]).init)
+    intrinsic = intrinsic_of(gate)
     g_idx, g_phase = (a.tolist()
                       for a in intrinsic.certificate().frame_table())
     (shift, nums), (_, add, neg, _) = diagonal_images(dim, q), dim.ints
-    W, frames = _zx_stack(dim), []
+    frames = []
     for s, t in itertools.product(neg, repeat=2):
         # outcome s' d + t' for s = -s', t = -t': D_head Z^s X^t D_head^dag
         # = e^{2 pi i num / den} Z(c + s) X(t), word i, which G_I moves to
         # word g_idx[i] at the phase g_phase[i]
         i = add[shift[t]][s] * d + t
         z, x = divmod(g_idx[i], d)
-        frames.append((W[g_idx[i]], PauliWord(dim, 1, (z,), (x,),
-                                              nums[t] + g_phase[i])))
-    # branch k = psi M[k] / sqrt(d), so d^2 T_k^dag T_k = d conj(M_k) M_k^T
-    Wc = W.conj()
-    M = Wc @ chain
-    deviation = np.abs(d * M.conj() @ np.swapaxes(M, 1, 2) - np.eye(d)).max()
-    if not (deviation <= VERIFY_TOL):
-        raise FrameMismatch(f"coupling outcome weights times {d * d} "
-                            f"deviate from 1 by {deviation:.3e}")
+        frames.append(PauliWord(dim, 1, (z,), (x,), nums[t] + g_phase[i]))
+    if not uniform:
+        raise FrameMismatch(f"coupling outcome weights are not all "
+                            f"1/{d * d} for every input")
     facts = graph._facts["coupling"] = (
-        chain, Wc, q, intrinsic.matrix, frames)
+        table[:, :d], q, intrinsic.matrix, frames)
     return facts
 
 
@@ -785,39 +778,43 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     """Teleport an external state into a two-vertex chain via a Bell
     measurement of the input and the chain's head.
 
-    The chain is the edge gate on |init_head> |init_tail>.  Bell outcome
-    Phi(s, t), with vector Z^s X^t / sqrt(d) read row by row, has branch
-    sum_ab conj(Z^s X^t)[a, b] psi[a] chain[b, :] / sqrt(d): one
-    contraction gives all d^2 branches, each of weight 1/d^2 for every
-    input (checked once per graph), so the outcome is drawn off a uniform
-    CDF (_draw), or forced.  It leaves the tail carrying
-    G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic gate of
-    the edge and D_head = diag(q) the head init's phases, |init> = D_head
-    |0_X> (the identity for cz and light-shift chains, S for cx).  The
-    returned frame is W conjugated through D_head, by the head's exact
-    images of every shift X(x) (diagonal_images), then through G_I, read
-    off its certificate's frame table, once per graph (_coupling), with
-    the chain tensor and the head's phases.  The posterior is frame * G_I
-    D_head |psi> up to phase; it and its weight are checked on every call.
+    The chain is the edge gate on |init_head> |init_tail>, q[a] step[a, r]
+    (_coupling).  Bell outcome Phi(s, t), with vector P / sqrt(d) read row
+    by row, P = Z(s) X(t), has branch (q * P^dag psi) @ step / sqrt(d),
+    P^dag applied by index.  Every outcome weighs 1/d^2 for every input
+    (checked once per graph), so the outcome is drawn off a uniform CDF
+    (_draw), or forced, and only its branch is formed.  It leaves the tail
+    carrying G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic
+    gate of the edge and D_head = diag(q), |init> = D_head |0_X> (the
+    identity for cz and light-shift chains, S for cx).  The returned frame
+    is W conjugated through D_head, by the head's exact images of every
+    shift X(x) (diagonal_images), then through G_I, read off its
+    certificate's frame table, once per graph (_coupling).  The posterior
+    is frame * G_I D_head |psi> up to phase; it and its weight are checked
+    on every call.
 
-    A chain that is not two vertices joined by one edge, or a head init
-    that is not a phase vector (a Z-basis label or a raw state), raises
-    DimensionMismatch; a non-unitary edge gate raises NonUnitary, a G_I
-    without a certificate raises as IntrinsicGate.certificate does, and a
-    D_head that is not Clifford raises NotCliffordError naming the X
-    generator it fails on; a chain whose outcomes do not all weigh 1/d^2
-    (a diagonal gate's with a Z-basis label tail) raises FrameMismatch.
-    All are raised before the input state and forced outcome are checked.
+    StateTooLarge past the d^4 budget (_d4_budget).  A chain that is not
+    two vertices joined by one edge, or a head init that is not a phase
+    vector (a Z-basis label or a raw state), raises DimensionMismatch; a
+    non-unitary edge gate raises NonUnitary, a G_I without a certificate
+    raises as IntrinsicGate.certificate does, and a D_head that is not
+    Clifford raises NotCliffordError naming the X generator it fails on; a
+    chain whose outcomes do not all weigh 1/d^2 (a diagonal gate's with a
+    Z-basis label tail) raises FrameMismatch.  All are raised before the
+    input state and forced outcome are checked.
     """
     dim = graph.dim
     d = dim.d
-    chain, Wc, q, G, frames = _coupling(graph)
+    step, q, G, frames = _coupling(graph)
     psi = sim.unit_vector(psi, d, "input state")
     k, = _draw(*_uniform_cdf(d * d), rng,
                None if forced_outcome is None else [forced_outcome])
-    branch = (psi @ Wc) @ chain / np.sqrt(d)
-    M, frame = frames[k]
-    post = _branch_posterior(branch, k, M @ (G @ (q * psi)), "coupling")
+    (s, t), (mul, add, sub, chi) = divmod(k, d), dim.tables
+    branch = (q * (chi[mul[s]].conj() * psi)[add[:, t]]) @ step / np.sqrt(d)
+    frame = frames[k]
+    # the frame word Z(z) X(x) on G_I D_head psi, by index
+    predicted = chi[mul[frame.z[0]]] * (G @ (q * psi))[sub[:, frame.x[0]]]
+    post = _branch_posterior(branch[None], 0, d * d, predicted, "coupling")
     return StateVector(dim, 1, post), PauliFrame(frame, [(0, k)]), k
 
 
@@ -880,12 +877,10 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     of psi as [a, e], then the rung's CZ phases, then the midpoints'
     steps; its norm is checked to be 1/d^2 and its posterior to be the
     frame times the action on psi, in O(d^3), on every call (FrameMismatch).
-    StateTooLarge before any allocation when d^4 exceeds sim.MAX_AMPS.
+    StateTooLarge before any allocation past the d^4 budget (_d4_budget).
     """
     d = dim.d
-    if d ** 4 > sim.MAX_AMPS:
-        raise StateTooLarge(f"{d}^4 entries of the edge's action exceed "
-                            f"the budget")
+    _d4_budget(dim)
     psi = sim.unit_vector(psi, d * d, "input state")
     ks = _draw(*_uniform_cdf(d), rng, forced_outcomes, 4)
     step, cz = _edge_facts(dim)
@@ -958,7 +953,7 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     psi = sim.unit_vector(psi, d * d, "input state").reshape(d, d)
     k, = _draw(*_uniform_cdf(d), rng,
                None if forced_outcome is None else [forced_outcome])
-    post = _branch_posterior((W * psi).reshape(d, d * d), k,
+    post = _branch_posterior((W * psi).reshape(d, d * d), k, d,
                              (Q[k] * psi).reshape(-1), f"mediator {mode}")
     angles, frames = _mediator_out(spec)
     return MediatorResult(StateVector(dim, 2, post),
@@ -982,16 +977,15 @@ class Correction:
 def _eigen_table(dim: DimSpec, b: np.ndarray) -> Tuple[list, list]:
     """(ok, num) over every word Z(a) X(x), as nested lists [a][x]: ok
     where b is its eigenvector with eigenvalue e^{2 pi i num / phase_den},
-    checked densely at PAULI_TOL and snapped to the exact phase lattice."""
-    den = dim.phase_den
-    # image[a d + x] = Z(a) X(x) b, with eigenvalue lam when ok
-    image = _zx_stack(dim) @ b
+    checked at PAULI_TOL and snapped to the exact phase lattice."""
+    (mul, _, sub, chi), den = dim.tables, dim.phase_den
+    # image[a, x] = Z(a) X(x) b by index, with eigenvalue lam[a, x] when ok
+    image = chi[mul][:, None] * b[sub.T]
     lam = image @ b.conj()
     num = np.round(np.angle(lam) * den / (2 * np.pi)).astype(int) % den
-    ok = (np.abs(image - lam[:, None] * b).max(axis=1) <= PAULI_TOL) \
+    ok = (np.abs(image - lam[..., None] * b).max(axis=2) <= PAULI_TOL) \
         & (np.abs(lam - np.exp(2j * np.pi * num / den)) <= PAULI_TOL)
-    return (ok.reshape(dim.d, dim.d).tolist(),
-            num.reshape(dim.d, dim.d).tolist())
+    return ok.tolist(), num.tolist()
 
 
 class _StarRule:
@@ -1198,7 +1192,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     StabilizerState of the new graph and the corrections; the other
     vertices keep their inits.  An edge anywhere that is not a diagonal
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
-    or NotCliffordError).
+    or NotCliffordError).  StateTooLarge comes first, past the d^4 budget
+    (_d4_budget), before the d^3 tables of the factors' images are built.
 
     w, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
     eigen table, corrections and pair weights delta N_u N_w (with their
@@ -1218,6 +1213,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     tables but N[v]'s (_tableau), which the check builds from its edges.
     """
     dim = graph.dim
+    _d4_budget(dim)
     site = graph.site_of(vid)
     adj = _adjacency(graph)
     star = adj[vid]

@@ -40,8 +40,10 @@ from quditmbqc.pauli import (
     normal_form,
     one_qudit_words,
     zmat,
+    zx_matrix,
 )
 from quditmbqc.compiler import (
+    MeasurementPattern,
     PatternStep,
     compile_clifford,
     compile_unitary,
@@ -646,7 +648,8 @@ def test_batched_blocks_equal_one_block(monkeypatch):
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = basis_state(D3, 0)
     whole = run_trajectories(g, pat, psi, range(10))
-    monkeypatch.setattr(sim, "MAX_AMPS", 4 * 9)    # blocks of 4 rows
+    # blocks of 9 rows and one of 1, at the d^4 budget's least size
+    monkeypatch.setattr(sim, "MAX_AMPS", 3 ** 4)
     split = run_trajectories(g, pat, psi, range(10))
     assert np.max(np.abs(split.posteriors - whole.posteriors)) < 1e-12
     assert np.max(np.abs(split.fidelities - whole.fidelities)) < 1e-12
@@ -1230,15 +1233,21 @@ def test_mediator_tables_are_checked_once_per_gate_and_mode():
 
 def test_two_qudit_gates_have_a_d4_budget():
     # over Z_32 a gate's d^4 entries pass the 10^6 budget: the gate matrix
-    # is refused before it is allocated, and so are the rewrites and the
-    # input coupling that read it; the mediator reads CZ's phases off the
-    # ring's tables, so over Z_37 it keeps its d^3 budget and verifies
+    # is refused before it is allocated, and the rewrites, the input
+    # coupling, run and the edge keep that budget, though none of them
+    # builds a d^4 table; the mediator reads CZ's phases off the ring's
+    # tables, so over Z_37 it keeps its d^3 budget and verifies
     z32, z37 = (make_dim(INTEGER_RING, d=d) for d in (32, 37))
     g = chain_graph(z32, cz_spec(z32), 3)
+    pat = transport_pattern(intrinsic_of(cz_spec(z32)))
+    run_chain = chain_graph(z32, cz_spec(z32), pat.step_count() + 1)
     for call in (lambda: vertex_delete(g, 1, rng=0),
                  lambda: local_complement(g, 1, rng=0),
                  lambda: couple_input(basis_state(z32, 0),
-                                      chain_graph(z32, cz_spec(z32), 2))):
+                                      chain_graph(z32, cz_spec(z32), 2)),
+                 lambda: run_trajectories(run_chain, pat,
+                                          basis_state(z32, 0), range(3)),
+                 lambda: entangle_via_edge(z32, np.ones(32 ** 2), rng=0)):
         with pytest.raises(StateTooLarge, match=r"32\^4"):
             call()
     with pytest.raises(StateTooLarge, match=r"37\^4"):
@@ -1246,6 +1255,19 @@ def test_two_qudit_gates_have_a_d4_budget():
     psi = random_state(37 ** 2, np.random.default_rng(3))
     res = mediator_step(cz_spec(z37), psi, "entangle", rng=0)
     assert res.posterior.amps.shape == (37 ** 2,)
+    # a rewrite refuses where it is entered: over Z_150, which make_dim
+    # takes, no d^3 table of a factor's exact images is built first
+    z150 = make_dim(INTEGER_RING, d=150)
+    for rule in (vertex_delete, local_complement):
+        big = chain_graph(z150, cz_spec(z150), 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateTooLarge, match=r"150\^4"):
+                rule(big, 1, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (rule.__name__, peak)
 
 
 def test_mediator_table_check_catches_wrong_local_phases(monkeypatch):
@@ -1296,8 +1318,20 @@ def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
         chain = chain_graph(dim, spec, 2)
         raw = random_state(d, np.random.default_rng([d, 7]))
         psi = sim.unit_vector(raw, d, "psi")
-        tensor, Wc = engine._coupling(chain)[:2]
-        branch = (psi @ Wc) @ tensor / np.sqrt(d)
+        # the Bell rows (q * W_k^dag psi) @ step / sqrt(d), W_k = Z(s) X(t),
+        # each formed by index as the call forms its drawn one, are the
+        # dense Bell vectors' contraction with the chain
+        step, q = engine._coupling(chain)[:2]
+        mul, add, _, chi = dim.tables
+        branch = np.array([
+            (q * (chi[mul[s]].conj() * psi)[add[:, t]]) @ step / np.sqrt(d)
+            for s in dim.elements for t in dim.elements])
+        tensor = (gate_matrix(spec) @ np.kron(
+            *(engine._init_vector(dim, v.init) for v in chain.vertices))
+        ).reshape(d, d)
+        dense = np.array([(zx_matrix(w).conj().T @ psi) @ tensor
+                          for w in one_qudit_words(dim)]) / np.sqrt(d)
+        assert np.abs(branch - dense).max() < 1e-15
 
         def call(seed, forced):
             post, _, k = couple_input(raw, chain, rng=seed,
@@ -1494,6 +1528,49 @@ def test_an_edge_call_at_d31_leaves_under_two_mebibytes_held():
     assert held < 2 * 2 ** 20, held
 
 
+def test_a_coupling_call_at_d31_leaves_under_two_mebibytes_held():
+    # the coupling reads the tail's step table, kept on the spec, forms the
+    # drawn Bell row alone and applies its words by index: no d^4 gate
+    # matrix, word stack or conjugated stack (14.7 MB each at d = 31) is
+    # built or kept
+    D31 = make_dim(INTEGER_RING, d=31)
+    spec = cz_spec(D31)
+    g = chain_graph(D31, spec, 2)
+    psi = random_state(31, np.random.default_rng(31))
+    expand(spec)._facts.clear()    # rebuilt inside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        couple_input(psi, g, rng=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20, held
+    assert np.shares_memory(engine._coupling(g)[0], engine._spec_step(spec)[0])
+
+
+def test_a_long_run_keeps_one_phase_row_per_shift():
+    # each adaptive step's phase rows are read at the frame word's X part,
+    # d rows per step: a 300-step Z31 run peaked at 145 MB when it kept
+    # d^2 rows per step
+    D31 = make_dim(INTEGER_RING, d=31)
+    spec = cz_spec(D31)
+    rng = np.random.default_rng(31)
+    pat = MeasurementPattern(D31, intrinsic_of(spec), [
+        PatternStep(rng.uniform(0, 2 * np.pi, 31), True)
+        for _ in range(300)], identity_word(D31), spec)
+    g = chain_graph(D31, spec, 301)
+    run_trajectories(g, pat, basis_state(D31, 0), range(2))
+    tracemalloc.start()
+    try:
+        run_trajectories(g, pat, basis_state(D31, 0), range(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, peak
+
+
 D11, D32 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=32)
 D101 = make_dim(INTEGER_RING, d=101)
 
@@ -1560,6 +1637,9 @@ def test_couple_input_builds_its_graph_facts_once(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     g = chain_graph(D3, cx_spec(D3), 2)
     psi = random_state(3, np.random.default_rng(8))
+    # the tail's step is the spec's kept one: cleared, so that the first call
+    # builds it, reading the tail's init
+    expand(cx_spec(D3))._facts.clear()
     for seed in range(10):
         couple_input(psi, g, rng=seed)
     assert counts == {"diagonal_images": 1, "_init_vector": 2}
