@@ -29,7 +29,7 @@ from quditmbqc.resource import (
     light_shift_spec,
 )
 
-GOLDEN = "90a32e637e48e4d1168eb4e62aa05d995d1bb8c3bda63e3630d5a053fd39032a"
+GOLDEN = "e1168940e5f0e62baeee7f80693aa92667a70c8f0341fce5d8a2118be5787336"
 EDGE_GOLDEN = (
     "49040f1c4ceddc995c29bdfc2f773545a11be1c5bfa6a2e846dcf68a16800f2e")
 
