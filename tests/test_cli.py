@@ -1332,7 +1332,7 @@ GOLDEN_CLIFFORD_RUNS = {
         "02742bb4e5bfd32c6d47e6ae917a9ddf5afd4b97d0fae64a93aa27424730860d",
         "d67e2dc3835c48b451d1af779407b86ce940712b56e7ae69e072eee5d7fde450"),
     "Z5-cx-hadamard": (
-        "31987787418a4d8026974e3d8baba44659c8f21a299ec55eb741c1a518217a5a",
+        "7d80657dd438bac00722ca9b58a5bbeed87fcd480b53cde227dc6f7c795bf438",
         "94d52a7976ace1477e8d41a97cd82134559fab4a9c056b78085c845d11c570ab"),
     "Z5-cx-transport": (
         "fdc412a0bde973b99d790a2f8de3a213272fab0aea165989eef52f8e47cd1f2b",
