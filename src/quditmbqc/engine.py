@@ -640,8 +640,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     _forced) draw nothing; one of the two must be given
     (DimensionMismatch).  Posteriors are normalized after the last step.
     Row t's overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
-    P(frame)^dag U psi> reads its ideal, its frame word on v, the
-    normalized ideal output, by index: FrameMismatch unless its modulus,
+    P(frame)^dag U psi> reads its ideal off every word on v, the normalized
+    ideal output, by index, d^3 entries: FrameMismatch unless its modulus,
     the returned fidelity, reaches 1 - VERIFY_TOL and its phase is row
     0's, at VERIFY_TOL.  StateTooLarge past the d^4 budget (_d4_budget),
     and before any per-trajectory allocation when the T d posterior
@@ -686,7 +686,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         ph = np.zeros(n, dtype=np.int64)
         heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k
         for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
-            branch = (cur * phase_rows.take(at % d, axis=0)) @ table
+            branch = (cur * phase_rows.take(at, 0, mode="wrap")) @ table
             k = outcomes[rows, i]
             if uniform:
                 cur = branch.reshape(n * d, d).take(heads + k, axis=0) \
@@ -701,12 +701,11 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         phase[rows] = ph + f_ph[at]
     phase %= dim.phase_den
     F, (mul, add, sub, chi) = pattern.frame, dim.tables
-    # v = (F.phase Z(fz) X(fx))^dag U psi, and each row's ideal, by index
+    # v = (F.phase Z(fz) X(fx))^dag U psi, and every word's ideal, by index
     v = (np.conj(F.phase * chi[mul[F.z[0]]])[:, None]
          * pattern.dense_product())[add[:, F.x[0]]] @ psi_in
-    z, x = np.divmod(idx, d)
-    ideal = chi[mul[z]] * (v / sim.vector_norm(v))[sub.T[x]]
-    overlap = np.add.reduce(post.conj() * ideal, axis=1)
+    ideal = chi[mul][:, None] * (v / sim.vector_norm(v))[sub.T]
+    overlap = np.add.reduce(post.conj() * ideal.reshape(-1, d)[idx], axis=1)
     fids = np.abs(overlap)
     if not np.all(fids >= 1 - VERIFY_TOL):
         raise FrameMismatch(f"trajectory fidelity {fids.min():.12f}")
