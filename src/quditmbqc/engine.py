@@ -686,6 +686,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         ph = np.zeros(n, dtype=np.int64)
         heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k
         for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
+            # wrap reads row a mod d, the X part of frame word a
             branch = (cur * phase_rows.take(at, 0, mode="wrap")) @ table
             k = outcomes[rows, i]
             if uniform:
