@@ -275,7 +275,7 @@ def cmd_run(args) -> int:
         graph = chain_graph(dim, pattern.gate, pattern.step_count() + 1)
     psi = basis_state(dim, 0)
     trials, seed = args.trials, args.seed or 0
-    runs = run_trajectories(graph, pattern, psi, range(seed, seed + trials))
+    runs = run_trajectories(graph, pattern, psi, rng=seed, trials=trials)
     S, d, last = pattern.step_count(), dim.d, runs.outcomes[-1].tolist()
     z, x = divmod(int(runs.frame_index[-1]), d)    # the last frame, Z^z X^x
     results = {

@@ -618,7 +618,7 @@ def _weighted_step(branch: np.ndarray, u: Optional[np.ndarray], i: int,
 
 
 def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
-                     psi: np.ndarray, seeds: Optional[Sequence] = None,
+                     psi: np.ndarray, rng=None, trials: Optional[int] = None,
                      forced_outcomes: Optional[Sequence[Sequence[int]]] = None
                      ) -> Trajectories:
     """Execute a measurement pattern along a chain for T trajectories.
@@ -631,13 +631,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     product, O(d^3) per row, of their heads times their phase rows; rows,
     branches and frame moves (_trajectory_plan) are gathered by take.
 
-    Trajectory t draws default_rng(seeds[t]).random(steps) (one
-    sim.seed_uniforms pass for the block); each step takes bisect_right
-    of a CDF at its uniform: a uniform step the CDF kept per d, for the
-    whole block by one np.searchsorted, its posterior the drawn branch
-    times sqrt(d); any other step each row's own CDF (_weighted_step).
-    forced_outcomes (T rows of one outcome per step, each checked by
-    _forced) draw nothing; one of the two must be given
+    The T = trials trajectories draw from one Generator, default_rng(rng)
+    (an int seed or a Generator, which is advanced): each block draws its
+    rows' uniforms by gen.random((n, steps)) in turn, so trajectory t's
+    are row t of default_rng(rng).random((T, steps)) whatever the block
+    size, and a run's rows are a prefix of a longer run's.  Each step
+    takes bisect_right of a CDF at its uniform: a uniform step the CDF
+    kept per d, for the whole block by one np.searchsorted, its posterior
+    the drawn branch times sqrt(d); any other step each row's own CDF
+    (_weighted_step).  forced_outcomes (T rows of one outcome per step,
+    each checked by _forced) draw nothing; trials or forced_outcomes must
+    be given, and trials, if given too, must be their count
     (DimensionMismatch).  Posteriors are normalized after the last step.
     Row t's overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
     P(frame)^dag U psi> reads its ideal off every word on v, the normalized
@@ -656,9 +660,15 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     S = len(pattern.steps)
     if len(_chain(graph)[0]) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
-    if seeds is None and forced_outcomes is None:
-        raise DimensionMismatch("seeds or forced_outcomes must be given")
-    T = len(seeds if forced_outcomes is None else forced_outcomes)
+    if forced_outcomes is None:
+        if trials is None:
+            raise DimensionMismatch("trials or forced_outcomes must be given")
+        T, gen = trials, np.random.default_rng(rng)
+    else:
+        T, gen = len(forced_outcomes), None
+        if trials not in (None, T):
+            raise DimensionMismatch(f"{trials} trials, but {T} rows of "
+                                    f"forced outcomes")
     if T * d > sim.MAX_AMPS:
         raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
                             f"the budget")
@@ -678,8 +688,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         rows = slice(lo, min(lo + block, T))
         n = rows.stop - lo
         u = None
-        if forced_outcomes is None:
-            u = sim.seed_uniforms(seeds[rows], S)
+        if gen is not None:
+            u = gen.random((n, S))
             outcomes[rows] = np.searchsorted(cdf, u, side="right")
         cur = psi_in[None]    # broadcast over the block's rows
         at = np.zeros(n, dtype=np.intp)

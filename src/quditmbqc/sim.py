@@ -1,4 +1,8 @@
-"""State vectors, kept outcome CDFs, seeded uniforms and Schmidt probes.
+"""State vectors, kept outcome CDFs, seed_row's uniforms and Schmidt probes.
+
+seed_row gives default_rng(seed).random(n) for the protocols' and
+rewrites' draws, with no Generator built; a trajectory run draws from one
+Generator of its own (engine.run_trajectories).
 
 Site 0 is the most significant tensor digit, so |jk> has j at site 0.
 Dense gate application and measurement, and collapse, the draw off a
@@ -30,29 +34,17 @@ from .pauli import PAULI_TOL
 VERIFY_TOL = 1e-9
 
 
-# --- seeded uniforms ------------------------------------------------------
+# --- seeded uniforms: seed_row, default_rng's bits without a Generator ----
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TO_UNIT = 1.0 / 9007199254740992.0     # 2^-53
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constants init * mult^k mod 2^32, k < count."""
-    return np.array([init * pow(mult, k, 1 << 32) & _M32
-                     for k in range(count)], dtype=np.uint32)[:, None]
-
-
-# 16 hash-mix calls mix the entropy pool, 8 more draw PCG64's state words
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-# generate_state's word i: pool word i mod 4, hashed by _HASH_B[i], [i + 1]
-_STATE_WORDS = tuple(zip([0, 1, 2, 3, 0, 1, 2, 3], _HASH_B[:-1, 0].tolist(),
-                         _HASH_B[1:, 0].tolist()))
-# the three destination words of each source word's SeedSequence mix calls
-_MIX_DST = np.array([[t for t in range(4) if t != s] for s in range(4)])
+# SeedSequence's generate_state hash constants 0x8B51F9DD * 0x58F38DED^k
+# mod 2^32; its word i is pool word i mod 4, hashed by constants i, i + 1
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32 for k in range(9)]
+_STATE_WORDS = tuple(zip([0, 1, 2, 3, 0, 1, 2, 3], _HASH_B[:-1], _HASH_B[1:]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,25 +58,6 @@ def _pcg_jumps(n: int) -> Tuple[Tuple[int, int], ...]:
         q = q + p & _M128
         out.append((p, q))
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _pcg_limbs(n: int) -> np.ndarray:
-    """_pcg_jumps(n) as uint64 limbs [[P hi, Q hi], [P lo, Q lo]]."""
-    out = np.array([(p >> 64, q >> 64, p & _M64, q & _M64)
-                    for p, q in _pcg_jumps(n)],
-                   dtype=np.uint64).reshape(n, 4).T.reshape(2, 2, n, 1)
-    out.flags.writeable = False    # shared by every caller
-    return out
-
-
-def _mul128(hi, lo, chi, clo):
-    """(hi, lo) * (chi, clo) mod 2^128, 32-bit limbs, cross products once."""
-    a1, a0, b1, b0 = lo >> 32, lo & _M32, clo >> 32, clo & _M32
-    c01, c10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (c01 & _M32) + (c10 & _M32)
-    top = a1 * b1 + (c01 >> 32) + (c10 >> 32) + (mid >> 32)
-    return top + hi * clo + lo * chi, lo * clo
 
 
 def seed_row(seed, n: int) -> list:
@@ -114,54 +87,6 @@ def seed_row(seed, n: int) -> list:
         hi = s >> 64
         x, r = hi ^ s & _M64, hi >> 58
         out.append((((x >> r | x << 64 - r) & _M64) >> 11) * _TO_UNIT)
-    return out
-
-
-def seed_uniforms(seeds: Sequence, n: int) -> np.ndarray:
-    """Row t is np.random.default_rng(seeds[t]).random(n), bit for bit.
-
-    Int seeds in [0, 2^128) run together, as SeedSequence's 4-word pools
-    ((4, T) uint32, a range below 2^64's by np.arange): their hash-mix in
-    place, PCG64 seeded and jumped to each draw (_pcg_jumps, both 128-bit
-    products in one _mul128 pass), XSL-RR and (x >> 11) * 2^-53.  Any
-    other seed (a Generator, None, an np.integer, a negative int or one >=
-    2^128) is one seed_row, in row order, so a Generator is drawn from in
-    turn and default_rng's ValueError for a negative seed comes through.
-    """
-    out, fast = np.empty((len(seeds), n)), slice(None)
-    if type(seeds) is range and seeds and 0 <= min(seeds[0], seeds[-1]) \
-            and max(seeds[0], seeds[-1]) <= _M64:    # t step wraps mod 2^64
-        v = np.arange(len(seeds), dtype=np.uint64) * np.uint64(
-            seeds.step & _M64) + np.uint64(seeds[0])
-        pool = np.array([v, v >> 32, 0 * v, 0 * v]).astype(np.uint32)
-    else:
-        fast = [type(s) is int and 0 <= s <= _M128 for s in seeds]
-        for t, f in enumerate(fast):
-            if not f:
-                out[t] = seed_row(seeds[t], n)
-        pool = np.frombuffer(b"".join(s.to_bytes(16, "little")
-                                      for s, f in zip(seeds, fast) if f),
-                             dtype="<u4").reshape(-1, 4).T
-    with np.errstate(over="ignore"):    # uint32 / uint64 wraparound
-        pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]
-        pool ^= pool >> 16
-        for s, k in zip(range(4), range(4, 16, 3)):    # 12 mix calls
-            h = (pool[s] ^ _HASH_A[k:k + 3]) * _HASH_A[k + 1:k + 4]
-            h ^= h >> 16    # three independent destination words
-            m = pool[_MIX_DST[s]] * 0xCA01F9DD - h * 0x4973F715
-            pool[_MIX_DST[s]] = m ^ m >> 16
-        w = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:-1]) * _HASH_B[1:]
-        v = (w ^ w >> 16).astype(np.uint64)
-        v = v[0::2] | v[1::2] << 32    # initstate hi, lo; inc / 2 hi, lo
-        a = np.stack((v[:2], v[2:] << 1))    # [initstate, inc] x [hi, lo]
-        a[1, 0] |= v[3] >> 63
-        a[1, 1] |= 1
-        h, l = _mul128(a[:, 0, None], a[:, 1, None], *_pcg_limbs(n))
-        lo = l[0] + l[1]
-        hi = h[0] + h[1] + (lo < l[0])
-        x, r = hi ^ lo, hi >> 58
-        x = x >> r | x << (64 - r & 63)
-    out[fast] = ((x >> 11) * _TO_UNIT).T
     return out
 
 

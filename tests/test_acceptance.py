@@ -233,7 +233,7 @@ def test_criterion_06_mbqc_determinism(compiled):
     for dim, spec, name, bound, U, pat in patterns:
         graph = chain_graph(dim, spec, pat.step_count() + 1)
         psi = random_state(dim.d, rng)
-        runs = run_trajectories(graph, pat, psi, range(100))
+        runs = run_trajectories(graph, pat, psi, rng=0, trials=100)
         for t in range(100):
             ideal = matrix_of_pauli(runs.frame(t).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ U @ psi
@@ -263,7 +263,7 @@ def test_criterion_07_clifford_single_step():
         graph = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
         rng = np.random.default_rng(7)
         psi = random_state(3, rng)
-        runs = run_trajectories(graph, pat, psi, range(10))
+        runs = run_trajectories(graph, pat, psi, rng=0, trials=10)
         for t in range(10):
             ideal = matrix_of_pauli(runs.frame(t).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ pat.dense_product() @ psi

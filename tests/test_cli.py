@@ -15,7 +15,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from quditmbqc import cli, galois, resource
+from quditmbqc import cli, galois, resource, sim
 from quditmbqc.engine import chain_graph, graph_to_json
 from quditmbqc.galois import (
     FINITE_FIELD,
@@ -1487,6 +1487,31 @@ def test_run_outcomes_match_golden_digests(tmp_path, capsys, pattern):
         blob = json.dumps([results[k] for k in
                            ("outcome_counts", "frame", "history")])
         assert hashlib.sha256(blob.encode()).hexdigest() == want, seed
+
+
+@pytest.mark.parametrize("family", ["Z3-cz", "GF4-light_shift", "Z5-cx"])
+@pytest.mark.parametrize("seed", [7, 4294967290])
+@pytest.mark.parametrize("blocks", ["one", "of d^2 rows"])
+def test_run_draws_its_trials_off_one_stream(tmp_path, capsys, monkeypatch,
+                                             family, seed, blocks):
+    # every step of these phase-init chains weighs each outcome 1/d, so
+    # trial t's outcomes are the uniform CDF's bins of row t of
+    # default_rng(seed).random((trials, steps)), in one block or in d
+    obj = json.loads(RUN_PATTERNS.read_text())[family]
+    d, S = galois.dim_from_json(obj["dim"]).d, len(obj["steps"])
+    T = d ** 3
+    if blocks != "one":
+        monkeypatch.setattr(sim, "MAX_AMPS", d ** 4)
+    code, out = run_cli(capsys, ["run", "--pattern",
+                                 _run_pattern_file(tmp_path, family),
+                                 "--trials", str(T), "--seed", str(seed)])
+    assert code == 0
+    k = np.searchsorted(np.arange(1, d + 1) / d,
+                        np.random.default_rng(seed).random((T, S)), "right")
+    results = json.loads(out)["results"]
+    assert results["outcome_counts"] == [np.bincount(
+        col, minlength=d).tolist() for col in k.T]
+    assert results["history"] == [[i, v] for i, v in enumerate(k[-1].tolist())]
 
 
 def test_light_shift_is_analysed_once_per_process(tmp_path, capsys,

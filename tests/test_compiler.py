@@ -153,7 +153,8 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
     assert np.array_equal(old.dense_product(), new.dense_product())
     graph = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = np.array([1, 0, 0], dtype=complex)
-    a, b = (run_trajectories(graph, p, psi, range(20)) for p in (new, old))
+    a, b = (run_trajectories(graph, p, psi, rng=0, trials=20)
+            for p in (new, old))
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(a.frame_index, b.frame_index)
     assert np.array_equal(a.posteriors, b.posteriors)
@@ -332,7 +333,7 @@ def test_every_clifford_class_compiles_to_its_depth(dim, spec_of):
         assert not any(s.adaptive for s in pat.steps)
         assert pattern_residual(pat, C) < 1e-9
         graph = chain_graph(dim, spec, pat.step_count() + 1)
-        runs = run_trajectories(graph, pat, psi, range(3))
+        runs = run_trajectories(graph, pat, psi, rng=0, trials=3)
         assert runs.fidelities.min() > 1 - 1e-9
     assert () in table.values()   # the identity class: no steps
 

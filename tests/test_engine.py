@@ -202,7 +202,7 @@ def test_run_transport_pattern():
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     rng = np.random.default_rng(0)
     psi = random_state(3, rng)
-    runs = run_trajectories(g, pat, psi, [1])
+    runs = run_trajectories(g, pat, psi, rng=1, trials=1)
     ideal = matrix_of_pauli(runs.frame(0).word) @ matrix_of_pauli(
         pat.frame).conj().T @ pat.dense_product() @ psi
     assert abs(np.vdot(runs.posteriors[0],
@@ -215,7 +215,7 @@ def test_run_clifford_pattern_non_adaptive():
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = basis_state(D3, 0)
     for seed in range(10):
-        runs = run_trajectories(g, pat, psi, [seed])
+        runs = run_trajectories(g, pat, psi, rng=seed, trials=1)
         ideal = matrix_of_pauli(runs.frame(0).word) @ sgate(D3) @ psi
         assert abs(np.vdot(runs.posteriors[0],
                            ideal / np.linalg.norm(ideal))) > 1 - 1e-9
@@ -230,7 +230,7 @@ def test_run_adaptive_pattern_many_trajectories():
         g = chain_graph(D3, spec_of(D3), pat.step_count() + 1)
         psi = random_state(3, rng)
         for seed in range(5):
-            runs = run_trajectories(g, pat, psi, [seed])
+            runs = run_trajectories(g, pat, psi, rng=seed, trials=1)
             ideal = matrix_of_pauli(runs.frame(0).word) @ matrix_of_pauli(
                 pat.frame).conj().T @ U @ psi
             fid = abs(np.vdot(runs.posteriors[0],
@@ -258,11 +258,11 @@ def test_run_builds_the_final_frame_table_once_per_frame():
         d = dim.d
         pat = transport_pattern(intrinsic_of(cz_spec(dim)))
         g = chain_graph(dim, cz_spec(dim), pat.step_count() + 1)
-        plain = run_trajectories(g, pat, xplus_state(dim), range(8))
+        plain = run_trajectories(g, pat, xplus_state(dim), rng=0, trials=8)
         for F in one_qudit_words(dim):
             F = PauliWord(dim, 1, F.z, F.x, 1)
             framed = run_trajectories(g, replace(pat, frame=F),
-                                      xplus_state(dim), range(8))
+                                      xplus_state(dim), rng=0, trials=8)
             for t in range(8):
                 z, x = divmod(int(plain.frame_index[t]), d)
                 want = normal_form(PauliWord(
@@ -309,46 +309,62 @@ def _reference_run(g, pat, psi, rng, forced):
     return cur, normal_form(frame, pat.frame), history
 
 
-def _assert_rows_match_single_runs(g, pat, psi, runs, seeds=None,
-                                   forced=None):
+def _assert_rows_match_the_reference(g, pat, psi, runs, seed=None,
+                                     forced=None):
+    # row t against the per-step loop on the run's stream: row t's
+    # uniforms are the t-th S draws of default_rng(seed)
+    gen = np.random.default_rng(seed)
     for t in range(len(runs.posteriors)):
-        rng = None if seeds is None else seeds[t]
         outcomes = None if forced is None else forced[t]
-        one = run_trajectories(g, pat, psi, [rng], None if outcomes is None
-                               else [outcomes])
-        assert np.max(np.abs(runs.posteriors[t] - one.posteriors[0])) < 1e-12
-        assert runs.frame(t).word == one.frame(0).word
-        assert runs.frame(t).history == one.frame(0).history
-        head, word, history = _reference_run(g, pat, psi, rng, outcomes)
+        head, word, history = _reference_run(g, pat, psi, gen, outcomes)
         assert np.max(np.abs(runs.posteriors[t] - head)) < 1e-12
         assert (runs.frame(t).word, runs.frame(t).history) == (word, history)
 
 
+def _assert_runs_are_prefixes(g, pat, psi, seed, monkeypatch):
+    # runs of 1, 5 and d^2 + 2 trials, the last in blocks of d^2 rows: each
+    # shorter run's rows are the longest run's first rows, outcomes, frames
+    # and phases equal, posteriors to 1e-12 (numpy hands a one-row matmul
+    # to BLAS gemv, which sums in another order than gemm); the longest
+    # run's rows are the per-step loop's on default_rng(seed)
+    d = pat.dim.d
+    runs = [run_trajectories(g, pat, psi, rng=seed, trials=T) for T in (1, 5)]
+    monkeypatch.setattr(sim, "MAX_AMPS", d ** 4)
+    longest = run_trajectories(g, pat, psi, rng=seed, trials=d * d + 2)
+    for run in runs:
+        T = len(run.outcomes)
+        for name in ("outcomes", "frame_index", "frame_phase"):
+            assert np.array_equal(getattr(run, name),
+                                  getattr(longest, name)[:T]), (T, name)
+        assert np.max(np.abs(run.posteriors - longest.posteriors[:T])) < 1e-12
+    _assert_rows_match_the_reference(g, pat, psi, longest, seed=seed)
+
+
 @pytest.mark.parametrize("dim,spec_of", RUN_FAMILIES,
                          ids=lambda v: getattr(v, "__name__", None))
-def test_batched_rows_equal_single_trajectories(dim, spec_of):
+def test_batched_rows_equal_single_trajectories(dim, spec_of, monkeypatch):
     rng = np.random.default_rng(12)
     pat = compile_unitary(haar_unitary(dim.d, rng), intrinsic_of(spec_of(dim)))
     g = chain_graph(dim, spec_of(dim), pat.step_count() + 1)
     psi = random_state(dim.d, rng)
-    seeds = list(range(40, 52))
-    runs = run_trajectories(g, pat, psi, seeds)
-    assert runs.fidelities.min() > 1 - 1e-9
-    _assert_rows_match_single_runs(g, pat, psi, runs, seeds=seeds)
     forced = rng.integers(0, dim.d, size=(6, pat.step_count()))
     runs = run_trajectories(g, pat, psi, None, forced_outcomes=forced)
     assert runs.outcomes.tolist() == forced.tolist()
-    _assert_rows_match_single_runs(g, pat, psi, runs, forced=forced)
+    for t, row in enumerate(forced):
+        one = run_trajectories(g, pat, psi, forced_outcomes=[row])
+        assert np.max(np.abs(runs.posteriors[t] - one.posteriors[0])) < 1e-12
+        assert runs.frame(t).word == one.frame(0).word
+        assert runs.frame(t).history == one.frame(0).history
+    _assert_rows_match_the_reference(g, pat, psi, runs, forced=forced)
+    _assert_runs_are_prefixes(g, pat, psi, 40, monkeypatch)
 
 
-def test_batched_non_adaptive_rows_equal_single_trajectories():
+def test_batched_non_adaptive_rows_equal_single_trajectories(monkeypatch):
     pat = compile_clifford(sgate(D3), intrinsic_of(cz_spec(D3)))
     assert not any(step.adaptive for step in pat.steps)
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = random_state(3, np.random.default_rng(13))
-    seeds = list(range(10))
-    runs = run_trajectories(g, pat, psi, seeds)
-    _assert_rows_match_single_runs(g, pat, psi, runs, seeds=seeds)
+    _assert_runs_are_prefixes(g, pat, psi, 0, monkeypatch)
 
 
 def test_frame_phases_are_checked(monkeypatch):
@@ -359,12 +375,12 @@ def test_frame_phases_are_checked(monkeypatch):
     pat = pattern_from_json(json.loads(patterns.read_text())["Z3-cx-hadamard"])
     g = chain_graph(D3, pat.gate, pat.step_count() + 1)
     psi = basis_state(D3, 0)
-    run_trajectories(g, pat, psi, range(10))
+    run_trajectories(g, pat, psi, rng=0, trials=10)
     real = engine.diagonal_images
     monkeypatch.setattr(engine, "diagonal_images",
                         lambda dim, q: (real(dim, q)[0], [0] * dim.d))
     with pytest.raises(FrameMismatch, match="frame phase"):
-        run_trajectories(g, pat, psi, range(10))
+        run_trajectories(g, pat, psi, rng=0, trials=10)
 
 
 _DATA = Path(__file__).parent / "data"
@@ -383,7 +399,7 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
     pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
     g = chain_graph(pat.dim, pat.gate, pat.step_count() + 1)
     psi = random_state(pat.dim.d, np.random.default_rng(trials))
-    seeded = run_trajectories(g, pat, psi, range(trials))
+    seeded = run_trajectories(g, pat, psi, rng=0, trials=trials)
     runs = [run_trajectories(g, pat, psi, None,
                              forced_outcomes=seeded.outcomes.tolist())
             for _ in range(2)]
@@ -395,19 +411,15 @@ def test_forced_outcomes_reproduce_a_seeded_run(case, trials):
                 == (want.dtype, want.shape, want.tobytes()), field
 
 
-# seeds on both sides of 2^32, where a seed's entropy grows to two words
-_ORACLE_SEEDS = [*range(150), *range(2 ** 32 - 75, 2 ** 32 + 75)]
-
-
-def _check_against_the_oracle_collapse(g, pat, psi):
+def _check_against_the_oracle_collapse(g, pat, psi, seed=7, T=300):
     # each of the kernel's steps gives the outcome the oracle's collapse
-    # draws from the step's whole branch on the same uniforms, and the
-    # posterior to 1e-12; returns the plan's uniform flags
+    # draws from the step's whole branch on the run's uniforms, row t of
+    # default_rng(seed).random((T, steps)), and the posterior to 1e-12;
+    # returns the plan's uniform flags
     dim, d = pat.dim, pat.dim.d
-    runs = run_trajectories(g, pat, psi, _ORACLE_SEEDS)
+    runs = run_trajectories(g, pat, psi, rng=seed, trials=T)
     plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
-    u = sim.seed_uniforms(_ORACLE_SEEDS, len(plan))
-    T = len(_ORACLE_SEEDS)
+    u = np.random.default_rng(seed).random((T, len(plan)))
     cur = np.broadcast_to(sim.unit_vector(psi, d, "psi"), (T, d))
     at, ph = np.zeros(T, dtype=np.intp), np.zeros(T, dtype=np.int64)
     for i, (table, _, rows, (nxt, dph)) in enumerate(plan):
@@ -487,7 +499,7 @@ def test_weighted_steps_draw_as_the_oracle_collapse(case):
     g, pat, psi, vid = _weighted_chain(case)
     uniform = _check_against_the_oracle_collapse(g, pat, psi)
     assert uniform == [i != vid - 1 for i in range(pat.step_count())]
-    seeded = run_trajectories(g, pat, psi, range(50))
+    seeded = run_trajectories(g, pat, psi, rng=0, trials=50)
     forced = run_trajectories(g, pat, psi, None,
                               forced_outcomes=seeded.outcomes)
     for field in ("outcomes", "frame_index", "frame_phase", "posteriors",
@@ -584,7 +596,7 @@ def test_kept_step_and_move_tables_are_shared_across_runs(monkeypatch):
         g = chain_graph(D3, pat.gate, pat.step_count() + 1)
         assert all(v.init is expand(cz_spec(D3)).init_phases
                    for v in g.vertices)
-        run_trajectories(g, pat, basis_state(D3, 0), range(10))
+        run_trajectories(g, pat, basis_state(D3, 0), rng=0, trials=10)
     kept = (engine._spec_step(cz_spec(D3))[0],
             *pat.intrinsic.certificate().move_table())
     (first, _), (second, _) = plans
@@ -622,7 +634,7 @@ def test_weighted_and_forced_steps_match_a_dense_chain(case):
     # step's basis at the run's outcome
     g, pat, psi, _ = _weighted_chain(case)
     assert not any(step.adaptive for step in pat.steps)    # fixed bases
-    seeded = run_trajectories(g, pat, psi, range(40))
+    seeded = run_trajectories(g, pat, psi, rng=0, trials=40)
     forced = run_trajectories(g, pat, psi, None,
                               forced_outcomes=seeded.outcomes)
     order, edges = engine._chain(g)
@@ -647,10 +659,10 @@ def test_batched_blocks_equal_one_block(monkeypatch):
                           intrinsic_of(cz_spec(D3)))
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     psi = basis_state(D3, 0)
-    whole = run_trajectories(g, pat, psi, range(10))
+    whole = run_trajectories(g, pat, psi, rng=0, trials=10)
     # blocks of 9 rows and one of 1, at the d^4 budget's least size
     monkeypatch.setattr(sim, "MAX_AMPS", 3 ** 4)
-    split = run_trajectories(g, pat, psi, range(10))
+    split = run_trajectories(g, pat, psi, rng=0, trials=10)
     assert np.max(np.abs(split.posteriors - whole.posteriors)) < 1e-12
     assert np.max(np.abs(split.fidelities - whole.fidelities)) < 1e-12
     for name in ("frame_index", "frame_phase", "outcomes"):
@@ -685,30 +697,31 @@ def test_run_checks_still_raise():
         for vid in range(1, own.step_count() + 1):
             other = with_init(chain, vid, 2 * np.pi * np.arange(3) / 3)
             if spec_of is cx_spec:
-                runs = run_trajectories(other, own, plus, range(50))
+                runs = run_trajectories(other, own, plus, rng=0, trials=50)
                 assert runs.fidelities.min() >= 1 - 1e-9
             else:
                 with pytest.raises(FrameMismatch, match="trajectory "
                                    "(fidelity|frame phase)"):
-                    run_trajectories(other, own, plus, range(50))
+                    run_trajectories(other, own, plus, rng=0, trials=50)
     g = chain_graph(D3, cz_spec(D3), n + 1)
     with pytest.raises(SiteOutOfRange):
         run_trajectories(g, pat, plus, None, forced_outcomes=[[3] * n])
     with pytest.raises(DimensionMismatch):
-        run_trajectories(chain_graph(D3, cz_spec(D3), n), pat, plus, [0])
+        run_trajectories(chain_graph(D3, cz_spec(D3), n), pat, plus, rng=0,
+                         trials=1)
     backward = replace(g, edges=(replace(g.edges[0], control=1, target=0),
                                  *g.edges[1:]))
     with pytest.raises(DimensionMismatch):
-        run_trajectories(backward, pat, plus, [0])
+        run_trajectories(backward, pat, plus, rng=0, trials=1)
     leaky = EntanglingGateSpec(D3, "block_diagonal",
                                blocks=[2 * np.eye(3)] * 3,
                                init_phases=np.zeros(3))
     with pytest.raises(NonUnitary):
-        run_trajectories(chain_graph(D3, leaky, n + 1), pat, plus, [0])
+        run_trajectories(chain_graph(D3, leaky, n + 1), pat, plus, rng=0, trials=1)
     # the chain applies cz's intrinsic gate, not the light-shift one
     wrong = replace(pat, intrinsic=intrinsic_of(light_shift_spec(D3)))
     with pytest.raises(FrameMismatch):
-        run_trajectories(g, wrong, plus, range(3))
+        run_trajectories(g, wrong, plus, rng=0, trials=3)
 
 
 def test_size_guards_fire_before_allocation():
@@ -721,11 +734,11 @@ def test_size_guards_fire_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
-    # 10^9 trajectories of 3 amplitudes: raised before the seeds are listed
+    # 10^9 trajectories of 3 amplitudes: raised before any row is drawn
     pat = transport_pattern(intrinsic_of(cz_spec(D3)))
     g = chain_graph(D3, cz_spec(D3), pat.step_count() + 1)
     with pytest.raises(StateTooLarge):
-        run_trajectories(g, pat, xplus_state(D3), range(10 ** 9))
+        run_trajectories(g, pat, xplus_state(D3), rng=0, trials=10 ** 9)
 
 
 GOLDEN_FRAME = {"x": [1], "z": [1]}
@@ -986,7 +999,7 @@ def test_forced_outcomes_are_validated(call, error, message):
      "input state has 8 amplitudes, not 9"),
     (lambda: mediator_step(cz_spec(D3), PSI9[:3], "entangle", rng=0),
      "input state has 3 amplitudes, not 9"),
-    (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, PSI9, [0]),
+    (lambda: run_trajectories(Z3_CHAIN, Z3_TRANSPORT, PSI9, rng=0, trials=1),
      "input state has 9 amplitudes, not 3"),
 ], ids=["couple", "edge", "mediator", "run"])
 def test_a_wrong_size_input_state_is_a_dimension_mismatch(call, message):
@@ -994,10 +1007,13 @@ def test_a_wrong_size_input_state_is_a_dimension_mismatch(call, message):
         call()
 
 
-def test_run_without_seeds_or_forced_outcomes_is_refused():
+def test_run_without_trials_or_forced_outcomes_is_refused():
     with pytest.raises(DimensionMismatch,
-                       match="seeds or forced_outcomes must be given"):
-        run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3))
+                       match="trials or forced_outcomes must be given"):
+        run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), rng=0)
+    with pytest.raises(DimensionMismatch, match="3 trials, but 2 rows"):
+        run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), trials=3,
+                         forced_outcomes=[[0] * 4] * 2)
 
 
 def test_forced_outcomes_accept_numpy_integers():
@@ -1246,7 +1262,7 @@ def test_two_qudit_gates_have_a_d4_budget():
                  lambda: couple_input(basis_state(z32, 0),
                                       chain_graph(z32, cz_spec(z32), 2)),
                  lambda: run_trajectories(run_chain, pat,
-                                          basis_state(z32, 0), range(3)),
+                                          basis_state(z32, 0), rng=0, trials=3),
                  lambda: entangle_via_edge(z32, np.ones(32 ** 2), rng=0)):
         with pytest.raises(StateTooLarge, match=r"32\^4"):
             call()
@@ -1561,10 +1577,10 @@ def test_a_long_run_keeps_one_phase_row_per_shift():
         PatternStep(rng.uniform(0, 2 * np.pi, 31), True)
         for _ in range(300)], identity_word(D31), spec)
     g = chain_graph(D31, spec, 301)
-    run_trajectories(g, pat, basis_state(D31, 0), range(2))
+    run_trajectories(g, pat, basis_state(D31, 0), rng=0, trials=2)
     tracemalloc.start()
     try:
-        run_trajectories(g, pat, basis_state(D31, 0), range(2))
+        run_trajectories(g, pat, basis_state(D31, 0), rng=0, trials=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1734,8 +1750,7 @@ def _nan_entry_points():
     nan1, nan2 = np.full(3, NAN, dtype=complex), np.full(9, NAN, dtype=complex)
     nan_end = with_init(chain_graph(D3, cz_spec(D3), 3), 2, nan1)
     return {
-        "run_trajectories": lambda: run_trajectories(chain, pat, nan1,
-                                                     range(3)),
+        "run_trajectories": lambda: run_trajectories(chain, pat, nan1, rng=0, trials=3),
         "couple_input": lambda: couple_input(
             nan1, chain_graph(D3, cz_spec(D3), 2), rng=0),
         "entangle_via_edge": lambda: entangle_via_edge(D3, nan2, rng=0),
@@ -1774,9 +1789,9 @@ def test_run_rejects_non_finite_operators():
     plus = xplus_state(D3)
     nan_gate = EntanglingGateSpec(D3, "diagonal", theta=np.full((3, 3), NAN))
     with pytest.raises(NonUnitary, match="operator"):
-        run_trajectories(chain_graph(D3, nan_gate, n + 1), pat, plus, [0])
+        run_trajectories(chain_graph(D3, nan_gate, n + 1), pat, plus, rng=0, trials=1)
     steps = list(pat.steps)
     steps[1] = PatternStep(np.array([0.0, NAN, 0.0]), True)
     with pytest.raises(NonUnitary, match="basis 'step1'"):
         run_trajectories(chain_graph(D3, cz_spec(D3), n + 1),
-                         replace(pat, steps=steps), plus, [0])
+                         replace(pat, steps=steps), plus, rng=0, trials=1)

@@ -27,7 +27,6 @@ from quditmbqc.sim import (
     is_max_entangled,
     schmidt,
     seed_row,
-    seed_uniforms,
     state_to_json,
     unit_vector,
 )
@@ -220,72 +219,50 @@ def seed_row_rows(seeds, n):
     return np.array([seed_row(s, n) for s in seeds]).reshape(len(seeds), n)
 
 
-# each case runs on the batched numpy pass and on the one-seed Python ints
-ROWS = pytest.mark.parametrize("rows", [seed_uniforms, seed_row_rows],
-                               ids=["seed_uniforms", "seed_row"])
-
-# where SeedSequence's entropy grows by a uint32 word, the batched pass's
-# ends, and seeds past it, which seed_row serves from SeedSequence's pool
+# where SeedSequence's entropy grows by a uint32 word, and seeds past
+# 2^128, which seed_row serves from SeedSequence's pool as any other
 EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96,
               2 ** 128 - 1, 2 ** 128, 2 ** 200 + 5]
 
 
-@ROWS
 @pytest.mark.parametrize("n", range(13))
-def test_seed_uniforms_match_default_rng_at_edge_seeds(rows, n):
-    got = rows(EDGE_SEEDS, n)
+def test_seed_row_matches_default_rng_at_edge_seeds(n):
+    got = seed_row_rows(EDGE_SEEDS, n)
     assert got.shape == (len(EDGE_SEEDS), n)
     assert np.array_equal(got, default_rng_rows(EDGE_SEEDS, n))
 
 
-@ROWS
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
                           st.integers(0, 2 ** 128 - 1)),
                 min_size=1, max_size=12),
        st.integers(0, 12))
-def test_seed_uniforms_match_default_rng(rows, seeds, n):
-    assert np.array_equal(rows(seeds, n), default_rng_rows(seeds, n))
+def test_seed_row_matches_default_rng(seeds, n):
+    assert np.array_equal(seed_row_rows(seeds, n), default_rng_rows(seeds, n))
 
 
-@ROWS
 @pytest.mark.parametrize("start", [2 ** 32 - 50, 2 ** 64 - 50])
-def test_seed_uniforms_match_default_rng_across_an_entropy_word(rows, start):
+def test_seed_row_matches_default_rng_across_an_entropy_word(start):
     # consecutive seeds whose entropy grows by a word halfway through
     seeds = range(start, start + 100)
-    assert np.array_equal(rows(seeds, 7), default_rng_rows(seeds, 7))
+    assert np.array_equal(seed_row_rows(seeds, 7), default_rng_rows(seeds, 7))
 
 
-@pytest.mark.parametrize("start", [0, 2 ** 32 - 500, 2 ** 64 - 500,
-                                   2 ** 128 - 500])
-def test_seed_uniforms_on_ranges_and_lists_equal_default_rng_rows(start):
-    # a range below 2^64 builds its pool words by np.arange, any other
-    # range or list seed by seed; across 2^32, where the entropy grows a
-    # word, 2^64, where ranges leave np.arange, and 2^128, where seeds
-    # leave the batched pass, every row is default_rng's
-    for seeds in (range(start, start + 1000), list(range(start, start + 1000)),
-                  range(start + 999, start - 1, -7)):
-        assert np.array_equal(seed_uniforms(seeds, 7),
-                              default_rng_rows(seeds, 7))
-
-
-@ROWS
-def test_seed_uniforms_match_default_rng_on_mixed_entropy_widths(rows):
-    # one batch of seeds of 1, 2, 3 and 4 entropy words, interleaved
+def test_seed_row_matches_default_rng_on_mixed_entropy_widths():
+    # seeds of 1, 2, 3 and 4 entropy words, interleaved
     seeds = [w + 7919 * i for i in range(6)
              for w in (0, 2 ** 32, 2 ** 64, 2 ** 96)]
-    assert np.array_equal(rows(seeds, 9), default_rng_rows(seeds, 9))
+    assert np.array_equal(seed_row_rows(seeds, 9), default_rng_rows(seeds, 9))
 
 
-@ROWS
-def test_seed_uniforms_send_other_seeds_through_default_rng(rows):
+def test_seed_row_sends_other_seeds_through_default_rng():
     # a Generator is drawn from in row order, so twice gives fresh draws
     def seeds():
         gen = np.random.default_rng(5)
         return [3, gen, np.int64(11), 2 ** 128, gen, 2 ** 200, None, 4,
                 True]
 
-    got = rows(seeds(), 6)
+    got = seed_row_rows(seeds(), 6)
     want = default_rng_rows(seeds(), 6)
     assert np.array_equal(np.delete(got, 6, axis=0),
                           np.delete(want, 6, axis=0))
@@ -293,12 +270,11 @@ def test_seed_uniforms_send_other_seeds_through_default_rng(rows):
     assert not np.array_equal(got[1], got[4])
 
 
-@ROWS
-def test_seed_uniforms_negative_seed_raises_default_rngs_error(rows):
+def test_seed_row_negative_seed_raises_default_rngs_error():
     with pytest.raises(ValueError) as want:
         np.random.default_rng(-1)
     with pytest.raises(ValueError) as got:
-        rows([1, -1], 3)
+        seed_row_rows([1, -1], 3)
     assert str(got.value) == str(want.value)
 
 
