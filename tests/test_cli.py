@@ -1242,37 +1242,36 @@ def test_json_integer_arrays_must_be_integers(tmp_path, capsys, family, path,
 
 # SHA-256 of `run --trials 100` stdout on one compiled pattern per
 # benchmark family (tests/data/run_patterns.json), at --seed 7 and at
-# --seed 4294967290, whose trajectories cross the seed 2^32 where the
-# seed's entropy grows to two words.  The same inputs and seed must keep
-# printing the same bytes.
+# --seed 4294967290, each run's trials the rows of one default_rng(seed)
+# stream.  The same inputs and seed must keep printing the same bytes.
 GOLDEN_RUNS = {
-    "Z2-cz": ("63521d961ae22a7788bcb6184edd63a9436964c33f2dbc7d6d0ccbfb7b57024d",
-              "09d9be07ee51ecf44bdcfd85261976481bb53f4d2f991ac1aa2899890c40aa33"),
+    "Z2-cz": ("764df2f80e3fa93ecbc55bdee3233c62ce5814ffbd0cd8fd0ff24e5a8a1befb5",
+              "797eb950321bc913c45ec4bf37c2d054c03def4aacc4b4cec5b5802163a75095"),
     "Z2-light_shift": (
-        "4d3944d5aaf90a4f8abddb1e9eb2d35fe4e39d9d8316c79366d3ce2aaa530923",
-        "7257dd416bcb8dd21ec928df3af581d8da1bd363806b119b8207aeedd6641d13"),
-    "Z2-cx": ("2dda688186fe4226e80a2cadc6bf529f743764d58c8151045a1948f6ab5f7218",
-              "d91afd3f74d382616db1e5eff6839021564c0fdb8f3b65ddaa5ef893a2ef8e54"),
-    "Z3-cz": ("a57593242258617ee06e6a06b70967c865172774748b8b7f98b79e8978454268",
-              "d0b15f01dda8f0893e9fbe0c80188b60898506ae17f42880e2366225fd209b6b"),
+        "dcf3dc5145ec088ff7e582c0316061a9b23c0b7728730c1010225f74b08466ea",
+        "e8d69bd35e2389c787ca128e2ef783b4fb552776e292f88c5242add24bcc348f"),
+    "Z2-cx": ("07d850a049184a07df53fb764a84a2dd0c200188b7857fa0c056f5cc69f83cf7",
+              "48d344bcb0cb941aa48fd4e2b7862414c2477bddd6a3e061f4691921084dcc60"),
+    "Z3-cz": ("f5000e417222ea9f75e5dbc040e6f8093fb760dd8dd627df63167a3672b0357c",
+              "594125c275ca0bf24a47e0b34f6f507ed349786abf7233afe7c1d8f076809f82"),
     "Z3-light_shift": (
-        "20796ec7511e50ea7df9942c4dde384bb858b4a1e90004e5a5221e5a32326a07",
-        "960b4ded329baa608d3f7bbaa8ffea7a4e152d2043bd2f54dc99692e9a58dda2"),
-    "Z3-cx": ("7572d5c0c044438850a9d1ac87da702e9e2f732feaa395ee948925742c1ac75a",
-              "dec9e4309d7a81d60a9f858d49d3dd3e0f77a439160faf5ebab32149564e2c62"),
+        "e470da8183d41a11c60f79b0090a7696cf5640d22071d409113343f6fa9e5a25",
+        "3328c677e6b32a1eb91414bb8bee76342cad41ce5f5fcea8caf9d2d68674cdbd"),
+    "Z3-cx": ("605d4f061063383f706c735dfc2e20e1e76dd35ff2ef4b992471a7003cf474d0",
+              "2134ad7710fe0dff3bea5bb8e3a218bddf1b29426678640b8a0d781c0e379960"),
     "GF4-cz": (
-        "4b4734356844a480632fe3c48037241ad0fb641fb64db2a5f9c5585ce54874b8",
-        "d40b2b3fb611052f4ad5f56046dd976e7b5aff41065d169c09ea3dcc7466fab5"),
+        "e64687690030457b62580c7e209f5d8cf8b16c3488adb65e2448d54a1b82754f",
+        "7f43fdaddfdaff065c0ab52cc594f88785e9fa4e5a0bafecb8d945673146c1f4"),
     "GF4-light_shift": (
-        "4247fdfb8fb9fd34f55fe6000010a41792cf771008a01639ee055a9486daecf0",
-        "5e2a78014560c3989b8f87c82a3a8c3d4c0941da3bebb068e43ef3e6239dd9d7"),
+        "284035db52c0bc95d1b5b5e8b079ec46cd06f8d19bb1ff92f3db15972d3a93a3",
+        "b94e5d0abcf2eeef487efcf2e21521c72b4798ca599544b57946744c6221cbd8"),
     "GF4-cx": (
-        "8840d059ec623ebd0387ea79c8243872ebeb7e45b5df70786baaf8476af1160f",
-        "3007026d1f5cff26d8b19842c35593a9f001d2aa3ddeadfd57d1ecc18331c0b6"),
-    "Z5-cz": ("f204a82f0fe734bf949e6fc2c9437e7e8620d4fba01677160d7a45485d33b65b",
-              "3aa3c4298ae7ea5d259226552f9a5437cd0ab54bb4c8f37c218a122860f87312"),
-    "Z5-cx": ("0b7136e68a181f920145a7f150bc76678676636de902fe6be7c254ca14991f29",
-              "207883fa26e0a6f20a67b49233a6e32fbf916cdeddf85e60a48267a5c4700eb9"),
+        "69efc848caaac83283c80fc60f1bd2c5ac69ced5dd420ca24d0b145c901af86e",
+        "7aa3311e3e8cbd644bb5bc2e867eea475b77efecf2b0adfa4585c499d07a7e60"),
+    "Z5-cz": ("e840eddd5080c5154bbee8515c62d4a0aa28d33b9a75d283661bf77f4a380a4b",
+              "f38e3dd00e09a6d848612301d596710ecb8b96bf5fab0920958fc6352cfb19b0"),
+    "Z5-cx": ("49f47971559b6ec0b261bc36a8b52c271d057ad27bfc1c2881a39d0b9612aca0",
+              "9fd7afe79bfa527c70e193518cf6825ab924af6addc431538fdac92bf61433db"),
 }
 # the same digests for the non-adaptive patterns of each family
 # (tests/data/clifford_patterns.json): its transport pattern and
@@ -1281,68 +1280,68 @@ GOLDEN_RUNS = {
 # so it has a transport pattern only.
 GOLDEN_CLIFFORD_RUNS = {
     "GF4-cx-hadamard": (
-        "b488d7c23efb793ce2d6b872af5432f72cc003149ef8855e2daa4dc4e6eb7d29",
-        "6b055ecf8b04ae7d210364bab233c1490f7d62ee5ab4e97233b7c49e3cb3be9d"),
+        "96b3e677c784d6ad77f5aac495567e6c67b87554bdc959cec0fc822004f3ae24",
+        "1b09d2bd337b73df7ccf8ee1b21b5d19ffc3e8fdd1eecde27737f7531ad1c34b"),
     "GF4-cx-transport": (
-        "d7cc14d0c241068f7cae5b41a5e9b9f5d6bcf55b90a4e2c151ac6564560772b0",
-        "ed7a8af71932a040d0ce80d74a8ac70d2b233dbda5c0504edb12a958f69a24fc"),
+        "f209d66d0dad6e42736f74d3643e64cad63aac9a569bdee7a0d7af4ac4b36437",
+        "77f4ddda10147fa67473f1cf325dd5a95e772b0d256052378e2739ec35d6109f"),
     "GF4-cz-hadamard": (
-        "35a8ba3e97ff074dddbea89d0d119548fb31153e4f7cdcd050cb7a1b84775de7",
-        "343c5f1bf6314885978aa1d415115ab0504641f4f72385fee374c6c319d71223"),
+        "f9c1914c2dd3dfc828de29550c1b117cc4171c46412282873501e2b5c6995dd4",
+        "22a89425f6264b1a1cc4aa540ec10f79ca0ee0801b151380e14a02c3d9427fa7"),
     "GF4-cz-transport": (
-        "e29a0e1361380cc30dd06c0f78d61a0bc429bd8e0833f336662142adc1cd1559",
-        "58df16927f0ed1ad27e276ac6a644c3d0bde2915d8d8e825525d2a8421f3e121"),
+        "d9b52b4e0797a767e118de5c8fcbb5c7b72a5652eb27772ceed904632a2e3cc6",
+        "8490a0aa6cdcb54adfcc14fd9e510e27d75f96fd766084b3c98b940dc487745d"),
     "GF4-light_shift-transport": (
-        "aae1c336ac07b27ee0e21119d245dc19919a7546a9d6212f2abfed88a3d8084c",
-        "155b2829a28aa06d949a132a5ed98db7b73ea9515614f36a8ddad232c33d58d2"),
+        "313574e61e13fd9eb171659d43f851fd8c0deca595b730d8f6414d26c6e088a9",
+        "fb9dc0ec7ee2bf5002f72689afafd153e4e0f56b42a719ed857c4e70f4b1cce6"),
     "Z2-cx-hadamard": (
-        "2007345115f7dd93aa13b754f4a06e3b32d5c3e4ed0273aebff981a4ad7c67be",
-        "13ddb49432c2fcd6687ebea7bc2bd021ce02b515fdcef9c625453a46efee8bf2"),
+        "1d09ce0726d08cbb0a93971f4d9feb1907d40e87774f46c802340a9e2150e7ef",
+        "487f4c31879971fde26a6211b9666dd0df47802f1e28e25c91ccf0ef57469ac1"),
     "Z2-cx-transport": (
-        "026d4dbead87d50e86a944a0b12d9dafc376d8bcdcdfc81f90abe440dda9f77f",
-        "49142a1b1865abf5a0bfef83d71b631c5395ab0efd444c930ebfff75f156f7c9"),
+        "35b24faa38d6ae8061a0e4f955302cf5341d8eacc8aad32817ba7731f093df7c",
+        "bf07be6b39cc02560b33d9d401b806d9170207aa224e5d6d737b1684e8f26e7c"),
     "Z2-cz-hadamard": (
-        "6ff0d984597f66b4da8c9c6bf62137f2f34d3d6c6a9d4006617b95fba30a8970",
-        "a9913beb027dedb60e32271289c262e2ee062e0ad5c35443a07675d09dc958fb"),
+        "d38b793f11173788558ec99c2f0b9a1df6aec12b0a0ba029b0b6ee4e88a4d6d4",
+        "94210696cfe0600f570f48be5ba601e62288fd08909cb41fd36b8e6d6c413435"),
     "Z2-cz-transport": (
-        "5e2f679315759e59c87de8bf23f3504f38c4717e3dd27f639fde3c77df13bf5d",
-        "c280d19ef79e6d789fc58b9c7b5aa47091528f50cba62564a58556721506a3f0"),
+        "14e59ebb5e42ad98f3eada491d1c732d18388e9a1157ec97f0b400909a81f8e0",
+        "62311bb2dea7288b664d8038080d7a8b4d2ba0f8a347ba115d09535b6ef2508b"),
     "Z2-light_shift-hadamard": (
-        "f324c9b0fbcb3a1242d0dff3a8cd416a36df6574a8c4ea55680ce7fe6f6e9300",
-        "b3b032e7a388d4d1e921387ffc8607b96c839612664bb32d16e7023e1f217f14"),
+        "620b85971ac8aaa912d52750aa9eef6f168dd5762460065b2dab0d46d449ac31",
+        "93ed023b5e1df14330e10a170777675af9027f6b89dc78d38e64552d73f8ab12"),
     "Z2-light_shift-transport": (
-        "cb40a5a13f664041378c52a895880685b2415dac416921f5c9e8b13d43db2532",
-        "413254d6dc62270b9d1abd31b3953c45f4f99ca44bc949c080c3f440c5aeeb3f"),
+        "acccd6596147b2631eb40dc816dbf9215b8e5bb2778238796f81b390bf9b664a",
+        "e6ab9b4e41c4710ecabf9e6c5a7300bdb4f14c1612c8ffe17cef8e047f950b7a"),
     "Z3-cx-hadamard": (
-        "de18eacbea1d8f08f1ce11a1706e7fb0279ff4fd0c0b5c5a73fa5444684e40aa",
-        "4f99e10accb4d40ec10d1d409ddbf664ff5b86be28a6274dfff580ad449e44e9"),
+        "0aeafcf1a7f55093cf3ddd3ade1034d6be29108b779d20cbb3c543b40975e44c",
+        "7badbb79262ec6dec37596facbbb9f22e2b2e27dbd6289ce1d060135608ac738"),
     "Z3-cx-transport": (
-        "394d0bdd82de4724e57820e18d1e43a583678054f0463e24728f4c0288d2b4d6",
-        "4cb27544f5b5db89a8c1d268dcfa2845adc60370a6b80b356658052a2c7988e2"),
+        "ab90fd07c1c45c53066c4c3c56e7c0fcfb4877bbf40b8da1b32eeb26354e231a",
+        "dfb81c4699a59277b5907579a5ee8a6cf3f212ca0dc4ec9558625315a288ed39"),
     "Z3-cz-hadamard": (
-        "0e2f26624429cd9c5c48f1b874c5f1f1582cb9a73f61363c6fb6d5fee630198e",
-        "0d6beb3e28d9988a66626f6d48569926a94a87c0832a0ada615be6fd7a28293c"),
+        "32d6887e51328d3781848d724cc0157e3c6e2d677477147e0cf62eab3d290098",
+        "0f2c81a2851468fbdf0ddcb24f84e403a4789a4a7c2dfc5d1f9e0817a35ac129"),
     "Z3-cz-transport": (
-        "9aa706f677136fcb29addfeb9a1df8bac6f3f853954544a047bc8a26d55807c8",
-        "2a0603523a2e1c083672d7cc8465ec07f9f206757a4224e72f8f74770c70d571"),
+        "2be49fa5a7c9ad52e2bbce889e59f8650a852b5a371cbc9825509b4bf6bf8a9d",
+        "29694cc90c6f11da955b2fb9f540bf443f464a5f561a7f9d78b82581569479fc"),
     "Z3-light_shift-hadamard": (
-        "7ec2c9c5d31d524758cda97bc96444515cb400c6cfa8099dc47785fc9dec60dc",
-        "2f8f4f6eb7aeeb56caa212a9754e19c6ef5ab01084ae6ff19d06064004eb9a7b"),
+        "11af4bdc6f4c1a5b3acffc86b6bdabc1e0c2e253fb205df3a3a84a39e8bfa68d",
+        "c7e61038376be794fd244a7c20dc1b27b3d29f481a8374647cd47b6b0bd22d9c"),
     "Z3-light_shift-transport": (
-        "02742bb4e5bfd32c6d47e6ae917a9ddf5afd4b97d0fae64a93aa27424730860d",
-        "d67e2dc3835c48b451d1af779407b86ce940712b56e7ae69e072eee5d7fde450"),
+        "74d890eeb97d8fb301afd17b00a0d9cd172a0f39baa52aa34ba08b4d1b2348e6",
+        "dc28a97106c070b33d7c000b1c0190098e891a9fe6e015d70e3c22e7bfe6c6c8"),
     "Z5-cx-hadamard": (
-        "7d80657dd438bac00722ca9b58a5bbeed87fcd480b53cde227dc6f7c795bf438",
-        "94d52a7976ace1477e8d41a97cd82134559fab4a9c056b78085c845d11c570ab"),
+        "94e74b5eab055ff3b96c51be9d9da0d82c5ccb862f53080cbef2f11c44fbae08",
+        "de82223a4fd44a25e09ecc521b424d0c8ba02611934df8bc918155901e38e67b"),
     "Z5-cx-transport": (
-        "fdc412a0bde973b99d790a2f8de3a213272fab0aea165989eef52f8e47cd1f2b",
-        "131036ff564ee9765f696519e58c59b3ef6575d9a29e986bcfd6e46248f6ce9b"),
+        "1b0d94b1d9d410dc6d545bf021a65afad2f7198e0270fd081beb559afd60a372",
+        "fbafadbcd787309cd88d2d675ce7e827e12727640510bb8654f88a6dc3cc4cc3"),
     "Z5-cz-hadamard": (
-        "60f3085140e8b697125211ca50ea76555a229df13c6711079d4d738513056495",
-        "84af91f6e2324b43e694bfff0d240b6d95e4eecb73ccbd2e5aa9b450f353b5d0"),
+        "a427c2ccf29a3077fd07959580a5a2147cfae912ffd5c64b1374bcf8df413da1",
+        "c1bd189b2db2c2470a705fbe226b32c32f2c5943ef433b0444499471f8e1134a"),
     "Z5-cz-transport": (
-        "8a40953d8277f0803c5baa2a58848be41fbab0689653c607a166fded1547ae56",
-        "9ea6ba44d5883e9b39f57d16becea24917691cb96f76b80c9e392ce64df26ddf"),
+        "7170dfee4ff595ea746c1a81d6f8271e31a814c4602e51bced7003f234fb38ad",
+        "b611be9644954891293395bedb2224f926f2b5d25df9e30c2aceb6bfdf2c504b"),
 }
 
 # SHA-256 of the JSON list [outcome_counts, frame, history] of the same
@@ -1351,101 +1350,101 @@ GOLDEN_CLIFFORD_RUNS = {
 # floating-point order must leave exactly as they are.
 GOLDEN_RUN_OUTCOMES = {
     "Z2-cz": (
-        "357b64500396f31b7ac2a90efd42c10726fd6dcd6d7b33b8cd075d08d8efb686",
-        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+        "bd8c9a37607cec9bad3a006c65df423fbd9e0a9f146adbc559276e2d8859b435",
+        "d6ea8b8ebd24e42c0100cf8aeddc258043ec9bac29165bc9191202383c9d752d"),
     "Z2-light_shift": (
-        "a42ab4e7fa080333a12832cd51d8699b332808b47212aa0189f0036544e17fbf",
-        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+        "e4c6c5da22def95e0475d94985c1c35d0b2cead11dde39bbd21b82c08a75e525",
+        "d6ea8b8ebd24e42c0100cf8aeddc258043ec9bac29165bc9191202383c9d752d"),
     "Z2-cx": (
-        "a42ab4e7fa080333a12832cd51d8699b332808b47212aa0189f0036544e17fbf",
-        "7d0ca1b5e273ae01d37a8b1906bdc39cb15360722febdd985a10d5f0d26ea486"),
+        "e4c6c5da22def95e0475d94985c1c35d0b2cead11dde39bbd21b82c08a75e525",
+        "d6ea8b8ebd24e42c0100cf8aeddc258043ec9bac29165bc9191202383c9d752d"),
     "Z3-cz": (
-        "9d319fa4b6f51d9d96589fc6a4d8b8f42a905491913cc4a8b511c0eebe0dfc1c",
-        "2dd6135ae41f172cedeeabbd2a0eb4e1ae82bfd979742986b4dd7a4dde9aefe9"),
+        "32194bb5cbd5641bc36cdf33c534147d72a0aaa5d9e39de004257ed21c325512",
+        "f4466195af7cee0aa52c605d46c81d6c3b23b8444d39978b97034bb6db7e6549"),
     "Z3-light_shift": (
-        "6c6b6d432d8842e9c5139f59450df0ba3e2861f7f12f1bcc1bd0fdb69bc4ba57",
-        "f7f77d4a718a5b145e5974846d9cab6820e3a2ce5260e7327fdb5cb659a44bfe"),
+        "920d4a605bac8a89e85d6529f187afe534cbbd97c1ef935c5c2335b9e8391616",
+        "f4466195af7cee0aa52c605d46c81d6c3b23b8444d39978b97034bb6db7e6549"),
     "Z3-cx": (
-        "9d319fa4b6f51d9d96589fc6a4d8b8f42a905491913cc4a8b511c0eebe0dfc1c",
-        "f7f77d4a718a5b145e5974846d9cab6820e3a2ce5260e7327fdb5cb659a44bfe"),
+        "c546a155bc8cc24f78b3e4047d673eebbe94c8260bddee505841c61a58a0962e",
+        "f4466195af7cee0aa52c605d46c81d6c3b23b8444d39978b97034bb6db7e6549"),
     "GF4-cz": (
-        "dc452c0b8906d1ff18ea46e8edf78ce0e9683a43a10db595f37fd0847dc69739",
-        "4470e8a5bb5cdae886866eef117e25ceb585deb2366b53f9c7f054ff385e2968"),
+        "b1b94375dffe1da33cddae105ab706023fad36abd24062f73d0de2827c2fc4f6",
+        "d0c40cfbe9efd085c74791060216f1e7c6080eef4fb69f0f7444e6be02b07716"),
     "GF4-light_shift": (
-        "827ace68c91169839d72295e5f955eb0614c0d3ec559758a0b189a884171897a",
-        "10ba44091278fcf6f26642d762ade02675f46906716f0310029a72e0df534bcf"),
+        "ab39e65ed279c7424708420141371087cb9921d7a018a84d1595323e3cbae736",
+        "004a242e747e1faf344266acd6ac9420eebc106d765cdfcfce52f9c8f1a7e524"),
     "GF4-cx": (
-        "827ace68c91169839d72295e5f955eb0614c0d3ec559758a0b189a884171897a",
-        "bf597ff2c846896f47f97ab21ea5683ad66807409d46381f43499e9f609eb2d2"),
+        "ab39e65ed279c7424708420141371087cb9921d7a018a84d1595323e3cbae736",
+        "0788d8fae9917f8ebd2d1673fc5c6860c0e062a8a83582366cc67729c46476ea"),
     "Z5-cz": (
-        "964ea5bf0ca108d46246a51c184d45a503c88bcb64a5127670d7ed312a46195a",
-        "9b8b075ad213cd944b2d201814155cf3d5d8d0ff55a28c553cd50529d12a5e80"),
+        "874db29468e839b13f4904e5eed94f74f3abbab1dfeccf8289d95f0c63b13510",
+        "9fad757df3169ea5f153905f56b827559fb3e315f9b88b004e7af1539c4fc194"),
     "Z5-cx": (
-        "afdb30dfbf2399e91d68f25eef1a1d4217405278dec6bbd9fed4e1cfab81aa83",
-        "9b8b075ad213cd944b2d201814155cf3d5d8d0ff55a28c553cd50529d12a5e80"),
+        "4179728c4eb0635cda9a9f9cd381dde12394f205ef1dceb9850dc65e9112e9bc",
+        "6020b12404b48b98d72c05815a8da6d028fa2c550ccd8654e9db06505850ba4d"),
     "GF4-cx-hadamard": (
-        "e308b62cb267d0e6ea94e1eda6188d466dd1f75aee0ce3463656c42c83c780f6",
-        "e37a028e6d34415e628ddfcfc9f79a8c490008496be264d30610a157d41e5cb3"),
+        "2f99dfaf20cf7f84a9078a57216e1c3fe1f8d7bfa4ba5e991eac5fc39331b066",
+        "262c834a8b08ba0c1a3ba1f379c290df9dcb312c511fbf51b55ebe6db2a33b9b"),
     "GF4-cx-transport": (
-        "b90abb36086c15179f990287f5acf3846473340120c117c08b62365fc3883815",
-        "4d1906e02e0ab51297ae085b4df95cef3d0bdd479f1ac4a13d40de72df91802e"),
+        "06d24c209393d4cc106ba591de4dc99199e23c3afa7f9276faf96defdd8fc682",
+        "50c0a3c2e29ce693babd305910296533d13fd06b69ce6f08a74a8a56c972fa75"),
     "GF4-cz-hadamard": (
-        "f03e6cb62bbeaf22dd7fa20875436bc1202955b3d190553547adad96253ffd28",
-        "2741211f5b7e7b5bd92d02a2ccdde67dfc0277b37006ccd6910266c09a07c8e2"),
+        "76825c27890bc31b970ecf3c4f885d352f8b957d75e3970c750daa41fe01201e",
+        "9ca8c1b1e52dcf5b03f314858410781189002fa9a3a143837255ee53b6060baa"),
     "GF4-cz-transport": (
-        "9dfa88a2de61f2cfd30464c9323c67858f6197968b55c8eceaa6b7bc95b37656",
-        "d27c380f22096a96a4cbbdd3ba576e927a5b65655e8e8cd525b29b9f9fa1f1a9"),
+        "e8fd52ac9b35e471793a5e1de1d437ecefb323f8eb7b24ecbcbcf32e66c1b9ed",
+        "30574a5fcbd157a7014dcad12780c57d20adcdfbf0b7b2646b1b583c3cc5d09c"),
     "GF4-light_shift-transport": (
-        "9dfa88a2de61f2cfd30464c9323c67858f6197968b55c8eceaa6b7bc95b37656",
-        "4d1906e02e0ab51297ae085b4df95cef3d0bdd479f1ac4a13d40de72df91802e"),
+        "06d24c209393d4cc106ba591de4dc99199e23c3afa7f9276faf96defdd8fc682",
+        "30574a5fcbd157a7014dcad12780c57d20adcdfbf0b7b2646b1b583c3cc5d09c"),
     "Z2-cx-hadamard": (
-        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
-        "6cae4768c5604fdd3112f4d038f51c25583c173668035e6e8abd053faa78719c"),
+        "b096e2538d17d65b8c43c43babdaea1d8e9fedd7244051e4f2767afe94ed1867",
+        "a4c8dcf7d7ecf47f6fba4836299092534928b89afc37fbfa7de90b734fb87564"),
     "Z2-cx-transport": (
-        "074846a6935c3bdf758e2f45a032be1eab3ebc205faf07f5e9d8c3d54952750b",
-        "ed6927726d718952feeb8a8026368889dece49536fd4d84dbb39c212244bb9ff"),
+        "e3dc0208b7b3b45fd7e80febd2e0fa3cb0bf27f26c3256e653433f0faad34fde",
+        "a5d741ac5c26a157ebd9eb79b70269434523a51b96801dbaceac9c7d5df1a69f"),
     "Z2-cz-hadamard": (
-        "ae4beae7d0fd8849f23cd2f2fdfd6b96646e5d84878619979db04aa8deffdec6",
-        "ad41a1ca7255f5723234ac16a0b219ed07cf9a47cae04fb1e7f500bbd6d1c6c2"),
+        "b7fff5ad2ccbd79d23f176f35334b3398b26c3b16a4d1e5183fb2203b0305ade",
+        "165bf01a6bd23de4869a28df6697f778f1a291f7c286034d56e8f0b94f17719e"),
     "Z2-cz-transport": (
-        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
-        "459ffb0def0b79bc4c492db8f97882887f4471ed929bcf872456bf3e2094fe9b"),
+        "2bdb0637491103fd2ad0e2d50b24017c739b89fe13096f96db1c39005f59d755",
+        "a4c8dcf7d7ecf47f6fba4836299092534928b89afc37fbfa7de90b734fb87564"),
     "Z2-light_shift-hadamard": (
-        "fb64e46f36fd576b4d6c6bcd5d5c29c62cedb5dc447e0e64ffc4790b6d3fade9",
-        "6cae4768c5604fdd3112f4d038f51c25583c173668035e6e8abd053faa78719c"),
+        "b096e2538d17d65b8c43c43babdaea1d8e9fedd7244051e4f2767afe94ed1867",
+        "a4c8dcf7d7ecf47f6fba4836299092534928b89afc37fbfa7de90b734fb87564"),
     "Z2-light_shift-transport": (
-        "074846a6935c3bdf758e2f45a032be1eab3ebc205faf07f5e9d8c3d54952750b",
-        "ed6927726d718952feeb8a8026368889dece49536fd4d84dbb39c212244bb9ff"),
+        "e3dc0208b7b3b45fd7e80febd2e0fa3cb0bf27f26c3256e653433f0faad34fde",
+        "a5d741ac5c26a157ebd9eb79b70269434523a51b96801dbaceac9c7d5df1a69f"),
     "Z3-cx-hadamard": (
-        "ea8667d9b3104bb164af2efe4e01764f278747fb04179d7250a255937633dd08",
-        "ae2ce4bc4257711f02d4bedefdfdfcd7a16504e380b2953a072a915ebcfcf292"),
+        "9adf10b4c18145e84db29dad22015ad505fbea320c7e1d28d440b9f765292b35",
+        "7f55b2937a64af7f53fc43f61278a50e140fcb1a26d574620fcb3e66a72b4001"),
     "Z3-cx-transport": (
-        "ca33241cd5daec65c913c23c3891f1467647bc49a4e4ba5dbe2d5e416d398671",
-        "76b48b90ad5e221a49c334a872e591f093e20927272585b25fab45065a208b23"),
+        "9adf10b4c18145e84db29dad22015ad505fbea320c7e1d28d440b9f765292b35",
+        "7f55b2937a64af7f53fc43f61278a50e140fcb1a26d574620fcb3e66a72b4001"),
     "Z3-cz-hadamard": (
-        "ba4c703099ed0f09f198f345ad255eb0e3459b0ccd40a4fce44c5ddd052b6721",
-        "5b9650d821e4d6dc0d883103aa375a933305d0746860fec34d59dedaa03f5122"),
+        "bfac570e23a7dfdbb1651f3610129005c06b3fabf8edffd63b7379cef48ea21c",
+        "39c28d6af490c2f1986e30628ba1f4a112a4189ccc0e427e11993d210ae897f9"),
     "Z3-cz-transport": (
-        "ac75cb2c1436cbea3015ff005f34b6c2503d3fee7a553464d11676d7e9e74789",
-        "23b0f646c21924149625051c2fd027cdf7aef0a602144093d8d12e034d5902cd"),
+        "90045c4dd4c53a8dcb7d47c4b6b68cab8b7b693aaa14fb412de56c384d28da59",
+        "7e920d37a12b697c75494992fa55229f98eaa0109f20988ca5681496edb2e6f3"),
     "Z3-light_shift-hadamard": (
-        "76c6311833f08e359629d958e686c0714cbc3621ca2d060d42f9c3741d331718",
-        "5ce02b3b04da66dd25aab76df5b21e0a4eb296e9413db0fed27d2a2eabf03db0"),
+        "d4836c455e15bfbfaac571e216594c84da92e3f9d396a2efb05b698f9a49ccba",
+        "3141a29ed8810b85096794e96b393db7a244675f5bbcc072f1403a46cfe7e9c0"),
     "Z3-light_shift-transport": (
-        "ca33241cd5daec65c913c23c3891f1467647bc49a4e4ba5dbe2d5e416d398671",
-        "fc2ba8f9abbe7b482aed9774e88b925e664704ea1196575a47d1007ecae88f0b"),
+        "7741e7b735436c7744404fcadff076aa879494fbfccd8ffa9808cd0378a4f229",
+        "1acb2edb6bdb91800e42d5549c4edf7c11a1a91b3a3beb0fb131c22d42f25004"),
     "Z5-cx-hadamard": (
-        "041a91dede614779ad271b20e7afd5b533a4a0902d503a731aa1e96a746e3a25",
-        "d7d4bfd2ff4336adc4eee8a558845171813cf272cd62f99b3c461a39186f79d7"),
+        "8ff42a749da0784a7ed9bd3a5724133cda825f0a9165d279668b07f5c29c216a",
+        "54c8ce09d35a12f70cc611c7bce8f89d6f7d690423d14d883a61a38bd695e652"),
     "Z5-cx-transport": (
-        "a806e03fa0a9a4280daacee594d9a10604aa6acd2277d90b0dcbf9355a845f5a",
-        "48b35811ba3888938e2615b2d1db054c946d59809a07c03b793f50236ddce8f8"),
+        "b24aeabc24fdbfe50029370c2aa4ee2dde5a3f35ca1560fc3f24e8a64842421e",
+        "f467a1642fd3b5f63b788f6a40a26820c718f2d369e7cd4b42f35958ff3d4e5a"),
     "Z5-cz-hadamard": (
-        "75ecebf3d1156af7b235dd18a52c0324f195c47e829e31dd325fda0610adb85d",
-        "24987df4c368e03aef40d0415fd6dd37a1fc57f78f4f0a85c4a523b5f7b879f7"),
+        "7815787ec7491fda56a935594bc184bdb1894df701d3711b032979e823e95fff",
+        "51f8181e81a9e92c7b57c77cddd50ff34e8cc9888046eb578eae9f8bd51dbb4a"),
     "Z5-cz-transport": (
-        "8762f8384418b889accb72593e8a0cab77ead0f8480fbe07652494aa6bb05c7f",
-        "be935e5cd8273c3d68eb8801008f7a94e001169b5c46fcb282fade47bb4723d7"),
+        "59398ed81e072e66bffd77e7ad59b4a9e56b7d711cbf1a41420fc44e45b55072",
+        "aaef5b8f7068b9a94cfcb895ed6e249a898fb06f45796214b6c13c23c972f5dd"),
 }
 
 

@@ -741,14 +741,15 @@ def test_size_guards_fire_before_allocation():
         run_trajectories(g, pat, xplus_state(D3), rng=0, trials=10 ** 9)
 
 
-GOLDEN_FRAME = {"x": [1], "z": [1]}
-GOLDEN_HISTORY = [[0, 2], [1, 0], [2, 0], [3, 1], [4, 2]]
+GOLDEN_FRAME = {"x": [0], "z": [2]}
+GOLDEN_HISTORY = [[0, 0], [1, 2], [2, 0], [3, 1], [4, 0]]
 
 
 def test_cli_run_golden(tmp_path, capsys):
     # frame and history of the last of 100 trials on the 5-step native
-    # word, recorded from the per-trajectory loop that the batched kernel
-    # replaced
+    # word, recorded as the dense per-step loop (_reference_run) gives
+    # them on the run's stream: its 100th row of five draws of
+    # default_rng(7)
     from quditmbqc import cli
     from quditmbqc.resource import gate_to_json
     gate = tmp_path / "gate.json"
