@@ -27,12 +27,10 @@ from .errors import (
     UnsupportedFormalism,
 )
 from .galois import (
-    INTEGER_RING,
     DimSpec,
     complex_to_json,
     dim_from_json,
     dim_to_json,
-    is_prime,
     json_array,
     json_check,
     json_complex,
@@ -63,13 +61,6 @@ MAX_SWEEPS = 500
 BASIN_TOL = 1e-1
 POLISH_FLOOR = 1e-12   # the polish stops at this residual
 POLISH_STEPS = 30
-
-
-def _check_compilable(dim: DimSpec):
-    if dim.kind == INTEGER_RING and not is_prime(dim.d):
-        raise UnsupportedFormalism(
-            "composite integer-ring dimensions have no MUB-based "
-            "decomposition; use a prime or prime-power dimension")
 
 
 # --- measurement patterns -------------------------------------------------
@@ -257,7 +248,6 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     that fails sim.require_unitary raises NonUnitary before any ALS sweep.
     """
     dim = intrinsic.dim
-    _check_compilable(dim)
     d = dim.d
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):

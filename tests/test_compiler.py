@@ -76,10 +76,28 @@ def test_compile_random_targets(dim, spec_of, bound):
         assert all(s.adaptive for s in pat.steps)
 
 
-def test_compile_composite_ring_rejected():
-    intr = intrinsic_of(cz_spec(make_dim(INTEGER_RING, d=4)))
-    with pytest.raises(UnsupportedFormalism):
-        compile_unitary(np.eye(4), intr)
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_compile_composite_rings(tmp_path, capsys, d, spec_of):
+    # a composite Z_d compiles as a prime one does: a seeded Haar target
+    # reaches RESIDUAL_TOL and its pattern runs and verifies on its chain,
+    # and cli compile on the gate file exits 0
+    dim = make_dim(INTEGER_RING, d=d)
+    U = haar_unitary(d, np.random.default_rng(d))
+    pat = compile_unitary(U, intrinsic_of(spec_of(dim)), seed=1)
+    assert pat.stats.residual <= compiler.RESIDUAL_TOL
+    assert pattern_residual(pat, U) <= compiler.RESIDUAL_TOL
+    graph = chain_graph(dim, spec_of(dim), pat.step_count() + 1)
+    psi = [1, 1j] @ np.random.default_rng(1).normal(size=(2, d))
+    runs = run_trajectories(graph, pat, psi, rng=2, trials=20)
+    assert runs.fidelities.min() >= 1 - 1e-9
+    gate, target = tmp_path / "gate.json", tmp_path / "target.json"
+    gate.write_text(json.dumps(gate_to_json(spec_of(dim))))
+    target.write_text(json.dumps({"matrix": complex_to_json(U)}))
+    assert cli.main(["compile", "--gate", str(gate), "--target", str(target),
+                     "--seed", "1"]) == 0
+    stats = json.loads(capsys.readouterr().out)["results"]["stats"]
+    assert stats["residual"] <= compiler.RESIDUAL_TOL
 
 
 def _clifford_word(dim):
