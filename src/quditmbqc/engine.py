@@ -15,7 +15,9 @@ star rule's, or the uniform one per outcome count (_uniform_cdf) for the
 mediator, the coupling, the edge and a uniform trajectory step, whose
 branch tables are checked once, for every input at once, to give each
 outcome probability 1/d (1/d^2 for the coupling); any other trajectory
-step reads each row's own CDF (_weighted_step).  The edge protocol is
+step reads each row's own CDF (_weighted_step).  A protocol's or
+rewrite's uniforms are sim.seed_row(rng, count); a trajectory run's are
+the rows of one Generator (run_trajectories).  The edge protocol is
 two transport wires joined by one rung: its four X measurements are the
 trajectory step's table (_step_table), applied on either side of its
 input.  A posterior is verified against the predicted action on every
