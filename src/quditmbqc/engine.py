@@ -642,9 +642,9 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     kept per d, for the whole block by one np.searchsorted, its posterior
     the drawn branch times sqrt(d); any other step each row's own CDF
     (_weighted_step).  forced_outcomes (T rows of one outcome per step,
-    each checked by _forced) draw nothing; trials or forced_outcomes must
-    be given, and trials, if given too, must be their count
-    (DimensionMismatch).  Posteriors are normalized after the last step.
+    each checked by _forced) draw nothing; trials, a non-negative integer,
+    or forced_outcomes must be given, and trials, if given too, must be
+    their count (DimensionMismatch).  Posteriors are normalized after the last step.
     Row t's overlap <cur_t, e^{2 pi i frame_phase_t / phase_den} total_t
     P(frame)^dag U psi> reads its ideal off every word on v, the normalized
     ideal output, by index, d^3 entries: FrameMismatch unless its modulus,
@@ -665,6 +665,10 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     if forced_outcomes is None:
         if trials is None:
             raise DimensionMismatch("trials or forced_outcomes must be given")
+        if type(trials) is bool or not isinstance(trials, (int, np.integer)) \
+                or trials < 0:
+            raise DimensionMismatch(f"trials must be a non-negative integer, "
+                                    f"not {trials!r}")
         T, gen = trials, np.random.default_rng(rng)
     else:
         T, gen = len(forced_outcomes), None

@@ -1012,6 +1012,14 @@ def test_run_without_trials_or_forced_outcomes_is_refused():
     with pytest.raises(DimensionMismatch,
                        match="trials or forced_outcomes must be given"):
         run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), rng=0)
+    for trials in (-1, 2.5, True, "3"):
+        with pytest.raises(DimensionMismatch,
+                           match="trials must be a non-negative integer"):
+            run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), rng=0,
+                             trials=trials)
+    empty = run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), rng=0,
+                             trials=np.int64(0))
+    assert empty.outcomes.shape == (0, 4)
     with pytest.raises(DimensionMismatch, match="3 trials, but 2 rows"):
         run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), trials=3,
                          forced_outcomes=[[0] * 4] * 2)
