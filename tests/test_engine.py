@@ -1025,6 +1025,47 @@ def test_run_without_trials_or_forced_outcomes_is_refused():
                          forced_outcomes=[[0] * 4] * 2)
 
 
+def _z3_transport_bins(u):
+    # every Z3 transport step weighs each outcome 1/3, so a row's outcomes
+    # are the uniform CDF's bins of its uniforms
+    return np.searchsorted(np.arange(1, 4) / 3, u, "right")
+
+
+# seeds of one to five SeedSequence entropy words and either side of each
+# word's edge
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 64, 2 ** 96, 2 ** 128 - 1, 2 ** 128,
+                                  2 ** 200 + 5])
+def test_run_outcomes_are_default_rngs_rows_at_edge_seeds(seed):
+    runs = run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3),
+                            rng=seed, trials=50)
+    u = np.random.default_rng(seed).random((50, 4))
+    assert np.array_equal(runs.outcomes, _z3_transport_bins(u))
+
+
+def test_run_advances_the_generator_it_is_given():
+    # two runs on one Generator draw consecutive rows of its stream and
+    # leave it where one draw of all their rows would
+    gen, ref = np.random.default_rng(5), np.random.default_rng(5)
+    first = run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3),
+                             rng=gen, trials=20)
+    second = run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3),
+                              rng=gen, trials=30)
+    u = ref.random((50, 4))
+    assert np.array_equal(first.outcomes, _z3_transport_bins(u[:20]))
+    assert np.array_equal(second.outcomes, _z3_transport_bins(u[20:]))
+    assert gen.random() == ref.random()
+
+
+def test_run_negative_seed_raises_default_rngs_error():
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as got:
+        run_trajectories(Z3_CHAIN, Z3_TRANSPORT, xplus_state(D3), rng=-1,
+                         trials=2)
+    assert str(got.value) == str(want.value)
+
+
 def test_forced_outcomes_accept_numpy_integers():
     ks = np.array([1, 2, 0, 1])
     _, frame = entangle_via_edge(D3, PSI9, forced_outcomes=ks)
