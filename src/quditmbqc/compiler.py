@@ -28,6 +28,7 @@ from .errors import (
 )
 from .galois import (
     DimSpec,
+    budget,
     complex_to_json,
     dim_from_json,
     dim_to_json,
@@ -245,7 +246,9 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     _solve), at the first length of _lengths whose residual is within
     RESIDUAL_TOL.  The pattern's `stats` hold that residual
     1 - |tr(U^dag W)|/d and the work spent over both lengths.  A target
-    that fails sim.require_unitary raises NonUnitary before any ALS sweep.
+    that fails sim.require_unitary raises NonUnitary before any ALS sweep,
+    and a length L past the budget of its L d^3 polish Jacobian entries
+    raises StateTooLarge before its ALS.
     """
     dim = intrinsic.dim
     d = dim.d
@@ -266,6 +269,7 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
             stats=CompileStats(float(1.0 - abs(np.vdot(U, G)) / d)))
     stats = CompileStats()
     for L in _lengths(intrinsic):
+        budget(L * d ** 3, "{} x {}^3 polish Jacobian entries", L, d)
         phis, res = _solve(U, G, L, seed, stats)
         if res <= RESIDUAL_TOL:
             break

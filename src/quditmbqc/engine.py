@@ -26,10 +26,11 @@ graph-form stabilizer rows.
 Pauli frames move by index arithmetic, read from tables built once:
 through a diagonal by its images (clifford.diagonal_images; the engine
 certifies nothing), through G_I by its certificate's frame table, a
-trajectory step by both composed per call; the mediator's d frame words
+trajectory step through its diagonal's d^2 word map (a Clifford step's)
+and then the move table every step shares; the mediator's d frame words
 are kept on its spec.  Words act on vectors by index too (X(x) a gather
 at sub[:, x], Z(z) a product with chi[mul[z]]): no table here has d^4
-entries, though run, coupling, rewrite and edge keep that budget.
+entries, and each entry checks the budget of its d^3 ones on entry.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -39,8 +40,8 @@ columns: the rows it builds, and the edges and inits it reads, follow
 the vertex's degree, not the graph's size.  What they read of the
 vertex's star alone, each outcome's corrections and new pair weights
 included, is built once per star signature (_StarRule); each vertex's
-table is built once per graph, and a rewrite's output inherits every
-table its edges leave as they were.  It returns a StabilizerState: the
+table is built on its first read and kept on its graph, and a rewrite's
+output starts with none.  It returns a StabilizerState: the
 new graph and its corrections, each a diagonal with its exact images,
 added up from integer tables in closed form, and nothing more.  Nothing
 here builds a posterior's full rows, a correction's dense operator or a
@@ -66,11 +67,11 @@ from .errors import (
     FrameMismatch,
     NonUnitary,
     SiteOutOfRange,
-    StateTooLarge,
     UnsupportedFormalism,
 )
 from .galois import (
     DimSpec,
+    budget,
     dim_from_json,
     dim_to_json,
     json_array,
@@ -392,8 +393,7 @@ def _tableau(graph: ResourceGraph, ids: Sequence[int]
     _vertex_table of the images of the edge factors it keeps (q1's as
     control, q2's as target; see factor_diagonal_clifford).  Only the
     edges at ids are read, through the graph's adjacency lists.  A table
-    is built on its first read and kept on the graph, never mutated; a
-    rewrite's output inherits its parent's but N[v]'s."""
+    is built on its first read and kept on the graph, never mutated."""
     add = graph.dim.ints.add
     adj = _adjacency(graph)
     tables = graph._facts.setdefault("tables", {})
@@ -514,14 +514,6 @@ class Trajectories:
                                  for i, k in enumerate(self.outcomes[t])])
 
 
-def _d4_budget(dim: DimSpec):
-    """StateTooLarge past gate_matrix's d^4 budget: run, coupling, rewrite
-    and edge check it where they are entered, before anything is read."""
-    if dim.d ** 4 > sim.MAX_AMPS:
-        raise StateTooLarge(f"{dim.d}^4 two-qudit gate entries exceed the "
-                            f"{sim.MAX_AMPS} amplitude budget")
-
-
 def _step_table(dim: DimSpec, gate: EntanglingGateSpec, init
                 ) -> Tuple[np.ndarray, bool]:
     """One transport step folded into a read-only d x d^2 table, and
@@ -556,21 +548,22 @@ def _vertex_step(dim: DimSpec, gate: EntanglingGateSpec, init) -> tuple:
 
 
 def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
-                     ) -> Tuple[list, Tuple[np.ndarray, np.ndarray]]:
-    """What run_trajectories reads: per step (table, uniform, rows, (nxt,
-    dph)), a frame (word index a, phase) moving on outcome k to nxt[a, k],
-    adding dph[a, k] (an adaptive step's: the certificate's move_table),
-    and (f_idx, f_ph), the final move through F.  (table, uniform) is
-    _vertex_step's, once per (gate, init) in the call; rows[x] =
-    e^{i phases[u - x]} over u, read at the frame word's X part x = a mod
-    d, all from one np.exp (a Clifford step's rows are its phases).
-    NonUnitary for phases that are not all finite."""
+                     ) -> tuple:
+    """What run_trajectories reads: per step (table, uniform, rows, diag),
+    a frame (word index a, phase) moving first to diag[0][a], adding
+    diag[1][a] (a Clifford step's diagonal, None for an adaptive step),
+    then on outcome k to nxt[a, k], adding dph[a, k] (the certificate's
+    move_table, which every step shares); and (f_idx, f_ph), the final
+    move through F.  (table, uniform) is _vertex_step's, once per (gate,
+    init) in the call; rows[x] = e^{i phases[u - x]} over u, read at the
+    frame word's X part x = a mod d, all from one np.exp (a Clifford
+    step's rows are its phases).  NonUnitary for phases that are not all
+    finite."""
     dim, d = pattern.dim, pattern.dim.d
     order, edges = _chain(graph)
     _, add, sub, _ = dim.tables
     # every word index z * d + x as (z, x)
     z, x = np.divmod(np.arange(d * d), d)
-    nxt, dph = pattern.intrinsic.certificate().move_table()
     phases = np.array([step.phases for step in pattern.steps],
                       dtype=float).reshape(-1, d)
     # D_{-psi} H is unitary for every finite real psi, as H is
@@ -586,18 +579,18 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
         if not finite[i]:
             raise NonUnitary(f"basis 'step{i}' is not orthonormal")
         if step.adaptive:
-            plan.append((*tables[key], shifted[i], (nxt, dph)))
+            plan.append((*tables[key], shifted[i], None))
             continue
-        # first D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
+        # D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
         c, num = np.array(diagonal_images(dim, e[i]))
-        a = add[z, c[x]] * d + x
         plan.append((*tables[key], np.broadcast_to(e[i], (d, d)),
-                     (nxt[a], dph[a] + num[x][:, None])))
+                     (add[z, c[x]] * d + x, num[x])))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
     # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
     f_swap = np.array([ints.char_exp[ints.neg[t]] for t in ints.mul[fz]])
-    return plan, (add[z, fz] * d + add[x, fx], f_swap[x] + F.phase_num)
+    return (plan, pattern.intrinsic.certificate().move_table(),
+            (add[z, fz] * d + add[x, fx], f_swap[x] + F.phase_num))
 
 
 def _weighted_step(branch: np.ndarray, u: Optional[np.ndarray], i: int,
@@ -649,17 +642,17 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
     P(frame)^dag U psi> reads its ideal off every word on v, the normalized
     ideal output, by index, d^3 entries: FrameMismatch unless its modulus,
     the returned fidelity, reaches 1 - VERIFY_TOL and its phase is row
-    0's, at VERIFY_TOL.  StateTooLarge past the d^4 budget (_d4_budget),
-    and before any per-trajectory allocation when the T d posterior
-    amplitudes exceed sim.MAX_AMPS.
+    0's, at VERIFY_TOL.  StateTooLarge past the budget of the d^3 tables,
+    S d^2 phase rows or T d posterior amplitudes, before any is built.
     """
     dim = pattern.dim
-    _d4_budget(dim)
+    d = dim.d
+    budget(d ** 3, "{}^3 step table entries", d)
     if graph.dim != dim:
         raise DimensionMismatch(f"graph is over {graph.dim.label()}, the "
                                 f"pattern over {dim.label()}")
-    d = dim.d
     S = len(pattern.steps)
+    budget(S * d * d, "{} x {}^2 phase row entries", S, d)
     if len(_chain(graph)[0]) < S + 1:
         raise DimensionMismatch("chain shorter than pattern length + 1")
     if forced_outcomes is None:
@@ -675,15 +668,13 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         if trials not in (None, T):
             raise DimensionMismatch(f"{trials} trials, but {T} rows of "
                                     f"forced outcomes")
-    if T * d > sim.MAX_AMPS:
-        raise StateTooLarge(f"{T} trajectories of {d} amplitudes exceed "
-                            f"the budget")
+    budget(T * d, "{} x {} posterior amplitudes", T, d)
     if forced_outcomes is not None:
         outcomes = np.array([_forced(row, S, d) for row in forced_outcomes],
                             dtype=np.intp).reshape(T, S)
     else:
         outcomes = np.empty((T, S), dtype=np.intp)
-    plan, (f_idx, f_ph) = _trajectory_plan(graph, pattern)
+    plan, (nxt, dph), (f_idx, f_ph) = _trajectory_plan(graph, pattern)
     psi_in = sim.unit_vector(psi, d, "input state")
     cdf = np.array(_uniform_cdf(d)[1])
     post = np.empty((T, d), dtype=complex)
@@ -701,7 +692,7 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
         at = np.zeros(n, dtype=np.intp)
         ph = np.zeros(n, dtype=np.int64)
         heads = np.arange(0, n * d, d)    # row t's branch k is row t d + k
-        for i, (table, uniform, phase_rows, (nxt, dph)) in enumerate(plan):
+        for i, (table, uniform, phase_rows, diag) in enumerate(plan):
             # wrap reads row a mod d, the X part of frame word a
             branch = (cur * phase_rows.take(at, 0, mode="wrap")) @ table
             k = outcomes[rows, i]
@@ -711,6 +702,8 @@ def run_trajectories(graph: ResourceGraph, pattern: MeasurementPattern,
             else:
                 k, cur = _weighted_step(branch.reshape(n, d, d), u, i, k)
                 outcomes[rows, i] = k
+            if diag is not None:
+                at, ph = diag[0].take(at), ph + diag[1].take(at)
             at = at * d + k
             at, ph = nxt.take(at), ph + dph.take(at)
         post[rows] = cur / np.linalg.norm(cur, axis=1)[:, None]
@@ -753,7 +746,7 @@ def _coupling(graph: ResourceGraph) -> tuple:
         return facts
     dim = graph.dim
     d = dim.d
-    _d4_budget(dim)
+    budget(d ** 3, "{}^3 coupling table entries", d)
     if len(graph.vertices) != 2:
         raise DimensionMismatch(
             "dense coupling verification needs a two-vertex chain")
@@ -809,15 +802,15 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     is frame * G_I D_head |psi> up to phase; it and its weight are checked
     on every call.
 
-    StateTooLarge past the d^4 budget (_d4_budget).  A chain that is not
-    two vertices joined by one edge, or a head init that is not a phase
-    vector (a Z-basis label or a raw state), raises DimensionMismatch; a
-    non-unitary edge gate raises NonUnitary, a G_I without a certificate
-    raises as IntrinsicGate.certificate does, and a D_head that is not
-    Clifford raises NotCliffordError naming the X generator it fails on; a
-    chain whose outcomes do not all weigh 1/d^2 (a diagonal gate's with a
-    Z-basis label tail) raises FrameMismatch.  All are raised before the
-    input state and forced outcome are checked.
+    StateTooLarge past the budget of the d^3 step table.  A chain that is
+    not two vertices joined by one edge, or a head init that is not a
+    phase vector (a Z-basis label or a raw state), raises
+    DimensionMismatch; a non-unitary edge gate raises NonUnitary, a G_I
+    without a certificate raises as IntrinsicGate.certificate does, and a
+    D_head that is not Clifford raises NotCliffordError naming the X
+    generator it fails on; a chain whose outcomes do not all weigh 1/d^2
+    (a diagonal gate's with a Z-basis label tail) raises FrameMismatch.
+    All are raised before the input state and forced outcome are checked.
     """
     dim = graph.dim
     d = dim.d
@@ -893,10 +886,10 @@ def entangle_via_edge(dim: DimSpec, psi: np.ndarray, rng=None,
     of psi as [a, e], then the rung's CZ phases, then the midpoints'
     steps; its norm is checked to be 1/d^2 and its posterior to be the
     frame times the action on psi, in O(d^3), on every call (FrameMismatch).
-    StateTooLarge before any allocation past the d^4 budget (_d4_budget).
+    StateTooLarge before any allocation past the d^3 tables' budget.
     """
     d = dim.d
-    _d4_budget(dim)
+    budget(d ** 3, "{}^3 edge step table entries", d)
     psi = sim.unit_vector(psi, d * d, "input state")
     ks = _draw(*_uniform_cdf(d), rng, forced_outcomes, 4)
     step, cz = _edge_facts(dim)
@@ -956,15 +949,13 @@ def mediator_step(spec: EntanglingGateSpec, psi: np.ndarray, mode: str,
     unitary predicted action and |c_k|^2 = 1/d (checked once), so the
     outcome is drawn off the uniform CDF kept per d (_draw), and outcome
     k's weight 1/d and posterior Q[k] psi are checked on every call.
-    StateTooLarge before any table is built when d^3 exceeds
-    sim.MAX_AMPS.
+    StateTooLarge before any table is built past the d^3 tables' budget.
     """
     if mode not in ("disconnect", "entangle"):
         raise DimensionMismatch(f"unknown mediator mode {mode!r}")
     dim = spec.dim
     d = dim.d
-    if d ** 3 > sim.MAX_AMPS:
-        raise StateTooLarge(f"{d}^3 amplitudes exceed the budget")
+    budget(d ** 3, "{}^3 mediator table entries", d)
     W, Q = mediator_tables(spec, mode)
     psi = sim.unit_vector(psi, d * d, "input state").reshape(d, d)
     k, = _draw(*_uniform_cdf(d), rng,
@@ -1208,8 +1199,8 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     StabilizerState of the new graph and the corrections; the other
     vertices keep their inits.  An edge anywhere that is not a diagonal
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
-    or NotCliffordError).  StateTooLarge comes first, past the d^4 budget
-    (_d4_budget), before the d^3 tables of the factors' images are built.
+    or NotCliffordError).  StateTooLarge comes first, past the budget of
+    the d^3 tables of the factors' images.
 
     w, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
     eigen table, corrections and pair weights delta N_u N_w (with their
@@ -1224,12 +1215,13 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     graph is valid by construction and is not validated again; its vertex
     and edge tuples are the old ones with v, v's edges and the replaced
     pair edges filtered out and the new edges appended, numbered from one
-    past the top seq that v's edges leave, its adjacency lists are the old
-    ones with N(v)'s updated, and it inherits the old graph's vertex
-    tables but N[v]'s (_tableau), which the check builds from its edges.
+    past the top seq that v's edges leave (read only when an edge is
+    added), and its adjacency lists are the old ones with N(v)'s updated.
+    It keeps no vertex table of the old graph's: the check builds N(v)'s
+    from its edges (_tableau), and any other on its first read.
     """
     dim = graph.dim
-    _d4_budget(dim)
+    budget(dim.d ** 3, "{}^3 diagonal image table entries", dim.d)
     site = graph.site_of(vid)
     adj = _adjacency(graph)
     star = adj[vid]
@@ -1253,10 +1245,7 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
                None if forced_outcome is None else [forced_outcome])
     g, eigen, kept, pairs = rule.outcome(m)
     old = _tableau(graph, [vid] + nbrs)
-    removed, added, folded = set(star), [], {}
-    # one past the top seq that v's edges leave
-    next_seq = max(map(operator.attrgetter("seq"), itertools.filterfalse(
-        removed.__contains__, graph.edges)), default=-1) + 1
+    removed, added, folded, next_seq = set(star), [], {}, None
     for i, j, new_w, gate in pairs:
         u, w = nbrs[i], nbrs[j]
         # the edges between u and w, the only ones the new edge replaces;
@@ -1271,6 +1260,9 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
         if between:
             gate = cz_power(dim, new_w) if new_w else None
         if gate is not None:
+            if next_seq is None:    # one past the top seq v's edges leave
+                next_seq = 1 + max((e.seq for e in itertools.filterfalse(
+                    set(star).__contains__, graph.edges)), default=-1)
             added.append(GraphEdge(u, w, gate, next_seq))
             next_seq += 1
     edges = tuple(itertools.chain(itertools.filterfalse(
@@ -1280,13 +1272,9 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     for u in nbrs:
         new_adj[u] = tuple(e for e in itertools.chain(adj[u], added)
                            if e not in removed and u in (e.control, e.target))
-    # every table but N[v]'s reads edges this rewrite leaves as they were
-    tables = dict(graph._facts["tables"])
-    for u in (vid, *nbrs):
-        del tables[u]
     new_graph = ResourceGraph._derived(
         dim, graph.vertices[:site] + graph.vertices[site + 1:], edges,
-        adjacency=new_adj, tableau=True, tables=tables)
+        adjacency=new_adj, tableau=True)
     corrections = []
     for u, N, (q, _), (cq, (z, num)) in zip(nbrs, rule.weights, rule.kept,
                                             kept):

@@ -33,7 +33,16 @@ from .errors import (
 
 INTEGER_RING = "integer_ring"
 FINITE_FIELD = "finite_field"
-MAX_AMPS = 10 ** 6    # amplitude budget of dense states and d x d tables
+MAX_AMPS = 10 ** 6    # the amplitude budget: entries of any one array (budget)
+
+
+def budget(count: int, what: str, *args):
+    """StateTooLarge, before an array of count entries is built, when they
+    exceed MAX_AMPS: "<what.format(*args)> exceed the ... amplitude budget"."""
+    if count > MAX_AMPS:
+        raise StateTooLarge(f"{what.format(*args)} exceed the {MAX_AMPS} "
+                            f"amplitude budget")
+
 
 # default lifts to Z_4, taken when they lift poly
 _DEFAULT_GR_POLY = {
@@ -349,12 +358,12 @@ def make_dim(kind: str, d: Optional[int] = None, p: Optional[int] = None,
 
 
 def _check_size(q: int, m: int = 1):
-    """StateTooLarge when (q^m)^2 exceeds MAX_AMPS, q^m not formed for a
+    """The budget of a dimension q^m's d x d tables, q^m not formed for a
     large m: every q >= 2 has q^10 > 1000."""
-    if q > 1 and m > 0 and (int(q) ** min(int(m), 10)) ** 2 > MAX_AMPS:
-        size = q if m == 1 else f"{q}^{m}"
-        raise StateTooLarge(f"dimension {size} squared exceeds the "
-                            f"{MAX_AMPS} amplitude budget")
+    if q > 1 and m > 0:
+        budget((int(q) ** min(int(m), 10)) ** 2,
+               "dimension {} squared table entries",
+               q if m == 1 else f"{q}^{m}")
 
 
 @functools.lru_cache(maxsize=None)

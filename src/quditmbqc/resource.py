@@ -29,11 +29,10 @@ from .errors import (
     NotCliffordError,
     NotControlledPauliForm,
     OrderCapExceeded,
-    StateTooLarge,
 )
 from .galois import (
-    MAX_AMPS,
     DimSpec,
+    budget,
     complex_to_json,
     dim_from_json,
     dim_to_json,
@@ -179,12 +178,10 @@ def _per_spec(compute):
 @_per_spec
 def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
     """Dense two-qudit matrix of the entangling gate (control = site 0);
-    StateTooLarge before anything is allocated when its d^4 entries
-    exceed MAX_AMPS."""
+    StateTooLarge before anything is allocated past the budget of its d^4
+    entries."""
     d = spec.dim.d
-    if d ** 4 > MAX_AMPS:
-        raise StateTooLarge(f"{d}^4 two-qudit gate entries exceed the "
-                            f"{MAX_AMPS} amplitude budget")
+    budget(d ** 4, "{}^4 two-qudit gate entries", d)
     if spec.kind == DIAGONAL:
         return _read_only(np.diag(np.exp(1j * spec.theta.reshape(-1))))
     out = np.zeros((d * d, d * d), dtype=complex)

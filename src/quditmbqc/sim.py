@@ -24,10 +24,9 @@ from .errors import (
     DimensionMismatch,
     NonUnitary,
     SiteOutOfRange,
-    StateTooLarge,
     ZeroProbabilityForced,
 )
-from .galois import MAX_AMPS, DimSpec, complex_to_json, dim_to_json
+from .galois import MAX_AMPS, DimSpec, budget, complex_to_json, dim_to_json
 from .pauli import PAULI_TOL
 
 # fidelity and table gates of the protocols and of graph rewriting
@@ -100,8 +99,7 @@ class StateVector:
         self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if self.amps.size != self.dim.d ** self.n:
             raise DimensionMismatch("amplitude count does not match d^n")
-        if self.amps.size > MAX_AMPS:
-            raise StateTooLarge(f"{self.amps.size} amplitudes exceed the budget")
+        budget(self.amps.size, "{} state amplitudes", self.amps.size)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

@@ -32,10 +32,9 @@ from quditmbqc.errors import (
     FrameMismatch,
     NotCliffordError,
     SiteOutOfRange,
-    StateTooLarge,
     ZeroProbabilityForced,
 )
-from quditmbqc.galois import DimSpec
+from quditmbqc.galois import DimSpec, budget
 from quditmbqc.gates import hadamard, normalize_global_phase, shear_gate
 from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
 from quditmbqc.resource import DIAGONAL, expand, gate_matrix
@@ -121,10 +120,9 @@ def correction(dim: DimSpec, vertex: int, q: np.ndarray, label: str
 
 def product_state(dim: DimSpec, vectors: Sequence[np.ndarray]) -> StateVector:
     """Tensor product of one vector per site; StateTooLarge before the
-    product is formed when d^n exceeds sim.MAX_AMPS."""
-    if dim.d ** len(vectors) > sim.MAX_AMPS:
-        raise StateTooLarge(f"{dim.d ** len(vectors)} amplitudes exceed "
-                            f"the budget")
+    product is formed past the budget of its d^n amplitudes."""
+    budget(dim.d ** len(vectors), "{}^{} product state amplitudes", dim.d,
+           len(vectors))
     amps = np.array([1.0 + 0j])
     for v in vectors:
         amps = np.kron(amps, np.asarray(v, dtype=complex))

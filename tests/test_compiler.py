@@ -1,13 +1,18 @@
 """Pattern compiler: native-word phase optimization, Clifford word tables."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quditmbqc import cli
 from quditmbqc import compiler
-from quditmbqc.errors import UniversalityViolated, UnsupportedFormalism
+from quditmbqc.errors import (
+    StateTooLarge,
+    UniversalityViolated,
+    UnsupportedFormalism,
+)
 from quditmbqc.galois import (
     FINITE_FIELD,
     INTEGER_RING,
@@ -98,6 +103,37 @@ def test_compile_composite_rings(tmp_path, capsys, d, spec_of):
                      "--seed", "1"]) == 0
     stats = json.loads(capsys.readouterr().out)["results"]["stats"]
     assert stats["residual"] <= compiler.RESIDUAL_TOL
+
+
+def test_compile_refuses_a_polish_jacobian_past_the_budget(monkeypatch):
+    # a word of L steps is polished on L d rows of d^2 complex entries:
+    # over Z_31 the first length, 33, has 983,103 and is fitted, while
+    # over Z_32 its 34 x 32^3 exceed the 10^6 budget, and compile refuses
+    # before any ALS, within 1 MiB
+    fitted = []
+
+    def solve(U, G, L, seed, stats):
+        fitted.append(L)
+        return np.zeros((L, G.shape[0])), 0.0
+
+    monkeypatch.setattr(compiler, "_solve", solve)
+    for d in (31, 32):
+        dim = make_dim(INTEGER_RING, d=d)
+        U, intr = haar_unitary(d, np.random.default_rng(d)), \
+            intrinsic_of(cz_spec(dim))
+        if d == 31:
+            assert compile_unitary(U, intr).step_count() == 33
+            continue
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateTooLarge,
+                               match=r"34 x 32\^3 polish Jacobian entries"):
+                compile_unitary(U, intr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+    assert fitted == [33]
 
 
 def _clifford_word(dim):

@@ -2,6 +2,7 @@
 checked against the dense oracle."""
 
 import bisect
+import functools
 import gc
 import itertools
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditmbqc import engine, resource, sim
+from quditmbqc import clifford, engine, resource, sim
 from quditmbqc.errors import (
     DimensionMismatch,
     FrameMismatch,
@@ -31,6 +32,7 @@ from quditmbqc.gates import (
     dphi,
     hadamard,
     sgate,
+    shear_gate,
     xplus_state,
 )
 from quditmbqc.pauli import (
@@ -95,6 +97,7 @@ from dense_oracle import (
 
 D2 = make_dim(INTEGER_RING, d=2)
 D3 = make_dim(INTEGER_RING, d=3)
+D101 = make_dim(INTEGER_RING, d=101)
 D4F = make_dim(FINITE_FIELD, p=2, m=2)
 
 
@@ -418,14 +421,16 @@ def _check_against_the_oracle_collapse(g, pat, psi, seed=7, T=300):
     # returns the plan's uniform flags
     dim, d = pat.dim, pat.dim.d
     runs = run_trajectories(g, pat, psi, rng=seed, trials=T)
-    plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
+    plan, (nxt, dph), (f_idx, f_ph) = engine._trajectory_plan(g, pat)
     u = np.random.default_rng(seed).random((T, len(plan)))
     cur = np.broadcast_to(sim.unit_vector(psi, d, "psi"), (T, d))
     at, ph = np.zeros(T, dtype=np.intp), np.zeros(T, dtype=np.int64)
-    for i, (table, _, rows, (nxt, dph)) in enumerate(plan):
+    for i, (table, _, rows, diag) in enumerate(plan):
         branch = ((cur * rows[at % d]) @ table).reshape(T, d, d)
         k, cur, _ = dense_oracle.collapse(branch, u[:, i])
         assert np.array_equal(runs.outcomes[:, i], k), i
+        if diag is not None:
+            at, ph = diag[0][at], ph + diag[1][at]
         at, ph = nxt[at, k], ph + dph[at, k]
     assert np.max(np.abs(runs.posteriors - cur)) < 1e-12
     # unit posteriors, so no fidelity reads past 1
@@ -510,32 +515,36 @@ def test_weighted_steps_draw_as_the_oracle_collapse(case):
 
 @pytest.mark.parametrize("case", sorted(_PATTERN_FILES))
 def test_trajectory_tables_equal_the_step_by_step_moves(case):
-    # for every word index and outcome, a step's composed move (nxt, dph)
-    # is its diagonal's images (a Clifford step's), then Z^{-k}, then G_I's
-    # frame table, and the final table is the product with the pattern's
-    # frame; the folded step on e_a at frame shift s is basis_s^T times
-    # (e_a (x) fresh) E^T as d x d, basis_s = conj(exp(-1j psi_s)[:, None]
-    # H), psi_s the phases shifted by s (a Clifford step's are not)
+    # for every word index and outcome, a step's composed move, its
+    # diagonal's word map (a Clifford step's; none for an adaptive step)
+    # and then the shared (nxt, dph), is its diagonal's images, then
+    # Z^{-k}, then G_I's frame table, and the final table is the product
+    # with the pattern's frame; the folded step on e_a at frame shift s is
+    # basis_s^T times (e_a (x) fresh) E^T as d x d, basis_s =
+    # conj(exp(-1j psi_s)[:, None] H), psi_s the phases shifted by s (a
+    # Clifford step's are not)
     name, key = _PATTERN_FILES[case]
     pat = pattern_from_json(json.loads((_DATA / name).read_text())[key])
     dim, d = pat.dim, pat.dim.d
     g = chain_graph(dim, pat.gate, pat.step_count() + 1)
-    plan, (f_idx, f_ph) = engine._trajectory_plan(g, pat)
+    plan, (nxt, dph), (f_idx, f_ph) = engine._trajectory_plan(g, pat)
     g_idx, g_ph = pat.intrinsic.certificate().frame_table()
     H = hadamard(dim)
     # every chain vertex starts in the gate's resource state
     two_in = np.kron(np.eye(d), resource.resource_init(pat.gate))
     E = gate_matrix(pat.gate)
-    for step, (table, _, rows, (nxt, dph)) in zip(pat.steps, plan):
+    for step, (table, _, rows, diag) in zip(pat.steps, plan):
         adaptive = step.adaptive
+        assert (diag is None) == adaptive
+        word, wnum = (range(d * d), [0] * d * d) if adaptive else diag
         phases = np.asarray(step.phases, dtype=float)
         c, num = ([0] * d, [0] * d) if adaptive \
             else diagonal_images(dim, np.exp(1j * phases))
         for a, k in itertools.product(range(d * d), range(d)):
             z, x = divmod(a, d)
             moved = dim.sub(dim.add(z, c[x]), k) * d + x
-            assert (nxt[a, k], dph[a, k]) == (g_idx[moved],
-                                              num[x] + g_ph[moved])
+            assert (nxt[word[a], k], wnum[a] + dph[word[a], k]) \
+                == (g_idx[moved], num[x] + g_ph[moved])
         for s, a in itertools.product(range(d), range(d)):
             psi_s = phases[[dim.sub(u, s) if adaptive else u
                             for u in range(d)]]
@@ -563,7 +572,7 @@ def test_step_tables_fold_each_vertex_init():
              phases.copy()]
     g = ResourceGraph(D3, [Vertex(i, inits[i]) for i in range(n + 1)],
                       chain_graph(D3, cz_spec(D3), n + 1).edges)
-    plan, _ = engine._trajectory_plan(g, pat)
+    plan, _, _ = engine._trajectory_plan(g, pat)
     E, H = gate_matrix(cz_spec(D3)), hadamard(D3)
     for i, (step, (table, _, rows, _)) in enumerate(zip(pat.steps, plan)):
         fresh = engine._init_vector(D3, inits[i + 1])
@@ -599,11 +608,11 @@ def test_kept_step_and_move_tables_are_shared_across_runs(monkeypatch):
         run_trajectories(g, pat, basis_state(D3, 0), rng=0, trials=10)
     kept = (engine._spec_step(cz_spec(D3))[0],
             *pat.intrinsic.certificate().move_table())
-    (first, _), (second, _) = plans
+    (first, moves, _), (second, again, _) = plans
     assert all(step.adaptive for step in pat.steps)
     for a, b in zip(first, second):
         assert a[0] is b[0] is kept[0]
-        assert a[3][0] is b[3][0] is kept[1] and a[3][1] is b[3][1] is kept[2]
+    assert moves[0] is again[0] is kept[1] and moves[1] is again[1] is kept[2]
     assert not any(t.flags.writeable for t in kept)
 
 
@@ -1299,25 +1308,34 @@ def test_mediator_tables_are_checked_once_per_gate_and_mode():
 
 def test_two_qudit_gates_have_a_d4_budget():
     # over Z_32 a gate's d^4 entries pass the 10^6 budget: the gate matrix
-    # is refused before it is allocated, and the rewrites, the input
-    # coupling, run and the edge keep that budget, though none of them
-    # builds a d^4 table; the mediator reads CZ's phases off the ring's
-    # tables, so over Z_37 it keeps its d^3 budget and verifies
+    # is refused before it is allocated, while the rewrites, the input
+    # coupling, run and the edge build d^3 tables only and verify; over
+    # Z_101 those d^3 tables pass the budget, and each refuses; the
+    # mediator reads CZ's phases off the ring's tables, so over Z_37 it
+    # keeps its d^3 budget and verifies
     z32, z37 = (make_dim(INTEGER_RING, d=d) for d in (32, 37))
-    g = chain_graph(z32, cz_spec(z32), 3)
-    pat = transport_pattern(intrinsic_of(cz_spec(z32)))
-    run_chain = chain_graph(z32, cz_spec(z32), pat.step_count() + 1)
-    for call in (lambda: vertex_delete(g, 1, rng=0),
-                 lambda: local_complement(g, 1, rng=0),
-                 lambda: couple_input(basis_state(z32, 0),
-                                      chain_graph(z32, cz_spec(z32), 2)),
-                 lambda: run_trajectories(run_chain, pat,
-                                          basis_state(z32, 0), rng=0, trials=3),
-                 lambda: entangle_via_edge(z32, np.ones(32 ** 2), rng=0)):
-        with pytest.raises(StateTooLarge, match=r"32\^4"):
+
+    def calls(dim):
+        d = dim.d
+        g = chain_graph(dim, cz_spec(dim), 3)
+        pat = transport_pattern(intrinsic_of(cz_spec(dim)))
+        run_chain = chain_graph(dim, cz_spec(dim), pat.step_count() + 1)
+        return (lambda: vertex_delete(g, 1, rng=0),
+                lambda: local_complement(g, 1, rng=0),
+                lambda: couple_input(basis_state(dim, 0),
+                                     chain_graph(dim, cz_spec(dim), 2)),
+                lambda: run_trajectories(run_chain, pat, basis_state(dim, 0),
+                                         rng=0, trials=3),
+                lambda: entangle_via_edge(dim, np.ones(d * d) / d, rng=0))
+
+    for call in calls(z32):
+        call()
+    for call in calls(D101):
+        with pytest.raises(StateTooLarge, match=r"101\^3"):
             call()
-    with pytest.raises(StateTooLarge, match=r"37\^4"):
-        gate_matrix(cz_spec(z37))
+    for dim in (z32, z37):
+        with pytest.raises(StateTooLarge, match=rf"{dim.d}\^4"):
+            gate_matrix(cz_spec(dim))
     psi = random_state(37 ** 2, np.random.default_rng(3))
     res = mediator_step(cz_spec(z37), psi, "entangle", rng=0)
     assert res.posterior.amps.shape == (37 ** 2,)
@@ -1328,7 +1346,7 @@ def test_two_qudit_gates_have_a_d4_budget():
         big = chain_graph(z150, cz_spec(z150), 3)
         tracemalloc.start()
         try:
-            with pytest.raises(StateTooLarge, match=r"150\^4"):
+            with pytest.raises(StateTooLarge, match=r"150\^3"):
                 rule(big, 1, rng=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1637,8 +1655,29 @@ def test_a_long_run_keeps_one_phase_row_per_shift():
     assert peak < 24 * 2 ** 20, peak
 
 
-D11, D32 = make_dim(INTEGER_RING, d=11), make_dim(INTEGER_RING, d=32)
-D101 = make_dim(INTEGER_RING, d=101)
+def test_a_long_clifford_run_keeps_d2_entries_per_step():
+    # a Clifford step's frame moves through its diagonal's word map and
+    # then the move table every step shares, d^2 entries per step: a
+    # 300-step Z31 run of shear steps peaked at 145 MB when each step kept
+    # its own d^2 x d move table
+    D31 = make_dim(INTEGER_RING, d=31)
+    spec = cz_spec(D31)
+    shears = np.random.default_rng(31).integers(31, size=300)
+    pat = MeasurementPattern(D31, intrinsic_of(spec), [
+        PatternStep(np.angle(np.diag(shear_gate(D31, int(l)))), False)
+        for l in shears], identity_word(D31), spec)
+    g = chain_graph(D31, spec, 301)
+    run_trajectories(g, pat, basis_state(D31, 0), rng=0, trials=2)
+    tracemalloc.start()
+    try:
+        run_trajectories(g, pat, basis_state(D31, 0), rng=0, trials=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, peak
+
+
+D11 = make_dim(INTEGER_RING, d=11)
 
 
 def test_entangle_via_edge_runs_past_the_old_d6_limit():
@@ -1651,15 +1690,78 @@ def test_entangle_via_edge_runs_past_the_old_d6_limit():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: entangle_via_edge(D32, np.ones(32 ** 2), rng=0),
+    lambda: entangle_via_edge(D101, np.ones(101 ** 2), rng=0),
     lambda: mediator_step(cz_spec(D101), np.ones(101 ** 2), "disconnect",
                           rng=0),
 ], ids=["entangle_via_edge", "mediator_step"])
 def test_protocol_size_guards_fire_before_allocation(call):
-    # 32^4 and 101^3 amplitudes exceed sim.MAX_AMPS
+    # 101^3 table entries exceed the amplitude budget
     tracemalloc.start()
     try:
         with pytest.raises(StateTooLarge):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def _run_entry(spec_of):
+    def entry(dim):
+        spec = spec_of(dim)
+        pat = transport_pattern(intrinsic_of(spec))
+        g = chain_graph(dim, spec, pat.step_count() + 1)
+        return functools.partial(run_trajectories, g, pat,
+                                 basis_state(dim, 0), rng=0, trials=100)
+    return entry
+
+
+def _rewrite_entry(rule):
+    def entry(dim):
+        # the centre of a 3x3 lattice
+        return functools.partial(rule, diagonal_lattice(
+            dim, 3, 3, cz_spec(dim)), 4, rng=0)
+    return entry
+
+
+def _state(d):
+    return random_state(d, np.random.default_rng(d))
+
+
+# every engine entry, as dim -> a call whose inputs are built outside it
+ENGINE_ENTRIES = {
+    "run-cz": _run_entry(cz_spec),
+    "run-cx": _run_entry(cx_spec),
+    "couple_input": lambda dim: functools.partial(
+        couple_input, _state(dim.d), chain_graph(dim, cz_spec(dim), 2),
+        rng=0),
+    "vertex_delete": _rewrite_entry(vertex_delete),
+    "local_complement": _rewrite_entry(local_complement),
+    "entangle_via_edge": lambda dim: functools.partial(
+        entangle_via_edge, dim, _state(dim.d ** 2), rng=0),
+    "mediator_step": lambda dim: functools.partial(
+        mediator_step, cz_spec(dim), _state(dim.d ** 2), "entangle", rng=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENGINE_ENTRIES))
+def test_every_engine_entry_verifies_to_d100_and_refuses_d101(entry):
+    # no entry builds a table past d^3 entries, so each verifies its
+    # output up to d = 100 (d^3 = 10^6), over a prime and a composite
+    # ring, and over Z_101 refuses before it builds anything
+    for d in (97, 100):
+        dim = make_dim(INTEGER_RING, d=d)
+        ENGINE_ENTRIES[entry](dim)()
+        # what the call kept per spec and per dimension, d^3 entries a
+        # table, is dropped, as no other test reads it
+        for spec_of in (cz_spec, cx_spec):
+            expand(spec_of(dim))._facts.clear()
+        engine._edge_facts.cache_clear()
+        clifford._shift_tables.cache_clear()
+    call = ENGINE_ENTRIES[entry](D101)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLarge, match=r"101\^3"):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -752,18 +752,17 @@ CARVE_DIMS = [make_dim(INTEGER_RING, d=2), D3,
                          + [(dim, light_shift_spec) for dim in CARVE_DIMS[:2]],
                          ids=lambda x: getattr(x, "__name__", None)
                          or x.label())
-def test_a_chain_of_rewrites_keeps_no_stale_vertex_table(dim, gate):
+def test_a_chain_of_rewrites_keeps_only_the_tables_it_reads(dim, gate):
     # seeded vertex deletions and local complementations on a 3x4 lattice,
     # each on the previous output as a carve makes them: after every step,
-    # each vertex table the output keeps (inherited from its parent, or
-    # built by the per-call check for the measured vertex's neighbours)
-    # equals the table of the same graph rebuilt from scratch.  On the
-    # first two steps, every forced outcome of both rules agrees with the
-    # full-row reference and, at up to 3^12 amplitudes, with the dense
-    # state oracle
+    # the output keeps no vertex table of its parent's, only the tables
+    # its own per-call check built, the measured vertex's neighbours', and
+    # each equals the table of the same graph rebuilt from scratch.  On
+    # the first two steps, every forced outcome of both rules agrees with
+    # the full-row reference and, at up to 3^12 amplitudes, with the
+    # dense state oracle
     rng = np.random.default_rng([dim.d, dim.m, len(gate.__name__)])
     graph = diagonal_lattice(dim, 3, 4, gate(dim))
-    inherited = 0
     for step in range(9):
         ids = [v.id for v in graph.vertices]
         vid = ids[rng.integers(len(ids))]
@@ -773,16 +772,14 @@ def test_a_chain_of_rewrites_keeps_no_stale_vertex_table(dim, gate):
             _assert_check_matches_the_full_rows(graph, vid)
             if dim.d ** len(ids) <= 3 ** 12:
                 assert _check_every_outcome(graph, vid, rule) > 0
-        parent = set(graph._facts["tables"]) - {vid, *nbrs}
         new = rule(graph, vid, rng=int(rng.integers(2 ** 32)))[3]
-        tables = new._facts["tables"]
-        assert parent | set(nbrs) == set(tables)
-        inherited += len(parent)
+        tables, parent = new._facts["tables"], graph._facts["tables"]
+        assert set(tables) == set(nbrs)
+        assert not any(tables[u] is parent.get(u) for u in tables)
         fresh = ResourceGraph(dim, new.vertices, new.edges)
         _, zs, nums = engine._tableau(fresh, list(tables))
         assert [tables[u] for u in tables] == list(zip(zs, nums))
         graph = new
-    assert inherited > 9
 
 
 def _fresh_cz(dim, w=1):
