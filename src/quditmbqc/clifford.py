@@ -1,19 +1,23 @@
 """Clifford certification, diagonal Cliffords and native words.
 
-A single-qudit Clifford is known by its certificate: the exact-phase
-images of the Pauli generators, Z -> Z^a X^b and X -> Z^c X^e up to phase
-with a e - b c = 1.  Certificates compose exactly, so the shortest native
-word G_I S(l_{k-1}) ... G_I S(l_0) of every Clifford class an intrinsic
-gate reaches is found by a breadth-first search without dense products
-(shortest_words).  A diagonal's images are read without a certificate,
-for every X(x) at once (diagonal_images).
+A single-qudit Clifford U is known by its certificate, its word table:
+U w_i U^dagger = e^{2 pi i phase[i] / phase_den} w_{idx[i]} for every
+word w_i = Z(z) X(x), i = z d + x, the symplectic map with its exact
+phases (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005).  certify
+matches the 2m generators' images densely and extends them to every word
+exactly; a diagonal's table is read without dense matching, from its
+images of every X(x) at once (diagonal_images, diagonal_cert).  Tables
+compose by one gather, so the shortest native word G_I S(l_{k-1}) ...
+G_I S(l_0) of every Clifford class an intrinsic gate reaches is found by
+a breadth-first search over the generators' image indices alone
+(shortest_words).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,16 +26,16 @@ from .errors import (
     NotCliffordError,
     OrderCapExceeded,
 )
-from .galois import DimSpec
+from .galois import DimSpec, budget
 from .gates import shear_gate
 from .pauli import (
     PAULI_TOL,
     PauliWord,
+    identity_word,
     match_pauli,
     normal_form,
-    one_qudit_words,
-    single_word,
-    zx_matrix,
+    xmat,
+    zmat,
 )
 
 
@@ -41,119 +45,105 @@ def _additive_basis(dim: DimSpec) -> List[int]:
     return [dim.base ** i for i in range(dim.m)]
 
 
-def generator_words(dim: DimSpec, n: int):
-    """Pauli generators whose images determine a Clifford: per site,
-    Z and X raised to the additive basis elements (1, xi, xi^2, ...)."""
-    for site in range(n):
-        for g in _additive_basis(dim):
-            yield f"Z{site}^{g}", single_word(dim, n, site, z=g)
-            yield f"X{site}^{g}", single_word(dim, n, site, x=g)
+def _lowest_digits(dim: DimSpec) -> List[int]:
+    """For each k != 0 in dim.elements, the additive basis element g of
+    its lowest nonzero digit, so that k - g precedes k."""
+    return [next(g for g, c in zip(_additive_basis(dim), dim.coeffs_of(k))
+                 if c) for k in dim.elements[1:]]
 
 
-@dataclass
+def generator_words(dim: DimSpec) -> Iterator[Tuple[str, int]]:
+    """(label, word index) of the Pauli generators whose images determine
+    a Clifford: Z(g) at g d and X(g) at g for each additive basis element
+    g (1, xi, xi^2, ...)."""
+    for g in _additive_basis(dim):
+        yield f"Z0^{g}", g * dim.d
+        yield f"X0^{g}", g
+
+
+@dataclass(frozen=True, eq=False)
 class CliffordCert:
-    """Images U g U^dagger of the generators g, as exact-phase words."""
+    """The word table of a one-qudit Clifford U, read-only: U w_i U^dagger
+    = e^{2 pi i phase[i] / phase_den} w_{idx[i]} for w_i = Z(z) X(x),
+    i = z d + x."""
     dim: DimSpec
-    n: int
-    images: Dict[str, PauliWord]
-    _letters: Dict[Tuple[int, str, int], PauliWord] = field(
-        default_factory=dict, repr=False, compare=False)
-    _frame_table: Optional[Tuple[np.ndarray, ...]] = field(
+    idx: np.ndarray
+    phase: np.ndarray
+    _moves: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False)
 
-    def _letter_image(self, site: int, letter: str, value: int) -> PauliWord:
-        """U Z^value U^dagger (letter "Z") or U X^value U^dagger on a site,
-        for value != 0.
-
-        The value is split over the additive basis, so the letter is a
-        product of generator powers, each generator's digit c < p times;
-        their images are multiplied in normal form once and cached.
-        """
-        key = (site, letter, value)
-        if key not in self._letters:
-            images = [self.images[f"{letter}{site}^{g}"]
-                      for g, c in zip(_additive_basis(self.dim),
-                                      self.dim.coeffs_of(value))
-                      for _ in range(c)]
-            self._letters[key] = functools.reduce(normal_form, images)
-        return self._letters[key]
-
-    def conjugate(self, word: PauliWord) -> PauliWord:
-        """U word U^dagger as an exact-phase word.
-
-        The word is phase * prod_site Z^z X^x; each letter's image comes
-        from _letter_image, so one conjugation costs at most two normal_form
-        calls per site once the letters are cached.  No dense matrix is
-        formed.
-        """
-        if word.dim != self.dim or word.n != self.n:
-            raise DimensionMismatch("word and certificate systems differ")
-        out = replace(word, z=(0,) * self.n, x=(0,) * self.n)  # its phase
-        for site in range(self.n):
-            for letter, value in (("Z", word.z[site]), ("X", word.x[site])):
-                if value:
-                    out = normal_form(out,
-                                      self._letter_image(site, letter, value))
-        return out
+    def __post_init__(self):
+        for a in (self.idx, self.phase):
+            a.flags.writeable = False
 
     def compose(self, other: "CliffordCert") -> "CliffordCert":
         """Certificate of the product U V (self U, other V), exact phases
-        included: (U V) g (U V)^dagger = U (V g V^dagger) U^dagger."""
-        return CliffordCert(self.dim, self.n, {
-            label: self.conjugate(w) for label, w in other.images.items()})
+        included: U V w_i (U V)^dagger = U (V w_i V^dagger) U^dagger."""
+        return CliffordCert(self.dim, self.idx[other.idx],
+                            (other.phase + self.phase[other.idx])
+                            % self.dim.phase_den)
 
-    def class_key(self) -> Tuple:
-        """The images with their phases dropped: equal exactly when the two
-        Cliffords differ by a Pauli word and a global phase."""
-        return tuple((w.z, w.x) for w in self.images.values())
-
-    def frame_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Index z * d + x and exact phase numerator of U w U^dagger for each
-        w in one_qudit_words, built once: the table moves a frame (index i,
-        phase p) to (idx[i], p + phase[i])."""
-        if self.n != 1:
-            raise DimensionMismatch("frame tables are single-qudit")
-        if self._frame_table is None:
-            d, words = self.dim.d, [self.conjugate(w)
-                                    for w in one_qudit_words(self.dim)]
-            idx = np.array([w.z[0] * d + w.x[0] for w in words], dtype=np.intp)
-            phase = np.array([w.phase_num for w in words], dtype=np.int64)
-            self._frame_table = idx, phase
-        return self._frame_table[:2]
+    def class_key(self) -> Tuple[int, ...]:
+        """idx at the generators' word indices (generator_words): equal
+        exactly when the two Cliffords differ by a Pauli word and a global
+        phase."""
+        return tuple(self.idx[[i for _, i in generator_words(self.dim)]]
+                     .tolist())
 
     def move_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only (nxt, dph), built on first use: Z^{-k}, then U, move a
         frame (index a, phase p) to (nxt[a, k], p + dph[a, k])."""
-        idx, phase = self.frame_table()
-        if len(self._frame_table) == 2:
+        if self._moves is None:
             # Z^{-k} Z(z) X(x) = Z(z - k) X(x), word (z - k) d + x
             d = self.dim.d
             z, x = np.divmod(np.arange(d * d), d)
             zk = self.dim.tables.sub[z] * d + x[:, None]
-            self._frame_table += (idx[zk], phase[zk])
-            for t in self._frame_table[2:]:
+            moves = self.idx[zk], self.phase[zk]
+            for t in moves:
                 t.flags.writeable = False
-        return self._frame_table[2:]
+            object.__setattr__(self, "_moves", moves)
+        return self._moves
 
 
-def certify(U: np.ndarray, dim: DimSpec, n: int = 1) -> CliffordCert:
-    """Conjugate every Pauli generator by U and match the result to a word;
-    NotCliffordError naming the first generator whose image is not one."""
+def certify(U: np.ndarray, dim: DimSpec) -> CliffordCert:
+    """U's word table: each generator conjugated by U densely and matched
+    to a word, then every word's image formed exactly from theirs, Z(k) =
+    Z(k - g) Z(g) and X(k) = X(k - g) X(g) for k's lowest digit g, and
+    Z(z) X(x) as the product of its letters' images, each in normal_form.
+    NotCliffordError names the first generator whose image is not a Pauli
+    word."""
     U = np.asarray(U, dtype=complex)
-    if U.shape != (dim.d ** n, dim.d ** n):
-        raise DimensionMismatch("operator size does not match (dim, n)")
-    images = {}
-    Ud = U.conj().T
-    for label, w in generator_words(dim, n):
-        r = match_pauli(dim, n, U @ zx_matrix(w) @ Ud)
+    d = dim.d
+    if U.shape != (d, d):
+        raise DimensionMismatch("operator size does not match the dimension")
+    images, Ud = {}, U.conj().T
+    for label, i in generator_words(dim):
+        r = match_pauli(dim, 1, U @ zmat(dim, i // d) @ xmat(dim, i % d) @ Ud)
         if r is None:
             raise NotCliffordError(f"generator {label} does not conjugate "
                                    f"to a Pauli word", generator=label)
-        images[label] = r[1]
-    return CliffordCert(dim, n, images)
+        images[i] = r[1]
+    zs, xs = [identity_word(dim)], [identity_word(dim)]
+    for k, g in zip(dim.elements[1:], _lowest_digits(dim)):
+        zs.append(normal_form(zs[dim.sub(k, g)], images[g * d]))
+        xs.append(normal_form(xs[dim.sub(k, g)], images[g]))
+    words = [normal_form(a, b) for a in zs for b in xs]
+    return CliffordCert(dim, np.array([w.z[0] * d + w.x[0] for w in words],
+                                      dtype=np.intp),
+                        np.array([w.phase_num for w in words], dtype=np.int64))
 
 
 # --- diagonal Cliffords ---------------------------------------------------
+
+def diagonal_cert(dim: DimSpec, q: np.ndarray) -> CliffordCert:
+    """The word table of diag(q), read off its images (diagonal_images):
+    Z(z) X(x) goes to Z(z + c[x]) X(x) at phase num[x].  NotCliffordError
+    as diagonal_images raises it."""
+    c, num = map(np.array, diagonal_images(dim, q))
+    d = dim.d
+    z, x = np.divmod(np.arange(d * d), d)
+    return CliffordCert(dim, dim.tables.add[z, c[x]] * d + x, num[x])
+
 
 def diagonal_images(dim: DimSpec, q: np.ndarray
                     ) -> Tuple[List[int], List[int]]:
@@ -221,37 +211,38 @@ def universality_check(cert: CliffordCert) -> Tuple[bool, Tuple[int, int]]:
     Reads the image of the Z generator only, so semilinear Cliffords
     (Frobenius-twisted conjugation on higher powers) are still accepted.
     """
-    if cert.n != 1:
-        raise DimensionMismatch("universality check is single-qudit")
-    a, b = cert.images["Z0^1"].z[0], cert.images["Z0^1"].x[0]
+    a, b = divmod(int(cert.idx[cert.dim.d]), cert.dim.d)
     return cert.dim.is_invertible(b), (a, b)
 
 
 # --- native words ---------------------------------------------------------
 
-def shortest_words(g: CliffordCert) -> Dict[Tuple, Tuple[int, ...]]:
+def shortest_words(g: CliffordCert) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
     """Class key -> shortest (l_0, ..., l_{k-1}) with G S(l_{k-1}) ... G S(l_0)
     in that class, for every class the native steps G S(l) reach; G is the
     gate g certifies and S(l) = shear_gate(l).  The identity class is the
     empty word.
 
-    A breadth-first search over exact certificate composition: each step's
-    certificate is formed once densely, every word from its predecessor.
+    A breadth-first search over class keys alone: a step's key is its
+    table's idx gathered at the previous key, each step's table G composed
+    with its shear's diagonal_cert once.  StateTooLarge past the budget of
+    d^4 search steps (up to d^3 classes, each met through d shears),
+    before any is taken.
     """
     dim = g.dim
-    steps = [(l, g.compose(certify(shear_gate(dim, l), dim)))
-             for l in dim.elements]
-    start = CliffordCert(dim, 1, dict(generator_words(dim, 1)))
-    table = {start.class_key(): ()}
-    frontier = [(start, ())]
+    budget(dim.d ** 4, "{}^4 class-search steps", dim.d)
+    steps = [(l, g.compose(diagonal_cert(dim, np.diag(shear_gate(dim, l))))
+              .idx.tolist()) for l in dim.elements]
+    start = tuple(i for _, i in generator_words(dim))
+    table = {start: ()}
+    frontier = [start]
     while frontier:
         reached = []
-        for cert, word in frontier:
-            for l, step in steps:
-                nxt = step.compose(cert)
-                key = nxt.class_key()
-                if key not in table:
-                    table[key] = word + (l,)
-                    reached.append((nxt, table[key]))
+        for key in frontier:
+            for l, idx in steps:
+                nxt = tuple([idx[i] for i in key])
+                if nxt not in table:
+                    table[nxt] = table[key] + (l,)
+                    reached.append(nxt)
         frontier = reached
     return table

@@ -292,7 +292,7 @@ def compile_clifford(C: np.ndarray, intrinsic: IntrinsicGate
     such word exists, e.g. for a semilinear C and a linear G_I.
     """
     dim = intrinsic.dim
-    word = intrinsic.clifford_words.get(certify(C, dim, 1).class_key())
+    word = intrinsic.clifford_words.get(certify(C, dim).class_key())
     if word is None:
         raise UnsupportedFormalism("target Clifford is not a product of the "
                                    "intrinsic gate and shears")

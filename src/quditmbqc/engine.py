@@ -23,14 +23,15 @@ trajectory step's table (_step_table), applied on either side of its
 input.  A posterior is verified against the predicted action on every
 call: as a vector, or, for graph rewriting, by exact equality of
 graph-form stabilizer rows.
-Pauli frames move by index arithmetic, read from tables built once:
-through a diagonal by its images (clifford.diagonal_images; the engine
-certifies nothing), through G_I by its certificate's frame table, a
-trajectory step through its diagonal's d^2 word map (a Clifford step's)
-and then the move table every step shares; the mediator's d frame words
-are kept on its spec.  Words act on vectors by index too (X(x) a gather
-at sub[:, x], Z(z) a product with chi[mul[z]]): no table here has d^4
-entries, and each entry checks the budget of its d^3 ones on entry.
+Pauli frames move by index arithmetic, read from word tables built once
+(clifford.CliffordCert): a diagonal's from its images
+(clifford.diagonal_cert; the engine certifies nothing densely), G_I's
+from its certificate, a trajectory step through its diagonal's table (a
+Clifford step's) and then the move table every step shares; the
+mediator's d frame words are kept on its spec.  Words act on vectors by
+index too (X(x) a gather at sub[:, x], Z(z) a product with chi[mul[z]]):
+no table here has d^4 entries, and each entry checks the budget of its
+d^3 ones on entry.
 Rewriting runs only on the stabilizer tableau, so it takes phase-vector
 inits and diagonal Clifford edges, each read as its gate's factor
 diagonals, their exact images and its weight (factor_diagonal_clifford).
@@ -79,7 +80,7 @@ from .galois import (
     json_int,
 )
 from .gates import hadamard, shear_gate, xplus_state
-from .clifford import _additive_basis, diagonal_images
+from .clifford import _additive_basis, diagonal_cert
 from .compiler import MeasurementPattern
 from .pauli import PAULI_TOL, PauliWord, matrix_of_pauli
 from .resource import (
@@ -551,11 +552,11 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
                      ) -> tuple:
     """What run_trajectories reads: per step (table, uniform, rows, diag),
     a frame (word index a, phase) moving first to diag[0][a], adding
-    diag[1][a] (a Clifford step's diagonal, None for an adaptive step),
-    then on outcome k to nxt[a, k], adding dph[a, k] (the certificate's
-    move_table, which every step shares); and (f_idx, f_ph), the final
-    move through F.  (table, uniform) is _vertex_step's, once per (gate,
-    init) in the call; rows[x] = e^{i phases[u - x]} over u, read at the
+    diag[1][a] (a Clifford step's diagonal_cert idx and phase, None for
+    an adaptive step), then on outcome k to nxt[a, k], adding dph[a, k]
+    (the certificate's move_table, which every step shares); and (f_idx,
+    f_ph), the final move through F.  (table, uniform) is _vertex_step's,
+    once per (gate, init) in the call; rows[x] = e^{i phases[u - x]} over u, read at the
     frame word's X part x = a mod d, all from one np.exp (a Clifford
     step's rows are its phases).  NonUnitary for phases that are not all
     finite."""
@@ -581,10 +582,9 @@ def _trajectory_plan(graph: ResourceGraph, pattern: MeasurementPattern
         if step.adaptive:
             plan.append((*tables[key], shifted[i], None))
             continue
-        # D Z(z) X(x) D^dag = e^{2 pi i num[x]/den} Z(z + c[x]) X(x)
-        c, num = np.array(diagonal_images(dim, e[i]))
+        diag = diagonal_cert(dim, e[i])
         plan.append((*tables[key], np.broadcast_to(e[i], (d, d)),
-                     (add[z, c[x]] * d + x, num[x])))
+                     (diag.idx, diag.phase)))
     F, ints = pattern.frame, dim.ints
     fz, fx = F.z[0], F.x[0]
     # Z(z) X(x) F = chi(-fz x) Z(z + fz) X(x + fx) F's phase
@@ -735,9 +735,9 @@ def _coupling(graph: ResourceGraph) -> tuple:
     """What couple_input reads of its graph alone, built on its first call
     and kept on it: the head's step onto the tail at outcome 0, step[a, r]
     = conj(H)[a, 0] (U_a tail)[r], a view of _vertex_step's table; the
-    head init's phases q; G_I's matrix; and each outcome's frame word, from
-    the images (c, num) of every shift under diag(q) (diagonal_images) and
-    G_I's certificate frame table.  Raises as couple_input documents; the
+    head init's phases q; G_I's matrix; and each outcome's frame word, one
+    gather from the word table of G_I diag(q), G_I's certificate composed
+    with diag(q)'s (diagonal_cert).  Raises as couple_input documents; the
     outcome weights are the step's uniform flag, as every branch map has
     T_k^dag T_k = I/d^2 exactly when the rows U_a|tail> are orthonormal.
     A graph that raises keeps nothing."""
@@ -762,17 +762,13 @@ def _coupling(graph: ResourceGraph) -> tuple:
     # NonUnitary, once per spec, before the certificate is read
     table, uniform = _vertex_step(dim, gate, graph.vertex(order[1]).init)
     intrinsic = intrinsic_of(gate)
-    g_idx, g_phase = (a.tolist()
-                      for a in intrinsic.certificate().frame_table())
-    (shift, nums), (_, add, neg, _) = diagonal_images(dim, q), dim.ints
-    frames = []
-    for s, t in itertools.product(neg, repeat=2):
-        # outcome s' d + t' for s = -s', t = -t': D_head Z^s X^t D_head^dag
-        # = e^{2 pi i num / den} Z(c + s) X(t), word i, which G_I moves to
-        # word g_idx[i] at the phase g_phase[i]
-        i = add[shift[t]][s] * d + t
-        z, x = divmod(g_idx[i], d)
-        frames.append(PauliWord(dim, 1, (z,), (x,), nums[t] + g_phase[i]))
+    cert = intrinsic.certificate().compose(diagonal_cert(dim, q))
+    # outcome s' d + t' measures W = Z^s X^t, s = -s' and t = -t', word
+    # neg[s'] d + neg[t'], and leaves G_I D_head W D_head^dag G_I^dag
+    neg = np.array(dim.ints.neg)
+    w = (neg[:, None] * d + neg).ravel()
+    frames = [PauliWord(dim, 1, (i // d,), (i % d,), p)
+              for i, p in zip(cert.idx[w].tolist(), cert.phase[w].tolist())]
     if not uniform:
         raise FrameMismatch(f"coupling outcome weights are not all "
                             f"1/{d * d} for every input")
@@ -796,9 +792,8 @@ def couple_input(psi: np.ndarray, graph: ResourceGraph, rng=None,
     carrying G_I D_head W |psi> with W = Z^{-s} X^{-t}, G_I the intrinsic
     gate of the edge and D_head = diag(q), |init> = D_head |0_X> (the
     identity for cz and light-shift chains, S for cx).  The returned frame
-    is W conjugated through D_head, by the head's exact images of every
-    shift X(x) (diagonal_images), then through G_I, read off its
-    certificate's frame table, once per graph (_coupling).  The posterior
+    is W conjugated through D_head, then through G_I, read off the word
+    table of their product, once per graph (_coupling).  The posterior
     is frame * G_I D_head |psi> up to phase; it and its weight are checked
     on every call.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,12 +69,6 @@ def normal_form(a: PauliWord, b: PauliWord) -> PauliWord:
         z.append(dim.add(a.z[i], b.z[i]))
         x.append(dim.add(a.x[i], b.x[i]))
     return PauliWord(dim, a.n, tuple(z), tuple(x), phase)
-
-
-def one_qudit_words(dim: DimSpec) -> List[PauliWord]:
-    """Every one-qudit word Z^z X^x with phase 0, at index z * d + x."""
-    return [PauliWord(dim, 1, (z,), (x,), 0)
-            for z in dim.elements for x in dim.elements]
 
 
 # --- dense matrices -------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .clifford import (
     CliffordCert,
-    _additive_basis,
+    _lowest_digits,
     certify,
     diagonal_images,
     pauli_order_data,
@@ -131,7 +131,9 @@ def cz_power(dim: DimSpec, w: int) -> EntanglingGateSpec:
 
 def expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
     """The gate in diagonal or block form with its init phases; a spec
-    already in that form is its own expansion."""
+    already in that form is its own expansion.  A named cx gate's d blocks
+    raise StateTooLarge before they are built past the budget of their d^3
+    entries."""
     if spec.kind != NAMED and spec.init_phases is not None:
         return spec
     if "expand" not in spec._facts:
@@ -152,6 +154,7 @@ def _expand(spec: EntanglingGateSpec) -> EntanglingGateSpec:
         return EntanglingGateSpec(dim, DIAGONAL, theta=theta,
                                   init_phases=np.zeros(d))
     if spec.name == "cx":
+        budget(d ** 3, "{}^3 gate block entries", d)
         blocks = [xmat(dim, k) for k in dim.elements]
         init = np.angle(np.diag(sgate(dim)))
         return EntanglingGateSpec(dim, BLOCK_DIAGONAL, blocks=blocks,
@@ -192,9 +195,11 @@ def gate_matrix(spec: EntanglingGateSpec) -> np.ndarray:
 
 def _blocks(spec: EntanglingGateSpec) -> np.ndarray:
     """The d blocks U_j of the gate sum_j |j><j| (x) U_j, as (d, d, d): a
-    diagonal gate's are its rows as diagonals, U_j = diag(e^{i theta_j})."""
+    diagonal gate's are its rows as diagonals, U_j = diag(e^{i theta_j}),
+    StateTooLarge before they are built past the budget of d^3 entries."""
     if spec.kind == BLOCK_DIAGONAL:
         return spec.blocks
+    budget(spec.dim.d ** 3, "{}^3 gate block entries", spec.dim.d)
     return np.eye(spec.dim.d) * np.exp(1j * spec.theta)[:, None, :]
 
 
@@ -265,7 +270,7 @@ def intrinsic_from_matrix(dim: DimSpec, matrix: np.ndarray) -> IntrinsicGate:
     order = word = None
     if unitary:
         try:
-            order, _, w = pauli_order_data(matrix, dim, 1)
+            order, _, w = pauli_order_data(matrix, dim)
             word = PauliWord(dim, 1, w.z, w.x, 0)
         except OrderCapExceeded:
             pass
@@ -344,17 +349,15 @@ class BlockFactorization:
 def _controlled_paulis(word: PauliWord) -> np.ndarray:
     """[P(k) for k in dim.elements] for the zero-phase word P = Z(z) X(x).
 
-    P(k) = Z(k z) X(k x) with the phase CliffordCert._letter_image gives a
-    letter: the product of P(g)^c over k's digits c on the additive basis
+    P(k) = Z(k z) X(k x) with the phase clifford.certify gives a letter's
+    image: the product of P(g)^c over k's digits c on the additive basis
     g, P(g) = Z(g z) X(g x) (these commute).  Each P(k) is formed as
     P(k - g) P(g) for k's lowest digit, so over Z_d and GF(p) P(k) is P^k
     as P^(k-1) P, entry for entry.
     """
     dim = word.dim
     out = [np.eye(dim.d, dtype=complex)]
-    for k in dim.elements[1:]:
-        g = next(g for g, c in zip(_additive_basis(dim), dim.coeffs_of(k))
-                 if c)
+    for k, g in zip(dim.elements[1:], _lowest_digits(dim)):
         out.append(out[dim.sub(k, g)] @ zx_matrix(PauliWord(
             dim, 1, (dim.mul(g, word.z[0]),), (dim.mul(g, word.x[0]),))))
     return np.array(out)

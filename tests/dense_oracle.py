@@ -36,7 +36,16 @@ from quditmbqc.errors import (
 )
 from quditmbqc.galois import DimSpec, budget
 from quditmbqc.gates import hadamard, normalize_global_phase, shear_gate
-from quditmbqc.pauli import PAULI_TOL, PauliWord, normal_form, xmat, zmat
+from quditmbqc.pauli import (
+    PAULI_TOL,
+    PauliWord,
+    match_pauli,
+    normal_form,
+    single_word,
+    xmat,
+    zmat,
+    zx_matrix,
+)
 from quditmbqc.resource import DIAGONAL, expand, gate_matrix
 from quditmbqc.sim import StateVector
 
@@ -100,6 +109,58 @@ def diagonal_conjugate(dim: DimSpec, q: np.ndarray, x: int
         return None
     c = int(np.argmax(fits))
     return c, int(num[c])
+
+
+def conjugation(U: np.ndarray, dim: DimSpec, n: int):
+    """word -> U word U^dagger on n qudits as an exact-phase word: the
+    n-qudit certificate that clifford.certify, one qudit's word table,
+    replaced.  Each letter Z_s(v) or X_s(v) is conjugated densely and
+    matched back to a word (match_pauli) once, and a word's image is the
+    product of its letters' in normal_form.  NotCliffordError, as certify
+    raises it, names the first generator, Z and X at each additive basis
+    element g, site by site, whose image is not a Pauli word."""
+    U = np.asarray(U, dtype=complex)
+    Ud = U.conj().T
+
+    @functools.lru_cache(maxsize=None)
+    def letter(site: int, name: str, v: int) -> PauliWord:
+        r = match_pauli(dim, n, U @ zx_matrix(
+            single_word(dim, n, site, **{name.lower(): v})) @ Ud)
+        if r is None:
+            label = f"{name}{site}^{v}"
+            raise NotCliffordError(f"generator {label} does not conjugate "
+                                   f"to a Pauli word", generator=label)
+        return r[1]
+
+    for site in range(n):
+        for g in _additive_basis(dim):
+            letter(site, "Z", g), letter(site, "X", g)
+
+    def conjugate(word: PauliWord) -> PauliWord:
+        out = PauliWord(dim, n, (0,) * n, (0,) * n, word.phase_num)
+        for site in range(n):
+            for name, v in (("Z", word.z[site]), ("X", word.x[site])):
+                if v:
+                    out = normal_form(out, letter(site, name, v))
+        return out
+
+    return conjugate
+
+
+def words(dim: DimSpec) -> List[PauliWord]:
+    """Every one-qudit word Z(z) X(x) at phase 0, at index z d + x."""
+    return [PauliWord(dim, 1, (z,), (x,)) for z in dim.elements
+            for x in dim.elements]
+
+
+def image(cert, word: PauliWord) -> PauliWord:
+    """U word U^dagger for a one-qudit word, read off U's certificate, its
+    word table, at the word's index z d + x."""
+    d = cert.dim.d
+    i = word.z[0] * d + word.x[0]
+    z, x = divmod(int(cert.idx[i]), d)
+    return PauliWord(cert.dim, 1, (z,), (x,),
+                     word.phase_num + int(cert.phase[i]))
 
 
 def operator(c: engine.Correction) -> np.ndarray:
@@ -360,10 +421,9 @@ class GraphTableau:
         if (s, x) not in self._words:
             z, phase = 0, 0
             for cert in self.certs[s] if x else []:
-                # a generator's image is stored; other letters are composed
-                img = cert.images.get(f"X0^{x}") \
-                    or cert.conjugate(PauliWord(self.dim, 1, (0,), (x,)))
-                z, phase = self.dim.add(z, img.z[0]), phase + img.phase_num
+                # X(x) is word x; its image is Z(c) X(x) at cert.phase[x]
+                c = int(cert.idx[x]) // self.dim.d
+                z, phase = self.dim.add(z, c), phase + int(cert.phase[x])
             self._words[s, x] = PauliWord(self.dim, 1, (z,), (x,), phase)
         return self._words[s, x]
 

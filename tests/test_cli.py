@@ -614,6 +614,40 @@ def test_two_qudit_gate_past_the_budget_is_refused(tmp_path, capsys):
     assert peak < 2 ** 20, peak
 
 
+@pytest.mark.parametrize("command,d,code", [
+    ("transport", 100, 0), ("transport", 101, 2), ("analyze", 200, 2)])
+def test_cx_blocks_past_the_budget_are_refused_in_a_fresh_process(
+        tmp_path, command, d, code):
+    # a cx gate's d blocks hold d^3 entries: Z_100's 10^6 are built and its
+    # transport runs, while over Z_101 transport and over Z_200 analyze,
+    # which expands the gate before its d^4 matrix is refused, exit 2
+    # before any block is allocated.  The peak is traced in a fresh process
+    # from the call on, its dimension's d^2 tables (1.6 MiB at Z_200,
+    # within their own budget) built before the trace starts
+    gate = write_json(tmp_path / "gate.json", {
+        "kind": "named", "name": "cx",
+        "dim": {"kind": "integer_ring", "d": d}})
+    script = (
+        "import sys, tracemalloc\n"
+        "from quditmbqc import cli\n"
+        "from quditmbqc.galois import INTEGER_RING, make_dim\n"
+        f"make_dim(INTEGER_RING, d={d})\n"
+        "tracemalloc.start()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script, command, "--gate",
+                          gate], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    *lines, last = out.stderr.splitlines()
+    got, peak = map(int, last.split())
+    assert got == code, out.stderr
+    if code:
+        assert lines == [f"error: {d}^3 gate block entries exceed the "
+                         f"1000000 amplitude budget"]
+        assert peak < 2 ** 20, peak
+
+
 def _usage_error(capsys, argv):
     code = cli.main(argv)
     err = capsys.readouterr().err

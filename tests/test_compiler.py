@@ -136,6 +136,35 @@ def test_compile_refuses_a_polish_jacobian_past_the_budget(monkeypatch):
     assert fitted == [33]
 
 
+@pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
+def test_compile_clifford_searches_z31_and_refuses_z32(spec_of):
+    # the class search meets up to d^3 classes, each through d shears:
+    # over Z_31 its 31^4 steps pass the 10^6 budget, and H S compiles and
+    # runs, while over Z_32 its 32^4 steps are refused before any class is
+    # searched, within 1 MiB: the ceiling compile_unitary keeps
+    dim = make_dim(INTEGER_RING, d=31)
+    C = hadamard(dim) @ sgate(dim)
+    pat = compile_clifford(C, intrinsic_of(spec_of(dim)))
+    assert not any(s.adaptive for s in pat.steps)
+    assert pattern_residual(pat, C) < 1e-9
+    graph = chain_graph(dim, spec_of(dim), pat.step_count() + 1)
+    psi = haar_unitary(31, np.random.default_rng(31))[:, 0]
+    runs = run_trajectories(graph, pat, psi, rng=0, trials=10)
+    assert runs.fidelities.min() > 1 - 1e-9
+    z32 = make_dim(INTEGER_RING, d=32)
+    intr = intrinsic_of(spec_of(z32))
+    intr.certificate()
+    C = hadamard(z32) @ sgate(z32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLarge, match=r"32\^4 class-search steps"):
+            compile_clifford(C, intr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def _clifford_word(dim):
     """S(1) H S(2) H^3: at d = 3 it sends Z -> Z^2 X and X -> Z X."""
     H = hadamard(dim)

@@ -40,7 +40,6 @@ from quditmbqc.pauli import (
     identity_word,
     matrix_of_pauli,
     normal_form,
-    one_qudit_words,
     zmat,
     zx_matrix,
 )
@@ -90,9 +89,12 @@ from dense_oracle import (
     apply,
     bell_basis,
     build,
+    conjugation,
+    image,
     measure,
     product_state,
     with_init,
+    words,
 )
 
 D2 = make_dim(INTEGER_RING, d=2)
@@ -262,7 +264,7 @@ def test_run_builds_the_final_frame_table_once_per_frame():
         pat = transport_pattern(intrinsic_of(cz_spec(dim)))
         g = chain_graph(dim, cz_spec(dim), pat.step_count() + 1)
         plain = run_trajectories(g, pat, xplus_state(dim), rng=0, trials=8)
-        for F in one_qudit_words(dim):
+        for F in words(dim):
             F = PauliWord(dim, 1, F.z, F.x, 1)
             framed = run_trajectories(g, replace(pat, frame=F),
                                       xplus_state(dim), rng=0, trials=8)
@@ -305,8 +307,8 @@ def _reference_run(g, pat, psi, rng, forced):
                              if forced is None else forced[i])
         cur = post.amps
         w = frame if step.adaptive \
-            else certify(dphi(step.phases), dim).conjugate(frame)
-        frame = g_cert.conjugate(normal_form(
+            else image(certify(dphi(step.phases), dim), frame)
+        frame = image(g_cert, normal_form(
             PauliWord(dim, 1, (dim.neg(k),), (0,)), w))
         history.append((i, k))
     return cur, normal_form(frame, pat.frame), history
@@ -379,8 +381,8 @@ def test_frame_phases_are_checked(monkeypatch):
     g = chain_graph(D3, pat.gate, pat.step_count() + 1)
     psi = basis_state(D3, 0)
     run_trajectories(g, pat, psi, rng=0, trials=10)
-    real = engine.diagonal_images
-    monkeypatch.setattr(engine, "diagonal_images",
+    real = clifford.diagonal_images
+    monkeypatch.setattr(clifford, "diagonal_images",
                         lambda dim, q: (real(dim, q)[0], [0] * dim.d))
     with pytest.raises(FrameMismatch, match="frame phase"):
         run_trajectories(g, pat, psi, rng=0, trials=10)
@@ -528,7 +530,8 @@ def test_trajectory_tables_equal_the_step_by_step_moves(case):
     dim, d = pat.dim, pat.dim.d
     g = chain_graph(dim, pat.gate, pat.step_count() + 1)
     plan, (nxt, dph), (f_idx, f_ph) = engine._trajectory_plan(g, pat)
-    g_idx, g_ph = pat.intrinsic.certificate().frame_table()
+    cert = pat.intrinsic.certificate()
+    g_idx, g_ph = cert.idx, cert.phase
     H = hadamard(dim)
     # every chain vertex starts in the gate's resource state
     two_in = np.kron(np.eye(d), resource.resource_init(pat.gate))
@@ -903,16 +906,15 @@ def test_entangle_via_edge_draws_are_collapse_draws(d, monkeypatch):
 
 def _edge_frame_reference(dim):
     """k -> Z^{-k1} x Z^{-k4} conjugated through H x H and CZ, times
-    Z^{-k2} x Z^{-k5}, conjugated through H x H, by two-qudit
-    certificates."""
-    hh = certify(np.kron(hadamard(dim), hadamard(dim)), dim, 2)
-    cz = certify(gate_matrix(cz_spec(dim)), dim, 2)
+    Z^{-k2} x Z^{-k5}, conjugated through H x H, by dense two-qudit
+    conjugation."""
+    hh = conjugation(np.kron(hadamard(dim), hadamard(dim)), dim, 2)
+    cz = conjugation(gate_matrix(cz_spec(dim)), dim, 2)
 
     def frame(k1, k2, k4, k5):
         heads = PauliWord(dim, 2, [dim.neg(k1), dim.neg(k4)], [0, 0], 0)
         mids = PauliWord(dim, 2, [dim.neg(k2), dim.neg(k5)], [0, 0], 0)
-        return hh.conjugate(normal_form(
-            mids, cz.conjugate(hh.conjugate(heads))))
+        return hh(normal_form(mids, cz(hh(heads))))
 
     return frame
 
@@ -1414,7 +1416,7 @@ def test_mediator_kept_cdf_draw_equals_the_full_branch_collapse(d, spec_of,
             *(engine._init_vector(dim, v.init) for v in chain.vertices))
         ).reshape(d, d)
         dense = np.array([(zx_matrix(w).conj().T @ psi) @ tensor
-                          for w in one_qudit_words(dim)]) / np.sqrt(d)
+                          for w in words(dim)]) / np.sqrt(d)
         assert np.abs(branch - dense).max() < 1e-15
 
         def call(seed, forced):
@@ -1748,7 +1750,10 @@ ENGINE_ENTRIES = {
 def test_every_engine_entry_verifies_to_d100_and_refuses_d101(entry):
     # no entry builds a table past d^3 entries, so each verifies its
     # output up to d = 100 (d^3 = 10^6), over a prime and a composite
-    # ring, and over Z_101 refuses before it builds anything
+    # ring, and over Z_101 refuses before it builds anything; a cx gate
+    # refuses sooner, where its d^3 blocks would be built, which is while
+    # the run's inputs are (its transport pattern), so its peak is traced
+    # from there
     for d in (97, 100):
         dim = make_dim(INTEGER_RING, d=d)
         ENGINE_ENTRIES[entry](dim)()
@@ -1758,12 +1763,15 @@ def test_every_engine_entry_verifies_to_d100_and_refuses_d101(entry):
             expand(spec_of(dim))._facts.clear()
         engine._edge_facts.cache_clear()
         clifford._shift_tables.cache_clear()
-    call = ENGINE_ENTRIES[entry](D101)
     tracemalloc.start()
+    base = 0
     try:
         with pytest.raises(StateTooLarge, match=r"101\^3"):
+            call = ENGINE_ENTRIES[entry](D101)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             call()
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
@@ -1798,11 +1806,12 @@ def test_couple_input_refuses_a_chain_without_uniform_outcome_weights(spec_of):
 
 def test_couple_input_builds_its_graph_facts_once(monkeypatch):
     counts = {"diagonal_images": 0, "_init_vector": 0}
-    for name in counts:
-        def counted(*args, name=name, wrapped=getattr(engine, name)):
+    for module, name in ((clifford, "diagonal_images"),
+                         (engine, "_init_vector")):
+        def counted(*args, name=name, wrapped=getattr(module, name)):
             counts[name] += 1
             return wrapped(*args)
-        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(module, name, counted)
     g = chain_graph(D3, cx_spec(D3), 2)
     psi = random_state(3, np.random.default_rng(8))
     # the tail's step is the spec's kept one: cleared, so that the first call
@@ -1857,8 +1866,8 @@ def test_coupling_frame_table_equals_the_certificate(dim, spec_of):
     for k in range(dim.d ** 2):
         s, t = divmod(k, dim.d)
         t = dim.neg(t)
-        want = cert.conjugate(PauliWord(dim, 1, [dim.sub(shift[t], s)], [t],
-                                        nums[t]))
+        want = image(cert, PauliWord(dim, 1, [dim.sub(shift[t], s)], [t],
+                                     nums[t]))
         assert couple_input(psi, g, forced_outcome=k)[1].word == want
 
 
