@@ -6,7 +6,8 @@ word w_i = Z(z) X(x), i = z d + x, the symplectic map with its exact
 phases (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005).  certify
 matches the 2m generators' images densely and extends them to every word
 exactly; a diagonal's table is read without dense matching, from its
-images of every X(x) at once (diagonal_images, diagonal_cert).  Tables
+images of every X(x), each the character fit of one row of its d x d
+ratio table (diagonal_images, diagonal_cert).  Tables
 compose by one gather, so the shortest native word G_I S(l_{k-1}) ...
 G_I S(l_0) of every Clifford class an intrinsic gate reaches is found by
 a breadth-first search over the generators' image indices alone
@@ -15,7 +16,6 @@ a breadth-first search over the generators' image indices alone
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -31,6 +31,7 @@ from .gates import shear_gate
 from .pauli import (
     PAULI_TOL,
     PauliWord,
+    _character_fit,
     identity_word,
     match_pauli,
     normal_form,
@@ -164,45 +165,38 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
     e^{2 pi i num[x] / phase_den} Z(c[x]) X(x) where ok[x], and no c fits
     where not ok[x] (diag(q) is not Clifford).
 
-    Entries q(j + x) conj(q(j)) are matched to e^{i phi} chi(c (j + x))
-    with phi snapped to the exact phase lattice, at PAULI_TOL.
+    Row x of the ratio q(j + x) conj(q(j)) is e^{i phi} chi(c (j + x)): c
+    is its character fit (_character_fit), and phi, snapped to the exact
+    phase lattice, is checked with it at PAULI_TOL.
     """
     den = dim.phase_den
-    add, shifted_chi = _shift_tables(dim)
-    # ratio[x, c, j] = q(j + x) conj(q(j)) conj(chi(c (j + x)))
-    ratio = (q[add] * q.conj())[:, None, :] * shifted_chi
-    num = np.round(np.angle(ratio[..., 0]) * den / (2 * np.pi))
-    fits = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[..., None]),
-                  axis=2) <= PAULI_TOL
-    c = fits.argmax(axis=1)
-    return c, num[add[0], c].astype(int), fits.any(axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_tables(dim: DimSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """add[x, j] = j + x and conj(chi(c (j + x))) as [x, c, j], shared
-    read-only by every _diagonal_images call."""
     mul, add, _, chi = dim.tables
-    shifted_chi = chi[mul[:, add]].conj().swapaxes(0, 1)
-    shifted_chi.flags.writeable = False
-    return add, shifted_chi
+    ratio = q[add] * q.conj()
+    c, _ = _character_fit(dim, ratio)
+    # shifted[x, j] = chi(c[x] (j + x)), and add[x, 0] = x
+    shifted = chi[mul[c[:, None], add]]
+    num = np.round(np.angle(ratio[:, 0] * shifted[:, 0].conj())
+                   * den / (2 * np.pi))
+    ok = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[:, None]
+                       * shifted), axis=1) <= PAULI_TOL
+    return c, num.astype(int), ok
 
 
-def pauli_order_data(U: np.ndarray, dim: DimSpec, n: int = 1
+def pauli_order_data(U: np.ndarray, dim: DimSpec
                      ) -> Tuple[int, complex, PauliWord]:
-    """Least o >= 1 with U^o = phase * Pauli; capped at d^2."""
+    """Least o >= 1 with the one-qudit U^o = phase * Pauli; capped at d^2."""
     cap = dim.d ** 2
-    P = np.eye(dim.d ** n, dtype=complex)
+    P = np.eye(dim.d, dtype=complex)
     for k in range(1, cap + 1):
         P = P @ U
-        r = match_pauli(dim, n, P)
+        r = match_pauli(dim, 1, P)
         if r is not None:
             return k, r[0], r[1]
     raise OrderCapExceeded(f"no power up to {cap} is a Pauli word")
 
 
-def pauli_order(U: np.ndarray, dim: DimSpec, n: int = 1) -> int:
-    return pauli_order_data(U, dim, n)[0]
+def pauli_order(U: np.ndarray, dim: DimSpec) -> int:
+    return pauli_order_data(U, dim)[0]
 
 
 def universality_check(cert: CliffordCert) -> Tuple[bool, Tuple[int, int]]:

@@ -80,7 +80,7 @@ from .galois import (
     json_int,
 )
 from .gates import hadamard, shear_gate, xplus_state
-from .clifford import _additive_basis, diagonal_cert
+from .clifford import _additive_basis, _diagonal_images, diagonal_cert
 from .compiler import MeasurementPattern
 from .pauli import PAULI_TOL, PauliWord, matrix_of_pauli
 from .resource import (
@@ -1040,14 +1040,14 @@ class _StarRule:
     def outcome(self, m: int) -> Tuple[np.ndarray, tuple, list, list]:
         """(g, _eigen_table(B[:, m]), slots, pairs), built on first use:
         f(s) = sum_j conj(B_jm) w_j chi(j s), g = f / f(0), and the delta
-        with g(a + b) = g(a) g(b) chi(delta a b).  Slot u's correction is
-        (q, images): its kept diagonal times g(N_u j), read-only, and the
-        sum of their exact images mod phase_den, the outcome's read off
-        gnum, g's exact phase numerators (g(s) = e^{2 pi i gnum[s] /
-        phase_den}, checked at PAULI_TOL).  pairs are (i, j, w, cz_power
-        spec) for slots i < j with w = delta N_i N_j nonzero.
-        FrameMismatch, its message kept and raised on every call, when
-        f(0) = 0, no delta fits or g is off the lattice."""
+        with g(a + b) = g(a) g(b) chi(delta a b), which holds exactly when
+        diag g maps every X(x) to a phase times Z(delta x) X(x).  Slot u's
+        correction is (q, images): its kept diagonal times g(N_u j),
+        read-only, and the sum of their exact images mod phase_den, diag
+        g(N_u j) mapping X(x) as diag g maps X(N_u x), Z part times N_u.
+        pairs are (i, j, w, cz_power spec) for slots i < j with w = delta
+        N_i N_j nonzero.  FrameMismatch, its message kept and raised on
+        every call, when f(0) = 0 or no delta fits."""
         if m not in self.outcomes:
             self.outcomes[m] = self._outcome(m)
         out = self.outcomes[m]
@@ -1057,31 +1057,24 @@ class _StarRule:
 
     def _outcome(self, m: int) -> Union[tuple, str]:
         dim = self.dim
-        mul, add, _, chi = dim.tables
+        mul, _, _, chi = dim.tables
         f = (self.B[:, m].conj() * self.w) @ chi[mul]
         if abs(f[0]) < VERIFY_TOL:
             return f"outcome {m} leaves no graph state"
         g = f / f[0]
-        delta = next((w for w in dim.elements if np.max(np.abs(
-            g[add] - np.outer(g, g) * chi[mul[w][mul]])) <= PAULI_TOL), None)
-        if delta is None:
+        # diag g's images, Z(c[x]) X(x) up to phase, with c[x] = delta x;
+        # a c semilinear over GF(p^m) is refused
+        c, num, ok = _diagonal_images(dim, g)
+        if not (ok.all() and np.array_equal(c, mul[c[1]])):
             return f"outcome {m} phases are not quadratic"
-        den = dim.phase_den
-        gnum = np.round(np.angle(g) * den / (2 * np.pi)) % den
-        if np.max(np.abs(g - np.exp(2j * np.pi * gnum / den))) > PAULI_TOL:
-            return f"outcome {m} phases are off the exact phase lattice"
-        gnum = gnum.astype(int).tolist()
-        imul, _, neg, char_exp = dim.ints
+        den, imul, delta = dim.phase_den, dim.ints.mul, int(c[1])
         slots = []
         for N, (q, table) in zip(self.weights, self.kept):
-            # diag g(N j) maps X(x) to g(N x) chi(-c x) Z(c) X(x), for
-            # c = delta N^2 x
-            c = imul[imul[delta][imul[N][N]]]
-            z, num = _vertex_table(dim, [table, (c, [
-                gnum[imul[N][x]] + char_exp[neg[imul[c[x]][x]]]
-                for x in dim.elements])])
+            # diag g(N j) maps X(x) as diag g maps X(N x), its Z part times N
+            z, nums = _vertex_table(dim, [table, (
+                mul[c[mul[N]], N].tolist(), num[mul[N]].tolist())])
             slots.append((_read_only(q * g[mul[N]]),
-                          (z, [n % den for n in num])))
+                          (z, [n % den for n in nums])))
         pairs = [(i, j, w, cz_power(dim, w)) for (i, Ni), (j, Nj)
                  in itertools.combinations(enumerate(self.weights), 2)
                  if (w := imul[delta][imul[Ni][Nj]])]
@@ -1195,28 +1188,27 @@ def _measure_and_rewrite(graph: ResourceGraph, vid: int, complement: bool,
     vertices keep their inits.  An edge anywhere that is not a diagonal
     Clifford raises as factor_diagonal_clifford does (DimensionMismatch
     or NotCliffordError).  StateTooLarge comes first, past the budget of
-    the d^3 tables of the factors' images.
+    the one d^3 array a rewrite builds, _eigen_table's word images.
 
     w, the C_u, the N_u, B, the outcome amplitudes and each outcome's g,
     eigen table, corrections and pair weights delta N_u N_w (with their
-    cz_power specs) come from the star's _StarRule.  Each correction is
-    its diagonal and its exact images, added up from the integer images of
-    C_u and of diag g(N_u j), which maps X(x) to g(N_u x) chi(-c x) Z(c)
-    X(x) for c = delta N_u^2 x: no correction is built or read as a dense
-    operator.  A call rebuilds a correction, or a pair's spec, only where a
-    replaced pair edge's factors move into it or its weight adds to the
-    pair's, in the same order of float products.  Only N[v] is read: its
-    edges through the adjacency lists, and no init phases at all.  The new
-    graph is valid by construction and is not validated again; its vertex
-    and edge tuples are the old ones with v, v's edges and the replaced
-    pair edges filtered out and the new edges appended, numbered from one
-    past the top seq that v's edges leave (read only when an edge is
-    added), and its adjacency lists are the old ones with N(v)'s updated.
-    It keeps no vertex table of the old graph's: the check builds N(v)'s
-    from its edges (_tableau), and any other on its first read.
+    cz_power specs) come from the star's _StarRule.  Each correction is its
+    diagonal and its exact images, added up from the integer images of C_u
+    and of diag g(N_u j), read off diag g's images: no correction is built
+    or read as a dense operator.  A call rebuilds a correction, or a pair's
+    spec, only where a replaced pair edge's factors move into it or its
+    weight adds to the pair's, in the same order of float products.  Only
+    N[v] is read: its edges through the adjacency lists, and no init phases
+    at all.  The new graph is valid by construction and is not validated
+    again; its vertex and edge tuples are the old ones with v, v's edges
+    and the replaced pair edges filtered out and the new edges appended,
+    numbered from one past the top seq that v's edges leave (read only when
+    an edge is added), and its adjacency lists are the old ones with N(v)'s
+    updated.  It keeps no vertex table of the old graph's: the check builds
+    N(v)'s from its edges (_tableau), and any other on its first read.
     """
     dim = graph.dim
-    budget(dim.d ** 3, "{}^3 diagonal image table entries", dim.d)
+    budget(dim.d ** 3, "{}^3 eigen table entries", dim.d)
     site = graph.site_of(vid)
     adj = _adjacency(graph)
     star = adj[vid]

@@ -128,13 +128,12 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray
     if not (abs(abs(phase) - 1.0) <= PAULI_TOL):
         return None
     rel = diag / phase
-    mul, _, _, chi = dim.tables
-    # site i's entries rel[u d^(n-1-i)], fitted to every chi(c u) at once
-    sites = rel[np.outer(d ** np.arange(n - 1, -1, -1), dim.elements)]
-    fits = np.all(np.abs(sites[:, None] - chi[mul]) <= PAULI_TOL, axis=2)
-    if not fits.any(axis=1).all():
+    # site i's entries rel[u d^(n-1-i)], each fitted to its chi(c u)
+    z, ok = _character_fit(dim, rel[np.outer(d ** np.arange(n - 1, -1, -1),
+                                             dim.elements)])
+    if not ok.all():
         return None
-    z = fits.argmax(axis=1).tolist()
+    z = z.tolist()
     # we decomposed M = phase * X^x Z^z; reorder to Z-part-leftmost form
     for i in range(n):
         phase *= dim.char_phase(dim.neg(dim.mul(z[i], x[i])))
@@ -149,6 +148,17 @@ def match_pauli(dim: DimSpec, n: int, M: np.ndarray
     if abs(snapped - phase) <= PAULI_TOL:
         word = PauliWord(dim, n, tuple(z), tuple(x), num)
     return phase, word
+
+
+def _character_fit(dim: DimSpec, rows: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(c, ok) for a (k, d) array of rows: c[r] the peak of row r's
+    character transform |sum_j rows[r, j] conj(chi(c j))|, and ok[r] where
+    row r equals chi(c[r] j) at PAULI_TOL (a NaN fails).  Characters are
+    orthogonal, so a row that fits one peaks at it."""
+    mul, _, _, chi = dim.tables
+    c = np.argmax(np.abs(rows @ chi[mul].conj()), axis=1)
+    return c, np.max(np.abs(rows - chi[mul[c]]), axis=1) <= PAULI_TOL
 
 
 def _index_digits(dim: DimSpec, n: int, idx: int) -> Tuple[int, ...]:

@@ -52,6 +52,7 @@ from .gates import (
 from .pauli import (
     PAULI_TOL,
     PauliWord,
+    _character_fit,
     match_pauli,
     matrix_of_pauli,
     xmat,
@@ -314,8 +315,8 @@ def factor_diagonal_clifford(spec: EntanglingGateSpec
     q2[k] = e^{i theta_0k}, are read-only vectors with their exact images,
     diagonal_images' (z, num) as int tuples (None where every X(x) is
     fixed); NotCliffordError names the generator a factor fails on.  N is
-    read off row 1 of the d x d table R_jk = e^{i(theta_jk - theta_j0 -
-    theta_0k + theta_00)} and chi(N j k) = R_jk checked on all of it.
+    the character fit of row 1 of the d x d table R_jk = e^{i(theta_jk -
+    theta_j0 - theta_0k + theta_00)}, chi(N j k) = R_jk checked on all.
     """
     if spec.kind != DIAGONAL:
         raise DimensionMismatch("diagonal gate required")
@@ -333,7 +334,7 @@ def factor_diagonal_clifford(spec: EntanglingGateSpec
                         if any(z) or any(num) else None))
     mul, _, _, chi = dim.tables
     R = np.exp(1j * (th - th[:, :1] - th[:1] + th[0, 0]))
-    N = int(np.argmin(np.max(np.abs(chi[mul] - R[1]), axis=1)))
+    N = int(_character_fit(dim, R[1:2])[0][0])
     if not np.max(np.abs(chi[mul[N][mul]] - R)) <= PAULI_TOL:
         raise NotCliffordError("gate does not factor as (C1 x C2) CZ^N")
     return (*factors, N)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import dense_oracle
 
 from quditmbqc.errors import (
     DimensionMismatch,
+    NoRealSolution,
     NotCliffordError,
     QuditError,
 )
@@ -27,7 +29,9 @@ from quditmbqc.gates import (
     tau,
 )
 from quditmbqc.pauli import (
+    PAULI_TOL,
     PauliWord,
+    _character_fit,
     match_pauli,
     matrix_of_pauli,
     single_word,
@@ -42,8 +46,10 @@ from quditmbqc.clifford import (
     universality_check,
 )
 from quditmbqc.resource import (
+    EntanglingGateSpec,
     cx_spec,
     cz_spec,
+    expand,
     gate_matrix,
     intrinsic_of,
     light_shift_spec,
@@ -300,6 +306,63 @@ def test_diagonal_images_name_the_generator_they_fail_on():
         assert exc.value.generator == "X0^2"
 
 
+# every ring Z2..Z9, composites included, and GF(4), GF(8), GF(9)
+FIT_DIMS = [make_dim(INTEGER_RING, d=d) for d in (2, 3, 4, 5, 6, 8, 9)] + [
+    make_dim(FINITE_FIELD, p=p, m=m) for p, m in ((2, 2), (2, 3), (3, 2))]
+
+
+def _first_character(dim, row):
+    """The first c whose character chi(c j) fits row at PAULI_TOL, or
+    None: the per-candidate loop the character transform replaces."""
+    mul, _, _, chi = dim.tables
+    return next((c for c in dim.elements
+                 if np.max(np.abs(row - chi[mul[c]])) <= PAULI_TOL), None)
+
+
+@pytest.mark.parametrize("dim", FIT_DIMS, ids=lambda dim: dim.label())
+def test_character_fit_equals_the_loop_over_characters(dim):
+    # the transform's peak and check give what the loop gives, ok on every
+    # row and c wherever ok: on each character, exact, within PAULI_TOL
+    # and just past it at one entry, on each character times a random
+    # phase (whose peak is that character's c), on random unit rows and on
+    # a row of ones with a NaN, whose transform is all NaN and peaks at 0
+    rng = np.random.default_rng(dim.d)
+    mul, _, _, chi = dim.tables
+    d = dim.d
+    nudge = np.zeros(d)
+    nudge[-1] = 1
+    chars = chi[mul]
+    rows = np.concatenate([
+        chars, chars * np.exp(1e-10j), chars * np.exp(1e-6j * nudge),
+        chars * np.exp(2j * np.pi * rng.random((d, 1))),
+        np.exp(2j * np.pi * rng.random((3 * d, d))),
+        np.where(np.arange(d) == d // 2, np.nan, chars[0])[None]])
+    c, ok = _character_fit(dim, rows)
+    want = [_first_character(dim, row) for row in rows]
+    assert ok.tolist() == [w is not None for w in want]
+    assert [int(v) for v, w in zip(c, want) if w is not None] \
+        == [w for w in want if w is not None]
+    assert ok[:2 * d].all() and not ok[2 * d:].any()
+    assert c[3 * d:4 * d].tolist() == list(dim.elements)
+
+
+def test_a_z97_diagonal_read_keeps_no_table():
+    # a diagonal is read off its d x d ratio table alone: a Z97 shear's
+    # certificate peaks under 1 MiB and, once dropped, leaves less than one
+    # d^2 table behind, for no d^3 table is kept per dimension
+    dim = make_dim(INTEGER_RING, d=97)
+    q = np.diag(shear_gate(dim, 1))
+    tracemalloc.start()
+    try:
+        cert = diagonal_cert(dim, q)
+        assert cert.idx[1] == 97 + 1     # X(1) to a phase times Z(1) X(1)
+        del cert
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < dim.d ** 2 * 8 and peak < 2 ** 20, (held, peak)
+
+
 # --- shortest native words --------------------------------------------------
 
 # sha256 of each family's shortest-word table, recorded while a certificate
@@ -395,3 +458,36 @@ def test_shortest_words_are_pinned(family):
                    for key, word in words.items())
     assert hashlib.sha256(json.dumps(items).encode()).hexdigest() \
         == WORDS_SHA256[family]
+
+
+def _cz_with_s_inits(dim, beta):
+    """CZ whose resource init is S^beta |0_X>."""
+    return EntanglingGateSpec(
+        dim, "diagonal", theta=expand(cz_spec(dim)).theta,
+        init_phases=np.angle(np.diag(sgate(dim)) ** beta))
+
+
+def test_pauli_order_is_the_order_of_the_word_table():
+    # the cost parameter o two ways: pauli_order's least power of G_I that
+    # matches a Pauli word densely equals the least o whose o-th compose
+    # power of G_I's certificate moves no word, for every Clifford G_I of
+    # cz, cx, light shift where its angle exists, and CZ with S^beta
+    # inits, beta = 0 .. d - 1, over Z_2 to Z_13, GF(4), GF(8) and GF(9)
+    checked = 0
+    for dim in _FAMILY_DIMS.values():
+        specs = [spec_of(dim) for spec_of in _FAMILY_SPECS.values()]
+        specs += [_cz_with_s_inits(dim, beta) for beta in dim.elements]
+        for spec in specs:
+            try:
+                intr = intrinsic_of(spec)
+            except NoRealSolution:      # no light-shift angle past d = 4
+                continue
+            if not intr.is_clifford:    # the Z_4 light shift
+                continue
+            cert = power = intr.certificate()
+            o = 1
+            while not np.array_equal(power.idx, np.arange(dim.d ** 2)):
+                power, o = power.compose(cert), o + 1
+            assert pauli_order(intr.matrix, dim) == o, (dim, spec)
+            checked += 1
+    assert checked == 144

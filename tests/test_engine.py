@@ -1762,7 +1762,6 @@ def test_every_engine_entry_verifies_to_d100_and_refuses_d101(entry):
         for spec_of in (cz_spec, cx_spec):
             expand(spec_of(dim))._facts.clear()
         engine._edge_facts.cache_clear()
-        clifford._shift_tables.cache_clear()
     tracemalloc.start()
     base = 0
     try:

@@ -847,6 +847,23 @@ def test_a_cached_non_quadratic_outcome_raises_on_every_draw():
                              2: "outcome 2 phases are not quadratic"}
 
 
+def test_a_semilinear_outcome_is_not_quadratic():
+    # over GF(4), g = (1, 1, 1, -1) is a Clifford diagonal, mapping X(x)
+    # to a phase times Z(x^2) X(x), but x^2 is not xi-linear, so no delta
+    # gives g(a + b) = g(a) g(b) chi(delta a b): a star rule whose outcome
+    # 0 has this g (its basis column set so that f = g) refuses it
+    GF4 = make_dim(FINITE_FIELD, p=2, m=2)
+    g = np.array([1, 1, 1, -1], dtype=complex)
+    mul, _, _, chi = GF4.tables
+    assert diagonal_images(GF4, g)[0] == [0, 1, 3, 2]
+    spec = _fresh_cz(GF4)
+    rule = engine._StarRule(spec, None, (((spec, True),),))
+    rule.B = (g.conj() @ chi[mul] / GF4.d)[:, None]
+    with pytest.raises(FrameMismatch,
+                       match="outcome 0 phases are not quadratic"):
+        rule.outcome(0)
+
+
 class _Uniform:
     """A stand-in generator whose random(1) is [u]."""
 
