@@ -95,13 +95,8 @@ def _digest(inputs: List[Tuple[str, bytes]]) -> str:
 
 def _report(command: str, digest: str, results: dict,
             seed: Optional[int]) -> dict:
-    return {
-        "command": command,
-        "inputs_sha256": digest,
-        "results": results,
-        "seed": seed,
-        "version": __version__,
-    }
+    return {"command": command, "inputs_sha256": digest, "results": results,
+            "seed": seed, "version": __version__}
 
 
 def _load_json(path: str, inputs: List[Tuple[str, bytes]]):
@@ -171,8 +166,7 @@ def cmd_analyze(args) -> int:
             }
     except (NotCliffordError, NotControlledPauliForm) as exc:
         results["factorization"] = {"form": None, "note": str(exc)}
-    print(dumps_report(_report("analyze", _digest(inputs),
-                               results, None)))
+    print(dumps_report(_report("analyze", _digest(inputs), results, None)))
     return 0
 
 
@@ -290,8 +284,7 @@ def cmd_run(args) -> int:
     if args.dump_state:
         results["state"] = state_to_json(
             StateVector(dim, 1, runs.posteriors[-1]))
-    print(dumps_report(_report(
-        "run", _digest(inputs), results, seed)))
+    print(dumps_report(_report("run", _digest(inputs), results, seed)))
     return 0
 
 
@@ -314,22 +307,28 @@ _EXITS = (((UnsupportedFormalism, WrongFormalism, NotCliffordError),
           (CompilationDiverged, EXIT_DIVERGED), (FrameMismatch, EXIT_FRAME))
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and, by name, each command's own parser."""
     p = argparse.ArgumentParser(prog="quditmbqc")
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, flags in _COMMANDS.items():
         sp = sub.add_parser(name)
+        sp.set_defaults(cmd=name)
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
-    return p
+    return p, sub.choices
 
 
-_PARSER = make_parser()
+_PARSER, _COMMAND_PARSERS = make_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # one pass: a command's own parser reads its flags; the top-level one
+    # reports no command, -h and an unknown command
+    sub = argv and _COMMAND_PARSERS.get(argv[0])
     try:
-        args = _PARSER.parse_args(argv)
+        args = sub.parse_args(argv[1:]) if sub else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:

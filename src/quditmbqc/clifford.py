@@ -171,6 +171,7 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
     """
     den = dim.phase_den
     mul, add, _, chi = dim.tables
+    q = np.where(np.isfinite(q), q, np.nan)  # an inf warns, a NaN does not
     ratio = q[add] * q.conj()
     c, _ = _character_fit(dim, ratio)
     # shifted[x, j] = chi(c[x] (j + x)), and add[x, 0] = x
@@ -179,7 +180,7 @@ def _diagonal_images(dim: DimSpec, q: np.ndarray
                    * den / (2 * np.pi))
     ok = np.max(np.abs(ratio - np.exp(2j * np.pi * num / den)[:, None]
                        * shifted), axis=1) <= PAULI_TOL
-    return c, num.astype(int), ok
+    return c, np.where(ok, num, 0).astype(int), ok
 
 
 def pauli_order_data(U: np.ndarray, dim: DimSpec

@@ -148,15 +148,17 @@ def _word(G: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return PG[-1] * E[-1], PG
 
 
-def _jacobian(W: np.ndarray, PG: np.ndarray) -> np.ndarray:
-    """dW/dx of _word's W and prefixes PG as an (L d, 2 d^2) real matrix:
-    row jk is dW/dx_jk, W's complex entries row by row viewed as
-    interleaved (real, imaginary) pairs."""
-    # dW/dx_jk = i e^{i x_jk} (P_j G)[:, k] Q_j[k, :] with Q_j the steps after
-    # j; every step is unitary, so e^{i x_jk} Q_j[k, :] = ((P_j G)^dag W)[k, :]
-    J = np.einsum("jak,jkb->jkab", PG,
-                  PG.conj().transpose(0, 2, 1) @ (1j * W))
-    return J.reshape(-1, W.size).view(float)
+def _normal(W: np.ndarray, PG: np.ndarray, R: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """J J^T and J r, J = dW/dx of _word's W and prefixes PG and r the
+    residual R, complex entries as interleaved real pairs, without J: row
+    jk of J is i C_jk (x) C_jk^dag W, C_jk = (P_j G)[:, k] (every step is
+    unitary), so with C the (L d, d) prefix columns and W unitary, J J^T
+    = |C C^dag|^2 and J r = Im sum_b (conj(C) R * C conj(W))[:, b]."""
+    C = PG.transpose(0, 2, 1).reshape(-1, W.shape[0])
+    Cc = C.conj()
+    A = np.abs(C @ Cc.T)
+    return A * A, ((Cc @ R) * (C @ W.conj())).sum(1).imag
 
 
 def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
@@ -164,11 +166,10 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
     """Levenberg-Marquardt on the phase torus toward 1 - |tr(U^dag W)|/d = 0.
 
     The residual W - (T/|T|) U, T = tr(U^dag W) (phase 1 when T = 0), has
-    squared norm 2d(1 - |T|/d); it and J = _jacobian, built only where a
-    step starts, are interleaved real pairs: normal equations J J^T, J r.
-    Each group's global phase is free, so J J^T is rank deficient; the
-    damping mu I keeps every step solvable.  Returns the phases, |T|/d and
-    the number of accepted steps.
+    squared norm 2d(1 - |T|/d); its normal equations, _normal, are formed
+    where a step starts.  Each group's global phase is free, so J J^T is
+    rank deficient: the damping mu I keeps every step solvable.  Returns
+    the phases, |T|/d and the number of accepted steps.
     """
     d = U.shape[0]
 
@@ -176,15 +177,14 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
         W, PG = _word(G, x)
         T = np.vdot(U, W)
         size = abs(T)
-        r = (W - (T / size if size else 1.0) * U).ravel()
-        return 1.0 - size / d, r.view(float), (W, PG)
+        R = W - (T / size if size else 1.0) * U
+        return 1.0 - size / d, (W, PG, R)
 
     x = phis.ravel()
-    res, r, word = fit(x)
+    res, word = fit(x)
     mu, steps, eye = 1e-3, 0, np.eye(x.size)
     while res > POLISH_FLOOR and steps < POLISH_STEPS:
-        J = _jacobian(*word)
-        A, g = J @ J.T, J @ r
+        A, g = _normal(*word)
         for _ in range(8):
             x_new = x - np.linalg.solve(A + mu * eye, g)
             new = fit(x_new)
@@ -193,7 +193,7 @@ def _polish(U: np.ndarray, G: np.ndarray, phis: np.ndarray
             mu *= 10
         else:
             break
-        x, (res, r, word) = x_new, new
+        x, (res, word) = x_new, new
         mu /= 10
         steps += 1
     return x.reshape(phis.shape), 1.0 - res, steps
@@ -247,8 +247,8 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
     RESIDUAL_TOL.  The pattern's `stats` hold that residual
     1 - |tr(U^dag W)|/d and the work spent over both lengths.  A target
     that fails sim.require_unitary raises NonUnitary before any ALS sweep,
-    and a length L past the budget of its L d^3 polish Jacobian entries
-    raises StateTooLarge before its ALS.
+    and a length L past the budget of its (L d)^2 polish normal-equation
+    entries raises StateTooLarge before its ALS.
     """
     dim = intrinsic.dim
     d = dim.d
@@ -269,7 +269,8 @@ def compile_unitary(U: np.ndarray, intrinsic: IntrinsicGate,
             stats=CompileStats(float(1.0 - abs(np.vdot(U, G)) / d)))
     stats = CompileStats()
     for L in _lengths(intrinsic):
-        budget(L * d ** 3, "{} x {}^3 polish Jacobian entries", L, d)
+        budget((L * d) ** 2, "({} x {})^2 polish normal-equation entries",
+               L, d)
         phis, res = _solve(U, G, L, seed, stats)
         if res <= RESIDUAL_TOL:
             break
@@ -340,18 +341,17 @@ def pattern_to_json(p: MeasurementPattern) -> dict:
 
 def pattern_from_json(obj: dict) -> MeasurementPattern:
     obj = json_check(obj, dict, "pattern")
-    dim = dim_from_json(obj["dim"])
+    gate_obj = obj.get("intrinsic")
+    gate = None if gate_obj is None else gate_from_json(gate_obj)
+    # a gate dim with the pattern dim's repr (the same JSON values of the
+    # same types) is the same DimSpec: it is parsed once, by gate_from_json
+    same = gate is not None and repr(gate_obj["dim"]) == repr(obj["dim"])
+    dim = gate.dim if same else dim_from_json(obj["dim"])
     d = dim.d
-    if obj.get("intrinsic") is not None:
-        gate = gate_from_json(obj["intrinsic"])
-        if gate.dim != dim:
-            raise DimensionMismatch("intrinsic gate and pattern dimensions "
-                                    "differ")
-        intr = intrinsic_of(gate)
-    else:
-        gate = None
-        M = json_complex(obj["intrinsic_matrix"], (d, d), "intrinsic_matrix")
-        intr = intrinsic_from_matrix(dim, M)
+    if gate is not None and gate.dim != dim:
+        raise DimensionMismatch("intrinsic gate and pattern dimensions differ")
+    intr = intrinsic_of(gate) if gate is not None else intrinsic_from_matrix(
+        dim, json_complex(obj["intrinsic_matrix"], (d, d), "intrinsic_matrix"))
     steps = [PatternStep(json_array(s["phases"], (d,), "phases"),
                          json_check(s["adaptive"], bool, "adaptive"))
              for s in (json_check(s, dict, "step")

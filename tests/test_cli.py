@@ -675,6 +675,62 @@ def test_flag_a_command_does_not_read_is_usage_error(capsys):
         assert "unrecognized arguments" in _usage_error(capsys, argv)
 
 
+# every command's flags, --flag=value, abbreviations, a repeated flag, a
+# bad int, a bad choice, a missing required flag, unknown flags and
+# arguments, an unknown command, no command and -h
+PARSE_CASES = [
+    ["analyze", "--gate", "g.json", "--formalism", "ring"],
+    ["analyze", "--gate=g.json", "--formalism=field"],
+    ["compile", "--gate", "g.json", "--target", "t.json", "--seed", "4",
+     "--formalism", "ring"],
+    ["compile", "--gat", "g.json", "--tar=t.json", "--se", "0"],
+    ["run", "--pattern", "p.json", "--graph", "c.json", "--seed", "1",
+     "--trials", "3", "--dump-state"],
+    ["run", "--pattern=p.json", "--tri", "5", "--dump"],
+    ["run", "--pattern", "a.json", "--pattern", "b.json", "--trials", "2",
+     "--trials", "7"],
+    ["table"], ["transport", "--gate", "g.json"],
+    ["transport", "--formalism", "field", "--gate", "g.json"],
+    ["run", "--pattern", "p.json", "--trials", "x"],
+    ["compile", "--gate", "g.json", "--target", "t.json", "--seed", "1.5"],
+    ["analyze", "--gate", "g.json", "--formalism", "qubit"],
+    ["compile", "--gate", "g.json"], ["run"],
+    ["table", "--seed", "1"], ["table", "extra"],
+    ["analyze", "--gate", "g.json", "--bogus"],
+    ["run", "--pattern", "p.json", "--formalism", "ring"],
+    ["frobnicate"], ["--gate", "g.json", "analyze"], [],
+    ["-h"], ["--help"], ["compile", "-h"], ["run", "--pattern", "p", "-h"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-command")
+def test_main_parses_as_the_top_level_parser(monkeypatch, capsys, argv):
+    # main hands a command's arguments to that command's own parser, in
+    # one pass: the exit code, the namespace a handler gets and the output
+    # are the top-level parser's, except that unrecognized arguments are
+    # reported under the command's own usage line
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args: seen.append(args) or 0)
+    try:
+        want, code = [cli._PARSER.parse_args(argv)], 0
+    except SystemExit as exc:
+        want, code = [], exc.code or 0
+    out, err = capsys.readouterr()
+    assert cli.main(argv) == (cli.EXIT_PARSE if code else 0)
+    assert seen == want
+    got = capsys.readouterr()
+    assert got.out == out
+    if "unrecognized arguments" in err:
+        sub = cli._COMMAND_PARSERS[argv[0]]
+        assert got.err == sub.format_usage() + err.splitlines()[-1].replace(
+            "quditmbqc:", f"quditmbqc {argv[0]}:") + "\n"
+    else:
+        assert got.err == err
+    assert got.err.startswith("usage: quditmbqc") or not code
+
+
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     def no_parser():
         raise AssertionError("main built a parser")

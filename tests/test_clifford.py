@@ -306,6 +306,17 @@ def test_diagonal_images_name_the_generator_they_fail_on():
         assert exc.value.generator == "X0^2"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+def test_diagonal_images_refuse_a_non_finite_entry(bad):
+    # a NaN or infinite entry fits no image: both readers raise
+    # NotCliffordError naming X0^1, and no numpy warning (an error here)
+    q = np.array([1, bad, 1], dtype=complex)
+    for read in (diagonal_images, diagonal_cert):
+        with pytest.raises(NotCliffordError, match="X0\\^1 ") as exc:
+            read(D3, q)
+        assert exc.value.generator == "X0^1"
+
+
 # every ring Z2..Z9, composites included, and GF(4), GF(8), GF(9)
 FIT_DIMS = [make_dim(INTEGER_RING, d=d) for d in (2, 3, 4, 5, 6, 8, 9)] + [
     make_dim(FINITE_FIELD, p=p, m=m) for p, m in ((2, 2), (2, 3), (3, 2))]

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditmbqc import cli
-from quditmbqc import compiler
+from quditmbqc import cli, compiler, galois, resource
 from quditmbqc.errors import (
+    DimensionMismatch,
     StateTooLarge,
     UniversalityViolated,
     UnsupportedFormalism,
@@ -23,7 +23,7 @@ from quditmbqc.gates import dphi, hadamard, mult_gate, sgate, shear_gate
 from quditmbqc.pauli import PauliWord, matrix_of_pauli
 from quditmbqc.compiler import (
     _als_run,
-    _jacobian,
+    _normal,
     _word,
     compile_clifford,
     compile_unitary,
@@ -105,10 +105,10 @@ def test_compile_composite_rings(tmp_path, capsys, d, spec_of):
     assert stats["residual"] <= compiler.RESIDUAL_TOL
 
 
-def test_compile_refuses_a_polish_jacobian_past_the_budget(monkeypatch):
-    # a word of L steps is polished on L d rows of d^2 complex entries:
-    # over Z_31 the first length, 33, has 983,103 and is fitted, while
-    # over Z_32 its 34 x 32^3 exceed the 10^6 budget, and compile refuses
+def test_compile_refuses_a_polish_normal_matrix_past_the_budget(monkeypatch):
+    # a word of L steps is polished on (L d)^2 normal-equation entries:
+    # over Z_30 the first length, 32, has 921,600 and is fitted, while
+    # over Z_31 its (33 x 31)^2 exceed the 10^6 budget, and compile refuses
     # before any ALS, within 1 MiB
     fitted = []
 
@@ -117,23 +117,23 @@ def test_compile_refuses_a_polish_jacobian_past_the_budget(monkeypatch):
         return np.zeros((L, G.shape[0])), 0.0
 
     monkeypatch.setattr(compiler, "_solve", solve)
-    for d in (31, 32):
+    for d in (30, 31):
         dim = make_dim(INTEGER_RING, d=d)
         U, intr = haar_unitary(d, np.random.default_rng(d)), \
             intrinsic_of(cz_spec(dim))
-        if d == 31:
-            assert compile_unitary(U, intr).step_count() == 33
+        if d == 30:
+            assert compile_unitary(U, intr).step_count() == 32
             continue
         tracemalloc.start()
         try:
-            with pytest.raises(StateTooLarge,
-                               match=r"34 x 32\^3 polish Jacobian entries"):
+            with pytest.raises(StateTooLarge, match=r"\(33 x 31\)\^2 polish "
+                               r"normal-equation entries exceed"):
                 compile_unitary(U, intr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
-    assert fitted == [33]
+    assert fitted == [32]
 
 
 @pytest.mark.parametrize("spec_of", [cz_spec, cx_spec])
@@ -244,29 +244,87 @@ def test_pattern_json_with_frame_semantics_key_loads_and_runs():
     assert a.fidelities.min() > 1 - 1e-9
 
 
-@pytest.mark.parametrize("dim,spec_of", [(D3, cz_spec), (D4F, cx_spec),
-                                         (D5, cx_spec)])
-def test_polish_jacobian_matches_finite_differences(dim, spec_of):
-    G = intrinsic_of(spec_of(dim)).matrix
-    x = np.random.default_rng(3).uniform(-np.pi, np.pi, (dim.d + 2) * dim.d)
-    J = _jacobian(*_word(G, x))
-    assert J.shape == (x.size, 2 * dim.d ** 2)
-    h = 1e-6
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        dV = (_word(G, x + e)[0] - _word(G, x - e)[0]).ravel() / (2 * h)
-        # row i: dW/dx_i's entries as interleaved (real, imaginary) pairs
-        assert np.allclose(J[i, 0::2], dV.real, rtol=0, atol=1e-6)
-        assert np.allclose(J[i, 1::2], dV.imag, rtol=0, atol=1e-6)
-
-
 def _dense_word(G, phis):
     """G D(phis_0) G D(phis_1) ... G D(phis_{L-1}), one dense product."""
     out = np.eye(G.shape[0], dtype=complex)
     for p in phis:
         out = out @ G @ dphi(p)
     return out
+
+
+def test_pattern_reads_a_shared_dimension_once(monkeypatch):
+    # a named gate's dim written as the pattern's is parsed once, by the
+    # gate's reader; a gate over another dimension is still refused, as is
+    # a pattern dim that differs from the gate's only in type
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return galois.dim_from_json(obj)
+
+    for module in (compiler, resource):
+        monkeypatch.setattr(module, "dim_from_json", counted)
+    pat = transport_pattern(intrinsic_of(cz_spec(D3)))
+    pat.gate = cz_spec(D3)
+    obj = json.loads(json.dumps(pattern_to_json(pat)))
+    assert pattern_from_json(obj).dim is D3 and len(calls) == 1
+    other = dict(obj["intrinsic"], dim={"kind": "integer_ring", "d": 5})
+    for edited, message in (
+            (dict(obj, dim={"kind": "integer_ring", "d": 5}),
+             "intrinsic gate and pattern dimensions differ"),
+            (dict(obj, intrinsic=other),
+             "intrinsic gate and pattern dimensions differ"),
+            (dict(obj, dim={"kind": "integer_ring", "d": 3.0}),
+             "d must be an integer")):
+        with pytest.raises(DimensionMismatch, match=message):
+            pattern_from_json(edited)
+
+
+def _polish_point(dim, spec_of):
+    """G, seeded phases x of a d + 2 step word, its W and prefixes, and
+    the polish's residual R = W - (T/|T|) U toward a seeded Haar U."""
+    G = intrinsic_of(spec_of(dim)).matrix
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-np.pi, np.pi, (dim.d + 2) * dim.d)
+    W, PG = _word(G, x)
+    U = haar_unitary(dim.d, rng)
+    T = np.vdot(U, W)
+    return G, x, W, PG, W - T / abs(T) * U
+
+
+POLISH_FAMILIES = [(D3, cz_spec), (D4F, cx_spec), (D5, cx_spec),
+                   (D2, cz_spec)]
+
+
+@pytest.mark.parametrize("dim,spec_of", POLISH_FAMILIES)
+def test_polish_jacobian_matches_finite_differences(dim, spec_of):
+    # J's row i is dW/dx_i by central differences of _word, its complex
+    # entries as interleaved (real, imaginary) pairs, as the residual's
+    G, x, W, PG, R = _polish_point(dim, spec_of)
+    h = 1e-6
+    J = np.array([((_word(G, x + h * e)[0] - _word(G, x - h * e)[0])
+                   / (2 * h)).ravel().view(float) for e in np.eye(x.size)])
+    assert J.shape == (x.size, 2 * dim.d ** 2)
+    A, g = _normal(W, PG, R)
+    assert np.allclose(A, J @ J.T, rtol=0, atol=1e-6)
+    assert np.allclose(g, J @ R.ravel().view(float), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dim,spec_of", POLISH_FAMILIES)
+def test_polish_normal_equations_match_the_explicit_jacobian(dim, spec_of):
+    # row jk: the dense word with D_j replaced by its x_jk derivative,
+    # i e^{i x_jk} at (k, k) only
+    G, x, W, PG, R = _polish_point(dim, spec_of)
+    phis, rows = x.reshape(-1, dim.d), []
+    for j, k in np.ndindex(phis.shape):
+        dD = np.zeros((dim.d, dim.d), complex)
+        dD[k, k] = 1j * np.exp(1j * phis[j, k])
+        rows.append((_dense_word(G, phis[:j]) @ G @ dD
+                     @ _dense_word(G, phis[j + 1:])).ravel().view(float))
+    J = np.array(rows)
+    A, g = _normal(W, PG, R)
+    assert np.allclose(A, J @ J.T, rtol=0, atol=1e-12)
+    assert np.allclose(g, J @ R.ravel().view(float), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,spec_of", [(D2, cz_spec), (D3, cz_spec),
